@@ -13,15 +13,17 @@
 //!   end-to-end framing of the paper's motivation (Figure 2 + the §4
 //!   in-text claim combined).
 
-use crate::{paper_network, PointSummary};
-use baselines::{UnicastMulticast, UpDownUnicastRouting};
-use desim::{Duration, Time};
+use crate::report::{self, Report};
+use crate::sweep::replicate_point;
+use crate::{figure3_traffic, first_latency_us, makespan_us, paper_spec, run_rep, PointSummary};
+use desim::Time;
+use netgraph::gen::lattice::IrregularConfig;
 use netgraph::NodeId;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use simstats::{ConfidenceLevel, PrecisionController};
 use spam_core::{partition_specs, PartitionStrategy, SpamRouting};
-use traffic::{DestinationSampler, MixedTrafficConfig};
+use spam_scenario::{split_seed, RoutingSpec, TrafficSpec};
+use traffic::DestinationSampler;
 use updown::{RootSelection, UpDownLabeling};
 use wormsim::{MessageSpec, NetworkSim, SimConfig};
 
@@ -39,48 +41,31 @@ pub struct AblationConfig {
 }
 
 impl AblationConfig {
-    /// Paper-scale defaults (128 nodes, 1 % CI).
-    pub fn paper() -> Self {
+    /// Paper-scale defaults (128 nodes, 1 % CI), or the fast `quick`
+    /// variant for smoke tests and CI.
+    pub fn new(quick: bool) -> Self {
         AblationConfig {
-            switches: 128,
-            target_rel: 0.01,
-            max_reps: 1000,
+            switches: if quick { 32 } else { 128 },
+            target_rel: if quick { 0.05 } else { 0.01 },
+            max_reps: if quick { 24 } else { 1000 },
             seed: 0x0AB1_A7E5,
         }
-    }
-
-    /// Fast defaults for smoke tests.
-    pub fn quick() -> Self {
-        AblationConfig {
-            switches: 32,
-            target_rel: 0.05,
-            max_reps: 24,
-            seed: 0x0AB1_A7E5,
-        }
-    }
-}
-
-fn point(ctl: &PrecisionController, x: f64) -> PointSummary {
-    let ci = ctl.interval().expect("at least 3 reps");
-    PointSummary {
-        x,
-        mean: ci.mean,
-        ci_half_width: ci.half_width,
-        reps: ctl.count(),
-        target_met: ctl.met_target(),
     }
 }
 
 // ---------------------------------------------------------------- A: root
 
-/// Mean single-multicast latency under one root policy.
+/// Single-multicast latency under one root policy. The spec has no
+/// root-selection axis, so this arm labels the lattice itself.
 fn root_policy_rep(switches: usize, root: RootSelection, dests: usize, seed: u64) -> f64 {
-    let topo = paper_network(switches, crate::split_seed(seed, 0xA));
+    let topo = IrregularConfig::with_switches(switches).generate(split_seed(seed, 0xA));
     let ud = UpDownLabeling::build(&topo, root);
     let spam = SpamRouting::new(&topo, &ud);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(crate::split_seed(seed, 0xB));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(split_seed(seed, 0xB));
     let procs: Vec<NodeId> = topo.processors().collect();
     let src = procs[rng.gen_range(0..procs.len())];
+    // Clamped, not rejected: the quick 32-node network has 31 candidates
+    // for the 32-destination multicast.
     let mut others: Vec<NodeId> = procs.iter().copied().filter(|&p| p != src).collect();
     others.shuffle(&mut rng);
     others.truncate(dests);
@@ -89,7 +74,7 @@ fn root_policy_rep(switches: usize, root: RootSelection, dests: usize, seed: u64
         .unwrap();
     let out = sim.run();
     assert!(out.all_delivered());
-    out.messages[0].latency().unwrap().as_us_f64()
+    first_latency_us(&out)
 }
 
 /// Ablation A: multicast latency per root-selection policy (x = policy
@@ -105,14 +90,14 @@ pub fn run_root_selection(cfg: &AblationConfig, dests: usize) -> Vec<(String, Po
         .iter()
         .enumerate()
         .map(|(i, (name, root))| {
-            let mut ctl =
-                PrecisionController::new(cfg.target_rel, ConfidenceLevel::P95, 3, cfg.max_reps);
-            crate::sweep::replicate_parallel(
-                &mut ctl,
-                crate::split_seed(cfg.seed, i as u64),
+            let p = replicate_point(
+                cfg.target_rel,
+                cfg.max_reps,
+                split_seed(cfg.seed, i as u64),
+                i as f64,
                 |s| root_policy_rep(cfg.switches, *root, dests, s),
             );
-            (name.to_string(), point(&ctl, i as f64))
+            (name.to_string(), p)
         })
         .collect()
 }
@@ -129,30 +114,21 @@ pub fn run_buffer_depth(
     depths
         .iter()
         .map(|&depth| {
-            let mut ctl =
-                PrecisionController::new(cfg.target_rel, ConfidenceLevel::P95, 3, cfg.max_reps);
-            crate::sweep::replicate_parallel(
-                &mut ctl,
-                crate::split_seed(cfg.seed, depth as u64),
+            replicate_point(
+                cfg.target_rel,
+                cfg.max_reps,
+                split_seed(cfg.seed, depth as u64),
+                depth as f64,
                 |s| {
-                    let topo = paper_network(cfg.switches, crate::split_seed(s, 0xA));
-                    let ud = crate::paper_labeling(&topo);
-                    let spam = SpamRouting::new(&topo, &ud);
-                    let stream = MixedTrafficConfig::figure3(rate, 8, messages)
-                        .generate(&topo, crate::split_seed(s, 0xB))
-                        .expect("valid mixed-traffic config");
-                    let mut sim =
-                        NetworkSim::new(&topo, spam, SimConfig::paper().with_buffers(depth, depth));
-                    for spec in stream {
-                        sim.submit(spec).unwrap();
-                    }
-                    let out = sim.run();
-                    assert!(out.all_delivered());
+                    let mut spec = paper_spec(cfg.switches, figure3_traffic(rate, 8, messages), s);
+                    spec.engine.input_buffer_flits = depth;
+                    spec.engine.output_buffer_flits = depth;
                     let warmup = (messages / 10) as u64;
-                    out.mean_latency_us(|m| m.spec.tag >= warmup).unwrap()
+                    run_rep(&spec)
+                        .mean_latency_us(|m| m.spec.tag >= warmup)
+                        .expect("messages completed")
                 },
-            );
-            point(&ctl, depth as f64)
+            )
         })
         .collect()
 }
@@ -196,10 +172,10 @@ fn partition_rep(
     background: usize,
     seed: u64,
 ) -> f64 {
-    let topo = paper_network(switches, crate::split_seed(seed, 0xA));
-    let ud = crate::paper_labeling(&topo);
+    let topo = IrregularConfig::with_switches(switches).generate(split_seed(seed, 0xA));
+    let ud = UpDownLabeling::build(&topo, RootSelection::LowestId);
     let spam = SpamRouting::new(&topo, &ud);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(crate::split_seed(seed, 0xB));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(split_seed(seed, 0xB));
     let procs: Vec<NodeId> = topo.processors().collect();
     let src = procs[rng.gen_range(0..procs.len())];
     let dset = DestinationSampler::UniformRandom { count: dests }
@@ -255,14 +231,14 @@ pub fn run_partition(
     arms.iter()
         .enumerate()
         .map(|(i, arm)| {
-            let mut ctl =
-                PrecisionController::new(cfg.target_rel, ConfidenceLevel::P95, 3, cfg.max_reps);
-            crate::sweep::replicate_parallel(
-                &mut ctl,
-                crate::split_seed(cfg.seed, 0xC0 + i as u64),
+            let p = replicate_point(
+                cfg.target_rel,
+                cfg.max_reps,
+                split_seed(cfg.seed, 0xC0 + i as u64),
+                i as f64,
                 |s| partition_rep(cfg.switches, dests, *arm, background, s),
             );
-            (arm.label(), point(&ctl, i as f64))
+            (arm.label(), p)
         })
         .collect()
 }
@@ -278,48 +254,163 @@ pub fn run_baseline_comparison(
     dest_counts
         .iter()
         .map(|&k| {
-            let mut spam_ctl =
-                PrecisionController::new(cfg.target_rel, ConfidenceLevel::P95, 3, cfg.max_reps);
-            crate::sweep::replicate_parallel(
-                &mut spam_ctl,
-                crate::split_seed(cfg.seed, k as u64),
-                |s| crate::fig2::single_multicast_latency_us(cfg.switches, k, 128, s),
+            let traffic = TrafficSpec::SingleMulticast { dests: k, len: 128 };
+            let spam = replicate_point(
+                cfg.target_rel,
+                cfg.max_reps,
+                split_seed(cfg.seed, k as u64),
+                k as f64,
+                |s| first_latency_us(&run_rep(&paper_spec(cfg.switches, traffic.clone(), s))),
             );
-            let mut soft_ctl = PrecisionController::new(
+            // The software arm is far slower per replication: looser CI,
+            // smaller budget.
+            let soft = replicate_point(
                 cfg.target_rel.max(0.03),
-                ConfidenceLevel::P95,
-                3,
                 cfg.max_reps.min(50),
+                split_seed(cfg.seed, 0xD000 + k as u64),
+                k as f64,
+                |s| {
+                    let mut spec = paper_spec(cfg.switches, traffic.clone(), s);
+                    spec.routing = RoutingSpec::SoftwareMulticast;
+                    makespan_us(&run_rep(&spec))
+                },
             );
-            crate::sweep::replicate_parallel(
-                &mut soft_ctl,
-                crate::split_seed(cfg.seed, 0xD000 + k as u64),
-                |s| software_multicast_us(cfg.switches, k, s),
-            );
-            (k, point(&spam_ctl, k as f64), point(&soft_ctl, k as f64))
+            (k, spam, soft)
         })
         .collect()
 }
 
-/// Simulated binomial unicast-based multicast to `k` random destinations.
-fn software_multicast_us(switches: usize, k: usize, seed: u64) -> f64 {
-    let topo = paper_network(switches, crate::split_seed(seed, 0xA));
-    let ud = crate::paper_labeling(&topo);
-    let router = UpDownUnicastRouting::new(&topo, &ud);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(crate::split_seed(seed, 0xB));
-    let procs: Vec<NodeId> = topo.processors().collect();
-    let src = procs[rng.gen_range(0..procs.len())];
-    let dests = DestinationSampler::UniformRandom { count: k }
-        .sample(&topo, src, &mut rng)
-        .expect("enough processors");
-    let mut um = UnicastMulticast::new(src, &dests, 128, Duration::from_us(10));
-    let mut sim = NetworkSim::new(&topo, router, SimConfig::paper());
-    for s in um.initial_sends(Time::ZERO) {
-        sim.submit(s).unwrap();
-    }
-    let out = sim.run_with_hook(&mut um);
-    assert!(out.all_delivered());
-    um.makespan(&out).unwrap().as_us_f64()
+// ---------------------------------------------------------------- reports
+
+/// A labelled-arm ablation (A, C) as a report: one single-point series
+/// per arm (x = arm index), the rows in table order as `<name>.csv`.
+fn labelled_report(
+    name: &str,
+    title: &str,
+    [x_label, csv_header]: [&str; 2],
+    params: &[(&str, String)],
+    rows: Vec<(String, PointSummary)>,
+) -> Report {
+    let pts: Vec<PointSummary> = rows.iter().map(|(_, p)| p.clone()).collect();
+    Report::figure(
+        name,
+        [title, x_label, "latency (µs)"],
+        params,
+        rows.into_iter().map(|(l, p)| (l, vec![p])).collect(),
+        vec![report::csv_file(&format!("{name}.csv"), csv_header, &pts)],
+    )
+}
+
+/// The `ablation-root` experiment: 32-destination multicasts per root
+/// policy.
+pub fn root_report(quick: bool) -> Report {
+    let cfg = AblationConfig::new(quick);
+    let dests = 32;
+    labelled_report(
+        "ablation_root",
+        &format!(
+            "Ablation A — root selection policy, {}-node network, {dests} destinations",
+            cfg.switches
+        ),
+        [
+            "policy index",
+            "policy_index,latency_us,ci_half_width_us,reps,met_1pct",
+        ],
+        &[
+            ("switches", cfg.switches.to_string()),
+            ("dests", dests.to_string()),
+        ],
+        run_root_selection(&cfg, dests),
+    )
+}
+
+/// The `ablation-partition` experiment: makespan per partitioning arm
+/// under background unicasts.
+pub fn partition_report(quick: bool) -> Report {
+    let cfg = AblationConfig::new(quick);
+    let (dests, background) = if quick { (16, 16) } else { (64, 64) };
+    let arms = [
+        PartitionArm::SingleWorm,
+        PartitionArm::Subtrees { max_groups: 2 },
+        PartitionArm::Subtrees { max_groups: 4 },
+        PartitionArm::IdChunks { groups: 2 },
+        PartitionArm::IdChunks { groups: 4 },
+    ];
+    labelled_report(
+        "ablation_partition",
+        &format!(
+            "Ablation C — destination partitioning (makespan), {}-node network, \
+             {dests} dests, {background} background unicasts",
+            cfg.switches
+        ),
+        [
+            "arm index",
+            "arm_index,makespan_us,ci_half_width_us,reps,met_1pct",
+        ],
+        &[
+            ("switches", cfg.switches.to_string()),
+            ("dests", dests.to_string()),
+            ("background", background.to_string()),
+        ],
+        run_partition(&cfg, dests, background, &arms),
+    )
+}
+
+/// The `ablation-buffers` experiment: depths 1–8 at 0.02 messages/µs/node.
+pub fn buffers_report(quick: bool) -> Report {
+    let cfg = AblationConfig::new(quick);
+    let rate = 0.02;
+    let messages = if quick { 300 } else { 3000 };
+    let points = run_buffer_depth(&cfg, &[1, 2, 4, 8], rate, messages);
+    let header = "buffer_depth,latency_us,ci_half_width_us,reps,met_1pct";
+    let files = vec![report::csv_file("ablation_buffers.csv", header, &points)];
+    Report::figure(
+        "ablation_buffers",
+        [
+            "Ablation B — buffer depth vs mixed-traffic latency (§5 conjecture)",
+            "buffer depth (flits)",
+            "latency (µs)",
+        ],
+        &[
+            ("switches", cfg.switches.to_string()),
+            ("rate", rate.to_string()),
+            ("messages", messages.to_string()),
+        ],
+        vec![("SPAM".to_string(), points)],
+        files,
+    )
+}
+
+/// The `ablation-baseline` experiment: SPAM vs software multicast across
+/// destination counts.
+pub fn baseline_report(quick: bool) -> Report {
+    let cfg = AblationConfig::new(quick);
+    let dest_counts: &[usize] = if quick {
+        &[1, 4, 16]
+    } else {
+        &[1, 2, 4, 8, 16, 32, 64, 127]
+    };
+    let rows = run_baseline_comparison(&cfg, dest_counts);
+    let spam: Vec<PointSummary> = rows.iter().map(|(_, s, _)| s.clone()).collect();
+    let soft: Vec<PointSummary> = rows.iter().map(|(_, _, u)| u.clone()).collect();
+    let header = "destinations,latency_us,ci_half_width_us,reps,met_1pct";
+    let file =
+        |arm: &str, pts| report::csv_file(&format!("ablation_baseline_{arm}.csv"), header, pts);
+    let files = vec![file("spam", &spam), file("software", &soft)];
+    Report::figure(
+        "ablation_baseline",
+        [
+            "Ablation D — SPAM vs software multicast latency (cf. paper's motivation: hardware multicast wins, gap grows with d)",
+            "number of destinations",
+            "latency (µs)",
+        ],
+        &[("switches", cfg.switches.to_string())],
+        vec![
+            ("SPAM (one worm)".to_string(), spam),
+            ("software (binomial unicasts)".to_string(), soft),
+        ],
+        files,
+    )
 }
 
 #[cfg(test)]

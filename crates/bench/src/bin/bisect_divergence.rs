@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! cargo run -p spam-bench --bin bisect_divergence --release -- \
-//!     scenarios/fig2_multicast.scenario.json \
+//!     scenarios/fig2_single_multicast.scenario.json \
 //!     [--rep N] [--every-ns N] [--candidate-queue bucket|heap] \
 //!     [--candidate-seed N] [--out report.json]
 //! ```
@@ -14,8 +14,8 @@
 //! Exit codes: 0 = no divergence, 3 = divergence found (report
 //! written), 1 = usage or scenario error.
 
+use spam_scenario::json::{Json, Num};
 use spam_scenario::{bisect_divergence, DivergenceReport, ScenarioSpec};
-use std::fmt::Write as _;
 use std::path::PathBuf;
 
 struct Args {
@@ -101,49 +101,29 @@ fn candidate_of(reference: &ScenarioSpec, args: &Args) -> Result<ScenarioSpec, S
 }
 
 fn report_json(r: &DivergenceReport) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let mut body = String::new();
-    let _ = writeln!(body, "{{");
-    let _ = writeln!(
-        body,
-        "  \"reference_digest\": \"{:#018x}\",",
-        r.reference_digest
-    );
-    let _ = writeln!(
-        body,
-        "  \"candidate_digest\": \"{:#018x}\",",
-        r.candidate_digest
-    );
-    let _ = writeln!(body, "  \"checkpoints\": {},", r.checkpoints);
-    let _ = writeln!(body, "  \"probes\": {},", r.probes);
-    let _ = writeln!(body, "  \"window_start_ns\": {},", r.window_start_ns);
-    match r.window_end_ns {
-        Some(v) => {
-            let _ = writeln!(body, "  \"window_end_ns\": {v},");
-        }
-        None => {
-            let _ = writeln!(body, "  \"window_end_ns\": null,");
-        }
-    }
-    match &r.first_event {
-        Some(ev) => {
-            let _ = writeln!(body, "  \"first_event\": {{");
-            let _ = writeln!(body, "    \"index\": {},", ev.index);
-            let _ = writeln!(body, "    \"at_ns\": {},", ev.at_ns);
-            let opt = |v: &Option<String>| {
-                v.as_ref()
-                    .map_or("null".to_string(), |s| format!("\"{}\"", esc(s)))
-            };
-            let _ = writeln!(body, "    \"reference\": {},", opt(&ev.reference));
-            let _ = writeln!(body, "    \"candidate\": {}", opt(&ev.candidate));
-            let _ = writeln!(body, "  }}");
-        }
-        None => {
-            let _ = writeln!(body, "  \"first_event\": null");
-        }
-    }
-    let _ = writeln!(body, "}}");
-    body
+    let num = |v: u64| Json::Num(Num::U(v));
+    let digest = |d: u64| Json::Str(format!("{d:#018x}"));
+    let text = |v: &Option<String>| v.clone().map_or(Json::Null, Json::Str);
+    Json::obj(vec![
+        ("reference_digest", digest(r.reference_digest)),
+        ("candidate_digest", digest(r.candidate_digest)),
+        ("checkpoints", num(r.checkpoints as u64)),
+        ("probes", num(r.probes as u64)),
+        ("window_start_ns", num(r.window_start_ns)),
+        ("window_end_ns", r.window_end_ns.map_or(Json::Null, num)),
+        (
+            "first_event",
+            r.first_event.as_ref().map_or(Json::Null, |ev| {
+                Json::obj(vec![
+                    ("index", num(ev.index as u64)),
+                    ("at_ns", num(ev.at_ns)),
+                    ("reference", text(&ev.reference)),
+                    ("candidate", text(&ev.candidate)),
+                ])
+            }),
+        ),
+    ])
+    .to_string_pretty()
 }
 
 fn main() {

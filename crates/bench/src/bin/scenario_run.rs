@@ -20,10 +20,11 @@
 //! `BENCH_scenario_corpus.json` copy, and prints a per-scenario summary
 //! table.
 
-use spam_bench::report;
+use spam_bench::report::{file, Report};
 use spam_bench::scenario_corpus::{
-    corpus_bench_json, run_corpus_journaled, write_corpus_csv, write_scenario_csv, CorpusStatus,
+    corpus_bench_json, corpus_csv, run_corpus_journaled, scenario_csv, CorpusStatus,
 };
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 fn main() {
@@ -41,11 +42,10 @@ fn main() {
         None => PathBuf::from("scenarios"),
     };
 
-    let out_dir = Path::new("results/scenarios");
-    let journal = out_dir.join(".journal");
+    let journal = Path::new("results/scenarios/.journal");
     if !resume {
         // A fresh (non-resume) sweep invalidates any previous journal.
-        std::fs::remove_file(&journal).ok();
+        std::fs::remove_file(journal).ok();
     }
 
     eprintln!(
@@ -53,7 +53,7 @@ fn main() {
         dir.display()
     );
     let t0 = std::time::Instant::now();
-    let results = match run_corpus_journaled(&dir, quick, Some(&journal)) {
+    let results = match run_corpus_journaled(&dir, quick, Some(journal)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("scenario_run: {e}");
@@ -66,8 +66,9 @@ fn main() {
         t0.elapsed()
     );
 
-    println!(
-        "  {:<28} {:>7} {:>4} {:>9} {:>9} {:>6} {:>8} {:>11} {:>6}",
+    let mut files = vec![file("scenario_corpus.csv", corpus_csv(&results))];
+    let mut text = format!(
+        "  {:<28} {:>7} {:>4} {:>9} {:>9} {:>6} {:>8} {:>11} {:>6}\n",
         "scenario",
         "status",
         "reps",
@@ -79,54 +80,53 @@ fn main() {
         "clean"
     );
     for r in &results {
-        match &r.status {
-            CorpusStatus::Ok(report) => {
-                write_scenario_csv(out_dir, report).expect("write scenario csv");
-                let (d, t, u) = report.totals();
-                let submitted: u64 = report.reps.iter().map(|x| x.submitted).sum();
-                println!(
-                    "  {:<28} {:>7} {:>4} {:>9} {:>9} {:>6} {:>8} {:>11} {:>6}",
-                    report.name,
-                    "ok",
-                    report.reps.len(),
-                    submitted,
-                    d,
-                    t,
-                    u,
-                    report
-                        .mean_latency_us()
-                        .map_or("-".to_string(), |x| format!("{x:.3}")),
-                    report.all_clean()
-                );
-            }
-            CorpusStatus::Failed(e) => {
-                println!(
-                    "  {:<28} {:>7} {:>4} {:>9} {:>9} {:>6} {:>8} {:>11} {:>6}",
-                    r.spec.name, "error", "-", "-", "-", "-", "-", "-", "-"
-                );
+        if let CorpusStatus::Ok(report) = &r.status {
+            let name = format!("scenarios/{}.csv", report.name);
+            files.push(file(&name, scenario_csv(report)));
+            let (d, t, u) = report.totals();
+            let submitted: u64 = report.reps.iter().map(|x| x.submitted).sum();
+            writeln!(
+                text,
+                "  {:<28} {:>7} {:>4} {:>9} {:>9} {:>6} {:>8} {:>11} {:>6}",
+                report.name,
+                "ok",
+                report.reps.len(),
+                submitted,
+                d,
+                t,
+                u,
+                report
+                    .mean_latency_us()
+                    .map_or("-".to_string(), |x| format!("{x:.3}")),
+                report.all_clean()
+            )
+        } else {
+            if let CorpusStatus::Failed(e) = &r.status {
                 eprintln!("scenario_run: {}: {e}", r.path.display());
             }
-            CorpusStatus::Skipped => {
-                println!(
-                    "  {:<28} {:>7} {:>4} {:>9} {:>9} {:>6} {:>8} {:>11} {:>6}",
-                    r.spec.name, "skipped", "-", "-", "-", "-", "-", "-", "-"
-                );
-            }
+            writeln!(
+                text,
+                "  {:<28} {:>7} {:>4} {:>9} {:>9} {:>6} {:>8} {:>11} {:>6}",
+                r.spec.name,
+                r.status.word(),
+                "-",
+                "-",
+                "-",
+                "-",
+                "-",
+                "-",
+                "-"
+            )
         }
+        .expect("string write");
     }
-
-    write_corpus_csv(Path::new("results/scenario_corpus.csv"), &results).expect("write corpus csv");
-    let bench = corpus_bench_json(&results, quick);
-    let json_path =
-        report::write_bench_json(Path::new("results"), &bench).expect("write bench json");
-    // Root-level copy: the machine-readable record lives next to
-    // CHANGES.md, like every other bench binary's.
-    println!("-> results/scenarios/*.csv");
-    println!("-> results/scenario_corpus.csv");
-    println!(
-        "-> {} (+ ./BENCH_scenario_corpus.json)",
-        json_path.display()
-    );
+    let report = Report {
+        bench: corpus_bench_json(&results, quick),
+        files,
+        text,
+    };
+    // Also refreshes the committed root-level BENCH_scenario_corpus.json.
+    report.write(Path::new("results")).expect("write results");
 
     let failed = results
         .iter()
@@ -141,5 +141,5 @@ fn main() {
     }
     // A completed sweep retires its journal: the next plain run starts
     // fresh, and the next --resume run has nothing to skip.
-    std::fs::remove_file(&journal).ok();
+    std::fs::remove_file(journal).ok();
 }

@@ -11,16 +11,16 @@
 //! is strictly slower than the bound — making the comparison conservative
 //! in SPAM's favour exactly as the paper's argument requires.
 
-use crate::{paper_labeling, paper_network};
-use baselines::{software_multicast_lower_bound, UnicastMulticast, UpDownUnicastRouting};
-use desim::{Duration, Time};
-use netgraph::NodeId;
-use simstats::{ConfidenceLevel, PrecisionController, RunningStats};
-use spam_core::SpamRouting;
-use wormsim::{MessageSpec, NetworkSim, SimConfig};
+use crate::report::{self, Report};
+use crate::{first_latency_us, makespan_us, paper_spec, run_rep, PointSummary};
+use baselines::software_multicast_lower_bound;
+use desim::Duration;
+use simstats::{ConfidenceInterval, ConfidenceLevel, RunningStats};
+use spam_scenario::{split_seed, RoutingSpec, ScenarioSpec, TrafficSpec};
+use std::fmt::Write as _;
 
 /// One row of the broadcast comparison table.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct BroadcastRow {
     /// Network size (processors).
     pub nodes: usize,
@@ -36,55 +36,39 @@ pub struct BroadcastRow {
     pub speedup_vs_bound: f64,
     /// `software_us / spam_us` — the end-to-end measured ratio.
     pub speedup_vs_software: f64,
-    /// SPAM-arm replications (CI-controlled).
-    pub reps: u64,
-    /// 95 % CI half-width of the SPAM mean, µs.
-    pub spam_ci_us: f64,
-    /// Whether the SPAM arm met its precision target within budget.
-    pub spam_target_met: bool,
-    /// Software-arm replications (fixed count, not CI-controlled).
-    pub software_reps: u64,
-    /// 95 % CI half-width of the software mean, µs.
-    pub software_ci_us: f64,
+    /// The SPAM arm's statistics (CI-controlled; `x` = nodes).
+    pub spam: PointSummary,
+    /// The software arm's statistics: a fixed replication count, so its
+    /// CI is descriptive and `target_met` is false.
+    pub software: PointSummary,
+}
+
+/// One broadcast (every other processor a destination, 128 flits) from
+/// a seeded source on a fresh §4 network.
+fn broadcast_spec(switches: usize, seed: u64) -> ScenarioSpec {
+    let traffic = TrafficSpec::SingleMulticast {
+        dests: switches - 1,
+        len: 128,
+    };
+    paper_spec(switches, traffic, seed)
 }
 
 /// SPAM broadcast latency (µs) for one seeded replication.
 pub fn spam_broadcast_us(switches: usize, seed: u64) -> f64 {
-    let topo = paper_network(switches, crate::split_seed(seed, 1));
-    let ud = paper_labeling(&topo);
-    let spam = SpamRouting::new(&topo, &ud);
-    let procs: Vec<NodeId> = topo.processors().collect();
-    let src = procs[seed as usize % procs.len()];
-    let dests: Vec<NodeId> = procs.iter().copied().filter(|&p| p != src).collect();
-    let mut sim = NetworkSim::new(&topo, spam, SimConfig::paper());
-    sim.submit(MessageSpec::multicast(src, dests, 128)).unwrap();
-    let out = sim.run();
-    assert!(out.all_delivered());
-    out.messages[0].latency().unwrap().as_us_f64()
+    first_latency_us(&run_rep(&broadcast_spec(switches, seed)))
 }
 
 /// Simulated software (binomial unicast) broadcast makespan (µs).
 pub fn software_broadcast_us(switches: usize, seed: u64) -> f64 {
-    let topo = paper_network(switches, crate::split_seed(seed, 1));
-    let ud = paper_labeling(&topo);
-    let router = UpDownUnicastRouting::new(&topo, &ud);
-    let procs: Vec<NodeId> = topo.processors().collect();
-    let src = procs[seed as usize % procs.len()];
-    let dests: Vec<NodeId> = procs.iter().copied().filter(|&p| p != src).collect();
-    let mut um = UnicastMulticast::new(src, &dests, 128, Duration::from_us(10));
-    let mut sim = NetworkSim::new(&topo, router, SimConfig::paper());
-    for s in um.initial_sends(Time::ZERO) {
-        sim.submit(s).unwrap();
-    }
-    let out = sim.run_with_hook(&mut um);
-    assert!(out.all_delivered());
-    um.makespan(&out).unwrap().as_us_f64()
+    let mut spec = broadcast_spec(switches, seed);
+    spec.routing = RoutingSpec::SoftwareMulticast;
+    makespan_us(&run_rep(&spec))
 }
 
 /// Builds the comparison row for one network size.
 pub fn run_row(switches: usize, target_rel: f64, max_reps: u64, seed: u64) -> BroadcastRow {
-    let mut spam_ctl = PrecisionController::new(target_rel, ConfidenceLevel::P95, 3, max_reps);
-    crate::sweep::replicate_parallel(&mut spam_ctl, crate::split_seed(seed, 10), |s| {
+    let x = switches as f64;
+    let spam = crate::sweep::replicate_point(target_rel, max_reps, split_seed(seed, 10), x, |s| {
         spam_broadcast_us(switches, s)
     });
     let mut soft = RunningStats::new();
@@ -92,33 +76,100 @@ pub fn run_row(switches: usize, target_rel: f64, max_reps: u64, seed: u64) -> Br
     // replications suffices for a ratio that is stable to a few percent.
     let soft_reps = 5.min(max_reps);
     for i in 0..soft_reps {
-        soft.push(software_broadcast_us(
-            switches,
-            crate::split_seed(seed, 20 + i),
-        ));
+        soft.push(software_broadcast_us(switches, split_seed(seed, 20 + i)));
     }
+    let software = PointSummary {
+        x,
+        mean: soft.mean(),
+        ci_half_width: ConfidenceInterval::from_stats(&soft, ConfidenceLevel::P95)
+            .map_or(0.0, |ci| ci.half_width),
+        reps: soft_reps,
+        target_met: false,
+    };
     let d = (switches - 1) as u64;
     let startup = Duration::from_us(10);
-    let spam_us = spam_ctl.stats().mean();
-    let software_us = soft.mean();
-    let bound_d_minus_1_us = software_multicast_lower_bound(d, startup).as_us_f64();
     let bound_d_us = software_multicast_lower_bound(d + 1, startup).as_us_f64();
     BroadcastRow {
         nodes: switches,
-        spam_us,
-        software_us,
-        bound_d_minus_1_us,
+        spam_us: spam.mean,
+        software_us: software.mean,
+        bound_d_minus_1_us: software_multicast_lower_bound(d, startup).as_us_f64(),
         bound_d_us,
-        speedup_vs_bound: bound_d_us / spam_us,
-        speedup_vs_software: software_us / spam_us,
-        reps: spam_ctl.count(),
-        spam_ci_us: spam_ctl.interval().map(|ci| ci.half_width).unwrap_or(0.0),
-        spam_target_met: spam_ctl.met_target(),
-        software_reps: soft_reps,
-        software_ci_us: simstats::ConfidenceInterval::from_stats(&soft, ConfidenceLevel::P95)
-            .map(|ci| ci.half_width)
-            .unwrap_or(0.0),
+        speedup_vs_bound: bound_d_us / spam.mean,
+        speedup_vs_software: software.mean / spam.mean,
+        spam,
+        software,
     }
+}
+
+/// The `broadcast` experiment: the comparison for 128- and 256-node
+/// networks; the ratios are the CSV's `x_bound` / `x_soft` columns.
+pub fn report(quick: bool) -> Report {
+    let (target, reps) = if quick { (0.05, 16) } else { (0.01, 500) };
+    let rows: Vec<BroadcastRow> = [128usize, 256]
+        .iter()
+        .map(|&nodes| run_row(nodes, target, reps, 0xB0A5))
+        .collect();
+    let mut csv =
+        String::from("nodes,spam_us,software_us,bound_dm1_us,bound_d_us,x_bound,x_soft,reps\n");
+    for r in &rows {
+        writeln!(
+            csv,
+            "{},{:.3},{:.3},{:.1},{:.1},{:.3},{:.3},{}",
+            r.nodes,
+            r.spam_us,
+            r.software_us,
+            r.bound_d_minus_1_us,
+            r.bound_d_us,
+            r.speedup_vs_bound,
+            r.speedup_vs_software,
+            r.spam.reps
+        )
+        .expect("string write");
+    }
+    let bound = |r: &BroadcastRow| PointSummary {
+        mean: r.bound_d_us,
+        ci_half_width: 0.0,
+        reps: 0,
+        target_met: true,
+        ..r.spam
+    };
+    let mut report = Report::figure(
+        "broadcast",
+        [
+            "§4 — broadcast latency: SPAM vs software multicast (simulated, and its analytic bound)",
+            "nodes",
+            "latency (µs)",
+        ],
+        &[
+            ("target_rel", target.to_string()),
+            ("quick", quick.to_string()),
+        ],
+        vec![
+            (
+                "SPAM".to_string(),
+                rows.iter().map(|r| r.spam.clone()).collect(),
+            ),
+            (
+                "software (simulated, fixed reps)".to_string(),
+                rows.iter().map(|r| r.software.clone()).collect(),
+            ),
+            (
+                "software lower bound (d = nodes)".to_string(),
+                rows.iter().map(bound).collect(),
+            ),
+        ],
+        vec![report::file("broadcast_table.csv", csv)],
+    );
+    let r256 = &rows[1];
+    write!(
+        report.text,
+        "\npaper check: 256-node SPAM broadcast {:.2} µs (paper: <14), \
+         vs 90 µs bound -> {:.1}x (paper: >6x)",
+        r256.spam_us, r256.speedup_vs_bound
+    )
+    .expect("string write");
+    report
 }
 
 #[cfg(test)]

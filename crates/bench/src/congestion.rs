@@ -20,15 +20,12 @@
 //! * `storm20` — a live mid-run storm killing 20 % of links (SPAM only:
 //!   live reconfiguration is the hardware arm's regime by construction).
 
-use crate::report::BenchJson;
+use crate::latency_anatomy::{cell_spec, GRID};
+use crate::report::{self, BenchJson, Report};
 use crate::PointSummary;
 use spam_metrics::{CongestionHeatmap, HeatKey};
-use spam_scenario::{
-    ArrivalSpec, EngineSpec, FaultModelSpec, FaultsSpec, PolicySpec, RoutingSpec, ScenarioSpec,
-    StrategySpec, TopologySpec, TrafficSpec,
-};
+use spam_scenario::{ArrivalSpec, EngineSpec, TrafficSpec};
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// Workload names, in report order.
 pub const WORKLOADS: [&str; 3] = ["hotspot", "incast", "storm"];
@@ -67,34 +64,6 @@ impl CongestionCell {
     }
 }
 
-fn arm_routing(arm: &str) -> RoutingSpec {
-    match arm {
-        "spam" => RoutingSpec::Spam {
-            policy: PolicySpec::MinResidualDistance,
-        },
-        "software" => RoutingSpec::SoftwareMulticast,
-        other => unreachable!("unknown arm {other}"),
-    }
-}
-
-fn regime_faults(regime: &str, seed: u64) -> FaultsSpec {
-    match regime {
-        "fault_free" => FaultsSpec::None,
-        "links20" => FaultsSpec::Static {
-            model: FaultModelSpec::IidLinks { rate: 0.20 },
-            seed,
-        },
-        "storm20" => FaultsSpec::Storm {
-            model: FaultModelSpec::IidLinks { rate: 0.20 },
-            seed,
-            window_start_us: 20,
-            window_end_us: 120,
-            bursts: 3,
-        },
-        other => unreachable!("unknown regime {other}"),
-    }
-}
-
 fn workload_traffic(workload: &str, messages: usize) -> TrafficSpec {
     match workload {
         "hotspot" => TrafficSpec::Hotspot {
@@ -120,49 +89,11 @@ fn workload_traffic(workload: &str, messages: usize) -> TrafficSpec {
     }
 }
 
-fn spec_for(
-    workload: &str,
-    arm: &str,
-    regime: &str,
-    switches: usize,
-    messages: usize,
-) -> ScenarioSpec {
-    ScenarioSpec {
-        name: format!("congestion-{workload}-{arm}-{regime}"),
-        description: "congestion-profile workload (telemetry enabled)".to_string(),
-        topology: TopologySpec {
-            switches,
-            seed: 9,
-            side: None,
-            strategy: StrategySpec::ConnectedGrowth,
-            ports: 8,
-        },
-        routing: arm_routing(arm),
-        traffic: workload_traffic(workload, messages),
-        faults: regime_faults(regime, 0x5071),
-        engine: EngineSpec {
-            metrics_every_ns: Some(SAMPLE_EVERY_NS),
-            ..EngineSpec::default()
-        },
-        seed: 23,
-        replications: 1,
-        horizon_us: None,
-    }
-}
-
-/// The `(arm, regime)` half-grid each workload runs: both arms on
-/// `fault_free` and `links20`, SPAM alone on the live `storm20`.
-pub const ARMS: [(&str, &str); 5] = [
-    ("spam", "fault_free"),
-    ("software", "fault_free"),
-    ("spam", "links20"),
-    ("software", "links20"),
-    ("spam", "storm20"),
-];
-
-/// Runs the full grid ([`WORKLOADS`] × [`ARMS`]). `quick` shrinks the
-/// network and message count for CI. Each cell is a single deterministic
-/// replication — a heatmap is a *spatial* profile of one fabric, and
+/// Runs the full grid ([`WORKLOADS`] × the latency-anatomy [`GRID`]: both
+/// arms on `fault_free` and `links20`, SPAM alone on the live `storm20`).
+/// `quick` shrinks the network and message count for CI. Each cell is a
+/// single deterministic replication — a heatmap is a *spatial* profile of
+/// one fabric, and
 /// replications regenerate the topology (`rep_seed`), so cross-rep
 /// folding would smear unrelated lattices together. Panics on any
 /// scenario error — every cell is a composition the spec validator
@@ -171,8 +102,17 @@ pub fn run_congestion_profile(quick: bool) -> Vec<CongestionCell> {
     let (switches, messages) = if quick { (32, 120) } else { (64, 400) };
     let mut cells = Vec::new();
     for workload in WORKLOADS {
-        for (arm, regime) in ARMS {
-            let spec = spec_for(workload, arm, regime, switches, messages);
+        for (arm, regime) in GRID {
+            let spec = cell_spec(
+                format!("congestion-{workload}-{arm}-{regime}"),
+                (arm, regime),
+                switches,
+                workload_traffic(workload, messages),
+                EngineSpec {
+                    metrics_every_ns: Some(SAMPLE_EVERY_NS),
+                    ..EngineSpec::default()
+                },
+            );
             let (out, topo, layout) = spam_scenario::run_once_full(&spec, 0, None)
                 .unwrap_or_else(|e| panic!("{}: {e:?}", spec.name));
             let m = out.metrics.as_ref().expect("telemetry enabled");
@@ -189,12 +129,9 @@ pub fn run_congestion_profile(quick: bool) -> Vec<CongestionCell> {
     cells
 }
 
-/// Writes the per-cell summary as CSV:
+/// The per-cell summary as CSV:
 /// `workload,arm,regime,messages,samples,busy_ns,acquisitions,ocrq_wait_ns,header_stalls,top4_busy_share,top4_ocrq_share`.
-pub fn write_congestion_csv(path: &Path, cells: &[CongestionCell]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
+pub fn congestion_csv(cells: &[CongestionCell]) -> String {
     let mut body = String::from(
         "workload,arm,regime,messages,samples,busy_ns,acquisitions,\
          ocrq_wait_ns,header_stalls,top4_busy_share,top4_ocrq_share\n",
@@ -218,15 +155,12 @@ pub fn write_congestion_csv(path: &Path, cells: &[CongestionCell]) -> std::io::R
         )
         .expect("string write");
     }
-    std::fs::write(path, body)
+    body
 }
 
-/// Writes every cell's full heatmap as one JSON document:
+/// Every cell's full heatmap as one JSON document:
 /// `{"schema": 1, "cells": [{workload, arm, regime, heatmap: {...}}]}`.
-pub fn write_heatmaps_json(path: &Path, cells: &[CongestionCell]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
+pub fn heatmaps_json(cells: &[CongestionCell]) -> String {
     let mut body = String::from("{\n  \"schema\": 1,\n  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
         let comma = if i + 1 < cells.len() { "," } else { "" };
@@ -241,7 +175,7 @@ pub fn write_heatmaps_json(path: &Path, cells: &[CongestionCell]) -> std::io::Re
         .expect("string write");
     }
     body.push_str("  ]\n}\n");
-    std::fs::write(path, body)
+    body
 }
 
 /// The machine-readable record: per `(workload, arm)`, one series of
@@ -330,6 +264,34 @@ pub fn congestion_table(cells: &[CongestionCell]) -> String {
     out
 }
 
+/// The `congestion-profile` experiment: the summary table, the two
+/// headline heatmaps (where a hotspot and an incast workload park their
+/// OCRQ waiting under SPAM), the CSV, and every cell's full heatmap.
+pub fn report(quick: bool) -> Report {
+    let cells = run_congestion_profile(quick);
+    let mut text = format!(
+        "Congestion profile (fabric heat per workload, arm, and fault regime):\n{}",
+        congestion_table(&cells)
+    );
+    for workload in ["hotspot", "incast"] {
+        if let Some(c) = cells
+            .iter()
+            .find(|c| c.workload == workload && c.arm == "spam" && c.regime == "fault_free")
+        {
+            writeln!(text, "\n{workload} @ spam @ fault_free:").expect("string write");
+            text.push_str(&c.heatmap.ascii(HeatKey::OcrqWaitNs));
+        }
+    }
+    Report {
+        bench: congestion_bench_json(&cells, quick),
+        files: vec![
+            report::file("congestion_profile.csv", congestion_csv(&cells)),
+            report::file("congestion_heatmaps.json", heatmaps_json(&cells)),
+        ],
+        text,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,7 +299,7 @@ mod tests {
     #[test]
     fn quick_grid_localizes_and_renders() {
         let cells = run_congestion_profile(true);
-        assert_eq!(cells.len(), WORKLOADS.len() * ARMS.len());
+        assert_eq!(cells.len(), WORKLOADS.len() * GRID.len());
         for c in &cells {
             let t = c.heatmap.totals();
             assert!(
@@ -401,15 +363,10 @@ mod tests {
         }
 
         // Renders.
-        let csv_dir = std::env::temp_dir().join("spam_congestion_test");
-        let csv = csv_dir.join("congestion_profile.csv");
-        write_congestion_csv(&csv, &cells).unwrap();
-        let body = std::fs::read_to_string(&csv).unwrap();
+        let body = congestion_csv(&cells);
         assert!(body.starts_with("workload,arm,regime,"));
         assert_eq!(body.lines().count(), 1 + cells.len());
-        let heat = csv_dir.join("congestion_heatmaps.json");
-        write_heatmaps_json(&heat, &cells).unwrap();
-        let hbody = std::fs::read_to_string(&heat).unwrap();
+        let hbody = heatmaps_json(&cells);
         assert_eq!(hbody.matches("\"workload\":").count(), cells.len());
         assert_eq!(hbody.matches('{').count(), hbody.matches('}').count());
         assert_eq!(hbody.matches('[').count(), hbody.matches(']').count());
@@ -418,6 +375,5 @@ mod tests {
         let table = congestion_table(&cells);
         assert!(table.contains("hotspot"));
         assert!(table.contains("storm20"));
-        std::fs::remove_dir_all(&csv_dir).ok();
     }
 }

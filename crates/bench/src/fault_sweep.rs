@@ -15,15 +15,16 @@
 //! because software multicast pays per-phase startups on ever-longer
 //! paths, while SPAM still pays one.)
 
-use crate::{paper_network, PointSummary};
-use baselines::{UnicastMulticast, UpDownUnicastRouting};
-use netgraph::NodeId;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use simstats::PrecisionController;
-use spam_core::SpamRouting;
+use crate::report::{self, Report};
+use crate::sweep::{controller, point, replicate_parallel_with};
+use crate::{first_latency_us, makespan_us, paper_spec, PointSummary};
+use netgraph::gen::lattice::IrregularConfig;
 use spam_faults::{DegradedNetwork, FaultModel};
-use wormsim::{MessageSpec, NetworkSim, SimConfig};
+use spam_scenario::{
+    run_with_artifacts, split_seed, ArtifactPrefix, FaultModelSpec, FaultsSpec, RoutingSpec,
+    ScenarioSpec, TrafficSpec,
+};
+use std::fmt::Write as _;
 
 /// Configuration of a fault sweep.
 #[derive(Debug, Clone)]
@@ -32,8 +33,8 @@ pub struct FaultSweepConfig {
     pub switches: usize,
     /// Link-fault rates to sweep (probability each link is dead).
     pub rates: Vec<f64>,
-    /// Multicast destination counts to sweep (clamped per replication to
-    /// the survivors available).
+    /// Multicast destination counts to sweep (an instance with fewer
+    /// survivors is redrawn).
     pub dest_counts: Vec<usize>,
     /// Flits per message.
     pub len: u32,
@@ -46,27 +47,22 @@ pub struct FaultSweepConfig {
 }
 
 impl FaultSweepConfig {
-    /// The default sweep: 64-switch networks, fault rates 0–25 %,
-    /// multicast sizes 8 and 32, 128-flit messages, 1 % CI.
-    pub fn paper(switches: usize) -> Self {
+    /// The experiment's sweep: 64-switch networks, fault rates 0–25 %,
+    /// multicast sizes 8 and 32, 128-flit messages, 1 % CI; `quick` thins
+    /// the rates and loosens the CI for smoke tests and CI runs.
+    pub fn new(quick: bool) -> Self {
         FaultSweepConfig {
-            switches,
-            rates: vec![0.0, 0.05, 0.10, 0.15, 0.20, 0.25],
+            switches: 64,
+            rates: if quick {
+                vec![0.0, 0.10, 0.20]
+            } else {
+                vec![0.0, 0.05, 0.10, 0.15, 0.20, 0.25]
+            },
             dest_counts: vec![8, 32],
             len: 128,
-            target_rel: 0.01,
-            max_reps: 600,
+            target_rel: if quick { 0.05 } else { 0.01 },
+            max_reps: if quick { 24 } else { 600 },
             seed: 0xFA_017,
-        }
-    }
-
-    /// A fast, loose-CI variant for smoke tests and CI.
-    pub fn quick(switches: usize) -> Self {
-        FaultSweepConfig {
-            rates: vec![0.0, 0.10, 0.20],
-            target_rel: 0.05,
-            max_reps: 24,
-            ..Self::paper(switches)
         }
     }
 }
@@ -86,45 +82,36 @@ pub struct FaultPoint {
     pub component_fraction: f64,
 }
 
-/// One degraded instance: the reconfigured network plus a source and a
-/// destination set drawn from its largest component. Deterministic in
-/// `(switches, rate, dests, seed)` so the SPAM and software arms of the
-/// comparison see identical damage and identical destination sets.
-fn degraded_instance(
+/// The degraded instance of one replication as a scenario: a §4 lattice
+/// with links dead i.i.d. at `rate` before the run, SPAM routing, and one
+/// `dests`-way multicast confined to the largest surviving component.
+/// Deterministic in `(switches, rate, dests, seed, salt)`; the salt names
+/// the retry stream [`paired_replication`] walks.
+fn instance_spec(
     switches: usize,
     rate: f64,
     dests: usize,
+    len: u32,
     seed: u64,
-) -> (DegradedNetwork, NodeId, Vec<NodeId>) {
-    // A salt loop guards the (vanishing at these rates) case where the
-    // largest component is too small to host a multicast.
-    for salt in 0..32u64 {
-        let s = crate::split_seed(seed, 0xFA + salt);
-        let base = paper_network(switches, crate::split_seed(s, 0xA));
-        let plan = FaultModel::IidLinks { rate }.sample(&base, None, crate::split_seed(s, 0xB));
-        let net = DegradedNetwork::build(&base, &plan, None);
-        let procs = match net.largest() {
-            Some(c) => c.processors(&net.topo),
-            None => continue,
-        };
-        if procs.len() < 2 {
-            continue;
-        }
-        let mut rng = rand::rngs::StdRng::seed_from_u64(crate::split_seed(s, 0xC));
-        let src = procs[rng.gen_range(0..procs.len())];
-        let mut others: Vec<NodeId> = procs.into_iter().filter(|&p| p != src).collect();
-        others.shuffle(&mut rng);
-        others.truncate(dests);
-        return (net, src, others);
-    }
-    panic!("no routable component after 32 attempts (rate {rate}, seed {seed})");
+    salt: u64,
+) -> ScenarioSpec {
+    let s = split_seed(seed, 0xFA + salt);
+    let mut spec = paper_spec(switches, TrafficSpec::SingleMulticast { dests, len }, s);
+    spec.faults = FaultsSpec::Static {
+        model: FaultModelSpec::IidLinks { rate },
+        seed: split_seed(s, 0xB),
+    };
+    spec.seed = split_seed(s, 0xC);
+    spec
 }
 
 /// One paired replication: both arms measured on **one** degraded
 /// instance (the topology, fault plan, relabeling, and destination draw
-/// are built once and shared). Returns `(spam µs, software µs)`. Panics
-/// if either scheme fails to deliver to every reachable destination —
-/// the reconfiguration guarantee this sweep certifies.
+/// are built once and shared). Returns `(spam µs, software µs)`. An
+/// instance whose largest component cannot host the multicast (vanishing
+/// at these rates) is redrawn from the next salt. Panics if either scheme
+/// fails to deliver to every destination — the reconfiguration guarantee
+/// this sweep certifies.
 pub fn paired_replication(
     switches: usize,
     rate: f64,
@@ -132,73 +119,35 @@ pub fn paired_replication(
     len: u32,
     seed: u64,
 ) -> (f64, f64) {
-    let (net, src, targets) = degraded_instance(switches, rate, dests, seed);
-    let comp = net.largest().expect("instance has a component");
-    let cfg = SimConfig::paper();
-
-    // Arm 1: SPAM, one multi-head worm.
-    let spam = SpamRouting::new(&net.topo, &comp.labeling);
-    let mut sim = NetworkSim::new(&net.topo, spam, cfg);
-    sim.submit(MessageSpec::multicast(src, targets.clone(), len))
-        .unwrap();
-    let out = sim.run();
-    assert!(
-        out.all_delivered(),
-        "SPAM failed on degraded network (rate {rate}, seed {seed}): error {:?}, deadlock {:?}",
-        out.error,
-        out.deadlock
-    );
-    let spam_us = out.messages[0].latency().expect("delivered").as_us_f64();
-
-    // Arm 2: binomial software multicast over up*/down* unicasts.
-    let router = UpDownUnicastRouting::new(&net.topo, &comp.labeling);
-    let mut um = UnicastMulticast::new(src, &targets, len, cfg.latency.startup);
-    let mut sim = NetworkSim::new(&net.topo, router, cfg);
-    for spec in um.initial_sends(desim::Time::ZERO) {
-        sim.submit(spec).unwrap();
+    for salt in 0..32u64 {
+        let spam = instance_spec(switches, rate, dests, len, seed, salt);
+        let Ok(arts) = ArtifactPrefix::of(&spam, 0).build() else {
+            continue;
+        };
+        // Arm 1: SPAM, one multi-head worm.
+        let Ok(out) = run_with_artifacts(&spam, 0, None, &arts) else {
+            continue;
+        };
+        // Arm 2: binomial software multicast over up*/down* unicasts, on
+        // the same artifacts and the same destination draw.
+        let software = ScenarioSpec {
+            routing: RoutingSpec::SoftwareMulticast,
+            ..spam
+        };
+        let soft = run_with_artifacts(&software, 0, None, &arts)
+            .unwrap_or_else(|e| panic!("software arm rejected SPAM's instance: {e}"));
+        for (arm, o) in [("SPAM", &out), ("software multicast", &soft)] {
+            assert!(
+                o.all_delivered(),
+                "{arm} failed on degraded network (rate {rate}, seed {seed}): \
+                 error {:?}, deadlock {:?}",
+                o.error,
+                o.deadlock
+            );
+        }
+        return (first_latency_us(&out), makespan_us(&soft));
     }
-    let out = sim.run_with_hook(&mut um);
-    assert!(
-        out.all_delivered(),
-        "up*/down* software multicast failed (rate {rate}, seed {seed}): error {:?}, deadlock {:?}",
-        out.error,
-        out.deadlock
-    );
-    (spam_us, um.makespan(&out).expect("complete").as_us_f64())
-}
-
-/// SPAM arm of [`paired_replication`] alone (tests, spot checks).
-pub fn spam_replication(switches: usize, rate: f64, dests: usize, len: u32, seed: u64) -> f64 {
-    paired_replication(switches, rate, dests, len, seed).0
-}
-
-/// Software arm of [`paired_replication`] alone (tests, spot checks).
-pub fn software_replication(switches: usize, rate: f64, dests: usize, len: u32, seed: u64) -> f64 {
-    paired_replication(switches, rate, dests, len, seed).1
-}
-
-/// Parallel paired-replication control: like
-/// [`crate::sweep::replicate_parallel`], but each seed produces one
-/// `(spam, software)` pair pushed into two controllers, and the loop runs
-/// until **both** are satisfied. Seeds are consumed in order (via
-/// [`crate::sweep::replicate_parallel_with`]), so results are independent
-/// of thread scheduling.
-fn replicate_paired<F>(
-    spam_ctl: &mut PrecisionController,
-    soft_ctl: &mut PrecisionController,
-    base_seed: u64,
-    rep: F,
-) where
-    F: Fn(u64) -> (f64, f64) + Sync,
-{
-    if spam_ctl.satisfied() && soft_ctl.satisfied() {
-        return;
-    }
-    crate::sweep::replicate_parallel_with(base_seed, rep, |(a, b)| {
-        spam_ctl.push(a);
-        soft_ctl.push(b);
-        spam_ctl.satisfied() && soft_ctl.satisfied()
-    });
+    panic!("no routable component after 32 attempts (rate {rate}, seed {seed})");
 }
 
 /// Mean largest-component node fraction at a fault rate (fixed sample
@@ -206,49 +155,38 @@ fn replicate_paired<F>(
 fn mean_component_fraction(switches: usize, rate: f64, seed: u64, samples: u64) -> f64 {
     let mut acc = 0.0;
     for i in 0..samples {
-        let s = crate::split_seed(seed, 0x1_000 + i);
-        let base = paper_network(switches, crate::split_seed(s, 0xA));
-        let plan = FaultModel::IidLinks { rate }.sample(&base, None, crate::split_seed(s, 0xB));
+        let s = split_seed(seed, 0x1_000 + i);
+        let base = IrregularConfig::with_switches(switches).generate(split_seed(s, 0xA));
+        let plan = FaultModel::IidLinks { rate }.sample(&base, None, split_seed(s, 0xB));
         acc += DegradedNetwork::build(&base, &plan, None).largest_component_fraction(&base);
     }
     acc / samples as f64
 }
 
 /// Runs the full sweep; one [`FaultPoint`] per (rate, dest-count) cell.
+/// Each seed produces one `(spam, software)` pair pushed into two
+/// controllers, and a cell runs until **both** are satisfied.
 pub fn run(cfg: &FaultSweepConfig) -> Vec<FaultPoint> {
     let mut out = Vec::new();
     for &k in &cfg.dest_counts {
         for &rate in &cfg.rates {
-            let stream = crate::split_seed(cfg.seed, (k as u64) << 32 | (rate * 1e4) as u64);
-            let controller = || {
-                PrecisionController::new(
-                    cfg.target_rel,
-                    simstats::ConfidenceLevel::P95,
-                    3,
-                    cfg.max_reps,
-                )
-            };
-            let (mut spam_ctl, mut soft_ctl) = (controller(), controller());
-            replicate_paired(&mut spam_ctl, &mut soft_ctl, stream, |s: u64| {
-                paired_replication(cfg.switches, rate, k, cfg.len, s)
-            });
-            let summarize = |ctl: &PrecisionController| {
-                let ci = ctl.interval().expect("at least 3 reps");
-                PointSummary {
-                    x: rate,
-                    mean: ci.mean,
-                    ci_half_width: ci.half_width,
-                    reps: ctl.count(),
-                    target_met: ctl.met_target(),
-                }
-            };
-            let spam = summarize(&spam_ctl);
-            let software = summarize(&soft_ctl);
+            let stream = split_seed(cfg.seed, (k as u64) << 32 | (rate * 1e4) as u64);
+            let mut spam_ctl = controller(cfg.target_rel, cfg.max_reps);
+            let mut soft_ctl = controller(cfg.target_rel, cfg.max_reps);
+            replicate_parallel_with(
+                stream,
+                |s| paired_replication(cfg.switches, rate, k, cfg.len, s),
+                |(a, b)| {
+                    spam_ctl.push(a);
+                    soft_ctl.push(b);
+                    spam_ctl.satisfied() && soft_ctl.satisfied()
+                },
+            );
             out.push(FaultPoint {
                 rate,
                 dests: k,
-                spam,
-                software,
+                spam: point(&spam_ctl, rate),
+                software: point(&soft_ctl, rate),
                 component_fraction: mean_component_fraction(cfg.switches, rate, stream, 32),
             });
         }
@@ -256,22 +194,16 @@ pub fn run(cfg: &FaultSweepConfig) -> Vec<FaultPoint> {
     out
 }
 
-/// Writes the sweep's CSV (`results/fault_sweep.csv` shape).
-pub fn write_csv(path: &std::path::Path, points: &[FaultPoint]) -> std::io::Result<()> {
-    use std::io::Write as _;
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut f = std::fs::File::create(path)?;
-    writeln!(
-        f,
+/// The sweep's CSV (`results/fault_sweep.csv`).
+pub fn csv(points: &[FaultPoint]) -> String {
+    let mut out = String::from(
         "fault_rate,dests,spam_latency_us,spam_ci_us,spam_reps,spam_met,\
          software_latency_us,software_ci_us,software_reps,software_met,\
-         speedup,largest_component_frac"
-    )?;
+         speedup,largest_component_frac\n",
+    );
     for p in points {
         writeln!(
-            f,
+            out,
             "{},{},{:.4},{:.4},{},{},{:.4},{:.4},{},{},{:.3},{:.4}",
             p.rate,
             p.dests,
@@ -285,9 +217,43 @@ pub fn write_csv(path: &std::path::Path, points: &[FaultPoint]) -> std::io::Resu
             p.software.target_met,
             p.software.mean / p.spam.mean,
             p.component_fraction
-        )?;
+        )
+        .expect("string write");
     }
-    Ok(())
+    out
+}
+
+/// The `fault-sweep` experiment: both arms' curves per multicast size;
+/// the per-cell detail (speed-up, surviving fraction) is the CSV.
+pub fn report(quick: bool) -> Report {
+    let cfg = FaultSweepConfig::new(quick);
+    let points = run(&cfg);
+    let mut series = Vec::new();
+    for &k in &cfg.dest_counts {
+        let of_k = || points.iter().filter(|p| p.dests == k);
+        let spam = of_k().map(|p| p.spam.clone()).collect();
+        let software = of_k().map(|p| p.software.clone()).collect();
+        series.push((format!("SPAM k={k}"), spam));
+        series.push((format!("software k={k}"), software));
+    }
+    Report::figure(
+        "fault_sweep",
+        [
+            "Fault sweep — multicast latency vs link-fault rate, degraded networks (largest component)",
+            "link-fault rate",
+            "latency (µs)",
+        ],
+        &[
+            ("switches", cfg.switches.to_string()),
+            ("len_flits", cfg.len.to_string()),
+            ("target_rel", cfg.target_rel.to_string()),
+            ("max_reps", cfg.max_reps.to_string()),
+            ("seed", cfg.seed.to_string()),
+            ("quick", quick.to_string()),
+        ],
+        series,
+        vec![report::file("fault_sweep.csv", csv(&points))],
+    )
 }
 
 #[cfg(test)]
@@ -297,22 +263,27 @@ mod tests {
     #[test]
     fn replications_are_deterministic() {
         assert_eq!(
-            spam_replication(24, 0.15, 4, 32, 7),
-            spam_replication(24, 0.15, 4, 32, 7)
-        );
-        assert_eq!(
-            software_replication(24, 0.15, 4, 32, 7),
-            software_replication(24, 0.15, 4, 32, 7)
+            paired_replication(24, 0.15, 4, 32, 7),
+            paired_replication(24, 0.15, 4, 32, 7)
         );
     }
 
     #[test]
     fn both_arms_see_the_same_instance() {
-        let (a, src_a, dests_a) = degraded_instance(24, 0.2, 5, 3);
-        let (b, src_b, dests_b) = degraded_instance(24, 0.2, 5, 3);
-        assert_eq!(src_a, src_b);
-        assert_eq!(dests_a, dests_b);
-        assert_eq!(a.topo.num_channels(), b.topo.num_channels());
+        // The arms differ in the routing axis alone, so they share one
+        // artifact prefix (damage, relabeling) and one destination draw.
+        let spam = instance_spec(24, 0.2, 5, 64, 3, 0);
+        let software = ScenarioSpec {
+            routing: RoutingSpec::SoftwareMulticast,
+            ..spam.clone()
+        };
+        assert_eq!(
+            ArtifactPrefix::of(&spam, 0),
+            ArtifactPrefix::of(&software, 0)
+        );
+        assert_eq!(spam.seed, software.seed);
+        assert_eq!(spam.traffic, software.traffic);
+        assert_eq!(spam, instance_spec(24, 0.2, 5, 64, 3, 0));
     }
 
     #[test]
@@ -322,8 +293,9 @@ mod tests {
         let mut spam_acc = 0.0;
         let mut soft_acc = 0.0;
         for seed in 0..6 {
-            spam_acc += spam_replication(24, 0.2, 7, 64, seed);
-            soft_acc += software_replication(24, 0.2, 7, 64, seed);
+            let (spam, software) = paired_replication(24, 0.2, 7, 64, seed);
+            spam_acc += spam;
+            soft_acc += software;
         }
         assert!(
             soft_acc > spam_acc * 2.0,
@@ -335,7 +307,7 @@ mod tests {
     fn pristine_rate_matches_fig2_style_latency() {
         // rate 0.0 reduces to an ordinary single multicast: above the
         // 10 µs startup floor, below saturation.
-        let us = spam_replication(32, 0.0, 8, 128, 11);
+        let (us, _) = paired_replication(32, 0.0, 8, 128, 11);
         assert!(us > 10.0 && us < 20.0, "latency {us} µs out of range");
     }
 

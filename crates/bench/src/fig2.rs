@@ -11,13 +11,9 @@
 //! single multi-head worm reaches 4 or 128 destinations in nearly the same
 //! time — and the 256-node broadcast stays under 14 µs.
 
-use crate::{paper_labeling, paper_network, PointSummary};
-use netgraph::NodeId;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use simstats::PrecisionController;
-use spam_core::SpamRouting;
-use wormsim::{MessageSpec, NetworkSim, SimConfig};
+use crate::report::{self, Report};
+use crate::{first_latency_us, paper_spec, run_rep, PointSummary};
+use spam_scenario::{split_seed, TrafficSpec};
 
 /// Configuration of a Figure 2 sweep.
 #[derive(Debug, Clone)]
@@ -39,7 +35,8 @@ pub struct Fig2Config {
 impl Fig2Config {
     /// The paper's sweep for an `n`-node network: destination counts at
     /// every power of two plus the broadcast, 128-flit messages, 1 % CI.
-    pub fn paper(switches: usize) -> Self {
+    /// `quick` loosens the CI for smoke tests and CI runs.
+    pub fn new(switches: usize, quick: bool) -> Self {
         let mut dest_counts = vec![1usize, 2];
         let mut k = 4;
         while k < switches - 1 {
@@ -51,42 +48,17 @@ impl Fig2Config {
             switches,
             dest_counts,
             len: 128,
-            target_rel: 0.01,
-            max_reps: 2000,
+            target_rel: if quick { 0.05 } else { 0.01 },
+            max_reps: if quick { 64 } else { 2000 },
             seed: 0x5EED_F162,
-        }
-    }
-
-    /// A faster, looser variant for smoke tests and criterion benches.
-    pub fn quick(switches: usize) -> Self {
-        Fig2Config {
-            target_rel: 0.05,
-            max_reps: 64,
-            ..Self::paper(switches)
         }
     }
 }
 
 /// One replication: fresh network + one timed multicast. Returns µs.
 pub fn single_multicast_latency_us(switches: usize, dests: usize, len: u32, seed: u64) -> f64 {
-    let topo = paper_network(switches, crate::split_seed(seed, 0xA));
-    let ud = paper_labeling(&topo);
-    let spam = SpamRouting::new(&topo, &ud);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(crate::split_seed(seed, 0xB));
-    let procs: Vec<NodeId> = topo.processors().collect();
-    let src = procs[rng.gen_range(0..procs.len())];
-    let mut others: Vec<NodeId> = procs.iter().copied().filter(|&p| p != src).collect();
-    others.shuffle(&mut rng);
-    others.truncate(dests);
-    let mut sim = NetworkSim::new(&topo, spam, SimConfig::paper());
-    sim.submit(MessageSpec::multicast(src, others, len))
-        .unwrap();
-    let out = sim.run();
-    assert!(
-        out.all_delivered(),
-        "Fig.2 replication deadlocked (seed {seed})"
-    );
-    out.messages[0].latency().expect("delivered").as_us_f64()
+    let spec = paper_spec(switches, TrafficSpec::SingleMulticast { dests, len }, seed);
+    first_latency_us(&run_rep(&spec))
 }
 
 /// Runs the full sweep; one [`PointSummary`] per destination count.
@@ -94,26 +66,39 @@ pub fn run(cfg: &Fig2Config) -> Vec<PointSummary> {
     cfg.dest_counts
         .iter()
         .map(|&k| {
-            let mut ctl = PrecisionController::new(
+            crate::sweep::replicate_point(
                 cfg.target_rel,
-                simstats::ConfidenceLevel::P95,
-                3,
                 cfg.max_reps,
-            );
-            let stream = crate::split_seed(cfg.seed, k as u64);
-            crate::sweep::replicate_parallel(&mut ctl, stream, |s| {
-                single_multicast_latency_us(cfg.switches, k, cfg.len, s)
-            });
-            let ci = ctl.interval().expect("at least 3 reps");
-            PointSummary {
-                x: k as f64,
-                mean: ci.mean,
-                ci_half_width: ci.half_width,
-                reps: ctl.count(),
-                target_met: ctl.met_target(),
-            }
+                split_seed(cfg.seed, k as u64),
+                k as f64,
+                |s| single_multicast_latency_us(cfg.switches, k, cfg.len, s),
+            )
         })
         .collect()
+}
+
+/// The `fig2` experiment: both panels (128 and 256 nodes), one
+/// `fig2_<nodes>.csv` each.
+pub fn report(quick: bool) -> Report {
+    let mut files = Vec::new();
+    let mut series = Vec::new();
+    for n in [128usize, 256] {
+        let points = run(&Fig2Config::new(n, quick));
+        let header = "destinations,latency_us,ci_half_width_us,reps,met_1pct";
+        files.push(report::csv_file(&format!("fig2_{n}.csv"), header, &points));
+        series.push((format!("{n}-node"), points));
+    }
+    Report::figure(
+        "fig2",
+        [
+            "Figure 2 — Latency vs destinations, single SPAM multicast (cf. paper: flat, 10-14 µs)",
+            "number of destinations",
+            "latency (µs)",
+        ],
+        &[("quick", quick.to_string())],
+        series,
+        files,
+    )
 }
 
 #[cfg(test)]
@@ -136,7 +121,7 @@ mod tests {
         let cfg = Fig2Config {
             target_rel: 0.05,
             max_reps: 24,
-            ..Fig2Config::paper(32)
+            ..Fig2Config::new(32, false)
         };
         let pts = run(&cfg);
         let uni = pts.first().unwrap().mean;

@@ -6,11 +6,9 @@
 //! independent of the multicast destination count, with saturation setting
 //! in past ~0.03 messages/µs/node.
 
-use crate::{paper_labeling, paper_network, PointSummary};
-use simstats::PrecisionController;
-use spam_core::SpamRouting;
-use traffic::MixedTrafficConfig;
-use wormsim::{NetworkSim, SimConfig};
+use crate::report::{self, Report};
+use crate::{figure3_traffic, paper_spec, run_rep, PointSummary};
+use spam_scenario::split_seed;
 
 /// Configuration of a Figure 3 sweep.
 #[derive(Debug, Clone)]
@@ -34,31 +32,31 @@ pub struct Fig3Config {
 }
 
 impl Fig3Config {
-    /// The paper's sweep (steady-state-sized replications).
-    pub fn paper() -> Self {
-        Fig3Config {
-            switches: 128,
-            multicast_sizes: vec![8, 16, 32, 64],
-            rates: vec![0.005, 0.01, 0.015, 0.02, 0.025, 0.03, 0.035, 0.04],
-            messages: 4000,
-            warmup_frac: 0.1,
-            target_rel: 0.01,
-            max_reps: 200,
-            seed: 0x5EED_F163,
-        }
-    }
-
-    /// Small variant for smoke tests and criterion benches.
-    pub fn quick() -> Self {
-        Fig3Config {
-            switches: 32,
-            multicast_sizes: vec![4, 8],
-            rates: vec![0.005, 0.02],
-            messages: 400,
-            warmup_frac: 0.1,
-            target_rel: 0.10,
-            max_reps: 6,
-            seed: 0x5EED_F163,
+    /// The paper's sweep (steady-state-sized replications), or the small
+    /// `quick` variant for smoke tests and CI.
+    pub fn new(quick: bool) -> Self {
+        if quick {
+            Fig3Config {
+                switches: 32,
+                multicast_sizes: vec![4, 8],
+                rates: vec![0.005, 0.02],
+                messages: 400,
+                warmup_frac: 0.1,
+                target_rel: 0.10,
+                max_reps: 6,
+                seed: 0x5EED_F163,
+            }
+        } else {
+            Fig3Config {
+                switches: 128,
+                multicast_sizes: vec![8, 16, 32, 64],
+                rates: vec![0.005, 0.01, 0.015, 0.02, 0.025, 0.03, 0.035, 0.04],
+                messages: 4000,
+                warmup_frac: 0.1,
+                target_rel: 0.01,
+                max_reps: 200,
+                seed: 0x5EED_F163,
+            }
         }
     }
 }
@@ -73,70 +71,53 @@ pub fn mixed_traffic_mean_latency_us(
     warmup_frac: f64,
     seed: u64,
 ) -> f64 {
-    let topo = paper_network(switches, crate::split_seed(seed, 0xA));
-    let ud = paper_labeling(&topo);
-    let spam = SpamRouting::new(&topo, &ud);
-    let stream = MixedTrafficConfig::figure3(rate, multicast_size, messages)
-        .generate(&topo, crate::split_seed(seed, 0xB))
-        .expect("valid mixed-traffic config");
-    let mut sim = NetworkSim::new(&topo, spam, SimConfig::paper());
-    for spec in stream {
-        sim.submit(spec).unwrap();
-    }
-    let out = sim.run();
-    assert!(
-        out.all_delivered(),
-        "Fig.3 replication deadlocked (seed {seed}): {:?}",
-        out.deadlock
-    );
+    let traffic = figure3_traffic(rate, multicast_size, messages);
+    let out = run_rep(&paper_spec(switches, traffic, seed));
     let warmup = (messages as f64 * warmup_frac) as u64;
     out.mean_latency_us(|m| m.spec.tag >= warmup)
         .expect("messages completed")
 }
 
-/// One curve (fixed multicast size) across the rate sweep.
-pub fn run_curve(cfg: &Fig3Config, multicast_size: usize) -> Vec<PointSummary> {
-    cfg.rates
-        .iter()
-        .map(|&rate| {
-            let mut ctl = PrecisionController::new(
-                cfg.target_rel,
-                simstats::ConfidenceLevel::P95,
-                3,
-                cfg.max_reps,
-            );
-            let stream = crate::split_seed(
-                cfg.seed,
-                (multicast_size as u64) << 32 | (rate * 1e6) as u64,
-            );
-            crate::sweep::replicate_parallel(&mut ctl, stream, |s| {
-                mixed_traffic_mean_latency_us(
-                    cfg.switches,
-                    rate,
-                    multicast_size,
-                    cfg.messages,
-                    cfg.warmup_frac,
-                    s,
-                )
-            });
-            let ci = ctl.interval().expect("at least 3 reps");
-            PointSummary {
-                x: rate,
-                mean: ci.mean,
-                ci_half_width: ci.half_width,
-                reps: ctl.count(),
-                target_met: ctl.met_target(),
-            }
+/// The whole figure: one curve per multicast size across the rate sweep.
+pub fn run(cfg: &Fig3Config) -> Vec<(usize, Vec<PointSummary>)> {
+    let point = |k: usize, rate: f64| {
+        let stream = split_seed(cfg.seed, (k as u64) << 32 | (rate * 1e6) as u64);
+        crate::sweep::replicate_point(cfg.target_rel, cfg.max_reps, stream, rate, |s| {
+            mixed_traffic_mean_latency_us(cfg.switches, rate, k, cfg.messages, cfg.warmup_frac, s)
         })
+    };
+    cfg.multicast_sizes
+        .iter()
+        .map(|&k| (k, cfg.rates.iter().map(|&rate| point(k, rate)).collect()))
         .collect()
 }
 
-/// The whole figure: one curve per multicast size.
-pub fn run(cfg: &Fig3Config) -> Vec<(usize, Vec<PointSummary>)> {
-    cfg.multicast_sizes
-        .iter()
-        .map(|&k| (k, run_curve(cfg, k)))
-        .collect()
+/// The `fig3` experiment: one curve (and one `fig3_k<dests>.csv`) per
+/// multicast size.
+pub fn report(quick: bool) -> Report {
+    let cfg = Fig3Config::new(quick);
+    let mut files = Vec::new();
+    let mut series = Vec::new();
+    for (k, points) in run(&cfg) {
+        let header = "rate_per_node_per_us,latency_us,ci_half_width_us,reps,met_1pct";
+        files.push(report::csv_file(&format!("fig3_k{k}.csv"), header, &points));
+        series.push((format!("{k} destinations"), points));
+    }
+    Report::figure(
+        "fig3",
+        [
+            "Figure 3 — Latency vs arrival rate, 90% unicast / 10% multicast (cf. paper: curves nearly coincide; saturation past ~0.03)",
+            "average arrival rate (messages/µs/node)",
+            "latency (µs)",
+        ],
+        &[
+            ("switches", cfg.switches.to_string()),
+            ("messages", cfg.messages.to_string()),
+            ("quick", quick.to_string()),
+        ],
+        series,
+        files,
+    )
 }
 
 #[cfg(test)]

@@ -7,29 +7,29 @@
 //!
 //! Quantifies that probability exactly (static analysis over sampled
 //! destination sets) for each root-selection policy, alongside the mean
-//! adaptivity and path stretch of the resulting labeling.
-//!
-//! ```text
-//! cargo run -p spam-bench --release --bin hotspot [-- --nodes 128]
-//! ```
+//! adaptivity and path stretch of the resulting labeling. A static
+//! analysis of one labeled lattice — nothing a scenario replication
+//! expresses — so it builds the network directly.
 
-use spam_bench::report::{self, BenchJson};
-use spam_bench::{paper_network, PointSummary};
+use crate::report::{BenchJson, Report};
+use crate::PointSummary;
+use netgraph::gen::lattice::IrregularConfig;
+use netgraph::{NodeId, Topology};
 use spam_core::{mean_adaptivity, path_stretch, root_transit_probability, SpamRouting};
-use std::path::Path;
+use std::fmt::Write as _;
 use updown::{RootSelection, UpDownLabeling};
+use wormsim::{MessageSpec, NetworkSim, SimConfig};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let nodes: usize = args
-        .iter()
-        .position(|a| a == "--nodes")
-        .map(|i| args[i + 1].parse().expect("--nodes takes a number"))
-        .unwrap_or(128);
-    let topo = paper_network(nodes, 0xE0);
+/// Network size (switches = processors) the analysis runs on.
+const NODES: usize = 128;
 
-    println!("root hot-spot analysis, {nodes}-node §4 network (500 samples per cell)\n");
-    let mut json_series: Vec<(String, Vec<PointSummary>)> = Vec::new();
+/// The `hotspot` experiment: root-transit probability per root policy
+/// and destination count, then the dynamic confirmation.
+pub fn report(_quick: bool) -> Report {
+    let topo = IrregularConfig::with_switches(NODES).generate(0xE0);
+    let mut text =
+        format!("root hot-spot analysis, {NODES}-node §4 network (500 samples per cell)\n\n");
+    let mut series: Vec<(String, Vec<PointSummary>)> = Vec::new();
     for (name, sel) in [
         ("lowest-id", RootSelection::LowestId),
         ("max-degree", RootSelection::MaxDegree),
@@ -38,30 +38,31 @@ fn main() {
         let ud = UpDownLabeling::build(&topo, sel);
         let spam = SpamRouting::new(&topo, &ud);
         let (stretch_mean, stretch_max) = path_stretch(&topo, &spam);
-        println!(
+        writeln!(
+            text,
             "policy {name}: root {}, adaptivity {:.2} legal moves/hop, stretch {:.3} (max {:.2})",
             ud.root(),
             mean_adaptivity(&topo, &spam),
             stretch_mean,
             stretch_max
-        );
-        println!(
+        )
+        .expect("string write");
+        writeln!(
+            text,
             "  {:>6} {:>14} {:>18}",
             "dests", "LCA = root", "must cross root"
-        );
-        let ks: Vec<usize> = [2usize, 4, 8, 16, 32, 64]
-            .into_iter()
-            .filter(|&k| k < nodes - 1)
-            .chain([nodes - 1])
-            .collect();
+        )
+        .expect("string write");
         let mut points = Vec::new();
-        for k in ks {
+        for k in [2usize, 4, 8, 16, 32, 64, NODES - 1] {
             let r = root_transit_probability(&topo, &ud, &spam, k, 500, 0xE1);
-            println!(
+            writeln!(
+                text,
                 "  {k:>6} {:>13.1}% {:>17.1}%",
                 r.lca_is_root * 100.0,
                 r.must_cross_root * 100.0
-            );
+            )
+            .expect("string write");
             points.push(PointSummary {
                 x: k as f64,
                 mean: r.must_cross_root,
@@ -70,29 +71,29 @@ fn main() {
                 target_met: true,
             });
         }
-        json_series.push((format!("must_cross_root {name}"), points));
-        println!();
+        series.push((format!("must_cross_root {name}"), points));
+        text.push('\n');
     }
-    let bench = BenchJson {
-        name: "hotspot".to_string(),
-        params: vec![("nodes".to_string(), nodes.to_string())],
-        series: json_series,
-    };
-    let json = report::write_bench_json(Path::new("results"), &bench).expect("write json");
-    println!("-> {}", json.display());
-    println!("(the growth of both columns with the destination count is the §5");
-    println!(" hot-spot argument; destination partitioning — ablation C — is the");
-    println!(" paper's proposed mitigation)");
-
-    dynamic_utilization(&topo);
+    text.push_str(
+        "(the growth of both columns with the destination count is the §5\n \
+         hot-spot argument; destination partitioning — ablation C — is the\n \
+         paper's proposed mitigation)\n",
+    );
+    text.push_str(&dynamic_utilization(&topo));
+    Report {
+        bench: BenchJson {
+            name: "hotspot".to_string(),
+            params: vec![("nodes".to_string(), NODES.to_string())],
+            series,
+        },
+        files: Vec::new(),
+        text,
+    }
 }
 
 /// Dynamic confirmation: drive a broadcast storm through the network and
 /// show how much hotter the root's channels run than the average channel.
-fn dynamic_utilization(topo: &netgraph::Topology) {
-    use netgraph::NodeId;
-    use wormsim::{MessageSpec, NetworkSim, SimConfig};
-
+fn dynamic_utilization(topo: &Topology) -> String {
     let ud = UpDownLabeling::build(topo, RootSelection::LowestId);
     let spam = SpamRouting::new(topo, &ud);
     let procs: Vec<NodeId> = topo.processors().collect();
@@ -106,8 +107,7 @@ fn dynamic_utilization(topo: &netgraph::Topology) {
     let out = sim.run();
     assert!(out.all_delivered(), "{:?}", out.deadlock);
 
-    let root = ud.root();
-    let root_channels: Vec<_> = topo.out_channels(root).to_vec();
+    let root_channels: Vec<_> = topo.out_channels(ud.root()).to_vec();
     let root_load: u64 = root_channels
         .iter()
         .map(|c| out.channel_crossings[c.index()])
@@ -122,12 +122,13 @@ fn dynamic_utilization(topo: &netgraph::Topology) {
         .map(|c| out.channel_crossings[c.index()])
         .collect();
     let avg = switch_links.iter().sum::<u64>() / switch_links.len() as u64;
-    println!("\ndynamic check — broadcast storm, per-channel flit crossings:");
-    println!("  mean over root-adjacent channels: {root_load}");
-    println!("  mean over all switch-switch channels: {avg}");
-    println!("  hottest channels: {:?}", out.hottest_channels(4));
-    println!(
-        "  root runs {:.1}x hotter than the average switch channel",
+    format!(
+        "\ndynamic check — broadcast storm, per-channel flit crossings:\n  \
+         mean over root-adjacent channels: {root_load}\n  \
+         mean over all switch-switch channels: {avg}\n  \
+         hottest channels: {:?}\n  \
+         root runs {:.1}x hotter than the average switch channel",
+        out.hottest_channels(4),
         root_load as f64 / avg.max(1) as f64
-    );
+    )
 }

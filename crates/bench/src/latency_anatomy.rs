@@ -19,14 +19,14 @@
 //! * `storm20` — a live mid-run storm killing 20 % of links (SPAM only:
 //!   live reconfiguration is the hardware arm's regime by construction).
 
-use crate::{split_seed, PointSummary};
+use crate::report::{self, BenchJson, Report};
+use crate::PointSummary;
 use spam_scenario::{
-    ArrivalSpec, EngineSpec, FaultModelSpec, FaultsSpec, PolicySpec, RoutingSpec, ScenarioSpec,
-    StrategySpec, TopologySpec, TrafficSpec,
+    split_seed, ArrivalSpec, EngineSpec, FaultModelSpec, FaultsSpec, PolicySpec, RoutingSpec,
+    ScenarioSpec, TopologySpec, TrafficSpec,
 };
 use spam_trace::{decompose_run, summarize, AnatomySummary, MessageAnatomy};
 use std::fmt::Write as _;
-use std::path::Path;
 use wormsim::LatencyParams;
 
 /// Phase names, in pipeline order; also the CSV row order.
@@ -44,63 +44,71 @@ pub struct AnatomyCell {
     pub summary: AnatomySummary,
 }
 
-fn arm_routing(arm: &str) -> RoutingSpec {
-    match arm {
-        "spam" => RoutingSpec::Spam {
-            policy: PolicySpec::MinResidualDistance,
-        },
-        "software" => RoutingSpec::SoftwareMulticast,
-        other => unreachable!("unknown arm {other}"),
-    }
-}
-
-fn regime_faults(regime: &str, seed: u64) -> FaultsSpec {
-    match regime {
-        "fault_free" => FaultsSpec::None,
-        "links20" => FaultsSpec::Static {
-            model: FaultModelSpec::IidLinks { rate: 0.20 },
-            seed,
-        },
-        "storm20" => FaultsSpec::Storm {
-            model: FaultModelSpec::IidLinks { rate: 0.20 },
-            seed,
-            window_start_us: 20,
-            window_end_us: 120,
-            bursts: 3,
-        },
-        other => unreachable!("unknown regime {other}"),
-    }
-}
-
-fn spec_for(arm: &str, regime: &str, switches: usize, messages: usize) -> ScenarioSpec {
+/// One cell of an observer report's `(arm, regime)` grid as a scenario:
+/// one fixed lattice (topology seed 9) under `arm`'s routing and
+/// `regime`'s faults, carrying `traffic` with `engine`'s observers on.
+/// Shared with the congestion profile, whose grid mirrors this one.
+pub(crate) fn cell_spec(
+    name: String,
+    (arm, regime): (&str, &str),
+    switches: usize,
+    traffic: TrafficSpec,
+    engine: EngineSpec,
+) -> ScenarioSpec {
+    let storm_model = FaultModelSpec::IidLinks { rate: 0.20 };
     ScenarioSpec {
-        name: format!("anatomy-{arm}-{regime}"),
-        description: "latency-anatomy workload (mixed unicast/multicast)".to_string(),
+        name,
+        description: String::new(),
         topology: TopologySpec {
             switches,
             seed: 9,
-            side: None,
-            strategy: StrategySpec::ConnectedGrowth,
-            ports: 8,
+            ..TopologySpec::default()
         },
-        routing: arm_routing(arm),
-        traffic: TrafficSpec::Mixed {
-            unicast_fraction: 0.5,
-            multicast_dests: 8,
-            rate_per_node_per_us: 0.02,
-            len: 128,
-            messages,
-            arrival: ArrivalSpec::Poisson,
+        routing: match arm {
+            "spam" => RoutingSpec::Spam {
+                policy: PolicySpec::MinResidualDistance,
+            },
+            "software" => RoutingSpec::SoftwareMulticast,
+            other => unreachable!("unknown arm {other}"),
         },
-        faults: regime_faults(regime, 0x5071),
-        engine: EngineSpec {
-            trace: true,
-            ..EngineSpec::default()
+        traffic,
+        faults: match regime {
+            "fault_free" => FaultsSpec::None,
+            "links20" => FaultsSpec::Static {
+                model: storm_model,
+                seed: 0x5071,
+            },
+            "storm20" => FaultsSpec::Storm {
+                model: storm_model,
+                seed: 0x5071,
+                window_start_us: 20,
+                window_end_us: 120,
+                bursts: 3,
+            },
+            other => unreachable!("unknown regime {other}"),
         },
+        engine,
         seed: 23,
         replications: 1,
         horizon_us: None,
     }
+}
+
+fn spec_for(cell: (&str, &str), switches: usize, messages: usize) -> ScenarioSpec {
+    let traffic = TrafficSpec::Mixed {
+        unicast_fraction: 0.5,
+        multicast_dests: 8,
+        rate_per_node_per_us: 0.02,
+        len: 128,
+        messages,
+        arrival: ArrivalSpec::Poisson,
+    };
+    let engine = EngineSpec {
+        trace: true,
+        ..EngineSpec::default()
+    };
+    let name = format!("anatomy-{}-{}", cell.0, cell.1);
+    cell_spec(name, cell, switches, traffic, engine)
 }
 
 /// The `(arm, regime)` grid: both arms on `fault_free` and `links20`,
@@ -124,7 +132,7 @@ pub fn run_latency_anatomy(quick: bool) -> Vec<AnatomyCell> {
         .map(|&(arm, regime)| {
             let mut anatomies: Vec<MessageAnatomy> = Vec::new();
             for rep in 0..reps {
-                let mut spec = spec_for(arm, regime, switches, messages);
+                let mut spec = spec_for((arm, regime), switches, messages);
                 spec.seed = split_seed(spec.seed, rep as u64);
                 let (out, topo) = spam_scenario::run_once_with_topology(&spec, rep, None)
                     .unwrap_or_else(|e| panic!("{}: {e:?}", spec.name));
@@ -158,12 +166,9 @@ pub fn run_latency_anatomy(quick: bool) -> Vec<AnatomyCell> {
         .collect()
 }
 
-/// Writes the decomposition table as CSV:
+/// The decomposition table as CSV:
 /// `arm,regime,phase,mean_us,p50_us,p99_us,share,messages`.
-pub fn write_anatomy_csv(path: &Path, cells: &[AnatomyCell]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
+pub fn anatomy_csv(cells: &[AnatomyCell]) -> String {
     let mut body = String::from("arm,regime,phase,mean_us,p50_us,p99_us,share,messages\n");
     for c in cells {
         for p in &c.summary.phases {
@@ -182,14 +187,14 @@ pub fn write_anatomy_csv(path: &Path, cells: &[AnatomyCell]) -> std::io::Result<
             .expect("string write");
         }
     }
-    std::fs::write(path, body)
+    body
 }
 
 /// The machine-readable record: one series per `(arm, regime)`, one
 /// point per phase (`x` = phase index in [`PHASES`] order, `mean` =
 /// mean µs, `reps` = messages aggregated).
-pub fn anatomy_bench_json(cells: &[AnatomyCell], quick: bool) -> crate::report::BenchJson {
-    crate::report::BenchJson {
+pub fn anatomy_bench_json(cells: &[AnatomyCell], quick: bool) -> BenchJson {
+    BenchJson {
         name: "latency_anatomy".to_string(),
         params: vec![
             ("quick".to_string(), quick.to_string()),
@@ -257,6 +262,40 @@ pub fn anatomy_table(cells: &[AnatomyCell]) -> String {
     out
 }
 
+/// The golden fig2 scenario re-run with tracing on, exported for
+/// `ui.perfetto.dev` (the committed
+/// `results/fig2_single_multicast.perfetto-trace`).
+fn golden_perfetto_trace() -> Vec<u8> {
+    let mut spec = ScenarioSpec::from_json(include_str!(
+        "../../../scenarios/fig2_single_multicast.scenario.json"
+    ))
+    .expect("committed scenario decodes");
+    spec.engine.trace = true;
+    let (out, topo) = spam_scenario::run_once_with_topology(&spec, 0, None)
+        .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+    spam_trace::export(&topo, &out)
+}
+
+/// The `latency-anatomy` experiment: the table, its CSV, the record, and
+/// the Perfetto example trace.
+pub fn report(quick: bool) -> Report {
+    let cells = run_latency_anatomy(quick);
+    Report {
+        bench: anatomy_bench_json(&cells, quick),
+        files: vec![
+            report::file("latency_anatomy.csv", anatomy_csv(&cells)),
+            report::file(
+                "fig2_single_multicast.perfetto-trace",
+                golden_perfetto_trace(),
+            ),
+        ],
+        text: format!(
+            "Latency anatomy (share of end-to-end, per arm and fault regime):\n{}",
+            anatomy_table(&cells)
+        ),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,10 +343,7 @@ mod tests {
     #[test]
     fn csv_and_json_render() {
         let cells = run_latency_anatomy(true);
-        let dir = std::env::temp_dir().join("spam_anatomy_test");
-        let csv = dir.join("latency_anatomy.csv");
-        write_anatomy_csv(&csv, &cells).unwrap();
-        let body = std::fs::read_to_string(&csv).unwrap();
+        let body = anatomy_csv(&cells);
         assert!(body.starts_with("arm,regime,phase,"));
         // 5 phases per cell plus the header.
         assert_eq!(body.lines().count(), 1 + cells.len() * PHASES.len());
@@ -316,6 +352,5 @@ mod tests {
         let table = anatomy_table(&cells);
         assert!(table.contains("spam"));
         assert!(table.contains("software"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2,57 +2,98 @@
 
 //! # spam-bench — figure/table regeneration harness
 //!
-//! One module per experiment in DESIGN.md's index; each exposes a pure
-//! `run_*` function returning data rows, consumed both by the CLI binaries
-//! (`fig2`, `fig3`, `broadcast_table`, `ablation_*`) and by the criterion
-//! benchmarks. Replications follow the paper's §4 protocol (95 % CI within
-//! 1 % of the mean) via [`simstats::PrecisionController`], fanned across
-//! threads by [`sweep`].
+//! One module per experiment, each a pure function returning data rows,
+//! all driven by the one `experiment <name> [--quick]` binary (see
+//! [`experiment`]). Every replication a [`ScenarioSpec`] can express is
+//! "build a spec ([`paper_spec`]), run it ([`run_rep`]), read one number
+//! off the [`SimOutcome`]"; only the arms the spec has no axis for
+//! (ablations A and C, the reconfiguration sweep's collapsed-schedule
+//! control, the static hot-spot analysis) construct a simulator
+//! directly. Replications follow the paper's §4 protocol (95 % CI within
+//! 1 % of the mean) through [`sweep::replicate_point`].
 
 pub mod ablations;
 pub mod broadcast;
 pub mod congestion;
+pub mod experiment;
 pub mod fault_sweep;
 pub mod fig2;
 pub mod fig3;
+pub mod hotspot;
 pub mod latency_anatomy;
 pub mod reconfig_sweep;
 pub mod report;
 pub mod scenario_corpus;
-pub mod serve_bench;
-pub mod snapshot_bench;
 pub mod sweep;
-pub mod throughput;
 
-use netgraph::gen::lattice::IrregularConfig;
-use netgraph::Topology;
-use updown::{RootSelection, UpDownLabeling};
+use spam_scenario::{split_seed, ArrivalSpec, ScenarioSpec, TrafficSpec};
+use wormsim::SimOutcome;
 
-/// Builds the §4 network: `switches` 8-port switches on a random integer
-/// lattice, one processor each. "`n`-node network" in the paper counts
-/// processors (= switches).
-pub fn paper_network(switches: usize, seed: u64) -> Topology {
-    IrregularConfig::with_switches(switches).generate(seed)
+/// One replication of a §4 experiment as a scenario: `switches` 8-port
+/// switches on a random integer lattice (one processor each, default
+/// labeling, SPAM routing, pristine fabric) carrying `traffic`. The
+/// replication seed `s` splits into the topology stream (`0xA`) and the
+/// workload stream (`0xB`); callers override further axes (routing arm,
+/// buffers, faults) on the returned spec.
+pub fn paper_spec(switches: usize, traffic: TrafficSpec, s: u64) -> ScenarioSpec {
+    let mut spec = ScenarioSpec::example("bench-replication");
+    spec.topology.switches = switches;
+    spec.topology.seed = split_seed(s, 0xA);
+    spec.traffic = traffic;
+    spec.seed = split_seed(s, 0xB);
+    spec
 }
 
-/// The default labeling used by the experiments (deterministic root;
-/// ablation A varies this).
-pub fn paper_labeling(topo: &Topology) -> UpDownLabeling {
-    UpDownLabeling::build(topo, RootSelection::LowestId)
+/// The Figure 3 workload: 90 % unicasts / 10 % `multicast_dests`-way
+/// multicasts, 128-flit messages, negative-binomial arrivals.
+pub fn figure3_traffic(rate: f64, multicast_dests: usize, messages: usize) -> TrafficSpec {
+    TrafficSpec::Mixed {
+        unicast_fraction: 0.9,
+        multicast_dests,
+        rate_per_node_per_us: rate,
+        len: 128,
+        messages,
+        arrival: ArrivalSpec::NegativeBinomial { r: 1 },
+    }
 }
 
-/// Splits a u64 seed stream deterministically (SplitMix64).
-pub fn split_seed(seed: u64, stream: u64) -> u64 {
-    let mut x = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+/// Runs replication 0 of a spec that is valid by construction and
+/// insists on full delivery: on the static fabrics the experiments
+/// measure, an undelivered message is a deadlock — the theorem failing,
+/// not a data point.
+pub fn run_rep(spec: &ScenarioSpec) -> SimOutcome {
+    let out = spam_scenario::run_once(spec, 0, None)
+        .unwrap_or_else(|e| panic!("{} (topology seed {}): {e}", spec.name, spec.topology.seed));
+    assert!(
+        out.all_delivered(),
+        "{}: undelivered messages (topology seed {}): error {:?}, deadlock {:?}",
+        spec.name,
+        spec.topology.seed,
+        out.error,
+        out.deadlock
+    );
+    out
+}
+
+/// Latency (µs) of the run's first message — the quantity of every
+/// single-multicast experiment.
+pub fn first_latency_us(out: &SimOutcome) -> f64 {
+    out.messages[0].latency().expect("delivered").as_us_f64()
+}
+
+/// Dissemination makespan (µs): latest completion minus earliest
+/// generation over every engine message. For a software multicast this
+/// spans the whole binomial tree of unicasts.
+pub fn makespan_us(out: &SimOutcome) -> f64 {
+    let start = out.messages.iter().map(|m| m.spec.gen_time).min();
+    let end = out.messages.iter().filter_map(|m| m.completed_at).max();
+    end.expect("delivered")
+        .since(start.expect("non-empty"))
+        .as_us_f64()
 }
 
 /// A finished data point: the quantity the paper plots plus its CI.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct PointSummary {
     /// Independent-variable label (destination count, arrival rate, ...).
     pub x: f64,
@@ -69,13 +110,15 @@ pub struct PointSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spam_scenario::ArtifactPrefix;
 
     #[test]
     fn paper_network_matches_section4() {
-        let t = paper_network(64, 9);
-        assert_eq!(t.num_switches(), 64);
-        assert_eq!(t.num_processors(), 64);
-        t.validate(8).unwrap();
+        let spec = paper_spec(64, TrafficSpec::SingleMulticast { dests: 8, len: 128 }, 9);
+        let arts = ArtifactPrefix::of(&spec, 0).build().unwrap();
+        assert_eq!(arts.topo.num_switches(), 64);
+        assert_eq!(arts.topo.num_processors(), 64);
+        arts.topo.validate(8).unwrap();
     }
 
     #[test]

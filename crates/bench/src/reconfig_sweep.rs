@@ -26,15 +26,21 @@
 //! ([`RunningStats::merge`]) and latency histograms
 //! ([`simstats::Histogram::merge`]).
 
-use crate::{paper_labeling, paper_network, PointSummary};
+use crate::report::{self, Report};
+use crate::sweep::{controller, point, replicate_parallel_with};
+use crate::PointSummary;
 use desim::Time;
+use netgraph::gen::lattice::IrregularConfig;
 use netgraph::NodeId;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use simstats::{ConfidenceInterval, ConfidenceLevel, Histogram, PrecisionController, RunningStats};
+use simstats::{ConfidenceInterval, ConfidenceLevel, Histogram, RunningStats};
 use spam_core::SpamRouting;
 use spam_faults::FaultModel;
 use spam_reconfig::{EpochRouting, FaultSchedule, ReconfigScenario};
+use spam_scenario::split_seed;
+use std::fmt::Write as _;
+use updown::{RootSelection, UpDownLabeling};
 use wormsim::{MessageSpec, NetworkSim, SimConfig, SimOutcome};
 
 /// Configuration of a reconfiguration sweep.
@@ -64,31 +70,25 @@ pub struct ReconfigSweepConfig {
 }
 
 impl ReconfigSweepConfig {
-    /// The default sweep: 64-switch lattices, storms killing 0–30 % of
-    /// links in 3 bursts under a 48-message multicast stream.
-    pub fn paper(switches: usize) -> Self {
+    /// The experiment's sweep: 64-switch lattices, storms killing 0–30 %
+    /// of links in 3 bursts under a 48-message multicast stream; `quick`
+    /// thins the rates and loosens the CI for smoke tests and CI runs.
+    pub fn new(quick: bool) -> Self {
         ReconfigSweepConfig {
-            switches,
-            storm_rates: vec![0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30],
+            switches: 64,
+            storm_rates: if quick {
+                vec![0.0, 0.10, 0.30]
+            } else {
+                vec![0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30]
+            },
             dest_counts: vec![4, 16],
-            messages: 48,
+            messages: if quick { 32 } else { 48 },
             spacing_us: 2,
             bursts: 3,
             len: 64,
-            target_rel: 0.02,
-            max_reps: 400,
+            target_rel: if quick { 0.10 } else { 0.02 },
+            max_reps: if quick { 12 } else { 400 },
             seed: 0x05EC_0F16,
-        }
-    }
-
-    /// A fast, loose-CI variant for smoke tests and CI.
-    pub fn quick(switches: usize) -> Self {
-        ReconfigSweepConfig {
-            storm_rates: vec![0.0, 0.10, 0.30],
-            messages: 32,
-            target_rel: 0.10,
-            max_reps: 12,
-            ..Self::paper(switches)
         }
     }
 }
@@ -117,7 +117,7 @@ pub struct StormReplication {
 
 /// Histogram geometry shared by every replication so cells can merge.
 /// The range is generous (1 ms at 0.5 µs resolution) so congested tails
-/// on large `--switches` runs stay in range instead of vanishing into the
+/// on larger networks stay in range instead of vanishing into the
 /// overflow bucket and silently understating the p95 column.
 fn latency_histogram() -> Histogram {
     Histogram::new(0.0, 1000.0, 2000)
@@ -147,8 +147,8 @@ pub fn storm_replication(
     len: u32,
     seed: u64,
 ) -> StormReplication {
-    let base = paper_network(switches, crate::split_seed(seed, 0xA));
-    let ud = paper_labeling(&base);
+    let base = IrregularConfig::with_switches(switches).generate(split_seed(seed, 0xA));
+    let ud = UpDownLabeling::build(&base, RootSelection::LowestId);
     // The storm strikes the middle half of the stream's startup-shifted
     // arrival window, so worms are in flight at every burst.
     let span_us = messages as u64 * spacing_us;
@@ -163,14 +163,14 @@ pub fn storm_replication(
             None,
             window,
             bursts,
-            crate::split_seed(seed, 0xB),
+            split_seed(seed, 0xB),
         )
     } else {
         FaultSchedule::default()
     };
 
     let procs: Vec<NodeId> = base.processors().collect();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(crate::split_seed(seed, 0xC));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(split_seed(seed, 0xC));
     let specs: Vec<MessageSpec> = (0..messages)
         .map(|i| {
             let src = procs[rng.gen_range(0..procs.len())];
@@ -281,16 +281,15 @@ pub fn run(cfg: &ReconfigSweepConfig) -> Vec<ReconfigPoint> {
     let mut out = Vec::new();
     for &k in &cfg.dest_counts {
         for &rate in &cfg.storm_rates {
-            let stream = crate::split_seed(cfg.seed, (k as u64) << 32 | (rate * 1e4) as u64);
-            let controller =
-                || PrecisionController::new(cfg.target_rel, ConfidenceLevel::P95, 3, cfg.max_reps);
-            let (mut live_ctl, mut static_ctl) = (controller(), controller());
+            let stream = split_seed(cfg.seed, (k as u64) << 32 | (rate * 1e4) as u64);
+            let mut live_ctl = controller(cfg.target_rel, cfg.max_reps);
+            let mut static_ctl = controller(cfg.target_rel, cfg.max_reps);
             let mut fracs = [RunningStats::new(); 5];
             let mut epoch_stats: Vec<RunningStats> = Vec::new();
             let mut live_hist = latency_histogram();
             let mut static_hist = latency_histogram();
             let mut reps = 0u64;
-            crate::sweep::replicate_parallel_with(
+            replicate_parallel_with(
                 stream,
                 |s: u64| {
                     storm_replication(
@@ -332,26 +331,6 @@ pub fn run(cfg: &ReconfigSweepConfig) -> Vec<ReconfigPoint> {
                     reps >= cfg.max_reps || (live_ctl.satisfied() && static_ctl.satisfied())
                 },
             );
-            let summarize = |ctl: &PrecisionController| match ctl.interval() {
-                Some(ci) => PointSummary {
-                    x: rate,
-                    mean: ci.mean,
-                    ci_half_width: ci.half_width,
-                    reps: ctl.count(),
-                    target_met: ctl.met_target(),
-                },
-                // A cell can starve an arm entirely (e.g. heavy storms on
-                // tiny networks leave the static arm with no delivered
-                // messages at all): report NaN, not a panic — the JSON
-                // writer turns it into `null`.
-                None => PointSummary {
-                    x: rate,
-                    mean: f64::NAN,
-                    ci_half_width: f64::NAN,
-                    reps: ctl.count(),
-                    target_met: false,
-                },
-            };
             let epoch_latency = epoch_stats
                 .iter()
                 .enumerate()
@@ -369,8 +348,11 @@ pub fn run(cfg: &ReconfigSweepConfig) -> Vec<ReconfigPoint> {
             out.push(ReconfigPoint {
                 rate,
                 dests: k,
-                live: summarize(&live_ctl),
-                static_: summarize(&static_ctl),
+                // A cell can starve an arm entirely (heavy storms on tiny
+                // networks leave the static arm nothing delivered):
+                // `point` reports that as NaN, not a panic.
+                live: point(&live_ctl, rate),
+                static_: point(&static_ctl, rate),
                 live_delivered_frac: fracs[0].mean(),
                 live_torn_frac: fracs[1].mean(),
                 live_unreachable_frac: fracs[2].mean(),
@@ -385,23 +367,17 @@ pub fn run(cfg: &ReconfigSweepConfig) -> Vec<ReconfigPoint> {
     out
 }
 
-/// Writes the sweep's CSV (`results/reconfig_sweep.csv` shape).
-pub fn write_csv(path: &std::path::Path, points: &[ReconfigPoint]) -> std::io::Result<()> {
-    use std::io::Write as _;
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut f = std::fs::File::create(path)?;
-    writeln!(
-        f,
+/// The sweep's CSV (`results/reconfig_sweep.csv`).
+pub fn csv(points: &[ReconfigPoint]) -> String {
+    let mut out = String::from(
         "storm_rate,dests,live_latency_us,live_ci_us,live_reps,live_met,\
          live_delivered_frac,live_torn_frac,live_unreachable_frac,live_p95_us,\
          static_latency_us,static_ci_us,static_delivered_frac,static_unreachable_frac,\
-         static_p95_us,latency_penalty"
-    )?;
+         static_p95_us,latency_penalty\n",
+    );
     for p in points {
         writeln!(
-            f,
+            out,
             "{},{},{:.4},{:.4},{},{},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.3}",
             p.rate,
             p.dests,
@@ -419,9 +395,60 @@ pub fn write_csv(path: &std::path::Path, points: &[ReconfigPoint]) -> std::io::R
             p.static_unreachable_frac,
             p.static_p95_us.unwrap_or(f64::NAN),
             p.live.mean / p.static_.mean,
-        )?;
+        )
+        .expect("string write");
     }
-    Ok(())
+    out
+}
+
+/// The `reconfig-sweep` experiment: live and static curves per multicast
+/// size; the per-cell detail (verdict fractions, p95, penalty) is the
+/// CSV. The record also carries the per-epoch latency of the heaviest
+/// storm cell — the shape of the transient (epoch 0 = pre-storm traffic).
+pub fn report(quick: bool) -> Report {
+    let cfg = ReconfigSweepConfig::new(quick);
+    let points = run(&cfg);
+    let mut series = Vec::new();
+    for &k in &cfg.dest_counts {
+        let of_k = || points.iter().filter(|p| p.dests == k);
+        let live = of_k().map(|p| p.live.clone()).collect();
+        let stat = of_k().map(|p| p.static_.clone()).collect();
+        series.push((format!("live storm k={k}"), live));
+        series.push((format!("static degraded k={k}"), stat));
+    }
+    let mut report = Report::figure(
+        "reconfig_sweep",
+        [
+            "Reconfiguration sweep — delivered-message latency vs storm intensity (live storm vs static damage)",
+            "storm rate (fraction of links killed)",
+            "latency (µs)",
+        ],
+        &[
+            ("switches", cfg.switches.to_string()),
+            ("messages", cfg.messages.to_string()),
+            ("spacing_us", cfg.spacing_us.to_string()),
+            ("bursts", cfg.bursts.to_string()),
+            ("len_flits", cfg.len.to_string()),
+            ("target_rel", cfg.target_rel.to_string()),
+            ("max_reps", cfg.max_reps.to_string()),
+            ("seed", cfg.seed.to_string()),
+            ("quick", quick.to_string()),
+        ],
+        series,
+        vec![report::file("reconfig_sweep.csv", csv(&points))],
+    );
+    // Its x axis is the epoch index, so it joins the record after the
+    // rate-axis plot is drawn.
+    if let Some(worst) = points.iter().rev().find(|p| !p.epoch_latency.is_empty()) {
+        report.bench.series.push((
+            format!(
+                "per-epoch latency (rate {:.2}, k={})",
+                worst.rate, worst.dests
+            ),
+            worst.epoch_latency.clone(),
+        ));
+    }
+    report
 }
 
 #[cfg(test)]

@@ -1,34 +1,40 @@
 //! Result output: CSV files, terminal-friendly ASCII plots, and the
-//! machine-readable `BENCH_<name>.json` records, so every figure binary
+//! machine-readable `BENCH_<name>.json` records, so every experiment
 //! archives its data (human- and machine-readable) and shows the curve
 //! shape inline.
 
 use crate::PointSummary;
+use spam_scenario::json::{Json, Num};
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Writes `(x, mean, ci, reps)` rows as CSV.
-pub fn write_csv(path: &Path, header: &str, rows: &[PointSummary]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{header}")?;
-    for r in rows {
-        writeln!(
-            f,
-            "{},{:.4},{:.4},{},{}",
-            r.x, r.mean, r.ci_half_width, r.reps, r.target_met
-        )?;
-    }
-    Ok(())
+/// One entry of [`Report::files`].
+pub fn file(name: &str, body: impl Into<Vec<u8>>) -> (String, Vec<u8>) {
+    (name.to_string(), body.into())
 }
 
-/// A machine-readable benchmark record. Every figure binary emits one as
-/// `BENCH_<name>.json` next to its CSVs via [`write_bench_json`], seeding
-/// the repo's perf-trajectory record: same schema across binaries, so
-/// tooling can diff runs over time without parsing per-binary CSVs.
+/// The results file `name` holding `rows` as CSV under `header`.
+pub fn csv_file(name: &str, header: &str, rows: &[PointSummary]) -> (String, Vec<u8>) {
+    file(name, csv(header, rows))
+}
+
+/// `(x, mean, ci, reps, met)` rows as CSV under `header`.
+pub fn csv(header: &str, rows: &[PointSummary]) -> String {
+    let mut out = format!("{header}\n");
+    for r in rows {
+        writeln!(
+            out,
+            "{},{:.4},{:.4},{},{}",
+            r.x, r.mean, r.ci_half_width, r.reps, r.target_met
+        )
+        .expect("string write");
+    }
+    out
+}
+
+/// A machine-readable benchmark record, written as `BENCH_<name>.json`
+/// by [`write_bench_json`]: same schema across experiments, so tooling
+/// can diff runs over time without parsing per-experiment CSVs.
 #[derive(Debug, Clone)]
 pub struct BenchJson {
     /// Benchmark name; the file is `BENCH_<name>.json`.
@@ -39,92 +45,118 @@ pub struct BenchJson {
     pub series: Vec<(String, Vec<PointSummary>)>,
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A finite JSON number, or `null` (JSON has no NaN/inf).
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        // `{:?}` is the shortest round-trippable representation.
-        format!("{x:?}")
-    } else {
-        "null".to_string()
+impl BenchJson {
+    /// The record as a JSON document (non-finite numbers become `null`).
+    pub fn to_json(&self) -> Json {
+        let float = |x: f64| Json::Num(Num::F(x));
+        let point = |p: &PointSummary| {
+            Json::obj(vec![
+                ("x", float(p.x)),
+                ("mean", float(p.mean)),
+                ("ci_half_width", float(p.ci_half_width)),
+                ("reps", Json::Num(Num::U(p.reps))),
+                ("target_met", Json::Bool(p.target_met)),
+            ])
+        };
+        Json::obj(vec![
+            ("schema", Json::Num(Num::U(1))),
+            ("name", Json::Str(self.name.clone())),
+            (
+                "params",
+                Json::Obj(
+                    self.params
+                        .iter()
+                        .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
+                        .collect(),
+                ),
+            ),
+            (
+                "series",
+                Json::Arr(
+                    self.series
+                        .iter()
+                        .map(|(name, points)| {
+                            Json::obj(vec![
+                                ("name", Json::Str(name.clone())),
+                                ("points", Json::Arr(points.iter().map(point).collect())),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+        ])
     }
 }
 
 /// Writes `dir/BENCH_<name>.json`, returning the path.
 ///
-/// Also drops an identical `BENCH_<name>.json` in the current directory
-/// (the repo root, when run via `cargo run`): the records under
-/// `results/` are gitignored working artifacts, while the root copies
-/// are committed as the perf-trajectory record — every binary used to
-/// hand-copy (or forget to), so the dual write lives here instead.
-///
-/// The workspace's `serde` is a no-op offline shim, so the JSON is
-/// hand-rolled here — one schema for every benchmark binary.
+/// When the current directory (the repo root, under `cargo run`) already
+/// holds a `BENCH_<name>.json`, that copy is refreshed too: the records
+/// under `results/` are gitignored working artifacts, the root copies
+/// the committed perf-trajectory record. An experiment with no committed
+/// record leaves nothing outside `dir`.
 pub fn write_bench_json(dir: &Path, bench: &BenchJson) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let file = format!("BENCH_{}.json", bench.name);
     let path = dir.join(&file);
-    let mut body = String::new();
-    writeln!(body, "{{").unwrap();
-    writeln!(body, "  \"schema\": 1,").unwrap();
-    writeln!(body, "  \"name\": \"{}\",", json_escape(&bench.name)).unwrap();
-    writeln!(body, "  \"params\": {{").unwrap();
-    for (i, (k, v)) in bench.params.iter().enumerate() {
-        let comma = if i + 1 < bench.params.len() { "," } else { "" };
-        writeln!(
-            body,
-            "    \"{}\": \"{}\"{comma}",
-            json_escape(k),
-            json_escape(v)
-        )
-        .unwrap();
-    }
-    writeln!(body, "  }},").unwrap();
-    writeln!(body, "  \"series\": [").unwrap();
-    for (si, (name, points)) in bench.series.iter().enumerate() {
-        writeln!(body, "    {{").unwrap();
-        writeln!(body, "      \"name\": \"{}\",", json_escape(name)).unwrap();
-        writeln!(body, "      \"points\": [").unwrap();
-        for (pi, p) in points.iter().enumerate() {
-            let comma = if pi + 1 < points.len() { "," } else { "" };
-            writeln!(
-                body,
-                "        {{\"x\": {}, \"mean\": {}, \"ci_half_width\": {}, \
-                 \"reps\": {}, \"target_met\": {}}}{comma}",
-                json_num(p.x),
-                json_num(p.mean),
-                json_num(p.ci_half_width),
-                p.reps,
-                p.target_met
-            )
-            .unwrap();
-        }
-        writeln!(body, "      ]").unwrap();
-        let comma = if si + 1 < bench.series.len() { "," } else { "" };
-        writeln!(body, "    }}{comma}").unwrap();
-    }
-    writeln!(body, "  ]").unwrap();
-    writeln!(body, "}}").unwrap();
+    let body = bench.to_json().to_string_pretty();
     std::fs::write(&path, &body)?;
-    if path.as_path() != Path::new(&file) {
+    if Path::new(&file).exists() {
         std::fs::write(&file, &body)?;
     }
     Ok(path)
+}
+
+/// Everything one experiment hands the `experiment` binary.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// The machine-readable record.
+    pub bench: BenchJson,
+    /// Data files for the results directory: `(relative path, contents)`.
+    pub files: Vec<(String, Vec<u8>)>,
+    /// The terminal rendering: plots and tables.
+    pub text: String,
+}
+
+impl Report {
+    /// The common experiment shape: `series` plotted under
+    /// `[title, x label, y label]` above the point table, recorded as
+    /// `BENCH_<name>.json` with `params`.
+    pub fn figure(
+        name: &str,
+        [title, x_label, y_label]: [&str; 3],
+        params: &[(&str, String)],
+        series: Vec<(String, Vec<PointSummary>)>,
+        files: Vec<(String, Vec<u8>)>,
+    ) -> Report {
+        Report {
+            text: ascii_plot(title, x_label, y_label, &series, 16) + &series_table(&series),
+            files,
+            bench: BenchJson {
+                name: name.to_string(),
+                params: params
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.clone()))
+                    .collect(),
+                series,
+            },
+        }
+    }
+
+    /// Prints the rendering and writes every file plus the
+    /// `BENCH_<name>.json` record under `dir`.
+    pub fn write(&self, dir: &Path) -> std::io::Result<()> {
+        println!("{}", self.text);
+        for (name, body) in &self.files {
+            let path = dir.join(name);
+            std::fs::create_dir_all(path.parent().unwrap_or(dir))?;
+            std::fs::write(&path, body)?;
+            println!("-> {}", path.display());
+        }
+        let json = write_bench_json(dir, &self.bench)?;
+        println!("-> {}", json.display());
+        Ok(())
+    }
 }
 
 /// Renders one or more named series as an ASCII scatter plot, mimicking
@@ -191,23 +223,21 @@ pub fn ascii_plot(
     out
 }
 
-/// Formats a table of `(label, point)` rows.
-pub fn labelled_table(title: &str, rows: &[(String, PointSummary)]) -> String {
-    let mut out = String::new();
-    writeln!(out, "{title}").unwrap();
-    writeln!(
-        out,
-        "  {:<24} {:>12} {:>12} {:>6} {:>7}",
-        "arm", "mean (µs)", "±95% CI", "reps", "met 1%"
-    )
-    .unwrap();
-    for (label, p) in rows {
-        writeln!(
-            out,
-            "  {:<24} {:>12.3} {:>12.3} {:>6} {:>7}",
-            label, p.mean, p.ci_half_width, p.reps, p.target_met
-        )
-        .unwrap();
+/// Formats every point of every series as one table row.
+pub fn series_table(series: &[(String, Vec<PointSummary>)]) -> String {
+    let mut out = format!(
+        "  {:<32} {:>8} {:>12} {:>10} {:>6} {:>7}\n",
+        "series", "x", "mean", "±95% CI", "reps", "met CI"
+    );
+    for (name, points) in series {
+        for p in points {
+            writeln!(
+                out,
+                "  {:<32} {:>8} {:>12.3} {:>10.3} {:>6} {:>7}",
+                name, p.x, p.mean, p.ci_half_width, p.reps, p.target_met
+            )
+            .unwrap();
+        }
     }
     out
 }
@@ -230,19 +260,10 @@ mod tests {
 
     #[test]
     fn csv_round_trips() {
-        let dir = std::env::temp_dir().join("spam_bench_test");
-        let path = dir.join("t.csv");
-        write_csv(
-            &path,
-            "x,mean,ci,reps,met",
-            &pts(&[(1.0, 11.0), (2.0, 12.0)]),
-        )
-        .unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
+        let body = csv("x,mean,ci,reps,met", &pts(&[(1.0, 11.0), (2.0, 12.0)]));
         assert!(body.starts_with("x,mean,ci,reps,met\n"));
         assert_eq!(body.lines().count(), 3);
-        assert!(body.contains("11.0000"));
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(body.contains("1,11.0000,0.1000,5,true"));
     }
 
     #[test]
@@ -259,31 +280,45 @@ mod tests {
                 ("b".to_string(), pts(&[(1.0, 20.0)])),
             ],
         };
+        // No committed record in the current directory: nothing lands there.
+        let root_copy = Path::new("BENCH_unit_test.json");
         let path = write_bench_json(&dir, &bench).unwrap();
         assert!(path.ends_with("BENCH_unit_test.json"));
-        // The committed-record copy lands in the current directory too.
-        let root_copy = Path::new("BENCH_unit_test.json");
-        assert!(root_copy.exists(), "root copy missing");
+        assert!(!root_copy.exists(), "stray root copy");
+        // An existing record is refreshed in place.
+        std::fs::write(root_copy, "stale").unwrap();
+        write_bench_json(&dir, &bench).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         assert_eq!(body, std::fs::read_to_string(root_copy).unwrap());
         std::fs::remove_file(root_copy).ok();
-        assert!(body.contains("\"schema\": 1"));
-        assert!(body.contains("\"switches\": \"64\""));
-        assert!(body.contains("has \\\"quotes\\\""));
-        assert!(body.contains("\"mean\": 12.5"));
-        // Structural sanity: balanced braces/brackets, no trailing commas.
-        assert_eq!(body.matches('{').count(), body.matches('}').count());
-        assert_eq!(body.matches('[').count(), body.matches(']').count());
-        assert!(!body.contains(",\n      ]"));
-        assert!(!body.contains(",\n  }"));
         std::fs::remove_dir_all(&dir).ok();
+
+        let doc = spam_scenario::json::parse(&body).expect("valid JSON");
+        assert_eq!(doc, bench.to_json(), "the file round-trips");
+        assert_eq!(doc.get("schema").and_then(Json::as_num), Some(Num::U(1)));
+        let note = doc.get("params").and_then(|p| p.get("note"));
+        assert_eq!(note.and_then(Json::as_str), Some("has \"quotes\""));
+        assert_eq!(doc.get("series").and_then(Json::as_arr).unwrap().len(), 2);
     }
 
     #[test]
     fn json_num_handles_non_finite() {
-        assert_eq!(json_num(1.5), "1.5");
-        assert_eq!(json_num(f64::NAN), "null");
-        assert_eq!(json_num(f64::INFINITY), "null");
+        // JSON has no NaN/inf: a starved cell's mean is written as null.
+        let mut starved = pts(&[(0.3, f64::NAN)]);
+        starved[0].ci_half_width = f64::INFINITY;
+        let bench = BenchJson {
+            name: "t".to_string(),
+            params: Vec::new(),
+            series: vec![("s".to_string(), starved)],
+        };
+        let doc = spam_scenario::json::parse(&bench.to_json().to_string_pretty()).unwrap();
+        let p = &doc.get("series").and_then(Json::as_arr).unwrap()[0]
+            .get("points")
+            .and_then(Json::as_arr)
+            .unwrap()[0];
+        assert_eq!(p.get("x").and_then(Json::as_num), Some(Num::F(0.3)));
+        assert_eq!(p.get("mean"), Some(&Json::Null));
+        assert_eq!(p.get("ci_half_width"), Some(&Json::Null));
     }
 
     #[test]
@@ -308,10 +343,7 @@ mod tests {
 
     #[test]
     fn table_renders_rows() {
-        let t = labelled_table(
-            "Ablation",
-            &[("lowest-id".into(), pts(&[(0.0, 11.5)])[0].clone())],
-        );
+        let t = series_table(&[("lowest-id".to_string(), pts(&[(0.0, 11.5)]))]);
         assert!(t.contains("lowest-id"));
         assert!(t.contains("11.5"));
     }

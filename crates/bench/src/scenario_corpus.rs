@@ -6,6 +6,7 @@
 use crate::report::BenchJson;
 use crate::PointSummary;
 use spam_scenario::{run_spec, CorpusError, ScenarioReport, ScenarioSpec, SpecError};
+use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -142,17 +143,12 @@ pub fn run_corpus(dir: &Path, quick: bool) -> Result<Vec<CorpusResult>, CorpusRu
     run_corpus_journaled(dir, quick, None)
 }
 
-/// Writes one scenario's per-replication CSV
-/// (`<out_dir>/<name>.csv`), returning the path.
-pub fn write_scenario_csv(out_dir: &Path, report: &ScenarioReport) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(out_dir)?;
-    let path = out_dir.join(format!("{}.csv", report.name));
-    let mut f = std::fs::File::create(&path)?;
-    writeln!(
-        f,
+/// One scenario's per-replication CSV (`scenarios/<name>.csv`).
+pub fn scenario_csv(report: &ScenarioReport) -> String {
+    let mut f = String::from(
         "rep,submitted,delivered,torn_down,unreachable,\
-         mean_latency_us,p50_us,p99_us,events,end_time_us,clean"
-    )?;
+         mean_latency_us,p50_us,p99_us,events,end_time_us,clean\n",
+    );
     let opt = |v: Option<f64>| v.map_or(String::new(), |x| format!("{x:.4}"));
     for r in &report.reps {
         writeln!(
@@ -169,24 +165,20 @@ pub fn write_scenario_csv(out_dir: &Path, report: &ScenarioReport) -> std::io::R
             r.events,
             r.end_time_us,
             r.clean
-        )?;
+        )
+        .expect("string write");
     }
-    Ok(path)
+    f
 }
 
-/// Writes the combined corpus summary CSV, one row per scenario —
-/// including a status row for scenarios that failed or were skipped, so
-/// a partial sweep still leaves a complete, honest record.
-pub fn write_corpus_csv(path: &Path, results: &[CorpusResult]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut f = std::fs::File::create(path)?;
-    writeln!(
-        f,
+/// The combined corpus summary CSV, one row per scenario — including a
+/// status row for scenarios that failed or were skipped, so a partial
+/// sweep still leaves a complete, honest record.
+pub fn corpus_csv(results: &[CorpusResult]) -> String {
+    let mut f = String::from(
         "scenario,status,reps,submitted,delivered,torn_down,unreachable,\
-         mean_latency_us,all_clean,detail"
-    )?;
+         mean_latency_us,all_clean,detail\n",
+    );
     for r in results {
         match &r.status {
             CorpusStatus::Ok(report) => {
@@ -201,20 +193,21 @@ pub fn write_corpus_csv(path: &Path, results: &[CorpusResult]) -> std::io::Resul
                         .mean_latency_us()
                         .map_or(String::new(), |x| format!("{x:.4}")),
                     report.all_clean()
-                )?;
+                )
             }
             CorpusStatus::Failed(e) => {
                 // Typed failure detail, commas stripped to keep the row
                 // one CSV record.
                 let detail = e.to_string().replace(',', ";");
-                writeln!(f, "{},error,,,,,,,,{detail}", r.spec.name)?;
+                writeln!(f, "{},error,,,,,,,,{detail}", r.spec.name)
             }
             CorpusStatus::Skipped => {
-                writeln!(f, "{},skipped,,,,,,,,resume journal", r.spec.name)?;
+                writeln!(f, "{},skipped,,,,,,,,resume journal", r.spec.name)
             }
         }
+        .expect("string write");
     }
-    Ok(())
+    f
 }
 
 /// The corpus as one [`BenchJson`] record: one series per scenario, one
@@ -283,16 +276,10 @@ mod tests {
         assert!(report.all_clean());
         assert!(report.mean_latency_us().unwrap() > 10.0, "startup floor");
 
-        let out = dir.join("out");
-        let csv = write_scenario_csv(&out, report).unwrap();
-        let body = std::fs::read_to_string(csv).unwrap();
+        let body = scenario_csv(report);
         assert!(body.starts_with("rep,submitted,"));
         assert_eq!(body.lines().count(), 1 + report.reps.len());
-
-        let combined = out.join("scenario_corpus.csv");
-        write_corpus_csv(&combined, &results).unwrap();
-        let body = std::fs::read_to_string(&combined).unwrap();
-        assert!(body.contains("tiny-fig2,ok,"));
+        assert!(corpus_csv(&results).contains("tiny-fig2,ok,"));
 
         let bench = corpus_bench_json(&results, true);
         assert_eq!(bench.series.len(), 1);
@@ -343,9 +330,7 @@ mod tests {
         assert!(matches!(by_name("tiny-fig2").status, CorpusStatus::Ok(_)));
 
         // The combined CSV records both, with a status per row.
-        let combined = dir.join("out/scenario_corpus.csv");
-        write_corpus_csv(&combined, &results).unwrap();
-        let body = std::fs::read_to_string(&combined).unwrap();
+        let body = corpus_csv(&results);
         assert!(body.contains("aaa-doomed,error,"), "{body}");
         assert!(body.contains("tiny-fig2,ok,"), "{body}");
         std::fs::remove_dir_all(&dir).ok();

@@ -1,4 +1,4 @@
-//! Parallel replication control.
+//! Parallel replication control under the paper's §4 stopping rule.
 //!
 //! Each replication is an independent seeded simulation (no shared mutable
 //! state), so they fan out perfectly across threads with
@@ -6,7 +6,9 @@
 //! run between stopping-rule checks; seeds are consumed in order, so the
 //! final statistics are independent of thread scheduling.
 
-use simstats::PrecisionController;
+use crate::PointSummary;
+use simstats::{ConfidenceLevel, PrecisionController};
+use spam_scenario::split_seed;
 
 /// The generic parallel replication driver every sweep builds on: runs
 /// seeded replications of `rep` in deterministic seed order, fanning each
@@ -28,7 +30,7 @@ where
     let mut next = 0u64;
     loop {
         let seeds: Vec<u64> = (0..batch as u64)
-            .map(|i| crate::split_seed(base_seed, next + i))
+            .map(|i| split_seed(base_seed, next + i))
             .collect();
         next += batch as u64;
         let results: Vec<T> = std::thread::scope(|s| {
@@ -50,41 +52,51 @@ where
     }
 }
 
-/// Runs seeded replications of `rep` in parallel until `controller` is
-/// satisfied. Returns the number of replications executed.
-///
-/// `rep(seed)` must be a pure function of its seed.
-pub fn replicate_parallel<F>(controller: &mut PrecisionController, base_seed: u64, rep: F) -> u64
+/// The §4 stopping rule: 95 % CI half-width within `target_rel` of the
+/// mean, at least 3 and at most `max_reps` replications.
+pub fn controller(target_rel: f64, max_reps: u64) -> PrecisionController {
+    PrecisionController::new(target_rel, ConfidenceLevel::P95, 3, max_reps)
+}
+
+/// Summarizes a finished controller as the point at `x`. An arm that
+/// never produced a sample (a reconfiguration cell whose storm starved
+/// it) reports NaN, which the JSON writer turns into `null`.
+pub fn point(ctl: &PrecisionController, x: f64) -> PointSummary {
+    let (mean, ci_half_width) = ctl
+        .interval()
+        .map_or((f64::NAN, f64::NAN), |ci| (ci.mean, ci.half_width));
+    PointSummary {
+        x,
+        mean,
+        ci_half_width,
+        reps: ctl.count(),
+        target_met: ctl.met_target(),
+    }
+}
+
+/// One data point of a figure: replicates `rep` over the seed stream
+/// `base_seed` until the §4 rule is satisfied.
+pub fn replicate_point<F>(
+    target_rel: f64,
+    max_reps: u64,
+    base_seed: u64,
+    x: f64,
+    rep: F,
+) -> PointSummary
 where
     F: Fn(u64) -> f64 + Sync,
 {
-    if !controller.satisfied() {
-        replicate_parallel_with(base_seed, rep, |r| {
-            controller.push(r);
-            controller.satisfied()
-        });
-    }
-    controller.count()
-}
-
-/// Sequential variant for contexts where the caller already parallelizes
-/// (criterion benches).
-pub fn replicate_sequential<F>(controller: &mut PrecisionController, base_seed: u64, rep: F) -> u64
-where
-    F: Fn(u64) -> f64,
-{
-    let mut i = 0u64;
-    while !controller.satisfied() {
-        controller.push(rep(crate::split_seed(base_seed, i)));
-        i += 1;
-    }
-    controller.count()
+    let mut ctl = controller(target_rel, max_reps);
+    replicate_parallel_with(base_seed, rep, |r| {
+        ctl.push(r);
+        ctl.satisfied()
+    });
+    point(&ctl, x)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simstats::{ConfidenceLevel, PrecisionController};
 
     fn noisy(seed: u64) -> f64 {
         // Deterministic pseudo-noise around 100.
@@ -93,24 +105,25 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_agree() {
-        let mut c1 = PrecisionController::new(0.02, ConfidenceLevel::P95, 3, 500);
-        let n1 = replicate_sequential(&mut c1, 7, noisy);
-        let mut c2 = PrecisionController::new(0.02, ConfidenceLevel::P95, 3, 500);
-        let n2 = replicate_parallel(&mut c2, 7, noisy);
-        // The parallel runner may overshoot by at most one batch, but the
-        // mean must agree on the common prefix and both meet the target.
-        assert!(c1.met_target());
-        assert!(c2.met_target());
-        assert!(n2 >= n1 || n2 + 64 >= n1);
-        assert!((c1.stats().mean() - c2.stats().mean()).abs() < 2.0);
+        let mut seq = controller(0.02, 500);
+        let mut i = 0u64;
+        while !seq.satisfied() {
+            seq.push(noisy(split_seed(7, i)));
+            i += 1;
+        }
+        let par = replicate_point(0.02, 500, 7, 0.0, noisy);
+        // Seeds are consumed in order, so the parallel driver stops at
+        // exactly the sequential loop's replication.
+        assert!(seq.met_target() && par.target_met);
+        assert_eq!(par.reps, seq.count());
+        assert_eq!(par.mean, seq.stats().mean());
     }
 
     #[test]
     fn constant_function_stops_at_min_reps() {
-        let mut c = PrecisionController::new(0.01, ConfidenceLevel::P95, 3, 100);
-        let n = replicate_parallel(&mut c, 1, |_| 42.0);
-        assert!(n >= 3);
-        assert!(c.met_target());
-        assert_eq!(c.stats().mean(), 42.0);
+        let p = replicate_point(0.01, 100, 1, 0.0, |_| 42.0);
+        assert_eq!(p.reps, 3);
+        assert!(p.target_met);
+        assert_eq!(p.mean, 42.0);
     }
 }

@@ -75,21 +75,6 @@ pub enum QueueKind {
     Bucket,
 }
 
-impl QueueKind {
-    /// The environment-selected kind: `WORMSIM_QUEUE=heap` (or `bucket` /
-    /// `wheel`) picks the implementation for every simulator that did not
-    /// choose one explicitly, so the whole test suite can be replayed on
-    /// the reference heap without code changes. Unset or unrecognized
-    /// values fall back to the default ([`QueueKind::Bucket`]).
-    pub fn from_env() -> Self {
-        match std::env::var("WORMSIM_QUEUE").as_deref() {
-            Ok("heap") | Ok("Heap") | Ok("HEAP") => QueueKind::Heap,
-            Ok("bucket") | Ok("wheel") | Ok("Bucket") => QueueKind::Bucket,
-            _ => QueueKind::default(),
-        }
-    }
-}
-
 /// The classic comparison-based implementation.
 #[derive(Debug, Clone)]
 struct HeapQueue<E> {

@@ -8,40 +8,11 @@
 //! per-channel crossings, and the fault epoch boundaries. FNV-1a over
 //! the little-endian field stream; no allocation.
 
-use wormsim::{FailureKind, SimOutcome};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a accumulator over `u64` words.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-}
-
-impl Fnv {
-    /// Feeds one word (as eight little-endian bytes).
-    #[inline]
-    pub fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
+use wormsim::{FailureKind, Fnv1a, SimOutcome};
 
 /// Digests everything observable about a finished run.
 pub fn outcome_digest(out: &SimOutcome) -> u64 {
-    let mut h = Fnv::default();
+    let mut h = Fnv1a::default();
     let c = &out.counters;
     for w in [
         c.events,
@@ -101,13 +72,13 @@ mod tests {
 
     #[test]
     fn fnv_is_order_sensitive() {
-        let mut a = Fnv::default();
+        let mut a = Fnv1a::default();
         a.word(1);
         a.word(2);
-        let mut b = Fnv::default();
+        let mut b = Fnv1a::default();
         b.word(2);
         b.word(1);
         assert_ne!(a.finish(), b.finish());
-        assert_ne!(Fnv::default().finish(), a.finish());
+        assert_ne!(Fnv1a::default().finish(), a.finish());
     }
 }

@@ -25,9 +25,8 @@ use std::time::Instant;
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use spam_scenario::{mutate_spec, ScenarioSpec};
-use wormsim::CoverageSet;
+use wormsim::{CoverageSet, Fnv1a};
 
-use crate::digest::Fnv;
 use crate::minimize::minimize_violation;
 use crate::novelty::NoveltyTracker;
 use crate::oracle::check_spec;
@@ -124,7 +123,7 @@ pub struct FuzzReport {
 
 /// Deterministic display name for the `i`-th mutant of a run.
 fn mutant_name(seed: u64, i: usize) -> String {
-    let mut h = Fnv::default();
+    let mut h = Fnv1a::default();
     h.word(seed);
     h.word(i as u64);
     format!("fuzz_{:08x}", (h.finish() >> 32) as u32)

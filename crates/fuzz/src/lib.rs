@@ -32,7 +32,7 @@ pub mod minimize;
 pub mod novelty;
 pub mod oracle;
 
-pub use digest::{outcome_digest, Fnv};
+pub use digest::outcome_digest;
 pub use fuzzer::{fuzz, FuzzConfig, FuzzReport, FuzzStats, Promoted, Regression};
 pub use minimize::minimize_violation;
 pub use novelty::NoveltyTracker;

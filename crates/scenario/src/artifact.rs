@@ -16,9 +16,9 @@
 //! routing policy, engine knobs, or seeds differ — can share one
 //! [`ScenarioArtifacts`], which is what the `spam-serve` artifact cache
 //! does. [`ArtifactPrefix::fingerprint`] is the cache key: an FNV-1a 64
-//! digest (the same accumulator style `spam-fuzz` uses for
-//! `outcome_digest`) streamed directly over the prefix fields, so
-//! computing it on the request hot path allocates nothing.
+//! digest (the workspace's one [`wormsim::Fnv1a`] accumulator) streamed
+//! directly over the prefix fields, so computing it on the request hot
+//! path allocates nothing.
 //!
 //! The differential guarantee — a cache hit changes no outcome byte — is
 //! pinned by `tests/serve_cache_differential.rs` at the workspace root:
@@ -40,35 +40,7 @@ use spam_faults::DegradedNetwork;
 use spam_reconfig::{EpochRouting, FaultSchedule, ReconfigScenario};
 use std::sync::{Arc, OnceLock};
 use updown::{RootSelection, UpDownLabeling};
-
-/// Streaming FNV-1a 64 over field words — no intermediate buffer, so
-/// fingerprinting a spec on the request path allocates nothing.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    #[inline]
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    #[inline]
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    #[inline]
-    fn f64(&mut self, v: f64) {
-        // Bit-exact: the fingerprint distinguishes every distinct rate.
-        self.u64(v.to_bits());
-    }
-}
+use wormsim::Fnv1a;
 
 /// Bump when the fingerprinted field set or its encoding changes, so a
 /// persisted cache manifest from an older layout can never alias a new
@@ -314,36 +286,37 @@ pub fn spec_fingerprint(spec: &ScenarioSpec, rep: u32) -> u64 {
 }
 
 fn fingerprint_of(t: &TopologySpec, f: &FaultsSpec, rep: u32) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::default();
     h.byte(FINGERPRINT_VERSION);
     // Topology, field-tagged in declaration order.
-    h.u64(t.switches as u64);
-    h.u64(t.seed);
+    h.word(t.switches as u64);
+    h.word(t.seed);
     match t.side {
         None => h.byte(0),
         Some(s) => {
             h.byte(1);
-            h.u64(s as u64);
+            h.word(s as u64);
         }
     }
     h.byte(match t.strategy {
         StrategySpec::ConnectedGrowth => 0,
         StrategySpec::UniformRetry => 1,
     });
-    h.u64(t.ports as u64);
-    // Faults: variant tag, then fields.
-    let model = |h: &mut Fnv, m: &FaultModelSpec| match *m {
+    h.word(t.ports as u64);
+    // Faults: variant tag, then fields. Rates hash by their bits, so the
+    // fingerprint distinguishes every distinct rate.
+    let model = |h: &mut Fnv1a, m: &FaultModelSpec| match *m {
         FaultModelSpec::IidLinks { rate } => {
             h.byte(0);
-            h.f64(rate);
+            h.word(rate.to_bits());
         }
         FaultModelSpec::IidSwitches { rate } => {
             h.byte(1);
-            h.f64(rate);
+            h.word(rate.to_bits());
         }
         FaultModelSpec::Region { radius } => {
             h.byte(2);
-            h.u64(radius as u64);
+            h.word(radius as u64);
         }
     };
     match *f {
@@ -351,7 +324,7 @@ fn fingerprint_of(t: &TopologySpec, f: &FaultsSpec, rep: u32) -> u64 {
         FaultsSpec::Static { model: ref m, seed } => {
             h.byte(1);
             model(&mut h, m);
-            h.u64(seed);
+            h.word(seed);
         }
         FaultsSpec::Storm {
             model: ref m,
@@ -362,14 +335,14 @@ fn fingerprint_of(t: &TopologySpec, f: &FaultsSpec, rep: u32) -> u64 {
         } => {
             h.byte(2);
             model(&mut h, m);
-            h.u64(seed);
-            h.u64(window_start_us);
-            h.u64(window_end_us);
-            h.u64(bursts as u64);
+            h.word(seed);
+            h.word(window_start_us);
+            h.word(window_end_us);
+            h.word(bursts as u64);
         }
     }
-    h.u64(rep as u64);
-    h.0
+    h.word(rep as u64);
+    h.finish()
 }
 
 /// A storm prefix's extra artifacts: the fault schedule and the fully

@@ -116,15 +116,6 @@ fn kind_only(f: &[(String, Json)], path: &str) -> Result<(), SpecError> {
 // ---------------------------------------------------------------------
 // Encoding helpers
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 fn u(v: u64) -> Json {
     Json::Num(Num::U(v))
 }
@@ -144,7 +135,7 @@ fn s(v: &str) -> Json {
 fn kind(tag: &str, mut rest: Vec<(&str, Json)>) -> Json {
     let mut all = vec![("kind", s(tag))];
     all.append(&mut rest);
-    obj(all)
+    Json::obj(all)
 }
 
 impl ScenarioSpec {
@@ -232,7 +223,7 @@ impl ScenarioSpec {
         if let Some(h) = self.horizon_us {
             top.push(("horizon_us", u(h)));
         }
-        obj(top)
+        Json::obj(top)
     }
 
     /// Encodes to pretty-printed JSON text (the `*.scenario.json`
@@ -289,7 +280,7 @@ pub(crate) fn encode_topology(t: &TopologySpec) -> Json {
         }),
     ));
     out.push(("ports", uz(t.ports)));
-    obj(out)
+    Json::obj(out)
 }
 
 fn decode_routing(v: &Json) -> Result<RoutingSpec, SpecError> {
@@ -869,7 +860,7 @@ fn decode_engine(v: &Json) -> Result<EngineSpec, SpecError> {
 }
 
 fn encode_engine(e: &EngineSpec) -> Json {
-    obj(vec![
+    Json::obj(vec![
         (
             "queue",
             match e.queue {

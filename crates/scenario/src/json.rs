@@ -62,6 +62,16 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object from `(key, value)` pairs, in the given order.
+    pub fn obj(fields: Vec<(&str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
     /// Object field lookup.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {

@@ -94,8 +94,7 @@ impl Observers {
     }
 }
 
-/// Splits a u64 seed stream deterministically (SplitMix64; the same
-/// mixer `spam-bench` uses).
+/// Splits a u64 seed stream deterministically (SplitMix64).
 pub fn split_seed(seed: u64, stream: u64) -> u64 {
     let mut x = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     x ^= x >> 30;

@@ -285,7 +285,7 @@ pub enum FaultModelSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct EngineSpec {
     /// Event-queue implementation; `None` defers to the engine default
-    /// (`WORMSIM_QUEUE` env override, else the bucket wheel).
+    /// (the bucket wheel).
     pub queue: Option<QueueSpec>,
     /// Input buffer depth per channel, flits (≥ 1).
     pub input_buffer_flits: usize,

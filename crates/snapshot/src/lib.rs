@@ -54,15 +54,50 @@ pub const MAGIC: [u8; 8] = *b"SPAMSNAP";
 /// docs: any payload layout change bumps this).
 pub const FORMAT_VERSION: u32 = 1;
 
+/// Streaming FNV-1a 64 accumulator — the workspace's one FNV-1a: the
+/// snapshot trailer ([`fnv1a`]), the artifact-cache fingerprint, the
+/// outcome digests, and the topology fingerprint all fold through it.
+/// No buffer, so hashing a field stream allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Feeds one byte.
+    #[inline]
+    pub fn byte(&mut self, b: u8) {
+        self.0 ^= b as u64;
+        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    /// Feeds one word as eight little-endian bytes.
+    #[inline]
+    pub fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.byte(b);
+        }
+    }
+
+    /// The digest so far.
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// FNV-1a 64-bit hash of a byte slice — the trailer checksum, also handy
 /// as a cheap content digest for checkpoint deduplication.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::default();
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h.byte(b);
     }
-    h
+    h.finish()
 }
 
 /// Typed decode/validation failure. Every malformed input maps to one of

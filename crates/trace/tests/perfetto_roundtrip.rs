@@ -121,8 +121,8 @@ fn exported_storm_run_round_trips() {
     assert_valid_perfetto(&bytes);
 }
 
-/// The committed example artifact (written by the `latency_anatomy`
-/// bench bin) must stay parseable — this is the acceptance gate for the
+/// The committed example artifact (written by the `latency-anatomy`
+/// experiment) must stay parseable — this is the acceptance gate for the
 /// file in `results/`.
 #[test]
 fn committed_example_trace_decodes() {
@@ -131,6 +131,6 @@ fn committed_example_trace_decodes() {
         "/../../results/fig2_single_multicast.perfetto-trace"
     );
     let bytes = std::fs::read(path)
-        .expect("committed Perfetto example exists (generate with `cargo run -p spam-bench --bin latency_anatomy`)");
+        .expect("committed Perfetto example exists (generate with `cargo run -p spam-bench --bin experiment -- latency-anatomy`)");
     assert_valid_perfetto(&bytes);
 }

@@ -66,11 +66,9 @@ pub struct SimConfig {
     /// Which future-event-list implementation drives the run. Both kinds
     /// produce byte-identical outcomes (pinned by the golden-regression
     /// suite); [`QueueKind::Bucket`] is the fast default, [`QueueKind::Heap`]
-    /// remains selectable as the reference implementation. `None` (the
-    /// default) defers to [`QueueKind::from_env`], so an entire test run
-    /// can be replayed on the reference heap via `WORMSIM_QUEUE=heap`
-    /// without touching any call site; an explicit [`Self::with_queue`]
-    /// always wins over the environment.
+    /// remains selectable as the reference implementation via
+    /// [`Self::with_queue`]. `None` (the default) resolves to the bucket
+    /// wheel.
     pub queue: Option<QueueKind>,
     /// Periodic checkpointing cadence in nanoseconds of simulation time
     /// (`None` = off). When set, the engine serializes its complete
@@ -125,18 +123,16 @@ impl SimConfig {
     }
 
     /// Selects the event-queue implementation (bucket wheel vs. reference
-    /// binary heap; identical outcomes, different wall-clock speed). An
-    /// explicit choice overrides the `WORMSIM_QUEUE` environment variable.
+    /// binary heap; identical outcomes, different wall-clock speed).
     pub fn with_queue(mut self, queue: QueueKind) -> Self {
         self.queue = Some(queue);
         self
     }
 
     /// The queue kind this configuration resolves to: the explicit choice
-    /// if one was made, otherwise the `WORMSIM_QUEUE` environment
-    /// selection (default [`QueueKind::Bucket`]).
+    /// if one was made, otherwise [`QueueKind::Bucket`].
     pub fn resolved_queue(&self) -> QueueKind {
-        self.queue.unwrap_or_else(QueueKind::from_env)
+        self.queue.unwrap_or(QueueKind::Bucket)
     }
 
     /// Enables periodic engine checkpointing every `every_ns` nanoseconds
@@ -206,9 +202,10 @@ mod tests {
     }
 
     #[test]
-    fn explicit_queue_choice_beats_environment() {
-        // paper() leaves the kind open (env-resolvable); with_queue pins it.
+    fn explicit_queue_choice_beats_default() {
+        // paper() leaves the kind open (the bucket wheel); with_queue pins it.
         assert_eq!(SimConfig::paper().queue, None);
+        assert_eq!(SimConfig::paper().resolved_queue(), QueueKind::Bucket);
         let c = SimConfig::paper().with_queue(QueueKind::Heap);
         assert_eq!(c.queue, Some(QueueKind::Heap));
         assert_eq!(c.resolved_queue(), QueueKind::Heap);

@@ -826,24 +826,18 @@ fn read_section<T>(
 /// topologies with equal fingerprints are interchangeable for resuming
 /// a snapshot.
 fn topo_fingerprint(topo: &Topology) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    fold(topo.num_nodes() as u64);
-    fold(topo.num_channels() as u64);
+    let mut h = spam_snapshot::Fnv1a::default();
+    h.word(topo.num_nodes() as u64);
+    h.word(topo.num_channels() as u64);
     for i in 0..topo.num_channels() {
         let c = topo.channel(ChannelId(i as u32));
-        fold(u64::from(c.src.0));
-        fold(u64::from(c.dst.0));
+        h.word(u64::from(c.src.0));
+        h.word(u64::from(c.dst.0));
     }
     for i in 0..topo.num_nodes() {
-        fold(u64::from(topo.is_switch(NodeId(i as u32))));
+        h.word(u64::from(topo.is_switch(NodeId(i as u32))));
     }
-    h
+    h.finish()
 }
 
 fn put_slot(w: &mut SnapWriter, sid: SlotId) {

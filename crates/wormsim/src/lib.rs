@@ -94,5 +94,5 @@ pub use outcome::{
 };
 pub use routing::{CompletionHook, NoHook, RouteDecision, RouteError, RoutingAlgorithm};
 pub use spam_metrics::{MetricsConfig, RunMetrics};
-pub use spam_snapshot::{fnv1a, SnapReader, SnapWriter, SnapshotError};
+pub use spam_snapshot::{fnv1a, Fnv1a, SnapReader, SnapWriter, SnapshotError};
 pub use trace::{Trace, TraceEvent};

@@ -27,8 +27,8 @@ use wormsim::{
 
 /// The zero-alloc discipline is a property of the bucket wheel's pooled
 /// slot chains; the reference heap grows its backing storage on its own
-/// schedule. Pin the wheel explicitly so a `WORMSIM_QUEUE=heap` test run
-/// (the CI reference-queue job) still measures the intended path.
+/// schedule. Pin the wheel explicitly so the pins name the path they
+/// measure.
 fn cfg() -> SimConfig {
     SimConfig::paper().with_queue(QueueKind::Bucket)
 }

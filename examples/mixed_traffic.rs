@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --example mixed_traffic --release
 //! ```
-//! (The full-scale figure is `cargo run -p spam-bench --bin fig3 --release`.)
+//! (The full-scale figure is `cargo run -p spam-bench --bin experiment --release -- fig3`.)
 
 use spam_net::prelude::*;
 

@@ -110,6 +110,15 @@ fn warm_cache_results_are_byte_identical_to_cold_and_reference() {
         stats_cold.hits + cold.len() as u64,
         "warm pass must be all hits"
     );
+    // A client sees the same counters: the `stats` op reports them live.
+    let stats = core.handle_line(&mut session, r#"{"op":"stats"}"#);
+    let stats = parse(&stats[0]).expect("stats line is valid JSON");
+    let client_sees = |k: &str| {
+        let cache = stats.get("cache").expect("cache object");
+        cache.get(k).and_then(|v| v.as_num()?.as_u64())
+    };
+    assert_eq!(client_sees("hits"), Some(stats_warm.hits));
+    assert_eq!(client_sees("misses"), Some(stats_warm.misses));
 
     assert_eq!(cold.len(), warm.len());
     let mut reps_seen = 0u32;
