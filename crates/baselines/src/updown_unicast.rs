@@ -14,7 +14,7 @@
 use netgraph::{ChannelId, NodeId, Topology};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use updown::{BitMatrix, ChannelClass, UpDownLabeling};
+use updown::{BitMatrix, ChannelClass, LazyRows, UpDownLabeling};
 use wormsim::{
     MessageSpec, RouteDecision, RouteError, RoutingAlgorithm, SnapReader, SnapWriter, SnapshotError,
 };
@@ -44,49 +44,51 @@ pub struct UdHeader {
 pub struct UpDownUnicastRouting<'a> {
     topo: &'a Topology,
     ud: &'a UpDownLabeling,
-    /// `down_reach.get(u, v)` ⇔ `v` reachable from `u` via down channels.
-    down_reach: Arc<BitMatrix>,
-    /// `dist[target][2 * node + phase]` residual legal distances.
-    dist: Arc<Vec<Vec<u16>>>,
+    pre: UpDownPrecomp,
 }
 
 /// Sentinel for unreachable states.
 const UNREACHABLE: u16 = u16::MAX;
 
-/// The router's precomputed state (down-reachability closure and residual
-/// distances) detached from the topology borrow, so an artifact cache can
-/// keep it alive across runs and re-attach it with
-/// [`UpDownUnicastRouting::with_precomp`]. Cloning is two refcount bumps.
+/// Index of `(node, phase)` within a target's distance row.
+#[inline]
+fn cell(v: NodeId, ph: UdPhase) -> usize {
+    2 * v.index() + (ph == UdPhase::Down) as usize
+}
+
+/// The router's shareable state — the down-reachability closure, built
+/// up front, and the residual distances, one row per target built the
+/// first time that target is routed to — detached from the topology
+/// borrow, so an artifact cache can keep it alive across runs and
+/// re-attach it with [`UpDownUnicastRouting::with_precomp`]. Cloning is
+/// two refcount bumps; clones share every row.
 #[derive(Debug, Clone)]
 pub struct UpDownPrecomp {
+    /// `down_reach.get(u, v)` ⇔ `v` reachable from `u` via down channels.
     down_reach: Arc<BitMatrix>,
-    dist: Arc<Vec<Vec<u16>>>,
+    /// `dist[target][2 * node + phase]` residual legal distances.
+    dist: Arc<LazyRows>,
 }
 
 impl UpDownPrecomp {
-    /// Approximate heap footprint in bytes (distance rows dominate; the
-    /// bit matrix is `n²/8`).
+    /// Heap footprint in bytes as of now: the distance rows built so far
+    /// plus the `n²/8` bit matrix.
     pub fn approx_bytes(&self) -> usize {
-        let rows: usize = self.dist.iter().map(|r| r.len() * 2).sum();
         let n = self.dist.len();
-        rows + n * n / 8
+        self.dist.resident_bytes() + n * n / 8
     }
 }
 
 impl<'a> UpDownUnicastRouting<'a> {
-    /// Builds the router, precomputing down-reachability and distances.
+    /// Builds the router, precomputing down-reachability.
     pub fn new(topo: &'a Topology, ud: &'a UpDownLabeling) -> Self {
-        let down_reach = Arc::new(Self::build_down_reach(topo, ud));
-        let dist = Arc::new(
-            topo.nodes()
-                .map(|t| Self::build_dist(topo, ud, &down_reach, t))
-                .collect(),
-        );
         UpDownUnicastRouting {
             topo,
             ud,
-            down_reach,
-            dist,
+            pre: UpDownPrecomp {
+                down_reach: Arc::new(Self::build_down_reach(topo, ud)),
+                dist: Arc::new(LazyRows::new(topo.num_nodes())),
+            },
         }
     }
 
@@ -94,7 +96,8 @@ impl<'a> UpDownUnicastRouting<'a> {
     /// the artifact-cache entry point. `precomp` must have been taken
     /// (via [`Self::precomp`]) from a router built over exactly this
     /// `(topo, ud)` pair; behavior is then identical to [`Self::new`]
-    /// while skipping the closure and per-target BFS work.
+    /// while skipping the closure and sharing every distance row built
+    /// so far.
     pub fn with_precomp(
         topo: &'a Topology,
         ud: &'a UpDownLabeling,
@@ -108,18 +111,14 @@ impl<'a> UpDownUnicastRouting<'a> {
         UpDownUnicastRouting {
             topo,
             ud,
-            down_reach: precomp.down_reach,
-            dist: precomp.dist,
+            pre: precomp,
         }
     }
 
-    /// The precomputed state, detached for caching (see
+    /// The shareable state, detached for caching (see
     /// [`Self::with_precomp`]).
     pub fn precomp(&self) -> UpDownPrecomp {
-        UpDownPrecomp {
-            down_reach: Arc::clone(&self.down_reach),
-            dist: Arc::clone(&self.dist),
-        }
+        self.pre.clone()
     }
 
     /// Transitive closure over the (acyclic) down-channel digraph, in
@@ -150,15 +149,14 @@ impl<'a> UpDownUnicastRouting<'a> {
         target: NodeId,
     ) -> Vec<u16> {
         let n = topo.num_nodes();
-        let idx = |v: NodeId, ph: UdPhase| 2 * v.index() + (ph == UdPhase::Down) as usize;
         let mut d = vec![UNREACHABLE; 2 * n];
         let mut q = VecDeque::new();
         for ph in [UdPhase::Up, UdPhase::Down] {
-            d[idx(target, ph)] = 0;
+            d[cell(target, ph)] = 0;
             q.push_back((target, ph));
         }
         while let Some((v, ph_v)) = q.pop_front() {
-            let dv = d[idx(v, ph_v)];
+            let dv = d[cell(v, ph_v)];
             for &c in topo.in_channels(v) {
                 let u = topo.channel(c).src;
                 let preds: &[UdPhase] = if ud.class(c).is_up() {
@@ -173,7 +171,7 @@ impl<'a> UpDownUnicastRouting<'a> {
                     &[]
                 };
                 for &ph_u in preds {
-                    let slot = &mut d[idx(u, ph_u)];
+                    let slot = &mut d[cell(u, ph_u)];
                     if *slot == UNREACHABLE {
                         *slot = dv + 1;
                         q.push_back((u, ph_u));
@@ -184,9 +182,29 @@ impl<'a> UpDownUnicastRouting<'a> {
         d
     }
 
+    /// The distances for all targets at once — what construction computed
+    /// before rows were built on first use. Kept as the reference the
+    /// tests hold the lazily built rows against.
+    #[cfg(test)]
+    fn build_all_dist(topo: &Topology, ud: &UpDownLabeling) -> Vec<Vec<u16>> {
+        let down_reach = Self::build_down_reach(topo, ud);
+        topo.nodes()
+            .map(|t| Self::build_dist(topo, ud, &down_reach, t))
+            .collect()
+    }
+
+    /// The residual-distance row of `target` (`row[2 * node + phase]`),
+    /// built now if this is the first time it is asked for.
+    #[inline]
+    fn row(&self, target: NodeId) -> &[u16] {
+        self.pre.dist.get_or_build(target.index(), || {
+            Self::build_dist(self.topo, self.ud, &self.pre.down_reach, target)
+        })
+    }
+
     /// Residual legal distance from `(node, phase)` to `target`.
     pub fn dist(&self, target: NodeId, node: NodeId, phase: UdPhase) -> u16 {
-        self.dist[target.index()][2 * node.index() + (phase == UdPhase::Down) as usize]
+        self.row(target)[cell(node, phase)]
     }
 
     /// Legal `(channel, next phase)` moves from `node` towards `target`.
@@ -206,7 +224,7 @@ impl<'a> UpDownUnicastRouting<'a> {
                     }
                 }
                 ChannelClass::DownTree | ChannelClass::DownCross => {
-                    if self.down_reach.get(v.index(), target.index()) {
+                    if self.pre.down_reach.get(v.index(), target.index()) {
                         out.push((c, UdPhase::Down));
                     }
                 }
@@ -271,6 +289,7 @@ impl RoutingAlgorithm for UpDownUnicastRouting<'_> {
         // The selection is a fixed min over (residual distance, channel),
         // so fold it into the legality scan — no candidate list, no
         // allocation per hop.
+        let row = self.row(header.target);
         let mut best: Option<(u16, ChannelId, UdPhase)> = None;
         for &c in self.topo.out_channels(node) {
             let v = self.topo.channel(c).dst;
@@ -283,14 +302,14 @@ impl RoutingAlgorithm for UpDownUnicastRouting<'_> {
                     }
                 }
                 ChannelClass::DownTree | ChannelClass::DownCross => {
-                    if self.down_reach.get(v.index(), header.target.index()) {
+                    if self.pre.down_reach.get(v.index(), header.target.index()) {
                         UdPhase::Down
                     } else {
                         continue;
                     }
                 }
             };
-            let d = self.dist(header.target, v, ph);
+            let d = row[cell(v, ph)];
             if best.is_none_or(|(bd, bc, _)| (d, c) < (bd, bc)) {
                 best = Some((d, c, ph));
             }
@@ -338,6 +357,36 @@ mod tests {
     }
 
     #[test]
+    fn lazy_rows_equal_the_all_targets_reference() {
+        for (seed, switches) in [(1, 16), (2, 23), (3, 32)] {
+            let t = IrregularConfig::with_switches(switches).generate(seed);
+            let ud = UpDownLabeling::build(&t, RootSelection::LowestId);
+            let reference = UpDownUnicastRouting::build_all_dist(&t, &ud);
+            let router = UpDownUnicastRouting::new(&t, &ud);
+            let idle = router.precomp().approx_bytes();
+            // A second router over the detached state shares the rows
+            // the first one builds.
+            let attached = UpDownUnicastRouting::with_precomp(&t, &ud, router.precomp());
+            let n = t.num_nodes();
+            // Odd targets through one router, even through the other.
+            for i in (1..n).step_by(2).chain((0..n).step_by(2)) {
+                let asked = if i % 2 == 1 { &router } else { &attached };
+                assert_eq!(asked.row(NodeId(i as u32)), &reference[i][..], "row {i}");
+            }
+            for (i, row) in reference.iter().enumerate() {
+                let target = NodeId(i as u32);
+                assert_eq!(router.row(target).as_ptr(), attached.row(target).as_ptr());
+                for u in t.nodes() {
+                    for ph in [UdPhase::Up, UdPhase::Down] {
+                        assert_eq!(router.dist(target, u, ph), row[cell(u, ph)]);
+                    }
+                }
+            }
+            assert_eq!(attached.precomp().approx_bytes(), idle + n * 2 * n * 2);
+        }
+    }
+
+    #[test]
     fn up_down_is_at_least_as_direct_as_spam() {
         // Classic up*/down* has strictly more legal routes than SPAM's
         // restricted unicast stage, so its shortest legal distance can
@@ -349,7 +398,7 @@ mod tests {
         for a in t.nodes() {
             for b in t.nodes() {
                 let d_ud = udr.dist(b, a, UdPhase::Up);
-                let d_spam = spam.tables().dist(b, a, spam_core::Phase::Up);
+                let d_spam = spam.dist(b, a, spam_core::Phase::Up);
                 assert_ne!(d_ud, UNREACHABLE, "{a}->{b} unreachable under up*/down*");
                 assert!(
                     d_ud <= d_spam,

@@ -35,7 +35,6 @@ use netgraph::NodeId;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use simstats::{ConfidenceInterval, ConfidenceLevel, Histogram, RunningStats};
-use spam_core::SpamRouting;
 use spam_faults::FaultModel;
 use spam_reconfig::{EpochRouting, FaultSchedule, ReconfigScenario};
 use spam_scenario::split_seed;
@@ -193,21 +192,12 @@ pub fn storm_replication(
     let scenario = ReconfigScenario::build(&base, &ud, &schedule);
     let live = run(&schedule, scenario.routing(&base));
 
-    // Static control: the same deaths collapsed to time zero. Every
-    // message routes on the post-damage labeling, so build only that one
-    // epoch — a pristine epoch-0 router would be dead weight (a full
-    // RoutingTables build per replication that no message ever uses).
+    // Static control: the same deaths collapsed to time zero, so every
+    // message routes on the post-damage labeling (the pristine epoch 0
+    // ends before the first message and costs no distance row).
     let collapsed = schedule.collapsed_at(Time::ZERO);
-    let view = collapsed.view_at(&base, Time::ZERO);
-    let (static_ud, _) = ud
-        .relabel_after(&view)
-        .expect("a switch survives the storm");
-    let static_mask = view.alive_channel_mask();
-    let static_router = SpamRouting::new_masked(&base, &static_ud, &static_mask);
-    let stat = run(
-        &collapsed,
-        EpochRouting::new(Vec::new(), vec![static_router]),
-    );
+    let static_scenario = ReconfigScenario::build(&base, &ud, &collapsed);
+    let stat = run(&collapsed, static_scenario.routing(&base));
     assert!(
         live.all_accounted(),
         "live arm lost messages (rate {rate}, seed {seed}): {:?} {:?}",

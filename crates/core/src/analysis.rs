@@ -100,7 +100,7 @@ fn greedy_walk_visits(
             .into_iter()
             .min_by_key(|&(c, ph)| {
                 let v = topo.channel(c).dst;
-                (spam.tables().dist(target, v, ph), c)
+                (spam.dist(target, v, ph), c)
             })
             .expect("SPAM totality");
         node = topo.channel(ch).dst;
@@ -137,7 +137,7 @@ pub fn path_stretch(topo: &Topology, spam: &SpamRouting<'_>) -> (f64, f64) {
             if a == b {
                 continue;
             }
-            let legal = spam.tables().dist(b, a, Phase::Up) as f64;
+            let legal = spam.dist(b, a, Phase::Up) as f64;
             let direct = bfs[b.index()] as f64;
             let stretch = legal / direct;
             sum += stretch;

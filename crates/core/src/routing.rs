@@ -57,59 +57,43 @@ pub struct SpamHeader {
 
 /// SPAM — Single Phase Adaptive Multicast (§3 of the paper).
 ///
-/// Borrows the topology, labeling, and precomputed [`RoutingTables`]
-/// (constructed internally). Cheap to clone per simulation is not needed —
-/// one instance drives arbitrarily many messages; it is `Sync`, so sweep
-/// harnesses can share it across threads.
+/// Borrows the topology and labeling and shares the [`RoutingTables`]
+/// built over them (constructed internally unless handed in; the tables'
+/// distance rows fill in as targets are first routed to). One instance
+/// drives arbitrarily many messages; it is `Sync`, so sweep harnesses can
+/// share it across threads.
 #[derive(Debug, Clone)]
 pub struct SpamRouting<'a> {
     topo: &'a Topology,
     ud: &'a UpDownLabeling,
     tables: Arc<RoutingTables>,
     policy: SelectionPolicy,
-    /// Per-channel liveness for degraded-but-not-renumbered networks
-    /// (live reconfiguration); `None` means every channel is usable.
-    alive: Option<Arc<[bool]>>,
 }
 
 impl<'a> SpamRouting<'a> {
-    /// Builds SPAM over a labeling, precomputing the distance tables.
+    /// Builds SPAM over a labeling.
     pub fn new(topo: &'a Topology, ud: &'a UpDownLabeling) -> Self {
-        SpamRouting {
-            topo,
-            ud,
-            tables: Arc::new(RoutingTables::build(topo, ud)),
-            policy: SelectionPolicy::default(),
-            alive: None,
-        }
+        Self::with_tables(topo, ud, Arc::new(RoutingTables::build(topo, ud)))
     }
 
     /// Builds SPAM over a labeling of a degraded network that keeps the
     /// base topology's channel ids: channels marked dead in `alive` are
-    /// never requested and never count as legal moves, and the distance
-    /// tables are computed over the surviving subgraph only. This is the
-    /// post-fault epoch router of live reconfiguration — the labeling
+    /// never requested and never count as legal moves, and residual
+    /// distances are computed over the surviving subgraph only. This is
+    /// the post-fault epoch router of live reconfiguration — the labeling
     /// should come from [`updown::UpDownLabeling::relabel_after`].
     pub fn new_masked(topo: &'a Topology, ud: &'a UpDownLabeling, alive: &[bool]) -> Self {
-        assert_eq!(
-            alive.len(),
-            topo.num_channels(),
-            "liveness mask covers every channel"
-        );
-        SpamRouting {
-            topo,
-            ud,
-            tables: Arc::new(RoutingTables::build_masked(topo, ud, Some(alive))),
-            policy: SelectionPolicy::default(),
-            alive: Some(alive.into()),
-        }
+        let tables = RoutingTables::build_masked(topo, ud, Some(alive));
+        Self::with_tables(topo, ud, Arc::new(tables))
     }
 
-    /// Builds SPAM over *already computed* tables — the artifact-cache
-    /// entry point. `tables` must have been produced by
-    /// [`RoutingTables::build`] for exactly this `(topo, ud)` pair;
-    /// behavior is then identical to [`Self::new`] while skipping the
-    /// all-targets reverse BFS (the expensive part of construction).
+    /// Builds SPAM over *already built* tables — the artifact-cache entry
+    /// point. `tables` must have been produced by [`RoutingTables::build`]
+    /// or [`RoutingTables::build_masked`] for exactly this `(topo, ud)`
+    /// pair (the liveness mask travels with them); behavior is then
+    /// identical to [`Self::new`] / [`Self::new_masked`], and every
+    /// distance row an earlier router over the same tables built is
+    /// already there.
     pub fn with_tables(
         topo: &'a Topology,
         ud: &'a UpDownLabeling,
@@ -125,49 +109,13 @@ impl<'a> SpamRouting<'a> {
             ud,
             tables,
             policy: SelectionPolicy::default(),
-            alive: None,
         }
     }
 
-    /// The masked counterpart of [`Self::with_tables`]: `tables` must come
-    /// from [`RoutingTables::build_masked`] over this `(topo, ud, alive)`
-    /// triple. Behavior is identical to [`Self::new_masked`] without
-    /// rebuilding the per-epoch tables.
-    pub fn with_tables_masked(
-        topo: &'a Topology,
-        ud: &'a UpDownLabeling,
-        tables: Arc<RoutingTables>,
-        alive: &[bool],
-    ) -> Self {
-        assert_eq!(
-            alive.len(),
-            topo.num_channels(),
-            "liveness mask covers every channel"
-        );
-        assert_eq!(
-            tables.num_nodes(),
-            topo.num_nodes(),
-            "tables cover every node of the topology"
-        );
-        SpamRouting {
-            topo,
-            ud,
-            tables,
-            policy: SelectionPolicy::default(),
-            alive: Some(alive.into()),
-        }
-    }
-
-    /// The precomputed tables behind an `Arc`, clonable into an artifact
-    /// cache so later runs on the same topology+labeling skip the build.
+    /// The tables behind an `Arc`, clonable into an artifact cache so
+    /// later runs on the same topology+labeling share their rows.
     pub fn tables_arc(&self) -> Arc<RoutingTables> {
         Arc::clone(&self.tables)
-    }
-
-    /// True when channel `c` may carry traffic under this router's view.
-    #[inline]
-    fn is_alive(&self, c: ChannelId) -> bool {
-        self.alive.as_ref().is_none_or(|a| a[c.index()])
     }
 
     /// Same labeling, different selection policy (shares the tables).
@@ -183,9 +131,17 @@ impl<'a> SpamRouting<'a> {
         self.ud
     }
 
-    /// The distance tables (exposed for analyses and benchmarks).
+    /// The routing tables (exposed for analyses and benchmarks).
     pub fn tables(&self) -> &RoutingTables {
         &self.tables
+    }
+
+    /// Residual SPAM-legal distance from `(node, phase)` to `target`, in
+    /// channels; [`UNREACHABLE`] when no legal completion exists. The
+    /// first question about a `target` builds its row.
+    #[inline]
+    pub fn dist(&self, target: NodeId, node: NodeId, phase: Phase) -> u16 {
+        self.tables.dist(self.topo, self.ud, target, node, phase)
     }
 
     /// All SPAM-legal `(channel, successor phase)` moves from `node` in
@@ -255,14 +211,19 @@ impl<'a> SpamRouting<'a> {
         tag: u64,
     ) -> (ChannelId, Phase) {
         match self.policy {
-            SelectionPolicy::MinResidualDistance => legal
-                .iter()
-                .copied()
-                .min_by_key(|&(c, ph)| {
-                    let v = self.topo.channel(c).dst;
-                    (self.tables.dist(target, v, ph), c)
-                })
-                .expect("legal set is non-empty"),
+            SelectionPolicy::MinResidualDistance => {
+                // Resolve the target's row once; each candidate then
+                // costs one indexed load.
+                let row = self.tables.row(self.topo, self.ud, target);
+                legal
+                    .iter()
+                    .copied()
+                    .min_by_key(|&(c, ph)| {
+                        let v = self.topo.channel(c).dst;
+                        (row[RoutingTables::cell(v, ph)], c)
+                    })
+                    .expect("legal set is non-empty")
+            }
             SelectionPolicy::FirstLegal => legal
                 .iter()
                 .copied()
@@ -314,7 +275,7 @@ impl<'a> SpamRouting<'a> {
                     .channel_between(node, child)
                     .expect("tree edges are links");
                 debug_assert!(
-                    self.is_alive(ch),
+                    self.tables.is_alive(ch),
                     "a relabeled spanning tree only uses surviving links"
                 );
                 out.push(
@@ -428,8 +389,7 @@ impl RoutingAlgorithm for SpamRouting<'_> {
         }
         let (ch, next_phase) = self.select(scratch.legal.as_slice(), header.lca, node, spec.tag);
         debug_assert_ne!(
-            self.tables
-                .dist(header.lca, self.topo.channel(ch).dst, next_phase),
+            self.dist(header.lca, self.topo.channel(ch).dst, next_phase),
             UNREACHABLE,
             "selected a dead-end channel"
         );

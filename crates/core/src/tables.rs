@@ -11,14 +11,21 @@
 //! the residual distance, the tables double as a constructive livelock-
 //! freedom proof for the default policy.
 //!
-//! Tables are precomputed for **all** targets at construction (reverse BFS
-//! per target over the layered graph). At the paper's scales (≤ 512 nodes,
-//! ≤ ~3500 channels) this is a few milliseconds and ~1.5 MB, and makes the
-//! per-hop routing decision a pair of array reads.
+//! A run only ever asks for the rows of the targets its messages aim at
+//! (one LCA per multicast), so nothing per target is computed at
+//! construction. [`RoutingTables::build`] gathers the O(channels) per-node
+//! move records and the liveness mask; the row of target `t` — one reverse
+//! BFS over the layered graph, `3 · nodes` cells — is built the first time
+//! a distance to `t` is asked for and shared from then on (across threads,
+//! runs and cache hits: the tables sit behind an `Arc`). The per-hop
+//! routing decision resolves its LCA's row once and then reads one cell
+//! per candidate channel. A fabric whose every row is resident holds
+//! `6 · nodes²` bytes (1.5 MB at 512 nodes, 25 MB at 2048); one that
+//! carried a single multicast holds one row.
 
 use netgraph::{ChannelId, NodeId, Topology};
 use std::collections::VecDeque;
-use updown::{ChannelClass, UpDownLabeling};
+use updown::{ChannelClass, LazyRows, UpDownLabeling};
 
 /// Routing phase of a SPAM worm's unicast stage (§3.1 channel ordering).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -60,39 +67,43 @@ pub struct NodeMove {
     pub class: ChannelClass,
 }
 
-/// Exact residual SPAM distances for every (target, node, phase) triple,
-/// plus per-node legal-channel slices precomputed at build time.
-#[derive(Debug, Clone)]
+/// Exact residual SPAM distances for every (target, node, phase) triple —
+/// each target's row built on first use — plus the per-node legal-channel
+/// slices and the liveness mask gathered at build time.
+///
+/// The tables do not borrow the `(topology, labeling)` pair they were
+/// built over; the router that owns that borrow ([`crate::SpamRouting`])
+/// passes it back in whenever a row may have to be filled.
+#[derive(Debug)]
 pub struct RoutingTables {
-    n: usize,
-    /// `dist[target][3 * node + phase]`, row-major per target.
-    dist: Vec<Vec<u16>>,
+    /// `rows[target][3 * node + phase]`.
+    rows: LazyRows,
     /// Flat per-node move records (masked-out channels excluded), in
     /// topology channel order; sliced by `move_bounds`.
     moves: Vec<NodeMove>,
     /// `moves` range of node `v` is `move_bounds[v] .. move_bounds[v+1]`.
     move_bounds: Vec<u32>,
+    /// Per-channel liveness for degraded-but-not-renumbered networks
+    /// (live reconfiguration); `None` means every channel is usable.
+    mask: Option<Box<[bool]>>,
 }
 
 impl RoutingTables {
-    /// Builds tables for all targets.
+    /// Tables over a fully alive topology.
     pub fn build(topo: &Topology, ud: &UpDownLabeling) -> Self {
         Self::build_masked(topo, ud, None)
     }
 
-    /// Builds tables for all targets, optionally restricted to the
-    /// channels marked alive in `mask` — the live-reconfiguration case,
-    /// where routing runs on the base topology but must never count a
-    /// dead channel as a legal (or distance-reducing) move.
+    /// Tables optionally restricted to the channels marked alive in
+    /// `mask` — the live-reconfiguration case, where routing runs on the
+    /// base topology but must never count a dead channel as a legal (or
+    /// distance-reducing) move. Gathers the move records and copies the
+    /// mask; no distance row is built here.
     pub fn build_masked(topo: &Topology, ud: &UpDownLabeling, mask: Option<&[bool]>) -> Self {
         if let Some(m) = mask {
             assert_eq!(m.len(), topo.num_channels(), "mask covers every channel");
         }
         let n = topo.num_nodes();
-        let dist = topo
-            .nodes()
-            .map(|t| Self::build_for_target(topo, ud, t, mask))
-            .collect();
         let mut moves = Vec::with_capacity(topo.num_channels());
         let mut move_bounds = Vec::with_capacity(n + 1);
         move_bounds.push(0);
@@ -110,10 +121,10 @@ impl RoutingTables {
             move_bounds.push(moves.len() as u32);
         }
         RoutingTables {
-            n,
-            dist,
+            rows: LazyRows::new(n),
             moves,
             move_bounds,
+            mask: mask.map(Into::into),
         }
     }
 
@@ -126,25 +137,56 @@ impl RoutingTables {
         &self.moves[lo..hi]
     }
 
+    /// True when channel `c` may carry traffic under the mask the tables
+    /// were built with.
+    #[inline]
+    pub fn is_alive(&self, c: ChannelId) -> bool {
+        self.mask.as_ref().is_none_or(|m| m[c.index()])
+    }
+
+    /// The residual-distance row of `target` (`row[3 * node + phase]`),
+    /// built now if this is the first time it is asked for. `(topo, ud)`
+    /// must be the pair the tables were built over.
+    #[inline]
+    pub(crate) fn row(&self, topo: &Topology, ud: &UpDownLabeling, target: NodeId) -> &[u16] {
+        self.rows.get_or_build(target.index(), || {
+            Self::build_for_target(topo, ud, target, self.mask.as_deref())
+        })
+    }
+
     /// Residual SPAM-legal distance from `(node, phase)` to `target`, in
     /// channels; [`UNREACHABLE`] when no legal completion exists.
     #[inline]
-    pub fn dist(&self, target: NodeId, node: NodeId, phase: Phase) -> u16 {
-        self.dist[target.index()][3 * node.index() + phase.idx()]
+    pub(crate) fn dist(
+        &self,
+        topo: &Topology,
+        ud: &UpDownLabeling,
+        target: NodeId,
+        node: NodeId,
+        phase: Phase,
+    ) -> u16 {
+        self.row(topo, ud, target)[Self::cell(node, phase)]
+    }
+
+    /// Index of `(node, phase)` within a target's row.
+    #[inline]
+    pub(crate) fn cell(node: NodeId, phase: Phase) -> usize {
+        3 * node.index() + phase.idx()
     }
 
     /// Number of nodes covered.
     pub fn num_nodes(&self) -> usize {
-        self.n
+        self.rows.len()
     }
 
-    /// Approximate heap footprint in bytes — the quantity an artifact
-    /// cache charges its byte budget for one table set. Counts the
-    /// distance rows and move records; constant overhead is ignored.
+    /// Heap footprint in bytes as of now: the distance rows built so far,
+    /// the move records and the mask. A ceiling for it (every row
+    /// resident) is what an artifact cache charges up front.
     pub fn approx_bytes(&self) -> usize {
-        self.dist.iter().map(|row| row.len() * 2).sum::<usize>()
+        self.rows.resident_bytes()
             + self.moves.len() * std::mem::size_of::<NodeMove>()
             + self.move_bounds.len() * 4
+            + self.mask.as_ref().map_or(0, |m| m.len())
     }
 
     /// Reverse BFS over the phase-layered graph from `(target, *)`.
@@ -211,14 +253,182 @@ impl RoutingTables {
         }
         d
     }
+
+    /// The table for all targets at once — what construction computed
+    /// before rows were built on first use. Kept as the reference the
+    /// tests hold the lazily built rows against.
+    #[cfg(test)]
+    fn build_all_targets(
+        topo: &Topology,
+        ud: &UpDownLabeling,
+        mask: Option<&[bool]>,
+    ) -> Vec<Vec<u16>> {
+        topo.nodes()
+            .map(|t| Self::build_for_target(topo, ud, t, mask))
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SpamRouting;
     use netgraph::gen::fixtures::figure1;
     use netgraph::gen::lattice::IrregularConfig;
+    use netgraph::DegradedTopology;
+    use std::sync::{Arc, Barrier};
     use updown::RootSelection;
+
+    /// A post-fault routing epoch over `t`: every `stride`-th
+    /// switch-to-switch link dead, the labeling relabeled in place.
+    fn damaged_epoch(
+        t: &Topology,
+        ud: &UpDownLabeling,
+        stride: usize,
+    ) -> (UpDownLabeling, Vec<bool>) {
+        let mut view = DegradedTopology::new(t);
+        let links = t.channel_ids().filter(|&c| {
+            let ch = t.channel(c);
+            t.is_switch(ch.src) && t.is_switch(ch.dst)
+        });
+        for c in links.step_by(stride) {
+            view.kill_link(c);
+        }
+        let (next, _) = ud.relabel_after(&view).expect("switches survive");
+        (next, view.alive_channel_mask())
+    }
+
+    /// Pristine and damaged `(topology, labeling, mask)` cases over
+    /// random 16–32-switch lattices.
+    fn fabrics() -> Vec<(Topology, UpDownLabeling, Option<Vec<bool>>)> {
+        let mut out = Vec::new();
+        for (seed, switches) in [(1, 16), (2, 21), (3, 27), (4, 32)] {
+            let t = IrregularConfig::with_switches(switches).generate(seed);
+            let ud = UpDownLabeling::build(&t, RootSelection::LowestId);
+            let (next, mask) = damaged_epoch(&t, &ud, 5);
+            out.push((t.clone(), ud, None));
+            out.push((t, next, Some(mask)));
+        }
+        out
+    }
+
+    #[test]
+    fn lazy_rows_equal_the_all_targets_reference() {
+        for (t, ud, mask) in fabrics() {
+            let reference = RoutingTables::build_all_targets(&t, &ud, mask.as_deref());
+            let tb = RoutingTables::build_masked(&t, &ud, mask.as_deref());
+            assert_eq!(tb.rows.resident(), 0, "construction builds no row");
+            let idle = tb.approx_bytes();
+            // Ask out of row order (odd targets, then even), every third
+            // target twice.
+            let n = t.num_nodes();
+            let order = (1..n).step_by(2).chain((0..n).step_by(2));
+            for (asked, i) in order.enumerate() {
+                let target = NodeId(i as u32);
+                assert_eq!(tb.row(&t, &ud, target), &reference[i][..], "row {i}");
+                if i % 3 == 0 {
+                    assert_eq!(tb.row(&t, &ud, target), &reference[i][..]);
+                }
+                assert_eq!(tb.rows.resident(), asked + 1, "one row per new target");
+            }
+            for u in t.nodes() {
+                for ph in Phase::ALL {
+                    let cell = reference[n - 1][RoutingTables::cell(u, ph)];
+                    assert_eq!(tb.dist(&t, &ud, NodeId(n as u32 - 1), u, ph), cell);
+                }
+            }
+            assert_eq!(tb.approx_bytes(), idle + n * 3 * n * 2);
+        }
+    }
+
+    #[test]
+    fn every_cell_equals_a_forward_search_over_legal_moves() {
+        // The rows come from a *reverse* BFS that re-derives legality per
+        // incoming edge. The oracle shares none of that: it expands
+        // `legal_moves` forward from each state until it stands on the
+        // target.
+        for (t, ud, mask) in fabrics() {
+            let spam = match &mask {
+                Some(m) => SpamRouting::new_masked(&t, &ud, m),
+                None => SpamRouting::new(&t, &ud),
+            };
+            let states = 3 * t.num_nodes();
+            for target in t.nodes() {
+                let mut succ: Vec<Vec<usize>> = Vec::with_capacity(states);
+                for v in t.nodes() {
+                    for ph in Phase::ALL {
+                        let moves = spam.legal_moves(v, ph, target);
+                        let next = |&(c, nph)| RoutingTables::cell(t.channel(c).dst, nph);
+                        succ.push(moves.iter().map(next).collect());
+                    }
+                }
+                for v in t.nodes() {
+                    for ph in Phase::ALL {
+                        let mut depth = vec![UNREACHABLE; states];
+                        let mut queue = VecDeque::from([RoutingTables::cell(v, ph)]);
+                        depth[queue[0]] = 0;
+                        let mut found = UNREACHABLE;
+                        while let Some(s) = queue.pop_front() {
+                            if s / 3 == target.index() {
+                                found = depth[s];
+                                break;
+                            }
+                            for &w in &succ[s] {
+                                if depth[w] == UNREACHABLE {
+                                    depth[w] = depth[s] + 1;
+                                    queue.push_back(w);
+                                }
+                            }
+                        }
+                        assert_eq!(
+                            spam.dist(target, v, ph),
+                            found,
+                            "({v}, {ph:?}) -> {target}, masked: {}",
+                            mask.is_some()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn racing_threads_see_one_shared_row_per_target() {
+        const THREADS: usize = 4;
+        let (t, ud, mask) = fabrics().pop().expect("a damaged 32-switch fabric");
+        let reference = RoutingTables::build_all_targets(&t, &ud, mask.as_deref());
+        let tb = Arc::new(RoutingTables::build_masked(&t, &ud, mask.as_deref()));
+        let n = t.num_nodes();
+        // Thread `i` walks targets i, i+1, … so neighbours overlap on all
+        // but one target and leave the barrier asking together.
+        let barrier = Barrier::new(THREADS);
+        let seen: Vec<Vec<(usize, usize)>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|i| {
+                    let (t, ud, tb, reference, barrier) = (&t, &ud, &tb, &reference, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        (i..i + n / 2)
+                            .map(|k| {
+                                let row = tb.row(t, ud, NodeId(k as u32));
+                                assert_eq!(row, &reference[k][..], "row {k}");
+                                (k, row.as_ptr() as usize)
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("reader thread panicked"))
+                .collect()
+        });
+        for &(k, ptr) in seen.iter().flatten() {
+            let row = tb.row(&t, &ud, NodeId(k as u32));
+            assert_eq!(ptr, row.as_ptr() as usize, "row {k} was allocated twice");
+        }
+        assert_eq!(tb.rows.resident(), n / 2 + THREADS - 1);
+    }
 
     fn fig1() -> (
         Topology,
@@ -236,7 +446,7 @@ mod tests {
         let tb = RoutingTables::build(&t, &ud);
         let four = l.by_label(4).unwrap();
         for ph in Phase::ALL {
-            assert_eq!(tb.dist(four, four, ph), 0);
+            assert_eq!(tb.dist(&t, &ud, four, four, ph), 0);
         }
     }
 
@@ -247,17 +457,17 @@ mod tests {
         let by = |x: u32| l.by_label(x).unwrap();
         let lca = by(4);
         // From node 2 in Up phase: down tree channel (2,4) directly.
-        assert_eq!(tb.dist(lca, by(2), Phase::Up), 1);
+        assert_eq!(tb.dist(&t, &ud, lca, by(2), Phase::Up), 1);
         // From node 3 in DownCross phase: the cross channel (3,4).
-        assert_eq!(tb.dist(lca, by(3), Phase::DownCross), 1);
+        assert_eq!(tb.dist(&t, &ud, lca, by(3), Phase::DownCross), 1);
         // From the source processor 5: 5 -> 2 (up) -> 4 (down tree) = 2.
-        assert_eq!(tb.dist(lca, by(5), Phase::Up), 2);
+        assert_eq!(tb.dist(&t, &ud, lca, by(5), Phase::Up), 2);
         // From node 6 in DownTree phase the LCA is unreachable (no up moves
         // allowed, 6 is below 4).
-        assert_eq!(tb.dist(lca, by(6), Phase::DownTree), UNREACHABLE);
+        assert_eq!(tb.dist(&t, &ud, lca, by(6), Phase::DownTree), UNREACHABLE);
         // But in Up phase node 6 can climb: 6 -> 4 = 1 hop up... up channel
         // (6,4) ends at the target.
-        assert_eq!(tb.dist(lca, by(6), Phase::Up), 1);
+        assert_eq!(tb.dist(&t, &ud, lca, by(6), Phase::Up), 1);
     }
 
     #[test]
@@ -266,10 +476,13 @@ mod tests {
         let tb = RoutingTables::build(&t, &ud);
         let by = |x: u32| l.by_label(x).unwrap();
         // 4 -> 6 -> 8 strictly down tree.
-        assert_eq!(tb.dist(by(8), by(4), Phase::DownTree), 2);
-        assert_eq!(tb.dist(by(8), by(6), Phase::DownTree), 1);
+        assert_eq!(tb.dist(&t, &ud, by(8), by(4), Phase::DownTree), 2);
+        assert_eq!(tb.dist(&t, &ud, by(8), by(6), Phase::DownTree), 1);
         // Sibling subtree is unreachable once in DownTree phase.
-        assert_eq!(tb.dist(by(11), by(6), Phase::DownTree), UNREACHABLE);
+        assert_eq!(
+            tb.dist(&t, &ud, by(11), by(6), Phase::DownTree),
+            UNREACHABLE
+        );
     }
 
     #[test]
@@ -282,7 +495,7 @@ mod tests {
         for u in t.nodes() {
             for v in t.nodes() {
                 assert_ne!(
-                    tb.dist(v, u, Phase::Up),
+                    tb.dist(&t, &ud, v, u, Phase::Up),
                     UNREACHABLE,
                     "no SPAM route {u} -> {v}"
                 );
@@ -298,7 +511,7 @@ mod tests {
             let tb = RoutingTables::build(&t, &ud);
             for u in t.nodes() {
                 for v in t.nodes() {
-                    assert_ne!(tb.dist(v, u, Phase::Up), UNREACHABLE);
+                    assert_ne!(tb.dist(&t, &ud, v, u, Phase::Up), UNREACHABLE);
                 }
             }
         }
@@ -313,7 +526,7 @@ mod tests {
         for v in t.nodes() {
             let bfs = netgraph::algo::bfs_distances(&t, v);
             for u in t.nodes() {
-                let d = tb.dist(v, u, Phase::Up);
+                let d = tb.dist(&t, &ud, v, u, Phase::Up);
                 assert!(d as u32 >= bfs[u.index()], "SPAM beat BFS {u}->{v}");
             }
         }
@@ -328,7 +541,7 @@ mod tests {
         for target in t.nodes() {
             for u in t.nodes() {
                 for ph in Phase::ALL {
-                    let k = tb.dist(target, u, ph);
+                    let k = tb.dist(&t, &ud, target, u, ph);
                     if k == 0 || k == UNREACHABLE {
                         continue;
                     }
@@ -350,7 +563,7 @@ mod tests {
                             _ => None,
                         };
                         if let Some(nph) = next {
-                            if tb.dist(target, v, nph) == k - 1 {
+                            if tb.dist(&t, &ud, target, v, nph) == k - 1 {
                                 found = true;
                                 break;
                             }

@@ -116,19 +116,14 @@ impl ReconfigScenario {
     /// routed by the [`SpamRouting`] of their generation epoch, masked to
     /// that epoch's surviving channels.
     pub fn routing<'a>(&'a self, base: &'a Topology) -> EpochRouting<'a> {
-        let epochs = self
-            .labelings
-            .iter()
-            .zip(&self.masks)
-            .map(|(ud, mask)| SpamRouting::new_masked(base, ud, mask))
-            .collect();
-        EpochRouting::new(self.boundaries.clone(), epochs)
+        self.routing_with_tables(base, &self.build_epoch_tables(base))
     }
 
-    /// Precomputes every epoch's masked routing tables — the expensive
-    /// part of [`Self::routing`] — detached behind `Arc`s so an artifact
-    /// cache can keep them across runs and re-attach them with
-    /// [`Self::routing_with_tables`].
+    /// Every epoch's masked routing tables, detached behind `Arc`s so an
+    /// artifact cache can keep them across runs and re-attach them with
+    /// [`Self::routing_with_tables`]. Cheap — per epoch the move records
+    /// and a copy of the mask; an epoch's distance rows are built as its
+    /// own messages first aim at them, and stay with the tables.
     pub fn build_epoch_tables(&self, base: &Topology) -> Vec<Arc<RoutingTables>> {
         self.labelings
             .iter()
@@ -139,7 +134,8 @@ impl ReconfigScenario {
 
     /// Like [`Self::routing`], but re-attaching tables previously taken
     /// from [`Self::build_epoch_tables`] for this scenario over `base` —
-    /// identical routing behavior, no per-epoch table rebuild.
+    /// identical routing behavior, sharing every distance row earlier
+    /// runs over those tables built.
     ///
     /// # Panics
     ///
@@ -158,9 +154,8 @@ impl ReconfigScenario {
         let epochs = self
             .labelings
             .iter()
-            .zip(&self.masks)
             .zip(tables)
-            .map(|((ud, mask), t)| SpamRouting::with_tables_masked(base, ud, Arc::clone(t), mask))
+            .map(|(ud, t)| SpamRouting::with_tables(base, ud, Arc::clone(t)))
             .collect();
         EpochRouting::new(self.boundaries.clone(), epochs)
     }

@@ -8,7 +8,11 @@
 //!    survivors up*/down*, and derive the routing precomputes (SPAM
 //!    [`RoutingTables`], the up*/down* baseline's reachability closure).
 //!    Deterministic in the spec's *topology + faults* sections and the
-//!    replication index — nothing else.
+//!    replication index — nothing else. The per-target residual-distance
+//!    rows inside those precomputes are the one part that is not built
+//!    here: each is filled in by the first run that routes to its target
+//!    and kept with the artifacts, so a warm request finds every row any
+//!    earlier request on the same entry built.
 //! 2. **Run** — generate traffic and drive the wormhole engine.
 //!
 //! [`ArtifactPrefix`] names part 1: the exact sub-spec slice it depends
@@ -347,7 +351,8 @@ fn fingerprint_of(t: &TopologySpec, f: &FaultsSpec, rep: u32) -> u64 {
 
 /// A storm prefix's extra artifacts: the fault schedule and the fully
 /// precomputed epoch chain, plus the per-epoch masked routing tables
-/// (built lazily on first use, then shared).
+/// (attached on first use, then shared; each epoch's distance rows fill
+/// in as its messages first aim at them).
 #[derive(Debug)]
 pub struct StormArtifacts {
     /// The sampled fault schedule (link/switch deaths with timestamps).
@@ -359,8 +364,9 @@ pub struct StormArtifacts {
 
 /// Everything a run needs before traffic generation, built once per
 /// [`ArtifactPrefix`] and shareable across arbitrarily many runs (the
-/// struct is `Sync`; routing precomputes are `Arc`-shared and built
-/// lazily per routing arm on first use).
+/// struct is `Sync`; routing precomputes are `Arc`-shared, attached per
+/// routing arm on first use, and grow one distance row per target first
+/// routed to — concurrent runs share rows, and none is built twice).
 #[derive(Debug)]
 pub struct ScenarioArtifacts {
     /// The prefix these artifacts realize.
@@ -405,9 +411,10 @@ impl ScenarioArtifacts {
         }
     }
 
-    /// A SPAM router over the cached topology, labeling, and (lazily
-    /// built, then shared) [`RoutingTables`] — identical decisions to
-    /// `SpamRouting::new(&topo, &labeling)`.
+    /// A SPAM router over the cached topology, labeling, and shared
+    /// [`RoutingTables`] — identical decisions to
+    /// `SpamRouting::new(&topo, &labeling)`, with every distance row an
+    /// earlier router from this entry built already in place.
     pub fn spam_routing(&self) -> SpamRouting<'_> {
         let tables = self
             .spam_tables
@@ -425,8 +432,8 @@ impl ScenarioArtifacts {
     }
 
     /// The epoch-switching router of a storm prefix (`None` otherwise),
-    /// with each epoch's masked tables built once and cached — identical
-    /// decisions to `ReconfigScenario::routing`.
+    /// over per-epoch masked tables shared by every run on this entry —
+    /// identical decisions to `ReconfigScenario::routing`.
     pub fn epoch_routing(&self) -> Option<EpochRouting<'_>> {
         let storm = self.storm.as_ref()?;
         let tables = storm
@@ -435,11 +442,14 @@ impl ScenarioArtifacts {
         Some(storm.scenario.routing_with_tables(&self.topo, tables))
     }
 
-    /// Approximate heap footprint in bytes — what a byte-budgeted cache
-    /// charges for this entry. Routing precomputes are charged *eagerly*
-    /// (as if already built) so an entry's cost never changes after
-    /// insertion; the estimate is deliberately conservative for non-storm
-    /// entries, which may serve both routing arms.
+    /// A ceiling on the heap footprint in bytes — what a byte-budgeted
+    /// cache charges for this entry. Routing precomputes are charged as
+    /// if every distance row were already resident (and, for non-storm
+    /// entries, as if both routing arms had been used), so an entry's
+    /// cost never changes after insertion and the budget stays a hard
+    /// bound while rows fill in. What the precomputes hold at a given
+    /// moment is `RoutingTables::approx_bytes` /
+    /// `UpDownPrecomp::approx_bytes`, never more than charged here.
     pub fn approx_bytes(&self) -> usize {
         let n = self.topo.num_nodes();
         let m = self.topo.num_channels();
@@ -459,10 +469,105 @@ impl ScenarioArtifacts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::run_with_artifacts;
     use crate::spec::ScenarioSpec;
+    use baselines::updown_unicast::UdPhase;
+    use spam_core::Phase;
 
     fn spec() -> ScenarioSpec {
         ScenarioSpec::example("artifact-tests")
+    }
+
+    /// The committed corpus (`scenarios/` at the workspace root).
+    fn corpus() -> Vec<ScenarioSpec> {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+        let specs = crate::corpus::load_dir(dir.as_ref()).expect("corpus loads");
+        assert!(specs.len() >= 14, "corpus shrank to {}", specs.len());
+        specs.into_iter().map(|(_, spec)| spec).collect()
+    }
+
+    /// Bytes the routing precomputes attached to `arts` hold right now.
+    fn routing_resident_bytes(arts: &ScenarioArtifacts) -> usize {
+        let epochs = arts.storm.as_ref().and_then(|s| s.epoch_tables.get());
+        arts.spam_tables.get().map_or(0, |t| t.approx_bytes())
+            + arts.updown.get().map_or(0, |p| p.approx_bytes())
+            + epochs.map_or(0, |ts| ts.iter().map(|t| t.approx_bytes()).sum())
+    }
+
+    /// Every `(target, node, phase)` cell of `shared` (some rows built by
+    /// a run, the rest filled by this walk) against `fresh`, a router
+    /// built from scratch and walked over all targets.
+    fn assert_same_cells<P: Copy + std::fmt::Debug>(
+        topo: &Topology,
+        phases: &[P],
+        shared: impl Fn(NodeId, NodeId, P) -> u16,
+        fresh: impl Fn(NodeId, NodeId, P) -> u16,
+    ) {
+        for target in topo.nodes() {
+            for node in topo.nodes() {
+                for &ph in phases {
+                    assert_eq!(
+                        shared(target, node, ph),
+                        fresh(target, node, ph),
+                        "({node}, {ph:?}) -> {target}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn assert_same_spam(topo: &Topology, shared: &SpamRouting<'_>, fresh: &SpamRouting<'_>) {
+        assert_same_cells(
+            topo,
+            &Phase::ALL,
+            |t, n, ph| shared.dist(t, n, ph),
+            |t, n, ph| fresh.dist(t, n, ph),
+        );
+    }
+
+    #[test]
+    fn corpus_rows_match_an_all_targets_walk_and_stay_under_the_charge() {
+        for spec in corpus() {
+            for rep in 0..spec.replications.max(1) {
+                let arts = ArtifactPrefix::of(&spec, rep).build().unwrap();
+                let charged = arts.approx_bytes();
+                assert_eq!(routing_resident_bytes(&arts), 0, "{}", spec.name);
+                run_with_artifacts(&spec, rep, None, &arts).unwrap();
+                let after_run = routing_resident_bytes(&arts);
+                assert!(
+                    0 < after_run && after_run <= charged,
+                    "{} rep {rep}: {after_run} B resident, {charged} B charged",
+                    spec.name
+                );
+                let topo = &arts.topo;
+                match (&arts.storm, arts.epoch_routing()) {
+                    (Some(storm), Some(shared)) => {
+                        let fresh = storm.scenario.routing(topo);
+                        for e in 0..shared.num_epochs() {
+                            assert_same_spam(topo, shared.epoch(e), fresh.epoch(e));
+                        }
+                    }
+                    _ => {
+                        let fresh = SpamRouting::new(topo, &arts.labeling);
+                        assert_same_spam(topo, &arts.spam_routing(), &fresh);
+                        let (shared, fresh) = (
+                            arts.updown_routing(),
+                            UpDownUnicastRouting::new(topo, &arts.labeling),
+                        );
+                        assert_same_cells(
+                            topo,
+                            &[UdPhase::Up, UdPhase::Down],
+                            |t, n, ph| shared.dist(t, n, ph),
+                            |t, n, ph| fresh.dist(t, n, ph),
+                        );
+                    }
+                }
+                // Every row of every arm is resident now: the charge is
+                // for exactly this state, and still covers it.
+                let full = routing_resident_bytes(&arts);
+                assert!(after_run < full && full <= charged, "{}", spec.name);
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //!
 //! Without `--socket`, serves JSONL on stdin/stdout and treats stdin
 //! EOF as a shutdown request (drain the queue, persist the manifest,
-//! exit 0) — the mode the CI smoke job and `serve_bench` use. With
-//! `--socket PATH`, listens on a unix socket and serves each accepted
-//! connection until a client sends `shutdown`.
+//! exit 0) — the mode the CI smoke job uses (the `benchmark/` workloads
+//! drive `ServeCore` in-process instead). With `--socket PATH`, listens
+//! on a unix socket and serves each accepted connection until a client
+//! sends `shutdown`.
 //!
 //! With `--persist PATH`, the cache manifest is written there on
 //! shutdown and loaded on start; a corrupt or stale manifest is

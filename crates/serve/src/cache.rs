@@ -14,8 +14,13 @@
 //! a silently wrong artifact), bump the LRU tick, clone the `Arc`. The
 //! `cache_zero_alloc` guard pins this at exactly zero.
 //!
-//! Eviction is LRU under two budgets — entry count and approximate
-//! resident bytes ([`ScenarioArtifacts::approx_bytes`]). The cache
+//! Eviction is LRU under two budgets — entry count and charged bytes.
+//! An entry is charged [`ScenarioArtifacts::approx_bytes`] once, at
+//! insert: the size it would reach with every routing arm attached and
+//! every residual-distance row built. Rows fill in while the entry is
+//! resident, so what the entries really hold is at most what they were
+//! charged for; the byte budget is a hard bound on the heap, and
+//! [`CacheStats::bytes`] a ceiling on it, not a reading. The cache
 //! persists across restarts as a `SPAMSNAP` manifest of canonical prefix
 //! JSON (artifacts themselves are rebuilt deterministically on load, so
 //! the manifest stays small and version-tolerant).
@@ -37,7 +42,8 @@ const TAG_CACHE_ENTRY: u32 = 0x5643_0002;
 pub struct CacheConfig {
     /// Maximum resident entries (LRU evicts beyond this).
     pub max_entries: usize,
-    /// Approximate resident-byte budget across all entries. A single
+    /// Budget for the bytes charged across all entries (each entry's
+    /// fully built size, see the module header). A single
     /// entry larger than the whole budget is kept (the cache never
     /// evicts down to empty).
     pub max_bytes: usize,
@@ -65,7 +71,9 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Resident entries right now.
     pub entries: usize,
-    /// Approximate resident bytes right now.
+    /// Bytes charged for the resident entries right now: a ceiling on
+    /// what they hold (each is charged its fully built size at insert),
+    /// not a measurement of it.
     pub bytes: usize,
 }
 

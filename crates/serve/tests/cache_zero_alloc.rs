@@ -1,6 +1,6 @@
 //! Allocation discipline of the artifact-cache request path.
 //!
-//! Two pins, measured with a counting global allocator in a
+//! Three pins, measured with a counting global allocator in a
 //! single-threaded `harness = false` process (the libtest harness runs
 //! tests on spawned threads and allocates on its own schedule, which
 //! would blur exact counts):
@@ -13,7 +13,13 @@
 //!    allocation counts across two identical churn rounds — any drift
 //!    would mean hidden state growing per round (leaked map capacity,
 //!    log growth) inside the cache.
+//! 3. **Distance rows are kept, not rebuilt.** The first run on an entry
+//!    builds the residual-distance rows its messages aim at; a repeat of
+//!    the same request finds them in place, so the second and third runs
+//!    allocate exactly equally often and strictly less often than the
+//!    first.
 
+use spam_scenario::{run_with_artifacts, ArtifactPrefix, FaultModelSpec, FaultsSpec};
 use spam_serve::{ArtifactCache, CacheConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -104,8 +110,37 @@ fn churn_allocation_counts_are_reproducible() {
     println!("ok - churn allocation counts are reproducible ({first}/round)");
 }
 
+fn repeat_runs_reuse_the_rows_the_first_run_built() {
+    // A static fabric (one table set) and a link storm (one per epoch).
+    let mut storm = spec(7);
+    storm.faults = FaultsSpec::Storm {
+        model: FaultModelSpec::IidLinks { rate: 0.1 },
+        seed: 3,
+        window_start_us: 1,
+        window_end_us: 9,
+        bursts: 2,
+    };
+    for s in [spec(7), storm] {
+        let arts = ArtifactPrefix::of(&s, 0).build().unwrap();
+        let run = || drop(run_with_artifacts(&s, 0, None, &arts).unwrap());
+        let ((), first) = count(run);
+        let ((), second) = count(run);
+        let ((), third) = count(run);
+        assert_eq!(
+            second, third,
+            "warm runs drifted: {second} vs {third} allocations"
+        );
+        assert!(
+            second < first,
+            "the first run built no row the second reused: {first} then {second}"
+        );
+    }
+    println!("ok - repeat runs reuse the rows the first run built");
+}
+
 fn main() {
     hit_lookups_are_allocation_free();
     churn_allocation_counts_are_reproducible();
+    repeat_runs_reuse_the_rows_the_first_run_built();
     println!("cache_zero_alloc: all pins held");
 }

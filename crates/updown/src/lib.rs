@@ -20,7 +20,10 @@
 //! * least-common-ancestor queries over arbitrary destination sets (the
 //!   multicast split point);
 //! * structural sanity checks used by the deadlock-freedom property tests
-//!   (the up-channel and down-channel digraphs must be acyclic).
+//!   (the up-channel and down-channel digraphs must be acyclic);
+//! * [`LazyRows`] — the per-target row store the routers built on a
+//!   labeling (SPAM, the up*/down* baseline) keep their residual
+//!   distances in: a row is built on first use, then shared.
 //!
 //! ```
 //! use netgraph::gen::fixtures::figure1;
@@ -43,8 +46,10 @@
 
 mod bitmat;
 pub mod labeling;
+mod rows;
 pub mod validate;
 
 pub use bitmat::BitMatrix;
 pub use labeling::{ChannelClass, RelabelReport, RootSelection, UpDownLabeling};
+pub use rows::LazyRows;
 pub use validate::{check_acyclic_subnetworks, AcyclicityReport};
