@@ -16,12 +16,21 @@
 //!   occupant: lookups through stale ids simply return `None`. Every
 //!   operation is an array index — this is what replaces the engine's
 //!   per-event `HashMap` probes.
+//! * [`FifoPool`] — any number of small FIFO queues ([`Fifo`] handles)
+//!   that keep their oldest value in the handle and thread the rest
+//!   through one shared cell pool with a free list. The engine keeps
+//!   three queues per channel (output buffer, input buffer, request
+//!   queue), nearly all of them empty or one deep at any instant; they
+//!   cost no allocation per channel and pool memory follows what is
+//!   actually queued.
 //!
-//! Both types are deterministic: iteration orders depend only on the
+//! All three are deterministic: iteration orders depend only on the
 //! sequence of operations, never on hashing or addresses.
 
+pub mod fifo_pool;
 pub mod inline_vec;
 pub mod slab;
 
+pub use fifo_pool::{Fifo, FifoPool};
 pub use inline_vec::InlineVec;
 pub use slab::{Slab, SlotId};

@@ -6,6 +6,14 @@
 //! round-tripping (seeds must survive serialization bit-for-bit, which
 //! `f64`-only number models cannot guarantee), and positioned parse
 //! errors.
+//!
+//! Both directions are linear in the document. The parser copies each
+//! string as runs between escapes (the input is already a `&str`, and a
+//! run cut at an ASCII quote or backslash is valid UTF-8, so nothing is
+//! re-validated); the writer has one escaper ([`write_escaped`]) and one
+//! number formatter, shared by the [`Json`] tree printer and by
+//! [`ObjWriter`], which emits a compact object field by field without
+//! building a tree — the service's response lines are written that way.
 
 use std::fmt;
 
@@ -142,25 +150,17 @@ impl Json {
                 }
                 out.push(']');
             }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Json::Str(k.clone()).write_compact(out);
-                    out.push(':');
-                    v.write_compact(out);
+            Json::Obj(fields) => write_object(out, |w| {
+                for (k, v) in fields {
+                    v.write_compact(w.key(k));
                 }
-                out.push('}');
-            }
+            }),
             // Scalars format identically in both modes.
             other => other.write(out, 0),
         }
     }
 
     fn write(&self, out: &mut String, indent: usize) {
-        use fmt::Write as _;
         let pad = |out: &mut String, n: usize| {
             for _ in 0..n {
                 out.push_str("  ");
@@ -168,41 +168,9 @@ impl Json {
         };
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Json::Num(Num::U(v)) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Num(Num::I(v)) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Num(Num::F(v)) => {
-                if v.is_finite() {
-                    // `{:?}` is the shortest representation that parses
-                    // back to the identical bits.
-                    let _ = write!(out, "{v:?}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Json::Bool(b) => write_bool(out, *b),
+            Json::Num(n) => write_num(out, *n),
+            Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -228,7 +196,7 @@ impl Json {
                 out.push_str("{\n");
                 for (i, (k, v)) in fields.iter().enumerate() {
                     pad(out, indent + 1);
-                    Json::Str(k.clone()).write(out, indent + 1);
+                    write_escaped(out, k);
                     out.push_str(": ");
                     v.write(out, indent + 1);
                     if i + 1 < fields.len() {
@@ -240,6 +208,129 @@ impl Json {
                 out.push('}');
             }
         }
+    }
+}
+
+/// Appends `s` as a quoted JSON string — the one place that knows the
+/// escapes: `\"` and `\\`, `\n` / `\r` / `\t`, `\u00XX` for the other
+/// control characters, everything else (non-ASCII included) verbatim.
+pub fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// [`write_escaped`] without the quotes. Unescaped runs are copied
+/// whole; every byte that needs an escape is ASCII, so the cuts fall on
+/// character boundaries.
+fn escape_into(out: &mut String, s: &str) {
+    use fmt::Write as _;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+fn write_bool(out: &mut String, b: bool) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+fn write_num(out: &mut String, n: Num) {
+    use fmt::Write as _;
+    let _ = match n {
+        Num::U(v) => write!(out, "{v}"),
+        Num::I(v) => write!(out, "{v}"),
+        // `{:?}` is the shortest representation that parses back to the
+        // identical bits.
+        Num::F(v) if v.is_finite() => write!(out, "{v:?}"),
+        Num::F(_) => out.write_str("null"),
+    };
+}
+
+/// Appends `{...}` to `out`, holding the fields `fill` writes.
+pub fn write_object(out: &mut String, fill: impl FnOnce(&mut ObjWriter<'_>)) {
+    out.push('{');
+    fill(&mut ObjWriter { out, first: true });
+    out.push('}');
+}
+
+/// Writes the fields of one compact JSON object straight into a
+/// `String`, in call order, with no intermediate [`Json`] tree: byte for
+/// byte what `Json::obj(..).to_string_compact()` prints for the same
+/// keys and values. Handed out by [`write_object`] (and, nested, by
+/// [`ObjWriter::obj`]), which own the braces.
+pub struct ObjWriter<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl ObjWriter<'_> {
+    /// Writes `,"key":` (no comma before the first) and hands back the
+    /// buffer for the value.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !std::mem::take(&mut self.first) {
+            self.out.push(',');
+        }
+        write_escaped(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// A string field.
+    pub fn str(&mut self, key: &str, val: &str) -> &mut Self {
+        write_escaped(self.key(key), val);
+        self
+    }
+
+    /// A string field holding `val`'s `Display` text, escaped as it is
+    /// produced (no temporary `String`).
+    pub fn display(&mut self, key: &str, val: impl fmt::Display) -> &mut Self {
+        struct Escaping<'a>(&'a mut String);
+        impl fmt::Write for Escaping<'_> {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                escape_into(self.0, s);
+                Ok(())
+            }
+        }
+        use fmt::Write as _;
+        let out = self.key(key);
+        out.push('"');
+        let _ = write!(Escaping(out), "{val}");
+        out.push('"');
+        self
+    }
+
+    /// A non-negative integer field.
+    pub fn u64(&mut self, key: &str, val: u64) -> &mut Self {
+        write_num(self.key(key), Num::U(val));
+        self
+    }
+
+    /// A boolean field.
+    pub fn bool(&mut self, key: &str, val: bool) -> &mut Self {
+        write_bool(self.key(key), val);
+        self
+    }
+
+    /// A nested object field, holding the fields `fill` writes.
+    pub fn obj(&mut self, key: &str, fill: impl FnOnce(&mut ObjWriter<'_>)) -> &mut Self {
+        write_object(self.key(key), fill);
+        self
     }
 }
 
@@ -269,28 +360,29 @@ impl std::error::Error for JsonError {}
 /// Parses a complete JSON document (one value, optional surrounding
 /// whitespace).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { src: input, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return Err(p.err("trailing data after the document"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
+    fn bytes(&self) -> &[u8] {
+        self.src.as_bytes()
+    }
+
     fn err(&self, msg: impl Into<String>) -> JsonError {
         let (mut line, mut col) = (1, 1);
-        for &b in &self.bytes[..self.pos.min(self.bytes.len())] {
+        for &b in &self.bytes()[..self.pos.min(self.src.len())] {
             if b == b'\n' {
                 line += 1;
                 col = 1;
@@ -306,7 +398,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -325,7 +417,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -351,13 +443,25 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
+            // Copy everything up to the next quote or backslash in one
+            // piece. Both are ASCII and the input is a `&str`, so the
+            // run starts and ends on character boundaries.
+            let run = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            let run = self
+                .src
+                .get(run..self.pos)
+                .ok_or_else(|| self.err("invalid utf-8"))?;
+            s.push_str(run);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(s);
                 }
-                Some(b'\\') => {
+                Some(_) => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => s.push('"'),
@@ -370,7 +474,7 @@ impl Parser<'_> {
                         Some(b't') => s.push('\t'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let hex =
@@ -386,18 +490,6 @@ impl Parser<'_> {
                         _ => return Err(self.err("bad escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s_rest =
-                        std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    // `peek` returned a byte, so the validated remainder
-                    // holds at least one scalar.
-                    #[allow(clippy::unwrap_used)]
-                    let c = s_rest.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -431,7 +523,7 @@ impl Parser<'_> {
         }
         // Only ASCII digits, signs, dots, and exponents were consumed.
         #[allow(clippy::unwrap_used)]
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = std::str::from_utf8(&self.bytes()[start..self.pos]).unwrap();
         if !is_float {
             if let Ok(v) = text.parse::<u64>() {
                 return Ok(Json::Num(Num::U(v)));
@@ -567,6 +659,58 @@ mod tests {
         assert!(parse("").is_err());
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("123 456").unwrap_err().msg.contains("trailing"));
+    }
+
+    #[test]
+    fn string_errors_point_past_the_run_that_was_copied() {
+        // A long run is consumed in one piece; the position reported
+        // afterwards is still the exact byte, not the run's start.
+        let run = "é".repeat(40); // 80 bytes, 40 of them continuation bytes
+        let e = parse(&format!("[\n\"{run}")).unwrap_err();
+        assert_eq!(e.msg, "unterminated string");
+        assert_eq!((e.line, e.col), (2, 82));
+        let e = parse(&format!("\"{run}\\q\"")).unwrap_err();
+        assert_eq!(e.msg, "bad escape");
+        assert_eq!((e.line, e.col), (1, 83), "points at the escaped character");
+        let e = parse(&format!("\"{run}\\u12")).unwrap_err();
+        assert_eq!(e.msg, "truncated \\u escape");
+        assert_eq!((e.line, e.col), (1, 83));
+        let e = parse(&format!("\"{run}\\ud800\"")).unwrap_err();
+        assert_eq!(e.msg, "bad \\u code point");
+        // A string may end in a run, an escape, or nothing at all.
+        assert_eq!(parse("\"\"").unwrap(), Json::Str(String::new()));
+        assert_eq!(parse("\"a\\\\\"").unwrap(), Json::Str("a\\".into()));
+        assert_eq!(parse("\"\\\\a\"").unwrap(), Json::Str("\\a".into()));
+        assert_eq!(
+            parse("\"\\/\\b\\f\"").unwrap(),
+            Json::Str("/\u{8}\u{c}".into())
+        );
+        assert!(parse("\"\\").is_err());
+    }
+
+    #[test]
+    fn object_writer_prints_what_the_tree_prints() {
+        let tree = Json::obj(vec![
+            ("type", Json::Str("a \"q\" \\ \n \u{1} é".into())),
+            ("n", Json::Num(Num::U(u64::MAX))),
+            ("ok", Json::Bool(false)),
+            ("shown", Json::Str("0x00ff \"x\"".into())),
+            ("in\tner", Json::obj(vec![("k", Json::Num(Num::U(0)))])),
+            ("empty", Json::obj(vec![])),
+        ]);
+        let mut out = String::new();
+        write_object(&mut out, |w| {
+            w.str("type", "a \"q\" \\ \n \u{1} é")
+                .u64("n", u64::MAX)
+                .bool("ok", false)
+                .display("shown", format_args!("{:#06x} \"{}\"", 255, 'x'))
+                .obj("in\tner", |w| {
+                    w.u64("k", 0);
+                })
+                .obj("empty", |_| {});
+        });
+        assert_eq!(out, tree.to_string_compact());
+        assert_eq!(parse(&out).unwrap(), tree);
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::protocol::{self, Request};
 use spam_scenario::{outcome_digest, run_with_artifacts, ScenarioSpec};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
+use wormsim::SimOutcome;
 
 /// Daemon-level knobs.
 #[derive(Debug, Clone)]
@@ -95,9 +96,16 @@ impl ClientLog {
         self.backlog.front().map_or(self.next_cursor, |(c, _)| *c)
     }
 
-    fn push(&mut self, line: String, budget: usize) -> u64 {
+    /// Takes the next cursor, has `encode` write the line that carries
+    /// it, and retains a copy for replay — cursor assignment in exactly
+    /// one place, before the line exists, so no line is ever patched.
+    fn push(&mut self, budget: usize, encode: impl FnOnce(u64) -> String) -> String {
         let cursor = self.next_cursor;
         self.next_cursor += 1;
+        let line = encode(cursor);
+        // The caller's copy is cut to length; the encoder's buffer, with
+        // whatever slack its size guess left, stays here until acked.
+        let copy = line.clone();
         self.backlog_bytes += line.len();
         self.backlog.push_back((cursor, line));
         // Retention watermark: shed the oldest unacked lines beyond the
@@ -107,7 +115,7 @@ impl ClientLog {
                 self.backlog_bytes -= l.len();
             }
         }
-        cursor
+        copy
     }
 
     fn ack(&mut self, through: u64) {
@@ -300,7 +308,19 @@ impl ServeCore {
         let reps = job.spec.replications.max(1);
         for rep in 0..reps {
             match self.run_rep(&job.spec, rep) {
-                Ok(line) => lines.push(self.push_to(&job.client, line)),
+                Ok((out, artifact_hit)) => {
+                    let meta = protocol::ResultMeta {
+                        scenario: &job.spec.name,
+                        rep,
+                        reps: job.spec.replications,
+                        artifact_hit,
+                        digest: outcome_digest(&out),
+                    };
+                    let cache = self.cache.stats();
+                    lines.push(self.push_to(&job.client, |cursor| {
+                        protocol::result_line(cursor, &meta, &out, &cache)
+                    }));
+                }
                 Err(e) => {
                     // Spec faults surface their precise variant (e.g.
                     // NoSurvivingComponent); server-side faults (cache
@@ -309,9 +329,9 @@ impl ServeCore {
                         ServeError::Spec(se) => (se.variant_name(), se.to_string()),
                         other => (other.variant_name(), other.to_string()),
                     };
-                    let line =
-                        protocol::cursored_error_line(0, &job.spec.name, rep, variant, &detail);
-                    lines.push(self.push_to(&job.client, line));
+                    lines.push(self.push_to(&job.client, |cursor| {
+                        protocol::cursored_error_line(cursor, &job.spec.name, rep, variant, &detail)
+                    }));
                     break;
                 }
             }
@@ -322,36 +342,27 @@ impl ServeCore {
         })
     }
 
-    fn run_rep(&mut self, spec: &ScenarioSpec, rep: u32) -> Result<String, ServeError> {
+    /// One replication: the cached (or freshly built) environment, then
+    /// the simulation. Also says whether the environment was a cache hit.
+    fn run_rep(&mut self, spec: &ScenarioSpec, rep: u32) -> Result<(SimOutcome, bool), ServeError> {
         let (arts, hit) = self.cache.lookup(spec, rep)?;
-        let out = run_with_artifacts(spec, rep, None, &arts)?;
-        let digest = outcome_digest(&out);
-        Ok(protocol::result_line(
-            0, // cursor patched by push_to
-            &protocol::ResultMeta {
-                scenario: &spec.name,
-                rep,
-                reps: spec.replications,
-                artifact_hit: hit,
-                digest,
-            },
-            &out,
-            &self.cache.stats(),
-        ))
+        Ok((run_with_artifacts(spec, rep, None, &arts)?, hit))
     }
 
-    /// Assigns the next cursor for `client` and retains the line. The
-    /// line is produced with a placeholder cursor of 0 and rewritten
-    /// here, keeping cursor assignment in exactly one place.
-    fn push_to(&mut self, client: &str, line: String) -> String {
-        let log = self
-            .clients
-            .entry(client.to_string())
-            .or_insert_with(ClientLog::fresh);
-        let cursor = log.next_cursor;
-        let line = line.replacen("\"cursor\":0", &format!("\"cursor\":{cursor}"), 1);
-        log.push(line.clone(), self.cfg.backlog_budget);
-        line
+    /// Appends the line `encode` writes for `client`'s next cursor to
+    /// that client's stream and returns it.
+    fn push_to(&mut self, client: &str, encode: impl FnOnce(u64) -> String) -> String {
+        let budget = self.cfg.backlog_budget;
+        // A job's client said `hello`, which created its log, so the
+        // lookup borrows the name; only a miss pays for an owned key.
+        let log = match self.clients.get_mut(client) {
+            Some(log) => log,
+            None => self
+                .clients
+                .entry(client.to_string())
+                .or_insert_with(ClientLog::fresh),
+        };
+        log.push(budget, encode)
     }
 
     /// Persists the cache manifest if a persist path is configured.
@@ -466,6 +477,43 @@ mod tests {
         // Drain one job; the retry is accepted.
         core.step().unwrap();
         assert!(core.handle_line(&mut sess, &run_line(&spec))[0].contains("queued"));
+    }
+
+    /// `engine.*_buffer_flits` has no upper bound in `validate`, and needs
+    /// none: a depth is the limit a queue length is compared against,
+    /// never a capacity the engine reserves. Pinned through the request
+    /// path because the value is client input — a layout that sized
+    /// anything by it would turn this line into a capacity-overflow panic
+    /// or a giant allocation.
+    #[test]
+    fn unbounded_buffer_depths_are_a_limit_not_a_reservation() {
+        let mut spec = small_spec("deep", 5);
+        spec.traffic = spam_scenario::TrafficSpec::SingleMulticast {
+            dests: 4,
+            len: 4096,
+        };
+        spec.replications = 1;
+        spec.engine.input_buffer_flits = usize::MAX;
+        spec.engine.output_buffer_flits = usize::MAX;
+        spec.validate().expect("no upper bound on buffer depth");
+        let out = spam_scenario::run_once(&spec, 0, None).expect("constructs and runs");
+        assert!(
+            out.all_accounted() && out.all_delivered(),
+            "{:?}",
+            out.error
+        );
+
+        let mut core = ServeCore::new(ServeConfig::default());
+        let mut sess = Session::new();
+        core.handle_line(&mut sess, r#"{"op":"hello","client":"c1"}"#);
+        let queued = core.handle_line(&mut sess, &run_line(&spec));
+        assert!(queued[0].contains("\"queued\""), "{}", queued[0]);
+        let lines = core.step().unwrap().lines;
+        let doc = parse(&lines[0]).unwrap();
+        assert_eq!(doc.get("type").and_then(Json::as_str), Some("result"));
+        assert_eq!(doc.get("quiescent").and_then(Json::as_bool), Some(true));
+        let n = |k: &str| doc.get(k).and_then(|v| v.as_num()?.as_u64());
+        assert_eq!((n("messages"), n("delivered")), (Some(1), Some(1)));
     }
 
     #[test]

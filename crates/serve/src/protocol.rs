@@ -13,7 +13,7 @@
 
 use crate::cache::CacheStats;
 use crate::error::ServeError;
-use spam_scenario::json::{parse, Json, Num};
+use spam_scenario::json::{parse, write_object, Json, ObjWriter};
 use spam_scenario::ScenarioSpec;
 use wormsim::SimOutcome;
 
@@ -129,69 +129,52 @@ pub fn parse_request(line: &str) -> Result<Request, ServeError> {
     }
 }
 
-fn u(v: u64) -> Json {
-    Json::Num(Num::U(v))
+/// One response line: a compact object written field by field into a
+/// `String` reserved at `capacity` bytes (a guess at the finished
+/// length, so a typical line is one allocation).
+fn line(capacity: usize, fill: impl FnOnce(&mut ObjWriter<'_>)) -> String {
+    let mut out = String::with_capacity(capacity);
+    write_object(&mut out, fill);
+    out
 }
 
-fn uz(v: usize) -> Json {
-    Json::Num(Num::U(v as u64))
-}
-
-fn s(v: &str) -> Json {
-    Json::Str(v.to_string())
-}
-
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn cache_obj(st: &CacheStats) -> Json {
-    obj(vec![
-        ("hits", u(st.hits)),
-        ("misses", u(st.misses)),
-        ("evictions", u(st.evictions)),
-        ("entries", uz(st.entries)),
-        ("bytes", uz(st.bytes)),
-    ])
+fn cache_fields(w: &mut ObjWriter<'_>, st: &CacheStats) {
+    w.u64("hits", st.hits)
+        .u64("misses", st.misses)
+        .u64("evictions", st.evictions)
+        .u64("entries", st.entries as u64)
+        .u64("bytes", st.bytes as u64);
 }
 
 /// The `hello` acknowledgement. `replayed` lines follow immediately on
 /// the same connection.
 pub fn hello_line(client: &str, next_cursor: u64, replayed: usize) -> String {
-    obj(vec![
-        ("type", s("hello")),
-        ("client", s(client)),
-        ("next_cursor", u(next_cursor)),
-        ("replayed", uz(replayed)),
-    ])
-    .to_string_compact()
+    line(64 + client.len(), |w| {
+        w.str("type", "hello")
+            .str("client", client)
+            .u64("next_cursor", next_cursor)
+            .u64("replayed", replayed as u64);
+    })
 }
 
 /// Transient acceptance of a `run` request (not part of the cursor
 /// stream — a reconnect re-learns progress from result lines).
 pub fn queued_line(scenario: &str, reps: u32) -> String {
-    obj(vec![
-        ("type", s("queued")),
-        ("scenario", s(scenario)),
-        ("reps", u(reps as u64)),
-    ])
-    .to_string_compact()
+    line(48 + scenario.len(), |w| {
+        w.str("type", "queued")
+            .str("scenario", scenario)
+            .u64("reps", reps as u64);
+    })
 }
 
 /// Transient acknowledgement of an `ack` (backlog trimmed through
 /// `cursor`).
 pub fn acked_line(cursor: u64, retained: usize) -> String {
-    obj(vec![
-        ("type", s("acked")),
-        ("cursor", u(cursor)),
-        ("retained", uz(retained)),
-    ])
-    .to_string_compact()
+    line(64, |w| {
+        w.str("type", "acked")
+            .u64("cursor", cursor)
+            .u64("retained", retained as u64);
+    })
 }
 
 /// Identity of one completed replication: which scenario, which rep,
@@ -216,27 +199,23 @@ pub struct ResultMeta<'a> {
 /// says whether the environment came from the cache, and the embedded
 /// counters snapshot the cache as of this result.
 pub fn result_line(cursor: u64, meta: &ResultMeta, out: &SimOutcome, cache: &CacheStats) -> String {
-    obj(vec![
-        ("type", s("result")),
-        ("cursor", u(cursor)),
-        ("scenario", s(meta.scenario)),
-        ("rep", u(meta.rep as u64)),
-        ("reps", u(meta.reps as u64)),
-        (
-            "artifact",
-            s(if meta.artifact_hit { "hit" } else { "miss" }),
-        ),
-        ("digest", s(&format!("{:#018x}", meta.digest))),
-        ("end_time_ns", u(out.end_time.as_ns())),
-        ("quiescent", Json::Bool(out.quiescent)),
-        ("messages", uz(out.messages.len())),
-        ("delivered", u(out.counters.messages_completed)),
-        ("torn_down", u(out.counters.messages_torn_down)),
-        ("unreachable", u(out.counters.messages_unreachable)),
-        ("events", u(out.counters.events)),
-        ("cache", cache_obj(cache)),
-    ])
-    .to_string_compact()
+    line(448 + meta.scenario.len(), |w| {
+        w.str("type", "result")
+            .u64("cursor", cursor)
+            .str("scenario", meta.scenario)
+            .u64("rep", meta.rep as u64)
+            .u64("reps", meta.reps as u64)
+            .str("artifact", if meta.artifact_hit { "hit" } else { "miss" })
+            .display("digest", format_args!("{:#018x}", meta.digest))
+            .u64("end_time_ns", out.end_time.as_ns())
+            .bool("quiescent", out.quiescent)
+            .u64("messages", out.messages.len() as u64)
+            .u64("delivered", out.counters.messages_completed)
+            .u64("torn_down", out.counters.messages_torn_down)
+            .u64("unreachable", out.counters.messages_unreachable)
+            .u64("events", out.counters.events)
+            .obj("cache", |w| cache_fields(w, cache));
+    })
 }
 
 /// A per-replication failure on the cursor stream (e.g. the sampled
@@ -251,15 +230,14 @@ pub fn cursored_error_line(
     variant: &str,
     detail: &str,
 ) -> String {
-    obj(vec![
-        ("type", s("error")),
-        ("cursor", u(cursor)),
-        ("scenario", s(scenario)),
-        ("rep", u(rep as u64)),
-        ("error", s(variant)),
-        ("detail", s(detail)),
-    ])
-    .to_string_compact()
+    line(128 + scenario.len() + detail.len(), |w| {
+        w.str("type", "error")
+            .u64("cursor", cursor)
+            .str("scenario", scenario)
+            .u64("rep", rep as u64)
+            .str("error", variant)
+            .str("detail", detail);
+    })
 }
 
 /// An immediate (uncursored) error response to the offending request.
@@ -267,28 +245,26 @@ pub fn cursored_error_line(
 /// way: `QueueFull` carries the capacity, `UnknownCursor` the retained
 /// window.
 pub fn error_line(err: &ServeError) -> String {
-    let mut fields = vec![
-        ("type", s("error")),
-        ("error", s(err.variant_name())),
-        ("detail", s(&err.to_string())),
-    ];
-    match err {
-        ServeError::QueueFull { capacity } => {
-            fields.push(("capacity", uz(*capacity)));
-            fields.push(("retry", Json::Bool(true)));
+    line(192, |w| {
+        w.str("type", "error")
+            .str("error", err.variant_name())
+            .display("detail", err);
+        match err {
+            ServeError::QueueFull { capacity } => {
+                w.u64("capacity", *capacity as u64).bool("retry", true);
+            }
+            ServeError::UnknownCursor {
+                requested,
+                oldest,
+                next,
+            } => {
+                w.u64("requested", *requested)
+                    .u64("oldest", *oldest)
+                    .u64("next", *next);
+            }
+            _ => {}
         }
-        ServeError::UnknownCursor {
-            requested,
-            oldest,
-            next,
-        } => {
-            fields.push(("requested", u(*requested)));
-            fields.push(("oldest", u(*oldest)));
-            fields.push(("next", u(*next)));
-        }
-        _ => {}
-    }
-    obj(fields).to_string_compact()
+    })
 }
 
 /// Occupancy report.
@@ -299,21 +275,22 @@ pub fn stats_line(
     clients: usize,
     draining: bool,
 ) -> String {
-    obj(vec![
-        ("type", s("stats")),
-        ("queue_depth", uz(queue_depth)),
-        ("queue_capacity", uz(queue_capacity)),
-        ("clients", uz(clients)),
-        ("draining", Json::Bool(draining)),
-        ("cache", cache_obj(cache)),
-    ])
-    .to_string_compact()
+    line(192, |w| {
+        w.str("type", "stats")
+            .u64("queue_depth", queue_depth as u64)
+            .u64("queue_capacity", queue_capacity as u64)
+            .u64("clients", clients as u64)
+            .bool("draining", draining)
+            .obj("cache", |w| cache_fields(w, cache));
+    })
 }
 
 /// Acknowledges `shutdown`: `pending` jobs will still drain onto the
 /// cursor stream before the daemon exits.
 pub fn shutdown_line(pending: usize) -> String {
-    obj(vec![("type", s("shutdown")), ("pending", uz(pending))]).to_string_compact()
+    line(48, |w| {
+        w.str("type", "shutdown").u64("pending", pending as u64);
+    })
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Allocation discipline of the artifact-cache request path.
 //!
-//! Three pins, measured with a counting global allocator in a
+//! Four pins, measured with a counting global allocator in a
 //! single-threaded `harness = false` process (the libtest harness runs
 //! tests on spawned threads and allocates on its own schedule, which
 //! would blur exact counts):
@@ -18,9 +18,14 @@
 //!    the same request finds them in place, so the second and third runs
 //!    allocate exactly equally often and strictly less often than the
 //!    first.
+//! 4. **A tiny warm request stays under a committed count.** One
+//!    16-switch `single_multicast{dests:2,len:8}` request, line in to
+//!    result out and acked, allocates the same number of times on every
+//!    repeat and no more than [`WARM_REQUEST_CEILING`] — the tier-1
+//!    stand-in for a benchmark baseline gate on `allocs_per_request`.
 
 use spam_scenario::{run_with_artifacts, ArtifactPrefix, FaultModelSpec, FaultsSpec};
-use spam_serve::{ArtifactCache, CacheConfig};
+use spam_serve::{ArtifactCache, CacheConfig, ServeConfig, ServeCore, Session};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -138,9 +143,52 @@ fn repeat_runs_reuse_the_rows_the_first_run_built() {
     println!("ok - repeat runs reuse the rows the first run built");
 }
 
+/// 10 % above the 92 allocations the request below makes (the
+/// same request made 352 while every channel owned its queues, every
+/// string was parsed a character at a time and every response line was
+/// a `Json` tree first). Raise it only with a reason.
+const WARM_REQUEST_CEILING: u64 = 101;
+
+fn warm_tiny_request_stays_under_its_ceiling() {
+    let mut s = spec(11);
+    s.traffic = spam_scenario::TrafficSpec::SingleMulticast { dests: 2, len: 8 };
+    let run = format!(
+        r#"{{"op":"run","spec":{}}}"#,
+        s.to_json().to_string_compact()
+    );
+    let mut core = ServeCore::new(ServeConfig::default());
+    let mut session = Session::new();
+    core.handle_line(&mut session, r#"{"op":"hello","client":"c"}"#);
+    let mut cursor = 0;
+    let mut request = || {
+        cursor += 1;
+        let ack = format!(r#"{{"op":"ack","cursor":{cursor}}}"#);
+        count(|| {
+            drop(core.handle_line(&mut session, &run));
+            let out = core.step().expect("one job queued");
+            assert!(out.lines[0].contains("\"delivered\":1"), "{}", out.lines[0]);
+            drop(out);
+            drop(core.handle_line(&mut session, &ack));
+        })
+        .1
+    };
+    // The warm-up builds the fabric and the rows the multicast aims at.
+    let cold = request();
+    let (first, second, third) = (request(), request(), request());
+    assert!(first < cold, "warm {first} vs cold {cold}");
+    assert_eq!(first, second, "warm requests drifted");
+    assert_eq!(second, third, "warm requests drifted");
+    assert!(
+        first <= WARM_REQUEST_CEILING,
+        "a warm tiny request allocated {first} times (ceiling {WARM_REQUEST_CEILING})"
+    );
+    println!("ok - a warm tiny request allocates {first} times (ceiling {WARM_REQUEST_CEILING})");
+}
+
 fn main() {
     hit_lookups_are_allocation_free();
     churn_allocation_counts_are_reproducible();
     repeat_runs_reuse_the_rows_the_first_run_built();
+    warm_tiny_request_stays_under_its_ceiling();
     println!("cache_zero_alloc: all pins held");
 }

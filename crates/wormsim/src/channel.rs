@@ -1,8 +1,9 @@
-//! Per-channel simulator state: buffers, wire, ownership, and the OCRQ.
+//! Per-channel simulator state: buffers, wire, ownership, and the OCRQ —
+//! plain data; the queued flits and requests themselves live in the
+//! engine's pools.
 
 use crate::flit::{Flit, MsgId};
-use spam_collections::{InlineVec, SlotId};
-use std::collections::VecDeque;
+use spam_collections::{Fifo, InlineVec, SlotId};
 
 /// Runtime state of one unidirectional channel.
 ///
@@ -12,6 +13,18 @@ use std::collections::VecDeque;
 /// occupying its `out_buf` slot (so channel bandwidth is one flit per
 /// propagation delay); the consumer at the destination node pops `in_buf`.
 ///
+/// The three queues are [`Fifo`] handles: the oldest entry rides in the
+/// handle, anything queued behind it in cells of a pool the engine owns
+/// (one of flits for both buffers, one of requests for the OCRQ). With
+/// the paper's single-flit buffers a flit therefore moves from handle to
+/// handle and the flit pool is never touched; deeper buffers and contended
+/// OCRQs spill into the pools. Either way a channel owns no heap memory of
+/// its own: an idle fabric is one flat `Vec<Chan>`, a buffer's configured
+/// depth is only the bound [`Chan::out_has_space`] / [`Chan::in_has_space`]
+/// compare a length against, and the pools hold what is actually queued.
+/// Pushing, popping and walking a queue go through the owning pool; its
+/// length and front are answered here.
+///
 /// Queue entries and the owner carry the requesting segment's slab handle
 /// alongside the message id: every "who asked for this channel?" question
 /// on the event path is answered by an array index instead of the reverse
@@ -19,9 +32,9 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone)]
 pub struct Chan {
     /// Sender-side buffer.
-    pub out_buf: VecDeque<Flit>,
+    pub out_buf: Fifo<Flit>,
     /// Receiver-side buffer.
-    pub in_buf: VecDeque<Flit>,
+    pub in_buf: Fifo<Flit>,
     /// A flit is currently crossing the wire (its slot still in `out_buf`).
     pub wire_busy: bool,
     /// Receiver slots promised to in-flight wire transfers.
@@ -33,7 +46,7 @@ pub struct Chan {
     /// Output channel request queue (§3.2): FIFO of `(message, requesting
     /// segment)` waiting to acquire this channel. The head may acquire once
     /// the channel is free.
-    pub ocrq: VecDeque<(MsgId, SlotId)>,
+    pub ocrq: Fifo<(MsgId, SlotId)>,
     /// The live transit segment whose flits arrive on this channel (a worm
     /// traversal keyed by input channel), if any.
     pub seg: Option<SlotId>,
@@ -53,12 +66,12 @@ impl Chan {
     /// Fresh idle channel.
     pub fn new() -> Self {
         Chan {
-            out_buf: VecDeque::with_capacity(2),
-            in_buf: VecDeque::with_capacity(2),
+            out_buf: Fifo::new(),
+            in_buf: Fifo::new(),
             wire_busy: false,
             reserved_in: 0,
             owner: None,
-            ocrq: VecDeque::new(),
+            ocrq: Fifo::new(),
             seg: None,
             hdrs: InlineVec::new(),
             route_pending: false,
@@ -109,6 +122,7 @@ impl Default for Chan {
 mod tests {
     use super::*;
     use crate::flit::FlitKind;
+    use spam_collections::FifoPool;
 
     #[test]
     fn fresh_channel_is_quiescent_and_free() {
@@ -130,10 +144,14 @@ mod tests {
     #[test]
     fn undrained_out_buf_blocks_acquisition() {
         let mut c = Chan::new();
-        c.out_buf.push_back(Flit {
-            msg: MsgId(0),
-            kind: FlitKind::Tail(7),
-        });
+        let mut flits = FifoPool::new();
+        flits.push_back(
+            &mut c.out_buf,
+            Flit {
+                msg: MsgId(0),
+                kind: FlitKind::Tail(7),
+            },
+        );
         assert!(!c.free_for_acquisition(), "tail still draining");
         assert!(!c.out_has_space(1));
         assert!(c.out_has_space(2));
@@ -146,7 +164,7 @@ mod tests {
         c.reserved_in = 1;
         assert!(!c.in_has_space(1));
         assert!(c.in_has_space(2));
-        c.in_buf.push_back(Flit::bubble(MsgId(0)));
+        FifoPool::new().push_back(&mut c.in_buf, Flit::bubble(MsgId(0)));
         assert!(!c.in_has_space(2));
     }
 

@@ -244,11 +244,11 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         w.put_len(self.chans.len());
         for c in &self.chans {
             w.put_len(c.out_buf.len());
-            for f in &c.out_buf {
+            for f in self.flits.iter(&c.out_buf) {
                 put_flit(w, f);
             }
             w.put_len(c.in_buf.len());
-            for f in &c.in_buf {
+            for f in self.flits.iter(&c.in_buf) {
                 put_flit(w, f);
             }
             w.put_bool(c.wire_busy);
@@ -259,7 +259,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 put_slot(w, sid);
             }
             w.put_len(c.ocrq.len());
-            for &(m, sid) in &c.ocrq {
+            for &(m, sid) in self.requests.iter(&c.ocrq) {
                 w.put_u32(m.0);
                 put_slot(w, sid);
             }
@@ -526,11 +526,11 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             for c in sim.chans.iter_mut() {
                 for _ in 0..r.get_len()? {
                     let f = get_flit(r)?;
-                    c.out_buf.push_back(f);
+                    sim.flits.push_back(&mut c.out_buf, f);
                 }
                 for _ in 0..r.get_len()? {
                     let f = get_flit(r)?;
-                    c.in_buf.push_back(f);
+                    sim.flits.push_back(&mut c.in_buf, f);
                 }
                 c.wire_busy = r.get_bool()?;
                 c.reserved_in = r.get_u8()?;
@@ -540,7 +540,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 for _ in 0..r.get_len()? {
                     let m = MsgId(r.get_u32()?);
                     let sid = get_slot(r)?;
-                    c.ocrq.push_back((m, sid));
+                    sim.requests.push_back(&mut c.ocrq, (m, sid));
                 }
                 if r.get_bool()? {
                     c.seg = Some(get_slot(r)?);

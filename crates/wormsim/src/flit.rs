@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn flit_is_small() {
-        // Buffers hold VecDeque<Flit>; keep the element compact.
+        // Every buffered flit is one pool cell; keep the element compact.
         assert!(std::mem::size_of::<Flit>() <= 12);
     }
 }

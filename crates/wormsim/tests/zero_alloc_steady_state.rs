@@ -17,6 +17,7 @@
 //! simulation, so every pin below is an exact equality.
 
 use desim::Duration;
+use netgraph::gen::lattice::IrregularConfig;
 use netgraph::{NodeId, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -376,6 +377,105 @@ fn enabled_checkpointing_allocates_nothing_per_flit() {
     );
 }
 
+fn construction_allocations_do_not_depend_on_channel_count() {
+    // Channel queues are handles into engine-wide pools that start
+    // empty, so `new` is a fixed handful of allocations (the channel
+    // table, the death mask, the schedule) however many channels the
+    // fabric has: the 16-switch and the 1024-switch lattice cost the
+    // same count. Dropping the idle simulator frees exactly those.
+    let count_new = |switches: usize| {
+        let topo = IrregularConfig::with_switches(switches).generate(7);
+        let oracle = OracleRouting::new(&topo);
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let sim = NetworkSim::new(&topo, oracle, cfg());
+        let after = ALLOCS.load(Ordering::Relaxed);
+        drop(sim);
+        (topo.num_channels(), after - before)
+    };
+    let (small_chans, small) = count_new(16);
+    let (large_chans, large) = count_new(1024);
+    assert!(large_chans > 50 * small_chans);
+    assert_eq!(
+        small, large,
+        "construction allocated per channel: {small} at {small_chans} channels, \
+         {large} at {large_chans}"
+    );
+    assert!(small <= 4, "construction allocated {small} times");
+}
+
+/// Two four-processor stars joined by one link. `second_round_on` picks
+/// the star whose processors repeat, 100 us later, the three-way
+/// contention for one consumption channel that star 0 opened with.
+fn run_contended_rounds(second_round_on: usize) -> (SimOutcome, u64) {
+    let mut b = Topology::builder();
+    let hubs = [b.add_switch(), b.add_switch()];
+    b.link(hubs[0], hubs[1]).unwrap();
+    let procs: Vec<Vec<NodeId>> = hubs
+        .iter()
+        .map(|&hub| {
+            (0..4)
+                .map(|_| {
+                    let p = b.add_processor();
+                    b.link(p, hub).unwrap();
+                    p
+                })
+                .collect()
+        })
+        .collect();
+    let topo = b.build();
+    let mut oracle = OracleRouting::new(&topo);
+    let mut msgs = Vec::new();
+    for (round, star) in [0, second_round_on].into_iter().enumerate() {
+        for src in 0..3 {
+            let tag = (round * 3 + src) as u64;
+            let (from, to) = (procs[star][src], procs[star][3]);
+            oracle
+                .add_unicast_path(tag, &[from, hubs[star], to])
+                .unwrap();
+            let at = desim::Time::from_us(100 * round as u64);
+            msgs.push(MessageSpec::unicast(from, to, 64).tag(tag).at(at));
+        }
+    }
+    let mut sim = NetworkSim::new(&topo, oracle, cfg());
+    for m in msgs {
+        sim.submit(m).unwrap();
+    }
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let out = sim.run();
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert!(out.all_delivered(), "{:?} {:?}", out.error, out.deadlock);
+    (out, after - before)
+}
+
+fn first_contention_on_a_channel_allocates_nothing() {
+    // Round one grows the request and flit pools to what three worms
+    // fighting over one consumption channel need. Round two is the same
+    // fight, either on the same channels again or on eight channels no
+    // worm has touched yet: with engine-wide pools the freed cells serve
+    // both, so the two runs allocate exactly equally often. (A queue
+    // per channel would pay for each first use in the fresh star.)
+    let _ = run_contended_rounds(0);
+    let (same_out, same) = run_contended_rounds(0);
+    let (fresh_out, fresh) = run_contended_rounds(1);
+    assert_eq!(same_out.counters.events, fresh_out.counters.events);
+    assert!(
+        fresh_out
+            .channel_crossings
+            .iter()
+            .filter(|&&c| c > 0)
+            .count()
+            > same_out
+                .channel_crossings
+                .iter()
+                .filter(|&&c| c > 0)
+                .count()
+    );
+    assert_eq!(
+        fresh, same,
+        "first use of a channel's queues allocated: {fresh} vs {same}"
+    );
+}
+
 fn seg_lookups_are_counted() {
     // The arena refactor's accounting hook: every event-path state lookup
     // (a hash probe before, an array index now) is counted.
@@ -392,7 +492,7 @@ fn seg_lookups_are_counted() {
 }
 
 fn main() {
-    let checks: [(&str, fn()); 9] = [
+    let checks: [(&str, fn()); 11] = [
         ("body_flits_allocate_nothing", body_flits_allocate_nothing),
         (
             "repeated_runs_have_identical_alloc_counts",
@@ -423,6 +523,14 @@ fn main() {
             enabled_checkpointing_allocates_nothing_per_flit,
         ),
         ("seg_lookups_are_counted", seg_lookups_are_counted),
+        (
+            "construction_allocations_do_not_depend_on_channel_count",
+            construction_allocations_do_not_depend_on_channel_count,
+        ),
+        (
+            "first_contention_on_a_channel_allocates_nothing",
+            first_contention_on_a_channel_allocates_nothing,
+        ),
     ];
     for (name, check) in checks {
         check();
