@@ -23,8 +23,9 @@
 use crate::latency_anatomy::{cell_spec, GRID};
 use crate::report::{self, BenchJson, Report};
 use crate::PointSummary;
-use spam_metrics::{CongestionHeatmap, HeatKey};
-use spam_scenario::{ArrivalSpec, EngineSpec, TrafficSpec};
+use spam_metrics::{ChannelAccum, CongestionHeatmap, HeatKey};
+use spam_scenario::json::{self, Json, Num};
+use spam_scenario::{run_with_artifacts, ArrivalSpec, ArtifactPrefix, EngineSpec, TrafficSpec};
 use std::fmt::Write as _;
 
 /// Workload names, in report order.
@@ -113,7 +114,10 @@ pub fn run_congestion_profile(quick: bool) -> Vec<CongestionCell> {
                     ..EngineSpec::default()
                 },
             );
-            let (out, topo, layout) = spam_scenario::run_once_full(&spec, 0, None)
+            let arts = ArtifactPrefix::of(&spec, 0)
+                .build()
+                .unwrap_or_else(|e| panic!("{}: {e:?}", spec.name));
+            let out = run_with_artifacts(&spec, 0, None, &arts)
                 .unwrap_or_else(|e| panic!("{}: {e:?}", spec.name));
             let m = out.metrics.as_ref().expect("telemetry enabled");
             cells.push(CongestionCell {
@@ -122,7 +126,7 @@ pub fn run_congestion_profile(quick: bool) -> Vec<CongestionCell> {
                 regime,
                 messages: out.messages.iter().filter(|msg| msg.is_complete()).count() as u64,
                 samples: m.series.len() as u64,
-                heatmap: CongestionHeatmap::build(&topo, &layout, &m.channels),
+                heatmap: CongestionHeatmap::build(&arts.topo, &arts.layout, &m.channels),
             });
         }
     }
@@ -158,23 +162,87 @@ pub fn congestion_csv(cells: &[CongestionCell]) -> String {
     body
 }
 
+/// Appends `"key": `, escaped by the JSON layer.
+fn json_key(out: &mut String, key: &str) {
+    json::write_escaped(out, key);
+    out.push_str(": ");
+}
+
+/// Appends `{"key": value, ...}` on one line — the row shape of the
+/// heat-map document — with every key and value printed by the JSON
+/// layer.
+fn json_row(out: &mut String, fields: &[(&str, Json)]) {
+    let mut sep = "{";
+    for (key, value) in fields {
+        out.push_str(sep);
+        json_key(out, key);
+        out.push_str(&value.to_string_compact());
+        sep = ", ";
+    }
+    out.push('}');
+}
+
+/// One heat map as a JSON object: the grid side, grand totals, and one
+/// row per occupied cell.
+fn heatmap_json(out: &mut String, map: &CongestionHeatmap) {
+    let n = |v: u64| Json::Num(Num::U(v));
+    let accum = |a: &ChannelAccum| {
+        [
+            ("busy_ns", n(a.busy_ns)),
+            ("acquisitions", n(a.acquisitions)),
+            ("ocrq_wait_ns", n(a.ocrq_wait_ns)),
+            ("header_stalls", n(a.header_stalls)),
+        ]
+    };
+    out.push_str("{\n  \"schema\": 1,\n  ");
+    json_key(out, "side");
+    out.push_str(&n(map.side as u64).to_string_compact());
+    out.push_str(",\n  ");
+    json_key(out, "totals");
+    json_row(out, &accum(&map.totals()));
+    out.push_str(",\n  \"cells\": [");
+    let mut sep = "\n    ";
+    for (row, col, c) in map.occupied() {
+        out.push_str(sep);
+        let mut fields = vec![
+            ("row", n(row as u64)),
+            ("col", n(col as u64)),
+            ("switch", n(u64::from(c.switch.expect("occupied")))),
+            ("channels", n(u64::from(c.channels))),
+        ];
+        fields.extend(accum(&c.heat));
+        json_row(out, &fields);
+        sep = ",\n    ";
+    }
+    out.push_str("\n  ]\n}");
+}
+
 /// Every cell's full heatmap as one JSON document:
 /// `{"schema": 1, "cells": [{workload, arm, regime, heatmap: {...}}]}`.
+/// Keys, strings and numbers are printed by [`spam_scenario::json`]; the
+/// line layout (one row per line, a heat map's body at column 0) is this
+/// file's own and has readers, so it stays as it has always been.
 pub fn heatmaps_json(cells: &[CongestionCell]) -> String {
-    let mut body = String::from("{\n  \"schema\": 1,\n  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        writeln!(
-            body,
-            "    {{\"workload\": \"{}\", \"arm\": \"{}\", \"regime\": \"{}\",\n     \"heatmap\": {}}}{comma}",
-            c.workload,
-            c.arm,
-            c.regime,
-            c.heatmap.to_json().trim_end()
-        )
-        .expect("string write");
+    let mut body = String::from("{\n  \"schema\": 1,\n  \"cells\": [");
+    let mut sep = "\n    {";
+    for c in cells {
+        for (key, label) in [
+            ("workload", c.workload),
+            ("arm", c.arm),
+            ("regime", c.regime),
+        ] {
+            body.push_str(sep);
+            json_key(&mut body, key);
+            json::write_escaped(&mut body, label);
+            sep = ", ";
+        }
+        body.push_str(",\n     ");
+        json_key(&mut body, "heatmap");
+        heatmap_json(&mut body, &c.heatmap);
+        body.push('}');
+        sep = ",\n    {";
     }
-    body.push_str("  ]\n}\n");
+    body.push_str("\n  ]\n}\n");
     body
 }
 
@@ -367,9 +435,35 @@ mod tests {
         assert!(body.starts_with("workload,arm,regime,"));
         assert_eq!(body.lines().count(), 1 + cells.len());
         let hbody = heatmaps_json(&cells);
-        assert_eq!(hbody.matches("\"workload\":").count(), cells.len());
-        assert_eq!(hbody.matches('{').count(), hbody.matches('}').count());
-        assert_eq!(hbody.matches('[').count(), hbody.matches(']').count());
+        let doc = json::parse(&hbody).expect("the heat-map document is valid JSON");
+        let maps = doc.get("cells").and_then(Json::as_arr).expect("cells");
+        assert_eq!(maps.len(), cells.len());
+        for (map, cell) in maps.iter().zip(&cells) {
+            assert_eq!(
+                map.get("workload").and_then(Json::as_str),
+                Some(cell.workload)
+            );
+            let heat = map.get("heatmap").expect("heatmap");
+            let side = heat
+                .get("side")
+                .and_then(Json::as_num)
+                .and_then(|n| n.as_u64());
+            assert_eq!(side, Some(cell.heatmap.side as u64));
+            let rows = heat.get("cells").and_then(Json::as_arr).expect("rows");
+            assert_eq!(rows.len(), cell.heatmap.occupied().count());
+            let busy = heat
+                .get("totals")
+                .and_then(|t| t.get("busy_ns"))
+                .and_then(Json::as_num)
+                .and_then(|n| n.as_u64());
+            assert_eq!(busy, Some(cell.heatmap.totals().busy_ns));
+        }
+        // The line layout has readers: one row per line, bodies at column 0.
+        assert!(hbody.starts_with(
+            "{\n  \"schema\": 1,\n  \"cells\": [\n    {\"workload\": \"hotspot\", \"arm\": \"spam\", \
+             \"regime\": \"fault_free\",\n     \"heatmap\": {\n  \"schema\": 1,\n  \"side\": "
+        ));
+        assert!(hbody.ends_with("}\n  ]\n}}\n  ]\n}\n"));
         let bench = congestion_bench_json(&cells, true);
         assert_eq!(bench.series.len(), WORKLOADS.len() * 2 * 2);
         let table = congestion_table(&cells);

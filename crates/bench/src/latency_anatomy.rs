@@ -22,8 +22,8 @@
 use crate::report::{self, BenchJson, Report};
 use crate::PointSummary;
 use spam_scenario::{
-    split_seed, ArrivalSpec, EngineSpec, FaultModelSpec, FaultsSpec, PolicySpec, RoutingSpec,
-    ScenarioSpec, TopologySpec, TrafficSpec,
+    run_with_artifacts, split_seed, ArrivalSpec, ArtifactPrefix, EngineSpec, FaultModelSpec,
+    FaultsSpec, PolicySpec, RoutingSpec, ScenarioSpec, TopologySpec, TrafficSpec,
 };
 use spam_trace::{decompose_run, summarize, AnatomySummary, MessageAnatomy};
 use std::fmt::Write as _;
@@ -134,11 +134,14 @@ pub fn run_latency_anatomy(quick: bool) -> Vec<AnatomyCell> {
             for rep in 0..reps {
                 let mut spec = spec_for((arm, regime), switches, messages);
                 spec.seed = split_seed(spec.seed, rep as u64);
-                let (out, topo) = spam_scenario::run_once_with_topology(&spec, rep, None)
+                let arts = ArtifactPrefix::of(&spec, rep)
+                    .build()
+                    .unwrap_or_else(|e| panic!("{}: {e:?}", spec.name));
+                let out = run_with_artifacts(&spec, rep, None, &arts)
                     .unwrap_or_else(|e| panic!("{}: {e:?}", spec.name));
                 let delivered = out.messages.iter().filter(|m| m.is_complete()).count();
                 let decomposed =
-                    decompose_run(&topo, &out, &latency, spec.engine.extra_header_flits);
+                    decompose_run(&arts.topo, &out, &latency, spec.engine.extra_header_flits);
                 assert_eq!(
                     decomposed.len(),
                     delivered,
@@ -271,9 +274,12 @@ fn golden_perfetto_trace() -> Vec<u8> {
     ))
     .expect("committed scenario decodes");
     spec.engine.trace = true;
-    let (out, topo) = spam_scenario::run_once_with_topology(&spec, 0, None)
+    let arts = ArtifactPrefix::of(&spec, 0)
+        .build()
         .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-    spam_trace::export(&topo, &out)
+    let out =
+        run_with_artifacts(&spec, 0, None, &arts).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+    spam_trace::export(&arts.topo, &out)
 }
 
 /// The `latency-anatomy` experiment: the table, its CSV, the record, and

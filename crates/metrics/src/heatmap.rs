@@ -166,46 +166,6 @@ impl CongestionHeatmap {
         out
     }
 
-    /// Hand-rolled JSON (the workspace `serde` is a no-op shim): the
-    /// grid side, grand totals, and one record per occupied cell.
-    pub fn to_json(&self) -> String {
-        let t = self.totals();
-        let mut out = String::new();
-        writeln!(out, "{{").unwrap();
-        writeln!(out, "  \"schema\": 1,").unwrap();
-        writeln!(out, "  \"side\": {},", self.side).unwrap();
-        writeln!(
-            out,
-            "  \"totals\": {{\"busy_ns\": {}, \"acquisitions\": {}, \
-             \"ocrq_wait_ns\": {}, \"header_stalls\": {}}},",
-            t.busy_ns, t.acquisitions, t.ocrq_wait_ns, t.header_stalls
-        )
-        .unwrap();
-        writeln!(out, "  \"cells\": [").unwrap();
-        let occupied: Vec<(usize, usize, &CellHeat)> = self.occupied().collect();
-        for (i, (row, col, c)) in occupied.iter().enumerate() {
-            let comma = if i + 1 < occupied.len() { "," } else { "" };
-            writeln!(
-                out,
-                "    {{\"row\": {}, \"col\": {}, \"switch\": {}, \"channels\": {}, \
-                 \"busy_ns\": {}, \"acquisitions\": {}, \"ocrq_wait_ns\": {}, \
-                 \"header_stalls\": {}}}{comma}",
-                row,
-                col,
-                c.switch.expect("occupied"),
-                c.channels,
-                c.heat.busy_ns,
-                c.heat.acquisitions,
-                c.heat.ocrq_wait_ns,
-                c.heat.header_stalls
-            )
-            .unwrap();
-        }
-        writeln!(out, "  ]").unwrap();
-        writeln!(out, "}}").unwrap();
-        out
-    }
-
     /// Terminal rendering: one character per cell, ramped by the keyed
     /// value relative to the grid maximum (`.` cold, `@` hottest, space
     /// for unoccupied cells).
@@ -317,11 +277,6 @@ mod tests {
         let csv = map.to_csv();
         assert!(csv.starts_with("row,col,switch,"));
         assert_eq!(csv.lines().count(), 1 + topo.num_switches());
-        let json = map.to_json();
-        assert!(json.contains("\"schema\": 1"));
-        assert!(json.contains(&format!("\"side\": {}", layout.side)));
-        assert_eq!(json.matches("\"row\":").count(), topo.num_switches());
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
         let art = map.ascii(HeatKey::BusyNs);
         assert_eq!(art.lines().count(), 1 + map.side);
         assert!(art.contains('@'), "the max cell renders hottest");

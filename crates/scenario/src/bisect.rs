@@ -13,7 +13,7 @@
 //! divergent decision fires *before* `t` — monotone in `t` for a single
 //! behavioral difference, which is exactly what a bisection needs.
 
-use crate::run::run_once_full;
+use crate::run::run_once;
 use crate::snapshot::{outcome_digest, resume_once, run_once_checkpointed};
 use crate::spec::{ScenarioSpec, SpecError};
 use wormsim::TraceEvent;
@@ -103,7 +103,7 @@ pub fn bisect_divergence(
     cspec.engine.trace = true;
 
     let golden = run_once_checkpointed(&rspec, rep, None, every_ns)?;
-    let (cand_out, _, _) = run_once_full(&cspec, rep, None)?;
+    let cand_out = run_once(&cspec, rep, None)?;
     let reference_digest = outcome_digest(&golden.outcome);
     let candidate_digest = outcome_digest(&cand_out);
     if reference_digest == candidate_digest {

@@ -58,8 +58,7 @@ pub use corpus::{load_dir, CorpusError, SCENARIO_SUFFIX};
 pub use minimize::simplify_candidates;
 pub use mutate::{mutate_spec, Mutation, STAGGER_PALETTE, SWITCH_PALETTE};
 pub use run::{
-    run_once, run_once_full, run_once_with_topology, run_spec, run_with_artifacts, split_seed,
-    summarize, RepSummary, ScenarioReport,
+    run_once, run_spec, run_with_artifacts, split_seed, summarize, RepSummary, ScenarioReport,
 };
 pub use snapshot::{outcome_digest, resume_once, run_once_checkpointed, CheckpointedRun};
 pub use spec::{

@@ -6,7 +6,7 @@ use crate::artifact::{ArtifactPrefix, ScenarioArtifacts};
 use crate::spec::{
     FaultsSpec, PolicySpec, QueueSpec, RoutingSpec, ScenarioSpec, SpecError, TrafficSpec,
 };
-use baselines::{UnicastMulticast, UpDownUnicastRouting};
+use baselines::UnicastMulticast;
 use desim::{Duration, QueueKind, Time};
 use netgraph::gen::lattice::LatticeLayout;
 use netgraph::{NodeId, Topology};
@@ -16,7 +16,7 @@ use spam_core::SelectionPolicy;
 use std::collections::HashMap;
 use traffic::{BroadcastStormConfig, ClosedLoopInjector, DestinationSampler};
 use wormsim::{
-    CheckpointSink, CompletionHook, MessageSpec, MetricsConfig, MsgId, NetworkSim,
+    CheckpointSink, CompletionHook, MessageSpec, MetricsConfig, MsgId, NetworkSim, NoHook,
     RoutingAlgorithm, SimConfig, SimOutcome, SnapshotError,
 };
 
@@ -45,17 +45,6 @@ pub(crate) enum RunMode<'a> {
     },
 }
 
-impl RunMode<'_> {
-    /// Installs the checkpoint observer on a freshly built simulator.
-    /// Resume never reaches here: the engine reconstructs the snapshot's
-    /// own checkpoint ticker.
-    fn install<R: RoutingAlgorithm>(self, sim: &mut NetworkSim<'_, R>) {
-        if let RunMode::Checkpoint { every, sink } = self {
-            sim.enable_checkpoints(every, sink);
-        }
-    }
-}
-
 /// Every snapshot-layer failure surfaces as a typed spec error.
 fn to_snap_err(e: SnapshotError) -> SpecError {
     SpecError::Snapshot {
@@ -64,7 +53,7 @@ fn to_snap_err(e: SnapshotError) -> SpecError {
 }
 
 /// The pure observers a spec asks for (trace, telemetry), resolved once
-/// per run and installed on each simulator the runner constructs.
+/// per run and switched on by [`drive`].
 #[derive(Debug, Clone, Copy)]
 struct Observers {
     trace: bool,
@@ -83,15 +72,47 @@ impl Observers {
             }),
         }
     }
+}
 
-    fn install<R: RoutingAlgorithm>(&self, sim: &mut NetworkSim<'_, R>) {
-        if self.trace {
-            sim.enable_trace();
+/// The one place a simulator is built or restored, whatever the routing
+/// arm, fault arm or completion hook. A fresh run switches the observers
+/// on and lets `seed` say what to submit (and which faults to schedule)
+/// before the first event; it is handed the hook too, because a closed
+/// loop's first window and a software multicast's first sends come out
+/// of the hook's own state. A resumed run takes all of that — the
+/// pending stream, the fault events, the observers' and the hook's state
+/// — from the snapshot, where seeding again would double every message
+/// and fire every fault twice. Either way the run then goes to
+/// completion under `hook`.
+fn drive<'t, R: RoutingAlgorithm, H: CompletionHook>(
+    topo: &'t Topology,
+    routing: R,
+    cfg: SimConfig,
+    obs: Observers,
+    mode: RunMode<'_>,
+    hook: &mut H,
+    seed: impl FnOnce(&mut NetworkSim<'t, R>, &mut H) -> Result<(), SpecError>,
+) -> Result<SimOutcome, SpecError> {
+    let sim = match mode {
+        RunMode::Resume { bytes } => {
+            NetworkSim::restore_with_hook(topo, routing, cfg, bytes, hook).map_err(to_snap_err)?
         }
-        if let Some(cfg) = self.metrics {
-            sim.enable_metrics(cfg);
+        fresh => {
+            let mut sim = NetworkSim::new(topo, routing, cfg);
+            if obs.trace {
+                sim.enable_trace();
+            }
+            if let Some(metrics) = obs.metrics {
+                sim.enable_metrics(metrics);
+            }
+            if let RunMode::Checkpoint { every, sink } = fresh {
+                sim.enable_checkpoints(every, sink);
+            }
+            seed(&mut sim, hook)?;
+            sim
         }
-    }
+    };
+    Ok(sim.run_with_hook(hook))
 }
 
 /// Splits a u64 seed stream deterministically (SplitMix64).
@@ -219,41 +240,20 @@ pub fn run_spec(spec: &ScenarioSpec) -> Result<ScenarioReport, SpecError> {
 
 /// Runs one replication and returns the raw outcome. `queue` overrides
 /// the spec's event-queue choice (the golden corpus suite uses this to
-/// pin byte-identical outcomes under both implementations).
+/// pin byte-identical outcomes under both implementations). Callers that
+/// also need the topology or the lattice layout the run executed on
+/// build the [`ScenarioArtifacts`] themselves and call
+/// [`run_with_artifacts`].
 pub fn run_once(
     spec: &ScenarioSpec,
     rep: u32,
     queue: Option<QueueKind>,
 ) -> Result<SimOutcome, SpecError> {
-    run_once_with_topology(spec, rep, queue).map(|(out, _)| out)
-}
-
-/// Like [`run_once`], but also returns the exact [`Topology`] the run
-/// executed on (post-degradation for static-fault scenarios). Trace
-/// consumers — span derivation, Perfetto export, the latency-anatomy
-/// report — need the topology to reconstruct worm paths from channel ids.
-pub fn run_once_with_topology(
-    spec: &ScenarioSpec,
-    rep: u32,
-    queue: Option<QueueKind>,
-) -> Result<(SimOutcome, Topology), SpecError> {
-    run_once_full(spec, rep, queue).map(|(out, topo, _)| (out, topo))
-}
-
-/// Like [`run_once_with_topology`], but additionally returns the lattice
-/// layout the topology was generated on. Telemetry consumers need it to
-/// fold per-channel congestion onto the grid (node ids stay valid across
-/// static-fault degradation — dead nodes are isolated, not renumbered).
-pub fn run_once_full(
-    spec: &ScenarioSpec,
-    rep: u32,
-    queue: Option<QueueKind>,
-) -> Result<(SimOutcome, Topology, LatticeLayout), SpecError> {
     run_once_mode(spec, rep, queue, RunMode::Fresh)
 }
 
-/// The single execution path behind every public runner: builds the
-/// spec's artifacts (topology, faults, labeling — see
+/// The single execution path behind every runner that starts from a
+/// spec: builds its artifacts (topology, faults, labeling — see
 /// [`crate::artifact`]) and then runs it fresh, checkpointed, or resumed
 /// per `mode` (see [`crate::snapshot`] for the public checkpoint/resume
 /// API).
@@ -262,12 +262,10 @@ pub(crate) fn run_once_mode(
     rep: u32,
     queue: Option<QueueKind>,
     mode: RunMode<'_>,
-) -> Result<(SimOutcome, Topology, LatticeLayout), SpecError> {
+) -> Result<SimOutcome, SpecError> {
     spec.validate()?;
     let arts = ArtifactPrefix::of(spec, rep).build()?;
-    let out = run_mode_with_artifacts(spec, rep, queue, mode, &arts)?;
-    let ScenarioArtifacts { topo, layout, .. } = arts;
-    Ok((out, topo, layout))
+    run_mode_with_artifacts(spec, rep, queue, mode, &arts)
 }
 
 /// Runs one replication on *prebuilt* artifacts — the warm path of the
@@ -324,6 +322,8 @@ pub(crate) fn run_mode_with_artifacts(
     }
 
     let traffic_seed = rep_seed(spec.seed, rep);
+    let obs = Observers::from_spec(spec);
+    let topo = &arts.topo;
     match &spec.faults {
         FaultsSpec::Storm { .. } => {
             // Live reconfiguration: epoch-stamped SPAM routing over the
@@ -339,25 +339,10 @@ pub(crate) fn run_mode_with_artifacts(
             let routing = arts
                 .epoch_routing()
                 .expect("storm prefix has storm artifacts");
-            let topo = &arts.topo;
-            let mut out = match mode {
-                RunMode::Resume { bytes } => {
-                    // The fault schedule's link-down events are *in* the
-                    // snapshot — reinstalling would fire each fault twice.
-                    NetworkSim::restore(topo, routing, cfg, bytes)
-                        .map_err(to_snap_err)?
-                        .run()
-                }
-                mode => {
-                    let stream = open_stream(spec, topo, &arts.layout, &arts.procs, traffic_seed)?;
-                    let mut sim = NetworkSim::new(topo, routing, cfg);
-                    Observers::from_spec(spec).install(&mut sim);
-                    mode.install(&mut sim);
-                    storm.schedule.install(&mut sim);
-                    submit_all(&mut sim, stream)?;
-                    sim.run()
-                }
-            };
+            let mut out = drive(topo, routing, cfg, obs, mode, &mut NoHook, |sim, _| {
+                storm.schedule.install(sim);
+                submit_open(sim, spec, arts, traffic_seed)
+            })?;
             // Scenario-level coverage: the shape of each post-fault
             // relabel (incremental reattach vs full rebuild) is decided
             // here, not in the engine, so merge it into the run's
@@ -378,51 +363,73 @@ pub(crate) fn run_mode_with_artifacts(
         // Pristine and statically degraded networks share the dispatch:
         // the artifacts already hold the right topology, labeling, and
         // surviving-processor population for either case.
-        FaultsSpec::None | FaultsSpec::Static { .. } => {
-            dispatch(spec, arts, cfg, traffic_seed, mode)
-        }
+        FaultsSpec::None | FaultsSpec::Static { .. } => match spec.routing {
+            RoutingSpec::Spam { policy } => {
+                let routing = arts.spam_routing().with_policy(to_policy(policy));
+                run_hardware(spec, arts, routing, cfg, traffic_seed, obs, mode)
+            }
+            RoutingSpec::UpDownUnicast => {
+                let routing = arts.updown_routing();
+                run_hardware(spec, arts, routing, cfg, traffic_seed, obs, mode)
+            }
+            RoutingSpec::SoftwareMulticast => {
+                // One binomial forwarding tree per multicast of the stream,
+                // named by the original message's tag (tags are unique per
+                // stream). The trees are pure functions of the stream, so a
+                // resumed run builds the same fleet; its in-flight unicasts
+                // come from the snapshot.
+                let stream = open_stream(spec, topo, &arts.layout, &arts.procs, traffic_seed)?;
+                let gap = cfg.latency.startup;
+                let mut fleet = MulticastFleet::default();
+                for m in stream.iter().filter(|m| !m.is_unicast()) {
+                    let tree = UnicastMulticast::new(m.src, &m.dests, m.len, gap).with_tag(m.tag);
+                    fleet.by_tag.insert(m.tag, tree);
+                }
+                let routing = arts.updown_routing();
+                drive(topo, routing, cfg, obs, mode, &mut fleet, |sim, fleet| {
+                    // Unicasts go in as they are, each tree's first sends
+                    // in place of its multicast.
+                    for m in stream {
+                        if m.is_unicast() {
+                            sim.submit(m).map_err(to_msg_err)?;
+                        } else if let Some(tree) = fleet.by_tag.get(&m.tag) {
+                            submit_all(sim, tree.initial_sends(m.gen_time))?;
+                        }
+                    }
+                    Ok(())
+                })
+            }
+        },
     }
 }
 
-/// Static-network execution: attach the routing arm to the artifacts'
-/// cached precomputes and drive the workload (open-loop stream or
-/// closed-loop hook).
-fn dispatch(
+/// A hardware routing arm on a static network: the workload is either a
+/// closed loop, driven by the injector as completion hook, or the spec's
+/// open-loop stream.
+fn run_hardware<R: RoutingAlgorithm>(
     spec: &ScenarioSpec,
     arts: &ScenarioArtifacts,
+    routing: R,
     cfg: SimConfig,
     traffic_seed: u64,
+    obs: Observers,
     mode: RunMode<'_>,
 ) -> Result<SimOutcome, SpecError> {
-    let closed_loop = spec.closed_loop_config();
-    let obs = Observers::from_spec(spec);
-    let (topo, layout, procs) = (&arts.topo, &arts.layout, arts.procs.as_slice());
-    match spec.routing {
-        RoutingSpec::Spam { policy } => {
-            let routing = arts.spam_routing().with_policy(to_policy(policy));
-            match closed_loop {
-                Some(cl) => run_closed_loop(topo, routing, cfg, cl, procs, traffic_seed, obs, mode),
-                None => {
-                    let stream = open_stream(spec, topo, layout, procs, traffic_seed)?;
-                    run_open(topo, routing, cfg, stream, obs, mode)
-                }
-            }
+    let topo = &arts.topo;
+    match spec.closed_loop_config() {
+        Some(cl) => {
+            // The injector's immutable shape (population, per-source
+            // quotas) rebuilds from the spec; on resume its mutable state
+            // — remaining quotas, RNG position, next tag — is decoded
+            // from the snapshot before the first event fires.
+            let mut inj = ClosedLoopInjector::new_within(cl, &arts.procs, traffic_seed)?;
+            drive(topo, routing, cfg, obs, mode, &mut inj, |sim, inj| {
+                submit_all(sim, inj.initial_sends())
+            })
         }
-        RoutingSpec::UpDownUnicast => {
-            let routing = arts.updown_routing();
-            match closed_loop {
-                Some(cl) => run_closed_loop(topo, routing, cfg, cl, procs, traffic_seed, obs, mode),
-                None => {
-                    let stream = open_stream(spec, topo, layout, procs, traffic_seed)?;
-                    run_open(topo, routing, cfg, stream, obs, mode)
-                }
-            }
-        }
-        RoutingSpec::SoftwareMulticast => {
-            let routing = arts.updown_routing();
-            let stream = open_stream(spec, topo, layout, procs, traffic_seed)?;
-            run_software(topo, routing, cfg, stream, obs, mode)
-        }
+        None => drive(topo, routing, cfg, obs, mode, &mut NoHook, |sim, _| {
+            submit_open(sim, spec, arts, traffic_seed)
+        }),
     }
 }
 
@@ -497,64 +504,15 @@ fn submit_all<R: RoutingAlgorithm>(
     Ok(())
 }
 
-fn run_open<R: RoutingAlgorithm>(
-    topo: &Topology,
-    routing: R,
-    cfg: SimConfig,
-    stream: Vec<MessageSpec>,
-    obs: Observers,
-    mode: RunMode<'_>,
-) -> Result<SimOutcome, SpecError> {
-    match mode {
-        RunMode::Resume { bytes } => {
-            // The pending stream (and the observers' state) lives in the
-            // snapshot; submitting again would double every message.
-            drop(stream);
-            Ok(NetworkSim::restore(topo, routing, cfg, bytes)
-                .map_err(to_snap_err)?
-                .run())
-        }
-        mode => {
-            let mut sim = NetworkSim::new(topo, routing, cfg);
-            obs.install(&mut sim);
-            mode.install(&mut sim);
-            submit_all(&mut sim, stream)?;
-            Ok(sim.run())
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_closed_loop<R: RoutingAlgorithm>(
-    topo: &Topology,
-    routing: R,
-    cfg: SimConfig,
-    cl: traffic::ClosedLoopConfig,
-    procs: &[NodeId],
+/// Generates the spec's open-loop stream and submits it in order.
+fn submit_open<R: RoutingAlgorithm>(
+    sim: &mut NetworkSim<'_, R>,
+    spec: &ScenarioSpec,
+    arts: &ScenarioArtifacts,
     seed: u64,
-    obs: Observers,
-    mode: RunMode<'_>,
-) -> Result<SimOutcome, SpecError> {
-    // The injector's immutable shape (population, per-source quotas)
-    // rebuilds from the spec; on resume its mutable state — remaining
-    // quotas, RNG position, next tag — is decoded from the snapshot by
-    // `restore_with_hook` before the first event fires.
-    let mut inj = ClosedLoopInjector::new_within(cl, procs, seed)?;
-    match mode {
-        RunMode::Resume { bytes } => {
-            let sim = NetworkSim::restore_with_hook(topo, routing, cfg, bytes, &mut inj)
-                .map_err(to_snap_err)?;
-            Ok(sim.run_with_hook(&mut inj))
-        }
-        mode => {
-            let initial = inj.initial_sends();
-            let mut sim = NetworkSim::new(topo, routing, cfg);
-            obs.install(&mut sim);
-            mode.install(&mut sim);
-            submit_all(&mut sim, initial)?;
-            Ok(sim.run_with_hook(&mut inj))
-        }
-    }
+) -> Result<(), SpecError> {
+    let stream = open_stream(spec, &arts.topo, &arts.layout, &arts.procs, seed)?;
+    submit_all(sim, stream)
 }
 
 /// All the in-flight software multicasts of one run, dispatched by tag.
@@ -568,57 +526,6 @@ impl CompletionHook for MulticastFleet {
         match self.by_tag.get_mut(&spec.tag) {
             Some(um) => um.on_complete(m, spec, at),
             None => Vec::new(),
-        }
-    }
-}
-
-fn run_software(
-    topo: &Topology,
-    routing: UpDownUnicastRouting<'_>,
-    cfg: SimConfig,
-    stream: Vec<MessageSpec>,
-    obs: Observers,
-    mode: RunMode<'_>,
-) -> Result<SimOutcome, SpecError> {
-    let mut fleet = MulticastFleet::default();
-    match mode {
-        RunMode::Resume { bytes } => {
-            // The forwarding trees are pure functions of the regenerated
-            // stream (no mutable state), so rebuild the fleet without
-            // submitting — every in-flight unicast is in the snapshot.
-            for spec in stream {
-                if !spec.is_unicast() {
-                    let um =
-                        UnicastMulticast::new(spec.src, &spec.dests, spec.len, cfg.latency.startup)
-                            .with_tag(spec.tag);
-                    fleet.by_tag.insert(spec.tag, um);
-                }
-            }
-            let sim = NetworkSim::restore_with_hook(topo, routing, cfg, bytes, &mut fleet)
-                .map_err(to_snap_err)?;
-            Ok(sim.run_with_hook(&mut fleet))
-        }
-        mode => {
-            let mut sim = NetworkSim::new(topo, routing, cfg);
-            obs.install(&mut sim);
-            mode.install(&mut sim);
-            for spec in stream {
-                if spec.is_unicast() {
-                    sim.submit(spec).map_err(to_msg_err)?;
-                } else {
-                    // One binomial forwarding tree per multicast; the
-                    // original message's tag names the tree (tags are
-                    // unique per stream).
-                    let um =
-                        UnicastMulticast::new(spec.src, &spec.dests, spec.len, cfg.latency.startup)
-                            .with_tag(spec.tag);
-                    for s in um.initial_sends(spec.gen_time) {
-                        sim.submit(s).map_err(to_msg_err)?;
-                    }
-                    fleet.by_tag.insert(spec.tag, um);
-                }
-            }
-            Ok(sim.run_with_hook(&mut fleet))
         }
     }
 }

@@ -54,7 +54,7 @@ pub fn run_once_checkpointed(
         every: Duration::from_ns(every_ns),
         sink,
     };
-    let (outcome, _, _) = run_once_mode(spec, rep, queue, mode)?;
+    let outcome = run_once_mode(spec, rep, queue, mode)?;
     Ok(CheckpointedRun {
         outcome,
         checkpoints: drain(kept),
@@ -62,8 +62,8 @@ pub fn run_once_checkpointed(
 }
 
 /// Resumes one replication from snapshot bytes taken by an earlier run
-/// of the *same spec and replication* (any sink: keep-all, latest, or a
-/// journal file) and runs it to completion. Corrupt bytes, version
+/// of the *same spec and replication* (any sink: keep-all or a journal
+/// file) and runs it to completion. Corrupt bytes, version
 /// skew, or a mismatched spec surface as [`SpecError::Snapshot`].
 pub fn resume_once(
     spec: &ScenarioSpec,
@@ -71,7 +71,7 @@ pub fn resume_once(
     queue: Option<QueueKind>,
     bytes: &[u8],
 ) -> Result<SimOutcome, SpecError> {
-    run_once_mode(spec, rep, queue, RunMode::Resume { bytes }).map(|(out, _, _)| out)
+    run_once_mode(spec, rep, queue, RunMode::Resume { bytes })
 }
 
 /// A canonical digest over everything a run *means*: final clock,

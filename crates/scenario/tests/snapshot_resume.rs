@@ -73,7 +73,43 @@ fn arm_specs() -> Vec<ScenarioSpec> {
         bursts: 2,
     };
 
-    vec![spam_open, updown, closed, software, static_faults, storm]
+    // The storm again with both recorders on: their state rides in the
+    // snapshot too, and `outcome_digest` sees only the trace's length.
+    let mut observed = storm.clone();
+    observed.name = "spam-storm-observed".into();
+    observed.engine.trace = true;
+    observed.engine.metrics_every_ns = Some(1_000);
+
+    vec![
+        spam_open,
+        updown,
+        closed,
+        software,
+        static_faults,
+        storm,
+        observed,
+    ]
+}
+
+/// A run's telemetry with the wheel-occupancy gauges blanked. They are
+/// the one sampled quantity that describes the event queue's
+/// implementation rather than the fabric (a heap has no levels), so a
+/// run resumed under the other queue legitimately samples them
+/// differently from the resume point on; everything else must match.
+fn fabric_view(out: &wormsim::SimOutcome) -> Option<impl PartialEq + '_> {
+    out.metrics.as_ref().map(|m| {
+        let samples: Vec<_> = m
+            .series
+            .iter()
+            .map(|g| {
+                let mut g = *g;
+                g.queue.levels = Default::default();
+                g.queue.overflow = 0;
+                g
+            })
+            .collect();
+        (m.sample_every_ns, samples, &m.channels)
+    })
 }
 
 #[test]
@@ -102,6 +138,23 @@ fn every_arm_resumes_identically_from_every_checkpoint() {
                     want,
                     outcome_digest(&resumed),
                     "[{}] resume at {at_ns}ns under {queue:?} diverged",
+                    spec.name
+                );
+                // What the recorders report must survive the round trip
+                // event for event and sample for sample (`assert!`, not
+                // `assert_eq!`: a mismatch should not print both records).
+                assert!(
+                    resumed.trace == baseline.trace,
+                    "[{}] trace differs after resuming at {at_ns}ns under {queue:?}",
+                    spec.name
+                );
+                let same_telemetry = match queue {
+                    QueueKind::Bucket => resumed.metrics == baseline.metrics,
+                    QueueKind::Heap => fabric_view(&resumed) == fabric_view(&baseline),
+                };
+                assert!(
+                    same_telemetry,
+                    "[{}] telemetry differs after resuming at {at_ns}ns under {queue:?}",
                     spec.name
                 );
             }

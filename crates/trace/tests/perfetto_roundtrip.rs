@@ -4,8 +4,8 @@
 //! under `results/` stays decodable.
 
 use spam_scenario::{
-    EngineSpec, FaultsSpec, PolicySpec, RoutingSpec, ScenarioSpec, StrategySpec, TopologySpec,
-    TrafficSpec,
+    run_with_artifacts, ArtifactPrefix, EngineSpec, FaultsSpec, PolicySpec, RoutingSpec,
+    ScenarioSpec, StrategySpec, TopologySpec, TrafficSpec,
 };
 use spam_trace::proto::{decode_fields, decode_packets, find_bytes, find_varint, FieldValue};
 use std::collections::HashMap;
@@ -95,10 +95,11 @@ fn assert_valid_perfetto(bytes: &[u8]) {
 #[test]
 fn exported_multicast_run_round_trips() {
     let spec = traced_multicast_spec();
-    let (out, topo) = spam_scenario::run_once_with_topology(&spec, 0, None).unwrap();
+    let arts = ArtifactPrefix::of(&spec, 0).build().unwrap();
+    let out = run_with_artifacts(&spec, 0, None, &arts).unwrap();
     assert!(out.all_delivered());
     assert!(!out.trace.events.is_empty(), "tracing was enabled");
-    let bytes = spam_trace::export(&topo, &out);
+    let bytes = spam_trace::export(&arts.topo, &out);
     assert_valid_perfetto(&bytes);
 }
 
@@ -116,8 +117,9 @@ fn exported_storm_run_round_trips() {
         window_end_us: 40,
         bursts: 2,
     };
-    let (out, topo) = spam_scenario::run_once_with_topology(&spec, 0, None).unwrap();
-    let bytes = spam_trace::export(&topo, &out);
+    let arts = ArtifactPrefix::of(&spec, 0).build().unwrap();
+    let out = run_with_artifacts(&spec, 0, None, &arts).unwrap();
+    let bytes = spam_trace::export(&arts.topo, &out);
     assert_valid_perfetto(&bytes);
 }
 

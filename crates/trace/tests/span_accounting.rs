@@ -12,8 +12,9 @@
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use spam_scenario::{
-    ArrivalSpec, EngineSpec, FaultModelSpec, FaultsSpec, PolicySpec, QueueSpec, RoutingSpec,
-    ScenarioSpec, SpecError, StrategySpec, TopologySpec, TrafficSpec,
+    run_with_artifacts, ArrivalSpec, ArtifactPrefix, EngineSpec, FaultModelSpec, FaultsSpec,
+    PolicySpec, QueueSpec, RoutingSpec, ScenarioSpec, SpecError, StrategySpec, TopologySpec,
+    TrafficSpec,
 };
 use spam_trace::{decompose_message, SpanSet};
 use wormsim::{LatencyParams, MsgId};
@@ -79,7 +80,10 @@ fn base_spec(seed: u64, routing: RoutingSpec, faults: FaultsSpec) -> ScenarioSpe
 /// delivered message. Storms that destroy the whole fabric are a valid
 /// spec-level rejection, not a counterexample.
 fn check_partition(spec: &ScenarioSpec) -> Result<(), TestCaseError> {
-    let (out, topo) = match spam_scenario::run_once_with_topology(spec, 0, None) {
+    let run = ArtifactPrefix::of(spec, 0)
+        .build()
+        .and_then(|arts| Ok((run_with_artifacts(spec, 0, None, &arts)?, arts.topo)));
+    let (out, topo) = match run {
         Ok(x) => x,
         Err(SpecError::NoSurvivingComponent) => return Ok(()),
         Err(e) => return Err(TestCaseError::Fail(format!("spec rejected: {e:?}"))),

@@ -47,31 +47,16 @@
 
 use crate::channel::Chan;
 use crate::config::SimConfig;
-use crate::coverage::CoverageSet;
 use crate::flit::{Flit, FlitKind, MsgId};
 use crate::message::{MessageSpec, SpecError};
 use crate::outcome::{
     Counters, DeadlockInfo, FailureKind, MessageFailure, MessageResult, SimError, SimOutcome,
 };
 use crate::routing::{CompletionHook, NoHook, RouteDecision, RoutingAlgorithm};
-use crate::trace::{Trace, TraceEvent};
-use desim::{Duration, Schedule, Ticker, Time};
+use desim::{Schedule, Time};
 use netgraph::{ChannelId, NodeId, Topology};
+use observe::{Casualty, Observers};
 use spam_collections::{FifoPool, InlineVec, Slab, SlotId};
-use spam_metrics::{ChannelScoreboard, GaugeSample, GaugeSeries, MetricsConfig, RunMetrics};
-
-/// Telemetry recording state (see [`NetworkSim::enable_metrics`]). The
-/// ticker lives *beside* the event queue — sampling never schedules a
-/// queue event, so the event stream (and every digest-pinned outcome
-/// field) is byte-identical with metrics on or off. Everything here is
-/// allocated once at enable time; the per-event hooks and the sampler
-/// only index and store.
-struct MetricsState {
-    ticker: Ticker,
-    sample_every_ns: u64,
-    series: GaugeSeries,
-    channels: ChannelScoreboard,
-}
 
 #[derive(Debug, Clone, Copy)]
 enum Event {
@@ -133,6 +118,20 @@ struct MsgState {
     live_segs: InlineVec<SlotId, 4>,
 }
 
+impl MsgState {
+    /// The `dest_slot` table of `spec`: derived, so a snapshot omits it.
+    fn dest_index(spec: &MessageSpec) -> Vec<(NodeId, u32)> {
+        let mut index: Vec<_> = spec
+            .dests
+            .iter()
+            .enumerate()
+            .map(|(i, d)| (*d, i as u32))
+            .collect();
+        index.sort_unstable_by_key(|&(d, _)| d);
+        index
+    }
+}
+
 /// The flit-level wormhole network simulator. See the crate docs for the
 /// modelled mechanics and [`crate::SimConfig`] for parameters.
 pub struct NetworkSim<'a, R: RoutingAlgorithm> {
@@ -168,10 +167,10 @@ pub struct NetworkSim<'a, R: RoutingAlgorithm> {
     /// Messages past startup but not yet fully delivered.
     active: usize,
     pending_completions: Vec<MsgId>,
-    /// Protocol-level trace; `None` unless enabled (zero hot-loop cost).
-    trace: Option<Trace>,
-    /// Fabric telemetry; `None` unless enabled (zero hot-loop cost).
-    metrics: Option<MetricsState>,
+    /// Trace, telemetry, coverage and the checkpointer: every recorder
+    /// that watches the run without taking part in it. The protocol code
+    /// below names each step once, as one call on this seam.
+    obs: Observers,
     /// Branch segments that found a sibling output blocked during this
     /// simulated instant. Bubble insertion is deferred to the end of the
     /// instant: hardware replicates at cycle boundaries where all buffers
@@ -189,20 +188,16 @@ pub struct NetworkSim<'a, R: RoutingAlgorithm> {
     /// live-reconfiguration run, which switches routing failures from
     /// run-aborting to per-message (teardown / unreachable).
     fault_times: Vec<Time>,
-    /// Periodic full-state checkpointing; `None` unless enabled (zero
-    /// hot-loop cost). Boxed: the writer buffer and sink live off the
-    /// engine's hot cache lines. Like metrics, a pure observer — every
-    /// simulated outcome is byte-identical with checkpointing on or off.
-    checkpoint: Option<Box<snapshot::CheckpointState>>,
 }
 
 impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
     /// Creates a simulator over `topo` driven by `routing`.
     pub fn new(topo: &'a Topology, routing: R, cfg: SimConfig) -> Self {
-        let mut sim = NetworkSim {
+        NetworkSim {
             topo,
             routing,
             sched: Schedule::with_kind(cfg.resolved_queue()),
+            obs: Observers::new(&cfg),
             cfg,
             // Cloning one idle channel fills the table about twice as fast
             // as building each in turn (7 vs 15 ns per channel, measured).
@@ -219,18 +214,10 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             last_progress: Time::ZERO,
             active: 0,
             pending_completions: Vec::new(),
-            trace: None,
-            metrics: None,
             bubble_candidates: Vec::new(),
             dead: vec![false; topo.num_channels()],
             fault_times: Vec::new(),
-            checkpoint: None,
-        };
-        if let Some(every_ns) = sim.cfg.checkpoint_every_ns {
-            let (sink, _) = snapshot::CheckpointSink::digests();
-            sim.enable_checkpoints(Duration::from_ns(every_ns), sink);
         }
-        sim
     }
 
     /// Schedules the bidirectional link containing `link` to die at `at`
@@ -275,106 +262,6 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         !self.fault_times.is_empty()
     }
 
-    /// Enables protocol-level tracing for this run (see [`crate::trace`]).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Trace::default());
-    }
-
-    /// Enables fabric telemetry for this run (see [`spam_metrics`]): a
-    /// periodic gauge sampler plus per-channel congestion accumulators,
-    /// reported on [`SimOutcome::metrics`]. Telemetry is a pure observer
-    /// — the simulated outcome is byte-identical with it on or off — and
-    /// all recording state is preallocated here, so steady-state
-    /// recording never allocates.
-    pub fn enable_metrics(&mut self, cfg: MetricsConfig) {
-        self.metrics = Some(MetricsState {
-            ticker: Ticker::every(cfg.sample_every),
-            sample_every_ns: cfg.sample_every.as_ns(),
-            series: GaugeSeries::with_capacity(cfg.capacity),
-            channels: ChannelScoreboard::new(self.topo.num_channels()),
-        });
-    }
-
-    #[inline]
-    fn emit(&mut self, f: impl FnOnce() -> TraceEvent) {
-        if let Some(t) = self.trace.as_mut() {
-            t.events.push(f());
-        }
-    }
-
-    /// Carries channel `ch`'s OCRQ-depth time-integral up to `now`.
-    /// Must run *before* any push/pop/removal on that channel's OCRQ so
-    /// the piecewise-constant integral bills the old depth for the
-    /// elapsed interval (see [`ChannelScoreboard::ocrq_carry`]).
-    #[inline]
-    fn metrics_ocrq_carry(&mut self, ch: ChannelId, now: Time) {
-        if let Some(m) = self.metrics.as_mut() {
-            m.channels
-                .ocrq_carry(ch.index(), self.chans[ch.index()].ocrq.len(), now.as_ns());
-        }
-    }
-
-    /// Snapshots the engine gauges as they stand right now, stamped with
-    /// `at`. Reads only — the sampler's single observation point.
-    fn gauge_at(&self, at: Time) -> GaugeSample {
-        let mut ocrq_total = 0u32;
-        let mut ocrq_max = 0u32;
-        for c in &self.chans {
-            let d = c.ocrq.len() as u32;
-            ocrq_total += d;
-            ocrq_max = ocrq_max.max(d);
-        }
-        GaugeSample {
-            at_ns: at.as_ns(),
-            queue: self.sched.queue_occupancy(),
-            live_worms: self.active as u32,
-            live_segments: self.segs.len() as u32,
-            ocrq_total,
-            ocrq_max,
-            epoch: self.fault_times.partition_point(|&ft| ft <= at) as u32,
-            delivered: self.counters.messages_completed,
-            torn_down: self.counters.messages_torn_down,
-            unreachable: self.counters.messages_unreachable,
-        }
-    }
-
-    /// Fires every due sampler tick `<= upto` (the timestamp of the event
-    /// about to be handled): each tick snapshots the engine gauges as of
-    /// the state *before* that instant's events. Pure observation — reads
-    /// engine state, writes only into the preallocated ring.
-    fn sample_through(&mut self, upto: Time) {
-        let Some(mut m) = self.metrics.take() else {
-            return;
-        };
-        if m.ticker.next_at() <= upto {
-            // Gauges only change at events, so every tick in this drain
-            // window sees the same fabric state; compute it once and
-            // re-stamp the time (and the time-dependent epoch) per tick.
-            let base = self.gauge_at(Time::ZERO);
-            let fault_times = &self.fault_times;
-            m.ticker.drain_through(upto, |at| {
-                let mut g = base;
-                g.at_ns = at.as_ns();
-                g.epoch = fault_times.partition_point(|&ft| ft <= at) as u32;
-                m.series.push(g);
-            });
-        }
-        self.metrics = Some(m);
-    }
-
-    /// Records the closing telemetry sample: the fabric as the run
-    /// finished, stamped with the final clock. Cadence ticks observe
-    /// start-of-instant state, so this is the one sample that reflects
-    /// the very last events.
-    fn sample_final(&mut self, end: Time) {
-        let Some(mut m) = self.metrics.take() else {
-            return;
-        };
-        let g = self.gauge_at(end);
-        m.series.push(g);
-        self.metrics = Some(m);
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> Time {
         self.sched.now()
@@ -399,13 +286,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             "message generated in the past"
         );
         let id = MsgId(self.msgs.len() as u32);
-        let mut dest_slot: Vec<(NodeId, u32)> = spec
-            .dests
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (*d, i as u32))
-            .collect();
-        dest_slot.sort_unstable_by_key(|&(d, _)| d);
+        let dest_slot = MsgState::dest_index(&spec);
         let dests = vec![
             DestState {
                 next_seq: 0,
@@ -451,18 +332,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 deadlock = Some(self.deadlock_info(next_time, false));
                 break;
             }
-            // Telemetry ticks due at or before this instant fire now,
-            // observing the fabric as it stood *before* the instant's
-            // events. The sampler never fires past the last event.
-            if self.metrics.is_some() {
-                self.sample_through(next_time);
-            }
-            // Checkpoint ticks share the sampler's semantics: they
-            // serialize the engine as it stood before this instant's
-            // events, without touching the event stream.
-            if self.checkpoint.is_some() {
-                self.checkpoint_through(next_time, &*hook);
-            }
+            self.observe_through(next_time, &*hook);
             let (t, ev) = self.sched.next().expect("peeked event exists");
             self.counters.events += 1;
             self.handle(t, ev);
@@ -477,9 +347,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 let specs = hook.on_complete(m, &self.msgs[m.index()].spec, t);
                 for s in specs {
                     if s.gen_time < t || self.submit(s).is_err() {
-                        let e = SimError::HookSpec { msg: m };
-                        self.counters.coverage.note_sim_error(&e);
-                        self.error = Some(e);
+                        self.fail(SimError::HookSpec { msg: m });
                         break 'hooks;
                     }
                 }
@@ -512,34 +380,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             debug_assert!(self.headers.is_empty());
             debug_assert!(self.msgs.iter().all(|m| m.live_segs.is_empty()));
         }
-        // Run-level coverage: how the run ended and how many routing
-        // epochs it crossed. Computed from engine state only, so the
-        // record is identical under both event-queue implementations.
-        if let Some(d) = &deadlock {
-            self.counters.coverage.set(if d.queue_exhausted {
-                CoverageSet::DEADLOCK_QUEUE_EXHAUSTED
-            } else {
-                CoverageSet::DEADLOCK_WATCHDOG
-            });
-        }
-        if self.counters.bubbles_created > 0 {
-            self.counters.coverage.set(CoverageSet::BUBBLES);
-        }
-        if self.fault_times.len() >= 2 {
-            self.counters.coverage.set(CoverageSet::MULTI_EPOCH);
-        }
-        let epochs = (self.fault_times.len() + 1) as u32;
-        self.counters.coverage.epochs = self.counters.coverage.epochs.max(epochs);
-        // Close out telemetry: carry every OCRQ integral to the final
-        // clock, then record one last sample at the end time so the
-        // series' tail reflects the finished run.
-        if self.metrics.is_some() {
-            let end = self.sched.now();
-            for i in 0..self.chans.len() {
-                self.metrics_ocrq_carry(ChannelId(i as u32), end);
-            }
-            self.sample_final(end);
-        }
+        let (trace, metrics) = self.finish_observers(deadlock.as_ref());
         let quiescent = deadlock.is_none()
             && self.error.is_none()
             && self.chans.iter().all(|c| c.is_quiescent())
@@ -564,33 +405,28 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             counters: self.counters,
             channel_crossings: self.chans.iter().map(|c| c.crossings).collect(),
             fault_times: std::mem::take(&mut self.fault_times),
-            trace: self.trace.take().unwrap_or_default(),
-            metrics: self.metrics.take().map(|m| RunMetrics {
-                sample_every_ns: m.sample_every_ns,
-                series: m.series,
-                channels: m.channels.into_accums(),
-            }),
+            trace,
+            metrics,
         }
     }
 
     /// Records the first simulation error; the run loop aborts at the next
     /// event boundary.
     fn fail(&mut self, e: SimError) {
-        self.counters.coverage.note_sim_error(&e);
+        self.obs.error(&e);
         if self.error.is_none() {
             self.error = Some(e);
         }
     }
 
-    /// Coverage: an event scheduled at `when` whose timestamp differs
-    /// from the current clock above the bucket wheel's span would land on
-    /// the wheel's overflow list. Detected here from engine state (not
-    /// queue internals), so the signal is identical under both event
-    /// queues — the equivalence suite pins `Counters` equality.
+    /// An event scheduled at `when` whose timestamp differs from the
+    /// current clock above the bucket wheel's span would land on the
+    /// wheel's overflow list. Detected here from engine state (not queue
+    /// internals), so the signal is identical under both event queues —
+    /// the equivalence suite pins `Counters` equality.
     fn note_wheel_horizon(&mut self, when: Time) {
         if (when.as_ns() ^ self.sched.now().as_ns()) >= desim::WHEEL_SPAN_NS {
-            self.counters.coverage.set(CoverageSet::WHEEL_OVERFLOW);
-            self.counters.coverage.wheel_deferrals += 1;
+            self.obs.wheel_deferral();
         }
     }
 
@@ -622,7 +458,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         self.active += 1;
         self.last_progress = now;
         let src = self.msgs[msg.index()].spec.src;
-        self.emit(|| TraceEvent::SourceReady { msg, src, at: now });
+        self.obs.source_ready(msg, src, now);
         let out = self.topo.out_channels(src);
         // Spec validation rejects detached sources at submit time.
         assert_eq!(out.len(), 1, "source {src} must be an attached processor");
@@ -638,10 +474,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 if self.live_mode() {
                     // A destination lost to the dead zone: this message is
                     // unreachable; the rest of the traffic keeps flowing.
-                    self.counters
-                        .coverage
-                        .set(CoverageSet::UNREACHABLE_AT_SOURCE);
-                    self.counters.coverage.note_sim_error(&error);
+                    self.obs.unreachable_at_source(&error);
                     self.msgs[msg.index()].failure = Some(MessageFailure {
                         at: now,
                         kind: FailureKind::Unreachable,
@@ -659,14 +492,11 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         if self.dead[inj.index()] {
             // The source's own injection link died: the worm cannot even
             // enter the network. Nothing was reserved yet.
-            self.counters
-                .coverage
-                .set(CoverageSet::SOURCE_INJECTION_DEAD);
             self.teardown(
                 now,
                 msg,
                 SimError::TornDown { msg, channel: inj },
-                FailureKind::Unreachable,
+                Casualty::InjectionDead,
             );
             return;
         }
@@ -681,12 +511,15 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             acquired: false,
         });
         self.msgs[msg.index()].live_segs.push(sid);
-        self.metrics_ocrq_carry(inj, now);
-        self.requests
-            .push_back(&mut self.chans[inj.index()].ocrq, (msg, sid));
-        let depth = self.chans[inj.index()].ocrq.len() as u32;
-        self.counters.coverage.note_ocrq_depth(depth);
+        self.enqueue(now, inj, msg, sid);
         self.try_acquire(now, sid);
+    }
+
+    /// Appends `(msg, sid)` to `ch`'s OCRQ.
+    fn enqueue(&mut self, now: Time, ch: ChannelId, msg: MsgId, sid: SlotId) {
+        self.obs.enqueue(&self.chans, ch, now);
+        self.requests
+            .push_back(&mut self.chans[ch.index()].ocrq, (msg, sid));
     }
 
     fn on_route_decision(&mut self, now: Time, msg: MsgId, in_ch: ChannelId) {
@@ -751,8 +584,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 // A worm routed into a dead end (e.g. its pre-fault
                 // labeling no longer matches the surviving channels):
                 // a reconfiguration casualty, not a run abort.
-                self.counters.coverage.set(CoverageSet::ROUTE_DEADEND_LIVE);
-                self.teardown(now, msg, error, FailureKind::TornDown);
+                self.teardown(now, msg, error, Casualty::RouteDeadEnd);
                 self.wake_channels(now);
                 return;
             }
@@ -765,9 +597,6 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             // The decision asks for a channel that died since the worm's
             // labeling was built: the worm ran into the fault. Tear it
             // down before any of the request set is enqueued.
-            self.counters
-                .coverage
-                .set(CoverageSet::DECISION_HIT_DEAD_CHANNEL);
             self.teardown(
                 now,
                 msg,
@@ -775,7 +604,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                     msg,
                     channel: dead_ch,
                 },
-                FailureKind::TornDown,
+                Casualty::DeadRequest,
             );
             self.wake_channels(now);
             return;
@@ -844,23 +673,10 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             );
             // Atomic enqueue: the whole request set lands in this one event
             // before any other message can enqueue at this router (§3.2).
-            self.metrics_ocrq_carry(ch, now);
-            self.requests
-                .push_back(&mut self.chans[ch.index()].ocrq, (msg, sid));
-            let depth = self.chans[ch.index()].ocrq.len() as u32;
-            self.counters.coverage.note_ocrq_depth(depth);
+            self.enqueue(now, ch, msg, sid);
         }
-        if self.trace.is_some() {
-            let channels = crate::trace::ChannelList::from_slice(
-                &self.segs.get(sid).expect("just inserted").outputs,
-            );
-            self.emit(|| TraceEvent::Requested {
-                msg,
-                node,
-                channels,
-                at: now,
-            });
-        }
+        let requested = &self.segs.get(sid).expect("just inserted").outputs;
+        self.obs.requested(msg, node, requested, now);
         self.try_acquire(now, sid);
     }
 
@@ -882,23 +698,10 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             let c = &mut self.chans[ch.index()];
             self.flits.push_back(&mut c.in_buf, flit);
             c.crossings += 1;
-            if flit.kind == FlitKind::Header {
-                self.emit(|| TraceEvent::HeaderArrived {
-                    msg: flit.msg,
-                    channel: ch,
-                    at: now,
-                });
-            }
         }
         self.counters.wire_transfers += 1;
-        if let Some(m) = self.metrics.as_mut() {
-            // Every transfer — including a flit dropped on a dying link —
-            // held this wire for one propagation delay; billing all of
-            // them keeps `sum(busy_ns) == wire_transfers * t_channel`
-            // exact.
-            m.channels
-                .wire_busy(ch.index(), self.cfg.latency.channel_prop.as_ns());
-        }
+        let header_in = !dropped && flit.kind == FlitKind::Header;
+        self.obs.wire_done(ch, header_in.then_some(flit.msg), now);
         if self.dead[ch.index()] {
             // Dead wire: nothing refills it and nobody may acquire it.
             return;
@@ -941,10 +744,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             self.dead[c.index()] = true;
         }
         self.counters.links_killed += 1;
-        self.emit(|| TraceEvent::LinkDown {
-            channel: link,
-            at: now,
-        });
+        self.obs.link_down(link, now);
         // Victims: every message that owns, waits on, or buffers flits in
         // either direction, plus every segment wired to it. Sorted for
         // deterministic teardown (and trace) order.
@@ -973,7 +773,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                     msg: m,
                     channel: link,
                 },
-                FailureKind::TornDown,
+                Casualty::LinkDied,
             );
         }
         self.wake_channels(now);
@@ -988,17 +788,22 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
     /// every channel it owns, flushes its OCRQ entries and header states,
     /// and purges its flits from all buffers (a flit mid-wire is dropped at
     /// its `WireDone`). Records the failure on the message.
-    fn teardown(&mut self, now: Time, m: MsgId, cause: SimError, kind: FailureKind) {
+    fn teardown(&mut self, now: Time, m: MsgId, cause: SimError, why: Casualty) {
         let ms = &mut self.msgs[m.index()];
         if ms.completed_at.is_some() || ms.failure.is_some() {
             return;
         }
+        // A worm that never got past its own injection link was rejected,
+        // not killed in flight.
+        let kind = match why {
+            Casualty::InjectionDead => FailureKind::Unreachable,
+            _ => FailureKind::TornDown,
+        };
         ms.failure = Some(MessageFailure {
             at: now,
             kind,
             error: cause,
         });
-        self.counters.coverage.note_sim_error(&cause);
         match kind {
             FailureKind::TornDown => self.counters.messages_torn_down += 1,
             FailureKind::Unreachable => self.counters.messages_unreachable += 1,
@@ -1009,28 +814,26 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         // Retire every live segment via the message's intrusive list — no
         // arena scan.
         let seg_ids = std::mem::take(&mut self.msgs[m.index()].live_segs);
+        let segs = &self.segs;
+        let outputs = seg_ids.iter().map(|&sid| {
+            segs.get(sid)
+                .expect("live list tracks live segments")
+                .outputs
+                .as_slice()
+        });
+        self.obs
+            .torn_down(&self.chans, m, &cause, why, outputs, now);
         for &sid in &seg_ids {
             let seg = self
                 .segs
                 .remove(sid)
                 .expect("live list tracks live segments");
             debug_assert_eq!(seg.msg, m);
-            if seg.outputs.len() >= 2 {
-                // A fault caught a branch-replication unit mid-flight —
-                // the rarest teardown shape (multi-head worm partially
-                // delivered).
-                self.counters
-                    .coverage
-                    .set(CoverageSet::TEARDOWN_DURING_BRANCH);
-            }
             if let SegInput::Channel(ic) = seg.input {
                 debug_assert_eq!(self.chans[ic.index()].seg, Some(sid));
                 self.chans[ic.index()].seg = None;
             }
             for &o in &seg.outputs {
-                // Carry at the pre-removal depth: a flushed waiter's
-                // parked time up to this instant still counts.
-                self.metrics_ocrq_carry(o, now);
                 let c = &mut self.chans[o.index()];
                 if c.owner.map(|(om, _)| om) == Some(m) {
                     c.owner = None;
@@ -1063,14 +866,6 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         // Stale candidates resolve to dead slots (generation mismatch).
         self.bubble_candidates
             .retain(|&sid| self.segs.contains(sid));
-        self.emit(|| TraceEvent::TornDown {
-            msg: m,
-            channel: match cause {
-                SimError::TornDown { channel, .. } => channel,
-                _ => ChannelId(u32::MAX),
-            },
-            at: now,
-        });
     }
 
     /// After teardowns freed channels, give every surviving waiter a
@@ -1130,53 +925,29 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 _ => return,
             },
         }
-        let ready = seg.outputs.iter().all(|&o| {
-            let c = &self.chans[o.index()];
+        let chans = &self.chans;
+        let grantable = |o: &ChannelId| {
+            let c = &chans[o.index()];
             c.ocrq.front().map(|&(_, s)| s) == Some(sid) && c.free_for_acquisition()
-        });
-        if !ready {
-            if let Some(m) = self.metrics.as_mut() {
-                // Bill each output that blocked this all-or-nothing
-                // attempt (observation only; the attempt already failed).
-                for &o in seg.outputs.iter() {
-                    let c = &self.chans[o.index()];
-                    if c.ocrq.front().map(|&(_, s)| s) != Some(sid) || !c.free_for_acquisition() {
-                        m.channels.header_stall(o.index());
-                    }
-                }
-            }
+        };
+        if !seg.outputs.iter().all(grantable) {
+            let blocked = seg.outputs.iter().copied().filter(|o| !grantable(o));
+            self.obs.acquire_blocked(blocked);
             return;
         }
         let input = seg.input;
         let nout = seg.outputs.len();
         self.counters.acquisitions += 1;
-        self.counters.coverage.note_fanout(nout as u32);
         self.last_progress = now;
         let node = match input {
             SegInput::Source { .. } => self.msgs[msg.index()].spec.src,
             SegInput::Channel(ic) => self.topo.channel(ic).dst,
         };
-        if self.trace.is_some() {
-            let channels = crate::trace::ChannelList::from_slice(
-                &self.segs.get(sid).expect("checked live").outputs,
-            );
-            self.emit(|| TraceEvent::Acquired {
-                msg,
-                node,
-                channels,
-                at: now,
-            });
-        }
+        self.obs.acquired(&self.chans, msg, node, &seg.outputs, now);
         // Index-based re-borrows instead of cloning the output list: this
         // path must not allocate.
         for i in 0..nout {
             let o = self.seg_output(sid, i);
-            // Carry the OCRQ integral at the pre-pop depth, then bill the
-            // acquisition, before the queue shrinks.
-            self.metrics_ocrq_carry(o, now);
-            if let Some(m) = self.metrics.as_mut() {
-                m.channels.acquired(o.index());
-            }
             let c = &mut self.chans[o.index()];
             let popped = self.requests.pop_front(&mut c.ocrq);
             debug_assert_eq!(popped, Some((msg, sid)));
@@ -1365,12 +1136,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                     self.flits
                         .push_back(&mut self.chans[o.index()].out_buf, Flit::bubble(msg));
                     self.counters.bubbles_created += 1;
-                    self.emit(|| TraceEvent::Bubble {
-                        msg,
-                        node,
-                        channel: o,
-                        at: now,
-                    });
+                    self.obs.bubble(msg, node, o, now);
                     self.try_start_wire(o);
                 }
             }
@@ -1399,15 +1165,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             SegInput::Source { .. } => self.msgs[msg.index()].spec.src,
             SegInput::Channel(ic) => self.topo.channel(ic).dst,
         };
-        if self.trace.is_some() {
-            let channels = crate::trace::ChannelList::from_slice(&seg.outputs);
-            self.emit(|| TraceEvent::Released {
-                msg,
-                node,
-                channels,
-                at: now,
-            });
-        }
+        self.obs.released(msg, node, &seg.outputs, now);
         for &o in &seg.outputs {
             let c = &mut self.chans[o.index()];
             debug_assert_eq!(c.owner, Some((msg, sid)));
@@ -1523,17 +1281,16 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 self.counters.messages_completed += 1;
                 self.pending_completions.push(flit.msg);
             }
-            self.emit(|| TraceEvent::DeliveredTail {
-                msg: flit.msg,
-                dest: proc,
-                at: now,
-            });
+            self.obs.delivered_tail(flit.msg, proc, now);
         }
     }
 }
 
-// Child module so the codec sees the engine's private state without
-// widening any field's visibility; the file lives beside engine.rs.
+// Child modules so the observers and the codec see the engine's private
+// state without widening any field's visibility; the files live beside
+// engine.rs. The engine in turn sees only the seam's methods.
+#[path = "observe.rs"]
+mod observe;
 #[path = "engine_snapshot.rs"]
 mod snapshot;
-pub use snapshot::CheckpointSink;
+pub use observe::CheckpointSink;

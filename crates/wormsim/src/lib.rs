@@ -68,6 +68,7 @@
 //! ```
 
 pub mod channel;
+mod codec;
 pub mod config;
 pub mod coverage;
 // Engine-internal slab handles and queue peeks are checked invariants —

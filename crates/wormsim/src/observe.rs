@@ -1,0 +1,734 @@
+//! The engine's one observer seam.
+//!
+//! Four recorders watch a run without taking part in it: the protocol
+//! trace ([`crate::trace`]), fabric telemetry ([`spam_metrics`]), the
+//! coverage record ([`CoverageSet`]) and the periodic checkpointer. The
+//! engine names each step of the §3.2 router protocol once, by calling
+//! one [`Observers`] method at it; which recorders listen at that step,
+//! and whether they are enabled at all, is decided here. Observers are
+//! chosen per run from the scenario at run time, so this is one concrete
+//! struct of `Option`s, not a type parameter on [`NetworkSim`].
+//!
+//! **Pure observers.** Nothing here schedules an event or touches engine
+//! state: the sampler and the checkpointer ride [`Ticker`]s beside the
+//! event queue, so the event stream — and every digest-pinned outcome
+//! field — is byte-identical with any combination switched on or off.
+//! Recording state is allocated when a recorder is enabled; the taps only
+//! index and store.
+//!
+//! The seam also serializes itself: the trace and telemetry sections of a
+//! snapshot, the coverage words and the checkpoint cadence are written
+//! and read here, beside the state they encode.
+
+use super::snapshot::read_section;
+use super::*;
+use crate::codec::Snap;
+use crate::coverage::CoverageSet;
+use crate::trace::{ChannelList, Trace, TraceEvent};
+use desim::{Duration, Ticker};
+use spam_metrics::{
+    ChannelAccum, ChannelScoreboard, GaugeSample, GaugeSeries, MetricsConfig, RunMetrics,
+};
+use spam_snapshot::{SnapReader, SnapWriter, SnapshotError};
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
+
+const SECT_TRACE: u32 = 8;
+const SECT_METRICS: u32 = 9;
+
+/// Telemetry recording state (see [`NetworkSim::enable_metrics`]):
+/// the sampler's ticker and ring, and the per-channel accumulators.
+struct MetricsState {
+    ticker: Ticker,
+    sample_every_ns: u64,
+    series: GaugeSeries,
+    channels: ChannelScoreboard,
+}
+
+/// Shared digest ledger: one `(sim_time_ns, checksum)` row per checkpoint.
+pub type DigestLedger = Arc<Mutex<Vec<(u64, u64)>>>;
+/// Shared log collecting every snapshot as `(sim_time_ns, bytes)`.
+pub type SnapshotLog = Arc<Mutex<Vec<(u64, Vec<u8>)>>>;
+
+/// Where periodic checkpoints go. All variants are cheap for the run
+/// loop; the shared cells let callers read results after `run` (which
+/// consumes the simulator).
+pub enum CheckpointSink {
+    /// Record only the digest ledger: `(sim_time_ns, checksum)` per
+    /// checkpoint, no snapshot bytes retained. The cheapest sink — the
+    /// checkpoint-equivalence oracle compares two runs' ledgers.
+    Digests(DigestLedger),
+    /// Keep every snapshot — the divergence bisector's input.
+    Keep(SnapshotLog),
+    /// Atomically persist the most recent snapshot to this path (write a
+    /// sibling `.tmp`, then rename), best-effort: an I/O failure skips
+    /// that checkpoint rather than perturbing or aborting the run.
+    File(PathBuf),
+}
+
+impl CheckpointSink {
+    /// A digest-ledger sink plus the shared cell to read it from after
+    /// the run.
+    pub fn digests() -> (Self, DigestLedger) {
+        let cell = Arc::new(Mutex::new(Vec::with_capacity(256)));
+        (CheckpointSink::Digests(cell.clone()), cell)
+    }
+
+    /// A keep-everything sink plus the shared cell collecting snapshots.
+    pub fn keep_all() -> (Self, SnapshotLog) {
+        let cell = Arc::new(Mutex::new(Vec::new()));
+        (CheckpointSink::Keep(cell.clone()), cell)
+    }
+
+    fn store(&self, at_ns: u64, bytes: &[u8]) {
+        match self {
+            CheckpointSink::Digests(cell) => {
+                if let Ok(mut v) = cell.lock() {
+                    v.push((at_ns, spam_snapshot::fnv1a(bytes)));
+                }
+            }
+            CheckpointSink::Keep(cell) => {
+                if let Ok(mut v) = cell.lock() {
+                    v.push((at_ns, bytes.to_vec()));
+                }
+            }
+            CheckpointSink::File(path) => {
+                let tmp = path.with_extension("snap.tmp");
+                if std::fs::write(&tmp, bytes).is_ok() {
+                    let _ = std::fs::rename(&tmp, path);
+                }
+            }
+        }
+    }
+}
+
+/// Live checkpointing state (see [`NetworkSim::enable_checkpoints`]).
+/// The writer buffer is allocated once and reused for every snapshot,
+/// so steady-state checkpointing through a [`CheckpointSink::Digests`]
+/// sink allocates nothing.
+struct CheckpointState {
+    ticker: Ticker,
+    sink: CheckpointSink,
+    writer: SnapWriter,
+    /// Set on the first encode failure (e.g. a routing algorithm with no
+    /// header codec): checkpointing disables itself rather than
+    /// perturbing or aborting the run.
+    dead: Option<SnapshotError>,
+}
+
+impl CheckpointState {
+    fn boxed(ticker: Ticker, sink: CheckpointSink) -> Box<Self> {
+        Box::new(CheckpointState {
+            ticker,
+            sink,
+            writer: SnapWriter::with_capacity(16 * 1024),
+            dead: None,
+        })
+    }
+}
+
+/// Which of the engine's teardown entry points killed a worm.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Casualty {
+    /// The source's own injection link was dead at source-ready.
+    InjectionDead,
+    /// Routing failed mid-walk on a live-reconfiguration run.
+    RouteDeadEnd,
+    /// A routing decision asked for a channel that had died.
+    DeadRequest,
+    /// A link the worm held, waited on or fed through died.
+    LinkDied,
+}
+
+/// Every recorder of one run. `None` (or, for coverage, a handful of
+/// stores) is all a disabled recorder costs at a tap.
+pub(super) struct Observers {
+    trace: Option<Trace>,
+    metrics: Option<MetricsState>,
+    /// Boxed: the writer buffer and sink live off the engine's hot cache
+    /// lines.
+    checkpoint: Option<Box<CheckpointState>>,
+    /// Always on; copied into [`Counters::coverage`] when the run ends.
+    coverage: CoverageSet,
+    /// What one wire transfer bills a channel (`t_channel`).
+    wire_ns: u64,
+}
+
+impl Observers {
+    pub(super) fn new(cfg: &SimConfig) -> Self {
+        Observers {
+            trace: None,
+            metrics: None,
+            checkpoint: cfg.checkpoint_every_ns.map(|every_ns| {
+                let (sink, _) = CheckpointSink::digests();
+                CheckpointState::boxed(Ticker::every(Duration::from_ns(every_ns)), sink)
+            }),
+            coverage: CoverageSet::default(),
+            wire_ns: cfg.latency.channel_prop.as_ns(),
+        }
+    }
+
+    #[inline]
+    fn emit(&mut self, f: impl FnOnce() -> TraceEvent) {
+        if let Some(t) = self.trace.as_mut() {
+            t.events.push(f());
+        }
+    }
+
+    /// Carries `ch`'s OCRQ-depth time-integral up to `now`. Must run
+    /// *before* any push, pop or removal on that OCRQ so the
+    /// piecewise-constant integral bills the old depth for the elapsed
+    /// interval (see [`ChannelScoreboard::ocrq_carry`]).
+    #[inline]
+    fn ocrq_carry(&mut self, chans: &[Chan], ch: ChannelId, now: Time) {
+        if let Some(m) = self.metrics.as_mut() {
+            m.channels
+                .ocrq_carry(ch.index(), chans[ch.index()].ocrq.len(), now.as_ns());
+        }
+    }
+
+    /// **Source ready** — startup latency elapsed; the worm stands at its
+    /// source processor about to request the injection channel.
+    #[inline]
+    pub(super) fn source_ready(&mut self, msg: MsgId, src: NodeId, now: Time) {
+        self.emit(|| TraceEvent::SourceReady { msg, src, at: now });
+    }
+
+    /// **Atomic OCRQ enqueue**, one call per requested channel, *before*
+    /// the request joins `ch`'s queue.
+    #[inline]
+    pub(super) fn enqueue(&mut self, chans: &[Chan], ch: ChannelId, now: Time) {
+        self.ocrq_carry(chans, ch, now);
+        let depth = chans[ch.index()].ocrq.len() as u32 + 1;
+        self.coverage.note_ocrq_depth(depth);
+    }
+
+    /// **Router setup done** — the header's whole request set now sits in
+    /// the OCRQs of `channels` (enqueue order), all within one event.
+    #[inline]
+    pub(super) fn requested(
+        &mut self,
+        msg: MsgId,
+        node: NodeId,
+        channels: &[ChannelId],
+        now: Time,
+    ) {
+        self.emit(|| TraceEvent::Requested {
+            msg,
+            node,
+            channels: ChannelList::from_slice(channels),
+            at: now,
+        });
+    }
+
+    /// **All-or-nothing acquire, refused** — `blocked` yields each output
+    /// that was not free with this header at its OCRQ head. The iterator
+    /// is only driven when telemetry listens.
+    #[inline]
+    pub(super) fn acquire_blocked(&mut self, blocked: impl Iterator<Item = ChannelId>) {
+        if let Some(m) = self.metrics.as_mut() {
+            for o in blocked {
+                m.channels.header_stall(o.index());
+            }
+        }
+    }
+
+    /// **All-or-nothing acquire, granted** — called before the requests
+    /// leave the OCRQs of `channels`, which the worm owns from here on.
+    #[inline]
+    pub(super) fn acquired(
+        &mut self,
+        chans: &[Chan],
+        msg: MsgId,
+        node: NodeId,
+        channels: &[ChannelId],
+        now: Time,
+    ) {
+        self.coverage.note_fanout(channels.len() as u32);
+        self.emit(|| TraceEvent::Acquired {
+            msg,
+            node,
+            channels: ChannelList::from_slice(channels),
+            at: now,
+        });
+        for &o in channels {
+            self.ocrq_carry(chans, o, now);
+            if let Some(m) = self.metrics.as_mut() {
+                m.channels.acquired(o.index());
+            }
+        }
+    }
+
+    /// **Wire transfer done** — a flit held `ch`'s wire for one
+    /// propagation delay. `header_of` names the worm when that flit was a
+    /// header that made it into the downstream input buffer. Every
+    /// transfer is billed, a flit dropped on a dying link included, which
+    /// keeps `sum(busy_ns) == wire_transfers * t_channel` exact.
+    #[inline]
+    pub(super) fn wire_done(&mut self, ch: ChannelId, header_of: Option<MsgId>, now: Time) {
+        if let Some(msg) = header_of {
+            self.emit(|| TraceEvent::HeaderArrived {
+                msg,
+                channel: ch,
+                at: now,
+            });
+        }
+        if let Some(m) = self.metrics.as_mut() {
+            m.channels.wire_busy(ch.index(), self.wire_ns);
+        }
+    }
+
+    /// **Bubble** — asynchronous replication put a bubble flit into the
+    /// free output `channel` of a branch whose sibling is blocked.
+    #[inline]
+    pub(super) fn bubble(&mut self, msg: MsgId, node: NodeId, channel: ChannelId, now: Time) {
+        self.emit(|| TraceEvent::Bubble {
+            msg,
+            node,
+            channel,
+            at: now,
+        });
+    }
+
+    /// **Release** — the tail was replicated; `channels` go to their next
+    /// OCRQ waiters.
+    #[inline]
+    pub(super) fn released(&mut self, msg: MsgId, node: NodeId, channels: &[ChannelId], now: Time) {
+        self.emit(|| TraceEvent::Released {
+            msg,
+            node,
+            channels: ChannelList::from_slice(channels),
+            at: now,
+        });
+    }
+
+    /// **Deliver** — the tail flit reached destination processor `dest`.
+    #[inline]
+    pub(super) fn delivered_tail(&mut self, msg: MsgId, dest: NodeId, now: Time) {
+        self.emit(|| TraceEvent::DeliveredTail { msg, dest, at: now });
+    }
+
+    /// **Link down** (this repo's extension) — a scheduled fault killed
+    /// the bidirectional link containing `channel`.
+    #[inline]
+    pub(super) fn link_down(&mut self, channel: ChannelId, now: Time) {
+        self.emit(|| TraceEvent::LinkDown { channel, at: now });
+    }
+
+    /// **Teardown** (this repo's extension) — `msg` is being killed
+    /// network-wide. Called before anything is released: `segs` yields the
+    /// output list of each live segment, whose OCRQ entries are about to
+    /// be flushed (a flushed waiter's parked time up to `now` still
+    /// counts).
+    #[inline]
+    pub(super) fn torn_down<'s>(
+        &mut self,
+        chans: &[Chan],
+        msg: MsgId,
+        cause: &SimError,
+        why: Casualty,
+        segs: impl Iterator<Item = &'s [ChannelId]>,
+        now: Time,
+    ) {
+        self.coverage.note_sim_error(cause);
+        match why {
+            Casualty::InjectionDead => self.coverage.set(CoverageSet::SOURCE_INJECTION_DEAD),
+            Casualty::RouteDeadEnd => self.coverage.set(CoverageSet::ROUTE_DEADEND_LIVE),
+            Casualty::DeadRequest => self.coverage.set(CoverageSet::DECISION_HIT_DEAD_CHANNEL),
+            Casualty::LinkDied => {}
+        }
+        for outputs in segs {
+            if outputs.len() >= 2 {
+                // A fault caught a branch-replication unit mid-flight —
+                // the rarest teardown shape.
+                self.coverage.set(CoverageSet::TEARDOWN_DURING_BRANCH);
+            }
+            for &o in outputs {
+                self.ocrq_carry(chans, o, now);
+            }
+        }
+        self.emit(|| TraceEvent::TornDown {
+            msg,
+            channel: match *cause {
+                SimError::TornDown { channel, .. } => channel,
+                _ => ChannelId(u32::MAX),
+            },
+            at: now,
+        });
+    }
+
+    /// **Rejected at the source** (live runs) — routing found a
+    /// destination unreachable before any flit moved; only this message
+    /// fails.
+    #[inline]
+    pub(super) fn unreachable_at_source(&mut self, error: &SimError) {
+        self.coverage.set(CoverageSet::UNREACHABLE_AT_SOURCE);
+        self.coverage.note_sim_error(error);
+    }
+
+    /// **Run-aborting error** — a routing-contract or hook-contract
+    /// violation was recorded.
+    #[inline]
+    pub(super) fn error(&mut self, e: &SimError) {
+        self.coverage.note_sim_error(e);
+    }
+
+    /// **Scheduled past the wheel** — an event landed beyond the bucket
+    /// wheel's span. The engine detects it from its own clock, so the
+    /// signal is identical under both event queues.
+    #[inline]
+    pub(super) fn wheel_deferral(&mut self) {
+        self.coverage.set(CoverageSet::WHEEL_OVERFLOW);
+        self.coverage.wheel_deferrals += 1;
+    }
+
+    /// The coverage words, where `SECT_ENGINE` has always carried them.
+    pub(super) fn encode_coverage(&self, w: &mut SnapWriter) {
+        self.coverage.put(w);
+    }
+
+    /// Reads back [`Self::encode_coverage`].
+    pub(super) fn decode_coverage(&mut self, r: &mut SnapReader) -> Result<(), SnapshotError> {
+        self.coverage = CoverageSet::get(r)?;
+        Ok(())
+    }
+
+    /// The checkpoint cadence, the closing words of `SECT_ENGINE`.
+    pub(super) fn encode_checkpointer(&self, w: &mut SnapWriter) {
+        w.put_bool(self.checkpoint.is_some());
+        if let Some(cs) = &self.checkpoint {
+            put_ticker(w, cs.ticker);
+        }
+    }
+
+    /// Reads back [`Self::encode_checkpointer`]: a snapshot taken under a
+    /// checkpointer resumes with the same cadence and a fresh digest
+    /// ledger (see [`NetworkSim::set_checkpoint_sink`]).
+    pub(super) fn decode_checkpointer(&mut self, r: &mut SnapReader) -> Result<(), SnapshotError> {
+        self.checkpoint = if r.get_bool()? {
+            let (sink, _) = CheckpointSink::digests();
+            Some(CheckpointState::boxed(
+                get_ticker(r, "zero checkpoint cadence")?,
+                sink,
+            ))
+        } else {
+            None
+        };
+        Ok(())
+    }
+
+    /// The trace and telemetry sections of a snapshot.
+    pub(super) fn encode_sections(&self, w: &mut SnapWriter) {
+        let s = w.begin_section(SECT_TRACE);
+        w.put_bool(self.trace.is_some());
+        if let Some(tr) = &self.trace {
+            tr.events.put(w);
+        }
+        w.end_section(s);
+
+        let s = w.begin_section(SECT_METRICS);
+        w.put_bool(self.metrics.is_some());
+        if let Some(m) = &self.metrics {
+            put_ticker(w, m.ticker);
+            w.put_u64(m.sample_every_ns);
+            let (cap, head, total, buf) = m.series.raw_parts();
+            w.put_usize(cap);
+            w.put_usize(head);
+            w.put_u64(total);
+            w.put_len(buf.len());
+            for g in buf {
+                put_gauge(w, g);
+            }
+            let (accums, ocrq_last) = m.channels.raw_parts();
+            w.put_len(accums.len());
+            for a in accums {
+                w.put_u64(a.busy_ns);
+                w.put_u64(a.acquisitions);
+                w.put_u64(a.ocrq_wait_ns);
+                w.put_u64(a.header_stalls);
+            }
+            for &n in ocrq_last {
+                w.put_u64(n);
+            }
+        }
+        w.end_section(s);
+    }
+
+    /// Reads back [`Self::encode_sections`].
+    pub(super) fn decode_sections(&mut self, r: &mut SnapReader) -> Result<(), SnapshotError> {
+        self.trace = read_section(r, SECT_TRACE, |r| {
+            Ok(if r.get_bool()? {
+                Some(Trace {
+                    events: Snap::get(r)?,
+                })
+            } else {
+                None
+            })
+        })?;
+        self.metrics = read_section(r, SECT_METRICS, |r| {
+            if !r.get_bool()? {
+                return Ok(None);
+            }
+            let ticker = get_ticker(r, "zero sampling cadence")?;
+            let sample_every_ns = r.get_u64()?;
+            let cap = r.get_usize()?;
+            let head = r.get_usize()?;
+            let total = r.get_u64()?;
+            let n = r.get_len()?;
+            let mut buf = Vec::with_capacity(n);
+            for _ in 0..n {
+                buf.push(get_gauge(r)?);
+            }
+            let series = GaugeSeries::from_raw_parts(cap, head, total, buf)
+                .map_err(SnapshotError::Corrupt)?;
+            let n = r.get_len()?;
+            let mut accums = Vec::with_capacity(n);
+            for _ in 0..n {
+                accums.push(ChannelAccum {
+                    busy_ns: r.get_u64()?,
+                    acquisitions: r.get_u64()?,
+                    ocrq_wait_ns: r.get_u64()?,
+                    header_stalls: r.get_u64()?,
+                });
+            }
+            let mut ocrq_last = Vec::with_capacity(n);
+            for _ in 0..n {
+                ocrq_last.push(r.get_u64()?);
+            }
+            let channels = ChannelScoreboard::from_raw_parts(accums, ocrq_last)
+                .map_err(SnapshotError::Corrupt)?;
+            Ok(Some(MetricsState {
+                ticker,
+                sample_every_ns,
+                series,
+                channels,
+            }))
+        })?;
+        Ok(())
+    }
+}
+
+impl<R: RoutingAlgorithm> NetworkSim<'_, R> {
+    /// Enables protocol-level tracing for this run (see [`crate::trace`]).
+    pub fn enable_trace(&mut self) {
+        self.obs.trace = Some(Trace::default());
+    }
+
+    /// Enables fabric telemetry for this run (see [`spam_metrics`]): a
+    /// periodic gauge sampler plus per-channel congestion accumulators,
+    /// reported on [`SimOutcome::metrics`]. Telemetry is a pure observer
+    /// — the simulated outcome is byte-identical with it on or off — and
+    /// all recording state is preallocated here, so steady-state
+    /// recording never allocates.
+    pub fn enable_metrics(&mut self, cfg: MetricsConfig) {
+        self.obs.metrics = Some(MetricsState {
+            ticker: Ticker::every(cfg.sample_every),
+            sample_every_ns: cfg.sample_every.as_ns(),
+            series: GaugeSeries::with_capacity(cfg.capacity),
+            channels: ChannelScoreboard::new(self.topo.num_channels()),
+        });
+    }
+
+    /// Enables periodic full-state checkpointing every `every` of
+    /// simulation time, delivering snapshots to `sink`. A pure observer:
+    /// the simulated outcome is byte-identical with checkpointing on or
+    /// off. The snapshot buffer is preallocated here and reused for
+    /// every checkpoint.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero cadence — that ticker never advances.
+    pub fn enable_checkpoints(&mut self, every: Duration, sink: CheckpointSink) {
+        self.obs.checkpoint = Some(CheckpointState::boxed(Ticker::every(every), sink));
+    }
+
+    /// Replaces the sink of an already-enabled checkpointer without
+    /// touching its cadence — the call a restored run uses to re-point
+    /// checkpoints at its own ledger or file.
+    pub fn set_checkpoint_sink(&mut self, sink: CheckpointSink) {
+        if let Some(cs) = self.obs.checkpoint.as_mut() {
+            cs.sink = sink;
+        }
+    }
+
+    /// **Between events** — the run loop is about to handle the event at
+    /// `upto`. Sampler and checkpoint ticks due at or before that instant
+    /// fire now, observing the fabric as it stood *before* the instant's
+    /// events; neither ever fires past the last event.
+    #[inline]
+    pub(super) fn observe_through(&mut self, upto: Time, hook: &dyn CompletionHook) {
+        if self.obs.metrics.is_some() {
+            self.sample_through(upto);
+        }
+        if self.obs.checkpoint.is_some() {
+            self.checkpoint_through(upto, hook);
+        }
+    }
+
+    /// The engine gauges as they stand right now, stamped with `at`.
+    /// Reads only — the sampler's single observation point.
+    fn gauge_at(&self, at: Time) -> GaugeSample {
+        let mut ocrq_total = 0u32;
+        let mut ocrq_max = 0u32;
+        for c in &self.chans {
+            let d = c.ocrq.len() as u32;
+            ocrq_total += d;
+            ocrq_max = ocrq_max.max(d);
+        }
+        GaugeSample {
+            at_ns: at.as_ns(),
+            queue: self.sched.queue_occupancy(),
+            live_worms: self.active as u32,
+            live_segments: self.segs.len() as u32,
+            ocrq_total,
+            ocrq_max,
+            epoch: self.fault_times.partition_point(|&ft| ft <= at) as u32,
+            delivered: self.counters.messages_completed,
+            torn_down: self.counters.messages_torn_down,
+            unreachable: self.counters.messages_unreachable,
+        }
+    }
+
+    fn sample_through(&mut self, upto: Time) {
+        let Some(mut m) = self.obs.metrics.take() else {
+            return;
+        };
+        if m.ticker.next_at() <= upto {
+            // Gauges only change at events, so every tick in this drain
+            // window sees the same fabric state; compute it once and
+            // re-stamp the time (and the time-dependent epoch) per tick.
+            let base = self.gauge_at(Time::ZERO);
+            let fault_times = &self.fault_times;
+            m.ticker.drain_through(upto, |at| {
+                let mut g = base;
+                g.at_ns = at.as_ns();
+                g.epoch = fault_times.partition_point(|&ft| ft <= at) as u32;
+                m.series.push(g);
+            });
+        }
+        self.obs.metrics = Some(m);
+    }
+
+    /// Engine state is constant between events, so a multi-tick drain
+    /// encodes once, stamped at the last due instant; the snapshot stores
+    /// the *advanced* ticker, so a resumed run's ledger lines up with the
+    /// original's after the resume point.
+    fn checkpoint_through(&mut self, upto: Time, hook: &dyn CompletionHook) {
+        let Some(cs) = self.obs.checkpoint.as_mut() else {
+            return;
+        };
+        if cs.dead.is_some() || cs.ticker.next_at() > upto {
+            return;
+        }
+        let mut last = cs.ticker.next_at();
+        cs.ticker.drain_through(upto, |at| last = at);
+        // The encoder reads the cadence off `self`, so the checkpointer
+        // stays in place and lends out its buffer for the duration.
+        let mut writer = std::mem::replace(&mut cs.writer, SnapWriter::with_capacity(0));
+        let encoded = self.snapshot_with_hook(&mut writer, hook);
+        if let Some(cs) = self.obs.checkpoint.as_mut() {
+            match encoded {
+                Ok(()) => cs.sink.store(last.as_ns(), writer.seal()),
+                Err(e) => cs.dead = Some(e),
+            }
+            cs.writer = writer;
+        }
+    }
+
+    /// **End of run** — closes every recorder out. Run-level coverage
+    /// (how the run ended, how many routing epochs it crossed) comes from
+    /// engine state only, so the record is identical under both event
+    /// queues; it lands in [`Counters::coverage`]. Telemetry carries every
+    /// OCRQ integral to the final clock and takes one last sample there:
+    /// cadence ticks see start-of-instant state, so this is the one
+    /// sample that reflects the very last events. Returns what the outcome
+    /// reports.
+    pub(super) fn finish_observers(
+        &mut self,
+        deadlock: Option<&DeadlockInfo>,
+    ) -> (Trace, Option<RunMetrics>) {
+        let cov = &mut self.obs.coverage;
+        if let Some(d) = deadlock {
+            cov.set(if d.queue_exhausted {
+                CoverageSet::DEADLOCK_QUEUE_EXHAUSTED
+            } else {
+                CoverageSet::DEADLOCK_WATCHDOG
+            });
+        }
+        if self.counters.bubbles_created > 0 {
+            cov.set(CoverageSet::BUBBLES);
+        }
+        if self.fault_times.len() >= 2 {
+            cov.set(CoverageSet::MULTI_EPOCH);
+        }
+        cov.epochs = cov.epochs.max(self.fault_times.len() as u32 + 1);
+        self.counters.coverage = *cov;
+
+        let end = self.sched.now();
+        let metrics = self.obs.metrics.take().map(|mut m| {
+            for (i, c) in self.chans.iter().enumerate() {
+                m.channels.ocrq_carry(i, c.ocrq.len(), end.as_ns());
+            }
+            m.series.push(self.gauge_at(end));
+            RunMetrics {
+                sample_every_ns: m.sample_every_ns,
+                series: m.series,
+                channels: m.channels.into_accums(),
+            }
+        });
+        (self.obs.trace.take().unwrap_or_default(), metrics)
+    }
+}
+
+fn put_ticker(w: &mut SnapWriter, t: Ticker) {
+    let (period, next) = t.parts();
+    w.put_u64(period);
+    w.put_u64(next);
+}
+
+fn get_ticker(r: &mut SnapReader, zero_cadence: &'static str) -> Result<Ticker, SnapshotError> {
+    let period = r.get_u64()?;
+    let next = r.get_u64()?;
+    Ticker::from_parts(period, next).ok_or(SnapshotError::Corrupt(zero_cadence))
+}
+
+fn put_gauge(w: &mut SnapWriter, g: &GaugeSample) {
+    w.put_u64(g.at_ns);
+    for &l in &g.queue.levels {
+        w.put_u32(l);
+    }
+    w.put_usize(g.queue.overflow);
+    w.put_usize(g.queue.len);
+    w.put_u32(g.live_worms);
+    w.put_u32(g.live_segments);
+    w.put_u32(g.ocrq_total);
+    w.put_u32(g.ocrq_max);
+    w.put_u32(g.epoch);
+    w.put_u64(g.delivered);
+    w.put_u64(g.torn_down);
+    w.put_u64(g.unreachable);
+}
+
+fn get_gauge(r: &mut SnapReader) -> Result<GaugeSample, SnapshotError> {
+    let at_ns = r.get_u64()?;
+    let mut levels = [0u32; desim::WHEEL_LEVELS];
+    for l in levels.iter_mut() {
+        *l = r.get_u32()?;
+    }
+    Ok(GaugeSample {
+        at_ns,
+        queue: desim::QueueOccupancy {
+            levels,
+            overflow: r.get_usize()?,
+            len: r.get_usize()?,
+        },
+        live_worms: r.get_u32()?,
+        live_segments: r.get_u32()?,
+        ocrq_total: r.get_u32()?,
+        ocrq_max: r.get_u32()?,
+        epoch: r.get_u32()?,
+        delivered: r.get_u64()?,
+        torn_down: r.get_u64()?,
+        unreachable: r.get_u64()?,
+    })
+}

@@ -84,6 +84,16 @@ pub enum SimError {
     },
 }
 
+crate::codec::snap_enum! { SimError, "unknown sim error tag";
+    0 => Route { msg, node, error },
+    1 => Misroute { msg, at },
+    2 => EmptyDecision { msg, node },
+    3 => ForeignChannel { msg, node, channel },
+    4 => DuplicateRequest { msg, node, channel },
+    5 => TornDown { msg, channel },
+    6 => HookSpec { msg },
+}
+
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

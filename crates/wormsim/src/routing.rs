@@ -75,6 +75,15 @@ pub enum RouteError {
     },
 }
 
+crate::codec::snap_enum! { RouteError, "unknown route error tag";
+    0 => NoLegalMove { node, target },
+    1 => NoDestinationSubtree { node },
+    2 => NoPlan { tag, node },
+    3 => NoSuchLink { from, to },
+    4 => UnreachableDestination { dest },
+    5 => SourceDisconnected { src },
+}
+
 impl fmt::Display for RouteError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

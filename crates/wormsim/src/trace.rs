@@ -6,6 +6,7 @@
 //! Tracing is off by default — the hot simulation loops append nothing —
 //! and is enabled per run with [`crate::NetworkSim::enable_trace`].
 
+use crate::codec::snap_enum;
 use crate::flit::MsgId;
 use desim::Time;
 use netgraph::{ChannelId, NodeId};
@@ -145,8 +146,20 @@ impl TraceEvent {
     }
 }
 
+snap_enum! { TraceEvent, "unknown trace event tag";
+    0 => SourceReady { msg, src, at },
+    1 => Requested { msg, node, channels, at },
+    2 => Acquired { msg, node, channels, at },
+    3 => HeaderArrived { msg, channel, at },
+    4 => Bubble { msg, node, channel, at },
+    5 => Released { msg, node, channels, at },
+    6 => DeliveredTail { msg, dest, at },
+    7 => LinkDown { channel, at },
+    8 => TornDown { msg, channel, at },
+}
+
 /// A recorded trace with query helpers.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     /// Events in emission order (chronological; ties in engine order).
     pub events: Vec<TraceEvent>,

@@ -280,7 +280,7 @@ fn restore_rejects_mismatched_config_and_topology() {
     };
     assert!(matches!(
         NetworkSim::restore(&topo, build_oracle(&topo, &n), skewed, bytes),
-        Err(SnapshotError::ConfigMismatch(_))
+        Err(SnapshotError::ConfigMismatch("input buffer depth"))
     ));
 
     let (other_topo, on) = {
@@ -300,7 +300,9 @@ fn restore_rejects_mismatched_config_and_topology() {
             SimConfig::paper(),
             bytes
         ),
-        Err(SnapshotError::ConfigMismatch(_))
+        Err(SnapshotError::ConfigMismatch(
+            "topology differs from the snapshot's"
+        ))
     ));
 }
 

@@ -19,7 +19,8 @@
 use proptest::prelude::*;
 use spam_net::metrics::{ChannelAccum, CongestionHeatmap, HeatKey};
 use spam_net::scenario::{
-    run_once_full, ArrivalSpec, FaultModelSpec, FaultsSpec, ScenarioSpec, SpecError, TrafficSpec,
+    run_with_artifacts, ArrivalSpec, ArtifactPrefix, FaultModelSpec, FaultsSpec, ScenarioSpec,
+    SpecError, TrafficSpec,
 };
 
 /// `t_channel` of `SimConfig::paper()`, which the scenario runner uses.
@@ -85,7 +86,10 @@ proptest! {
     #[test]
     fn accumulators_obey_exact_conservation_laws(case in 0u64..12, seed in 0u64..1_000_000) {
         let spec = spec_for(case, seed);
-        let (out, topo, layout) = match run_once_full(&spec, 0, None) {
+        let run = ArtifactPrefix::of(&spec, 0)
+            .build()
+            .and_then(|arts| Ok((run_with_artifacts(&spec, 0, None, &arts)?, arts)));
+        let (out, arts) = match run {
             Ok(r) => r,
             // Heavy damage can orphan the workload; that's a spec-level
             // verdict, not a conservation case.
@@ -121,14 +125,14 @@ proptest! {
 
         // Law 4: the heatmap partitions the channels — cell totals re-sum
         // to the channel totals, every channel is counted exactly once.
-        let heat = CongestionHeatmap::build(&topo, &layout, &m.channels);
+        let heat = CongestionHeatmap::build(&arts.topo, &arts.layout, &m.channels);
         let mut folded = ChannelAccum::default();
         for a in &m.channels {
             folded.fold(a);
         }
         prop_assert_eq!(heat.totals(), folded);
         let cell_channels: u32 = heat.occupied().map(|(_, _, c)| c.channels).sum();
-        prop_assert_eq!(cell_channels as usize, topo.num_channels());
+        prop_assert_eq!(cell_channels as usize, arts.topo.num_channels());
         if busy_sum > 0 {
             let share = heat.top_share(1, HeatKey::BusyNs);
             prop_assert!(share > 0.0 && share <= 1.0);

@@ -120,3 +120,73 @@ fn kill_and_resume_from_the_disk_journal_matches_uninterrupted_run() {
     ));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The snapshot byte format, pinned: FNV-1a of the first checkpoint of
+/// three small specs — a storm, a closed loop (hook state) and a
+/// statically degraded open loop — each with tracing and telemetry on so
+/// every section of the container is non-empty. The literals were
+/// recorded before the codec was split across `engine_snapshot.rs`,
+/// `observe.rs`, `trace.rs` and `coverage.rs`; a change to any of them
+/// must come with a `spam_snapshot::FORMAT_VERSION` bump.
+#[test]
+fn snapshot_bytes_are_pinned_for_format_version_1() {
+    use spam_net::scenario::{ArrivalSpec, FaultModelSpec};
+    let small = |name: &str| {
+        let mut s = ScenarioSpec::example(name);
+        s.topology.switches = 16;
+        s.topology.seed = 11;
+        s.seed = 42;
+        s.traffic = TrafficSpec::Mixed {
+            unicast_fraction: 0.75,
+            multicast_dests: 4,
+            rate_per_node_per_us: 0.2,
+            len: 64,
+            messages: 40,
+            arrival: ArrivalSpec::Poisson,
+        };
+        s.engine.trace = true;
+        s.engine.metrics_every_ns = Some(1_000);
+        s
+    };
+    let mut storm = small("format-storm");
+    storm.faults = FaultsSpec::Storm {
+        model: FaultModelSpec::IidLinks { rate: 0.15 },
+        seed: 9,
+        window_start_us: 5,
+        window_end_us: 40,
+        bursts: 2,
+    };
+    let mut closed = small("format-closed-loop");
+    closed.traffic = TrafficSpec::ClosedLoop {
+        window: 2,
+        messages_per_source: 3,
+        len: 32,
+        think_ns: 500,
+    };
+    let mut degraded = small("format-static-faults");
+    degraded.faults = FaultsSpec::Static {
+        model: FaultModelSpec::IidLinks { rate: 0.1 },
+        seed: 7,
+    };
+    assert_eq!(spam_snapshot::FORMAT_VERSION, 1);
+    for (spec, want) in [
+        (storm, 0x74e8_0918_1e7c_5178_u64),
+        (closed, 0xb2b9_cc76_f377_d58f),
+        (degraded, 0x72b6_aa6d_3738_f8d1),
+    ] {
+        // 12 us: past the 10 us startup, so worms are mid-flight and the
+        // trace, the gauge ring and the channel scoreboard all hold data.
+        let run = run_once_checkpointed(&spec, 0, None, 12_000).expect("checkpointed run");
+        let (at_ns, bytes) = &run.checkpoints[0];
+        assert!(!run.outcome.trace.events.is_empty(), "[{}]", spec.name);
+        let got = spam_net::wormsim::fnv1a(bytes);
+        assert_eq!(
+            got,
+            want,
+            "[{}] first checkpoint ({at_ns} ns, {} bytes) no longer encodes to the pinned bytes \
+             (got {got:#018x})",
+            spec.name,
+            bytes.len(),
+        );
+    }
+}
