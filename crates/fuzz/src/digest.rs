@@ -3,65 +3,36 @@
 //! oracles.
 //!
 //! Two outcomes digest equal iff every field an experiment could observe
-//! is equal: all counters (including the coverage record), the end time,
-//! per-message completion/failure verdicts and per-destination times,
-//! per-channel crossings, and the fault epoch boundaries. FNV-1a over
-//! the little-endian field stream; no allocation.
+//! is equal. [`spam_scenario::outcome_digest`] already walks the
+//! counters, the end time and verdict, per-message completion and
+//! per-destination times, whether and when each message failed,
+//! per-channel crossings, the fault epoch boundaries and the trace
+//! length; this digest is that one plus the two things only the fuzzer
+//! compares — the coverage record and *why* each failed message failed.
 
 use wormsim::{FailureKind, Fnv1a, SimOutcome};
 
 /// Digests everything observable about a finished run.
 pub fn outcome_digest(out: &SimOutcome) -> u64 {
     let mut h = Fnv1a::default();
-    let c = &out.counters;
+    h.word(spam_scenario::outcome_digest(out));
+    let c = &out.counters.coverage;
     for w in [
-        c.events,
-        c.wire_transfers,
-        c.bubbles_created,
-        c.flits_delivered,
-        c.messages_completed,
-        c.acquisitions,
-        c.seg_lookups,
-        c.messages_torn_down,
-        c.messages_unreachable,
-        c.links_killed,
-        c.coverage.bits,
-        c.coverage.max_branch_fanout as u64,
-        c.coverage.max_ocrq_depth as u64,
-        c.coverage.epochs as u64,
-        c.coverage.wheel_deferrals as u64,
-        c.coverage.max_reattached_nodes as u64,
-        out.end_time.as_ns(),
-        out.quiescent as u64,
-        out.deadlock.is_some() as u64,
-        out.error.is_some() as u64,
+        c.bits,
+        c.max_branch_fanout as u64,
+        c.max_ocrq_depth as u64,
+        c.epochs as u64,
+        c.wheel_deferrals as u64,
+        c.max_reattached_nodes as u64,
     ] {
         h.word(w);
     }
-    h.word(out.messages.len() as u64);
     for m in &out.messages {
-        h.word(m.completed_at.map_or(u64::MAX, |t| t.as_ns()));
-        for d in &m.dest_done_at {
-            h.word(d.map_or(u64::MAX, |t| t.as_ns()));
-        }
-        match m.failure {
-            None => h.word(0),
-            Some(f) => {
-                h.word(match f.kind {
-                    FailureKind::TornDown => 1,
-                    FailureKind::Unreachable => 2,
-                });
-                h.word(f.at.as_ns());
-            }
-        }
-    }
-    h.word(out.channel_crossings.len() as u64);
-    for &x in &out.channel_crossings {
-        h.word(x);
-    }
-    h.word(out.fault_times.len() as u64);
-    for t in &out.fault_times {
-        h.word(t.as_ns());
+        h.word(match m.failure.map(|f| f.kind) {
+            None => 0,
+            Some(FailureKind::TornDown) => 1,
+            Some(FailureKind::Unreachable) => 2,
+        });
     }
     h.finish()
 }
@@ -80,5 +51,47 @@ mod tests {
         b.word(1);
         assert_ne!(a.finish(), b.finish());
         assert_ne!(Fnv1a::default().finish(), a.finish());
+    }
+
+    /// One perturbation per field class the oracles compare — the ones
+    /// the scenario digest walks and the ones only this digest adds.
+    #[test]
+    fn every_compared_field_moves_the_digest() {
+        use desim::Time;
+        use wormsim::{MessageFailure, MsgId, SimError};
+
+        let spec = spam_scenario::ScenarioSpec::example("digest");
+        let mut reference = spam_scenario::run_once(&spec, 0, None).unwrap();
+        reference.messages[0].failure = Some(MessageFailure {
+            at: Time::from_ns(7),
+            kind: FailureKind::Unreachable,
+            error: SimError::HookSpec { msg: MsgId(0) },
+        });
+        type Perturb = fn(&mut SimOutcome);
+        let perturbations: [(&str, Perturb); 12] = [
+            ("counter", |o| o.counters.acquisitions += 1),
+            ("coverage bits", |o| o.counters.coverage.bits ^= 1 << 9),
+            ("coverage watermark", |o| o.counters.coverage.epochs += 1),
+            ("coverage watermark", |o| {
+                o.counters.coverage.max_reattached_nodes += 1
+            }),
+            ("end time", |o| o.end_time = Time::from_ns(1)),
+            ("quiescence", |o| o.quiescent = !o.quiescent),
+            ("completion", |o| o.messages[0].completed_at = None),
+            ("destination", |o| o.messages[0].dest_done_at[0] = None),
+            ("failure", |o| o.messages[0].failure = None),
+            ("failure kind", |o| {
+                o.messages[0].failure.as_mut().unwrap().kind = FailureKind::TornDown
+            }),
+            ("crossings", |o| o.channel_crossings[0] += 1),
+            ("fault times", |o| o.fault_times.push(Time::from_ns(3))),
+        ];
+        let mut seen = std::collections::BTreeSet::new();
+        seen.insert(outcome_digest(&reference));
+        for (what, perturb) in perturbations {
+            let mut o = reference.clone();
+            perturb(&mut o);
+            assert!(seen.insert(outcome_digest(&o)), "{what} did not move it");
+        }
     }
 }

@@ -29,7 +29,9 @@
 //! all committed golden scenarios run cold and warm and must produce
 //! identical `outcome_digest`s.
 
-use crate::codec::{decode_faults, decode_topology, encode_faults, encode_topology};
+use crate::codec::{
+    decode_faults, decode_topology, encode_faults, encode_topology, u32_of, Reader,
+};
 use crate::json::{self, Json, Num};
 use crate::run::rep_seed;
 use crate::spec::{
@@ -106,27 +108,15 @@ impl ArtifactPrefix {
     }
 
     /// Decodes a [`Self::canonical_json`] document. Strict like the
-    /// scenario codec: wrong shapes surface as typed [`SpecError`]s.
+    /// scenario codec (it reads through the same object reader): wrong
+    /// shapes and unknown keys surface as typed [`SpecError`]s.
     pub fn from_canonical_json(text: &str) -> Result<Self, SpecError> {
-        let doc = json::parse(text).map_err(SpecError::Json)?;
-        let get = |key: &str| {
-            doc.get(key).ok_or_else(|| SpecError::MissingField {
-                field: format!("prefix.{key}"),
-            })
-        };
-        let rep = match get("rep")?.as_num().and_then(|n| n.as_u64()) {
-            Some(v) if v <= u32::MAX as u64 => v as u32,
-            _ => {
-                return Err(SpecError::WrongType {
-                    field: "prefix.rep".to_string(),
-                    expected: "u32",
-                })
-            }
-        };
-        Ok(ArtifactPrefix {
-            topology: decode_topology(get("topology")?)?,
-            faults: decode_faults(get("faults")?)?,
-            rep,
+        let doc = json::parse(text)?;
+        let o = Reader::new(&doc, &|| "prefix".to_string())?;
+        o.finish(ArtifactPrefix {
+            topology: o.req("topology", decode_topology),
+            faults: o.req_as("faults", decode_faults, FaultsSpec::None),
+            rep: o.req("rep", u32_of),
         })
     }
 
@@ -135,56 +125,8 @@ impl ArtifactPrefix {
     /// Prefixes extracted from validated specs always pass; this guards
     /// prefixes decoded from a persisted cache manifest.
     pub fn validate(&self) -> Result<(), SpecError> {
-        let t = &self.topology;
-        if t.switches < 2 {
-            return Err(SpecError::TooFewSwitches {
-                switches: t.switches,
-            });
-        }
-        if let Some(side) = t.side {
-            if side * side < t.switches {
-                return Err(SpecError::LatticeTooSmall {
-                    switches: t.switches,
-                    side,
-                });
-            }
-        }
-        if t.ports < 5 {
-            return Err(SpecError::BadPorts { ports: t.ports });
-        }
-        let check_model = |m: &FaultModelSpec| match *m {
-            FaultModelSpec::IidLinks { rate } | FaultModelSpec::IidSwitches { rate } => {
-                if (0.0..=1.0).contains(&rate) {
-                    Ok(())
-                } else {
-                    Err(SpecError::BadFaultRate { rate })
-                }
-            }
-            FaultModelSpec::Region { .. } => Ok(()),
-        };
-        match self.faults {
-            FaultsSpec::None => Ok(()),
-            FaultsSpec::Static { ref model, .. } => check_model(model),
-            FaultsSpec::Storm {
-                ref model,
-                window_start_us,
-                window_end_us,
-                bursts,
-                ..
-            } => {
-                check_model(model)?;
-                if window_end_us <= window_start_us {
-                    return Err(SpecError::EmptyStormWindow {
-                        start_us: window_start_us,
-                        end_us: window_end_us,
-                    });
-                }
-                if bursts == 0 {
-                    return Err(SpecError::ZeroBursts);
-                }
-                Ok(())
-            }
-        }
+        self.topology.check()?;
+        self.faults.check()
     }
 
     /// Builds the artifacts this prefix describes: lattice generation,
@@ -584,6 +526,22 @@ mod tests {
         let round = ArtifactPrefix::from_canonical_json(&p.canonical_json()).unwrap();
         assert_eq!(p, round);
         assert_eq!(p.fingerprint(), round.fingerprint());
+
+        // Strict both ways: a typo'd key and a non-object are typed errors.
+        let typo = p.canonical_json().replace("\"rep\"", "\"rep\":2,\"reps\"");
+        assert_eq!(
+            ArtifactPrefix::from_canonical_json(&typo),
+            Err(SpecError::UnknownField {
+                field: "prefix.reps".to_string()
+            })
+        );
+        assert_eq!(
+            ArtifactPrefix::from_canonical_json("[]"),
+            Err(SpecError::WrongType {
+                field: "prefix".to_string(),
+                expected: "an object"
+            })
+        );
     }
 
     #[test]

@@ -6,111 +6,234 @@
 //! field, so a round trip through [`ScenarioSpec::to_json_string`] and
 //! [`ScenarioSpec::from_json`] reproduces the value exactly (seeds are
 //! `u64`-exact — see [`crate::json::Num`]).
+//!
+//! Every decoder reads its object through one `Reader`, which owns
+//! lookup, coercion, defaults, error paths and the unknown-key check, so
+//! a key is spelled once in its decoder and once in its encoder.
 
 use crate::json::{parse, Json, Num};
 use crate::spec::{
     ArrivalSpec, EngineSpec, FaultModelSpec, FaultsSpec, PatternSpec, PolicySpec, QueueSpec,
     RoutingSpec, ScenarioSpec, SpecError, StrategySpec, TopologySpec, TrafficSpec,
 };
+use std::cell::Cell;
 
 // ---------------------------------------------------------------------
-// Decoding helpers
+// Decoding: the object reader
 
-fn fields<'a>(v: &'a Json, path: &str) -> Result<&'a [(String, Json)], SpecError> {
-    match v {
-        Json::Obj(f) => Ok(f),
-        _ => Err(SpecError::WrongType {
-            field: path.to_string(),
-            expected: "an object",
-        }),
-    }
+/// The dotted path of the value being decoded. A closure, so the string
+/// is built only when an error has to name it.
+pub(crate) type At<'x> = &'x dyn Fn() -> String;
+
+/// One JSON object being decoded.
+///
+/// The reader learns which keys are legal only by being asked for them,
+/// and a key nobody asked for must be reported before a bad value. So a
+/// bad value does not return early: the first one is kept, the getter
+/// hands back a stand-in so that the decoder goes on to ask for the rest
+/// of its keys, and [`Reader::finish`] reports the unknown key, else the
+/// kept error, else the value. The cells let a decoder be one
+/// expression: `o.finish(T { a: o.req("a", u64_of), .. })`.
+pub(crate) struct Reader<'a, 'p> {
+    fields: &'a [(String, Json)],
+    path: At<'p>,
+    /// Bit `i` is set once field `i` has been asked for.
+    asked: Cell<u64>,
+    /// The first bad value.
+    bad: Cell<Option<SpecError>>,
 }
 
-fn get<'a>(f: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    f.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn require<'a>(f: &'a [(String, Json)], path: &str, key: &str) -> Result<&'a Json, SpecError> {
-    get(f, key).ok_or_else(|| SpecError::MissingField {
-        field: format!("{path}.{key}"),
-    })
-}
-
-fn check_unknown(f: &[(String, Json)], path: &str, allowed: &[&str]) -> Result<(), SpecError> {
-    for (k, _) in f {
-        if !allowed.contains(&k.as_str()) {
-            return Err(SpecError::UnknownField {
-                field: format!("{path}.{k}"),
-            });
+impl<'a, 'p> Reader<'a, 'p> {
+    pub(crate) fn new(v: &'a Json, path: At<'p>) -> Result<Self, SpecError> {
+        match v {
+            Json::Obj(fields) => Ok(Reader {
+                fields,
+                path,
+                asked: Cell::new(0),
+                bad: Cell::new(None),
+            }),
+            _ => Err(wrong_type(path, "an object")),
         }
     }
-    Ok(())
-}
 
-fn str_of(v: &Json, path: &str) -> Result<String, SpecError> {
-    v.as_str()
-        .map(str::to_string)
-        .ok_or_else(|| SpecError::WrongType {
-            field: path.to_string(),
-            expected: "a string",
+    fn at(&self, key: &str) -> String {
+        format!("{}.{key}", (self.path)())
+    }
+
+    /// Marks `key` asked for and, if the object has it, coerces its value.
+    fn get<T>(
+        &self,
+        key: &str,
+        of: impl FnOnce(&'a Json, At<'_>) -> Result<T, SpecError>,
+    ) -> Option<Result<T, SpecError>> {
+        let i = self.fields.iter().position(|(k, _)| k == key)?;
+        // `json::parse` rejects repeated keys and no object has 64 legal
+        // ones, so a field past bit 63 is never the first unknown one.
+        if i < 64 {
+            self.asked.set(self.asked.get() | 1 << i);
+        }
+        Some(of(&self.fields[i].1, &|| self.at(key)))
+    }
+
+    /// A key the object has to have. The error is returned, not kept.
+    fn must<T>(
+        &self,
+        key: &str,
+        of: impl FnOnce(&'a Json, At<'_>) -> Result<T, SpecError>,
+    ) -> Result<T, SpecError> {
+        match self.get(key, of) {
+            Some(got) => got,
+            None => Err(SpecError::MissingField {
+                field: self.at(key),
+            }),
+        }
+    }
+
+    /// Unwraps `got`; a bad value is kept if it is the first, and
+    /// `stand_in` takes its place.
+    fn keep<T>(&self, got: Result<T, SpecError>, stand_in: T) -> T {
+        got.unwrap_or_else(|e| {
+            self.bad.set(self.bad.take().or(Some(e)));
+            stand_in
         })
+    }
+
+    /// A required key.
+    pub(crate) fn req<T: Default>(
+        &self,
+        key: &str,
+        of: impl FnOnce(&'a Json, At<'_>) -> Result<T, SpecError>,
+    ) -> T {
+        self.req_as(key, of, T::default())
+    }
+
+    /// A required key of a type with no `Default`. `stand_in` is not a
+    /// default: it only ever accompanies a kept error, and `finish`
+    /// returns that error instead of the value built around it.
+    pub(crate) fn req_as<T>(
+        &self,
+        key: &str,
+        of: impl FnOnce(&'a Json, At<'_>) -> Result<T, SpecError>,
+        stand_in: T,
+    ) -> T {
+        self.keep(self.must(key, of), stand_in)
+    }
+
+    /// A key that decodes to `default` when absent (`null` is a value,
+    /// and the wrong type).
+    fn or<T>(
+        &self,
+        key: &str,
+        of: impl FnOnce(&'a Json, At<'_>) -> Result<T, SpecError>,
+        default: T,
+    ) -> T {
+        match self.get(key, of) {
+            Some(got) => self.keep(got, default),
+            None => default,
+        }
+    }
+
+    /// A key that may be absent or `null`.
+    fn opt<T>(
+        &self,
+        key: &str,
+        of: impl FnOnce(&'a Json, At<'_>) -> Result<T, SpecError>,
+    ) -> Option<T> {
+        let or_null = |v: &'a Json, at: At<'_>| match v {
+            Json::Null => Ok(None),
+            v => of(v, at).map(Some),
+        };
+        self.or(key, or_null, None)
+    }
+
+    /// The `kind` tag. It picks the decoder's arm, so unlike every other
+    /// value a bad one returns at once.
+    fn kind(&self) -> Result<&'a str, SpecError> {
+        self.must("kind", str_of)
+    }
+
+    /// Ends the object: the first key nobody asked for, else the first
+    /// bad value, else `value`.
+    pub(crate) fn finish<T>(&self, value: T) -> Result<T, SpecError> {
+        let asked = self.asked.get();
+        let mut fields = self.fields.iter().enumerate();
+        match fields.find(|&(i, _)| i >= 64 || asked >> i & 1 == 0) {
+            Some((_, (key, _))) => Err(SpecError::UnknownField {
+                field: self.at(key),
+            }),
+            None => self.bad.take().map_or(Ok(value), Err),
+        }
+    }
 }
 
-fn u64_of(v: &Json, path: &str) -> Result<u64, SpecError> {
-    v.as_num()
-        .and_then(|n| n.as_u64())
-        .ok_or_else(|| SpecError::WrongType {
-            field: path.to_string(),
-            expected: "a non-negative integer",
-        })
+fn wrong_type(at: At<'_>, expected: &'static str) -> SpecError {
+    SpecError::WrongType {
+        field: at(),
+        expected,
+    }
 }
 
-fn usize_of(v: &Json, path: &str) -> Result<usize, SpecError> {
-    u64_of(v, path).and_then(|n| {
-        usize::try_from(n).map_err(|_| SpecError::WrongType {
-            field: path.to_string(),
-            expected: "a machine-sized integer",
-        })
-    })
+fn unknown_kind(at: At<'_>, got: &str) -> SpecError {
+    SpecError::UnknownKind {
+        field: at(),
+        got: got.to_string(),
+    }
 }
 
-fn u32_of(v: &Json, path: &str) -> Result<u32, SpecError> {
-    u64_of(v, path).and_then(|n| {
-        u32::try_from(n).map_err(|_| SpecError::WrongType {
-            field: path.to_string(),
-            expected: "a 32-bit integer",
-        })
-    })
+fn str_of<'a>(v: &'a Json, at: At<'_>) -> Result<&'a str, SpecError> {
+    v.as_str().ok_or_else(|| wrong_type(at, "a string"))
 }
 
-fn bool_of(v: &Json, path: &str) -> Result<bool, SpecError> {
-    v.as_bool().ok_or_else(|| SpecError::WrongType {
-        field: path.to_string(),
-        expected: "a boolean",
-    })
+fn u64_of(v: &Json, at: At<'_>) -> Result<u64, SpecError> {
+    let n = v.as_num().and_then(|n| n.as_u64());
+    n.ok_or_else(|| wrong_type(at, "a non-negative integer"))
 }
 
-fn f64_of(v: &Json, path: &str) -> Result<f64, SpecError> {
-    v.as_num()
-        .map(|n| n.as_f64())
-        .ok_or_else(|| SpecError::WrongType {
-            field: path.to_string(),
-            expected: "a number",
-        })
+fn usize_of(v: &Json, at: At<'_>) -> Result<usize, SpecError> {
+    usize::try_from(u64_of(v, at)?).map_err(|_| wrong_type(at, "a machine-sized integer"))
 }
 
-fn kind_of<'a>(f: &'a [(String, Json)], path: &str) -> Result<&'a str, SpecError> {
-    require(f, path, "kind")?
-        .as_str()
-        .ok_or_else(|| SpecError::WrongType {
-            field: format!("{path}.kind"),
-            expected: "a string",
-        })
+pub(crate) fn u32_of(v: &Json, at: At<'_>) -> Result<u32, SpecError> {
+    u32::try_from(u64_of(v, at)?).map_err(|_| wrong_type(at, "a 32-bit integer"))
 }
 
-/// A tagged object with no payload fields beyond `kind`.
-fn kind_only(f: &[(String, Json)], path: &str) -> Result<(), SpecError> {
-    check_unknown(f, path, &["kind"])
+fn bool_of(v: &Json, at: At<'_>) -> Result<bool, SpecError> {
+    v.as_bool().ok_or_else(|| wrong_type(at, "a boolean"))
+}
+
+fn f64_of(v: &Json, at: At<'_>) -> Result<f64, SpecError> {
+    let n = v.as_num().map(|n| n.as_f64());
+    n.ok_or_else(|| wrong_type(at, "a number"))
+}
+
+/// The `(tag, value)` rows of a string-tagged enum: [`tag`] reads
+/// through them and [`tag_json`] writes through them.
+type Tags<T> = &'static [(&'static str, T)];
+
+const STRATEGIES: Tags<StrategySpec> = &[
+    ("connected_growth", StrategySpec::ConnectedGrowth),
+    ("uniform_retry", StrategySpec::UniformRetry),
+];
+
+const PATTERNS: Tags<PatternSpec> = &[
+    ("transpose", PatternSpec::Transpose),
+    ("bit_complement", PatternSpec::BitComplement),
+];
+
+const QUEUES: Tags<QueueSpec> = &[("bucket", QueueSpec::Bucket), ("heap", QueueSpec::Heap)];
+
+fn tag<T: Copy>(tags: Tags<T>) -> impl Fn(&Json, At<'_>) -> Result<T, SpecError> {
+    move |v, at| {
+        let got = str_of(v, at)?;
+        let row = tags.iter().find(|(name, _)| *name == got);
+        row.map(|&(_, value)| value)
+            .ok_or_else(|| unknown_kind(at, got))
+    }
+}
+
+fn tag_json<T: PartialEq>(tags: Tags<T>, value: T) -> Json {
+    let row = tags.iter().find(|(_, v)| *v == value);
+    s(row.map_or("", |(name, _)| name))
 }
 
 // ---------------------------------------------------------------------
@@ -132,6 +255,10 @@ fn s(v: &str) -> Json {
     Json::Str(v.to_string())
 }
 
+fn nullable(v: Option<u64>) -> Json {
+    v.map_or(Json::Null, u)
+}
+
 fn kind(tag: &str, mut rest: Vec<(&str, Json)>) -> Json {
     let mut all = vec![("kind", s(tag))];
     all.append(&mut rest);
@@ -147,62 +274,18 @@ impl ScenarioSpec {
 
     /// Decodes an already-parsed document.
     pub fn from_value(v: &Json) -> Result<Self, SpecError> {
-        let f = fields(v, "scenario")?;
-        check_unknown(
-            f,
-            "scenario",
-            &[
-                "name",
-                "description",
-                "topology",
-                "routing",
-                "traffic",
-                "faults",
-                "engine",
-                "seed",
-                "replications",
-                "horizon_us",
-            ],
-        )?;
-        let name = str_of(require(f, "scenario", "name")?, "scenario.name")?;
-        let description = match get(f, "description") {
-            Some(v) => str_of(v, "scenario.description")?,
-            None => String::new(),
-        };
-        let topology = decode_topology(require(f, "scenario", "topology")?)?;
-        let routing = decode_routing(require(f, "scenario", "routing")?)?;
-        let traffic = decode_traffic(require(f, "scenario", "traffic")?)?;
-        let faults = match get(f, "faults") {
-            Some(v) => decode_faults(v)?,
-            None => FaultsSpec::None,
-        };
-        let engine = match get(f, "engine") {
-            Some(v) => decode_engine(v)?,
-            None => EngineSpec::default(),
-        };
-        let seed = match get(f, "seed") {
-            Some(v) => u64_of(v, "scenario.seed")?,
-            None => 0,
-        };
-        let replications = match get(f, "replications") {
-            Some(v) => u32_of(v, "scenario.replications")?,
-            None => 1,
-        };
-        let horizon_us = match get(f, "horizon_us") {
-            Some(Json::Null) | None => None,
-            Some(v) => Some(u64_of(v, "scenario.horizon_us")?),
-        };
-        Ok(ScenarioSpec {
-            name,
-            description,
-            topology,
-            routing,
-            traffic,
-            faults,
-            engine,
-            seed,
-            replications,
-            horizon_us,
+        let o = Reader::new(v, &|| "scenario".to_string())?;
+        o.finish(ScenarioSpec {
+            name: o.req("name", str_of).to_string(),
+            description: o.or("description", str_of, "").to_string(),
+            topology: o.req("topology", decode_topology),
+            routing: o.req_as("routing", decode_routing, RoutingSpec::UpDownUnicast),
+            traffic: o.req_as("traffic", decode_traffic, NO_TRAFFIC),
+            faults: o.or("faults", decode_faults, FaultsSpec::None),
+            engine: o.or("engine", decode_engine, EngineSpec::default()),
+            seed: o.or("seed", u64_of, 0),
+            replications: o.or("replications", u32_of, 1),
+            horizon_us: o.opt("horizon_us", u64_of),
         })
     }
 
@@ -233,37 +316,14 @@ impl ScenarioSpec {
     }
 }
 
-pub(crate) fn decode_topology(v: &Json) -> Result<TopologySpec, SpecError> {
-    let p = "scenario.topology";
-    let f = fields(v, p)?;
-    check_unknown(f, p, &["switches", "seed", "side", "strategy", "ports"])?;
-    Ok(TopologySpec {
-        switches: usize_of(require(f, p, "switches")?, "scenario.topology.switches")?,
-        seed: match get(f, "seed") {
-            Some(v) => u64_of(v, "scenario.topology.seed")?,
-            None => 0,
-        },
-        side: match get(f, "side") {
-            Some(Json::Null) | None => None,
-            Some(v) => Some(usize_of(v, "scenario.topology.side")?),
-        },
-        strategy: match get(f, "strategy") {
-            None => StrategySpec::ConnectedGrowth,
-            Some(v) => match str_of(v, "scenario.topology.strategy")?.as_str() {
-                "connected_growth" => StrategySpec::ConnectedGrowth,
-                "uniform_retry" => StrategySpec::UniformRetry,
-                other => {
-                    return Err(SpecError::UnknownKind {
-                        field: "scenario.topology.strategy".to_string(),
-                        got: other.to_string(),
-                    })
-                }
-            },
-        },
-        ports: match get(f, "ports") {
-            Some(v) => usize_of(v, "scenario.topology.ports")?,
-            None => 8,
-        },
+pub(crate) fn decode_topology(v: &Json, at: At<'_>) -> Result<TopologySpec, SpecError> {
+    let o = Reader::new(v, at)?;
+    o.finish(TopologySpec {
+        switches: o.req("switches", usize_of),
+        seed: o.or("seed", u64_of, 0),
+        side: o.opt("side", usize_of),
+        strategy: o.or("strategy", tag(STRATEGIES), StrategySpec::ConnectedGrowth),
+        ports: o.or("ports", usize_of, 8),
     })
 }
 
@@ -272,66 +332,32 @@ pub(crate) fn encode_topology(t: &TopologySpec) -> Json {
     if let Some(side) = t.side {
         out.push(("side", uz(side)));
     }
-    out.push((
-        "strategy",
-        s(match t.strategy {
-            StrategySpec::ConnectedGrowth => "connected_growth",
-            StrategySpec::UniformRetry => "uniform_retry",
-        }),
-    ));
+    out.push(("strategy", tag_json(STRATEGIES, t.strategy)));
     out.push(("ports", uz(t.ports)));
     Json::obj(out)
 }
 
-fn decode_routing(v: &Json) -> Result<RoutingSpec, SpecError> {
-    let p = "scenario.routing";
-    let f = fields(v, p)?;
-    match kind_of(f, p)? {
-        "spam" => {
-            check_unknown(f, p, &["kind", "policy"])?;
-            let policy = match get(f, "policy") {
-                None => PolicySpec::MinResidualDistance,
-                Some(v) => decode_policy(v)?,
-            };
-            Ok(RoutingSpec::Spam { policy })
-        }
-        "updown_unicast" => {
-            kind_only(f, p)?;
-            Ok(RoutingSpec::UpDownUnicast)
-        }
-        "software_multicast" => {
-            kind_only(f, p)?;
-            Ok(RoutingSpec::SoftwareMulticast)
-        }
-        other => Err(SpecError::UnknownKind {
-            field: p.to_string(),
-            got: other.to_string(),
+fn decode_routing(v: &Json, at: At<'_>) -> Result<RoutingSpec, SpecError> {
+    let o = Reader::new(v, at)?;
+    match o.kind()? {
+        "spam" => o.finish(RoutingSpec::Spam {
+            policy: o.or("policy", decode_policy, PolicySpec::MinResidualDistance),
         }),
+        "updown_unicast" => o.finish(RoutingSpec::UpDownUnicast),
+        "software_multicast" => o.finish(RoutingSpec::SoftwareMulticast),
+        other => Err(unknown_kind(at, other)),
     }
 }
 
-fn decode_policy(v: &Json) -> Result<PolicySpec, SpecError> {
-    let p = "scenario.routing.policy";
-    let f = fields(v, p)?;
-    match kind_of(f, p)? {
-        "min_residual_distance" => {
-            kind_only(f, p)?;
-            Ok(PolicySpec::MinResidualDistance)
-        }
-        "first_legal" => {
-            kind_only(f, p)?;
-            Ok(PolicySpec::FirstLegal)
-        }
-        "random_legal" => {
-            check_unknown(f, p, &["kind", "seed"])?;
-            Ok(PolicySpec::RandomLegal {
-                seed: u64_of(require(f, p, "seed")?, "scenario.routing.policy.seed")?,
-            })
-        }
-        other => Err(SpecError::UnknownKind {
-            field: p.to_string(),
-            got: other.to_string(),
+fn decode_policy(v: &Json, at: At<'_>) -> Result<PolicySpec, SpecError> {
+    let o = Reader::new(v, at)?;
+    match o.kind()? {
+        "min_residual_distance" => o.finish(PolicySpec::MinResidualDistance),
+        "first_legal" => o.finish(PolicySpec::FirstLegal),
+        "random_legal" => o.finish(PolicySpec::RandomLegal {
+            seed: o.req("seed", u64_of),
         }),
+        other => Err(unknown_kind(at, other)),
     }
 }
 
@@ -355,35 +381,23 @@ fn encode_routing(r: &RoutingSpec) -> Json {
     }
 }
 
-fn decode_arrival(v: &Json, p: &str) -> Result<ArrivalSpec, SpecError> {
-    let f = fields(v, p)?;
-    match kind_of(f, p)? {
-        "negative_binomial" => {
-            check_unknown(f, p, &["kind", "r"])?;
-            Ok(ArrivalSpec::NegativeBinomial {
-                r: u32_of(require(f, p, "r")?, &format!("{p}.r"))?,
-            })
-        }
-        "poisson" => {
-            kind_only(f, p)?;
-            Ok(ArrivalSpec::Poisson)
-        }
-        "deterministic" => {
-            kind_only(f, p)?;
-            Ok(ArrivalSpec::Deterministic)
-        }
-        "on_off" => {
-            check_unknown(f, p, &["kind", "r", "mean_on_us", "mean_off_us"])?;
-            Ok(ArrivalSpec::OnOff {
-                r: u32_of(require(f, p, "r")?, &format!("{p}.r"))?,
-                mean_on_us: u64_of(require(f, p, "mean_on_us")?, &format!("{p}.mean_on_us"))?,
-                mean_off_us: u64_of(require(f, p, "mean_off_us")?, &format!("{p}.mean_off_us"))?,
-            })
-        }
-        other => Err(SpecError::UnknownKind {
-            field: p.to_string(),
-            got: other.to_string(),
+/// What an absent `arrival` decodes to: the §4 geometric slot counts.
+const GEOMETRIC: ArrivalSpec = ArrivalSpec::NegativeBinomial { r: 1 };
+
+fn decode_arrival(v: &Json, at: At<'_>) -> Result<ArrivalSpec, SpecError> {
+    let o = Reader::new(v, at)?;
+    match o.kind()? {
+        "negative_binomial" => o.finish(ArrivalSpec::NegativeBinomial {
+            r: o.req("r", u32_of),
         }),
+        "poisson" => o.finish(ArrivalSpec::Poisson),
+        "deterministic" => o.finish(ArrivalSpec::Deterministic),
+        "on_off" => o.finish(ArrivalSpec::OnOff {
+            r: o.req("r", u32_of),
+            mean_on_us: o.req("mean_on_us", u64_of),
+            mean_off_us: o.req("mean_off_us", u64_of),
+        }),
+        other => Err(unknown_kind(at, other)),
     }
 }
 
@@ -407,179 +421,60 @@ fn encode_arrival(a: &ArrivalSpec) -> Json {
     }
 }
 
-fn decode_traffic(v: &Json) -> Result<TrafficSpec, SpecError> {
-    let p = "scenario.traffic";
-    let f = fields(v, p)?;
-    let arrival = |key: &str| -> Result<ArrivalSpec, SpecError> {
-        match get(f, key) {
-            Some(v) => decode_arrival(v, &format!("{p}.{key}")),
-            None => Ok(ArrivalSpec::NegativeBinomial { r: 1 }),
-        }
-    };
-    match kind_of(f, p)? {
-        "single_multicast" => {
-            check_unknown(f, p, &["kind", "dests", "len"])?;
-            Ok(TrafficSpec::SingleMulticast {
-                dests: usize_of(require(f, p, "dests")?, "scenario.traffic.dests")?,
-                len: u32_of(require(f, p, "len")?, "scenario.traffic.len")?,
-            })
-        }
-        "mixed" => {
-            check_unknown(
-                f,
-                p,
-                &[
-                    "kind",
-                    "unicast_fraction",
-                    "multicast_dests",
-                    "rate_per_node_per_us",
-                    "len",
-                    "messages",
-                    "arrival",
-                ],
-            )?;
-            Ok(TrafficSpec::Mixed {
-                unicast_fraction: f64_of(
-                    require(f, p, "unicast_fraction")?,
-                    "scenario.traffic.unicast_fraction",
-                )?,
-                multicast_dests: usize_of(
-                    require(f, p, "multicast_dests")?,
-                    "scenario.traffic.multicast_dests",
-                )?,
-                rate_per_node_per_us: f64_of(
-                    require(f, p, "rate_per_node_per_us")?,
-                    "scenario.traffic.rate_per_node_per_us",
-                )?,
-                len: u32_of(require(f, p, "len")?, "scenario.traffic.len")?,
-                messages: usize_of(require(f, p, "messages")?, "scenario.traffic.messages")?,
-                arrival: arrival("arrival")?,
-            })
-        }
-        "hotspot" => {
-            check_unknown(
-                f,
-                p,
-                &[
-                    "kind",
-                    "hot_nodes",
-                    "hot_fraction",
-                    "rate_per_node_per_us",
-                    "len",
-                    "messages",
-                    "arrival",
-                ],
-            )?;
-            Ok(TrafficSpec::Hotspot {
-                hot_nodes: usize_of(require(f, p, "hot_nodes")?, "scenario.traffic.hot_nodes")?,
-                hot_fraction: f64_of(
-                    require(f, p, "hot_fraction")?,
-                    "scenario.traffic.hot_fraction",
-                )?,
-                rate_per_node_per_us: f64_of(
-                    require(f, p, "rate_per_node_per_us")?,
-                    "scenario.traffic.rate_per_node_per_us",
-                )?,
-                len: u32_of(require(f, p, "len")?, "scenario.traffic.len")?,
-                messages: usize_of(require(f, p, "messages")?, "scenario.traffic.messages")?,
-                arrival: arrival("arrival")?,
-            })
-        }
-        "permutation" => {
-            check_unknown(
-                f,
-                p,
-                &[
-                    "kind",
-                    "pattern",
-                    "rate_per_node_per_us",
-                    "len",
-                    "messages_per_node",
-                    "arrival",
-                ],
-            )?;
-            let pattern =
-                match str_of(require(f, p, "pattern")?, "scenario.traffic.pattern")?.as_str() {
-                    "transpose" => PatternSpec::Transpose,
-                    "bit_complement" => PatternSpec::BitComplement,
-                    other => {
-                        return Err(SpecError::UnknownKind {
-                            field: "scenario.traffic.pattern".to_string(),
-                            got: other.to_string(),
-                        })
-                    }
-                };
-            Ok(TrafficSpec::Permutation {
-                pattern,
-                rate_per_node_per_us: f64_of(
-                    require(f, p, "rate_per_node_per_us")?,
-                    "scenario.traffic.rate_per_node_per_us",
-                )?,
-                len: u32_of(require(f, p, "len")?, "scenario.traffic.len")?,
-                messages_per_node: usize_of(
-                    require(f, p, "messages_per_node")?,
-                    "scenario.traffic.messages_per_node",
-                )?,
-                arrival: arrival("arrival")?,
-            })
-        }
-        "incast" => {
-            check_unknown(
-                f,
-                p,
-                &[
-                    "kind",
-                    "servers",
-                    "rate_per_client_per_us",
-                    "len",
-                    "messages",
-                    "arrival",
-                ],
-            )?;
-            Ok(TrafficSpec::Incast {
-                servers: usize_of(require(f, p, "servers")?, "scenario.traffic.servers")?,
-                rate_per_client_per_us: f64_of(
-                    require(f, p, "rate_per_client_per_us")?,
-                    "scenario.traffic.rate_per_client_per_us",
-                )?,
-                len: u32_of(require(f, p, "len")?, "scenario.traffic.len")?,
-                messages: usize_of(require(f, p, "messages")?, "scenario.traffic.messages")?,
-                arrival: arrival("arrival")?,
-            })
-        }
-        "broadcast_storm" => {
-            check_unknown(f, p, &["kind", "len", "stagger_ns"])?;
-            Ok(TrafficSpec::BroadcastStorm {
-                len: u32_of(require(f, p, "len")?, "scenario.traffic.len")?,
-                stagger_ns: match get(f, "stagger_ns") {
-                    Some(v) => u64_of(v, "scenario.traffic.stagger_ns")?,
-                    None => 0,
-                },
-            })
-        }
-        "closed_loop" => {
-            check_unknown(
-                f,
-                p,
-                &["kind", "window", "messages_per_source", "len", "think_ns"],
-            )?;
-            Ok(TrafficSpec::ClosedLoop {
-                window: usize_of(require(f, p, "window")?, "scenario.traffic.window")?,
-                messages_per_source: usize_of(
-                    require(f, p, "messages_per_source")?,
-                    "scenario.traffic.messages_per_source",
-                )?,
-                len: u32_of(require(f, p, "len")?, "scenario.traffic.len")?,
-                think_ns: match get(f, "think_ns") {
-                    Some(v) => u64_of(v, "scenario.traffic.think_ns")?,
-                    None => 0,
-                },
-            })
-        }
-        other => Err(SpecError::UnknownKind {
-            field: p.to_string(),
-            got: other.to_string(),
+/// The stand-in of a `traffic` object that did not decode.
+const NO_TRAFFIC: TrafficSpec = TrafficSpec::BroadcastStorm {
+    len: 0,
+    stagger_ns: 0,
+};
+
+fn decode_traffic(v: &Json, at: At<'_>) -> Result<TrafficSpec, SpecError> {
+    let o = Reader::new(v, at)?;
+    match o.kind()? {
+        "single_multicast" => o.finish(TrafficSpec::SingleMulticast {
+            dests: o.req("dests", usize_of),
+            len: o.req("len", u32_of),
         }),
+        "mixed" => o.finish(TrafficSpec::Mixed {
+            unicast_fraction: o.req("unicast_fraction", f64_of),
+            multicast_dests: o.req("multicast_dests", usize_of),
+            rate_per_node_per_us: o.req("rate_per_node_per_us", f64_of),
+            len: o.req("len", u32_of),
+            messages: o.req("messages", usize_of),
+            arrival: o.or("arrival", decode_arrival, GEOMETRIC),
+        }),
+        "hotspot" => o.finish(TrafficSpec::Hotspot {
+            hot_nodes: o.req("hot_nodes", usize_of),
+            hot_fraction: o.req("hot_fraction", f64_of),
+            rate_per_node_per_us: o.req("rate_per_node_per_us", f64_of),
+            len: o.req("len", u32_of),
+            messages: o.req("messages", usize_of),
+            arrival: o.or("arrival", decode_arrival, GEOMETRIC),
+        }),
+        "permutation" => o.finish(TrafficSpec::Permutation {
+            pattern: o.req_as("pattern", tag(PATTERNS), PatternSpec::Transpose),
+            rate_per_node_per_us: o.req("rate_per_node_per_us", f64_of),
+            len: o.req("len", u32_of),
+            messages_per_node: o.req("messages_per_node", usize_of),
+            arrival: o.or("arrival", decode_arrival, GEOMETRIC),
+        }),
+        "incast" => o.finish(TrafficSpec::Incast {
+            servers: o.req("servers", usize_of),
+            rate_per_client_per_us: o.req("rate_per_client_per_us", f64_of),
+            len: o.req("len", u32_of),
+            messages: o.req("messages", usize_of),
+            arrival: o.or("arrival", decode_arrival, GEOMETRIC),
+        }),
+        "broadcast_storm" => o.finish(TrafficSpec::BroadcastStorm {
+            len: o.req("len", u32_of),
+            stagger_ns: o.or("stagger_ns", u64_of, 0),
+        }),
+        "closed_loop" => o.finish(TrafficSpec::ClosedLoop {
+            window: o.req("window", usize_of),
+            messages_per_source: o.req("messages_per_source", usize_of),
+            len: o.req("len", u32_of),
+            think_ns: o.or("think_ns", u64_of, 0),
+        }),
+        other => Err(unknown_kind(at, other)),
     }
 }
 
@@ -634,13 +529,7 @@ fn encode_traffic(t: &TrafficSpec) -> Json {
         } => kind(
             "permutation",
             vec![
-                (
-                    "pattern",
-                    s(match pattern {
-                        PatternSpec::Transpose => "transpose",
-                        PatternSpec::BitComplement => "bit_complement",
-                    }),
-                ),
+                ("pattern", tag_json(PATTERNS, *pattern)),
                 ("rate_per_node_per_us", f(*rate_per_node_per_us)),
                 ("len", u(*len as u64)),
                 ("messages_per_node", uz(*messages_per_node)),
@@ -684,31 +573,22 @@ fn encode_traffic(t: &TrafficSpec) -> Json {
     }
 }
 
-fn decode_model(v: &Json, p: &str) -> Result<FaultModelSpec, SpecError> {
-    let f = fields(v, p)?;
-    match kind_of(f, p)? {
-        "iid_links" => {
-            check_unknown(f, p, &["kind", "rate"])?;
-            Ok(FaultModelSpec::IidLinks {
-                rate: f64_of(require(f, p, "rate")?, &format!("{p}.rate"))?,
-            })
-        }
-        "iid_switches" => {
-            check_unknown(f, p, &["kind", "rate"])?;
-            Ok(FaultModelSpec::IidSwitches {
-                rate: f64_of(require(f, p, "rate")?, &format!("{p}.rate"))?,
-            })
-        }
-        "region" => {
-            check_unknown(f, p, &["kind", "radius"])?;
-            Ok(FaultModelSpec::Region {
-                radius: usize_of(require(f, p, "radius")?, &format!("{p}.radius"))?,
-            })
-        }
-        other => Err(SpecError::UnknownKind {
-            field: p.to_string(),
-            got: other.to_string(),
+/// The stand-in of a `model` object that did not decode.
+const NO_MODEL: FaultModelSpec = FaultModelSpec::Region { radius: 0 };
+
+fn decode_model(v: &Json, at: At<'_>) -> Result<FaultModelSpec, SpecError> {
+    let o = Reader::new(v, at)?;
+    match o.kind()? {
+        "iid_links" => o.finish(FaultModelSpec::IidLinks {
+            rate: o.req("rate", f64_of),
         }),
+        "iid_switches" => o.finish(FaultModelSpec::IidSwitches {
+            rate: o.req("rate", f64_of),
+        }),
+        "region" => o.finish(FaultModelSpec::Region {
+            radius: o.req("radius", usize_of),
+        }),
+        other => Err(unknown_kind(at, other)),
     }
 }
 
@@ -720,58 +600,22 @@ fn encode_model(m: &FaultModelSpec) -> Json {
     }
 }
 
-pub(crate) fn decode_faults(v: &Json) -> Result<FaultsSpec, SpecError> {
-    let p = "scenario.faults";
-    let f = fields(v, p)?;
-    match kind_of(f, p)? {
-        "none" => {
-            kind_only(f, p)?;
-            Ok(FaultsSpec::None)
-        }
-        "static" => {
-            check_unknown(f, p, &["kind", "model", "seed"])?;
-            Ok(FaultsSpec::Static {
-                model: decode_model(require(f, p, "model")?, "scenario.faults.model")?,
-                seed: match get(f, "seed") {
-                    Some(v) => u64_of(v, "scenario.faults.seed")?,
-                    None => 0,
-                },
-            })
-        }
-        "storm" => {
-            check_unknown(
-                f,
-                p,
-                &[
-                    "kind",
-                    "model",
-                    "seed",
-                    "window_start_us",
-                    "window_end_us",
-                    "bursts",
-                ],
-            )?;
-            Ok(FaultsSpec::Storm {
-                model: decode_model(require(f, p, "model")?, "scenario.faults.model")?,
-                seed: match get(f, "seed") {
-                    Some(v) => u64_of(v, "scenario.faults.seed")?,
-                    None => 0,
-                },
-                window_start_us: u64_of(
-                    require(f, p, "window_start_us")?,
-                    "scenario.faults.window_start_us",
-                )?,
-                window_end_us: u64_of(
-                    require(f, p, "window_end_us")?,
-                    "scenario.faults.window_end_us",
-                )?,
-                bursts: usize_of(require(f, p, "bursts")?, "scenario.faults.bursts")?,
-            })
-        }
-        other => Err(SpecError::UnknownKind {
-            field: p.to_string(),
-            got: other.to_string(),
+pub(crate) fn decode_faults(v: &Json, at: At<'_>) -> Result<FaultsSpec, SpecError> {
+    let o = Reader::new(v, at)?;
+    match o.kind()? {
+        "none" => o.finish(FaultsSpec::None),
+        "static" => o.finish(FaultsSpec::Static {
+            model: o.req_as("model", decode_model, NO_MODEL),
+            seed: o.or("seed", u64_of, 0),
         }),
+        "storm" => o.finish(FaultsSpec::Storm {
+            model: o.req_as("model", decode_model, NO_MODEL),
+            seed: o.or("seed", u64_of, 0),
+            window_start_us: o.req("window_start_us", u64_of),
+            window_end_us: o.req("window_end_us", u64_of),
+            bursts: o.req("bursts", usize_of),
+        }),
+        other => Err(unknown_kind(at, other)),
     }
 }
 
@@ -801,91 +645,28 @@ pub(crate) fn encode_faults(fs: &FaultsSpec) -> Json {
     }
 }
 
-fn decode_engine(v: &Json) -> Result<EngineSpec, SpecError> {
-    let p = "scenario.engine";
-    let f = fields(v, p)?;
-    check_unknown(
-        f,
-        p,
-        &[
-            "queue",
-            "input_buffer_flits",
-            "output_buffer_flits",
-            "extra_header_flits",
-            "trace",
-            "metrics_every_ns",
-            "checkpoint_every_ns",
-        ],
-    )?;
+fn decode_engine(v: &Json, at: At<'_>) -> Result<EngineSpec, SpecError> {
+    let o = Reader::new(v, at)?;
     let d = EngineSpec::default();
-    Ok(EngineSpec {
-        queue: match get(f, "queue") {
-            Some(Json::Null) | None => None,
-            Some(v) => Some(match str_of(v, "scenario.engine.queue")?.as_str() {
-                "bucket" => QueueSpec::Bucket,
-                "heap" => QueueSpec::Heap,
-                other => {
-                    return Err(SpecError::UnknownKind {
-                        field: "scenario.engine.queue".to_string(),
-                        got: other.to_string(),
-                    })
-                }
-            }),
-        },
-        input_buffer_flits: match get(f, "input_buffer_flits") {
-            Some(v) => usize_of(v, "scenario.engine.input_buffer_flits")?,
-            None => d.input_buffer_flits,
-        },
-        output_buffer_flits: match get(f, "output_buffer_flits") {
-            Some(v) => usize_of(v, "scenario.engine.output_buffer_flits")?,
-            None => d.output_buffer_flits,
-        },
-        extra_header_flits: match get(f, "extra_header_flits") {
-            Some(v) => u32_of(v, "scenario.engine.extra_header_flits")?,
-            None => d.extra_header_flits,
-        },
-        trace: match get(f, "trace") {
-            Some(v) => bool_of(v, "scenario.engine.trace")?,
-            None => d.trace,
-        },
-        metrics_every_ns: match get(f, "metrics_every_ns") {
-            Some(Json::Null) | None => None,
-            Some(v) => Some(u64_of(v, "scenario.engine.metrics_every_ns")?),
-        },
-        checkpoint_every_ns: match get(f, "checkpoint_every_ns") {
-            Some(Json::Null) | None => None,
-            Some(v) => Some(u64_of(v, "scenario.engine.checkpoint_every_ns")?),
-        },
+    o.finish(EngineSpec {
+        queue: o.opt("queue", tag(QUEUES)),
+        input_buffer_flits: o.or("input_buffer_flits", usize_of, d.input_buffer_flits),
+        output_buffer_flits: o.or("output_buffer_flits", usize_of, d.output_buffer_flits),
+        extra_header_flits: o.or("extra_header_flits", u32_of, d.extra_header_flits),
+        trace: o.or("trace", bool_of, d.trace),
+        metrics_every_ns: o.opt("metrics_every_ns", u64_of),
+        checkpoint_every_ns: o.opt("checkpoint_every_ns", u64_of),
     })
 }
 
 fn encode_engine(e: &EngineSpec) -> Json {
     Json::obj(vec![
-        (
-            "queue",
-            match e.queue {
-                None => Json::Null,
-                Some(QueueSpec::Bucket) => s("bucket"),
-                Some(QueueSpec::Heap) => s("heap"),
-            },
-        ),
+        ("queue", e.queue.map_or(Json::Null, |q| tag_json(QUEUES, q))),
         ("input_buffer_flits", uz(e.input_buffer_flits)),
         ("output_buffer_flits", uz(e.output_buffer_flits)),
         ("extra_header_flits", u(e.extra_header_flits as u64)),
         ("trace", Json::Bool(e.trace)),
-        (
-            "metrics_every_ns",
-            match e.metrics_every_ns {
-                None => Json::Null,
-                Some(n) => u(n),
-            },
-        ),
-        (
-            "checkpoint_every_ns",
-            match e.checkpoint_every_ns {
-                None => Json::Null,
-                Some(n) => u(n),
-            },
-        ),
+        ("metrics_every_ns", nullable(e.metrics_every_ns)),
+        ("checkpoint_every_ns", nullable(e.checkpoint_every_ns)),
     ])
 }

@@ -380,6 +380,12 @@ pub enum SpecError {
         /// Configured side.
         side: usize,
     },
+    /// An explicit lattice side whose square does not fit a machine word
+    /// (the generator indexes cells by `row * side + col`).
+    LatticeSideOverflow {
+        /// Configured side.
+        side: usize,
+    },
     /// Port budget below the generator's requirement (4 lattice links + 1
     /// processor link).
     BadPorts {
@@ -474,6 +480,9 @@ impl fmt::Display for SpecError {
             SpecError::LatticeTooSmall { switches, side } => {
                 write!(f, "lattice {side}x{side} cannot hold {switches} switches")
             }
+            SpecError::LatticeSideOverflow { side } => {
+                write!(f, "lattice side {side} squared overflows a machine word")
+            }
             SpecError::BadPorts { ports } => {
                 write!(f, "ports = {ports} below the generator's 5-port floor")
             }
@@ -545,6 +554,7 @@ impl SpecError {
             SpecError::EmptyName => "EmptyName",
             SpecError::TooFewSwitches { .. } => "TooFewSwitches",
             SpecError::LatticeTooSmall { .. } => "LatticeTooSmall",
+            SpecError::LatticeSideOverflow { .. } => "LatticeSideOverflow",
             SpecError::BadPorts { .. } => "BadPorts",
             SpecError::ZeroReplications => "ZeroReplications",
             SpecError::BadBuffers { .. } => "BadBuffers",
@@ -619,23 +629,7 @@ impl ScenarioSpec {
         if self.name.is_empty() {
             return Err(SpecError::EmptyName);
         }
-        let t = &self.topology;
-        if t.switches < 2 {
-            return Err(SpecError::TooFewSwitches {
-                switches: t.switches,
-            });
-        }
-        if let Some(side) = t.side {
-            if side * side < t.switches {
-                return Err(SpecError::LatticeTooSmall {
-                    switches: t.switches,
-                    side,
-                });
-            }
-        }
-        if t.ports < 5 {
-            return Err(SpecError::BadPorts { ports: t.ports });
-        }
+        self.topology.check()?;
         if self.replications == 0 {
             return Err(SpecError::ZeroReplications);
         }
@@ -704,47 +698,18 @@ impl ScenarioSpec {
         }
     }
 
+    /// The fault rules, then the one that needs the scenario around
+    /// them: a storm must end inside the declared horizon.
     fn validate_faults(&self) -> Result<(), SpecError> {
-        let check_model = |m: &FaultModelSpec| match *m {
-            FaultModelSpec::IidLinks { rate } | FaultModelSpec::IidSwitches { rate } => {
-                if (0.0..=1.0).contains(&rate) {
-                    Ok(())
-                } else {
-                    Err(SpecError::BadFaultRate { rate })
-                }
+        self.faults.check()?;
+        match (self.faults, self.horizon_us) {
+            (FaultsSpec::Storm { window_end_us, .. }, Some(h)) if window_end_us > h => {
+                Err(SpecError::FaultsPastHorizon {
+                    at_us: window_end_us,
+                    horizon_us: h,
+                })
             }
-            FaultModelSpec::Region { .. } => Ok(()),
-        };
-        match self.faults {
-            FaultsSpec::None => Ok(()),
-            FaultsSpec::Static { ref model, .. } => check_model(model),
-            FaultsSpec::Storm {
-                ref model,
-                window_start_us,
-                window_end_us,
-                bursts,
-                ..
-            } => {
-                check_model(model)?;
-                if window_end_us <= window_start_us {
-                    return Err(SpecError::EmptyStormWindow {
-                        start_us: window_start_us,
-                        end_us: window_end_us,
-                    });
-                }
-                if bursts == 0 {
-                    return Err(SpecError::ZeroBursts);
-                }
-                if let Some(h) = self.horizon_us {
-                    if window_end_us > h {
-                        return Err(SpecError::FaultsPastHorizon {
-                            at_us: window_end_us,
-                            horizon_us: h,
-                        });
-                    }
-                }
-                Ok(())
-            }
+            _ => Ok(()),
         }
     }
 
@@ -919,6 +884,67 @@ impl ScenarioSpec {
             }),
             _ => None,
         }
+    }
+}
+
+impl TopologySpec {
+    /// The topology rules, shared by [`ScenarioSpec::validate`] and
+    /// `ArtifactPrefix::validate`.
+    pub(crate) fn check(&self) -> Result<(), SpecError> {
+        if self.switches < 2 {
+            return Err(SpecError::TooFewSwitches {
+                switches: self.switches,
+            });
+        }
+        if let Some(side) = self.side {
+            let cells = side
+                .checked_mul(side)
+                .ok_or(SpecError::LatticeSideOverflow { side })?;
+            if cells < self.switches {
+                return Err(SpecError::LatticeTooSmall {
+                    switches: self.switches,
+                    side,
+                });
+            }
+        }
+        if self.ports < 5 {
+            return Err(SpecError::BadPorts { ports: self.ports });
+        }
+        Ok(())
+    }
+}
+
+impl FaultsSpec {
+    /// The fault rules that need nothing but the fault section, shared by
+    /// [`ScenarioSpec::validate`] and `ArtifactPrefix::validate`.
+    pub(crate) fn check(&self) -> Result<(), SpecError> {
+        let model = match *self {
+            FaultsSpec::None => return Ok(()),
+            FaultsSpec::Static { model, .. } | FaultsSpec::Storm { model, .. } => model,
+        };
+        if let FaultModelSpec::IidLinks { rate } | FaultModelSpec::IidSwitches { rate } = model {
+            if !(0.0..=1.0).contains(&rate) {
+                return Err(SpecError::BadFaultRate { rate });
+            }
+        }
+        if let FaultsSpec::Storm {
+            window_start_us,
+            window_end_us,
+            bursts,
+            ..
+        } = *self
+        {
+            if window_end_us <= window_start_us {
+                return Err(SpecError::EmptyStormWindow {
+                    start_us: window_start_us,
+                    end_us: window_end_us,
+                });
+            }
+            if bursts == 0 {
+                return Err(SpecError::ZeroBursts);
+            }
+        }
+        Ok(())
     }
 }
 

@@ -85,6 +85,10 @@ fn validation_errors_cover_every_variant() {
     table.push(("LatticeTooSmall", s));
 
     let mut s = base();
+    s.topology.side = Some(usize::MAX); // the square wraps to 1 in a release build
+    table.push(("LatticeSideOverflow", s));
+
+    let mut s = base();
     s.topology.ports = 4;
     table.push(("BadPorts", s));
 

@@ -190,6 +190,14 @@ proptest! {
     ) {
         // Arbitrary specs may be invalid — validate() must always return.
         let _ = arb_spec(a, b, c, d).validate();
+        // So must it at the edges of the machine word, where `side * side`
+        // wraps (release) or panics (debug) unless checked.
+        const HALF: usize = 1 << (usize::BITS / 2);
+        const EXTREMES: [usize; 6] = [0, 1, HALF - 1, HALF, HALF + 1, usize::MAX];
+        let mut spec = arb_spec(a, b, c, d);
+        spec.topology.side = Some(EXTREMES[(a % 6) as usize]);
+        spec.topology.switches = EXTREMES[(b % 6) as usize];
+        let _ = spec.validate();
     }
 
     #[test]
@@ -203,6 +211,21 @@ proptest! {
             prop_assert!(ScenarioSpec::from_json(&text[..cut]).is_err());
         }
     }
+}
+
+#[test]
+fn overflowing_side_is_typed() {
+    // A decodable document whose `side * side` wraps to 2^33 + 1 >= 64.
+    let text = ScenarioSpec::example("huge-side").to_json_string().replace(
+        "\"seed\": 0,\n    \"strategy\"",
+        "\"seed\": 0,\n    \"side\": 4294967297,\n    \"strategy\"",
+    );
+    let spec = ScenarioSpec::from_json(&text).unwrap();
+    assert_eq!(spec.topology.side, Some(4294967297));
+    assert_eq!(
+        spec.validate(),
+        Err(SpecError::LatticeSideOverflow { side: 4294967297 })
+    );
 }
 
 #[test]
