@@ -74,8 +74,7 @@ impl UpDownPrecomp {
     /// Heap footprint in bytes as of now: the distance rows built so far
     /// plus the `n²/8` bit matrix.
     pub fn approx_bytes(&self) -> usize {
-        let n = self.dist.len();
-        self.dist.resident_bytes() + n * n / 8
+        self.dist.resident_bytes() + self.down_reach.approx_bytes()
     }
 }
 

@@ -118,10 +118,10 @@ impl IrregularConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `side * side < switches`.
+    /// Panics if `side * side < switches`, or if `side * side` overflows.
     pub fn generate_with_layout(&self, seed: u64) -> (Topology, LatticeLayout) {
         assert!(
-            self.side * self.side >= self.switches,
+            self.cells() >= self.switches,
             "lattice too small: {}x{} < {} switches",
             self.side,
             self.side,
@@ -131,6 +131,18 @@ impl IrregularConfig {
             LatticeStrategy::ConnectedGrowth => self.generate_growth(seed),
             LatticeStrategy::UniformRetry => self.generate_uniform(seed),
         }
+    }
+
+    /// Number of lattice cells. Checked, because an unchecked product
+    /// wraps in release builds: a huge side would pass the size assert and
+    /// go on to ask for `side * side` cells of memory.
+    fn cells(&self) -> usize {
+        self.side.checked_mul(self.side).unwrap_or_else(|| {
+            panic!(
+                "lattice side {} is too large: side * side overflows",
+                self.side
+            )
+        })
     }
 
     fn cell_neighbors(&self, cell: usize) -> impl Iterator<Item = usize> + '_ {
@@ -149,7 +161,7 @@ impl IrregularConfig {
 
     fn generate_growth(&self, seed: u64) -> (Topology, LatticeLayout) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let cells = self.side * self.side;
+        let cells = self.cells();
         let mut occupied = vec![false; cells];
         let mut chosen = Vec::with_capacity(self.switches);
         let mut frontier: Vec<usize> = Vec::new();
@@ -184,7 +196,7 @@ impl IrregularConfig {
     }
 
     fn generate_uniform(&self, seed: u64) -> (Topology, LatticeLayout) {
-        let cells: Vec<usize> = (0..self.side * self.side).collect();
+        let cells: Vec<usize> = (0..self.cells()).collect();
         for attempt in 0..self.max_retries {
             // Derive a fresh stream per attempt so retries are independent
             // but the whole procedure stays a pure function of `seed`.
@@ -213,7 +225,7 @@ impl IrregularConfig {
         let mut b = Topology::builder();
         let switch_ids: Vec<NodeId> = chosen.iter().map(|_| b.add_switch()).collect();
         // Map cell -> switch index for adjacency lookups.
-        let mut cell_to_switch = vec![usize::MAX; self.side * self.side];
+        let mut cell_to_switch = vec![usize::MAX; self.cells()];
         for (i, &cell) in chosen.iter().enumerate() {
             cell_to_switch[cell] = i;
         }
@@ -341,6 +353,20 @@ mod tests {
             side: 3,
             strategy: LatticeStrategy::ConnectedGrowth,
             max_retries: 4,
+        }
+        .generate(0);
+    }
+
+    /// Holds in debug and in release: an unchecked product would panic
+    /// only where overflow checks are compiled in, and wrap elsewhere.
+    #[test]
+    #[should_panic(expected = "side * side overflows")]
+    fn overflowing_side_panics_before_allocating() {
+        IrregularConfig {
+            switches: 10,
+            side: (1usize << (usize::BITS / 2)) + 1,
+            strategy: LatticeStrategy::UniformRetry,
+            max_retries: 1,
         }
         .generate(0);
     }

@@ -77,11 +77,16 @@ impl std::error::Error for TopologyError {}
 pub struct Topology {
     kinds: Vec<NodeKind>,
     channels: Vec<Channel>,
-    /// Outgoing channel ids per node, sorted by destination node id — the
-    /// deterministic iteration order all routing algorithms rely on.
-    out: Vec<Vec<ChannelId>>,
-    /// Incoming channel ids per node, sorted by source node id.
-    inc: Vec<Vec<ChannelId>>,
+    /// Node `v`'s channels are `offsets[v]..offsets[v + 1]` of both `out`
+    /// and `inc`: a link gives each endpoint one outgoing and one incoming
+    /// channel, so the two lists of a node are equally long.
+    offsets: Vec<u32>,
+    /// Outgoing channel ids, each node's run sorted by destination node
+    /// id — the deterministic iteration order all routing algorithms rely
+    /// on.
+    out: Vec<ChannelId>,
+    /// Incoming channel ids, each node's run sorted by source node id.
+    inc: Vec<ChannelId>,
     /// For each switch, the id of its attached processor (if any).
     attached_processor: Vec<Option<NodeId>>,
     /// For each processor, its switch.
@@ -175,23 +180,29 @@ impl Topology {
     /// Outgoing channels of `node`, sorted by destination id.
     #[inline]
     pub fn out_channels(&self, node: NodeId) -> &[ChannelId] {
-        &self.out[node.index()]
+        &self.out[self.span(node)]
     }
 
     /// Incoming channels of `node`, sorted by source id.
     #[inline]
     pub fn in_channels(&self, node: NodeId) -> &[ChannelId] {
-        &self.inc[node.index()]
+        &self.inc[self.span(node)]
+    }
+
+    #[inline]
+    fn span(&self, node: NodeId) -> std::ops::Range<usize> {
+        let i = node.index();
+        self.offsets[i] as usize..self.offsets[i + 1] as usize
     }
 
     /// Neighbor node ids of `node` (unordered multiset view, sorted by id).
     pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.out[node.index()].iter().map(|c| self.channel(*c).dst)
+        self.out_channels(node).iter().map(|c| self.channel(*c).dst)
     }
 
     /// The outgoing channel from `src` to `dst`, if the link exists.
     pub fn channel_between(&self, src: NodeId, dst: NodeId) -> Option<ChannelId> {
-        self.out[src.index()]
+        self.out_channels(src)
             .iter()
             .copied()
             .find(|c| self.channel(*c).dst == dst)
@@ -213,7 +224,19 @@ impl Topology {
 
     /// Degree of `node` in links (pairs of channels).
     pub fn degree(&self, node: NodeId) -> usize {
-        self.out[node.index()].len()
+        self.span(node).len()
+    }
+
+    /// Heap bytes held: every array's length times its element size.
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&self.kinds[..])
+            + size_of_val(&self.channels[..])
+            + size_of_val(&self.offsets[..])
+            + size_of_val(&self.out[..])
+            + size_of_val(&self.inc[..])
+            + size_of_val(&self.attached_processor[..])
+            + size_of_val(&self.host_switch[..])
     }
 
     /// Checks the structural invariants of the paper's model:
@@ -275,18 +298,31 @@ impl Topology {
 pub struct TopologyBuilder {
     kinds: Vec<NodeKind>,
     links: Vec<(NodeId, NodeId)>,
+    /// Per node, the index in `links` of its most recent link
+    /// ([`NO_LINK`] before the first): the head of that node's chain.
+    newest: Vec<u32>,
+    /// Per link, the next-older link of its first and of its second
+    /// endpoint. A node's links are a chain through these, so a duplicate
+    /// check walks one node's links, not every link added so far.
+    older: Vec<[u32; 2]>,
 }
+
+const NO_LINK: u32 = u32::MAX;
 
 impl TopologyBuilder {
     /// Adds a switch and returns its id.
     pub fn add_switch(&mut self) -> NodeId {
-        self.kinds.push(NodeKind::Switch);
-        NodeId(self.kinds.len() as u32 - 1)
+        self.add_node(NodeKind::Switch)
     }
 
     /// Adds a processor and returns its id.
     pub fn add_processor(&mut self) -> NodeId {
-        self.kinds.push(NodeKind::Processor);
+        self.add_node(NodeKind::Processor)
+    }
+
+    fn add_node(&mut self, kind: NodeKind) -> NodeId {
+        self.kinds.push(kind);
+        self.newest.push(NO_LINK);
         NodeId(self.kinds.len() as u32 - 1)
     }
 
@@ -300,6 +336,19 @@ impl TopologyBuilder {
         self.kinds.len()
     }
 
+    /// The nodes linked to `n` so far, most recent link first; empty for a
+    /// node that does not exist.
+    fn peers(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let mut i = self.newest.get(n.index()).copied().unwrap_or(NO_LINK);
+        std::iter::from_fn(move || {
+            let (a, b) = *self.links.get(i as usize)?;
+            let [older_a, older_b] = self.older[i as usize];
+            let (peer, next) = if a == n { (b, older_a) } else { (a, older_b) };
+            i = next;
+            Some(peer)
+        })
+    }
+
     /// Connects `a` and `b` with a bidirectional link (two channels).
     pub fn link(&mut self, a: NodeId, b: NodeId) -> Result<(), TopologyError> {
         if a.index() >= self.kinds.len() {
@@ -311,30 +360,28 @@ impl TopologyBuilder {
         if a == b {
             return Err(TopologyError::SelfLoop(a));
         }
-        if self
-            .links
-            .iter()
-            .any(|&(x, y)| (x, y) == (a, b) || (x, y) == (b, a))
-        {
+        if self.linked(a, b) {
             return Err(TopologyError::DuplicateLink(a, b));
         }
+        // Channel ids are `u32` and a link takes two, so the index of a
+        // link that can be numbered at all never reaches `NO_LINK`.
+        let i = u32::try_from(self.links.len()).expect("link count fits a u32");
         self.links.push((a, b));
+        self.older
+            .push([self.newest[a.index()], self.newest[b.index()]]);
+        self.newest[a.index()] = i;
+        self.newest[b.index()] = i;
         Ok(())
     }
 
     /// True if `a`–`b` are already linked.
     pub fn linked(&self, a: NodeId, b: NodeId) -> bool {
-        self.links
-            .iter()
-            .any(|&(x, y)| (x, y) == (a, b) || (x, y) == (b, a))
+        self.peers(a).any(|p| p == b)
     }
 
     /// Number of links incident to `n` so far (port usage).
     pub fn degree(&self, n: NodeId) -> usize {
-        self.links
-            .iter()
-            .filter(|&&(a, b)| a == n || b == n)
-            .count()
+        self.peers(n).count()
     }
 
     /// Finalizes the topology. Channel ids are assigned in link-insertion
@@ -342,30 +389,36 @@ impl TopologyBuilder {
     /// sorted by peer id for deterministic routing iteration.
     pub fn build(self) -> Topology {
         let n = self.kinds.len();
-        let mut channels = Vec::with_capacity(self.links.len() * 2);
-        let mut out: Vec<Vec<ChannelId>> = vec![Vec::new(); n];
-        let mut inc: Vec<Vec<ChannelId>> = vec![Vec::new(); n];
+        let channels: Vec<Channel> = self
+            .links
+            .iter()
+            .flat_map(|&(a, b)| [Channel { src: a, dst: b }, Channel { src: b, dst: a }])
+            .collect();
+        // Counting sort of the channels by node: degrees, then their
+        // prefix sums, then each channel into its node's next free slot.
+        let mut offsets = vec![0u32; n + 1];
         for &(a, b) in &self.links {
-            let fwd = ChannelId(channels.len() as u32);
-            channels.push(Channel { src: a, dst: b });
-            let rev = ChannelId(channels.len() as u32);
-            channels.push(Channel { src: b, dst: a });
-            out[a.index()].push(fwd);
-            inc[b.index()].push(fwd);
-            out[b.index()].push(rev);
-            inc[a.index()].push(rev);
+            offsets[a.index() + 1] += 1;
+            offsets[b.index() + 1] += 1;
         }
-        for (node, lst) in out.iter_mut().enumerate() {
-            lst.sort_by_key(|c| (channels[c.index()].dst, *c));
-            debug_assert!(lst
-                .iter()
-                .all(|c| channels[c.index()].src == NodeId(node as u32)));
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
-        for (node, lst) in inc.iter_mut().enumerate() {
-            lst.sort_by_key(|c| (channels[c.index()].src, *c));
-            debug_assert!(lst
-                .iter()
-                .all(|c| channels[c.index()].dst == NodeId(node as u32)));
+        let mut out = vec![ChannelId(0); channels.len()];
+        let mut inc = vec![ChannelId(0); channels.len()];
+        let mut free = offsets.clone();
+        for (i, ch) in channels.iter().enumerate() {
+            // Channel `i` leaves `src`, and its reverse `i ^ 1` enters it:
+            // one slot of `src`'s run holds both.
+            let slot = &mut free[ch.src.index()];
+            out[*slot as usize] = ChannelId(i as u32);
+            inc[*slot as usize] = ChannelId(i as u32 ^ 1);
+            *slot += 1;
+        }
+        for v in 0..n {
+            let run = offsets[v] as usize..offsets[v + 1] as usize;
+            out[run.clone()].sort_unstable_by_key(|c| (channels[c.index()].dst, *c));
+            inc[run].sort_unstable_by_key(|c| (channels[c.index()].src, *c));
         }
         let mut attached_processor = vec![None; n];
         let mut host_switch = vec![None; n];
@@ -383,6 +436,7 @@ impl TopologyBuilder {
         Topology {
             kinds: self.kinds,
             channels,
+            offsets,
             out,
             inc,
             attached_processor,

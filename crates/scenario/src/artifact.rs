@@ -41,11 +41,11 @@ use baselines::{UpDownPrecomp, UpDownUnicastRouting};
 use desim::Time;
 use netgraph::gen::lattice::{IrregularConfig, LatticeLayout, LatticeStrategy};
 use netgraph::{NodeId, Topology};
-use spam_core::{RoutingTables, SpamRouting};
+use spam_core::{NodeMove, RoutingTables, SpamRouting};
 use spam_faults::DegradedNetwork;
 use spam_reconfig::{EpochRouting, FaultSchedule, ReconfigScenario};
 use std::sync::{Arc, OnceLock};
-use updown::{RootSelection, UpDownLabeling};
+use updown::{LazyRows, RootSelection, UpDownLabeling};
 use wormsim::Fnv1a;
 
 /// Bump when the fingerprinted field set or its encoding changes, so a
@@ -385,7 +385,8 @@ impl ScenarioArtifacts {
     }
 
     /// A ceiling on the heap footprint in bytes — what a byte-budgeted
-    /// cache charges for this entry. Routing precomputes are charged as
+    /// cache charges for this entry. Topology and labelings are charged
+    /// what they hold; routing precomputes are charged as
     /// if every distance row were already resident (and, for non-storm
     /// entries, as if both routing arms had been used), so an entry's
     /// cost never changes after insertion and the budget stays a hard
@@ -393,18 +394,43 @@ impl ScenarioArtifacts {
     /// moment is `RoutingTables::approx_bytes` /
     /// `UpDownPrecomp::approx_bytes`, never more than charged here.
     pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
         let n = self.topo.num_nodes();
         let m = self.topo.num_channels();
-        // Topology adjacency + channel records, layout, labeling (two
-        // n×n bit matrices plus per-node fields), processor list.
-        let base = m * 24 + n * 64 + n * n / 4 + self.procs.len() * 4;
-        let spam_tables = n * 3 * n * 2 + m * 12;
-        let updown = n * 2 * n * 2 + n * n / 8;
+        // Three phases per node and target; one move record and one mask
+        // byte per channel.
+        let spam_tables =
+            LazyRows::full_bytes(n, 3 * n) + m * (size_of::<NodeMove>() + 1) + (n + 1) * 4;
         match &self.storm {
             // Storms route SPAM-only, one masked table set per epoch.
-            Some(s) => base + s.scenario.num_epochs() * spam_tables,
-            None => base + spam_tables + updown,
+            Some(s) => self.fixed_bytes() + s.scenario.num_epochs() * spam_tables,
+            None => {
+                // Two phases, plus the down-reachability bit matrix, whose
+                // rows are padded to whole words.
+                let updown = LazyRows::full_bytes(n, 2 * n) + n * n.div_ceil(64) * 8;
+                self.fixed_bytes() + spam_tables + updown
+            }
         }
+    }
+
+    /// What is held whatever gets routed, to the byte: topology (flat
+    /// adjacency + channel records), layout, processor list, and per
+    /// labeling — the storm's epochs each have their own, plus a liveness
+    /// mask — one n×n bit matrix, the preorder intervals and the other
+    /// per-node arrays.
+    fn fixed_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        let epochs = self.storm.as_ref().map_or(0, |s| {
+            let sc = &s.scenario;
+            (0..sc.num_epochs())
+                .map(|e| sc.labeling(e).approx_bytes() + sc.mask(e).len())
+                .sum()
+        });
+        self.topo.approx_bytes()
+            + self.labeling.approx_bytes()
+            + size_of_val(&self.layout.cell[..])
+            + size_of_val(&self.procs[..])
+            + epochs
     }
 }
 
@@ -505,9 +531,17 @@ mod tests {
                     }
                 }
                 // Every row of every arm is resident now: the charge is
-                // for exactly this state, and still covers it.
+                // for exactly this state, and still covers it — the
+                // routing rows and everything else the entry holds. (The
+                // corpus has 24- to 256-switch fabrics, six of them 64.)
                 let full = routing_resident_bytes(&arts);
-                assert!(after_run < full && full <= charged, "{}", spec.name);
+                assert!(after_run < full, "{}", spec.name);
+                let held = arts.fixed_bytes() + full;
+                assert!(
+                    held <= charged,
+                    "{}: {held} B held, {charged} B charged",
+                    spec.name
+                );
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Allocation discipline of the artifact-cache request path.
 //!
-//! Four pins, measured with a counting global allocator in a
+//! Five pins, measured with a counting global allocator in a
 //! single-threaded `harness = false` process (the libtest harness runs
 //! tests on spawned threads and allocates on its own schedule, which
 //! would blur exact counts):
@@ -23,6 +23,11 @@
 //!    result out and acked, allocates the same number of times on every
 //!    repeat and no more than [`WARM_REQUEST_CEILING`] — the tier-1
 //!    stand-in for a benchmark baseline gate on `allocs_per_request`.
+//! 5. **A cold fabric is a few flat arrays.** Building a 1024-switch
+//!    `faults: none` prefix allocates no more than
+//!    [`COLD_FABRIC_CEILING`] times: adjacency, tree children and both
+//!    relations are offsets-plus-flat-array or one matrix, never a heap
+//!    block per node. Wall-clock cannot be asserted in tier-1; this can.
 
 use spam_scenario::{run_with_artifacts, ArtifactPrefix, FaultModelSpec, FaultsSpec};
 use spam_serve::{ArtifactCache, CacheConfig, ServeConfig, ServeCore, Session};
@@ -185,10 +190,32 @@ fn warm_tiny_request_stays_under_its_ceiling() {
     println!("ok - a warm tiny request allocates {first} times (ceiling {WARM_REQUEST_CEILING})");
 }
 
+/// The build below allocates 95 times. It allocated 10 485 times while
+/// every node owned two adjacency `Vec`s and a children `Vec` and the
+/// extended-ancestor fill collected one `Vec` per node. The ceiling is
+/// one allocation per two switches (a twentieth of the old count): a
+/// heap block per node or per switch, anywhere in the build, trips it.
+const COLD_FABRIC_CEILING: u64 = 512;
+
+fn cold_fabric_build_allocates_per_array_not_per_node() {
+    let mut s = spec(1998);
+    s.topology.switches = 1024;
+    let prefix = ArtifactPrefix::of(&s, 0);
+    assert_eq!(prefix.faults, FaultsSpec::None);
+    let (arts, n) = count(|| prefix.build().unwrap());
+    assert_eq!(arts.topo.num_switches(), 1024);
+    assert!(
+        n <= COLD_FABRIC_CEILING,
+        "a 1024-switch fabric took {n} allocations to build (ceiling {COLD_FABRIC_CEILING})"
+    );
+    println!("ok - a 1024-switch fabric builds in {n} allocations (ceiling {COLD_FABRIC_CEILING})");
+}
+
 fn main() {
     hit_lookups_are_allocation_free();
     churn_allocation_counts_are_reproducible();
     repeat_runs_reuse_the_rows_the_first_run_built();
     warm_tiny_request_stays_under_its_ceiling();
+    cold_fabric_build_allocates_per_array_not_per_node();
     println!("cache_zero_alloc: all pins held");
 }

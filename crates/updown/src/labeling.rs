@@ -7,7 +7,7 @@ use netgraph::{ChannelId, DegradedTopology, NodeId, Topology};
 use rand::seq::IteratorRandom;
 use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// The four-way channel classification of §3.1.
 ///
@@ -84,9 +84,11 @@ pub struct RelabelReport {
 
 /// An immutable up*/down* labeling of a topology.
 ///
-/// Construction is `O(V·depth + V²/64·cross)`: BFS tree, per-channel
-/// classification, then bit-matrix closures for the ancestor and extended
-/// ancestor relations so routing-time queries are O(1).
+/// Construction is `O(V + E + (V + cross)·V/64)`: BFS tree, per-channel
+/// classification and preorder numbering are linear; the extended-ancestor
+/// closure is one row fill plus one whole-row OR per down-cross channel,
+/// `V/64` words each. Routing-time queries are O(1): one comparison for
+/// an ancestor, one bit test for an extended ancestor.
 #[derive(Debug, Clone)]
 pub struct UpDownLabeling {
     root: NodeId,
@@ -97,10 +99,19 @@ pub struct UpDownLabeling {
     /// on degraded topologies) leave other components unlabeled.
     labeled: Vec<bool>,
     class: Vec<ChannelClass>,
-    children: Vec<Vec<NodeId>>,
-    /// `anc.get(u, v)` ⇔ `u` is an ancestor of `v` (reflexive).
-    anc: BitMatrix,
-    /// `ext.get(u, v)` ⇔ `u` is an extended ancestor of `v` (reflexive).
+    /// `v`'s tree children are `children[child_offsets[v]..child_offsets[v + 1]]`.
+    child_offsets: Vec<u32>,
+    children: Vec<NodeId>,
+    /// Preorder number of each node and the size of its subtree, which
+    /// occupies the numbers `pre[u]..pre[u] + size[u]`: `u` is an ancestor
+    /// of `v` (reflexive) ⇔ `pre[v]` is one of them. A node without a
+    /// parent is the root of its own tree, so an unlabeled node is an
+    /// ancestor of itself only.
+    pre: Vec<u32>,
+    size: Vec<u32>,
+    /// `ext.get(u, pre[v])` ⇔ `u` is an extended ancestor of `v`
+    /// (reflexive). Columns are in preorder, which makes a subtree one
+    /// contiguous bit range.
     ext: BitMatrix,
 }
 
@@ -192,7 +203,7 @@ impl UpDownLabeling {
             // Phase 1: keep every old tree edge still connected to the
             // root through surviving tree edges. Old parent pointers and
             // levels are preserved verbatim for this region.
-            let mut q = std::collections::VecDeque::new();
+            let mut q = VecDeque::new();
             q.push_back(root);
             while let Some(u) = q.pop_front() {
                 for &v in self.tree_children(u) {
@@ -256,21 +267,25 @@ impl UpDownLabeling {
         Some((new, report))
     }
 
+    /// The deterministic BFS tree of `root`'s component: neighbors are
+    /// visited in ascending id order, the first visit fixes the parent.
     fn build_from_root(topo: &Topology, root: NodeId) -> Self {
-        let parent_raw = algo::bfs_parents(topo, root);
-        let labeled: Vec<bool> = parent_raw.iter().map(|p| p.is_some()).collect();
         let n = topo.num_nodes();
         let mut parent: Vec<Option<NodeId>> = vec![None; n];
         let mut level = vec![u32::MAX; n];
+        let mut labeled = vec![false; n];
         level[root.index()] = 0;
-        // bfs_parents encodes the root as its own parent; the BFS order
-        // contains exactly the root's component.
-        let order = bfs_order(topo, root);
-        for &v in &order {
-            let p = parent_raw[v.index()].unwrap();
-            if v != root {
-                parent[v.index()] = Some(p);
-                level[v.index()] = level[p.index()] + 1;
+        labeled[root.index()] = true;
+        let mut q = VecDeque::new();
+        q.push_back(root);
+        while let Some(u) = q.pop_front() {
+            for v in topo.neighbors(u) {
+                if !labeled[v.index()] {
+                    labeled[v.index()] = true;
+                    parent[v.index()] = Some(u);
+                    level[v.index()] = level[u.index()] + 1;
+                    q.push_back(v);
+                }
             }
         }
         Self::assemble(topo, root, parent, level, labeled, None)
@@ -278,10 +293,10 @@ impl UpDownLabeling {
 
     /// Finishes a labeling from a spanning-forest description (parent
     /// pointers + consistent levels): derives the children lists,
-    /// classifies every channel, and builds the ancestor / extended-
-    /// ancestor matrices. `alive` masks the channels that may carry
-    /// traffic: dead channels still receive a (consistent, acyclic) class
-    /// so the partition stays total, but they contribute nothing to
+    /// classifies every channel, numbers the forest in preorder and builds
+    /// the extended-ancestor matrix. `alive` masks the channels that may
+    /// carry traffic: dead channels still receive a (consistent, acyclic)
+    /// class so the partition stays total, but they contribute nothing to
     /// extended-ancestor reachability — a relabeled network must never
     /// route towards a down-cross shortcut that no longer exists.
     fn assemble(
@@ -294,13 +309,7 @@ impl UpDownLabeling {
     ) -> Self {
         let n = topo.num_nodes();
         let is_alive = |c: ChannelId| alive.is_none_or(|a| a[c.index()]);
-        // Children lists: nodes iterate ascending, so each list is sorted.
-        let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for v in topo.nodes() {
-            if let Some(p) = parent[v.index()] {
-                children[p.index()].push(v);
-            }
-        }
+        let (child_offsets, children) = group_nodes(parent.iter().map(|p| p.map(NodeId::index)), n);
 
         // Per-channel classification.
         let mut class = Vec::with_capacity(topo.num_channels());
@@ -327,44 +336,50 @@ impl UpDownLabeling {
             class.push(k);
         }
 
-        // Ancestor matrix: walk each node's ancestor chain. Reflexive.
-        let mut anc = BitMatrix::new(n);
-        for v in topo.nodes() {
-            let mut cur = v;
-            anc.set(cur.index(), v.index());
-            while let Some(p) = parent[cur.index()] {
-                anc.set(p.index(), v.index());
-                cur = p;
+        // Nodes in (level, id) order: parents before children, and every
+        // down channel's source before its destination. A tree on n nodes
+        // is less than n deep, so the unlabeled nodes (level u32::MAX)
+        // share group n, after every labeled one.
+        let (_, by_depth) = group_nodes(level.iter().map(|&l| Some((l as usize).min(n))), n + 1);
+
+        // Preorder numbering of the forest. Subtree sizes accumulate
+        // bottom-up; top-down, each tree root takes the next free interval
+        // and each node hands the part after itself to its children.
+        let mut size = vec![1u32; n];
+        for &v in by_depth.iter().rev() {
+            if let Some(p) = parent[v.index()] {
+                size[p.index()] += size[v.index()];
             }
         }
-
-        // Down-cross reachability DP in reverse (level, id) order — the
-        // down-cross digraph is acyclic because every edge strictly
-        // increases (level, id) lexicographically.
-        let mut by_depth: Vec<NodeId> = topo.nodes().collect();
-        by_depth.sort_unstable_by_key(|v| (level[v.index()], *v));
-        let mut dc = BitMatrix::new(n);
-        for &u in by_depth.iter().rev() {
-            dc.set(u.index(), u.index());
-            for &c in topo.out_channels(u) {
-                if class[c.index()] == ChannelClass::DownCross && is_alive(c) {
-                    let w = topo.channel(c).dst;
-                    dc.or_row_into(w.index(), u.index());
-                }
+        let mut pre = vec![0u32; n];
+        let mut next_tree = 0;
+        for &v in &by_depth {
+            if parent[v.index()].is_none() {
+                pre[v.index()] = next_tree;
+                next_tree += size[v.index()];
+            }
+            let mut next_child = pre[v.index()] + 1;
+            let span = child_offsets[v.index()] as usize..child_offsets[v.index() + 1] as usize;
+            for &c in &children[span] {
+                pre[c.index()] = next_child;
+                next_child += size[c.index()];
             }
         }
 
         // Extended ancestors: u ext-anc v ⇔ some w down-cross-reachable
-        // from u is a (tree) ancestor of v. ext[u] = ⋃_{w∈DC(u)} desc[w],
-        // and desc[w] is row w of `anc`.
+        // from u is a (tree) ancestor of v. In reverse (level, id) order —
+        // the alive down-cross digraph is acyclic because every edge
+        // strictly increases (level, id) — row u is u's own subtree, one
+        // bit range, OR-ed with the finished row of every w one alive
+        // down-cross channel away.
         let mut ext = BitMatrix::new(n);
-        for u in topo.nodes() {
-            let ws: Vec<usize> = dc.row_ones(u.index()).collect();
-            for w in ws {
-                // anc row w = descendants of w.
-                let (src, dst) = (w, u.index());
-                // Borrow juggling: copy via or using a temporary view on anc.
-                ext_or_anc_row(&mut ext, &anc, src, dst);
+        for &u in by_depth.iter().rev() {
+            let i = u.index();
+            ext.set_range(i, pre[i] as usize, (pre[i] + size[i]) as usize);
+            for &c in topo.out_channels(u) {
+                if class[c.index()] == ChannelClass::DownCross && is_alive(c) {
+                    ext.or_row_into(topo.channel(c).dst.index(), i);
+                }
             }
         }
 
@@ -374,8 +389,10 @@ impl UpDownLabeling {
             level,
             labeled,
             class,
+            child_offsets,
             children,
-            anc,
+            pre,
+            size,
             ext,
         }
     }
@@ -416,7 +433,8 @@ impl UpDownLabeling {
     /// Tree children of `v`, ascending by id.
     #[inline]
     pub fn tree_children(&self, v: NodeId) -> &[NodeId] {
-        &self.children[v.index()]
+        let i = v.index();
+        &self.children[self.child_offsets[i] as usize..self.child_offsets[i + 1] as usize]
     }
 
     /// Class of channel `c`.
@@ -429,7 +447,9 @@ impl UpDownLabeling {
     /// down-tree path leads from `u` to `v`. Reflexive.
     #[inline]
     pub fn is_ancestor(&self, u: NodeId, v: NodeId) -> bool {
-        self.anc.get(u.index(), v.index())
+        // One unsigned comparison: a `pre[v]` below `pre[u]` wraps around
+        // to a distance no subtree is large enough to cover.
+        self.pre[v.index()].wrapping_sub(self.pre[u.index()]) < self.size[u.index()]
     }
 
     /// Definition 1: `u` is an **extended ancestor** of `v` — zero or more
@@ -437,7 +457,7 @@ impl UpDownLabeling {
     /// from `u` to `v`. Reflexive; implied by [`Self::is_ancestor`].
     #[inline]
     pub fn is_extended_ancestor(&self, u: NodeId, v: NodeId) -> bool {
-        self.ext.get(u.index(), v.index())
+        self.ext.get(u.index(), self.pre[v.index()] as usize)
     }
 
     /// Least common ancestor of `a` and `b` in the spanning tree.
@@ -481,7 +501,7 @@ impl UpDownLabeling {
     /// The tree child of `n` whose subtree contains `dest`, if any. This is
     /// the branch a multicast worm must take at `n` for `dest`.
     pub fn child_towards(&self, n: NodeId, dest: NodeId) -> Option<NodeId> {
-        self.children[n.index()]
+        self.tree_children(n)
             .iter()
             .copied()
             .find(|&c| self.is_ancestor(c, dest))
@@ -490,6 +510,22 @@ impl UpDownLabeling {
     /// Number of nodes in the labeling.
     pub fn num_nodes(&self) -> usize {
         self.parent.len()
+    }
+
+    /// Heap bytes held: every array's length times its element size. All
+    /// but the extended-ancestor matrix (`n² / 8`, rows padded to whole
+    /// words) are linear in the fabric.
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&self.parent[..])
+            + size_of_val(&self.level[..])
+            + size_of_val(&self.labeled[..])
+            + size_of_val(&self.class[..])
+            + size_of_val(&self.child_offsets[..])
+            + size_of_val(&self.children[..])
+            + size_of_val(&self.pre[..])
+            + size_of_val(&self.size[..])
+            + self.ext.approx_bytes()
     }
 
     /// Iterator over `(ChannelId, ChannelClass)` pairs.
@@ -516,32 +552,29 @@ impl UpDownLabeling {
     }
 }
 
-/// `ext[dst_row] |= anc[src_row]` across two different matrices.
-fn ext_or_anc_row(ext: &mut BitMatrix, anc: &BitMatrix, src_row: usize, dst_row: usize) {
-    // BitMatrix doesn't expose raw words; emulate with an iterator. The
-    // construction is one-time per labeling, so clarity wins here.
-    for col in anc.row_ones(src_row) {
-        ext.set(dst_row, col);
+/// Counting sort of the nodes `0..keys.len()` into `groups` groups: group
+/// `k` is `nodes[offsets[k]..offsets[k + 1]]`, ascending by id. A node
+/// whose key is `None` is in no group.
+fn group_nodes(
+    keys: impl Iterator<Item = Option<usize>> + Clone,
+    groups: usize,
+) -> (Vec<u32>, Vec<NodeId>) {
+    let mut offsets = vec![0u32; groups + 1];
+    for k in keys.clone().flatten() {
+        offsets[k + 1] += 1;
     }
-}
-
-/// BFS visit order (deterministic: neighbors ascending by id).
-fn bfs_order(topo: &Topology, root: NodeId) -> Vec<NodeId> {
-    let mut seen = vec![false; topo.num_nodes()];
-    let mut order = Vec::with_capacity(topo.num_nodes());
-    let mut q = std::collections::VecDeque::new();
-    seen[root.index()] = true;
-    q.push_back(root);
-    while let Some(u) = q.pop_front() {
-        order.push(u);
-        for v in topo.neighbors(u) {
-            if !seen[v.index()] {
-                seen[v.index()] = true;
-                q.push_back(v);
-            }
+    for k in 0..groups {
+        offsets[k + 1] += offsets[k];
+    }
+    let mut nodes = vec![NodeId(0); offsets[groups] as usize];
+    let mut free = offsets.clone();
+    for (v, k) in keys.enumerate() {
+        if let Some(k) = k {
+            nodes[free[k] as usize] = NodeId(v as u32);
+            free[k] += 1;
         }
     }
-    order
+    (offsets, nodes)
 }
 
 fn resolve_root(topo: &Topology, sel: RootSelection) -> NodeId {

@@ -16,7 +16,8 @@
 //!   [`ChannelClass`] assignment, including the paper's id-based tie-break
 //!   for cross channels between same-level switches;
 //! * the **ancestor** and **extended ancestor** relations of Definition 1,
-//!   precomputed as bit matrices for O(1) routing-time queries;
+//!   precomputed for O(1) routing-time queries — preorder entry/exit
+//!   numbers for ancestors, one bit matrix for extended ancestors;
 //! * least-common-ancestor queries over arbitrary destination sets (the
 //!   multicast split point);
 //! * structural sanity checks used by the deadlock-freedom property tests

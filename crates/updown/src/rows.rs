@@ -56,7 +56,14 @@ impl LazyRows {
             .filter_map(|r| r.get())
             .map(|r| r.len())
             .sum();
-        cells * 2 + self.rows.len() * std::mem::size_of::<OnceLock<Box<[u16]>>>()
+        cells * 2 + Self::full_bytes(self.rows.len(), 0)
+    }
+
+    /// What [`Self::resident_bytes`] reads once every one of `targets`
+    /// rows, `row_len` cells each, is built — the figure to charge for a
+    /// store up front.
+    pub fn full_bytes(targets: usize, row_len: usize) -> usize {
+        targets * (std::mem::size_of::<OnceLock<Box<[u16]>>>() + row_len * 2)
     }
 }
 

@@ -1,8 +1,9 @@
-//! Property tests validating the optimized bit-matrix relations against
-//! naive graph-walk reference implementations, over random topologies.
+//! Property tests validating the precomputed relations (preorder
+//! intervals, the extended-ancestor bit matrix) against naive graph-walk
+//! reference implementations, over random topologies.
 
 use netgraph::gen::lattice::{IrregularConfig, LatticeStrategy};
-use netgraph::{NodeId, Topology};
+use netgraph::{ChannelId, DegradedTopology, NodeId, Topology};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use updown::{ChannelClass, RootSelection, UpDownLabeling};
@@ -43,6 +44,86 @@ fn extended_ancestor_ref(topo: &Topology, ud: &UpDownLabeling, u: NodeId, v: Nod
         }
     }
     false
+}
+
+/// Definition 1 a row at a time, for fabrics where a BFS per pair is too
+/// slow: the nodes `u` reaches over `alive` down-cross channels, then for
+/// every `v` whether its parent chain meets that set.
+fn extended_descendants_ref(
+    topo: &Topology,
+    ud: &UpDownLabeling,
+    alive: &dyn Fn(ChannelId) -> bool,
+    u: NodeId,
+) -> Vec<bool> {
+    let mut reached = vec![false; topo.num_nodes()];
+    let mut q = VecDeque::new();
+    reached[u.index()] = true;
+    q.push_back(u);
+    while let Some(x) = q.pop_front() {
+        for &c in topo.out_channels(x) {
+            let w = topo.channel(c).dst;
+            if ud.class(c) == ChannelClass::DownCross && alive(c) && !reached[w.index()] {
+                reached[w.index()] = true;
+                q.push_back(w);
+            }
+        }
+    }
+    topo.nodes()
+        .map(|v| {
+            let mut cur = Some(v);
+            while let Some(x) = cur {
+                if reached[x.index()] {
+                    return true;
+                }
+                cur = ud.parent(x);
+            }
+            false
+        })
+        .collect()
+}
+
+/// Both relations of `ud`, every cell, against parent walks and
+/// [`extended_descendants_ref`]. A node outside the labeled component has
+/// no parent and no child: it is an ancestor of itself only.
+fn assert_relations_match_definition_1(
+    topo: &Topology,
+    ud: &UpDownLabeling,
+    alive: &dyn Fn(ChannelId) -> bool,
+) {
+    for u in topo.nodes() {
+        let ext = extended_descendants_ref(topo, ud, alive, u);
+        for v in topo.nodes() {
+            let anc = ancestor_ref(ud, u, v);
+            if !ud.is_labeled(u) || !ud.is_labeled(v) {
+                assert_eq!(anc, u == v, "unlabeled nodes are reflexive only");
+            }
+            assert_eq!(ud.is_ancestor(u, v), anc, "ancestor({u}, {v})");
+            assert_eq!(
+                ud.is_extended_ancestor(u, v),
+                ext[v.index()],
+                "ext_ancestor({u}, {v})"
+            );
+            assert!(
+                !anc || ext[v.index()],
+                "an ancestor is an extended ancestor"
+            );
+        }
+    }
+}
+
+/// A view of `topo` with `kills` links dead, drawn from `seed`.
+fn kill_links(topo: &Topology, kills: usize, seed: u64) -> DegradedTopology<'_> {
+    let mut view = DegradedTopology::new(topo);
+    let links = topo.num_channels() / 2;
+    let mut x = seed | 1;
+    for _ in 0..kills {
+        // xorshift64: any fixed stream will do, the test owns it.
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        view.kill_link(ChannelId(2 * (x % links as u64) as u32));
+    }
+    view
 }
 
 /// Reference LCA: intersect ancestor chains.
@@ -100,6 +181,62 @@ proptest! {
                     "ext_ancestor({}, {})", u, v
                 );
             }
+        }
+    }
+
+    /// The cases above stop at 56 nodes, where a matrix row is one word.
+    /// 33–160 switches are 66–320 nodes: rows of two to five words, and
+    /// subtree ranges that start, end and run across word boundaries.
+    #[test]
+    fn relations_match_definition_1_on_multi_word_rows(
+        switches in 33usize..=160,
+        seed in any::<u64>(),
+    ) {
+        let topo = IrregularConfig::with_switches(switches).generate(seed);
+        let ud = UpDownLabeling::build(&topo, RootSelection::RandomSeeded(seed));
+        assert_relations_match_definition_1(&topo, &ud, &|_| true);
+    }
+
+    /// `relabel_after`: Definition 1 over the channels still alive. A dead
+    /// down-cross channel keeps its class but grants no extended ancestry,
+    /// and whatever the faults cut off is unlabeled.
+    #[test]
+    fn relabeled_relations_match_definition_1_over_alive_channels(
+        switches in 33usize..=120,
+        seed in any::<u64>(),
+        kills in 1usize..40,
+    ) {
+        let topo = IrregularConfig::with_switches(switches).generate(seed);
+        let ud = UpDownLabeling::build(&topo, RootSelection::LowestId);
+        let view = kill_links(&topo, kills, seed);
+        let (relabeled, report) = ud.relabel_after(&view).expect("links died, no switch did");
+        prop_assert_eq!(report.labeled_nodes, relabeled.num_labeled());
+        assert_relations_match_definition_1(&topo, &relabeled, &|c| view.is_channel_alive(c));
+        // A second epoch relabels the relabeling.
+        let view = kill_links(&topo, 2 * kills, seed);
+        let (again, _) = relabeled.relabel_after(&view).expect("links died, no switch did");
+        assert_relations_match_definition_1(&topo, &again, &|c| view.is_channel_alive(c));
+    }
+
+    /// `build_partial` on a network split by faults: each piece labeled
+    /// from its own root leaves every other piece unlabeled.
+    #[test]
+    fn partial_relations_match_definition_1_on_a_split_network(
+        switches in 33usize..=120,
+        seed in any::<u64>(),
+    ) {
+        let base = IrregularConfig::with_switches(switches).generate(seed);
+        let links = base.num_channels() / 2;
+        let view = kill_links(&base, links / 3, seed);
+        let (topo, _) = view.masked_topology();
+        let pieces = view.components();
+        for piece in pieces.iter().take(3) {
+            let Some(&root) = piece.iter().find(|&&n| topo.is_switch(n)) else {
+                continue;
+            };
+            let ud = UpDownLabeling::build_partial(&topo, root);
+            prop_assert_eq!(ud.num_labeled(), piece.len());
+            assert_relations_match_definition_1(&topo, &ud, &|_| true);
         }
     }
 

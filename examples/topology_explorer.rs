@@ -7,9 +7,46 @@
 
 use netgraph::algo;
 use spam_net::prelude::*;
+use std::time::Instant;
 
 fn tree_depth(topo: &netgraph::Topology, ud: &UpDownLabeling) -> u32 {
     topo.nodes().map(|n| ud.level(n)).max().unwrap_or(0)
+}
+
+/// Fastest of five runs, in µs, with the last run's result.
+fn timed<T>(mut f: impl FnMut() -> T) -> (T, f64) {
+    let mut best = f64::INFINITY;
+    let mut out = None;
+    for _ in 0..5 {
+        let start = Instant::now();
+        out = Some(std::hint::black_box(f()));
+        best = best.min(start.elapsed().as_secs_f64() * 1e6);
+    }
+    (out.expect("five runs"), best)
+}
+
+/// Wall-clock of building a fabric. Everything is linear in nodes and
+/// channels except the extended-ancestor matrix (n²/8 bytes, filled a
+/// word at a time): the lattice column should grow about 4× per row, the
+/// labeling column somewhat more as the matrix takes over, and a column
+/// growing 16× per row means a quadratic loop is back. The timings vary
+/// from run to run; every other line of this example is deterministic.
+fn construction_cost() {
+    println!("\nconstruction cost (seed 0, fastest of 5; timings vary by host):");
+    println!(
+        "{:>8} {:>7} {:>11} {:>12} {:>15}",
+        "switches", "links", "lattice µs", "labeling µs", "labeling bytes"
+    );
+    for switches in [256usize, 1024, 4096] {
+        let cfg = IrregularConfig::with_switches(switches);
+        let (topo, lattice_us) = timed(|| cfg.generate(0));
+        let (ud, labeling_us) = timed(|| UpDownLabeling::build(&topo, RootSelection::LowestId));
+        println!(
+            "{switches:>8} {:>7} {lattice_us:>11.0} {labeling_us:>12.0} {:>15}",
+            topo.num_channels() / 2,
+            ud.approx_bytes(),
+        );
+    }
 }
 
 fn main() {
@@ -70,4 +107,6 @@ fn main() {
             tree_depth(&t, &ud),
         );
     }
+
+    construction_cost();
 }
