@@ -1,6 +1,6 @@
 //! Allocation discipline of the artifact-cache request path.
 //!
-//! Five pins, measured with a counting global allocator in a
+//! Six pins, measured with a counting global allocator in a
 //! single-threaded `harness = false` process (the libtest harness runs
 //! tests on spawned threads and allocates on its own schedule, which
 //! would blur exact counts):
@@ -28,15 +28,23 @@
 //!    [`COLD_FABRIC_CEILING`] times: adjacency, tree children and both
 //!    relations are offsets-plus-flat-array or one matrix, never a heap
 //!    block per node. Wall-clock cannot be asserted in tier-1; this can.
+//! 6. **A dropped cache frees by request history, not by hash seed.** Two
+//!    caches that served the same requests release the same blocks in the
+//!    same order, so the heap a process is left with — and what the next
+//!    cache in it pays in page faults — is the same from run to run.
 
 use spam_scenario::{run_with_artifacts, ArtifactPrefix, FaultModelSpec, FaultsSpec};
 use spam_serve::{ArtifactCache, CacheConfig, ServeConfig, ServeCore, Session};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// While set, `dealloc` logs the size of every block it is handed.
+static LOG_FREES: AtomicBool = AtomicBool::new(false);
+static FREED: [AtomicU32; 1 << 14] = [const { AtomicU32::new(0) }; 1 << 14];
+static FREED_LEN: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: pass-through to `System`; the counter is a side effect.
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -45,6 +53,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if LOG_FREES.load(Ordering::Relaxed) {
+            let i = FREED_LEN.fetch_add(1, Ordering::Relaxed);
+            FREED[i].store(layout.size() as u32, Ordering::Relaxed);
+        }
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -60,6 +72,19 @@ fn count<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let before = ALLOCS.load(Ordering::Relaxed);
     let r = f();
     (r, ALLOCS.load(Ordering::Relaxed) - before)
+}
+
+/// The sizes of the blocks `f` frees, in the order it frees them.
+fn freed_sizes(f: impl FnOnce()) -> Vec<u32> {
+    FREED_LEN.store(0, Ordering::Relaxed);
+    LOG_FREES.store(true, Ordering::Relaxed);
+    f();
+    LOG_FREES.store(false, Ordering::Relaxed);
+    let n = FREED_LEN.load(Ordering::Relaxed);
+    FREED[..n]
+        .iter()
+        .map(|s| s.load(Ordering::Relaxed))
+        .collect()
 }
 
 fn spec(seed: u64) -> spam_scenario::ScenarioSpec {
@@ -211,11 +236,44 @@ fn cold_fabric_build_allocates_per_array_not_per_node() {
     println!("ok - a 1024-switch fabric builds in {n} allocations (ceiling {COLD_FABRIC_CEILING})");
 }
 
+fn dropped_cache_frees_by_request_history() {
+    // Twelve fabrics of twelve sizes, so any two release orders differ
+    // in the sizes they log; the hits move three entries to the young
+    // end of the LRU order.
+    let served = || {
+        let mut cache = ArtifactCache::new(CacheConfig::default());
+        let specs: Vec<_> = (0..12)
+            .map(|i| {
+                let mut s = spec(i);
+                s.topology.switches = 16 + i as usize;
+                s
+            })
+            .collect();
+        for s in specs.iter().chain([&specs[7], &specs[2], &specs[9]]) {
+            cache.lookup(s, 0).unwrap();
+        }
+        cache
+    };
+    let (a, b) = (served(), served());
+    let freed_a = freed_sizes(|| drop(a));
+    let freed_b = freed_sizes(|| drop(b));
+    assert!(freed_a.len() > 12 * 10, "twelve entries are many blocks");
+    assert!(
+        freed_a == freed_b,
+        "two caches with one history released their blocks in different orders"
+    );
+    println!(
+        "ok - a dropped cache frees by request history ({} blocks)",
+        freed_a.len()
+    );
+}
+
 fn main() {
     hit_lookups_are_allocation_free();
     churn_allocation_counts_are_reproducible();
     repeat_runs_reuse_the_rows_the_first_run_built();
     warm_tiny_request_stays_under_its_ceiling();
     cold_fabric_build_allocates_per_array_not_per_node();
+    dropped_cache_frees_by_request_history();
     println!("cache_zero_alloc: all pins held");
 }
