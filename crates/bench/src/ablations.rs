@@ -13,52 +13,48 @@
 //!   end-to-end framing of the paper's motivation (Figure 2 + the §4
 //!   in-text claim combined).
 
+use crate::broadcast::software_multicast_makespan_us;
+use crate::fig2::single_multicast_latency_us;
 use crate::report::{self, Report};
-use crate::sweep::replicate_point;
-use crate::{figure3_traffic, first_latency_us, makespan_us, paper_spec, run_rep, PointSummary};
+use crate::sweep::{single, Stop};
+use crate::{figure3_traffic, first_latency_us, paper_fabric, paper_spec, run_rep, PointSummary};
 use desim::Time;
-use netgraph::gen::lattice::IrregularConfig;
 use netgraph::NodeId;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use spam_core::{partition_specs, PartitionStrategy, SpamRouting};
-use spam_scenario::{split_seed, RoutingSpec, TrafficSpec};
+use spam_scenario::split_seed;
 use traffic::DestinationSampler;
 use updown::{RootSelection, UpDownLabeling};
 use wormsim::{MessageSpec, NetworkSim, SimConfig};
 
-/// Common knobs for the ablation sweeps.
-#[derive(Debug, Clone, Copy)]
-pub struct AblationConfig {
-    /// Network size in switches.
-    pub switches: usize,
-    /// Relative CI target.
-    pub target_rel: f64,
-    /// Replication budget per point.
-    pub max_reps: u64,
-    /// RNG stream.
-    pub seed: u64,
-}
+/// RNG stream of the ablations.
+const SEED: u64 = 0x0AB1_A7E5;
 
-impl AblationConfig {
-    /// Paper-scale defaults (128 nodes, 1 % CI), or the fast `quick`
-    /// variant for smoke tests and CI.
-    pub fn new(quick: bool) -> Self {
-        AblationConfig {
-            switches: if quick { 32 } else { 128 },
-            target_rel: if quick { 0.05 } else { 0.01 },
-            max_reps: if quick { 24 } else { 1000 },
-            seed: 0x0AB1_A7E5,
-        }
+/// Paper scale (128 nodes, 1 % CI), or the fast `quick` variant for
+/// smoke tests and CI.
+fn scale(quick: bool) -> (usize, Stop) {
+    if quick {
+        (32, Stop::new(0.05, 24))
+    } else {
+        (128, Stop::new(0.01, 1000))
     }
 }
 
 // ---------------------------------------------------------------- A: root
 
+/// The deterministic root-selection policies, in report order (ablation
+/// A adds a seeded random root; the hot-spot analysis uses these as is).
+pub const ROOT_POLICIES: [(&str, RootSelection); 3] = [
+    ("lowest-id", RootSelection::LowestId),
+    ("max-degree", RootSelection::MaxDegree),
+    ("min-eccentricity", RootSelection::MinEccentricity),
+];
+
 /// Single-multicast latency under one root policy. The spec has no
 /// root-selection axis, so this arm labels the lattice itself.
 fn root_policy_rep(switches: usize, root: RootSelection, dests: usize, seed: u64) -> f64 {
-    let topo = IrregularConfig::with_switches(switches).generate(split_seed(seed, 0xA));
+    let topo = paper_fabric(switches, split_seed(seed, 0xA)).topo;
     let ud = UpDownLabeling::build(&topo, root);
     let spam = SpamRouting::new(&topo, &ud);
     let mut rng = rand::rngs::StdRng::seed_from_u64(split_seed(seed, 0xB));
@@ -79,24 +75,19 @@ fn root_policy_rep(switches: usize, root: RootSelection, dests: usize, seed: u64
 
 /// Ablation A: multicast latency per root-selection policy (x = policy
 /// index in the returned label order).
-pub fn run_root_selection(cfg: &AblationConfig, dests: usize) -> Vec<(String, PointSummary)> {
-    let policies: [(&str, RootSelection); 4] = [
-        ("lowest-id", RootSelection::LowestId),
-        ("max-degree", RootSelection::MaxDegree),
-        ("min-eccentricity", RootSelection::MinEccentricity),
-        ("random", RootSelection::RandomSeeded(cfg.seed)),
-    ];
-    policies
-        .iter()
+pub fn run_root_selection(
+    switches: usize,
+    stop: Stop,
+    dests: usize,
+) -> Vec<(String, PointSummary)> {
+    ROOT_POLICIES
+        .into_iter()
+        .chain([("random", RootSelection::RandomSeeded(SEED))])
         .enumerate()
         .map(|(i, (name, root))| {
-            let p = replicate_point(
-                cfg.target_rel,
-                cfg.max_reps,
-                split_seed(cfg.seed, i as u64),
-                i as f64,
-                |s| root_policy_rep(cfg.switches, *root, dests, s),
-            );
+            let p = single(stop, split_seed(SEED, i as u64), i as f64, |s| {
+                root_policy_rep(switches, root, dests, s)
+            });
             (name.to_string(), p)
         })
         .collect()
@@ -106,7 +97,8 @@ pub fn run_root_selection(cfg: &AblationConfig, dests: usize) -> Vec<(String, Po
 
 /// Ablation B: mixed-traffic latency versus buffer depth (§5).
 pub fn run_buffer_depth(
-    cfg: &AblationConfig,
+    switches: usize,
+    stop: Stop,
     depths: &[usize],
     rate: f64,
     messages: usize,
@@ -114,52 +106,34 @@ pub fn run_buffer_depth(
     depths
         .iter()
         .map(|&depth| {
-            replicate_point(
-                cfg.target_rel,
-                cfg.max_reps,
-                split_seed(cfg.seed, depth as u64),
-                depth as f64,
-                |s| {
-                    let mut spec = paper_spec(cfg.switches, figure3_traffic(rate, 8, messages), s);
-                    spec.engine.input_buffer_flits = depth;
-                    spec.engine.output_buffer_flits = depth;
-                    let warmup = (messages / 10) as u64;
-                    run_rep(&spec)
-                        .mean_latency_us(|m| m.spec.tag >= warmup)
-                        .expect("messages completed")
-                },
-            )
+            single(stop, split_seed(SEED, depth as u64), depth as f64, |s| {
+                let mut spec = paper_spec(switches, figure3_traffic(rate, 8, messages), s);
+                spec.engine.input_buffer_flits = depth;
+                spec.engine.output_buffer_flits = depth;
+                let warmup = (messages / 10) as u64;
+                run_rep(&spec)
+                    .mean_latency_us(|m| m.spec.tag >= warmup)
+                    .expect("messages completed")
+            })
         })
         .collect()
 }
 
 // ----------------------------------------------------------- C: partition
 
-/// Strategies compared by ablation C.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartitionArm {
-    /// One worm for all destinations (plain SPAM).
-    SingleWorm,
-    /// §5's proposal: tree-contiguous groups, one worm each.
-    Subtrees {
-        /// Group budget.
-        max_groups: usize,
-    },
-    /// Naive id-sorted chunks.
-    IdChunks {
-        /// Number of chunks.
-        groups: usize,
-    },
-}
+/// One arm of ablation C: `None` is plain SPAM (one worm for all
+/// destinations), `Some` splits the multicast — §5's tree-contiguous
+/// groups, or naive id-sorted chunks as their baseline.
+pub type PartitionArm = Option<PartitionStrategy>;
 
-impl PartitionArm {
-    /// Short label for reports.
-    pub fn label(&self) -> String {
-        match self {
-            PartitionArm::SingleWorm => "single-worm".into(),
-            PartitionArm::Subtrees { max_groups } => format!("subtrees({max_groups})"),
-            PartitionArm::IdChunks { groups } => format!("id-chunks({groups})"),
+/// Short label of an arm for reports.
+pub fn arm_label(arm: PartitionArm) -> String {
+    match arm {
+        None => "single-worm".into(),
+        Some(PartitionStrategy::SubtreesUnderLca { max_groups }) => {
+            format!("subtrees({max_groups})")
         }
+        Some(PartitionStrategy::IdChunks { groups }) => format!("id-chunks({groups})"),
     }
 }
 
@@ -172,29 +146,21 @@ fn partition_rep(
     background: usize,
     seed: u64,
 ) -> f64 {
-    let topo = IrregularConfig::with_switches(switches).generate(split_seed(seed, 0xA));
-    let ud = UpDownLabeling::build(&topo, RootSelection::LowestId);
-    let spam = SpamRouting::new(&topo, &ud);
+    let arts = paper_fabric(switches, split_seed(seed, 0xA));
+    let (topo, ud) = (&arts.topo, &arts.labeling);
+    let spam = SpamRouting::new(topo, ud);
     let mut rng = rand::rngs::StdRng::seed_from_u64(split_seed(seed, 0xB));
     let procs: Vec<NodeId> = topo.processors().collect();
     let src = procs[rng.gen_range(0..procs.len())];
     let dset = DestinationSampler::UniformRandom { count: dests }
-        .sample(&topo, src, &mut rng)
+        .sample(topo, src, &mut rng)
         .expect("enough processors");
     let base = MessageSpec::multicast(src, dset, 128).tag(1000);
     let specs = match arm {
-        PartitionArm::SingleWorm => vec![base],
-        PartitionArm::Subtrees { max_groups } => partition_specs(
-            &ud,
-            &base,
-            PartitionStrategy::SubtreesUnderLca { max_groups },
-            1000,
-        ),
-        PartitionArm::IdChunks { groups } => {
-            partition_specs(&ud, &base, PartitionStrategy::IdChunks { groups }, 1000)
-        }
+        None => vec![base],
+        Some(strategy) => partition_specs(ud, &base, strategy, 1000),
     };
-    let mut sim = NetworkSim::new(&topo, spam, SimConfig::paper());
+    let mut sim = NetworkSim::new(topo, spam, SimConfig::paper());
     for s in &specs {
         sim.submit(s.clone()).unwrap();
     }
@@ -202,7 +168,7 @@ fn partition_rep(
     for i in 0..background {
         let a = procs[rng.gen_range(0..procs.len())];
         let b = DestinationSampler::UniformRandom { count: 1 }
-            .sample(&topo, a, &mut rng)
+            .sample(topo, a, &mut rng)
             .expect("enough processors");
         sim.submit(
             MessageSpec::multicast(a, b, 128)
@@ -223,7 +189,8 @@ fn partition_rep(
 
 /// Ablation C: multicast makespan per partitioning arm.
 pub fn run_partition(
-    cfg: &AblationConfig,
+    switches: usize,
+    stop: Stop,
     dests: usize,
     background: usize,
     arms: &[PartitionArm],
@@ -231,14 +198,10 @@ pub fn run_partition(
     arms.iter()
         .enumerate()
         .map(|(i, arm)| {
-            let p = replicate_point(
-                cfg.target_rel,
-                cfg.max_reps,
-                split_seed(cfg.seed, 0xC0 + i as u64),
-                i as f64,
-                |s| partition_rep(cfg.switches, dests, *arm, background, s),
-            );
-            (arm.label(), p)
+            let p = single(stop, split_seed(SEED, 0xC0 + i as u64), i as f64, |s| {
+                partition_rep(switches, dests, *arm, background, s)
+            });
+            (arm_label(*arm), p)
         })
         .collect()
 }
@@ -248,33 +211,23 @@ pub fn run_partition(
 /// Ablation D: SPAM vs simulated software multicast latency across
 /// destination counts. Returns `(dests, spam, software)` summaries.
 pub fn run_baseline_comparison(
-    cfg: &AblationConfig,
+    switches: usize,
+    stop: Stop,
     dest_counts: &[usize],
 ) -> Vec<(usize, PointSummary, PointSummary)> {
     dest_counts
         .iter()
         .map(|&k| {
-            let traffic = TrafficSpec::SingleMulticast { dests: k, len: 128 };
-            let spam = replicate_point(
-                cfg.target_rel,
-                cfg.max_reps,
-                split_seed(cfg.seed, k as u64),
-                k as f64,
-                |s| first_latency_us(&run_rep(&paper_spec(cfg.switches, traffic.clone(), s))),
-            );
+            let spam = single(stop, split_seed(SEED, k as u64), k as f64, |s| {
+                single_multicast_latency_us(switches, k, 128, s)
+            });
             // The software arm is far slower per replication: looser CI,
             // smaller budget.
-            let soft = replicate_point(
-                cfg.target_rel.max(0.03),
-                cfg.max_reps.min(50),
-                split_seed(cfg.seed, 0xD000 + k as u64),
-                k as f64,
-                |s| {
-                    let mut spec = paper_spec(cfg.switches, traffic.clone(), s);
-                    spec.routing = RoutingSpec::SoftwareMulticast;
-                    makespan_us(&run_rep(&spec))
-                },
-            );
+            let soft_stop = Stop::new(stop.target_rel.max(0.03), stop.max_reps.min(50));
+            let soft_stream = split_seed(SEED, 0xD000 + k as u64);
+            let soft = single(soft_stop, soft_stream, k as f64, |s| {
+                software_multicast_makespan_us(switches, k, 128, s)
+            });
             (k, spam, soft)
         })
         .collect()
@@ -304,64 +257,62 @@ fn labelled_report(
 /// The `ablation-root` experiment: 32-destination multicasts per root
 /// policy.
 pub fn root_report(quick: bool) -> Report {
-    let cfg = AblationConfig::new(quick);
+    let (switches, stop) = scale(quick);
     let dests = 32;
     labelled_report(
         "ablation_root",
         &format!(
-            "Ablation A — root selection policy, {}-node network, {dests} destinations",
-            cfg.switches
+            "Ablation A — root selection policy, {switches}-node network, {dests} destinations"
         ),
         [
             "policy index",
             "policy_index,latency_us,ci_half_width_us,reps,met_1pct",
         ],
         &[
-            ("switches", cfg.switches.to_string()),
+            ("switches", switches.to_string()),
             ("dests", dests.to_string()),
         ],
-        run_root_selection(&cfg, dests),
+        run_root_selection(switches, stop, dests),
     )
 }
 
 /// The `ablation-partition` experiment: makespan per partitioning arm
 /// under background unicasts.
 pub fn partition_report(quick: bool) -> Report {
-    let cfg = AblationConfig::new(quick);
+    let (switches, stop) = scale(quick);
     let (dests, background) = if quick { (16, 16) } else { (64, 64) };
     let arms = [
-        PartitionArm::SingleWorm,
-        PartitionArm::Subtrees { max_groups: 2 },
-        PartitionArm::Subtrees { max_groups: 4 },
-        PartitionArm::IdChunks { groups: 2 },
-        PartitionArm::IdChunks { groups: 4 },
+        None,
+        Some(PartitionStrategy::SubtreesUnderLca { max_groups: 2 }),
+        Some(PartitionStrategy::SubtreesUnderLca { max_groups: 4 }),
+        Some(PartitionStrategy::IdChunks { groups: 2 }),
+        Some(PartitionStrategy::IdChunks { groups: 4 }),
     ];
     labelled_report(
         "ablation_partition",
         &format!(
-            "Ablation C — destination partitioning (makespan), {}-node network, \
-             {dests} dests, {background} background unicasts",
-            cfg.switches
+            "Ablation C — destination partitioning (makespan), {switches}-node network, \
+             {dests} dests, {background} background unicasts"
         ),
         [
             "arm index",
             "arm_index,makespan_us,ci_half_width_us,reps,met_1pct",
         ],
         &[
-            ("switches", cfg.switches.to_string()),
+            ("switches", switches.to_string()),
             ("dests", dests.to_string()),
             ("background", background.to_string()),
         ],
-        run_partition(&cfg, dests, background, &arms),
+        run_partition(switches, stop, dests, background, &arms),
     )
 }
 
 /// The `ablation-buffers` experiment: depths 1–8 at 0.02 messages/µs/node.
 pub fn buffers_report(quick: bool) -> Report {
-    let cfg = AblationConfig::new(quick);
+    let (switches, stop) = scale(quick);
     let rate = 0.02;
     let messages = if quick { 300 } else { 3000 };
-    let points = run_buffer_depth(&cfg, &[1, 2, 4, 8], rate, messages);
+    let points = run_buffer_depth(switches, stop, &[1, 2, 4, 8], rate, messages);
     let header = "buffer_depth,latency_us,ci_half_width_us,reps,met_1pct";
     let files = vec![report::csv_file("ablation_buffers.csv", header, &points)];
     Report::figure(
@@ -372,7 +323,7 @@ pub fn buffers_report(quick: bool) -> Report {
             "latency (µs)",
         ],
         &[
-            ("switches", cfg.switches.to_string()),
+            ("switches", switches.to_string()),
             ("rate", rate.to_string()),
             ("messages", messages.to_string()),
         ],
@@ -384,13 +335,13 @@ pub fn buffers_report(quick: bool) -> Report {
 /// The `ablation-baseline` experiment: SPAM vs software multicast across
 /// destination counts.
 pub fn baseline_report(quick: bool) -> Report {
-    let cfg = AblationConfig::new(quick);
+    let (switches, stop) = scale(quick);
     let dest_counts: &[usize] = if quick {
         &[1, 4, 16]
     } else {
         &[1, 2, 4, 8, 16, 32, 64, 127]
     };
-    let rows = run_baseline_comparison(&cfg, dest_counts);
+    let rows = run_baseline_comparison(switches, stop, dest_counts);
     let spam: Vec<PointSummary> = rows.iter().map(|(_, s, _)| s.clone()).collect();
     let soft: Vec<PointSummary> = rows.iter().map(|(_, _, u)| u.clone()).collect();
     let header = "destinations,latency_us,ci_half_width_us,reps,met_1pct";
@@ -404,7 +355,7 @@ pub fn baseline_report(quick: bool) -> Report {
             "number of destinations",
             "latency (µs)",
         ],
-        &[("switches", cfg.switches.to_string())],
+        &[("switches", switches.to_string())],
         vec![
             ("SPAM (one worm)".to_string(), spam),
             ("software (binomial unicasts)".to_string(), soft),
@@ -419,13 +370,7 @@ mod tests {
 
     #[test]
     fn root_selection_arms_all_run() {
-        let cfg = AblationConfig {
-            switches: 24,
-            target_rel: 0.10,
-            max_reps: 8,
-            seed: 3,
-        };
-        let rows = run_root_selection(&cfg, 8);
+        let rows = run_root_selection(24, Stop::new(0.10, 8), 8);
         assert_eq!(rows.len(), 4);
         for (name, p) in &rows {
             assert!(p.mean > 10.0, "{name} mean {}", p.mean);
@@ -434,13 +379,7 @@ mod tests {
 
     #[test]
     fn buffer_depth_never_hurts() {
-        let cfg = AblationConfig {
-            switches: 24,
-            target_rel: 0.10,
-            max_reps: 6,
-            seed: 4,
-        };
-        let pts = run_buffer_depth(&cfg, &[1, 4], 0.02, 200);
+        let pts = run_buffer_depth(24, Stop::new(0.10, 6), &[1, 4], 0.02, 200);
         assert_eq!(pts.len(), 2);
         assert!(
             pts[1].mean <= pts[0].mean * 1.02,
@@ -452,20 +391,15 @@ mod tests {
 
     #[test]
     fn partition_arms_all_deliver() {
-        let cfg = AblationConfig {
-            switches: 24,
-            target_rel: 0.2,
-            max_reps: 4,
-            seed: 5,
-        };
         let rows = run_partition(
-            &cfg,
+            24,
+            Stop::new(0.2, 4),
             12,
             8,
             &[
-                PartitionArm::SingleWorm,
-                PartitionArm::Subtrees { max_groups: 4 },
-                PartitionArm::IdChunks { groups: 4 },
+                None,
+                Some(PartitionStrategy::SubtreesUnderLca { max_groups: 4 }),
+                Some(PartitionStrategy::IdChunks { groups: 4 }),
             ],
         );
         assert_eq!(rows.len(), 3);
@@ -476,13 +410,7 @@ mod tests {
 
     #[test]
     fn spam_beats_software_multicast() {
-        let cfg = AblationConfig {
-            switches: 24,
-            target_rel: 0.10,
-            max_reps: 8,
-            seed: 6,
-        };
-        let rows = run_baseline_comparison(&cfg, &[8]);
+        let rows = run_baseline_comparison(24, Stop::new(0.10, 8), &[8]);
         let (_, spam, soft) = &rows[0];
         assert!(
             soft.mean > spam.mean * 2.0,

@@ -14,79 +14,24 @@
 //! Exit codes: 0 = no divergence, 3 = divergence found (report
 //! written), 1 = usage or scenario error.
 
+use spam_bench::cli::BISECT_DIVERGENCE;
 use spam_scenario::json::{Json, Num};
 use spam_scenario::{bisect_divergence, DivergenceReport, ScenarioSpec};
-use std::path::PathBuf;
-
-struct Args {
-    scenario: PathBuf,
-    rep: u32,
-    every_ns: u64,
-    candidate_queue: Option<String>,
-    candidate_seed: Option<u64>,
-    out: Option<PathBuf>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
-    let mut parsed = Args {
-        scenario: PathBuf::new(),
-        rep: 0,
-        every_ns: 50_000,
-        candidate_queue: None,
-        candidate_seed: None,
-        out: None,
-    };
-    let mut have_scenario = false;
-    while let Some(a) = args.next() {
-        let mut value = |what: &str| -> Result<String, String> {
-            args.next().ok_or(format!("{what} takes a value"))
-        };
-        match a.as_str() {
-            "--rep" => {
-                parsed.rep = value("--rep")?.parse().map_err(|e| format!("--rep: {e}"))?;
-            }
-            "--every-ns" => {
-                parsed.every_ns = value("--every-ns")?
-                    .parse()
-                    .map_err(|e| format!("--every-ns: {e}"))?;
-            }
-            "--candidate-queue" => parsed.candidate_queue = Some(value("--candidate-queue")?),
-            "--candidate-seed" => {
-                parsed.candidate_seed = Some(
-                    value("--candidate-seed")?
-                        .parse()
-                        .map_err(|e| format!("--candidate-seed: {e}"))?,
-                );
-            }
-            "--out" => parsed.out = Some(PathBuf::from(value("--out")?)),
-            _ if !have_scenario => {
-                parsed.scenario = PathBuf::from(a);
-                have_scenario = true;
-            }
-            other => return Err(format!("unknown argument {other}")),
-        }
-    }
-    if !have_scenario {
-        return Err(
-            "usage: bisect_divergence <scenario.json> [--rep N] [--every-ns N] \
-                    [--candidate-queue bucket|heap] [--candidate-seed N] [--out report.json]"
-                .to_string(),
-        );
-    }
-    Ok(parsed)
-}
 
 /// The candidate spec: the reference with the requested engine-neutral
 /// axes overridden. With no overrides, the candidate flips the event
 /// queue — the golden corpus invariant.
-fn candidate_of(reference: &ScenarioSpec, args: &Args) -> Result<ScenarioSpec, String> {
+fn candidate_of(
+    reference: &ScenarioSpec,
+    queue: Option<&str>,
+    seed: Option<u64>,
+) -> Result<ScenarioSpec, String> {
     let mut c = reference.clone();
-    match args.candidate_queue.as_deref() {
+    match queue {
         Some("bucket") => c.engine.queue = Some(spam_scenario::QueueSpec::Bucket),
         Some("heap") => c.engine.queue = Some(spam_scenario::QueueSpec::Heap),
         Some(other) => return Err(format!("--candidate-queue: unknown queue {other}")),
-        None if args.candidate_seed.is_none() => {
+        None if seed.is_none() => {
             c.engine.queue = Some(match c.engine.queue {
                 Some(spam_scenario::QueueSpec::Heap) => spam_scenario::QueueSpec::Bucket,
                 _ => spam_scenario::QueueSpec::Heap,
@@ -94,7 +39,7 @@ fn candidate_of(reference: &ScenarioSpec, args: &Args) -> Result<ScenarioSpec, S
         }
         None => {}
     }
-    if let Some(seed) = args.candidate_seed {
+    if let Some(seed) = seed {
         c.seed = seed;
     }
     Ok(c)
@@ -126,85 +71,66 @@ fn report_json(r: &DivergenceReport) -> String {
     .to_string_pretty()
 }
 
-fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("bisect_divergence: {e}");
-            std::process::exit(1);
-        }
-    };
-    let doc = match std::fs::read_to_string(&args.scenario) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("bisect_divergence: {}: {e}", args.scenario.display());
-            std::process::exit(1);
-        }
-    };
-    let reference = match ScenarioSpec::from_json(&doc) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("bisect_divergence: {}: {e}", args.scenario.display());
-            std::process::exit(1);
-        }
-    };
-    let candidate = match candidate_of(&reference, &args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("bisect_divergence: {e}");
-            std::process::exit(1);
-        }
-    };
+/// Runs the bisection; `Ok` is the exit code (0 = no divergence,
+/// 3 = divergence found), `Err` what to say before exiting 1.
+fn run() -> Result<i32, String> {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = BISECT_DIVERGENCE.parse(&argv)?;
+    let scenario = args.positional.as_deref().expect("required");
+    let rep: u32 = args.parsed("--rep")?.unwrap_or(0);
+    let every_ns: u64 = args.parsed("--every-ns")?.unwrap_or(50_000);
+    let doc = std::fs::read_to_string(scenario).map_err(|e| format!("{scenario}: {e}"))?;
+    let reference = ScenarioSpec::from_json(&doc).map_err(|e| format!("{scenario}: {e}"))?;
+    let queue = args.value("--candidate-queue");
+    let candidate = candidate_of(&reference, queue, args.parsed("--candidate-seed")?)?;
 
     eprintln!(
-        "bisect_divergence: {} rep {} cadence {}ns",
-        reference.name, args.rep, args.every_ns
+        "bisect_divergence: {} rep {rep} cadence {every_ns}ns",
+        reference.name
     );
-    match bisect_divergence(&reference, &candidate, args.rep, args.every_ns) {
-        Ok(None) => {
-            println!("no divergence: candidate reproduces the reference digest");
-        }
-        Ok(Some(report)) => {
+    let found = bisect_divergence(&reference, &candidate, rep, every_ns);
+    let Some(report) = found.map_err(|e| e.to_string())? else {
+        println!("no divergence: candidate reproduces the reference digest");
+        return Ok(0);
+    };
+    println!(
+        "DIVERGENCE over {} checkpoints in {} probes:",
+        report.checkpoints, report.probes
+    );
+    println!(
+        "  window: ({} ns, {}]",
+        report.window_start_ns,
+        report
+            .window_end_ns
+            .map_or("end of run".to_string(), |v| format!("{v} ns")),
+    );
+    match &report.first_event {
+        Some(ev) => {
             println!(
-                "DIVERGENCE over {} checkpoints in {} probes:",
-                report.checkpoints, report.probes
+                "  first differing trace event (#{} @ {} ns):",
+                ev.index, ev.at_ns
             );
             println!(
-                "  window: ({} ns, {}]",
-                report.window_start_ns,
-                report
-                    .window_end_ns
-                    .map_or("end of run".to_string(), |v| format!("{v} ns")),
+                "    reference: {}",
+                ev.reference.as_deref().unwrap_or("<trace ended>")
             );
-            match &report.first_event {
-                Some(ev) => {
-                    println!(
-                        "  first differing trace event (#{} @ {} ns):",
-                        ev.index, ev.at_ns
-                    );
-                    println!(
-                        "    reference: {}",
-                        ev.reference.as_deref().unwrap_or("<trace ended>")
-                    );
-                    println!(
-                        "    candidate: {}",
-                        ev.candidate.as_deref().unwrap_or("<trace ended>")
-                    );
-                }
-                None => println!("  traces agree; divergence is in counters/latencies only"),
-            }
-            if let Some(out) = &args.out {
-                if let Err(e) = std::fs::write(out, report_json(&report)) {
-                    eprintln!("bisect_divergence: write {}: {e}", out.display());
-                    std::process::exit(1);
-                }
-                println!("-> {}", out.display());
-            }
-            std::process::exit(3);
+            println!(
+                "    candidate: {}",
+                ev.candidate.as_deref().unwrap_or("<trace ended>")
+            );
         }
-        Err(e) => {
-            eprintln!("bisect_divergence: {e}");
-            std::process::exit(1);
-        }
+        None => println!("  traces agree; divergence is in counters/latencies only"),
     }
+    if let Some(out) = args.value("--out") {
+        std::fs::write(out, report_json(&report)).map_err(|e| format!("write {out}: {e}"))?;
+        println!("-> {out}");
+    }
+    Ok(3)
+}
+
+fn main() {
+    std::process::exit(run().unwrap_or_else(|e| {
+        eprintln!("bisect_divergence: {e}");
+        1
+    }));
 }

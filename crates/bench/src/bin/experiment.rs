@@ -8,9 +8,11 @@
 //!
 //! Prints the plot/table, writes the experiment's CSVs and
 //! `BENCH_<name>.json` under `results/`, and refreshes the committed
-//! root-level `BENCH_<name>.json` where one exists. Run without
-//! arguments for the list of experiments; `--quick` is the CI-sized
-//! variant (seconds instead of minutes, loose CIs).
+//! root-level `BENCH_<name>.json` where one exists and was written by a
+//! run of this size (a `--quick` run leaves a full-size record alone).
+//! Run without arguments for the list of experiments; `--quick` is the
+//! CI-sized variant (seconds instead of minutes, loose CIs). Anything
+//! else on the command line is the usage error (exit 2).
 
 use spam_bench::experiment::parse;
 use std::path::Path;

@@ -12,7 +12,8 @@
 //!
 //! * `results/fuzz_coverage.csv` — per-signal table: every coverage bit
 //!   and watermark, corpus baseline vs. post-fuzz value.
-//! * `results/BENCH_fuzz_coverage.json` (+ root-level copy) — the
+//! * `results/BENCH_fuzz_coverage.json` (+ the root-level copy, from a
+//!   run of the size it was committed at: `--quick`) — the
 //!   machine-readable record. Deliberately contains *no wall-clock
 //!   numbers*: the same seed over the same corpus reproduces the file
 //!   byte for byte (throughput goes to stderr instead).
@@ -22,69 +23,75 @@
 //! * `scenarios/regressions/*.scenario.json` — minimized
 //!   oracle-violating specs, failing oracle named in the description.
 //!   Any regression exits nonzero.
+//!
+//! An argument it does not know, or a value that is not a number, is the
+//! usage error (exit 1).
 
-use spam_bench::report::{self, BenchJson};
+use spam_bench::cli::FUZZ_SPECS;
+use spam_bench::report::{self, BenchJson, Report};
 use spam_bench::PointSummary;
 use spam_fuzz::{fuzz, FuzzConfig, FuzzReport};
-use std::io::Write as _;
+use spam_scenario::ScenarioSpec;
+use std::fmt::Write as _;
 use std::path::Path;
-use wormsim::COVERAGE_BITS;
+use wormsim::{CoverageSet, COVERAGE_BITS};
 
-fn arg_value(args: &[String], flag: &str) -> Option<u64> {
-    let i = args.iter().position(|a| a == flag)?;
-    match args.get(i + 1).and_then(|v| v.parse().ok()) {
-        Some(v) => Some(v),
-        None => {
-            eprintln!("fuzz_specs: {flag} takes an integer");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn point(x: f64, mean: f64) -> PointSummary {
-    PointSummary {
-        x,
-        mean,
-        ci_half_width: 0.0,
-        reps: 1,
-        target_met: true,
-    }
-}
-
-fn write_coverage_csv(path: &Path, report: &FuzzReport) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "kind,signal,baseline,final,novel")?;
+/// The per-signal table: every coverage bit and watermark, corpus
+/// baseline vs. post-fuzz value.
+fn coverage_csv(report: &FuzzReport) -> String {
+    let mut f = String::from("kind,signal,baseline,final,novel\n");
+    let mut row = |kind: &str, signal: &str, before: u64, after: u64| {
+        let novel = (after > before) as u8;
+        writeln!(f, "{kind},{signal},{before},{after},{novel}").expect("string write");
+    };
+    let (baseline, fuzzed) = (&report.baseline, &report.accumulated);
     for bit in COVERAGE_BITS {
-        let before = report.baseline.has(bit.mask) as u8;
-        let after = report.accumulated.has(bit.mask) as u8;
-        writeln!(
-            f,
-            "bit,{},{before},{after},{}",
-            bit.name,
-            (after > before) as u8
-        )?;
+        let lit = |c: &CoverageSet| c.has(bit.mask) as u64;
+        row("bit", bit.name, lit(baseline), lit(fuzzed));
     }
-    let base_marks = report.baseline.watermarks();
-    for (b, a) in base_marks.iter().zip(report.accumulated.watermarks()) {
+    for (b, a) in baseline.watermarks().iter().zip(fuzzed.watermarks()) {
         debug_assert_eq!(b.name, a.name);
-        writeln!(
-            f,
-            "watermark,{},{},{},{}",
-            b.name,
-            b.value,
-            a.value,
-            (a.value > b.value) as u8
-        )?;
+        row("watermark", b.name, b.value, a.value);
     }
-    Ok(())
+    f
 }
 
-fn write_specs(
+/// The terminal summary: coverage gained, what became of the mutants.
+fn summary(report: &FuzzReport) -> String {
+    let s = &report.stats;
+    let mut lines = vec![
+        "coverage:".to_string(),
+        format!(
+            "  bits lit      {:>4} baseline -> {:>4} final",
+            report.baseline.bits_lit(),
+            report.accumulated.bits_lit()
+        ),
+        format!("  novel signals {:>4}", report.novel_vs_baseline.len()),
+    ];
+    let novel = report.novel_vs_baseline.iter();
+    lines.extend(novel.map(|sig| format!("    + {sig}")));
+    lines.extend([
+        "mutants:".to_string(),
+        format!("  run           {:>6}", s.mutants_run),
+        format!("  valid         {:>6}", s.valid),
+        format!(
+            "  rejected      {:>6}  (predictions: {} confirmed, {} cross-axis)",
+            s.rejected, s.expect_confirmed, s.expect_missed
+        ),
+        format!("  run-rejected  {:>6}", s.run_rejected),
+        format!("  oracle fails  {:>6}", s.oracle_failures),
+    ]);
+    if !report.spec_errors.is_empty() {
+        lines.push("rejections by SpecError variant:".to_string());
+        let rejections = report.spec_errors.iter();
+        lines.extend(rejections.map(|(variant, n)| format!("  {variant:<32} {n:>6}")));
+    }
+    lines.join("\n")
+}
+
+fn write_specs<'a>(
     dir: &Path,
-    specs: &[(String, &spam_scenario::ScenarioSpec)],
+    specs: impl Iterator<Item = (String, &'a ScenarioSpec)>,
 ) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     for (name, spec) in specs {
@@ -96,27 +103,34 @@ fn write_specs(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let promote = args.iter().any(|a| a == "--promote");
-    let cfg = FuzzConfig {
-        seed: arg_value(&args, "--seed").unwrap_or(0x5bad_f00d),
-        mutants: arg_value(&args, "--mutants").unwrap_or(if quick { 1000 } else { 10_000 })
-            as usize,
-        // Quick mode is CI's: time-boxed as a backstop, but sized to
-        // finish far inside the box so the outputs stay deterministic.
-        budget_ms: arg_value(&args, "--budget-ms").or(if quick { Some(240_000) } else { None }),
-        max_promotions: 16,
-    };
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let parsed = FUZZ_SPECS.parse(&argv).and_then(|args| {
+        let quick = args.flag("--quick");
+        let cfg = FuzzConfig {
+            seed: args.parsed("--seed")?.unwrap_or(0x5bad_f00d),
+            mutants: args
+                .parsed("--mutants")?
+                .unwrap_or(if quick { 1000 } else { 10_000 }),
+            // Quick mode is CI's: time-boxed as a backstop, but sized to
+            // finish far inside the box so the outputs stay deterministic.
+            budget_ms: args
+                .parsed("--budget-ms")?
+                .or(if quick { Some(240_000) } else { None }),
+            max_promotions: 16,
+        };
+        Ok((cfg, quick, args.flag("--promote")))
+    });
+    let (cfg, quick, promote) = parsed.unwrap_or_else(|usage| {
+        eprintln!("{usage}");
+        std::process::exit(1);
+    });
 
     let corpus_dir = Path::new("scenarios");
-    let corpus = match spam_scenario::load_dir(corpus_dir) {
-        Ok(c) => c.into_iter().map(|(_, s)| s).collect::<Vec<_>>(),
-        Err(e) => {
-            eprintln!("fuzz_specs: loading {}: {e}", corpus_dir.display());
-            std::process::exit(1);
-        }
-    };
+    let corpus = spam_scenario::load_dir(corpus_dir).unwrap_or_else(|e| {
+        eprintln!("fuzz_specs: loading {}: {e}", corpus_dir.display());
+        std::process::exit(1);
+    });
+    let corpus: Vec<ScenarioSpec> = corpus.into_iter().map(|(_, s)| s).collect();
     eprintln!(
         "fuzz_specs: {} corpus seeds, {} mutants, seed 0x{:x} (quick: {quick})",
         corpus.len(),
@@ -141,49 +155,17 @@ fn main() {
         }
     );
 
-    println!("coverage:");
-    println!(
-        "  bits lit      {:>4} baseline -> {:>4} final",
-        report.baseline.bits_lit(),
-        report.accumulated.bits_lit()
-    );
-    println!("  novel signals {:>4}", report.novel_vs_baseline.len());
-    for sig in &report.novel_vs_baseline {
-        println!("    + {sig}");
-    }
-    println!("mutants:");
-    println!("  run           {:>6}", s.mutants_run);
-    println!("  valid         {:>6}", s.valid);
-    println!(
-        "  rejected      {:>6}  (predictions: {} confirmed, {} cross-axis)",
-        s.rejected, s.expect_confirmed, s.expect_missed
-    );
-    println!("  run-rejected  {:>6}", s.run_rejected);
-    println!("  oracle fails  {:>6}", s.oracle_failures);
-    if !report.spec_errors.is_empty() {
-        println!("rejections by SpecError variant:");
-        for (variant, n) in &report.spec_errors {
-            println!("  {variant:<32} {n:>6}");
-        }
-    }
-
-    let csv_path = Path::new("results/fuzz_coverage.csv");
-    write_coverage_csv(csv_path, &report).expect("write coverage csv");
-
-    let mut params: Vec<(String, String)> = vec![
-        ("seed".into(), format!("0x{:x}", cfg.seed)),
-        ("mutants".into(), s.mutants_run.to_string()),
-        ("corpus_seeds".into(), corpus.len().to_string()),
-        ("quick".into(), quick.to_string()),
-        ("novel_signals".into(), report.novel_vs_baseline.join(" ")),
-    ];
-    for (variant, n) in &report.spec_errors {
-        params.push((format!("rejected.{variant}"), n.to_string()));
-    }
-    let bench = BenchJson {
-        name: "fuzz_coverage".into(),
-        params,
-        series: vec![
+    let point = |x: f64, mean: f64| PointSummary::exact(x, mean, 1);
+    let mut bench = BenchJson::new(
+        "fuzz_coverage",
+        &[
+            ("seed", format!("0x{:x}", cfg.seed)),
+            ("mutants", s.mutants_run.to_string()),
+            ("corpus_seeds", corpus.len().to_string()),
+            ("quick", quick.to_string()),
+            ("novel_signals", report.novel_vs_baseline.join(" ")),
+        ],
+        vec![
             (
                 "bits_lit".into(),
                 vec![
@@ -201,36 +183,39 @@ fn main() {
                 ],
             ),
         ],
+    );
+    for (variant, n) in &report.spec_errors {
+        let rejected = (format!("rejected.{variant}"), n.to_string());
+        bench.params.push(rejected);
+    }
+    let promoted = || {
+        report
+            .promoted
+            .iter()
+            .map(|p| (p.spec.name.clone(), &p.spec))
     };
-    let json_path =
-        report::write_bench_json(Path::new("results"), &bench).expect("write bench json");
-    println!("-> {}", csv_path.display());
-    println!("-> {} (+ ./BENCH_fuzz_coverage.json)", json_path.display());
-
-    let promoted: Vec<(String, &spam_scenario::ScenarioSpec)> = report
-        .promoted
-        .iter()
-        .map(|p| (p.spec.name.clone(), &p.spec))
-        .collect();
-    if !promoted.is_empty() {
-        write_specs(Path::new("results/fuzz_promoted"), &promoted).expect("write promoted specs");
-        if promote {
-            // Opt-in: drop novel specs straight into the corpus. The
-            // golden pins (corpus length, per-spec counters) then need
-            // regenerating via examples/make_corpus.
-            write_specs(corpus_dir, &promoted).expect("promote specs into corpus");
-        }
+    let mut files = vec![report::file("fuzz_coverage.csv", coverage_csv(&report))];
+    files.extend(promoted().map(|(name, spec)| {
+        let name = format!("fuzz_promoted/{name}.scenario.json");
+        report::file(&name, spec.to_json_string())
+    }));
+    let written = Report {
+        bench,
+        files,
+        text: summary(&report),
+    };
+    written.write(Path::new("results")).expect("write results");
+    if promote {
+        // Opt-in: drop novel specs straight into the corpus. The
+        // golden pins (corpus length, per-spec counters) then need
+        // regenerating via examples/make_corpus.
+        write_specs(corpus_dir, promoted()).expect("promote specs into corpus");
     }
 
     if !report.regressions.is_empty() {
-        let regressions: Vec<(String, &spam_scenario::ScenarioSpec)> = report
-            .regressions
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (format!("regress_{i:03}_{}", r.violation), &r.spec))
-            .collect();
-        write_specs(Path::new("scenarios/regressions"), &regressions)
-            .expect("write regression specs");
+        let found = report.regressions.iter().enumerate();
+        let named = found.map(|(i, r)| (format!("regress_{i:03}_{}", r.violation), &r.spec));
+        write_specs(Path::new("scenarios/regressions"), named).expect("write regression specs");
         eprintln!(
             "fuzz_specs: {} oracle violation(s) — minimized specs in scenarios/regressions/",
             report.regressions.len()

@@ -11,12 +11,14 @@
 //! is strictly slower than the bound — making the comparison conservative
 //! in SPAM's favour exactly as the paper's argument requires.
 
+use crate::fig2::single_multicast_latency_us;
 use crate::report::{self, Report};
-use crate::{first_latency_us, makespan_us, paper_spec, run_rep, PointSummary};
+use crate::sweep::{single, Stop};
+use crate::{makespan_us, paper_spec, run_rep, PointSummary};
 use baselines::software_multicast_lower_bound;
 use desim::Duration;
-use simstats::{ConfidenceInterval, ConfidenceLevel, RunningStats};
-use spam_scenario::{split_seed, RoutingSpec, ScenarioSpec, TrafficSpec};
+use simstats::RunningStats;
+use spam_scenario::{split_seed, RoutingSpec, TrafficSpec};
 use std::fmt::Write as _;
 
 /// One row of the broadcast comparison table.
@@ -24,75 +26,52 @@ use std::fmt::Write as _;
 pub struct BroadcastRow {
     /// Network size (processors).
     pub nodes: usize,
-    /// Mean SPAM broadcast latency, µs.
-    pub spam_us: f64,
-    /// Simulated binomial unicast-multicast makespan, µs.
-    pub software_us: f64,
     /// Analytic lower bound with d = nodes − 1, µs.
     pub bound_d_minus_1_us: f64,
     /// Analytic lower bound with d = nodes (the paper's arithmetic), µs.
     pub bound_d_us: f64,
-    /// `bound_d_us / spam_us` — the paper's "more than six-fold" ratio.
+    /// `bound_d_us / spam.mean` — the paper's "more than six-fold" ratio.
     pub speedup_vs_bound: f64,
-    /// `software_us / spam_us` — the end-to-end measured ratio.
+    /// `software.mean / spam.mean` — the end-to-end measured ratio.
     pub speedup_vs_software: f64,
-    /// The SPAM arm's statistics (CI-controlled; `x` = nodes).
+    /// SPAM broadcast latency, µs (CI-controlled; `x` = nodes).
     pub spam: PointSummary,
-    /// The software arm's statistics: a fixed replication count, so its
-    /// CI is descriptive and `target_met` is false.
+    /// Simulated binomial unicast-multicast makespan, µs: a fixed
+    /// replication count, so its CI is descriptive and `target_met` is
+    /// false.
     pub software: PointSummary,
 }
 
-/// One broadcast (every other processor a destination, 128 flits) from
-/// a seeded source on a fresh §4 network.
-fn broadcast_spec(switches: usize, seed: u64) -> ScenarioSpec {
-    let traffic = TrafficSpec::SingleMulticast {
-        dests: switches - 1,
-        len: 128,
-    };
-    paper_spec(switches, traffic, seed)
-}
-
-/// SPAM broadcast latency (µs) for one seeded replication.
-pub fn spam_broadcast_us(switches: usize, seed: u64) -> f64 {
-    first_latency_us(&run_rep(&broadcast_spec(switches, seed)))
-}
-
-/// Simulated software (binomial unicast) broadcast makespan (µs).
-pub fn software_broadcast_us(switches: usize, seed: u64) -> f64 {
-    let mut spec = broadcast_spec(switches, seed);
+/// The software arm of [`single_multicast_latency_us`]: the same fresh
+/// network, source and destination draw, delivered as a binomial tree of
+/// up*/down* unicasts. Returns the whole tree's makespan in µs.
+pub fn software_multicast_makespan_us(switches: usize, dests: usize, len: u32, seed: u64) -> f64 {
+    let mut spec = paper_spec(switches, TrafficSpec::SingleMulticast { dests, len }, seed);
     spec.routing = RoutingSpec::SoftwareMulticast;
     makespan_us(&run_rep(&spec))
 }
 
 /// Builds the comparison row for one network size.
-pub fn run_row(switches: usize, target_rel: f64, max_reps: u64, seed: u64) -> BroadcastRow {
-    let x = switches as f64;
-    let spam = crate::sweep::replicate_point(target_rel, max_reps, split_seed(seed, 10), x, |s| {
-        spam_broadcast_us(switches, s)
+pub fn run_row(switches: usize, stop: Stop, seed: u64) -> BroadcastRow {
+    // Every other processor a destination, 128 flits.
+    let (x, dests) = (switches as f64, switches - 1);
+    let spam = single(stop, split_seed(seed, 10), x, |s| {
+        single_multicast_latency_us(switches, dests, 128, s)
     });
     let mut soft = RunningStats::new();
     // The software scheme is far slower per replication; a handful of
     // replications suffices for a ratio that is stable to a few percent.
-    let soft_reps = 5.min(max_reps);
+    let soft_reps = 5.min(stop.max_reps);
     for i in 0..soft_reps {
-        soft.push(software_broadcast_us(switches, split_seed(seed, 20 + i)));
+        let s = split_seed(seed, 20 + i);
+        soft.push(software_multicast_makespan_us(switches, dests, 128, s));
     }
-    let software = PointSummary {
-        x,
-        mean: soft.mean(),
-        ci_half_width: ConfidenceInterval::from_stats(&soft, ConfidenceLevel::P95)
-            .map_or(0.0, |ci| ci.half_width),
-        reps: soft_reps,
-        target_met: false,
-    };
-    let d = (switches - 1) as u64;
+    let software = PointSummary::described(x, &soft, false);
+    let d = dests as u64;
     let startup = Duration::from_us(10);
     let bound_d_us = software_multicast_lower_bound(d + 1, startup).as_us_f64();
     BroadcastRow {
         nodes: switches,
-        spam_us: spam.mean,
-        software_us: software.mean,
         bound_d_minus_1_us: software_multicast_lower_bound(d, startup).as_us_f64(),
         bound_d_us,
         speedup_vs_bound: bound_d_us / spam.mean,
@@ -105,10 +84,13 @@ pub fn run_row(switches: usize, target_rel: f64, max_reps: u64, seed: u64) -> Br
 /// The `broadcast` experiment: the comparison for 128- and 256-node
 /// networks; the ratios are the CSV's `x_bound` / `x_soft` columns.
 pub fn report(quick: bool) -> Report {
-    let (target, reps) = if quick { (0.05, 16) } else { (0.01, 500) };
+    let stop = Stop {
+        target_rel: if quick { 0.05 } else { 0.01 },
+        max_reps: if quick { 16 } else { 500 },
+    };
     let rows: Vec<BroadcastRow> = [128usize, 256]
         .iter()
-        .map(|&nodes| run_row(nodes, target, reps, 0xB0A5))
+        .map(|&nodes| run_row(nodes, stop, 0xB0A5))
         .collect();
     let mut csv =
         String::from("nodes,spam_us,software_us,bound_dm1_us,bound_d_us,x_bound,x_soft,reps\n");
@@ -117,8 +99,8 @@ pub fn report(quick: bool) -> Report {
             csv,
             "{},{:.3},{:.3},{:.1},{:.1},{:.3},{:.3},{}",
             r.nodes,
-            r.spam_us,
-            r.software_us,
+            r.spam.mean,
+            r.software.mean,
             r.bound_d_minus_1_us,
             r.bound_d_us,
             r.speedup_vs_bound,
@@ -127,13 +109,7 @@ pub fn report(quick: bool) -> Report {
         )
         .expect("string write");
     }
-    let bound = |r: &BroadcastRow| PointSummary {
-        mean: r.bound_d_us,
-        ci_half_width: 0.0,
-        reps: 0,
-        target_met: true,
-        ..r.spam
-    };
+    let bound = |r: &BroadcastRow| PointSummary::exact(r.spam.x, r.bound_d_us, 0);
     let mut report = Report::figure(
         "broadcast",
         [
@@ -142,7 +118,7 @@ pub fn report(quick: bool) -> Report {
             "latency (µs)",
         ],
         &[
-            ("target_rel", target.to_string()),
+            ("target_rel", stop.target_rel.to_string()),
             ("quick", quick.to_string()),
         ],
         vec![
@@ -166,7 +142,7 @@ pub fn report(quick: bool) -> Report {
         report.text,
         "\npaper check: 256-node SPAM broadcast {:.2} µs (paper: <14), \
          vs 90 µs bound -> {:.1}x (paper: >6x)",
-        r256.spam_us, r256.speedup_vs_bound
+        r256.spam.mean, r256.speedup_vs_bound
     )
     .expect("string write");
     report
@@ -180,14 +156,14 @@ mod tests {
     fn miniature_comparison_has_the_paper_shape() {
         // 32 nodes: SPAM ~11 µs, bound = ceil(log2(32+..)) * 10 µs = 50-60,
         // simulated software slower than the bound.
-        let row = run_row(32, 0.05, 16, 77);
-        assert!(row.spam_us < 14.0, "SPAM broadcast {} µs", row.spam_us);
+        let row = run_row(32, Stop::new(0.05, 16), 77);
+        assert!(row.spam.mean < 14.0, "SPAM broadcast {} µs", row.spam.mean);
         assert_eq!(row.bound_d_minus_1_us, 50.0); // d=31 -> 5 phases
         assert_eq!(row.bound_d_us, 60.0); // d=32 -> 6 phases
         assert!(
-            row.software_us >= row.bound_d_minus_1_us,
+            row.software.mean >= row.bound_d_minus_1_us,
             "simulated software {} beat its own lower bound {}",
-            row.software_us,
+            row.software.mean,
             row.bound_d_minus_1_us
         );
         assert!(row.speedup_vs_bound > 3.0);

@@ -22,10 +22,10 @@
 
 use crate::latency_anatomy::{cell_spec, GRID};
 use crate::report::{self, BenchJson, Report};
-use crate::PointSummary;
+use crate::{run_on_fabric, PointSummary};
 use spam_metrics::{ChannelAccum, CongestionHeatmap, HeatKey};
 use spam_scenario::json::{self, Json, Num};
-use spam_scenario::{run_with_artifacts, ArrivalSpec, ArtifactPrefix, EngineSpec, TrafficSpec};
+use spam_scenario::{ArrivalSpec, EngineSpec, TrafficSpec};
 use std::fmt::Write as _;
 
 /// Workload names, in report order.
@@ -114,11 +114,7 @@ pub fn run_congestion_profile(quick: bool) -> Vec<CongestionCell> {
                     ..EngineSpec::default()
                 },
             );
-            let arts = ArtifactPrefix::of(&spec, 0)
-                .build()
-                .unwrap_or_else(|e| panic!("{}: {e:?}", spec.name));
-            let out = run_with_artifacts(&spec, 0, None, &arts)
-                .unwrap_or_else(|e| panic!("{}: {e:?}", spec.name));
+            let (arts, out) = run_on_fabric(&spec, 0);
             let m = out.metrics.as_ref().expect("telemetry enabled");
             cells.push(CongestionCell {
                 workload,
@@ -258,15 +254,8 @@ pub fn congestion_bench_json(cells: &[CongestionCell], quick: bool) -> BenchJson
                 .iter()
                 .filter(|c| c.workload == workload && c.arm == arm)
                 .collect();
-            if mine.is_empty() {
-                continue;
-            }
-            let point = |c: &CongestionCell, mean: f64| PointSummary {
-                x: regime_x(c.regime),
-                mean,
-                ci_half_width: 0.0,
-                reps: c.messages,
-                target_met: true,
+            let point = |c: &CongestionCell, mean: f64| {
+                PointSummary::exact(regime_x(c.regime), mean, c.messages)
             };
             series.push((
                 format!("{workload}@{arm}:top4_ocrq_share"),
@@ -282,17 +271,17 @@ pub fn congestion_bench_json(cells: &[CongestionCell], quick: bool) -> BenchJson
             ));
         }
     }
-    BenchJson {
-        name: "congestion_profile".to_string(),
-        params: vec![
-            ("quick".to_string(), quick.to_string()),
-            ("workloads".to_string(), WORKLOADS.join(",")),
-            ("regimes".to_string(), REGIMES.join(",")),
-            ("sample_every_ns".to_string(), SAMPLE_EVERY_NS.to_string()),
-            ("top_k".to_string(), TOP_K.to_string()),
+    BenchJson::new(
+        "congestion_profile",
+        &[
+            ("quick", quick.to_string()),
+            ("workloads", WORKLOADS.join(",")),
+            ("regimes", REGIMES.join(",")),
+            ("sample_every_ns", SAMPLE_EVERY_NS.to_string()),
+            ("top_k", TOP_K.to_string()),
         ],
         series,
-    }
+    )
 }
 
 /// Renders the summary table for the terminal.

@@ -3,6 +3,7 @@
 //! is one row here — a name, a one-line summary, and the function that
 //! runs it and returns its [`Report`].
 
+use crate::cli::EXPERIMENT;
 use crate::report::Report;
 use crate::{
     ablations, broadcast, congestion, fault_sweep, fig2, fig3, hotspot, latency_anatomy,
@@ -44,7 +45,11 @@ pub const EXPERIMENTS: [Experiment; 12] = [
 
 /// The usage text: the synopsis plus every experiment.
 pub fn usage() -> String {
-    let mut out = String::from("usage: experiment <name> [--quick]\n\nexperiments:\n");
+    format!("{}\n\n{}", EXPERIMENT.usage, list())
+}
+
+fn list() -> String {
+    let mut out = String::from("experiments:\n");
     for e in &EXPERIMENTS {
         writeln!(out, "  {:<20} {}", e.name, e.summary).expect("string write");
     }
@@ -56,22 +61,11 @@ pub fn usage() -> String {
 /// name, an unknown name, a stray flag, a second name — is the usage
 /// text as `Err`.
 pub fn parse(args: &[String]) -> Result<(&'static Experiment, bool), String> {
-    let mut quick = false;
-    let mut chosen = None;
-    for arg in args {
-        if arg == "--quick" && !quick {
-            quick = true;
-        } else if let (None, Some(e)) = (chosen, EXPERIMENTS.iter().find(|e| e.name == arg)) {
-            chosen = Some(e);
-        } else {
-            return Err(format!(
-                "experiment: unexpected argument `{arg}`\n\n{}",
-                usage()
-            ));
-        }
-    }
-    match chosen {
-        Some(e) => Ok((e, quick)),
-        None => Err(usage()),
+    let parsed = EXPERIMENT.parse(args);
+    let parsed = parsed.map_err(|synopsis| format!("{synopsis}\n\n{}", list()))?;
+    let name = parsed.positional.as_deref().expect("required");
+    match EXPERIMENTS.iter().find(|e| e.name == name) {
+        Some(e) => Ok((e, parsed.flag("--quick"))),
+        None => Err(format!("unknown experiment `{name}`\n\n{}", usage())),
     }
 }

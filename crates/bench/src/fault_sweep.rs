@@ -16,9 +16,8 @@
 //! paths, while SPAM still pays one.)
 
 use crate::report::{self, Report};
-use crate::sweep::{controller, point, replicate_parallel_with};
-use crate::{first_latency_us, makespan_us, paper_spec, PointSummary};
-use netgraph::gen::lattice::IrregularConfig;
+use crate::sweep::{cell, Stop};
+use crate::{first_latency_us, makespan_us, paper_fabric, paper_spec, PointSummary};
 use spam_faults::{DegradedNetwork, FaultModel};
 use spam_scenario::{
     run_with_artifacts, split_seed, ArtifactPrefix, FaultModelSpec, FaultsSpec, RoutingSpec,
@@ -26,46 +25,11 @@ use spam_scenario::{
 };
 use std::fmt::Write as _;
 
-/// Configuration of a fault sweep.
-#[derive(Debug, Clone)]
-pub struct FaultSweepConfig {
-    /// Switches (= processors) in the pristine network.
-    pub switches: usize,
-    /// Link-fault rates to sweep (probability each link is dead).
-    pub rates: Vec<f64>,
-    /// Multicast destination counts to sweep (an instance with fewer
-    /// survivors is redrawn).
-    pub dest_counts: Vec<usize>,
-    /// Flits per message.
-    pub len: u32,
-    /// Relative CI target (the paper uses 0.01).
-    pub target_rel: f64,
-    /// Replication budget per point and arm.
-    pub max_reps: u64,
-    /// RNG stream.
-    pub seed: u64,
-}
+/// Flits per message.
+const LEN: u32 = 128;
 
-impl FaultSweepConfig {
-    /// The experiment's sweep: 64-switch networks, fault rates 0–25 %,
-    /// multicast sizes 8 and 32, 128-flit messages, 1 % CI; `quick` thins
-    /// the rates and loosens the CI for smoke tests and CI runs.
-    pub fn new(quick: bool) -> Self {
-        FaultSweepConfig {
-            switches: 64,
-            rates: if quick {
-                vec![0.0, 0.10, 0.20]
-            } else {
-                vec![0.0, 0.05, 0.10, 0.15, 0.20, 0.25]
-            },
-            dest_counts: vec![8, 32],
-            len: 128,
-            target_rel: if quick { 0.05 } else { 0.01 },
-            max_reps: if quick { 24 } else { 600 },
-            seed: 0xFA_017,
-        }
-    }
-}
+/// RNG stream of the sweep.
+const SEED: u64 = 0xFA_017;
 
 /// One finished sweep cell: both arms at a (rate, dest-count) point.
 #[derive(Debug, Clone)]
@@ -156,38 +120,34 @@ fn mean_component_fraction(switches: usize, rate: f64, seed: u64, samples: u64) 
     let mut acc = 0.0;
     for i in 0..samples {
         let s = split_seed(seed, 0x1_000 + i);
-        let base = IrregularConfig::with_switches(switches).generate(split_seed(s, 0xA));
+        let base = paper_fabric(switches, split_seed(s, 0xA)).topo;
         let plan = FaultModel::IidLinks { rate }.sample(&base, None, split_seed(s, 0xB));
         acc += DegradedNetwork::build(&base, &plan, None).largest_component_fraction(&base);
     }
     acc / samples as f64
 }
 
-/// Runs the full sweep; one [`FaultPoint`] per (rate, dest-count) cell.
-/// Each seed produces one `(spam, software)` pair pushed into two
-/// controllers, and a cell runs until **both** are satisfied.
-pub fn run(cfg: &FaultSweepConfig) -> Vec<FaultPoint> {
+/// Runs the sweep on `switches`-switch networks; one [`FaultPoint`] per
+/// (rate, dest-count) cell. Each seed produces one `(spam, software)`
+/// pair, and a cell runs until **both** arms are satisfied.
+pub fn run(switches: usize, rates: &[f64], dest_counts: &[usize], stop: Stop) -> Vec<FaultPoint> {
     let mut out = Vec::new();
-    for &k in &cfg.dest_counts {
-        for &rate in &cfg.rates {
-            let stream = split_seed(cfg.seed, (k as u64) << 32 | (rate * 1e4) as u64);
-            let mut spam_ctl = controller(cfg.target_rel, cfg.max_reps);
-            let mut soft_ctl = controller(cfg.target_rel, cfg.max_reps);
-            replicate_parallel_with(
+    for &k in dest_counts {
+        for &rate in rates {
+            let stream = split_seed(SEED, (k as u64) << 32 | (rate * 1e4) as u64);
+            let [spam, software] = cell(
+                stop,
                 stream,
-                |s| paired_replication(cfg.switches, rate, k, cfg.len, s),
-                |(a, b)| {
-                    spam_ctl.push(a);
-                    soft_ctl.push(b);
-                    spam_ctl.satisfied() && soft_ctl.satisfied()
-                },
+                rate,
+                |s| paired_replication(switches, rate, k, LEN, s),
+                |(a, b)| [Some(a), Some(b)],
             );
             out.push(FaultPoint {
                 rate,
                 dests: k,
-                spam: point(&spam_ctl, rate),
-                software: point(&soft_ctl, rate),
-                component_fraction: mean_component_fraction(cfg.switches, rate, stream, 32),
+                spam,
+                software,
+                component_fraction: mean_component_fraction(switches, rate, stream, 32),
             });
         }
     }
@@ -204,17 +164,11 @@ pub fn csv(points: &[FaultPoint]) -> String {
     for p in points {
         writeln!(
             out,
-            "{},{},{:.4},{:.4},{},{},{:.4},{:.4},{},{},{:.3},{:.4}",
+            "{},{},{},{},{:.3},{:.4}",
             p.rate,
             p.dests,
-            p.spam.mean,
-            p.spam.ci_half_width,
-            p.spam.reps,
-            p.spam.target_met,
-            p.software.mean,
-            p.software.ci_half_width,
-            p.software.reps,
-            p.software.target_met,
+            report::stat_columns(&p.spam),
+            report::stat_columns(&p.software),
             p.software.mean / p.spam.mean,
             p.component_fraction
         )
@@ -223,13 +177,26 @@ pub fn csv(points: &[FaultPoint]) -> String {
     out
 }
 
-/// The `fault-sweep` experiment: both arms' curves per multicast size;
-/// the per-cell detail (speed-up, surviving fraction) is the CSV.
+/// The `fault-sweep` experiment — 64-switch networks, fault rates
+/// 0–25 %, multicast sizes 8 and 32, 1 % CI; `quick` thins the rates and
+/// loosens the CI for smoke tests and CI runs. Both arms' curves per
+/// multicast size; the per-cell detail (speed-up, surviving fraction) is
+/// the CSV.
 pub fn report(quick: bool) -> Report {
-    let cfg = FaultSweepConfig::new(quick);
-    let points = run(&cfg);
+    let switches = 64;
+    let dest_counts = [8, 32];
+    let rates: &[f64] = if quick {
+        &[0.0, 0.10, 0.20]
+    } else {
+        &[0.0, 0.05, 0.10, 0.15, 0.20, 0.25]
+    };
+    let stop = Stop {
+        target_rel: if quick { 0.05 } else { 0.01 },
+        max_reps: if quick { 24 } else { 600 },
+    };
+    let points = run(switches, rates, &dest_counts, stop);
     let mut series = Vec::new();
-    for &k in &cfg.dest_counts {
+    for k in dest_counts {
         let of_k = || points.iter().filter(|p| p.dests == k);
         let spam = of_k().map(|p| p.spam.clone()).collect();
         let software = of_k().map(|p| p.software.clone()).collect();
@@ -244,11 +211,11 @@ pub fn report(quick: bool) -> Report {
             "latency (µs)",
         ],
         &[
-            ("switches", cfg.switches.to_string()),
-            ("len_flits", cfg.len.to_string()),
-            ("target_rel", cfg.target_rel.to_string()),
-            ("max_reps", cfg.max_reps.to_string()),
-            ("seed", cfg.seed.to_string()),
+            ("switches", switches.to_string()),
+            ("len_flits", LEN.to_string()),
+            ("target_rel", stop.target_rel.to_string()),
+            ("max_reps", stop.max_reps.to_string()),
+            ("seed", SEED.to_string()),
             ("quick", quick.to_string()),
         ],
         series,
@@ -313,16 +280,7 @@ mod tests {
 
     #[test]
     fn quick_sweep_produces_all_cells() {
-        let cfg = FaultSweepConfig {
-            switches: 16,
-            rates: vec![0.0, 0.2],
-            dest_counts: vec![2, 4],
-            len: 16,
-            target_rel: 0.25,
-            max_reps: 4,
-            seed: 1,
-        };
-        let pts = run(&cfg);
+        let pts = run(16, &[0.0, 0.2], &[2, 4], Stop::new(0.25, 4));
         assert_eq!(pts.len(), 4);
         for p in &pts {
             assert!(p.spam.mean > 0.0);

@@ -12,48 +12,15 @@
 //! time — and the 256-node broadcast stays under 14 µs.
 
 use crate::report::{self, Report};
+use crate::sweep::{single, Stop};
 use crate::{first_latency_us, paper_spec, run_rep, PointSummary};
 use spam_scenario::{split_seed, TrafficSpec};
 
-/// Configuration of a Figure 2 sweep.
-#[derive(Debug, Clone)]
-pub struct Fig2Config {
-    /// Network size in switches (= processors): 128 or 256 in the paper.
-    pub switches: usize,
-    /// Destination counts to sweep.
-    pub dest_counts: Vec<usize>,
-    /// Flits per message (128).
-    pub len: u32,
-    /// Relative CI target (0.01).
-    pub target_rel: f64,
-    /// Replication budget per point.
-    pub max_reps: u64,
-    /// RNG stream.
-    pub seed: u64,
-}
+/// Flits per message.
+const LEN: u32 = 128;
 
-impl Fig2Config {
-    /// The paper's sweep for an `n`-node network: destination counts at
-    /// every power of two plus the broadcast, 128-flit messages, 1 % CI.
-    /// `quick` loosens the CI for smoke tests and CI runs.
-    pub fn new(switches: usize, quick: bool) -> Self {
-        let mut dest_counts = vec![1usize, 2];
-        let mut k = 4;
-        while k < switches - 1 {
-            dest_counts.push(k);
-            k *= 2;
-        }
-        dest_counts.push(switches - 1); // broadcast
-        Fig2Config {
-            switches,
-            dest_counts,
-            len: 128,
-            target_rel: if quick { 0.05 } else { 0.01 },
-            max_reps: if quick { 64 } else { 2000 },
-            seed: 0x5EED_F162,
-        }
-    }
-}
+/// RNG stream of the figure.
+const SEED: u64 = 0x5EED_F162;
 
 /// One replication: fresh network + one timed multicast. Returns µs.
 pub fn single_multicast_latency_us(switches: usize, dests: usize, len: u32, seed: u64) -> f64 {
@@ -61,18 +28,23 @@ pub fn single_multicast_latency_us(switches: usize, dests: usize, len: u32, seed
     first_latency_us(&run_rep(&spec))
 }
 
-/// Runs the full sweep; one [`PointSummary`] per destination count.
-pub fn run(cfg: &Fig2Config) -> Vec<PointSummary> {
-    cfg.dest_counts
-        .iter()
-        .map(|&k| {
-            crate::sweep::replicate_point(
-                cfg.target_rel,
-                cfg.max_reps,
-                split_seed(cfg.seed, k as u64),
-                k as f64,
-                |s| single_multicast_latency_us(cfg.switches, k, cfg.len, s),
-            )
+/// The paper's sweep for a network of `switches` nodes: one
+/// [`PointSummary`] per destination count, at 1, 2, every further power
+/// of two, and the broadcast.
+pub fn run(switches: usize, stop: Stop) -> Vec<PointSummary> {
+    let mut dest_counts = vec![1usize, 2];
+    let mut k = 4;
+    while k < switches - 1 {
+        dest_counts.push(k);
+        k *= 2;
+    }
+    dest_counts.push(switches - 1); // broadcast
+    dest_counts
+        .into_iter()
+        .map(|k| {
+            single(stop, split_seed(SEED, k as u64), k as f64, |s| {
+                single_multicast_latency_us(switches, k, LEN, s)
+            })
         })
         .collect()
 }
@@ -80,10 +52,14 @@ pub fn run(cfg: &Fig2Config) -> Vec<PointSummary> {
 /// The `fig2` experiment: both panels (128 and 256 nodes), one
 /// `fig2_<nodes>.csv` each.
 pub fn report(quick: bool) -> Report {
+    let stop = Stop {
+        target_rel: if quick { 0.05 } else { 0.01 },
+        max_reps: if quick { 64 } else { 2000 },
+    };
     let mut files = Vec::new();
     let mut series = Vec::new();
     for n in [128usize, 256] {
-        let points = run(&Fig2Config::new(n, quick));
+        let points = run(n, stop);
         let header = "destinations,latency_us,ci_half_width_us,reps,met_1pct";
         files.push(report::csv_file(&format!("fig2_{n}.csv"), header, &points));
         series.push((format!("{n}-node"), points));
@@ -118,12 +94,7 @@ mod tests {
     fn latency_is_flat_in_destination_count() {
         // The Figure 2 shape at miniature scale: broadcast costs at most
         // ~20 % more than a unicast.
-        let cfg = Fig2Config {
-            target_rel: 0.05,
-            max_reps: 24,
-            ..Fig2Config::new(32, false)
-        };
-        let pts = run(&cfg);
+        let pts = run(32, Stop::new(0.05, 24));
         let uni = pts.first().unwrap().mean;
         let bcast = pts.last().unwrap().mean;
         assert!(bcast < uni * 1.2, "multicast not flat: {uni} -> {bcast}");

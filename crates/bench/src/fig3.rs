@@ -7,59 +7,15 @@
 //! in past ~0.03 messages/µs/node.
 
 use crate::report::{self, Report};
-use crate::{figure3_traffic, paper_spec, run_rep, PointSummary};
+use crate::sweep::{single, Stop};
+use crate::{figure3_traffic, paper_spec, run_rep};
 use spam_scenario::split_seed;
 
-/// Configuration of a Figure 3 sweep.
-#[derive(Debug, Clone)]
-pub struct Fig3Config {
-    /// Network size in switches (128 in the paper).
-    pub switches: usize,
-    /// Multicast sizes (one curve each): 8, 16, 32, 64.
-    pub multicast_sizes: Vec<usize>,
-    /// Arrival rates in messages/µs/node (x axis: 0.005 – 0.04).
-    pub rates: Vec<f64>,
-    /// Messages simulated per replication.
-    pub messages: usize,
-    /// Fraction of messages discarded as warm-up.
-    pub warmup_frac: f64,
-    /// Relative CI target across replications.
-    pub target_rel: f64,
-    /// Replication budget per point.
-    pub max_reps: u64,
-    /// RNG stream.
-    pub seed: u64,
-}
+/// Fraction of each replication's messages discarded as warm-up.
+const WARMUP_FRAC: f64 = 0.1;
 
-impl Fig3Config {
-    /// The paper's sweep (steady-state-sized replications), or the small
-    /// `quick` variant for smoke tests and CI.
-    pub fn new(quick: bool) -> Self {
-        if quick {
-            Fig3Config {
-                switches: 32,
-                multicast_sizes: vec![4, 8],
-                rates: vec![0.005, 0.02],
-                messages: 400,
-                warmup_frac: 0.1,
-                target_rel: 0.10,
-                max_reps: 6,
-                seed: 0x5EED_F163,
-            }
-        } else {
-            Fig3Config {
-                switches: 128,
-                multicast_sizes: vec![8, 16, 32, 64],
-                rates: vec![0.005, 0.01, 0.015, 0.02, 0.025, 0.03, 0.035, 0.04],
-                messages: 4000,
-                warmup_frac: 0.1,
-                target_rel: 0.01,
-                max_reps: 200,
-                seed: 0x5EED_F163,
-            }
-        }
-    }
-}
+/// RNG stream of the figure.
+const SEED: u64 = 0x5EED_F163;
 
 /// One replication: mean message latency (µs) over the post-warm-up
 /// window of a mixed-traffic run.
@@ -78,27 +34,33 @@ pub fn mixed_traffic_mean_latency_us(
         .expect("messages completed")
 }
 
-/// The whole figure: one curve per multicast size across the rate sweep.
-pub fn run(cfg: &Fig3Config) -> Vec<(usize, Vec<PointSummary>)> {
-    let point = |k: usize, rate: f64| {
-        let stream = split_seed(cfg.seed, (k as u64) << 32 | (rate * 1e6) as u64);
-        crate::sweep::replicate_point(cfg.target_rel, cfg.max_reps, stream, rate, |s| {
-            mixed_traffic_mean_latency_us(cfg.switches, rate, k, cfg.messages, cfg.warmup_frac, s)
-        })
-    };
-    cfg.multicast_sizes
-        .iter()
-        .map(|&k| (k, cfg.rates.iter().map(|&rate| point(k, rate)).collect()))
-        .collect()
-}
-
 /// The `fig3` experiment: one curve (and one `fig3_k<dests>.csv`) per
-/// multicast size.
+/// multicast size across the rate sweep — the paper's 128-node network
+/// with steady-state-sized replications, or the small `quick` variant
+/// for smoke tests and CI.
 pub fn report(quick: bool) -> Report {
-    let cfg = Fig3Config::new(quick);
+    let switches = if quick { 32 } else { 128 };
+    let sizes: &[usize] = if quick { &[4, 8] } else { &[8, 16, 32, 64] };
+    let rates: &[f64] = if quick {
+        &[0.005, 0.02]
+    } else {
+        &[0.005, 0.01, 0.015, 0.02, 0.025, 0.03, 0.035, 0.04]
+    };
+    let messages = if quick { 400 } else { 4000 };
+    let stop = Stop {
+        target_rel: if quick { 0.10 } else { 0.01 },
+        max_reps: if quick { 6 } else { 200 },
+    };
     let mut files = Vec::new();
     let mut series = Vec::new();
-    for (k, points) in run(&cfg) {
+    for &k in sizes {
+        let point = |&rate: &f64| {
+            let stream = split_seed(SEED, (k as u64) << 32 | (rate * 1e6) as u64);
+            single(stop, stream, rate, |s| {
+                mixed_traffic_mean_latency_us(switches, rate, k, messages, WARMUP_FRAC, s)
+            })
+        };
+        let points: Vec<_> = rates.iter().map(point).collect();
         let header = "rate_per_node_per_us,latency_us,ci_half_width_us,reps,met_1pct";
         files.push(report::csv_file(&format!("fig3_k{k}.csv"), header, &points));
         series.push((format!("{k} destinations"), points));
@@ -111,8 +73,8 @@ pub fn report(quick: bool) -> Report {
             "latency (µs)",
         ],
         &[
-            ("switches", cfg.switches.to_string()),
-            ("messages", cfg.messages.to_string()),
+            ("switches", switches.to_string()),
+            ("messages", messages.to_string()),
             ("quick", quick.to_string()),
         ],
         series,

@@ -9,15 +9,16 @@
 //! destination sets) for each root-selection policy, alongside the mean
 //! adaptivity and path stretch of the resulting labeling. A static
 //! analysis of one labeled lattice — nothing a scenario replication
-//! expresses — so it builds the network directly.
+//! expresses — so it labels the fabric and drives the simulator itself.
 
+use crate::ablations::ROOT_POLICIES;
 use crate::report::{BenchJson, Report};
-use crate::PointSummary;
-use netgraph::gen::lattice::IrregularConfig;
-use netgraph::{NodeId, Topology};
+use crate::{paper_fabric, PointSummary};
+use netgraph::NodeId;
 use spam_core::{mean_adaptivity, path_stretch, root_transit_probability, SpamRouting};
+use spam_scenario::ScenarioArtifacts;
 use std::fmt::Write as _;
-use updown::{RootSelection, UpDownLabeling};
+use updown::UpDownLabeling;
 use wormsim::{MessageSpec, NetworkSim, SimConfig};
 
 /// Network size (switches = processors) the analysis runs on.
@@ -26,23 +27,20 @@ const NODES: usize = 128;
 /// The `hotspot` experiment: root-transit probability per root policy
 /// and destination count, then the dynamic confirmation.
 pub fn report(_quick: bool) -> Report {
-    let topo = IrregularConfig::with_switches(NODES).generate(0xE0);
+    let arts = paper_fabric(NODES, 0xE0);
+    let topo = &arts.topo;
     let mut text =
         format!("root hot-spot analysis, {NODES}-node §4 network (500 samples per cell)\n\n");
     let mut series: Vec<(String, Vec<PointSummary>)> = Vec::new();
-    for (name, sel) in [
-        ("lowest-id", RootSelection::LowestId),
-        ("max-degree", RootSelection::MaxDegree),
-        ("min-eccentricity", RootSelection::MinEccentricity),
-    ] {
-        let ud = UpDownLabeling::build(&topo, sel);
-        let spam = SpamRouting::new(&topo, &ud);
-        let (stretch_mean, stretch_max) = path_stretch(&topo, &spam);
+    for (name, sel) in ROOT_POLICIES {
+        let ud = UpDownLabeling::build(topo, sel);
+        let spam = SpamRouting::new(topo, &ud);
+        let (stretch_mean, stretch_max) = path_stretch(topo, &spam);
         writeln!(
             text,
             "policy {name}: root {}, adaptivity {:.2} legal moves/hop, stretch {:.3} (max {:.2})",
             ud.root(),
-            mean_adaptivity(&topo, &spam),
+            mean_adaptivity(topo, &spam),
             stretch_mean,
             stretch_max
         )
@@ -55,7 +53,7 @@ pub fn report(_quick: bool) -> Report {
         .expect("string write");
         let mut points = Vec::new();
         for k in [2usize, 4, 8, 16, 32, 64, NODES - 1] {
-            let r = root_transit_probability(&topo, &ud, &spam, k, 500, 0xE1);
+            let r = root_transit_probability(topo, &ud, &spam, k, 500, 0xE1);
             writeln!(
                 text,
                 "  {k:>6} {:>13.1}% {:>17.1}%",
@@ -63,13 +61,8 @@ pub fn report(_quick: bool) -> Report {
                 r.must_cross_root * 100.0
             )
             .expect("string write");
-            points.push(PointSummary {
-                x: k as f64,
-                mean: r.must_cross_root,
-                ci_half_width: 0.0,
-                reps: r.samples as u64,
-                target_met: true,
-            });
+            let samples = r.samples as u64;
+            points.push(PointSummary::exact(k as f64, r.must_cross_root, samples));
         }
         series.push((format!("must_cross_root {name}"), points));
         text.push('\n');
@@ -79,13 +72,9 @@ pub fn report(_quick: bool) -> Report {
          hot-spot argument; destination partitioning — ablation C — is the\n \
          paper's proposed mitigation)\n",
     );
-    text.push_str(&dynamic_utilization(&topo));
+    text.push_str(&dynamic_utilization(&arts));
     Report {
-        bench: BenchJson {
-            name: "hotspot".to_string(),
-            params: vec![("nodes".to_string(), NODES.to_string())],
-            series,
-        },
+        bench: BenchJson::new("hotspot", &[("nodes", NODES.to_string())], series),
         files: Vec::new(),
         text,
     }
@@ -93,9 +82,9 @@ pub fn report(_quick: bool) -> Report {
 
 /// Dynamic confirmation: drive a broadcast storm through the network and
 /// show how much hotter the root's channels run than the average channel.
-fn dynamic_utilization(topo: &Topology) -> String {
-    let ud = UpDownLabeling::build(topo, RootSelection::LowestId);
-    let spam = SpamRouting::new(topo, &ud);
+fn dynamic_utilization(arts: &ScenarioArtifacts) -> String {
+    let (topo, ud) = (&arts.topo, &arts.labeling);
+    let spam = SpamRouting::new(topo, ud);
     let procs: Vec<NodeId> = topo.processors().collect();
     let mut sim = NetworkSim::new(topo, spam, SimConfig::paper());
     // Every 8th processor broadcasts simultaneously.

@@ -20,10 +20,10 @@
 //!   live reconfiguration is the hardware arm's regime by construction).
 
 use crate::report::{self, BenchJson, Report};
-use crate::PointSummary;
+use crate::{run_on_fabric, PointSummary};
 use spam_scenario::{
-    run_with_artifacts, split_seed, ArrivalSpec, ArtifactPrefix, EngineSpec, FaultModelSpec,
-    FaultsSpec, PolicySpec, RoutingSpec, ScenarioSpec, TopologySpec, TrafficSpec,
+    split_seed, ArrivalSpec, EngineSpec, FaultModelSpec, FaultsSpec, RoutingSpec, ScenarioSpec,
+    TrafficSpec,
 };
 use spam_trace::{decompose_run, summarize, AnatomySummary, MessageAnatomy};
 use std::fmt::Write as _;
@@ -56,42 +56,33 @@ pub(crate) fn cell_spec(
     engine: EngineSpec,
 ) -> ScenarioSpec {
     let storm_model = FaultModelSpec::IidLinks { rate: 0.20 };
-    ScenarioSpec {
-        name,
-        description: String::new(),
-        topology: TopologySpec {
-            switches,
-            seed: 9,
-            ..TopologySpec::default()
-        },
-        routing: match arm {
-            "spam" => RoutingSpec::Spam {
-                policy: PolicySpec::MinResidualDistance,
-            },
-            "software" => RoutingSpec::SoftwareMulticast,
-            other => unreachable!("unknown arm {other}"),
-        },
-        traffic,
-        faults: match regime {
-            "fault_free" => FaultsSpec::None,
-            "links20" => FaultsSpec::Static {
-                model: storm_model,
-                seed: 0x5071,
-            },
-            "storm20" => FaultsSpec::Storm {
-                model: storm_model,
-                seed: 0x5071,
-                window_start_us: 20,
-                window_end_us: 120,
-                bursts: 3,
-            },
-            other => unreachable!("unknown regime {other}"),
-        },
-        engine,
-        seed: 23,
-        replications: 1,
-        horizon_us: None,
+    let mut spec = ScenarioSpec::example(&name);
+    spec.topology.switches = switches;
+    spec.topology.seed = 9;
+    match arm {
+        "spam" => {}
+        "software" => spec.routing = RoutingSpec::SoftwareMulticast,
+        other => unreachable!("unknown arm {other}"),
     }
+    spec.traffic = traffic;
+    spec.faults = match regime {
+        "fault_free" => FaultsSpec::None,
+        "links20" => FaultsSpec::Static {
+            model: storm_model,
+            seed: 0x5071,
+        },
+        "storm20" => FaultsSpec::Storm {
+            model: storm_model,
+            seed: 0x5071,
+            window_start_us: 20,
+            window_end_us: 120,
+            bursts: 3,
+        },
+        other => unreachable!("unknown regime {other}"),
+    };
+    spec.engine = engine;
+    spec.seed = 23;
+    spec
 }
 
 fn spec_for(cell: (&str, &str), switches: usize, messages: usize) -> ScenarioSpec {
@@ -134,11 +125,7 @@ pub fn run_latency_anatomy(quick: bool) -> Vec<AnatomyCell> {
             for rep in 0..reps {
                 let mut spec = spec_for((arm, regime), switches, messages);
                 spec.seed = split_seed(spec.seed, rep as u64);
-                let arts = ArtifactPrefix::of(&spec, rep)
-                    .build()
-                    .unwrap_or_else(|e| panic!("{}: {e:?}", spec.name));
-                let out = run_with_artifacts(&spec, rep, None, &arts)
-                    .unwrap_or_else(|e| panic!("{}: {e:?}", spec.name));
+                let (arts, out) = run_on_fabric(&spec, rep);
                 let delivered = out.messages.iter().filter(|m| m.is_complete()).count();
                 let decomposed =
                     decompose_run(&arts.topo, &out, &latency, spec.engine.extra_header_flits);
@@ -197,38 +184,32 @@ pub fn anatomy_csv(cells: &[AnatomyCell]) -> String {
 /// point per phase (`x` = phase index in [`PHASES`] order, `mean` =
 /// mean µs, `reps` = messages aggregated).
 pub fn anatomy_bench_json(cells: &[AnatomyCell], quick: bool) -> BenchJson {
-    BenchJson {
-        name: "latency_anatomy".to_string(),
-        params: vec![
-            ("quick".to_string(), quick.to_string()),
-            ("phases".to_string(), PHASES.join(",")),
-            ("workload".to_string(), "mixed u0.5 m8 len128".to_string()),
+    let series = cells
+        .iter()
+        .map(|c| {
             (
-                "regimes".to_string(),
-                "fault_free,links20,storm20".to_string(),
-            ),
+                format!("{}@{}", c.arm, c.regime),
+                c.summary
+                    .phases
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| {
+                        PointSummary::exact(i as f64, p.mean_us, c.summary.messages as u64)
+                    })
+                    .collect(),
+            )
+        })
+        .collect();
+    BenchJson::new(
+        "latency_anatomy",
+        &[
+            ("quick", quick.to_string()),
+            ("phases", PHASES.join(",")),
+            ("workload", "mixed u0.5 m8 len128".to_string()),
+            ("regimes", "fault_free,links20,storm20".to_string()),
         ],
-        series: cells
-            .iter()
-            .map(|c| {
-                (
-                    format!("{}@{}", c.arm, c.regime),
-                    c.summary
-                        .phases
-                        .iter()
-                        .enumerate()
-                        .map(|(i, p)| PointSummary {
-                            x: i as f64,
-                            mean: p.mean_us,
-                            ci_half_width: 0.0,
-                            reps: c.summary.messages as u64,
-                            target_met: true,
-                        })
-                        .collect(),
-                )
-            })
-            .collect(),
-    }
+        series,
+    )
 }
 
 /// Renders the table for the terminal.
@@ -274,11 +255,7 @@ fn golden_perfetto_trace() -> Vec<u8> {
     ))
     .expect("committed scenario decodes");
     spec.engine.trace = true;
-    let arts = ArtifactPrefix::of(&spec, 0)
-        .build()
-        .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-    let out =
-        run_with_artifacts(&spec, 0, None, &arts).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+    let (arts, out) = run_on_fabric(&spec, 0);
     spam_trace::export(&arts.topo, &out)
 }
 

@@ -27,70 +27,30 @@
 //! ([`simstats::Histogram::merge`]).
 
 use crate::report::{self, Report};
-use crate::sweep::{controller, point, replicate_parallel_with};
-use crate::PointSummary;
+use crate::sweep::{cell, Stop};
+use crate::{paper_fabric, PointSummary};
 use desim::Time;
-use netgraph::gen::lattice::IrregularConfig;
 use netgraph::NodeId;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use simstats::{ConfidenceInterval, ConfidenceLevel, Histogram, RunningStats};
+use simstats::{Histogram, RunningStats};
 use spam_faults::FaultModel;
 use spam_reconfig::{EpochRouting, FaultSchedule, ReconfigScenario};
 use spam_scenario::split_seed;
 use std::fmt::Write as _;
-use updown::{RootSelection, UpDownLabeling};
 use wormsim::{MessageSpec, NetworkSim, SimConfig, SimOutcome};
 
-/// Configuration of a reconfiguration sweep.
-#[derive(Debug, Clone)]
-pub struct ReconfigSweepConfig {
-    /// Switches (= processors) in the pristine network.
-    pub switches: usize,
-    /// Storm intensities to sweep: the fraction of links killed over the
-    /// whole storm (0.0 = control cell, no faults).
-    pub storm_rates: Vec<f64>,
-    /// Multicast destination counts to sweep.
-    pub dest_counts: Vec<usize>,
-    /// Messages per replication (the traffic stream the storm hits).
-    pub messages: usize,
-    /// Inter-arrival spacing of the stream, in µs.
-    pub spacing_us: u64,
-    /// Bursts per storm (= relabeling epochs beyond the first).
-    pub bursts: usize,
-    /// Flits per message.
-    pub len: u32,
-    /// Relative CI target for the latency means.
-    pub target_rel: f64,
-    /// Replication budget per cell.
-    pub max_reps: u64,
-    /// RNG stream.
-    pub seed: u64,
-}
+/// Inter-arrival spacing of the multicast stream, in µs.
+const SPACING_US: u64 = 2;
 
-impl ReconfigSweepConfig {
-    /// The experiment's sweep: 64-switch lattices, storms killing 0–30 %
-    /// of links in 3 bursts under a 48-message multicast stream; `quick`
-    /// thins the rates and loosens the CI for smoke tests and CI runs.
-    pub fn new(quick: bool) -> Self {
-        ReconfigSweepConfig {
-            switches: 64,
-            storm_rates: if quick {
-                vec![0.0, 0.10, 0.30]
-            } else {
-                vec![0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30]
-            },
-            dest_counts: vec![4, 16],
-            messages: if quick { 32 } else { 48 },
-            spacing_us: 2,
-            bursts: 3,
-            len: 64,
-            target_rel: if quick { 0.10 } else { 0.02 },
-            max_reps: if quick { 12 } else { 400 },
-            seed: 0x05EC_0F16,
-        }
-    }
-}
+/// Bursts per storm (= relabeling epochs beyond the first) in the sweep.
+const BURSTS: usize = 3;
+
+/// Flits per message in the sweep.
+const LEN: u32 = 64;
+
+/// RNG stream of the sweep.
+const SEED: u64 = 0x05EC_0F16;
 
 /// Everything one replication reports for both arms.
 #[derive(Debug, Clone)]
@@ -135,22 +95,20 @@ fn verdict_counts(out: &SimOutcome) -> (u64, u64, u64) {
 /// run the identical (damage, traffic) pair through the live storm and
 /// the static-degraded control. Deterministic in
 /// `(switches, rate, dests, seed)`.
-#[allow(clippy::too_many_arguments)]
 pub fn storm_replication(
     switches: usize,
     rate: f64,
     dests: usize,
     messages: usize,
-    spacing_us: u64,
     bursts: usize,
     len: u32,
     seed: u64,
 ) -> StormReplication {
-    let base = IrregularConfig::with_switches(switches).generate(split_seed(seed, 0xA));
-    let ud = UpDownLabeling::build(&base, RootSelection::LowestId);
+    let arts = paper_fabric(switches, split_seed(seed, 0xA));
+    let (base, ud) = (&arts.topo, &arts.labeling);
     // The storm strikes the middle half of the stream's startup-shifted
     // arrival window, so worms are in flight at every burst.
-    let span_us = messages as u64 * spacing_us;
+    let span_us = messages as u64 * SPACING_US;
     let window = (
         Time::from_us(10 + span_us / 4),
         Time::from_us(10 + span_us * 3 / 4),
@@ -158,7 +116,7 @@ pub fn storm_replication(
     let schedule = if rate > 0.0 {
         FaultSchedule::storm(
             &FaultModel::IidLinks { rate },
-            &base,
+            base,
             None,
             window,
             bursts,
@@ -176,12 +134,12 @@ pub fn storm_replication(
             let mut others: Vec<NodeId> = procs.iter().copied().filter(|&p| p != src).collect();
             others.shuffle(&mut rng);
             others.truncate(dests);
-            MessageSpec::multicast(src, others, len).at(Time::from_us(i as u64 * spacing_us))
+            MessageSpec::multicast(src, others, len).at(Time::from_us(i as u64 * SPACING_US))
         })
         .collect();
 
     let run = |schedule: &FaultSchedule, routing: EpochRouting<'_>| -> SimOutcome {
-        let mut sim = NetworkSim::new(&base, routing, SimConfig::paper());
+        let mut sim = NetworkSim::new(base, routing, SimConfig::paper());
         schedule.install(&mut sim);
         for s in &specs {
             sim.submit(s.clone()).unwrap();
@@ -189,27 +147,23 @@ pub fn storm_replication(
         sim.run()
     };
 
-    let scenario = ReconfigScenario::build(&base, &ud, &schedule);
-    let live = run(&schedule, scenario.routing(&base));
+    let scenario = ReconfigScenario::build(base, ud, &schedule);
+    let live = run(&schedule, scenario.routing(base));
 
     // Static control: the same deaths collapsed to time zero, so every
     // message routes on the post-damage labeling (the pristine epoch 0
     // ends before the first message and costs no distance row).
     let collapsed = schedule.collapsed_at(Time::ZERO);
-    let static_scenario = ReconfigScenario::build(&base, &ud, &collapsed);
-    let stat = run(&collapsed, static_scenario.routing(&base));
-    assert!(
-        live.all_accounted(),
-        "live arm lost messages (rate {rate}, seed {seed}): {:?} {:?}",
-        live.error,
-        live.deadlock
-    );
-    assert!(
-        stat.all_accounted(),
-        "static arm lost messages (rate {rate}, seed {seed}): {:?} {:?}",
-        stat.error,
-        stat.deadlock
-    );
+    let static_scenario = ReconfigScenario::build(base, ud, &collapsed);
+    let stat = run(&collapsed, static_scenario.routing(base));
+    for (arm, out) in [("live", &live), ("static", &stat)] {
+        assert!(
+            out.all_accounted(),
+            "{arm} arm lost messages (rate {rate}, seed {seed}): {:?} {:?}",
+            out.error,
+            out.deadlock
+        );
+    }
 
     let mut live_epoch_latency: Vec<RunningStats> = vec![RunningStats::new(); live.num_epochs()];
     let mut live_hist = latency_histogram();
@@ -266,41 +220,33 @@ pub struct ReconfigPoint {
     pub epoch_latency: Vec<PointSummary>,
 }
 
-/// Runs the full sweep; one [`ReconfigPoint`] per (rate, dest-count) cell.
-pub fn run(cfg: &ReconfigSweepConfig) -> Vec<ReconfigPoint> {
+/// Runs the sweep on `switches`-switch lattices under a stream of
+/// `messages` multicasts; one [`ReconfigPoint`] per (rate, dest-count)
+/// cell (rate 0.0 = control cell, no faults).
+pub fn run(
+    switches: usize,
+    storm_rates: &[f64],
+    dest_counts: &[usize],
+    messages: usize,
+    stop: Stop,
+) -> Vec<ReconfigPoint> {
     let mut out = Vec::new();
-    for &k in &cfg.dest_counts {
-        for &rate in &cfg.storm_rates {
-            let stream = split_seed(cfg.seed, (k as u64) << 32 | (rate * 1e4) as u64);
-            let mut live_ctl = controller(cfg.target_rel, cfg.max_reps);
-            let mut static_ctl = controller(cfg.target_rel, cfg.max_reps);
+    for &k in dest_counts {
+        for &rate in storm_rates {
+            let stream = split_seed(SEED, (k as u64) << 32 | (rate * 1e4) as u64);
             let mut fracs = [RunningStats::new(); 5];
             let mut epoch_stats: Vec<RunningStats> = Vec::new();
             let mut live_hist = latency_histogram();
             let mut static_hist = latency_histogram();
-            let mut reps = 0u64;
-            replicate_parallel_with(
+            // A cell can starve an arm entirely (heavy storms on tiny
+            // networks leave the static arm nothing delivered): that arm
+            // reports NaN, not a panic.
+            let [live, static_] = cell(
+                stop,
                 stream,
-                |s: u64| {
-                    storm_replication(
-                        cfg.switches,
-                        rate,
-                        k,
-                        cfg.messages,
-                        cfg.spacing_us,
-                        cfg.bursts,
-                        cfg.len,
-                        s,
-                    )
-                },
+                rate,
+                |s| storm_replication(switches, rate, k, messages, BURSTS, LEN, s),
                 |r: StormReplication| {
-                    reps += 1;
-                    if let Some(l) = r.live_latency_us {
-                        live_ctl.push(l);
-                    }
-                    if let Some(l) = r.static_latency_us {
-                        static_ctl.push(l);
-                    }
                     let t = r.total as f64;
                     fracs[0].push(r.live_counts.0 as f64 / t);
                     fracs[1].push(r.live_counts.1 as f64 / t);
@@ -318,31 +264,19 @@ pub fn run(cfg: &ReconfigSweepConfig) -> Vec<ReconfigPoint> {
                     }
                     live_hist.merge(&r.live_hist);
                     static_hist.merge(&r.static_hist);
-                    reps >= cfg.max_reps || (live_ctl.satisfied() && static_ctl.satisfied())
+                    [r.live_latency_us, r.static_latency_us]
                 },
             );
             let epoch_latency = epoch_stats
                 .iter()
                 .enumerate()
-                .map(|(e, s)| {
-                    let ci = ConfidenceInterval::from_stats(s, ConfidenceLevel::P95);
-                    PointSummary {
-                        x: e as f64,
-                        mean: s.mean(),
-                        ci_half_width: ci.map_or(0.0, |c| c.half_width),
-                        reps: s.count(),
-                        target_met: true,
-                    }
-                })
+                .map(|(e, s)| PointSummary::described(e as f64, s, true))
                 .collect();
             out.push(ReconfigPoint {
                 rate,
                 dests: k,
-                // A cell can starve an arm entirely (heavy storms on tiny
-                // networks leave the static arm nothing delivered):
-                // `point` reports that as NaN, not a panic.
-                live: point(&live_ctl, rate),
-                static_: point(&static_ctl, rate),
+                live,
+                static_,
                 live_delivered_frac: fracs[0].mean(),
                 live_torn_frac: fracs[1].mean(),
                 live_unreachable_frac: fracs[2].mean(),
@@ -368,13 +302,10 @@ pub fn csv(points: &[ReconfigPoint]) -> String {
     for p in points {
         writeln!(
             out,
-            "{},{},{:.4},{:.4},{},{},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.3}",
+            "{},{},{},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.3}",
             p.rate,
             p.dests,
-            p.live.mean,
-            p.live.ci_half_width,
-            p.live.reps,
-            p.live.target_met,
+            report::stat_columns(&p.live),
             p.live_delivered_frac,
             p.live_torn_frac,
             p.live_unreachable_frac,
@@ -391,15 +322,29 @@ pub fn csv(points: &[ReconfigPoint]) -> String {
     out
 }
 
-/// The `reconfig-sweep` experiment: live and static curves per multicast
-/// size; the per-cell detail (verdict fractions, p95, penalty) is the
-/// CSV. The record also carries the per-epoch latency of the heaviest
-/// storm cell — the shape of the transient (epoch 0 = pre-storm traffic).
+/// The `reconfig-sweep` experiment — 64-switch lattices, storms killing
+/// 0–30 % of links in 3 bursts under a 48-message multicast stream;
+/// `quick` thins the rates and loosens the CI for smoke tests and CI
+/// runs. Live and static curves per multicast size; the per-cell detail
+/// (verdict fractions, p95, penalty) is the CSV. The record also carries
+/// the per-epoch latency of the heaviest storm cell — the shape of the
+/// transient (epoch 0 = pre-storm traffic).
 pub fn report(quick: bool) -> Report {
-    let cfg = ReconfigSweepConfig::new(quick);
-    let points = run(&cfg);
+    let switches = 64;
+    let dest_counts = [4, 16];
+    let storm_rates: &[f64] = if quick {
+        &[0.0, 0.10, 0.30]
+    } else {
+        &[0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30]
+    };
+    let messages = if quick { 32 } else { 48 };
+    let stop = Stop {
+        target_rel: if quick { 0.10 } else { 0.02 },
+        max_reps: if quick { 12 } else { 400 },
+    };
+    let points = run(switches, storm_rates, &dest_counts, messages, stop);
     let mut series = Vec::new();
-    for &k in &cfg.dest_counts {
+    for k in dest_counts {
         let of_k = || points.iter().filter(|p| p.dests == k);
         let live = of_k().map(|p| p.live.clone()).collect();
         let stat = of_k().map(|p| p.static_.clone()).collect();
@@ -414,14 +359,14 @@ pub fn report(quick: bool) -> Report {
             "latency (µs)",
         ],
         &[
-            ("switches", cfg.switches.to_string()),
-            ("messages", cfg.messages.to_string()),
-            ("spacing_us", cfg.spacing_us.to_string()),
-            ("bursts", cfg.bursts.to_string()),
-            ("len_flits", cfg.len.to_string()),
-            ("target_rel", cfg.target_rel.to_string()),
-            ("max_reps", cfg.max_reps.to_string()),
-            ("seed", cfg.seed.to_string()),
+            ("switches", switches.to_string()),
+            ("messages", messages.to_string()),
+            ("spacing_us", SPACING_US.to_string()),
+            ("bursts", BURSTS.to_string()),
+            ("len_flits", LEN.to_string()),
+            ("target_rel", stop.target_rel.to_string()),
+            ("max_reps", stop.max_reps.to_string()),
+            ("seed", SEED.to_string()),
             ("quick", quick.to_string()),
         ],
         series,
@@ -446,7 +391,7 @@ mod tests {
     use super::*;
 
     fn rep(seed: u64) -> StormReplication {
-        storm_replication(16, 0.2, 3, 12, 2, 2, 32, seed)
+        storm_replication(16, 0.2, 3, 12, 2, 32, seed)
     }
 
     #[test]
@@ -459,7 +404,7 @@ mod tests {
 
     #[test]
     fn zero_rate_arms_are_identical_and_lossless() {
-        let r = storm_replication(16, 0.0, 3, 12, 2, 2, 32, 9);
+        let r = storm_replication(16, 0.0, 3, 12, 2, 32, 9);
         assert_eq!(r.live_counts, (r.total, 0, 0));
         assert_eq!(r.static_counts, (r.total, 0, 0));
         assert_eq!(r.live_latency_us, r.static_latency_us);
@@ -477,7 +422,7 @@ mod tests {
         let mut live_delivered = 0;
         let mut torn = 0;
         for seed in 0..6 {
-            let r = storm_replication(24, 0.3, 4, 16, 2, 2, 48, seed);
+            let r = storm_replication(24, 0.3, 4, 16, 2, 48, seed);
             live_delivered += r.live_counts.0;
             torn += r.live_counts.1;
             assert_eq!(r.live_counts.0 + r.live_counts.1 + r.live_counts.2, r.total);
@@ -494,19 +439,7 @@ mod tests {
 
     #[test]
     fn quick_sweep_produces_all_cells() {
-        let cfg = ReconfigSweepConfig {
-            switches: 16,
-            storm_rates: vec![0.0, 0.25],
-            dest_counts: vec![2, 4],
-            messages: 10,
-            spacing_us: 2,
-            bursts: 2,
-            len: 16,
-            target_rel: 0.25,
-            max_reps: 4,
-            seed: 1,
-        };
-        let pts = run(&cfg);
+        let pts = run(16, &[0.0, 0.25], &[2, 4], 10, Stop::new(0.25, 4));
         assert_eq!(pts.len(), 4);
         for p in &pts {
             assert!(p.live.mean > 0.0);

@@ -4,7 +4,7 @@
 //! shape inline.
 
 use crate::PointSummary;
-use spam_scenario::json::{Json, Num};
+use spam_scenario::json::{self, Json, Num};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -18,16 +18,19 @@ pub fn csv_file(name: &str, header: &str, rows: &[PointSummary]) -> (String, Vec
     file(name, csv(header, rows))
 }
 
+/// The `mean,ci,reps,met` columns every CSV prints for a point.
+pub fn stat_columns(p: &PointSummary) -> String {
+    format!(
+        "{:.4},{:.4},{},{}",
+        p.mean, p.ci_half_width, p.reps, p.target_met
+    )
+}
+
 /// `(x, mean, ci, reps, met)` rows as CSV under `header`.
 pub fn csv(header: &str, rows: &[PointSummary]) -> String {
     let mut out = format!("{header}\n");
     for r in rows {
-        writeln!(
-            out,
-            "{},{:.4},{:.4},{},{}",
-            r.x, r.mean, r.ci_half_width, r.reps, r.target_met
-        )
-        .expect("string write");
+        writeln!(out, "{},{}", r.x, stat_columns(r)).expect("string write");
     }
     out
 }
@@ -46,6 +49,22 @@ pub struct BenchJson {
 }
 
 impl BenchJson {
+    /// The record `BENCH_<name>.json` with `params` in the given order.
+    pub fn new(
+        name: &str,
+        params: &[(&str, String)],
+        series: Vec<(String, Vec<PointSummary>)>,
+    ) -> Self {
+        BenchJson {
+            name: name.to_string(),
+            params: params
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect(),
+            series,
+        }
+    }
+
     /// The record as a JSON document (non-finite numbers become `null`).
     pub fn to_json(&self) -> Json {
         let float = |x: f64| Json::Num(Num::F(x));
@@ -91,9 +110,12 @@ impl BenchJson {
 /// Writes `dir/BENCH_<name>.json`, returning the path.
 ///
 /// When the current directory (the repo root, under `cargo run`) already
-/// holds a `BENCH_<name>.json`, that copy is refreshed too: the records
-/// under `results/` are gitignored working artifacts, the root copies
-/// the committed perf-trajectory record. An experiment with no committed
+/// holds a `BENCH_<name>.json` whose own `params.quick` equals this
+/// run's, that copy is refreshed too: the records under `results/` are
+/// gitignored working artifacts, the root copies the committed
+/// perf-trajectory record. A `--quick` run therefore never replaces a
+/// record committed at full size (nor the reverse) — it says so on stderr
+/// and writes under `dir` only — and an experiment with no committed
 /// record leaves nothing outside `dir`.
 pub fn write_bench_json(dir: &Path, bench: &BenchJson) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
@@ -101,8 +123,21 @@ pub fn write_bench_json(dir: &Path, bench: &BenchJson) -> std::io::Result<PathBu
     let path = dir.join(&file);
     let body = bench.to_json().to_string_pretty();
     std::fs::write(&path, &body)?;
-    if Path::new(&file).exists() {
-        std::fs::write(&file, &body)?;
+    if let Ok(committed) = std::fs::read_to_string(&file) {
+        let record = json::parse(&committed).ok();
+        let theirs = record
+            .as_ref()
+            .and_then(|doc| doc.get("params")?.get("quick"));
+        let ours = bench.params.iter().find(|(k, _)| k == "quick");
+        if theirs.and_then(Json::as_str) == ours.map(|(_, v)| v.as_str()) {
+            std::fs::write(&file, &body)?;
+        } else {
+            eprintln!(
+                "{file}: the committed record was not written with this run's `quick` \
+                 setting, so it is left as it is; this run's record is {} only",
+                path.display()
+            );
+        }
     }
     Ok(path)
 }
@@ -132,14 +167,7 @@ impl Report {
         Report {
             text: ascii_plot(title, x_label, y_label, &series, 16) + &series_table(&series),
             files,
-            bench: BenchJson {
-                name: name.to_string(),
-                params: params
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.clone()))
-                    .collect(),
-                series,
-            },
+            bench: BenchJson::new(name, params, series),
         }
     }
 
@@ -285,11 +313,28 @@ mod tests {
         let path = write_bench_json(&dir, &bench).unwrap();
         assert!(path.ends_with("BENCH_unit_test.json"));
         assert!(!root_copy.exists(), "stray root copy");
-        // An existing record is refreshed in place.
+        // An existing record is refreshed in place...
         std::fs::write(root_copy, "stale").unwrap();
         write_bench_json(&dir, &bench).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         assert_eq!(body, std::fs::read_to_string(root_copy).unwrap());
+        // ...by a run of its own size only: a quick run leaves a record
+        // committed at full size alone and lands under `dir`,
+        let sized = |quick: &str| {
+            let mut sized = bench.clone();
+            sized.params.push(("quick".to_string(), quick.to_string()));
+            sized
+        };
+        let full = sized("false").to_json().to_string_pretty();
+        std::fs::write(root_copy, &full).unwrap();
+        write_bench_json(&dir, &sized("true")).unwrap();
+        assert_eq!(std::fs::read_to_string(root_copy).unwrap(), full);
+        assert_ne!(std::fs::read_to_string(&path).unwrap(), full);
+        // while a full-size run refreshes it (as a quick run does a
+        // record committed from a quick run).
+        std::fs::write(root_copy, full.replace("12.5", "99.5")).unwrap();
+        write_bench_json(&dir, &sized("false")).unwrap();
+        assert_eq!(std::fs::read_to_string(root_copy).unwrap(), full);
         std::fs::remove_file(root_copy).ok();
         std::fs::remove_dir_all(&dir).ok();
 

@@ -3,7 +3,7 @@
 //! per-scenario CSV plus one combined `BENCH_scenario_corpus.json`
 //! record through the shared [`crate::report`] module.
 
-use crate::report::BenchJson;
+use crate::report::{self, BenchJson, Report};
 use crate::PointSummary;
 use spam_scenario::{run_spec, CorpusError, ScenarioReport, ScenarioSpec, SpecError};
 use std::fmt::Write as _;
@@ -53,24 +53,6 @@ pub struct CorpusResult {
     pub status: CorpusStatus,
 }
 
-/// Why a corpus run failed outright (only the directory load can; a
-/// single scenario's failure is a per-entry [`CorpusStatus::Failed`]).
-#[derive(Debug)]
-pub enum CorpusRunError {
-    /// The directory failed to load.
-    Load(CorpusError),
-}
-
-impl std::fmt::Display for CorpusRunError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CorpusRunError::Load(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for CorpusRunError {}
-
 /// Names already recorded in a resume journal (one scenario name per
 /// line). A missing journal is an empty set.
 fn journal_names(path: &Path) -> Vec<String> {
@@ -93,54 +75,46 @@ fn journal_append(path: &Path, name: &str) -> std::io::Result<()> {
     f.sync_all()
 }
 
-/// Loads and executes every scenario under `dir`, in filename order.
-/// `quick` caps message counts and replications
-/// ([`ScenarioSpec::quicken`]). A scenario that fails is recorded as
+/// Loads and executes every scenario under `dir`, in filename order;
+/// only the directory load can fail the run outright. `quick` caps
+/// message counts and replications ([`ScenarioSpec::quicken`]). A
+/// scenario that fails is recorded as
 /// [`CorpusStatus::Failed`] and the sweep continues. With a `journal`
 /// path, scenarios named in the journal are skipped and each completed
 /// scenario is appended as it finishes — rerunning the same command
 /// after a crash resumes where the sweep died.
-pub fn run_corpus_journaled(
+pub fn run_corpus(
     dir: &Path,
     quick: bool,
     journal: Option<&Path>,
-) -> Result<Vec<CorpusResult>, CorpusRunError> {
-    let corpus = spam_scenario::load_dir(dir).map_err(CorpusRunError::Load)?;
+) -> Result<Vec<CorpusResult>, CorpusError> {
+    let corpus = spam_scenario::load_dir(dir)?;
     let done = journal.map(journal_names).unwrap_or_default();
     let mut out = Vec::with_capacity(corpus.len());
     for (path, mut spec) in corpus {
         if quick {
             spec.quicken();
         }
-        if done.contains(&spec.name) {
-            out.push(CorpusResult {
-                path,
-                spec,
-                status: CorpusStatus::Skipped,
-            });
-            continue;
-        }
-        let status = match run_spec(&spec) {
-            Ok(report) => {
-                if let Some(j) = journal {
-                    // Journal I/O failure must not invalidate the run;
-                    // it only costs resumability.
-                    if let Err(e) = journal_append(j, &report.name) {
-                        eprintln!("corpus journal {}: {e}", j.display());
+        let status = if done.contains(&spec.name) {
+            CorpusStatus::Skipped
+        } else {
+            match run_spec(&spec) {
+                Ok(report) => {
+                    if let Some(j) = journal {
+                        // Journal I/O failure must not invalidate the run;
+                        // it only costs resumability.
+                        if let Err(e) = journal_append(j, &report.name) {
+                            eprintln!("corpus journal {}: {e}", j.display());
+                        }
                     }
+                    CorpusStatus::Ok(report)
                 }
-                CorpusStatus::Ok(report)
+                Err(error) => CorpusStatus::Failed(error),
             }
-            Err(error) => CorpusStatus::Failed(error),
         };
         out.push(CorpusResult { path, spec, status });
     }
     Ok(out)
-}
-
-/// [`run_corpus_journaled`] without a resume journal.
-pub fn run_corpus(dir: &Path, quick: bool) -> Result<Vec<CorpusResult>, CorpusRunError> {
-    run_corpus_journaled(dir, quick, None)
 }
 
 /// One scenario's per-replication CSV (`scenarios/<name>.csv`).
@@ -171,6 +145,26 @@ pub fn scenario_csv(report: &ScenarioReport) -> String {
     f
 }
 
+/// One scenario's seven summary cells, computed once for both the
+/// combined CSV and the terminal table: replications, then messages
+/// submitted, delivered, torn down and unreachable over all of them, the
+/// mean latency in µs to `digits` places (`absent` when nothing was
+/// delivered), and whether every replication ended clean.
+fn summary_cells(report: &ScenarioReport, digits: usize, absent: &str) -> [String; 7] {
+    let (delivered, torn_down, unreachable) = report.totals();
+    let submitted: u64 = report.reps.iter().map(|x| x.submitted).sum();
+    let mean = report.mean_latency_us();
+    [
+        report.reps.len().to_string(),
+        submitted.to_string(),
+        delivered.to_string(),
+        torn_down.to_string(),
+        unreachable.to_string(),
+        mean.map_or(absent.to_string(), |x| format!("{x:.digits$}")),
+        report.all_clean().to_string(),
+    ]
+}
+
 /// The combined corpus summary CSV, one row per scenario — including a
 /// status row for scenarios that failed or were skipped, so a partial
 /// sweep still leaves a complete, honest record.
@@ -180,34 +174,44 @@ pub fn corpus_csv(results: &[CorpusResult]) -> String {
          mean_latency_us,all_clean,detail\n",
     );
     for r in results {
+        let name = &r.spec.name;
         match &r.status {
             CorpusStatus::Ok(report) => {
-                let (d, t, u) = report.totals();
-                let submitted: u64 = report.reps.iter().map(|x| x.submitted).sum();
-                writeln!(
-                    f,
-                    "{},ok,{},{submitted},{d},{t},{u},{},{},",
-                    report.name,
-                    report.reps.len(),
-                    report
-                        .mean_latency_us()
-                        .map_or(String::new(), |x| format!("{x:.4}")),
-                    report.all_clean()
-                )
+                writeln!(f, "{name},ok,{},", summary_cells(report, 4, "").join(","))
             }
             CorpusStatus::Failed(e) => {
                 // Typed failure detail, commas stripped to keep the row
                 // one CSV record.
                 let detail = e.to_string().replace(',', ";");
-                writeln!(f, "{},error,,,,,,,,{detail}", r.spec.name)
+                writeln!(f, "{name},error,,,,,,,,{detail}")
             }
-            CorpusStatus::Skipped => {
-                writeln!(f, "{},skipped,,,,,,,,resume journal", r.spec.name)
-            }
+            CorpusStatus::Skipped => writeln!(f, "{name},skipped,,,,,,,,resume journal"),
         }
         .expect("string write");
     }
     f
+}
+
+/// The per-scenario summary table for the terminal.
+pub fn corpus_table(results: &[CorpusResult]) -> String {
+    let mut text = String::new();
+    let mut line = |name: &str, status: &str, c: [String; 7]| {
+        writeln!(
+            text,
+            "  {name:<28} {status:>7} {:>4} {:>9} {:>9} {:>6} {:>8} {:>11} {:>6}",
+            c[0], c[1], c[2], c[3], c[4], c[5], c[6]
+        )
+        .expect("string write");
+    };
+    #[rustfmt::skip] // the header row, in column order
+    let header = ["reps", "messages", "delivered", "torn", "unreach", "mean (µs)", "clean"];
+    line("scenario", "status", header.map(str::to_string));
+    for r in results {
+        let ran = r.status.report().map(|ran| summary_cells(ran, 3, "-"));
+        let cells = ran.unwrap_or_else(|| std::array::from_fn(|_| "-".to_string()));
+        line(&r.spec.name, r.status.word(), cells);
+    }
+    text
 }
 
 /// The corpus as one [`BenchJson`] record: one series per scenario, one
@@ -222,11 +226,12 @@ pub fn corpus_bench_json(results: &[CorpusResult], quick: bool) -> BenchJson {
                 .reps
                 .iter()
                 .map(|rep| PointSummary {
-                    x: rep.rep as f64,
-                    mean: rep.mean_latency_us.unwrap_or(f64::NAN),
-                    ci_half_width: 0.0,
-                    reps: 1,
                     target_met: rep.clean,
+                    ..PointSummary::exact(
+                        rep.rep as f64,
+                        rep.mean_latency_us.unwrap_or(f64::NAN),
+                        1,
+                    )
                 })
                 .collect();
             Some((report.name.clone(), points))
@@ -239,16 +244,32 @@ pub fn corpus_bench_json(results: &[CorpusResult], quick: bool) -> BenchJson {
             .count()
             .to_string()
     };
-    BenchJson {
-        name: "scenario_corpus".to_string(),
-        params: vec![
-            ("scenarios".to_string(), results.len().to_string()),
-            ("ok".to_string(), count("ok")),
-            ("failed".to_string(), count("error")),
-            ("skipped".to_string(), count("skipped")),
-            ("quick".to_string(), quick.to_string()),
+    BenchJson::new(
+        "scenario_corpus",
+        &[
+            ("scenarios", results.len().to_string()),
+            ("ok", count("ok")),
+            ("failed", count("error")),
+            ("skipped", count("skipped")),
+            ("quick", quick.to_string()),
         ],
         series,
+    )
+}
+
+/// Everything a corpus run hands the `scenario_run` binary: the table,
+/// the combined CSV, one `scenarios/<name>.csv` per scenario that ran,
+/// and the record.
+pub fn report(results: &[CorpusResult], quick: bool) -> Report {
+    let mut files = vec![report::file("scenario_corpus.csv", corpus_csv(results))];
+    for ran in results.iter().filter_map(|r| r.status.report()) {
+        let name = format!("scenarios/{}.csv", ran.name);
+        files.push(report::file(&name, scenario_csv(ran)));
+    }
+    Report {
+        bench: corpus_bench_json(results, quick),
+        files,
+        text: corpus_table(results),
     }
 }
 
@@ -270,7 +291,7 @@ mod tests {
     fn corpus_runs_and_reports() {
         let dir = std::env::temp_dir().join("spam_bench_corpus_test");
         tiny_corpus(&dir);
-        let results = run_corpus(&dir, true).unwrap();
+        let results = run_corpus(&dir, true, None).unwrap();
         assert_eq!(results.len(), 1);
         let report = results[0].status.report().expect("scenario ran");
         assert!(report.all_clean());
@@ -294,8 +315,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("bad.scenario.json"), "{\"name\": \"x\"}").unwrap();
         assert!(matches!(
-            run_corpus(&dir, false),
-            Err(CorpusRunError::Load(_))
+            run_corpus(&dir, false, None),
+            Err(CorpusError::Bad { .. })
         ));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -315,7 +336,7 @@ mod tests {
         };
         std::fs::write(dir.join("doomed.scenario.json"), doomed.to_json_string()).unwrap();
 
-        let results = run_corpus(&dir, true).unwrap();
+        let results = run_corpus(&dir, true, None).unwrap();
         assert_eq!(results.len(), 2);
         let by_name = |n: &str| {
             results
@@ -342,13 +363,13 @@ mod tests {
         tiny_corpus(&dir);
         let journal = dir.join("out/.journal");
 
-        let first = run_corpus_journaled(&dir, true, Some(&journal)).unwrap();
+        let first = run_corpus(&dir, true, Some(&journal)).unwrap();
         assert!(matches!(first[0].status, CorpusStatus::Ok(_)));
         let recorded = std::fs::read_to_string(&journal).unwrap();
         assert_eq!(recorded.trim(), "tiny-fig2");
 
         // Second sweep with the same journal: nothing reruns.
-        let second = run_corpus_journaled(&dir, true, Some(&journal)).unwrap();
+        let second = run_corpus(&dir, true, Some(&journal)).unwrap();
         assert!(matches!(second[0].status, CorpusStatus::Skipped));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -4,6 +4,7 @@
 //! `BENCH_fault_sweep.json` predates it too. The golden at the end pins
 //! every byte all twelve `--quick` experiments hand the binary.
 
+use spam_bench::cli::{BISECT_DIVERGENCE, FUZZ_SPECS, SCENARIO_RUN};
 use spam_bench::experiment::{parse, usage, EXPERIMENTS};
 use spam_bench::{fault_sweep, fig2, fig3};
 use spam_scenario::json::{self, Json};
@@ -73,6 +74,66 @@ fn anything_else_is_the_usage_error() {
         assert!(err.contains("usage: experiment <name> [--quick]"), "{err}");
         assert!(err.contains("congestion-profile"), "lists every experiment");
     }
+    // The other three binaries walk their arguments the same way: a
+    // typo is the usage text, never a run of the default.
+    for (grammar, good, bad) in [
+        (
+            SCENARIO_RUN,
+            &[
+                &[][..],
+                &["--resume", "--quick"],
+                &["--dir", "d", "--quick"],
+            ][..],
+            &[
+                &["--quik"][..],
+                &["--dir"],
+                &["--quick", "--quick"],
+                &["extra"],
+            ][..],
+        ),
+        (
+            FUZZ_SPECS,
+            &[
+                &[][..],
+                &["--quick", "--mutants", "40"],
+                &["--seed", "7", "--promote"],
+            ][..],
+            &[
+                &["--mutant", "10"][..],
+                &["--mutants"],
+                &["--seed", "1", "--seed", "2"],
+            ][..],
+        ),
+        (
+            BISECT_DIVERGENCE,
+            &[
+                &["s.json"][..],
+                &["--rep", "2", "s.json", "--out", "r.json"],
+            ][..],
+            &[
+                &[][..],
+                &["--rep", "2"],
+                &["a.json", "b.json"],
+                &["s.json", "--fast"],
+            ][..],
+        ),
+    ] {
+        for ok in good {
+            grammar.parse(&args(ok)).expect("accepted");
+        }
+        for typo in bad {
+            let err = grammar.parse(&args(typo)).expect_err("rejected");
+            assert!(err.ends_with(grammar.usage), "{err}");
+        }
+    }
+    // A value that is not a number is the same error, where it is read.
+    let mutants = FUZZ_SPECS.parse(&args(&["--mutants", "many"])).unwrap();
+    let err = mutants.parsed::<usize>("--mutants").expect_err("rejected");
+    assert!(err.ends_with(FUZZ_SPECS.usage), "{err}");
+    let parsed = FUZZ_SPECS.parse(&args(&["--mutants", "40"])).unwrap();
+    assert_eq!(parsed.parsed::<usize>("--mutants"), Ok(Some(40)));
+    assert_eq!(parsed.parsed::<u64>("--seed"), Ok(None));
+    assert!(!parsed.flag("--quick"));
 }
 
 /// What each `experiment <name> --quick` printed and wrote at the commit

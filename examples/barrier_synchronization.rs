@@ -11,6 +11,11 @@
 //! 2. software multicast: a binomial tree of unicasts (⌈log₂(d+1)⌉
 //!    startups on the critical path).
 //!
+//! It holds a `NetworkSim` itself, not a `ScenarioSpec`, because the
+//! release is a *reaction*: a completion hook (`run_with_hook`) counts the
+//! gather's arrivals and submits the release when the last one lands, and
+//! a spec's traffic is fixed before the run starts.
+//!
 //! ```text
 //! cargo run --example barrier_synchronization --release
 //! ```

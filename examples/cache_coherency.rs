@@ -11,6 +11,11 @@
 //! 1. one SPAM multi-head worm, versus
 //! 2. a sequence of unicasts from the directory (send_gap = one startup).
 //!
+//! It holds a `NetworkSim` itself, not a `ScenarioSpec`, because the acks
+//! are *reactions*: a completion hook (`run_with_hook`) submits each
+//! sharer's ack when its invalidation arrives, and a spec's traffic is
+//! fixed before the run starts.
+//!
 //! ```text
 //! cargo run --example cache_coherency --release
 //! ```

@@ -2,6 +2,12 @@
 //! reconfigure the survivors Autonet-style (relabel each component with a
 //! fresh root), and multicast across the degraded network with SPAM.
 //!
+//! It holds a `NetworkSim` itself, not a `ScenarioSpec`, because the
+//! damage is composed by hand — a region fault's switches plus another
+//! model's link cuts in one plan, the old root offered for re-selection —
+//! and because it aims a unicast *into* the dead zone, where a spec
+//! confines its traffic to the surviving component.
+//!
 //! ```text
 //! cargo run --example fault_tolerance --release
 //! ```

@@ -6,6 +6,11 @@
 //! burst routes on the new epoch's labeling while old-epoch survivors
 //! drain.
 //!
+//! It holds a `NetworkSim` itself, not a `ScenarioSpec`, because it
+//! installs the fault schedule by hand to print what a spec keeps inside
+//! its artifacts — the burst times and each epoch's relabeling report —
+//! and places every message of the stream itself.
+//!
 //! ```text
 //! cargo run --example live_reconfiguration --release
 //! ```

@@ -2,6 +2,11 @@
 //! increasing arrival rates, showing latency independence from multicast
 //! size until saturation.
 //!
+//! It holds a `NetworkSim` itself, not a `ScenarioSpec`, to keep one
+//! labeled network fixed across every rate and multicast size — a spec's
+//! replications each generate their own lattice — and to show the traffic
+//! generator's stream being submitted message by message.
+//!
 //! ```text
 //! cargo run --example mixed_traffic --release
 //! ```

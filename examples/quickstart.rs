@@ -1,6 +1,11 @@
 //! Quickstart: build a paper-style irregular network, label it up*/down*,
 //! and send one SPAM multicast through the flit-level simulator.
 //!
+//! It holds a `NetworkSim` itself, not a `ScenarioSpec`, because it is the
+//! tour of the layers a spec hides: the labeling's channel classes, the
+//! destinations' LCA, and a message placed by hand (`procs[0]` to the next
+//! sixteen) where a spec would draw source and destinations from its seed.
+//!
 //! ```text
 //! cargo run --example quickstart --release
 //! ```
