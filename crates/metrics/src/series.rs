@@ -167,8 +167,11 @@ impl GaugeSeries {
         if total < buf.len() as u64 {
             return Err("gauge series total below retained count");
         }
+        // `cap` is a word of the input: a capacity no allocator can
+        // grant is an error to report, not an abort.
         let mut buf = buf;
-        buf.reserve_exact(cap - buf.len());
+        buf.try_reserve_exact(cap - buf.len())
+            .map_err(|_| "gauge series capacity cannot be allocated")?;
         Ok(GaugeSeries {
             buf,
             cap,
@@ -270,5 +273,6 @@ mod tests {
         assert!(GaugeSeries::from_raw_parts(3, 1, 1, vec![at(1)]).is_err());
         assert!(GaugeSeries::from_raw_parts(2, 2, 2, vec![at(1), at(2)]).is_err());
         assert!(GaugeSeries::from_raw_parts(2, 0, 1, vec![at(1), at(2)]).is_err());
+        assert!(GaugeSeries::from_raw_parts(usize::MAX, 0, 1, vec![at(1)]).is_err());
     }
 }

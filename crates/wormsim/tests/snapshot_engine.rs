@@ -6,6 +6,9 @@
 
 use desim::{Duration, QueueKind, Time};
 use netgraph::{NodeId, Topology};
+use std::cell::Cell;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::Once;
 use wormsim::routing::OracleRouting;
 use wormsim::{
     CheckpointSink, MessageSpec, MetricsConfig, NetworkSim, SimConfig, SimOutcome, SnapshotError,
@@ -70,6 +73,11 @@ fn submit_workload(sim: &mut NetworkSim<OracleRouting>, n: &[NodeId; 7]) {
     )
     .unwrap();
 }
+
+/// Event cap of the re-sealed sweep: far above the workload's own event
+/// count, far below the hours `SimConfig::paper()`'s `u64::MAX` allows a
+/// worm that never ends.
+const SWEEP_EVENT_CAP: u64 = 100_000;
 
 fn fresh_sim<'a>(
     topo: &'a Topology,
@@ -250,9 +258,11 @@ fn corrupt_snapshots_fail_typed_never_panic() {
     )
     .is_err());
 
-    // Single-bit flips across the whole snapshot fail typed (the
-    // checksum trailer catches payload flips; flips in the trailer
-    // itself surface as ChecksumMismatch).
+    // Single-bit flips across the whole snapshot fail typed. This is
+    // container integrity only: the checksum trailer catches every
+    // payload flip before a section is decoded (and a flip in the
+    // trailer itself is a ChecksumMismatch), so no structural decoder
+    // is reached — `resealed_bit_flips_never_panic_restore` covers those.
     for i in (0..bytes.len()).step_by(7) {
         let mut flipped = bytes.clone();
         flipped[i] ^= 1 << (i % 8);
@@ -262,6 +272,79 @@ fn corrupt_snapshots_fail_typed_never_panic() {
             "bit flip at byte {i} must not restore"
         );
     }
+}
+
+/// Runs `f` with panics caught and their default stderr report
+/// silenced on this thread only; a panic comes back as its message.
+fn quietly<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    thread_local! { static QUIET: Cell<bool> = const { Cell::new(false) }; }
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let default = panic::take_hook();
+        panic::set_hook(Box::new(move |info| {
+            if !QUIET.get() {
+                default(info);
+            }
+        }));
+    });
+    QUIET.set(true);
+    let caught = panic::catch_unwind(AssertUnwindSafe(f));
+    QUIET.set(false);
+    caught.map_err(|p| match p.downcast::<String>() {
+        Ok(s) => *s,
+        Err(p) => p.downcast_ref::<&str>().copied().unwrap_or("").to_string(),
+    })
+}
+
+/// `bytes` with one bit flipped and the FNV trailer recomputed over
+/// `[0, len - 8)`, so the container accepts it and the flip reaches
+/// whichever structural decoder owns that byte.
+fn resealed(bytes: &[u8], byte: usize, bit: u8) -> Vec<u8> {
+    let mut b = bytes.to_vec();
+    b[byte] ^= 1 << bit;
+    let body = b.len() - 8;
+    let sum = spam_snapshot::fnv1a(&b[..body]);
+    b[body..].copy_from_slice(&sum.to_le_bytes());
+    b
+}
+
+#[test]
+fn resealed_bit_flips_never_panic_restore() {
+    let (topo, n) = build_topo();
+    // A finite event cap on the recording and the restoring side alike:
+    // it is one of the configuration words a snapshot is compared on.
+    let cfg = SimConfig {
+        max_events: SWEEP_EVENT_CAP,
+        ..SimConfig::paper()
+    };
+    let mut sim = fresh_sim(&topo, &n, cfg);
+    let (sink, kept) = CheckpointSink::keep_all();
+    sim.enable_checkpoints(Duration::from_ns(2_000), sink);
+    assert!(sim.run().counters.events < SWEEP_EVENT_CAP / 4);
+    let kept = kept.lock().unwrap();
+    let bytes = &kept[kept.len() / 2].1;
+
+    let (mut accepted, mut typed) = (0u32, 0u32);
+    // Magic and version are the container's; everything between them
+    // and the trailer is section payload.
+    for byte in 12..bytes.len() - 8 {
+        for bit in [0, 3, 7] {
+            let flipped = resealed(bytes, byte, bit);
+            let restored = quietly(|| {
+                NetworkSim::restore(&topo, build_oracle(&topo, &n), cfg, &flipped).map(drop)
+            })
+            .unwrap_or_else(|msg| panic!("restore panicked at byte {byte} bit {bit}: {msg}"));
+            match restored {
+                Ok(()) => accepted += 1,
+                Err(_) => typed += 1,
+            }
+        }
+    }
+    println!(
+        "re-sealed sweep over {} bytes: {typed} typed errors, {accepted} accepted",
+        bytes.len()
+    );
+    assert!(typed > 0 && accepted > 0);
 }
 
 #[test]
