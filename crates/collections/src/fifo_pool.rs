@@ -117,7 +117,10 @@ impl<T: Copy> FifoPool<T> {
             *cell = Cell { next: NIL, val };
             idx
         } else {
-            // `NIL` itself is never a valid index.
+            // `NIL` itself is never a valid index. Links are `u32`: four
+            // billion values queued behind their firsts is past any memory
+            // the simulator is given, so a longer pool is a bug to stop on.
+            #[allow(clippy::expect_used)]
             let idx = u32::try_from(self.cells.len())
                 .ok()
                 .filter(|&i| i != NIL)

@@ -106,6 +106,10 @@ impl<T> Slab<T> {
             slot.val = Some(value);
             SlotId { idx, gen: slot.gen }
         } else {
+            // Handles index with a `u32`: four billion live slots is past
+            // any memory the simulator is given, so a longer arena is a bug
+            // to stop on, not a condition to report.
+            #[allow(clippy::expect_used)]
             let idx = u32::try_from(self.slots.len()).expect("slab capped at u32 slots");
             self.slots.push(Slot {
                 gen: 0,

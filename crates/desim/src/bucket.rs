@@ -169,6 +169,10 @@ impl<E> BucketQueue<E> {
             cell.val = Some(event);
             idx
         } else {
+            // Cell links are `u32`: four billion events pending at once
+            // is past any memory this simulator is given, so a longer pool
+            // is a bug to stop on, not a condition to report.
+            #[allow(clippy::expect_used)]
             let idx = u32::try_from(self.pool.len()).expect("pool capped at u32 cells");
             self.pool.push(PoolEntry {
                 when,
@@ -184,6 +188,9 @@ impl<E> BucketQueue<E> {
     fn free_cell(&mut self, idx: u32) -> (u64, E) {
         let cell = &mut self.pool[idx as usize];
         let when = cell.when;
+        // Only indices taken off a slot chain or the overflow list get
+        // here, and a cell on either holds its event until this call.
+        #[allow(clippy::expect_used)]
         let val = cell.val.take().expect("freeing a live cell");
         cell.next = self.free;
         self.free = idx;
@@ -335,6 +342,10 @@ impl<E> BucketQueue<E> {
     /// (stable, so same-instant overflow events stay in sequence order).
     fn refill_from_overflow(&mut self) {
         debug_assert!(!self.overflow.is_empty(), "len > 0 but nothing pending");
+        // `pop` only gets here with events pending and every wheel empty,
+        // so they are all on the overflow list; returning quietly instead
+        // would spin its loop.
+        #[allow(clippy::expect_used)]
         let min_when = self
             .overflow
             .iter()

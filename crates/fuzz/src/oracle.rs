@@ -1,7 +1,7 @@
 //! Correctness oracles over one scenario run.
 //!
 //! Every valid mutant is run (quickened, replication 0) and checked
-//! against four engine-level invariants:
+//! against five engine-level invariants:
 //!
 //! 1. **Determinism** — two bucket-queue runs of the same spec must
 //!    produce byte-identical outcomes (equal [`outcome_digest`]s).
@@ -43,7 +43,7 @@ pub struct OracleReport {
     pub coverage: CoverageSet,
     /// Digest of the canonical run.
     pub digest: u64,
-    /// First failed oracle, or `None` when the spec passed all four.
+    /// First failed oracle, or `None` when the spec passed all five.
     pub violation: Option<&'static str>,
 }
 

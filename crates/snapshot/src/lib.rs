@@ -40,10 +40,25 @@
 //! [`SnapReader::open`] verifies magic, version, and the FNV-1a trailer
 //! before any field is decoded, so a bit flip anywhere in the file
 //! surfaces as [`SnapshotError::ChecksumMismatch`] — never as a garbage
-//! decode. Structural invariants (enum tags, slab free lists, length
-//! sanity) are then re-validated field by field; a snapshot that passes
-//! the checksum but violates an invariant yields a typed
-//! [`SnapshotError::Corrupt`], never a panic.
+//! decode. The checksum guards against accident, not intent: bytes that
+//! were re-sealed after a change pass it, so the engine's decoder
+//! (`wormsim::NetworkSim::restore`) validates what it reads and answers a
+//! violation with a typed [`SnapshotError::Corrupt`] or
+//! [`SnapshotError::ConfigMismatch`], never a panic. What it validates:
+//! section framing and exact section lengths; every enum tag, presence
+//! byte and collection length; the topology fingerprint, the eight
+//! configuration words and the routing name; counts against their source
+//! (channels, destination states, the death mask, the telemetry
+//! scoreboard, slab and ring raw parts, events fired against events
+//! scheduled); every node and channel id against the topology and every
+//! message id against the message table; and lengths that are derived
+//! (a worm's against its message, a sequence number against its worm).
+//! What it does **not** yet validate is consistency *between* structures
+//! of a checksum-valid snapshot — a busy wire over an empty buffer, a
+//! live-segment list the slab disagrees with, a handle whose slot is
+//! vacant: such a snapshot restores, and the resumed run can then stop
+//! on one of the engine's own invariant asserts. Closing that is
+//! ROADMAP item 2b, which carries the measured count.
 
 use std::fmt;
 

@@ -2,8 +2,10 @@
 //! plain data; the queued flits and requests themselves live in the
 //! engine's pools.
 
+use crate::codec::{get_fifo, put_fifo, IdSpace, Snap};
 use crate::flit::{Flit, MsgId};
-use spam_collections::{Fifo, InlineVec, SlotId};
+use spam_collections::{Fifo, FifoPool, InlineVec, SlotId};
+use spam_snapshot::{SnapReader, SnapWriter, SnapshotError};
 
 /// Runtime state of one unidirectional channel.
 ///
@@ -109,6 +111,52 @@ impl Chan {
             && self.seg.is_none()
             && self.hdrs.is_empty()
             && !self.route_pending
+    }
+}
+
+/// The snapshot words of a channel. The one layout that is written once
+/// per direction rather than as a table: its three queues keep their
+/// entries in the engine's pools, so the decode direction fills an idle
+/// channel in place — each entry pushed straight into its pool, no
+/// temporary list per queue — instead of building a value from fields.
+impl Chan {
+    pub(crate) fn put_snap(
+        &self,
+        w: &mut SnapWriter,
+        flits: &FifoPool<Flit>,
+        requests: &FifoPool<(MsgId, SlotId)>,
+    ) {
+        put_fifo(w, flits, &self.out_buf);
+        put_fifo(w, flits, &self.in_buf);
+        self.wire_busy.put(w);
+        self.reserved_in.put(w);
+        self.owner.put(w);
+        put_fifo(w, requests, &self.ocrq);
+        self.seg.put(w);
+        self.hdrs.put(w);
+        self.route_pending.put(w);
+        self.crossings.put(w);
+    }
+
+    /// Reads [`Self::put_snap`] back into this idle channel.
+    pub(crate) fn get_snap(
+        &mut self,
+        r: &mut SnapReader,
+        ids: &mut IdSpace,
+        flits: &mut FifoPool<Flit>,
+        requests: &mut FifoPool<(MsgId, SlotId)>,
+    ) -> Result<(), SnapshotError> {
+        get_fifo(r, ids, flits, &mut self.out_buf)?;
+        get_fifo(r, ids, flits, &mut self.in_buf)?;
+        self.wire_busy = Snap::get(r, ids)?;
+        self.reserved_in = Snap::get(r, ids)?;
+        self.owner = Snap::get(r, ids)?;
+        get_fifo(r, ids, requests, &mut self.ocrq)?;
+        self.seg = Snap::get(r, ids)?;
+        self.hdrs = Snap::get(r, ids)?;
+        self.route_pending = Snap::get(r, ids)?;
+        self.crossings = Snap::get(r, ids)?;
+        Ok(())
     }
 }
 

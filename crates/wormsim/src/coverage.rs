@@ -16,10 +16,8 @@
 //! corpus suite pins [`crate::Counters`] equality across queues, and the
 //! coverage rides inside `Counters`).
 
-use crate::codec::Snap;
 use crate::outcome::SimError;
 use crate::routing::RouteError;
-use spam_snapshot::{SnapReader, SnapWriter, SnapshotError};
 
 /// One named coverage bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -277,28 +275,9 @@ impl CoverageSet {
     }
 }
 
-/// The snapshot words of the record: the bits, then the watermarks in
-/// field order.
-impl Snap for CoverageSet {
-    fn put(&self, w: &mut SnapWriter) {
-        w.put_u64(self.bits);
-        w.put_u32(self.max_branch_fanout);
-        w.put_u32(self.max_ocrq_depth);
-        w.put_u32(self.epochs);
-        w.put_u32(self.wheel_deferrals);
-        w.put_u32(self.max_reattached_nodes);
-    }
-    fn get(r: &mut SnapReader) -> Result<Self, SnapshotError> {
-        Ok(CoverageSet {
-            bits: r.get_u64()?,
-            max_branch_fanout: r.get_u32()?,
-            max_ocrq_depth: r.get_u32()?,
-            epochs: r.get_u32()?,
-            wheel_deferrals: r.get_u32()?,
-            max_reattached_nodes: r.get_u32()?,
-        })
-    }
-}
+crate::codec::snap_struct! { CoverageSet {
+    bits, max_branch_fanout, max_ocrq_depth, epochs, wheel_deferrals, max_reattached_nodes,
+} }
 
 #[cfg(test)]
 mod tests {

@@ -46,6 +46,7 @@
 //! happens to sit.
 
 use crate::channel::Chan;
+use crate::codec::{snap_enum, snap_struct};
 use crate::config::SimConfig;
 use crate::flit::{Flit, FlitKind, MsgId};
 use crate::message::{MessageSpec, SpecError};
@@ -72,6 +73,13 @@ enum Event {
     LinkDown(ChannelId),
 }
 
+snap_enum! { Event, "unknown event tag";
+    0 => SourceReady(msg),
+    1 => RouteDecision { msg, in_ch },
+    2 => WireDone(ch),
+    3 => LinkDown(ch),
+}
+
 /// Where a segment's flits come from.
 #[derive(Debug, Clone, Copy)]
 enum SegInput {
@@ -80,6 +88,11 @@ enum SegInput {
     Source { next: u32 },
     /// Flits arrive in the input buffer of this channel.
     Channel(ChannelId),
+}
+
+snap_enum! { SegInput, "unknown segment input tag";
+    0 => Source { next },
+    1 => Channel(ch),
 }
 
 /// One traversal's state: the owning message, input side, and the output
@@ -95,12 +108,16 @@ struct Segment {
     acquired: bool,
 }
 
+snap_struct! { Segment { msg, input, outputs, acquired } }
+
 #[derive(Debug, Clone, Copy)]
 struct DestState {
     /// Sequence number the destination expects next (in-order invariant).
     next_seq: u32,
     done_at: Option<Time>,
 }
+
+snap_struct! { DestState { next_seq, done_at } }
 
 struct MsgState {
     spec: MessageSpec,
@@ -117,6 +134,12 @@ struct MsgState {
     /// Live segments of this worm (source + transits), for teardown.
     live_segs: InlineVec<SlotId, 4>,
 }
+
+// `worm_len` is derived too, but has words on the wire: `restore` holds
+// them against `spec.len` rather than trusting them.
+snap_struct! { MsgState {
+    spec, worm_len, dests, remaining, completed_at, failure, live_segs,
+} derived { dest_slot: MsgState::dest_index(&spec) } }
 
 impl MsgState {
     /// The `dest_slot` table of `spec`: derived, so a snapshot omits it.

@@ -20,13 +20,18 @@
 //!   panics on bad bytes (the container checksum catches random
 //!   corruption up front, and every structural check here is an error
 //!   path, not an assert).
+//! * **Written once.** Each type's layout is one table beside the type
+//!   (`codec::snap_struct!` / `codec::snap_enum!`) that both directions
+//!   follow; this module frames the sections, names the order of the
+//!   engine's own fields within them, and validates.
 //!
 //! The container format (magic, version, sections, checksum trailer)
 //! is defined by [`spam_snapshot`]; this module defines the section
 //! layout for the engine.
 
 use super::*;
-use crate::codec::Snap;
+use crate::codec::{ensure, put_list, IdSpace, Snap};
+use desim::QueueKind;
 use spam_snapshot::{SnapReader, SnapWriter, SnapshotError};
 
 const SECT_META: u32 = 1;
@@ -38,6 +43,22 @@ const SECT_HEADERS: u32 = 6;
 const SECT_ENGINE: u32 = 7;
 // Sections 8 and 9 (trace, telemetry) belong to the observer seam.
 const SECT_HOOK: u32 = 10;
+
+/// The configuration words of `SECT_META`, in wire order, each under the
+/// name a mismatch is reported by: the encoder writes the values, the
+/// decoder compares them with the configuration it was handed.
+fn config_words(cfg: &SimConfig) -> [(&'static str, u64); 8] {
+    [
+        ("startup latency", cfg.latency.startup.as_ns()),
+        ("router-setup latency", cfg.latency.router_setup.as_ns()),
+        ("channel propagation", cfg.latency.channel_prop.as_ns()),
+        ("input buffer depth", cfg.input_buffer_flits as u64),
+        ("output buffer depth", cfg.output_buffer_flits as u64),
+        ("watchdog", cfg.watchdog.as_ns()),
+        ("event cap", cfg.max_events),
+        ("extra header flits", u64::from(cfg.extra_header_flits)),
+    ]
+}
 
 impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
     /// Serializes the engine's complete current state into `w` (the
@@ -53,105 +74,30 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
 
         let s = w.begin_section(SECT_META);
         w.put_u64(topo_fingerprint(self.topo));
-        w.put_u64(self.cfg.latency.startup.as_ns());
-        w.put_u64(self.cfg.latency.router_setup.as_ns());
-        w.put_u64(self.cfg.latency.channel_prop.as_ns());
-        w.put_usize(self.cfg.input_buffer_flits);
-        w.put_usize(self.cfg.output_buffer_flits);
-        w.put_u64(self.cfg.watchdog.as_ns());
-        w.put_u64(self.cfg.max_events);
-        w.put_u64(u64::from(self.cfg.extra_header_flits));
+        for (_, word) in config_words(&self.cfg) {
+            w.put_u64(word);
+        }
         w.put_str(self.routing.snapshot_name());
         w.end_section(s);
 
         let s = w.begin_section(SECT_SCHED);
-        w.put_u64(self.sched.now().as_ns());
-        w.put_u64(self.sched.scheduled_count());
-        w.put_len(self.sched.len());
-        self.sched.snapshot_each(|t, seq, e| {
-            w.put_u64(t.as_ns());
-            w.put_u64(seq);
-            put_event(w, e);
-        });
+        put_schedule(w, &self.sched);
         w.end_section(s);
 
         let s = w.begin_section(SECT_CHANS);
         w.put_len(self.chans.len());
         for c in &self.chans {
-            w.put_len(c.out_buf.len());
-            for f in self.flits.iter(&c.out_buf) {
-                put_flit(w, f);
-            }
-            w.put_len(c.in_buf.len());
-            for f in self.flits.iter(&c.in_buf) {
-                put_flit(w, f);
-            }
-            w.put_bool(c.wire_busy);
-            w.put_u8(c.reserved_in);
-            w.put_bool(c.owner.is_some());
-            if let Some((m, sid)) = c.owner {
-                w.put_u32(m.0);
-                sid.put(w);
-            }
-            w.put_len(c.ocrq.len());
-            for &(m, sid) in self.requests.iter(&c.ocrq) {
-                w.put_u32(m.0);
-                sid.put(w);
-            }
-            w.put_bool(c.seg.is_some());
-            if let Some(sid) = c.seg {
-                sid.put(w);
-            }
-            w.put_len(c.hdrs.len());
-            for &(m, hid) in c.hdrs.iter() {
-                w.put_u32(m.0);
-                hid.put(w);
-            }
-            w.put_bool(c.route_pending);
-            w.put_u64(c.crossings);
+            c.put_snap(w, &self.flits, &self.requests);
         }
         w.end_section(s);
 
         let s = w.begin_section(SECT_MSGS);
-        w.put_len(self.msgs.len());
-        for m in &self.msgs {
-            put_spec(w, &m.spec);
-            w.put_u32(m.worm_len);
-            w.put_len(m.dests.len());
-            for d in &m.dests {
-                w.put_u32(d.next_seq);
-                w.put_opt_u64(d.done_at.map(Time::as_ns));
-            }
-            w.put_usize(m.remaining);
-            w.put_opt_u64(m.completed_at.map(Time::as_ns));
-            w.put_bool(m.failure.is_some());
-            if let Some(f) = &m.failure {
-                w.put_u64(f.at.as_ns());
-                w.put_u8(match f.kind {
-                    FailureKind::TornDown => 0,
-                    FailureKind::Unreachable => 1,
-                });
-                f.error.put(w);
-            }
-            m.live_segs.put(w);
-        }
+        self.msgs.put(w);
         w.end_section(s);
 
         let s = w.begin_section(SECT_SEGS);
         put_slab(w, &self.segs, |w, seg| {
-            w.put_u32(seg.msg.0);
-            match seg.input {
-                SegInput::Source { next } => {
-                    w.put_u8(0);
-                    w.put_u32(next);
-                }
-                SegInput::Channel(ch) => {
-                    w.put_u8(1);
-                    w.put_u32(ch.0);
-                }
-            }
-            seg.outputs.put(w);
-            w.put_bool(seg.acquired);
+            seg.put(w);
             Ok(())
         })?;
         w.end_section(s);
@@ -161,30 +107,17 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         w.end_section(s);
 
         let s = w.begin_section(SECT_ENGINE);
-        let c = &self.counters;
-        w.put_u64(c.events);
-        w.put_u64(c.wire_transfers);
-        w.put_u64(c.bubbles_created);
-        w.put_u64(c.flits_delivered);
-        w.put_u64(c.messages_completed);
-        w.put_u64(c.acquisitions);
-        w.put_u64(c.seg_lookups);
-        w.put_u64(c.messages_torn_down);
-        w.put_u64(c.messages_unreachable);
-        w.put_u64(c.links_killed);
+        self.counters.put(w);
         self.obs.encode_coverage(w);
         // A run-aborting error ends the run before the next checkpoint
         // tick, so live checkpoints never see one; recorded defensively
         // for the standalone snapshot API, and rejected on restore.
         w.put_bool(self.error.is_some());
-        w.put_u64(self.last_progress.as_ns());
-        w.put_usize(self.active);
+        self.last_progress.put(w);
+        self.active.put(w);
         self.pending_completions.put(w);
         self.bubble_candidates.put(w);
-        w.put_len(self.dead.len());
-        for &d in &self.dead {
-            w.put_bool(d);
-        }
+        put_list(w, &self.dead);
         self.fault_times.put(w);
         self.obs.encode_checkpointer(w);
         w.end_section(s);
@@ -212,6 +145,13 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
     /// event-queue kind is *not* constrained: pop order is pinned by
     /// `(time, seq)` keys, so a snapshot taken under one queue resumes
     /// identically under the other.
+    ///
+    /// The tables decode; what is spelled out here is section framing
+    /// and validation. Every id is held against the fabric and the
+    /// message table and every count and derived length against its
+    /// source, so a snapshot that restores cannot index outside either.
+    /// Consistency *between* structures (a busy wire has a flit to carry,
+    /// a live-segment list agrees with the slab) is not checked.
     pub fn restore_with_hook(
         topo: &'a Topology,
         routing: R,
@@ -221,24 +161,15 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
     ) -> Result<Self, SnapshotError> {
         let mut r = SnapReader::open(bytes)?;
         let mut sim = NetworkSim::new(topo, routing, cfg);
+        let ids = &mut IdSpace::of(topo);
 
         read_section(&mut r, SECT_META, |r| {
-            if r.get_u64()? != topo_fingerprint(sim.topo) {
+            if r.get_u64()? != topo_fingerprint(topo) {
                 return Err(SnapshotError::ConfigMismatch(
                     "topology differs from the snapshot's",
                 ));
             }
-            let want = [
-                ("startup latency", sim.cfg.latency.startup.as_ns()),
-                ("router-setup latency", sim.cfg.latency.router_setup.as_ns()),
-                ("channel propagation", sim.cfg.latency.channel_prop.as_ns()),
-                ("input buffer depth", sim.cfg.input_buffer_flits as u64),
-                ("output buffer depth", sim.cfg.output_buffer_flits as u64),
-                ("watchdog", sim.cfg.watchdog.as_ns()),
-                ("event cap", sim.cfg.max_events),
-                ("extra header flits", u64::from(sim.cfg.extra_header_flits)),
-            ];
-            for (name, expect) in want {
+            for (name, expect) in config_words(&sim.cfg) {
                 if r.get_u64()? != expect {
                     return Err(SnapshotError::ConfigMismatch(name));
                 }
@@ -251,169 +182,88 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             Ok(())
         })?;
 
-        read_section(&mut r, SECT_SCHED, |r| {
-            let now = Time::from_ns(r.get_u64()?);
-            let next_seq = r.get_u64()?;
-            let n = r.get_len()?;
-            let mut sched = Schedule::restore_empty(sim.cfg.resolved_queue(), now, next_seq);
-            for _ in 0..n {
-                let at = Time::from_ns(r.get_u64()?);
-                let seq = r.get_u64()?;
-                let ev = get_event(r)?;
-                if at < now || seq >= next_seq {
-                    return Err(SnapshotError::Corrupt("pending event key out of range"));
-                }
-                sched.insert_restored(at, seq, ev);
-            }
-            sim.sched = sched;
-            Ok(())
+        sim.sched = read_section(&mut r, SECT_SCHED, |r| {
+            get_schedule(r, ids, sim.cfg.resolved_queue())
         })?;
 
         read_section(&mut r, SECT_CHANS, |r| {
-            if r.get_len()? != sim.topo.num_channels() {
-                return Err(SnapshotError::Corrupt("channel count mismatch"));
-            }
+            ensure(r.get_len()? == sim.chans.len(), "channel count mismatch")?;
             for c in sim.chans.iter_mut() {
-                for _ in 0..r.get_len()? {
-                    let f = get_flit(r)?;
-                    sim.flits.push_back(&mut c.out_buf, f);
-                }
-                for _ in 0..r.get_len()? {
-                    let f = get_flit(r)?;
-                    sim.flits.push_back(&mut c.in_buf, f);
-                }
-                c.wire_busy = r.get_bool()?;
-                c.reserved_in = r.get_u8()?;
-                if r.get_bool()? {
-                    c.owner = Some((MsgId(r.get_u32()?), SlotId::get(r)?));
-                }
-                for _ in 0..r.get_len()? {
-                    let m = MsgId(r.get_u32()?);
-                    let sid = SlotId::get(r)?;
-                    sim.requests.push_back(&mut c.ocrq, (m, sid));
-                }
-                if r.get_bool()? {
-                    c.seg = Some(SlotId::get(r)?);
-                }
-                for _ in 0..r.get_len()? {
-                    let m = MsgId(r.get_u32()?);
-                    let hid = SlotId::get(r)?;
-                    c.hdrs.push((m, hid));
-                }
-                c.route_pending = r.get_bool()?;
-                c.crossings = r.get_u64()?;
+                c.get_snap(r, ids, &mut sim.flits, &mut sim.requests)?;
             }
             Ok(())
         })?;
 
-        read_section(&mut r, SECT_MSGS, |r| {
-            let n = r.get_len()?;
-            sim.msgs.reserve(n);
-            for _ in 0..n {
-                let spec = get_spec(r)?;
-                let worm_len = r.get_u32()?;
-                let nd = r.get_len()?;
-                if nd != spec.dests.len() {
-                    return Err(SnapshotError::Corrupt("destination state count mismatch"));
-                }
-                let mut dests = Vec::with_capacity(nd);
-                for _ in 0..nd {
-                    dests.push(DestState {
-                        next_seq: r.get_u32()?,
-                        done_at: r.get_opt_u64()?.map(Time::from_ns),
-                    });
-                }
-                let remaining = r.get_usize()?;
-                if remaining > nd {
-                    return Err(SnapshotError::Corrupt("remaining exceeds destinations"));
-                }
-                let completed_at = r.get_opt_u64()?.map(Time::from_ns);
-                let failure = if r.get_bool()? {
-                    Some(MessageFailure {
-                        at: Time::from_ns(r.get_u64()?),
-                        kind: match r.get_u8()? {
-                            0 => FailureKind::TornDown,
-                            1 => FailureKind::Unreachable,
-                            _ => return Err(SnapshotError::Corrupt("unknown failure kind")),
-                        },
-                        error: SimError::get(r)?,
-                    })
-                } else {
-                    None
-                };
-                let live_segs = Snap::get(r)?;
-                sim.msgs.push(MsgState {
-                    dest_slot: MsgState::dest_index(&spec),
-                    spec,
-                    worm_len,
-                    dests,
-                    remaining,
-                    completed_at,
-                    failure,
-                    live_segs,
-                });
-            }
-            Ok(())
-        })?;
+        sim.msgs = read_section(&mut r, SECT_MSGS, |r| Snap::get(r, ids))?;
+        for m in &sim.msgs {
+            ensure(
+                m.dests.len() == m.spec.dests.len(),
+                "destination state count mismatch",
+            )?;
+            ensure(
+                m.remaining <= m.dests.len(),
+                "remaining exceeds destinations",
+            )?;
+            // Like `dest_slot`, `worm_len` is derived, and a worm whose
+            // length is not its message's never ends; unlike it, it is on
+            // the wire, so it is compared instead of recomputed.
+            ensure(
+                m.spec.len.checked_add(sim.cfg.extra_header_flits) == Some(m.worm_len),
+                "worm length disagrees with its message",
+            )?;
+            ensure(
+                m.dests.iter().all(|d| d.next_seq <= m.worm_len),
+                "destination expects a flit past its worm's tail",
+            )?;
+        }
 
-        sim.segs = read_section(&mut r, SECT_SEGS, |r| {
-            get_slab(r, |r| {
-                let msg = MsgId(r.get_u32()?);
-                let input = match r.get_u8()? {
-                    0 => SegInput::Source { next: r.get_u32()? },
-                    1 => SegInput::Channel(ChannelId(r.get_u32()?)),
-                    _ => return Err(SnapshotError::Corrupt("unknown segment input tag")),
-                };
-                Ok(Segment {
-                    msg,
-                    input,
-                    outputs: Snap::get(r)?,
-                    acquired: r.get_bool()?,
-                })
-            })
-        })?;
+        sim.segs = read_section(&mut r, SECT_SEGS, |r| get_slab(r, ids, Snap::get))?;
 
         sim.headers = read_section(&mut r, SECT_HEADERS, |r| {
-            get_slab(r, |r| sim.routing.decode_header(r))
+            get_slab(r, ids, |r, _| sim.routing.decode_header(r))
         })?;
 
         read_section(&mut r, SECT_ENGINE, |r| {
-            let c = &mut sim.counters;
-            c.events = r.get_u64()?;
-            c.wire_transfers = r.get_u64()?;
-            c.bubbles_created = r.get_u64()?;
-            c.flits_delivered = r.get_u64()?;
-            c.messages_completed = r.get_u64()?;
-            c.acquisitions = r.get_u64()?;
-            c.seg_lookups = r.get_u64()?;
-            c.messages_torn_down = r.get_u64()?;
-            c.messages_unreachable = r.get_u64()?;
-            c.links_killed = r.get_u64()?;
-            sim.obs.decode_coverage(r)?;
-            if r.get_bool()? {
-                return Err(SnapshotError::Corrupt(
-                    "snapshot taken after a run-aborting error",
-                ));
-            }
-            sim.last_progress = Time::from_ns(r.get_u64()?);
-            sim.active = r.get_usize()?;
-            sim.pending_completions = Snap::get(r)?;
-            sim.bubble_candidates = Snap::get(r)?;
-            if r.get_len()? != sim.dead.len() {
-                return Err(SnapshotError::Corrupt("death mask length mismatch"));
-            }
+            sim.counters = Snap::get(r, ids)?;
+            // Every event ever scheduled has either fired or is pending; a
+            // count above that would end the resumed run at the event cap.
+            let pending = sim.sched.len() as u64;
+            ensure(
+                sim.counters.events.checked_add(pending) == Some(sim.sched.scheduled_count()),
+                "event count disagrees with the schedule",
+            )?;
+            sim.obs.decode_coverage(r, ids)?;
+            ensure(!r.get_bool()?, "snapshot taken after a run-aborting error")?;
+            sim.last_progress = Snap::get(r, ids)?;
+            sim.active = Snap::get(r, ids)?;
+            sim.pending_completions = Snap::get(r, ids)?;
+            sim.bubble_candidates = Snap::get(r, ids)?;
+            ensure(r.get_len()? == sim.dead.len(), "death mask length mismatch")?;
             for d in sim.dead.iter_mut() {
-                *d = r.get_bool()?;
+                *d = Snap::get(r, ids)?;
             }
-            sim.fault_times = Snap::get(r)?;
+            sim.fault_times = Snap::get(r, ids)?;
             sim.obs.decode_checkpointer(r)
         })?;
 
-        sim.obs.decode_sections(&mut r)?;
+        sim.obs.decode_sections(&mut r, ids)?;
 
         read_section(&mut r, SECT_HOOK, |r| hook.decode_state(r))?;
 
         r.finish()?;
+
+        // Message ids precede the message table on the wire, so they are
+        // held against it here, once its length is known; only then can a
+        // segment be held against its message.
+        ids.check_msgs(sim.msgs.len())?;
+        for (_, seg) in sim.segs.iter() {
+            // A live source segment has not emitted its tail yet.
+            let worm_len = sim.msgs[seg.msg.index()].worm_len;
+            ensure(
+                !matches!(seg.input, SegInput::Source { next } if next >= worm_len),
+                "source segment past its worm's tail",
+            )?;
+        }
         Ok(sim)
     }
 
@@ -441,9 +291,7 @@ pub(super) fn read_section<T>(
     let len = r.expect_section(tag)?;
     let before = r.remaining();
     let v = f(r)?;
-    if before - r.remaining() != len {
-        return Err(SnapshotError::Corrupt("section length mismatch"));
-    }
+    ensure(before - r.remaining() == len, "section length mismatch")?;
     Ok(v)
 }
 
@@ -484,109 +332,107 @@ fn put_slab<T>(
         }
     });
     result?;
-    w.put_len(slab.free_list().len());
-    for &i in slab.free_list() {
-        w.put_u32(i);
-    }
+    put_list(w, slab.free_list());
     Ok(())
 }
 
 /// Reads back [`put_slab`]; an impossible arena is a typed error.
 fn get_slab<T>(
     r: &mut SnapReader,
-    mut item: impl FnMut(&mut SnapReader) -> Result<T, SnapshotError>,
+    ids: &mut IdSpace,
+    mut item: impl FnMut(&mut SnapReader, &mut IdSpace) -> Result<T, SnapshotError>,
 ) -> Result<Slab<T>, SnapshotError> {
     let n = r.get_len()?;
     let mut slots = Vec::with_capacity(n);
     for _ in 0..n {
         let gen = r.get_u32()?;
-        let occupant = if r.get_bool()? { Some(item(r)?) } else { None };
+        let occupant = if r.get_bool()? {
+            Some(item(r, ids)?)
+        } else {
+            None
+        };
         slots.push((gen, occupant));
     }
-    let mut free = Vec::new();
+    Slab::from_raw_parts(slots, Snap::get(r, ids)?).map_err(SnapshotError::Corrupt)
+}
+
+/// The schedule: the clock, the sequence counter, then every pending
+/// event under its original `(time, seq)` key.
+fn put_schedule<E: Snap>(w: &mut SnapWriter, sched: &Schedule<E>) {
+    sched.now().put(w);
+    sched.scheduled_count().put(w);
+    w.put_len(sched.len());
+    sched.snapshot_each(|at, seq, event| {
+        at.put(w);
+        seq.put(w);
+        event.put(w);
+    });
+}
+
+/// Reads back [`put_schedule`] into a queue of `kind`; a key the original
+/// schedule could not have held is a typed error.
+fn get_schedule<E: Snap>(
+    r: &mut SnapReader,
+    ids: &mut IdSpace,
+    kind: QueueKind,
+) -> Result<Schedule<E>, SnapshotError> {
+    let now = Time::get(r, ids)?;
+    let next_seq = u64::get(r, ids)?;
+    let mut sched = Schedule::restore_empty(kind, now, next_seq);
     for _ in 0..r.get_len()? {
-        free.push(r.get_u32()?);
+        let (at, seq, event) = (Time::get(r, ids)?, u64::get(r, ids)?, E::get(r, ids)?);
+        ensure(
+            at >= now && seq < next_seq,
+            "pending event key out of range",
+        )?;
+        sched.insert_restored(at, seq, event);
     }
-    Slab::from_raw_parts(slots, free).map_err(SnapshotError::Corrupt)
+    Ok(sched)
 }
 
-fn put_event(w: &mut SnapWriter, e: &Event) {
-    match *e {
-        Event::SourceReady(m) => {
-            w.put_u8(0);
-            w.put_u32(m.0);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::tests::{rejects_tag, round_trips};
+
+    /// The engine-private tables, through the same two checks as every
+    /// other one (`codec::tests`).
+    #[test]
+    fn engine_tables_round_trip_and_reject() {
+        let (msg, ch) = (MsgId(2), ChannelId(9));
+        round_trips(&Event::SourceReady(msg));
+        round_trips(&Event::RouteDecision { msg, in_ch: ch });
+        round_trips(&Event::WireDone(ch));
+        round_trips(&Event::LinkDown(ch));
+        rejects_tag::<Event>(4, "unknown event tag");
+        for input in [SegInput::Source { next: 17 }, SegInput::Channel(ch)] {
+            round_trips(&Segment {
+                msg,
+                input,
+                outputs: InlineVec::from_slice(&[ch, ChannelId(3)]),
+                acquired: true,
+            });
         }
-        Event::RouteDecision { msg, in_ch } => {
-            w.put_u8(1);
-            w.put_u32(msg.0);
-            w.put_u32(in_ch.0);
-        }
-        Event::WireDone(ch) => {
-            w.put_u8(2);
-            w.put_u32(ch.0);
-        }
-        Event::LinkDown(ch) => {
-            w.put_u8(3);
-            w.put_u32(ch.0);
-        }
+        rejects_tag::<SegInput>(2, "unknown segment input tag");
+        let spec = MessageSpec::multicast(NodeId(5), vec![NodeId(8), NodeId(6)], 64);
+        round_trips(&MsgState {
+            dest_slot: MsgState::dest_index(&spec),
+            spec,
+            worm_len: 64,
+            dests: vec![
+                DestState {
+                    next_seq: 64,
+                    done_at: Some(Time::from_ns(11_000)),
+                },
+                DestState {
+                    next_seq: 12,
+                    done_at: None,
+                },
+            ],
+            remaining: 1,
+            completed_at: None,
+            failure: None,
+            live_segs: InlineVec::from_slice(&[SlotId::from_raw(0, 3)]),
+        });
     }
-}
-
-fn get_event(r: &mut SnapReader) -> Result<Event, SnapshotError> {
-    Ok(match r.get_u8()? {
-        0 => Event::SourceReady(MsgId(r.get_u32()?)),
-        1 => Event::RouteDecision {
-            msg: MsgId(r.get_u32()?),
-            in_ch: ChannelId(r.get_u32()?),
-        },
-        2 => Event::WireDone(ChannelId(r.get_u32()?)),
-        3 => Event::LinkDown(ChannelId(r.get_u32()?)),
-        _ => return Err(SnapshotError::Corrupt("unknown event tag")),
-    })
-}
-
-fn put_flit(w: &mut SnapWriter, f: &Flit) {
-    w.put_u32(f.msg.0);
-    match f.kind {
-        FlitKind::Header => w.put_u8(0),
-        FlitKind::Data(s) => {
-            w.put_u8(1);
-            w.put_u32(s);
-        }
-        FlitKind::Tail(s) => {
-            w.put_u8(2);
-            w.put_u32(s);
-        }
-        FlitKind::Bubble => w.put_u8(3),
-    }
-}
-
-fn get_flit(r: &mut SnapReader) -> Result<Flit, SnapshotError> {
-    let msg = MsgId(r.get_u32()?);
-    let kind = match r.get_u8()? {
-        0 => FlitKind::Header,
-        1 => FlitKind::Data(r.get_u32()?),
-        2 => FlitKind::Tail(r.get_u32()?),
-        3 => FlitKind::Bubble,
-        _ => return Err(SnapshotError::Corrupt("unknown flit kind")),
-    };
-    Ok(Flit { msg, kind })
-}
-
-fn put_spec(w: &mut SnapWriter, s: &MessageSpec) {
-    s.src.put(w);
-    s.dests.put(w);
-    w.put_u32(s.len);
-    w.put_u64(s.gen_time.as_ns());
-    w.put_u64(s.tag);
-}
-
-fn get_spec(r: &mut SnapReader) -> Result<MessageSpec, SnapshotError> {
-    Ok(MessageSpec {
-        src: Snap::get(r)?,
-        dests: Snap::get(r)?,
-        len: r.get_u32()?,
-        gen_time: Time::from_ns(r.get_u64()?),
-        tag: r.get_u64()?,
-    })
 }

@@ -39,6 +39,13 @@ pub enum FlitKind {
     Bubble,
 }
 
+crate::codec::snap_enum! { FlitKind, "unknown flit kind";
+    0 => Header,
+    1 => Data(seq),
+    2 => Tail(seq),
+    3 => Bubble,
+}
+
 /// One flit in a buffer or on a wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
@@ -47,6 +54,8 @@ pub struct Flit {
     /// Payload kind.
     pub kind: FlitKind,
 }
+
+crate::codec::snap_struct! { Flit { msg, kind } }
 
 impl Flit {
     /// Constructs the `seq`-th real flit of a message of length `len`.

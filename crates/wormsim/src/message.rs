@@ -25,6 +25,8 @@ pub struct MessageSpec {
     pub tag: u64,
 }
 
+crate::codec::snap_struct! { MessageSpec { src, dests, len, gen_time, tag } }
+
 /// Validation errors for a [`MessageSpec`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {

@@ -22,7 +22,7 @@
 
 use super::snapshot::read_section;
 use super::*;
-use crate::codec::Snap;
+use crate::codec::{ensure, put_list, IdSpace, Snap};
 use crate::coverage::CoverageSet;
 use crate::trace::{ChannelList, Trace, TraceEvent};
 use desim::{Duration, Ticker};
@@ -388,8 +388,12 @@ impl Observers {
     }
 
     /// Reads back [`Self::encode_coverage`].
-    pub(super) fn decode_coverage(&mut self, r: &mut SnapReader) -> Result<(), SnapshotError> {
-        self.coverage = CoverageSet::get(r)?;
+    pub(super) fn decode_coverage(
+        &mut self,
+        r: &mut SnapReader,
+        ids: &mut IdSpace,
+    ) -> Result<(), SnapshotError> {
+        self.coverage = Snap::get(r, ids)?;
         Ok(())
     }
 
@@ -417,83 +421,67 @@ impl Observers {
         Ok(())
     }
 
-    /// The trace and telemetry sections of a snapshot.
+    /// The trace and telemetry sections of a snapshot. The ring and the
+    /// scoreboard travel as their raw parts: the ring's capacity, cursor
+    /// and running total, then what it retains; the accumulators, then
+    /// one carry instant per channel (the same count, so no second length).
     pub(super) fn encode_sections(&self, w: &mut SnapWriter) {
         let s = w.begin_section(SECT_TRACE);
-        w.put_bool(self.trace.is_some());
-        if let Some(tr) = &self.trace {
-            tr.events.put(w);
-        }
+        self.trace.put(w);
         w.end_section(s);
 
         let s = w.begin_section(SECT_METRICS);
         w.put_bool(self.metrics.is_some());
         if let Some(m) = &self.metrics {
             put_ticker(w, m.ticker);
-            w.put_u64(m.sample_every_ns);
-            let (cap, head, total, buf) = m.series.raw_parts();
-            w.put_usize(cap);
-            w.put_usize(head);
-            w.put_u64(total);
-            w.put_len(buf.len());
-            for g in buf {
-                put_gauge(w, g);
-            }
+            m.sample_every_ns.put(w);
+            let (cap, head, total, retained) = m.series.raw_parts();
+            cap.put(w);
+            head.put(w);
+            total.put(w);
+            put_list(w, retained);
             let (accums, ocrq_last) = m.channels.raw_parts();
-            w.put_len(accums.len());
-            for a in accums {
-                w.put_u64(a.busy_ns);
-                w.put_u64(a.acquisitions);
-                w.put_u64(a.ocrq_wait_ns);
-                w.put_u64(a.header_stalls);
-            }
-            for &n in ocrq_last {
-                w.put_u64(n);
+            put_list(w, accums);
+            for at_ns in ocrq_last {
+                at_ns.put(w);
             }
         }
         w.end_section(s);
     }
 
     /// Reads back [`Self::encode_sections`].
-    pub(super) fn decode_sections(&mut self, r: &mut SnapReader) -> Result<(), SnapshotError> {
-        self.trace = read_section(r, SECT_TRACE, |r| {
-            Ok(if r.get_bool()? {
-                Some(Trace {
-                    events: Snap::get(r)?,
-                })
-            } else {
-                None
-            })
-        })?;
+    pub(super) fn decode_sections(
+        &mut self,
+        r: &mut SnapReader,
+        ids: &mut IdSpace,
+    ) -> Result<(), SnapshotError> {
+        // The trace is a record, never an index: the one place the "no
+        // channel" mark of a teardown without one is a valid channel id.
+        ids.no_channel_ok = true;
+        self.trace = read_section(r, SECT_TRACE, |r| Snap::get(r, ids))?;
+        ids.no_channel_ok = false;
         self.metrics = read_section(r, SECT_METRICS, |r| {
             if !r.get_bool()? {
                 return Ok(None);
             }
             let ticker = get_ticker(r, "zero sampling cadence")?;
-            let sample_every_ns = r.get_u64()?;
-            let cap = r.get_usize()?;
-            let head = r.get_usize()?;
-            let total = r.get_u64()?;
-            let n = r.get_len()?;
-            let mut buf = Vec::with_capacity(n);
-            for _ in 0..n {
-                buf.push(get_gauge(r)?);
-            }
-            let series = GaugeSeries::from_raw_parts(cap, head, total, buf)
-                .map_err(SnapshotError::Corrupt)?;
-            let n = r.get_len()?;
-            let mut accums = Vec::with_capacity(n);
-            for _ in 0..n {
-                accums.push(ChannelAccum {
-                    busy_ns: r.get_u64()?,
-                    acquisitions: r.get_u64()?,
-                    ocrq_wait_ns: r.get_u64()?,
-                    header_stalls: r.get_u64()?,
-                });
-            }
-            let mut ocrq_last = Vec::with_capacity(n);
-            for _ in 0..n {
-                ocrq_last.push(r.get_u64()?);
+            let sample_every_ns = Snap::get(r, ids)?;
+            let series = GaugeSeries::from_raw_parts(
+                Snap::get(r, ids)?,
+                Snap::get(r, ids)?,
+                Snap::get(r, ids)?,
+                Snap::get(r, ids)?,
+            )
+            .map_err(SnapshotError::Corrupt)?;
+            let accums: Vec<ChannelAccum> = Snap::get(r, ids)?;
+            // The taps index the scoreboard by channel.
+            ensure(
+                accums.len() == ids.channels as usize,
+                "scoreboard channel count mismatch",
+            )?;
+            let mut ocrq_last = Vec::with_capacity(accums.len());
+            for _ in 0..accums.len() {
+                ocrq_last.push(Snap::get(r, ids)?);
             }
             let channels = ChannelScoreboard::from_raw_parts(accums, ocrq_last)
                 .map_err(SnapshotError::Corrupt)?;
@@ -690,45 +678,4 @@ fn get_ticker(r: &mut SnapReader, zero_cadence: &'static str) -> Result<Ticker, 
     let period = r.get_u64()?;
     let next = r.get_u64()?;
     Ticker::from_parts(period, next).ok_or(SnapshotError::Corrupt(zero_cadence))
-}
-
-fn put_gauge(w: &mut SnapWriter, g: &GaugeSample) {
-    w.put_u64(g.at_ns);
-    for &l in &g.queue.levels {
-        w.put_u32(l);
-    }
-    w.put_usize(g.queue.overflow);
-    w.put_usize(g.queue.len);
-    w.put_u32(g.live_worms);
-    w.put_u32(g.live_segments);
-    w.put_u32(g.ocrq_total);
-    w.put_u32(g.ocrq_max);
-    w.put_u32(g.epoch);
-    w.put_u64(g.delivered);
-    w.put_u64(g.torn_down);
-    w.put_u64(g.unreachable);
-}
-
-fn get_gauge(r: &mut SnapReader) -> Result<GaugeSample, SnapshotError> {
-    let at_ns = r.get_u64()?;
-    let mut levels = [0u32; desim::WHEEL_LEVELS];
-    for l in levels.iter_mut() {
-        *l = r.get_u32()?;
-    }
-    Ok(GaugeSample {
-        at_ns,
-        queue: desim::QueueOccupancy {
-            levels,
-            overflow: r.get_usize()?,
-            len: r.get_usize()?,
-        },
-        live_worms: r.get_u32()?,
-        live_segments: r.get_u32()?,
-        ocrq_total: r.get_u32()?,
-        ocrq_max: r.get_u32()?,
-        epoch: r.get_u32()?,
-        delivered: r.get_u64()?,
-        torn_down: r.get_u64()?,
-        unreachable: r.get_u64()?,
-    })
 }

@@ -134,6 +134,11 @@ pub enum FailureKind {
     Unreachable,
 }
 
+crate::codec::snap_enum! { FailureKind, "unknown failure kind";
+    0 => TornDown,
+    1 => Unreachable,
+}
+
 /// A per-message terminal failure (live-reconfiguration runs only; on a
 /// static network messages either complete or the run deadlocks/aborts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,6 +152,8 @@ pub struct MessageFailure {
     /// destination).
     pub error: SimError,
 }
+
+crate::codec::snap_struct! { MessageFailure { at, kind, error } }
 
 /// Result of one message.
 #[derive(Debug, Clone)]
@@ -238,6 +245,13 @@ pub struct Counters {
     /// suite pins it identical across event-queue implementations.
     pub coverage: crate::coverage::CoverageSet,
 }
+
+// The coverage record is not among the counters' words: mid-run it lives
+// with the observers, who write it (it is copied in here when a run ends).
+crate::codec::snap_struct! { Counters {
+    events, wire_transfers, bubbles_created, flits_delivered, messages_completed,
+    acquisitions, seg_lookups, messages_torn_down, messages_unreachable, links_killed,
+} derived { coverage: Default::default() } }
 
 /// Everything a finished (or aborted) run reports.
 #[derive(Debug, Clone)]

@@ -6,7 +6,7 @@
 //! Tracing is off by default — the hot simulation loops append nothing —
 //! and is enabled per run with [`crate::NetworkSim::enable_trace`].
 
-use crate::codec::snap_enum;
+use crate::codec::{snap_enum, snap_struct};
 use crate::flit::MsgId;
 use desim::Time;
 use netgraph::{ChannelId, NodeId};
@@ -164,6 +164,8 @@ pub struct Trace {
     /// Events in emission order (chronological; ties in engine order).
     pub events: Vec<TraceEvent>,
 }
+
+snap_struct! { Trace { events } }
 
 impl Trace {
     /// Events of one message, in order.
