@@ -318,7 +318,7 @@ impl RoutingAlgorithm for SpamRouting<'_> {
             .lca_of(&spec.dests)
             .expect("validated specs have labeled destinations");
         Ok(SpamHeader {
-            dests: spec.dests.clone().into(),
+            dests: Arc::from(spec.dests.as_slice()),
             lca,
             phase: Phase::Up,
             in_tree: false,
@@ -341,13 +341,22 @@ impl RoutingAlgorithm for SpamRouting<'_> {
     }
 
     fn decode_header(&self, r: &mut SnapReader) -> Result<SpamHeader, SnapshotError> {
-        let n = r.get_len()?;
-        let mut dests = Vec::with_capacity(n);
-        for _ in 0..n {
-            dests.push(NodeId(r.get_u32()?));
-        }
+        // Collected straight into the `Arc` (a mapped range has an exact
+        // length, so that is one allocation); the first read error is kept
+        // and returned after.
+        let mut bad = Ok(());
+        let dests: Arc<[NodeId]> = (0..r.get_len()?)
+            .map(|_| match r.get_u32() {
+                Ok(d) => NodeId(d),
+                Err(e) => {
+                    bad = bad.and(Err(e));
+                    NodeId(0)
+                }
+            })
+            .collect();
+        bad?;
         Ok(SpamHeader {
-            dests: dests.into(),
+            dests,
             lca: NodeId(r.get_u32()?),
             phase: match r.get_u8()? {
                 0 => Phase::Up,

@@ -27,10 +27,14 @@
 //!
 //! Determinism contract (same as the heap queue): pops are globally
 //! ordered by `(time, scheduling sequence)`, so same-instant events come
-//! out FIFO. A level-0 slot holds exactly one instant; cascades can land
-//! events there out of sequence order, so a slot is lazily re-sorted by
-//! sequence number the first time it is popped after a cascade touched it
-//! (direct schedules append in sequence order and never need the sort).
+//! out FIFO. A level-0 slot holds exactly one instant, so it is enough
+//! that every slot chain stays in sequence order, and it does without a
+//! sort: a direct schedule appends the highest sequence number yet, and a
+//! cascade (or an overflow refill) only ever fills levels that are empty,
+//! in the order of the chain it takes apart. Only
+//! [`BucketQueue::insert_restored`] files events out of order; it marks
+//! the slot it lands in, and a marked slot is re-sorted by sequence number
+//! the first time it is popped or cascaded.
 //!
 //! One restriction the heap does not have: events must not be scheduled
 //! before the last popped timestamp (`debug_assert`ed). The [`Schedule`]
@@ -113,15 +117,18 @@ pub struct BucketQueue<E> {
     pool: Vec<PoolEntry<E>>,
     /// Free-list head into `pool`.
     free: u32,
-    /// Pool indices of events beyond the wheels' span, in insertion order;
+    /// Pool indices of events beyond the wheels' span, in sequence order;
     /// folded back in on demand.
     overflow: Vec<u32>,
-    /// Level-0 slots that a cascade touched since their last sort.
-    dirty0: u64,
-    /// Scratch for sorting a dirty slot (capacity retained).
+    /// Per level, the slots a restored event landed in out of sequence
+    /// order since their last sort.
+    unsorted: [u64; LEVELS],
+    /// Scratch for sorting a slot (capacity retained).
     sort_scratch: Vec<(u64, u32)>,
     /// Monotone lower bound on every pending event (the last popped time).
     floor: u64,
+    /// `(time, sequence)` of the last pop, for the order assertion.
+    last_pop: Option<(u64, u64)>,
     next_seq: u64,
     len: usize,
 }
@@ -147,9 +154,10 @@ impl<E> BucketQueue<E> {
             pool: Vec::new(),
             free: NIL,
             overflow: Vec::new(),
-            dirty0: 0,
+            unsorted: [0; LEVELS],
             sort_scratch: Vec::new(),
             floor: 0,
+            last_pop: None,
             next_seq: 0,
             len: 0,
         }
@@ -184,17 +192,18 @@ impl<E> BucketQueue<E> {
         }
     }
 
-    /// Returns a popped cell to the free list and hands out its payload.
-    fn free_cell(&mut self, idx: u32) -> (u64, E) {
+    /// Returns a popped cell to the free list and hands out its key and
+    /// payload.
+    fn free_cell(&mut self, idx: u32) -> (u64, u64, E) {
         let cell = &mut self.pool[idx as usize];
-        let when = cell.when;
+        let (when, seq) = (cell.when, cell.seq);
         // Only indices taken off a slot chain or the overflow list get
         // here, and a cell on either holds its event until this call.
         #[allow(clippy::expect_used)]
         let val = cell.val.take().expect("freeing a live cell");
         cell.next = self.free;
         self.free = idx;
-        (when, val)
+        (when, seq, val)
     }
 
     /// Schedules `event` at absolute `time`.
@@ -206,12 +215,14 @@ impl<E> BucketQueue<E> {
         self.next_seq += 1;
         self.len += 1;
         let idx = self.alloc_cell(time.as_ns(), seq, event);
-        self.link(idx, false);
+        self.link(idx);
     }
 
-    /// Files pool cell `idx` into the wheel (or overflow) for its `when`.
+    /// Files pool cell `idx` behind everything already in the wheel slot
+    /// (or on the overflow list) for its `when`. Returns the level and
+    /// slot it landed in, or `None` for the overflow list.
     #[inline]
-    fn link(&mut self, idx: u32, from_cascade: bool) {
+    fn link(&mut self, idx: u32) -> Option<(usize, usize)> {
         let when = self.pool[idx as usize].when;
         debug_assert!(
             when >= self.floor,
@@ -221,7 +232,7 @@ impl<E> BucketQueue<E> {
         let lvl = level_for(self.floor, when);
         if lvl >= LEVELS {
             self.overflow.push(idx);
-            return;
+            return None;
         }
         let slot = ((when >> (BITS * lvl as u32)) & MASK) as usize;
         self.pool[idx as usize].next = NIL;
@@ -233,11 +244,7 @@ impl<E> BucketQueue<E> {
         }
         level.tail[slot] = idx;
         level.occupied |= 1 << slot;
-        if lvl == 0 && from_cascade {
-            // Cascaded entries may arrive out of sequence order relative
-            // to direct schedules already in the slot; sort lazily at pop.
-            self.dirty0 |= 1 << slot;
-        }
+        Some((lvl, slot))
     }
 
     /// Removes and returns the earliest event, FIFO among equal
@@ -250,8 +257,8 @@ impl<E> BucketQueue<E> {
             // Fast path: an exact-instant slot in the current 64 ns window.
             if self.levels[0].occupied != 0 {
                 let slot = self.levels[0].occupied.trailing_zeros() as usize;
-                if self.dirty0 & (1 << slot) != 0 {
-                    self.sort_slot(slot);
+                if self.unsorted[0] & (1 << slot) != 0 {
+                    self.sort_slot(0, slot);
                 }
                 let idx = self.levels[0].head[slot];
                 let next = self.pool[idx as usize].next;
@@ -260,8 +267,16 @@ impl<E> BucketQueue<E> {
                     self.levels[0].tail[slot] = NIL;
                     self.levels[0].occupied &= !(1 << slot);
                 }
-                let (when, e) = self.free_cell(idx);
+                let (when, seq, e) = self.free_cell(idx);
                 debug_assert!(when >= self.floor);
+                // The invariant the module docs derive: a slot chain is in
+                // sequence order, so one instant pops in scheduling order.
+                debug_assert!(
+                    self.last_pop.is_none_or(|(t, s)| t < when || s < seq),
+                    "event {seq} at {when} popped after {:?}",
+                    self.last_pop
+                );
+                self.last_pop = Some((when, seq));
                 self.floor = when;
                 self.len -= 1;
                 return Some((Time::from_ns(when), e));
@@ -273,12 +288,13 @@ impl<E> BucketQueue<E> {
         }
     }
 
-    /// Re-sorts a level-0 slot chain by sequence number (stable FIFO
-    /// order), using the retained scratch buffer.
-    fn sort_slot(&mut self, slot: usize) {
+    /// Re-sorts a slot chain by sequence number (stable FIFO order), using
+    /// the retained scratch buffer.
+    fn sort_slot(&mut self, lvl: usize, slot: usize) {
         let mut scratch = std::mem::take(&mut self.sort_scratch);
         scratch.clear();
-        let mut cur = self.levels[0].head[slot];
+        let level = &mut self.levels[lvl];
+        let mut cur = level.head[slot];
         while cur != NIL {
             let cell = &self.pool[cur as usize];
             scratch.push((cell.seq, cur));
@@ -298,9 +314,9 @@ impl<E> BucketQueue<E> {
         if tail != NIL {
             self.pool[tail as usize].next = NIL;
         }
-        self.levels[0].head[slot] = head;
-        self.levels[0].tail[slot] = tail;
-        self.dirty0 &= !(1 << slot);
+        level.head[slot] = head;
+        level.tail[slot] = tail;
+        self.unsorted[lvl] &= !(1 << slot);
         self.sort_scratch = scratch;
     }
 
@@ -313,6 +329,9 @@ impl<E> BucketQueue<E> {
                 continue;
             }
             let slot = self.levels[lvl].occupied.trailing_zeros() as usize;
+            if self.unsorted[lvl] & (1 << slot) != 0 {
+                self.sort_slot(lvl, slot);
+            }
             let width_bits = BITS * lvl as u32;
             // The absolute start of this slot's window under the current
             // floor's higher digits (no wrap: pending slots are never
@@ -327,9 +346,11 @@ impl<E> BucketQueue<E> {
             while chain != NIL {
                 let next = self.pool[chain as usize].next;
                 // Against the advanced floor every entry lands strictly
-                // below `lvl`, so cascading terminates.
+                // below `lvl`, so cascading terminates; every level below
+                // `lvl` is empty, so each slot it fills gets a subsequence
+                // of this (sorted) chain.
                 debug_assert!(level_for(self.floor, self.pool[chain as usize].when) < lvl);
-                self.link(chain, true);
+                self.link(chain);
                 chain = next;
             }
             return true;
@@ -363,7 +384,7 @@ impl<E> BucketQueue<E> {
                 self.overflow[kept] = idx;
                 kept += 1;
             } else {
-                self.link(idx, true);
+                self.link(idx);
             }
         }
         self.overflow.truncate(kept);
@@ -458,15 +479,26 @@ impl<E> BucketQueue<E> {
     }
 
     /// Re-files an event captured by [`BucketQueue::snapshot_each`] under
-    /// its original sequence number. Level-0 slots are marked dirty so the
-    /// lazy seq-sort restores exact FIFO order regardless of insertion
-    /// order; coarser slots and the overflow list are order-insensitive.
+    /// its original sequence number, in any order: the slot it lands in is
+    /// marked for the lazy sort, and on the overflow list it takes its
+    /// place by sequence number.
     pub fn insert_restored(&mut self, when: u64, seq: u64, event: E) {
         debug_assert!(when >= self.floor, "restored event below the floor");
         debug_assert!(seq < self.next_seq, "restored seq beyond the counter");
         self.len += 1;
         let idx = self.alloc_cell(when, seq, event);
-        self.link(idx, true);
+        match self.link(idx) {
+            Some((lvl, slot)) => self.unsorted[lvl] |= 1 << slot,
+            None => {
+                // `link` appended it; move it back to its place.
+                self.overflow.pop();
+                let pool = &self.pool;
+                let at = self
+                    .overflow
+                    .partition_point(|&i| pool[i as usize].seq < seq);
+                self.overflow.insert(at, idx);
+            }
+        }
     }
 
     /// Drops all pending events (the sequence counter and the clock floor
@@ -480,7 +512,7 @@ impl<E> BucketQueue<E> {
         self.pool.clear();
         self.free = NIL;
         self.overflow.clear();
-        self.dirty0 = 0;
+        self.unsorted = [0; LEVELS];
         self.len = 0;
     }
 }

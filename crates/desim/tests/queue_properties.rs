@@ -235,6 +235,59 @@ proptest! {
     }
 
     #[test]
+    fn wheel_restored_in_shuffled_order_matches_heap(
+        ops in prop::collection::vec((any::<bool>(), 0usize..DELTAS.len()), 1..300),
+        shuffle in prop::collection::vec(any::<u64>(), 300),
+        after in prop::collection::vec((any::<bool>(), 0usize..DELTAS.len()), 0..100),
+    ) {
+        // The one path that files events out of sequence order: a pending
+        // set restored in arbitrary order (a snapshot walks the wheel's
+        // pool, not its chains). Every slot it lands in — any level, or
+        // the overflow list — must still pop in `(time, seq)` order, and
+        // keep doing so as new events join the restored ones.
+        let mut heap = EventQueue::with_kind(QueueKind::Heap);
+        let mut floor = 0u64;
+        for (i, &(is_pop, delta_idx)) in ops.iter().enumerate() {
+            if is_pop {
+                if let Some((t, _)) = heap.pop() {
+                    floor = t.as_ns();
+                }
+            } else {
+                heap.schedule(Time::from_ns(floor + DELTAS[delta_idx]), i);
+            }
+        }
+        let mut pending = Vec::new();
+        heap.snapshot_each(|t, seq, &e| pending.push((t, seq, e)));
+        pending.sort_by_key(|&(_, seq, _)| shuffle[seq as usize % shuffle.len()] ^ seq);
+        let now = Time::from_ns(floor);
+        let mut wheel = EventQueue::restore_empty(QueueKind::Bucket, now, heap.scheduled_count());
+        for &(t, seq, e) in &pending {
+            wheel.insert_restored(t, seq, e);
+        }
+        for (i, &(is_pop, delta_idx)) in after.iter().enumerate() {
+            if is_pop {
+                let a = heap.pop();
+                prop_assert_eq!(&a, &wheel.pop(), "pop #{} after restore diverged", i);
+                if let Some((t, _)) = a {
+                    floor = t.as_ns();
+                }
+            } else {
+                let t = Time::from_ns(floor + DELTAS[delta_idx]);
+                heap.schedule(t, ops.len() + i);
+                wheel.schedule(t, ops.len() + i);
+            }
+            prop_assert_eq!(heap.peek_time(), wheel.peek_time());
+        }
+        loop {
+            let a = heap.pop();
+            prop_assert_eq!(&a, &wheel.pop(), "restored drain diverged");
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+
+    #[test]
     fn schedule_clock_matches_event_times(
         delays in prop::collection::vec(1u64..100, 1..100),
     ) {

@@ -38,8 +38,9 @@ impl DestinationSampler {
         src: NodeId,
         rng: &mut R,
     ) -> Result<Vec<NodeId>, TrafficError> {
-        let others: Vec<NodeId> = topo.processors().filter(|&p| p != src).collect();
-        self.sample_others(topo, others, rng)
+        let mut others = Vec::with_capacity(topo.num_processors());
+        others.extend(topo.processors().filter(|&p| p != src));
+        self.draw(topo, &mut others, rng)
     }
 
     /// Like [`DestinationSampler::sample`], but draws only from the given
@@ -52,16 +53,33 @@ impl DestinationSampler {
         src: NodeId,
         rng: &mut R,
     ) -> Result<Vec<NodeId>, TrafficError> {
-        let others: Vec<NodeId> = procs.iter().copied().filter(|&p| p != src).collect();
-        self.sample_others(topo, others, rng)
+        self.sample_within_into(topo, procs, src, &mut Vec::new(), rng)
+    }
+
+    /// [`DestinationSampler::sample_within`] with a caller-kept candidate
+    /// buffer, so a stream of draws does not collect the population anew
+    /// for every message. The draw is the same.
+    pub(crate) fn sample_within_into<R: Rng + ?Sized>(
+        &self,
+        topo: &Topology,
+        procs: &[NodeId],
+        src: NodeId,
+        others: &mut Vec<NodeId>,
+        rng: &mut R,
+    ) -> Result<Vec<NodeId>, TrafficError> {
+        others.clear();
+        others.reserve(procs.len());
+        others.extend(procs.iter().copied().filter(|&p| p != src));
+        self.draw(topo, others, rng)
     }
 
     /// Shared core: `others` is the candidate set (source already
-    /// excluded).
-    fn sample_others<R: Rng + ?Sized>(
+    /// excluded), reordered in place; the result has exactly the drawn
+    /// length.
+    fn draw<R: Rng + ?Sized>(
         &self,
         topo: &Topology,
-        mut others: Vec<NodeId>,
+        others: &mut [NodeId],
         rng: &mut R,
     ) -> Result<Vec<NodeId>, TrafficError> {
         let check = |count: usize| -> Result<(), TrafficError> {
@@ -80,12 +98,11 @@ impl DestinationSampler {
             DestinationSampler::UniformRandom { count } => {
                 check(count)?;
                 others.shuffle(rng);
-                others.truncate(count);
-                Ok(others)
+                Ok(others[..count].to_vec())
             }
             DestinationSampler::Broadcast => {
                 check(1)?;
-                Ok(others)
+                Ok(others.to_vec())
             }
             DestinationSampler::Cluster { count } => {
                 check(count)?;
@@ -93,8 +110,7 @@ impl DestinationSampler {
                 let seed = switches[rng.gen_range(0..switches.len())];
                 let dist = algo::bfs_distances(topo, seed);
                 others.sort_by_key(|p| (dist[p.index()], *p));
-                others.truncate(count);
-                Ok(others)
+                Ok(others[..count].to_vec())
             }
         }
     }

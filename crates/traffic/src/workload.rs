@@ -303,6 +303,7 @@ impl MixedTrafficConfig {
         let mut rng = StdRng::seed_from_u64(seed);
         let unicast_fraction = self.unicast_fraction;
         let multicast_dests = self.multicast_dests;
+        let mut candidates = Vec::new();
         rate_merged_stream(
             procs,
             self.messages,
@@ -316,7 +317,13 @@ impl MixedTrafficConfig {
                 } else {
                     multicast_dests
                 };
-                DestinationSampler::UniformRandom { count }.sample_within(topo, procs, src, rng)
+                DestinationSampler::UniformRandom { count }.sample_within_into(
+                    topo,
+                    procs,
+                    src,
+                    &mut candidates,
+                    rng,
+                )
             },
         )
     }

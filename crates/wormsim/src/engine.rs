@@ -44,9 +44,24 @@
 //! stay inside the pools: the snapshot codec walks each queue in order, so
 //! snapshot bytes, digests and traces do not depend on where a flit's cell
 //! happens to sit.
+//!
+//! Per-message state is kept the same way. A message's destination states
+//! and its sorted destination index are runs of two per-run vectors
+//! (`dests`, `dest_index`, from `MsgState::dests_at`), and its live-segment
+//! list is a [`Run`] of the engine-wide [`RunPool`] `live`, whose runs are
+//! recycled as worms come and go: what a message allocates is its spec, its
+//! header and its result, not a table per destination or a list that grows
+//! with its hop count.
+//!
+//! Per flit, `try_replicate` looks its segment up once and keeps it
+//! borrowed while the flit moves to every output; wires start through
+//! `start_wire`, a function of the fields it touches rather than a
+//! `&mut self` method, so the borrow can stay. Whether a channel ends at a
+//! processor — asked on every input-buffer drain — is a bit in the
+//! per-channel flags byte beside the death mask (`ChanFlags`).
 
 use crate::channel::Chan;
-use crate::codec::{snap_enum, snap_struct};
+use crate::codec::{ensure, put_list, snap_enum, snap_struct, IdSpace, Snap};
 use crate::config::SimConfig;
 use crate::flit::{Flit, FlitKind, MsgId};
 use crate::message::{MessageSpec, SpecError};
@@ -57,7 +72,9 @@ use crate::routing::{CompletionHook, NoHook, RouteDecision, RoutingAlgorithm};
 use desim::{Schedule, Time};
 use netgraph::{ChannelId, NodeId, Topology};
 use observe::{Casualty, Observers};
-use spam_collections::{FifoPool, InlineVec, Slab, SlotId};
+use spam_collections::{FifoPool, InlineVec, Run, RunPool, Slab, SlotId};
+use spam_snapshot::{SnapReader, SnapWriter, SnapshotError};
+use std::ops::Range;
 
 #[derive(Debug, Clone, Copy)]
 enum Event {
@@ -117,41 +134,138 @@ struct DestState {
     done_at: Option<Time>,
 }
 
+const FRESH_DEST: DestState = DestState {
+    next_seq: 0,
+    done_at: None,
+};
+
 snap_struct! { DestState { next_seq, done_at } }
 
 struct MsgState {
     spec: MessageSpec,
     /// Flits on the wire: `spec.len` plus any extra header flits.
     worm_len: u32,
-    /// `(destination, index into dests)`, sorted by node id for binary
-    /// search — the per-delivered-flit lookup, hash-free.
-    dest_slot: Vec<(NodeId, u32)>,
-    dests: Vec<DestState>,
+    /// Where this message's run starts in the engine's per-destination
+    /// arenas ([`NetworkSim::dests`], [`NetworkSim::dest_index`]); the run
+    /// is `spec.dests.len()` long in both.
+    dests_at: usize,
     remaining: usize,
     completed_at: Option<Time>,
     /// Set when a mid-run fault killed or rejected this message.
     failure: Option<MessageFailure>,
-    /// Live segments of this worm (source + transits), for teardown.
-    live_segs: InlineVec<SlotId, 4>,
+    /// Live segments of this worm (source + transits), for teardown: a
+    /// list in [`NetworkSim::live`].
+    live_segs: Run,
 }
 
-// `worm_len` is derived too, but has words on the wire: `restore` holds
-// them against `spec.len` rather than trusting them.
-snap_struct! { MsgState {
-    spec, worm_len, dests, remaining, completed_at, failure, live_segs,
-} derived { dest_slot: MsgState::dest_index(&spec) } }
-
 impl MsgState {
-    /// The `dest_slot` table of `spec`: derived, so a snapshot omits it.
-    fn dest_index(spec: &MessageSpec) -> Vec<(NodeId, u32)> {
-        let mut index: Vec<_> = spec
-            .dests
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (*d, i as u32))
-            .collect();
-        index.sort_unstable_by_key(|&(d, _)| d);
-        index
+    /// This message's run in the per-destination arenas.
+    fn dest_run(&self) -> Range<usize> {
+        self.dests_at..self.dests_at + self.spec.dests.len()
+    }
+}
+
+/// The snapshot words of a message: `spec, worm_len, dests, remaining,
+/// completed_at, failure, live_segs`. Like [`Chan`]'s, written once per
+/// direction rather than as a table: its destination states and its
+/// live-segment list live in engine arenas, so the decode direction
+/// appends to them in place (and rebuilds the derived destination index)
+/// instead of building a value from fields. `worm_len` is derived too,
+/// but has words on the wire: `restore` holds them against `spec.len`.
+impl MsgState {
+    fn put_snap(&self, w: &mut SnapWriter, dests: &[DestState], live: &RunPool<SlotId>) {
+        self.spec.put(w);
+        self.worm_len.put(w);
+        put_list(w, &dests[self.dest_run()]);
+        self.remaining.put(w);
+        self.completed_at.put(w);
+        self.failure.put(w);
+        put_list(w, live.as_slice(&self.live_segs));
+    }
+
+    /// Reads [`Self::put_snap`] back, appending to the arenas.
+    fn get_snap(
+        r: &mut SnapReader,
+        ids: &mut IdSpace,
+        dests: &mut Vec<DestState>,
+        dest_index: &mut Vec<(NodeId, u32)>,
+        live: &mut RunPool<SlotId>,
+    ) -> Result<Self, SnapshotError> {
+        let spec = MessageSpec::get(r, ids)?;
+        let worm_len = Snap::get(r, ids)?;
+        let dests_at = dests.len();
+        for _ in 0..r.get_len()? {
+            dests.push(Snap::get(r, ids)?);
+        }
+        ensure(
+            dests.len() - dests_at == spec.dests.len(),
+            "destination state count mismatch",
+        )?;
+        index_dests(dest_index, &spec);
+        let remaining = Snap::get(r, ids)?;
+        let completed_at = Snap::get(r, ids)?;
+        let failure = Snap::get(r, ids)?;
+        let mut live_segs = Run::new();
+        for _ in 0..r.get_len()? {
+            live.push(&mut live_segs, Snap::get(r, ids)?);
+        }
+        Ok(MsgState {
+            spec,
+            worm_len,
+            dests_at,
+            remaining,
+            completed_at,
+            failure,
+            live_segs,
+        })
+    }
+}
+
+/// Appends `spec`'s run to the destination index: `(destination, index
+/// into spec.dests)` sorted by node id for binary search — the
+/// per-delivered-flit lookup, hash-free. Derived, so a snapshot omits it.
+fn index_dests(index: &mut Vec<(NodeId, u32)>, spec: &MessageSpec) {
+    let at = index.len();
+    index.extend(spec.dests.iter().enumerate().map(|(i, &d)| (d, i as u32)));
+    index[at..].sort_unstable_by_key(|&(d, _)| d);
+}
+
+/// One flags byte per channel: the live-reconfiguration death mask, and
+/// whether the channel ends at a processor — asked every time an input
+/// buffer is drained, so kept beside the mask rather than asked of the
+/// topology (two dependent lookups) each time.
+struct ChanFlags(Vec<u8>);
+
+impl ChanFlags {
+    const DEAD: u8 = 1;
+    const TO_PROCESSOR: u8 = 2;
+
+    fn of(topo: &Topology) -> Self {
+        ChanFlags(
+            (0..topo.num_channels())
+                .map(|i| {
+                    if topo.is_processor(topo.channel(ChannelId(i as u32)).dst) {
+                        Self::TO_PROCESSOR
+                    } else {
+                        0
+                    }
+                })
+                .collect(),
+        )
+    }
+
+    #[inline]
+    fn dead(&self, ch: ChannelId) -> bool {
+        self.0[ch.index()] & Self::DEAD != 0
+    }
+
+    fn kill(&mut self, ch: ChannelId) {
+        self.0[ch.index()] |= Self::DEAD;
+    }
+
+    #[inline]
+    fn to_processor(&self, ch: ChannelId) -> bool {
+        self.0[ch.index()] & Self::TO_PROCESSOR != 0
     }
 }
 
@@ -169,6 +283,13 @@ pub struct NetworkSim<'a, R: RoutingAlgorithm> {
     /// Cells for requests waiting behind the head of any [`Chan::ocrq`].
     requests: FifoPool<(MsgId, SlotId)>,
     msgs: Vec<MsgState>,
+    /// Delivery state of every destination of every message, one run per
+    /// message ([`MsgState::dests_at`]).
+    dests: Vec<DestState>,
+    /// The runs [`index_dests`] builds, parallel to `dests`.
+    dest_index: Vec<(NodeId, u32)>,
+    /// The lists behind every [`MsgState::live_segs`].
+    live: RunPool<SlotId>,
     /// Arena of live worm-router traversals; all cross-references into it
     /// ([`Chan::ocrq`], [`Chan::owner`], [`Chan::seg`],
     /// [`MsgState::live_segs`], `bubble_candidates`) are generation-checked
@@ -202,10 +323,11 @@ pub struct NetworkSim<'a, R: RoutingAlgorithm> {
     /// would steal a slot that the real flit could claim a few events
     /// later in the same instant, livelocking symmetric branches.
     bubble_candidates: Vec<SlotId>,
-    /// Per-channel death mask for live-reconfiguration runs (all-false on
-    /// static networks). A dead channel carries nothing: in-flight flits
-    /// are lost at the wire, and any worm touching it is torn down.
-    dead: Vec<bool>,
+    /// Per-channel death mask for live-reconfiguration runs (no channel
+    /// dead on static networks) and the processor-end bit. A dead channel
+    /// carries nothing: in-flight flits are lost at the wire, and any worm
+    /// touching it is torn down.
+    flags: ChanFlags,
     /// Sorted, deduplicated times of scheduled fault events — the epoch
     /// boundaries reported on the outcome. Non-empty iff this is a
     /// live-reconfiguration run, which switches routing failures from
@@ -228,6 +350,9 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             flits: FifoPool::new(),
             requests: FifoPool::new(),
             msgs: Vec::new(),
+            dests: Vec::new(),
+            dest_index: Vec::new(),
+            live: RunPool::new(),
             segs: Slab::new(),
             headers: Slab::new(),
             route_scratch: R::Scratch::default(),
@@ -238,7 +363,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             active: 0,
             pending_completions: Vec::new(),
             bubble_candidates: Vec::new(),
-            dead: vec![false; topo.num_channels()],
+            flags: ChanFlags::of(topo),
             fault_times: Vec::new(),
         }
     }
@@ -290,16 +415,6 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         self.sched.now()
     }
 
-    /// The live segment behind `sid`'s `i`-th output channel. Used for
-    /// index-based re-borrows on mutation paths (no clone of the list).
-    #[inline]
-    fn seg_output(&self, sid: SlotId, i: usize) -> ChannelId {
-        self.segs
-            .get(sid)
-            .expect("segment live during traversal")
-            .outputs[i]
-    }
-
     /// Submits a message. `spec.gen_time` must not be in the simulator's
     /// past. Returns the message id used in the outcome.
     pub fn submit(&mut self, spec: MessageSpec) -> Result<MsgId, SpecError> {
@@ -309,15 +424,10 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             "message generated in the past"
         );
         let id = MsgId(self.msgs.len() as u32);
-        let dest_slot = MsgState::dest_index(&spec);
-        let dests = vec![
-            DestState {
-                next_seq: 0,
-                done_at: None,
-            };
-            spec.dests.len()
-        ];
+        let dests_at = self.dests.len();
         let remaining = spec.dests.len();
+        self.dests.resize(dests_at + remaining, FRESH_DEST);
+        index_dests(&mut self.dest_index, &spec);
         let worm_len = spec.len + self.cfg.extra_header_flits;
         let ready_at = spec.gen_time + self.cfg.latency.startup;
         self.note_wheel_horizon(ready_at);
@@ -325,12 +435,11 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         self.msgs.push(MsgState {
             spec,
             worm_len,
-            dest_slot,
-            dests,
+            dests_at,
             remaining,
             completed_at: None,
             failure: None,
-            live_segs: InlineVec::new(),
+            live_segs: Run::new(),
         });
         Ok(id)
     }
@@ -344,7 +453,8 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
     /// message and may inject follow-up messages.
     pub fn run_with_hook(mut self, hook: &mut dyn CompletionHook) -> SimOutcome {
         let mut deadlock: Option<DeadlockInfo> = None;
-        while let Some(next_time) = self.sched.peek_time() {
+        let mut next = self.sched.peek_time();
+        while let Some(next_time) = next {
             // Watchdog: real-flit progress must occur while work is active.
             if self.active > 0 && next_time.saturating_since(self.last_progress) > self.cfg.watchdog
             {
@@ -378,9 +488,17 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             if self.error.is_some() {
                 break;
             }
-            // End of this simulated instant: resolve deferred bubbles.
-            if self.sched.peek_time() != Some(t) {
+            // End of this simulated instant: resolve deferred bubbles. Only
+            // what they schedule can move the next event, so one peek
+            // serves both checks unless they did: a peek across the wheel's
+            // window boundary walks a whole slot chain.
+            next = self.sched.peek_time();
+            if next != Some(t) {
+                let scheduled = self.sched.scheduled_count();
                 self.flush_bubbles(t);
+                if self.sched.scheduled_count() != scheduled {
+                    next = self.sched.peek_time();
+                }
             }
         }
         if deadlock.is_none()
@@ -409,13 +527,14 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             && self.chans.iter().all(|c| c.is_quiescent())
             && self.segs.is_empty()
             && self.headers.is_empty();
+        let dests = &self.dests;
         let messages = self
             .msgs
             .into_iter()
             .map(|m| MessageResult {
+                dest_done_at: dests[m.dest_run()].iter().map(|d| d.done_at).collect(),
                 spec: m.spec,
                 completed_at: m.completed_at,
-                dest_done_at: m.dests.iter().map(|d| d.done_at).collect(),
                 failure: m.failure,
             })
             .collect();
@@ -512,7 +631,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 return self.fail(error);
             }
         };
-        if self.dead[inj.index()] {
+        if self.flags.dead(inj) {
             // The source's own injection link died: the worm cannot even
             // enter the network. Nothing was reserved yet.
             self.teardown(
@@ -533,7 +652,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             outputs: InlineVec::from_slice(&[inj]),
             acquired: false,
         });
-        self.msgs[msg.index()].live_segs.push(sid);
+        self.live.push(&mut self.msgs[msg.index()].live_segs, sid);
         self.enqueue(now, inj, msg, sid);
         self.try_acquire(now, sid);
     }
@@ -616,7 +735,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         if decision.requests.is_empty() {
             return self.fail(SimError::EmptyDecision { msg, node });
         }
-        if let Some(&(dead_ch, _)) = decision.requests.iter().find(|(c, _)| self.dead[c.index()]) {
+        if let Some(&(dead_ch, _)) = decision.requests.iter().find(|&&(c, _)| self.flags.dead(c)) {
             // The decision asks for a channel that died since the worm's
             // labeling was built: the worm ran into the fault. Tear it
             // down before any of the request set is enqueued.
@@ -643,7 +762,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             "one channel delivers one header per worm"
         );
         self.chans[in_ch.index()].seg = Some(sid);
-        self.msgs[msg.index()].live_segs.push(sid);
+        self.live.push(&mut self.msgs[msg.index()].live_segs, sid);
         for (ch, st) in decision.requests.drain(..) {
             let rec = self.topo.channel(ch);
             if rec.src != node {
@@ -714,9 +833,11 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 .expect("in-flight flit in out_buf")
         };
         // A flit crossing a channel that died mid-transfer — or belonging
-        // to a worm that was torn down — is lost on the wire, not
-        // delivered into the input buffer.
-        let dropped = self.dead[ch.index()] || self.msgs[flit.msg.index()].failure.is_some();
+        // to a worm that was torn down, which only a live-reconfiguration
+        // run does — is lost on the wire, not delivered into the input
+        // buffer.
+        let dead = self.flags.dead(ch);
+        let dropped = dead || (self.live_mode() && self.msgs[flit.msg.index()].failure.is_some());
         if !dropped {
             let c = &mut self.chans[ch.index()];
             self.flits.push_back(&mut c.in_buf, flit);
@@ -725,7 +846,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         self.counters.wire_transfers += 1;
         let header_in = !dropped && flit.kind == FlitKind::Header;
         self.obs.wire_done(ch, header_in.then_some(flit.msg), now);
-        if self.dead[ch.index()] {
+        if dead {
             // Dead wire: nothing refills it and nobody may acquire it.
             return;
         }
@@ -760,11 +881,11 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
     /// nothing at `t`.
     fn on_link_down(&mut self, now: Time, link: ChannelId) {
         let pair = [link, self.topo.reverse(link)];
-        if self.dead[link.index()] {
+        if self.flags.dead(link) {
             return; // duplicate scheduling (e.g. a switch kill overlapping)
         }
         for &c in &pair {
-            self.dead[c.index()] = true;
+            self.flags.kill(c);
         }
         self.counters.links_killed += 1;
         self.obs.link_down(link, now);
@@ -836,9 +957,9 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         self.active -= 1;
         // Retire every live segment via the message's intrusive list — no
         // arena scan.
-        let seg_ids = std::mem::take(&mut self.msgs[m.index()].live_segs);
+        let mut seg_ids = std::mem::take(&mut self.msgs[m.index()].live_segs);
         let segs = &self.segs;
-        let outputs = seg_ids.iter().map(|&sid| {
+        let outputs = self.live.as_slice(&seg_ids).iter().map(|&sid| {
             segs.get(sid)
                 .expect("live list tracks live segments")
                 .outputs
@@ -846,7 +967,8 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         });
         self.obs
             .torn_down(&self.chans, m, &cause, why, outputs, now);
-        for &sid in &seg_ids {
+        for i in 0..seg_ids.len() {
+            let sid = self.live.as_slice(&seg_ids)[i];
             let seg = self
                 .segs
                 .remove(sid)
@@ -866,6 +988,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 self.requests.retain(&mut c.ocrq, |&(qm, _)| qm != m);
             }
         }
+        self.live.clear(&mut seg_ids);
         // Header states are swept by message id, not via segment outputs: a
         // header's entry outlives its upstream segment (the segment releases
         // once the tail is replicated, while the header may still sit in an
@@ -897,10 +1020,10 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
     /// keeps the cascade deterministic.
     fn wake_channels(&mut self, now: Time) {
         for i in 0..self.chans.len() {
-            if self.dead[i] {
+            let ch = ChannelId(i as u32);
+            if self.flags.dead(ch) {
                 continue;
             }
-            let ch = ChannelId(i as u32);
             self.try_start_wire(ch);
             if self.chans[i].free_for_acquisition() {
                 if let Some(&(_, sid)) = self.chans[i].ocrq.front() {
@@ -912,20 +1035,9 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         }
     }
 
-    /// Starts a wire transfer if a flit is waiting, the wire is idle, and
-    /// the receiver will have a slot.
+    /// [`start_wire`] on this engine's fields.
     fn try_start_wire(&mut self, ch: ChannelId) {
-        if self.dead[ch.index()] {
-            return; // dead wires carry nothing
-        }
-        let cap = self.cfg.input_buffer_flits;
-        let c = &mut self.chans[ch.index()];
-        if !c.wire_busy && !c.out_buf.is_empty() && c.in_has_space(cap) {
-            c.wire_busy = true;
-            c.reserved_in += 1;
-            self.sched
-                .after(self.cfg.latency.channel_prop, Event::WireDone(ch));
-        }
+        start_wire(&mut self.chans, &mut self.sched, &self.flags, &self.cfg, ch);
     }
 
     /// Attempts the all-or-nothing acquisition of §3.2: every requested
@@ -933,7 +1045,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
     /// success the header flit is replicated to all outputs at once.
     fn try_acquire(&mut self, now: Time, sid: SlotId) {
         self.counters.seg_lookups += 1;
-        let Some(seg) = self.segs.get(sid) else {
+        let Some(seg) = self.segs.get_mut(sid) else {
             return;
         };
         if seg.acquired {
@@ -958,19 +1070,16 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             self.obs.acquire_blocked(blocked);
             return;
         }
-        let input = seg.input;
-        let nout = seg.outputs.len();
         self.counters.acquisitions += 1;
         self.last_progress = now;
-        let node = match input {
+        let node = match seg.input {
             SegInput::Source { .. } => self.msgs[msg.index()].spec.src,
             SegInput::Channel(ic) => self.topo.channel(ic).dst,
         };
         self.obs.acquired(&self.chans, msg, node, &seg.outputs, now);
-        // Index-based re-borrows instead of cloning the output list: this
-        // path must not allocate.
-        for i in 0..nout {
-            let o = self.seg_output(sid, i);
+        // The segment stays borrowed while the channels change hands: the
+        // fields involved are disjoint, and the output list is not copied.
+        for &o in &seg.outputs {
             let c = &mut self.chans[o.index()];
             let popped = self.requests.pop_front(&mut c.ocrq);
             debug_assert_eq!(popped, Some((msg, sid)));
@@ -983,24 +1092,19 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 },
             );
         }
-        for i in 0..nout {
-            let o = self.seg_output(sid, i);
-            self.try_start_wire(o);
+        for &o in &seg.outputs {
+            start_wire(&mut self.chans, &mut self.sched, &self.flags, &self.cfg, o);
         }
         // Consume the header on the input side.
-        match input {
-            SegInput::Source { .. } => {
-                if let Some(seg) = self.segs.get_mut(sid) {
-                    seg.input = SegInput::Source { next: 1 };
-                }
-            }
+        match seg.input {
+            SegInput::Source { .. } => seg.input = SegInput::Source { next: 1 },
             SegInput::Channel(ic) => {
                 let f = self.flits.pop_front(&mut self.chans[ic.index()].in_buf);
                 debug_assert!(matches!(f, Some(f) if f.kind == FlitKind::Header));
-                self.try_start_wire(ic);
+                start_wire(&mut self.chans, &mut self.sched, &self.flags, &self.cfg, ic);
             }
         }
-        self.segs.get_mut(sid).expect("segment exists").acquired = true;
+        seg.acquired = true;
         self.try_replicate(now, sid);
     }
 
@@ -1011,22 +1115,26 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
     /// at the end of the instant). Replicating the tail releases the
     /// channels.
     fn try_replicate(&mut self, now: Time, sid: SlotId) {
+        // This loop runs once per flit per router traversal — the hottest
+        // path in the engine. The segment is looked up once and stays
+        // borrowed while flits move to every output: nothing a move
+        // touches lives in the slab. `seg_lookups` still counts one lookup
+        // per flit, the unit every digest and snapshot has recorded.
+        self.counters.seg_lookups += 1;
+        let Some(seg) = self.segs.get_mut(sid) else {
+            return;
+        };
+        if !seg.acquired {
+            return;
+        }
+        let msg = seg.msg;
+        let out_cap = self.cfg.output_buffer_flits;
         loop {
-            self.counters.seg_lookups += 1;
-            let Some(seg) = self.segs.get(sid) else {
-                return;
-            };
-            if !seg.acquired {
-                return;
-            }
-            let msg = seg.msg;
-            let input = seg.input;
-            let nout = seg.outputs.len();
-            let len = self.msgs[msg.index()].worm_len;
-            let next_flit = match input {
+            let f = match seg.input {
                 SegInput::Source { next } => {
+                    let len = self.msgs[msg.index()].worm_len;
                     debug_assert!(next < len, "tail emission releases the segment");
-                    Some(Flit::nth(msg, next, len))
+                    Flit::nth(msg, next, len)
                 }
                 SegInput::Channel(ic) => match self.chans[ic.index()].in_buf.front() {
                     Some(f) => {
@@ -1034,56 +1142,42 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                             f.msg, msg,
                             "foreign flit at input head while segment alive"
                         );
-                        Some(*f)
+                        *f
                     }
-                    None => None,
+                    None => return, // input starved; the worm holds its channels
                 },
             };
-            let out_cap = self.cfg.output_buffer_flits;
-            // This loop runs once per flit per router traversal — the
-            // hottest path in the engine. Re-borrow the segment per step
-            // instead of cloning its output list.
-            let all_free = self
-                .segs
-                .get(sid)
-                .expect("checked live")
+            let chans = &self.chans;
+            if !seg
                 .outputs
                 .iter()
-                .all(|&o| self.chans[o.index()].out_has_space(out_cap));
-            match next_flit {
-                Some(f) if all_free => {
-                    for i in 0..nout {
-                        let o = self.seg_output(sid, i);
-                        self.flits.push_back(&mut self.chans[o.index()].out_buf, f);
-                        self.try_start_wire(o);
-                    }
-                    match input {
-                        SegInput::Source { next } => {
-                            if let Some(s) = self.segs.get_mut(sid) {
-                                s.input = SegInput::Source { next: next + 1 };
-                            }
-                        }
-                        SegInput::Channel(ic) => {
-                            self.flits.pop_front(&mut self.chans[ic.index()].in_buf);
-                            self.try_start_wire(ic);
-                        }
-                    }
-                    if f.is_tail() {
-                        self.release(now, sid);
-                        return;
-                    }
+                .all(|&o| chans[o.index()].out_has_space(out_cap))
+            {
+                // Blocked by a sibling: mark for end-of-instant bubble
+                // insertion. A single-output segment simply stalls (no
+                // divergence to mask).
+                if seg.outputs.len() > 1 && !self.bubble_candidates.contains(&sid) {
+                    self.bubble_candidates.push(sid);
                 }
-                Some(_) => {
-                    // Blocked by a sibling: mark for end-of-instant bubble
-                    // insertion. A single-output segment simply stalls (no
-                    // divergence to mask).
-                    if nout > 1 && !self.bubble_candidates.contains(&sid) {
-                        self.bubble_candidates.push(sid);
-                    }
-                    return;
-                }
-                None => return, // input starved; the worm holds its channels
+                return;
             }
+            for &o in &seg.outputs {
+                self.flits.push_back(&mut self.chans[o.index()].out_buf, f);
+                start_wire(&mut self.chans, &mut self.sched, &self.flags, &self.cfg, o);
+            }
+            match &mut seg.input {
+                SegInput::Source { next } => *next += 1,
+                SegInput::Channel(ic) => {
+                    let ic = *ic;
+                    self.flits.pop_front(&mut self.chans[ic.index()].in_buf);
+                    start_wire(&mut self.chans, &mut self.sched, &self.flags, &self.cfg, ic);
+                }
+            }
+            if f.is_tail() {
+                self.release(now, sid);
+                return;
+            }
+            self.counters.seg_lookups += 1;
         }
     }
 
@@ -1103,9 +1197,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             if !seg.acquired || seg.outputs.len() < 2 {
                 continue;
             }
-            let nout = seg.outputs.len();
-            let input = seg.input;
-            let input_present = match input {
+            let input_present = match seg.input {
                 SegInput::Source { next } => next < self.msgs[msg.index()].worm_len,
                 SegInput::Channel(ic) => self.chans[ic.index()]
                     .in_buf
@@ -1116,10 +1208,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 continue;
             }
             let out_cap = self.cfg.output_buffer_flits;
-            let all_free = self
-                .segs
-                .get(sid)
-                .expect("checked live")
+            let all_free = seg
                 .outputs
                 .iter()
                 .all(|&o| self.chans[o.index()].out_has_space(out_cap));
@@ -1136,31 +1225,24 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             // forever (each freeing at a different instant) and starve the
             // real flits — a livelock hardware avoids because its cycle-
             // synchronous buffers free together.
-            let real_blockage = self
-                .segs
-                .get(sid)
-                .expect("checked live")
-                .outputs
-                .iter()
-                .any(|&o| {
-                    let c = &self.chans[o.index()];
-                    !c.out_has_space(out_cap) && self.flits.iter(&c.out_buf).any(|f| f.is_real())
-                });
+            let real_blockage = seg.outputs.iter().any(|&o| {
+                let c = &self.chans[o.index()];
+                !c.out_has_space(out_cap) && self.flits.iter(&c.out_buf).any(|f| f.is_real())
+            });
             if !real_blockage {
                 continue;
             }
-            let node = match input {
+            let node = match seg.input {
                 SegInput::Source { .. } => self.msgs[msg.index()].spec.src,
                 SegInput::Channel(ic) => self.topo.channel(ic).dst,
             };
-            for i in 0..nout {
-                let o = self.seg_output(sid, i);
+            for &o in &seg.outputs {
                 if self.chans[o.index()].out_has_space(out_cap) {
                     self.flits
                         .push_back(&mut self.chans[o.index()].out_buf, Flit::bubble(msg));
                     self.counters.bubbles_created += 1;
                     self.obs.bubble(msg, node, o, now);
-                    self.try_start_wire(o);
+                    start_wire(&mut self.chans, &mut self.sched, &self.flags, &self.cfg, o);
                 }
             }
         }
@@ -1173,13 +1255,16 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         let seg = self.segs.remove(sid).expect("released segment exists");
         let msg = seg.msg;
         let input = seg.input;
-        // Unlink from the message's live list (order is irrelevant there).
+        // Unlink from the message's live list (order is irrelevant there,
+        // but snapshots write it, so it is `Vec::swap_remove`'s).
         let live = &mut self.msgs[msg.index()].live_segs;
-        let pos = live
+        let pos = self
+            .live
+            .as_slice(live)
             .iter()
             .position(|&s| s == sid)
             .expect("live list tracks live segments");
-        live.swap_remove(pos);
+        self.live.swap_remove(live, pos);
         if let SegInput::Channel(ic) = input {
             debug_assert_eq!(self.chans[ic.index()].seg, Some(sid));
             self.chans[ic.index()].seg = None;
@@ -1209,18 +1294,18 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
 
     /// Drains the input buffer of `ch` as far as the protocol allows.
     fn process_in_buf(&mut self, now: Time, ch: ChannelId) {
-        let dst = self.topo.channel(ch).dst;
-        let deliver_here = self.topo.is_processor(dst);
+        if self.flags.to_processor(ch) {
+            let dst = self.topo.channel(ch).dst;
+            while let Some(head) = self.flits.pop_front(&mut self.chans[ch.index()].in_buf) {
+                self.deliver(now, head, dst);
+                self.try_start_wire(ch);
+            }
+            return;
+        }
         loop {
             let Some(&head) = self.chans[ch.index()].in_buf.front() else {
                 return;
             };
-            if deliver_here {
-                self.flits.pop_front(&mut self.chans[ch.index()].in_buf);
-                self.deliver(now, head, dst);
-                self.try_start_wire(ch);
-                continue;
-            }
             let before = self.chans[ch.index()].in_buf.len();
             self.counters.seg_lookups += 1;
             let seg = self.chans[ch.index()].seg;
@@ -1273,9 +1358,10 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         self.counters.flits_delivered += 1;
         self.last_progress = now;
         let ms = &mut self.msgs[flit.msg.index()];
-        // Hash-free destination lookup: binary search of the sorted
-        // (node, slot) list — this runs once per delivered flit.
-        let Ok(pos) = ms.dest_slot.binary_search_by_key(&proc, |&(n, _)| n) else {
+        // Hash-free destination lookup: binary search of the message's
+        // sorted (node, slot) run — this runs once per delivered flit.
+        let run = &self.dest_index[ms.dest_run()];
+        let Ok(pos) = run.binary_search_by_key(&proc, |&(n, _)| n) else {
             // A flit for a processor that is not a destination: the
             // routing algorithm misrouted the worm (on degraded networks,
             // typically a stale labeling). Typed error, not a crash.
@@ -1284,8 +1370,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 at: proc,
             });
         };
-        let di = ms.dest_slot[pos].1 as usize;
-        let d = &mut ms.dests[di];
+        let d = &mut self.dests[ms.dests_at + run[pos].1 as usize];
         let seq = flit.seq().expect("real flits carry a sequence number");
         assert_eq!(
             seq, d.next_seq,
@@ -1306,6 +1391,28 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             }
             self.obs.delivered_tail(flit.msg, proc, now);
         }
+    }
+}
+
+/// Starts a wire transfer on `ch` if a flit is waiting, the wire is idle,
+/// and the receiver will have a slot. A function of the fields it touches
+/// rather than a method, so the flit path can call it while it holds a
+/// segment of the engine's slab.
+fn start_wire(
+    chans: &mut [Chan],
+    sched: &mut Schedule<Event>,
+    flags: &ChanFlags,
+    cfg: &SimConfig,
+    ch: ChannelId,
+) {
+    if flags.dead(ch) {
+        return; // dead wires carry nothing
+    }
+    let c = &mut chans[ch.index()];
+    if !c.wire_busy && !c.out_buf.is_empty() && c.in_has_space(cfg.input_buffer_flits) {
+        c.wire_busy = true;
+        c.reserved_in += 1;
+        sched.after(cfg.latency.channel_prop, Event::WireDone(ch));
     }
 }
 

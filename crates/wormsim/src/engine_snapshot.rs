@@ -92,7 +92,10 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         w.end_section(s);
 
         let s = w.begin_section(SECT_MSGS);
-        self.msgs.put(w);
+        w.put_len(self.msgs.len());
+        for m in &self.msgs {
+            m.put_snap(w, &self.dests, &self.live);
+        }
         w.end_section(s);
 
         let s = w.begin_section(SECT_SEGS);
@@ -117,7 +120,10 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         self.active.put(w);
         self.pending_completions.put(w);
         self.bubble_candidates.put(w);
-        put_list(w, &self.dead);
+        w.put_len(self.chans.len());
+        for i in 0..self.chans.len() {
+            self.flags.dead(ChannelId(i as u32)).put(w);
+        }
         self.fault_times.put(w);
         self.obs.encode_checkpointer(w);
         w.end_section(s);
@@ -194,25 +200,31 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             Ok(())
         })?;
 
-        sim.msgs = read_section(&mut r, SECT_MSGS, |r| Snap::get(r, ids))?;
+        sim.msgs = read_section(&mut r, SECT_MSGS, |r| {
+            let n = r.get_len()?;
+            let mut msgs = Vec::with_capacity(n);
+            for _ in 0..n {
+                let (dests, index) = (&mut sim.dests, &mut sim.dest_index);
+                msgs.push(MsgState::get_snap(r, ids, dests, index, &mut sim.live)?);
+            }
+            Ok(msgs)
+        })?;
         for m in &sim.msgs {
             ensure(
-                m.dests.len() == m.spec.dests.len(),
-                "destination state count mismatch",
-            )?;
-            ensure(
-                m.remaining <= m.dests.len(),
+                m.remaining <= m.spec.dests.len(),
                 "remaining exceeds destinations",
             )?;
-            // Like `dest_slot`, `worm_len` is derived, and a worm whose
-            // length is not its message's never ends; unlike it, it is on
-            // the wire, so it is compared instead of recomputed.
+            // Like the destination index, `worm_len` is derived, and a worm
+            // whose length is not its message's never ends; unlike it, it
+            // is on the wire, so it is compared instead of recomputed.
             ensure(
                 m.spec.len.checked_add(sim.cfg.extra_header_flits) == Some(m.worm_len),
                 "worm length disagrees with its message",
             )?;
             ensure(
-                m.dests.iter().all(|d| d.next_seq <= m.worm_len),
+                sim.dests[m.dest_run()]
+                    .iter()
+                    .all(|d| d.next_seq <= m.worm_len),
                 "destination expects a flit past its worm's tail",
             )?;
         }
@@ -238,9 +250,14 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             sim.active = Snap::get(r, ids)?;
             sim.pending_completions = Snap::get(r, ids)?;
             sim.bubble_candidates = Snap::get(r, ids)?;
-            ensure(r.get_len()? == sim.dead.len(), "death mask length mismatch")?;
-            for d in sim.dead.iter_mut() {
-                *d = Snap::get(r, ids)?;
+            ensure(
+                r.get_len()? == sim.chans.len(),
+                "death mask length mismatch",
+            )?;
+            for i in 0..sim.chans.len() {
+                if bool::get(r, ids)? {
+                    sim.flags.kill(ChannelId(i as u32));
+                }
             }
             sim.fault_times = Snap::get(r, ids)?;
             sim.obs.decode_checkpointer(r)
@@ -393,7 +410,7 @@ fn get_schedule<E: Snap>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::tests::{rejects_tag, round_trips};
+    use crate::codec::tests::{rejects_tag, round_trips, round_trips_via};
 
     /// The engine-private tables, through the same two checks as every
     /// other one (`codec::tests`).
@@ -414,25 +431,44 @@ mod tests {
             });
         }
         rejects_tag::<SegInput>(2, "unknown segment input tag");
-        let spec = MessageSpec::multicast(NodeId(5), vec![NodeId(8), NodeId(6)], 64);
-        round_trips(&MsgState {
-            dest_slot: MsgState::dest_index(&spec),
-            spec,
+        // A message is written beside its arenas: read back behind another
+        // message's run, its words come out the same.
+        let dests = [
+            DestState {
+                next_seq: 64,
+                done_at: Some(Time::from_ns(11_000)),
+            },
+            DestState {
+                next_seq: 12,
+                done_at: None,
+            },
+        ];
+        let mut live = RunPool::new();
+        let mut live_segs = Run::new();
+        for i in 0..5 {
+            live.push(&mut live_segs, SlotId::from_raw(i, 3));
+        }
+        let m = MsgState {
+            spec: MessageSpec::multicast(NodeId(5), vec![NodeId(8), NodeId(6)], 64),
             worm_len: 64,
-            dests: vec![
-                DestState {
-                    next_seq: 64,
-                    done_at: Some(Time::from_ns(11_000)),
-                },
-                DestState {
-                    next_seq: 12,
-                    done_at: None,
-                },
-            ],
+            dests_at: 0,
             remaining: 1,
             completed_at: None,
             failure: None,
-            live_segs: InlineVec::from_slice(&[SlotId::from_raw(0, 3)]),
+            live_segs,
+        };
+        let mut w = SnapWriter::new();
+        m.put_snap(&mut w, &dests, &live);
+        round_trips_via(w.as_bytes(), |r, ids| {
+            let mut dests = vec![FRESH_DEST];
+            let mut index = vec![(NodeId(1), 0)];
+            let mut live = RunPool::new();
+            let back = MsgState::get_snap(r, ids, &mut dests, &mut index, &mut live)?;
+            assert_eq!(back.dests_at, 1);
+            assert_eq!(index[1..], [(NodeId(6), 1), (NodeId(8), 0)]);
+            let mut w = SnapWriter::new();
+            back.put_snap(&mut w, &dests, &live);
+            Ok(w.as_bytes().to_vec())
         });
     }
 }

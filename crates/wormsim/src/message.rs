@@ -121,15 +121,17 @@ impl MessageSpec {
         if topo.out_channels(self.src).len() != 1 {
             return Err(SpecError::SourceDetached(self.src));
         }
-        let mut seen = std::collections::HashSet::with_capacity(self.dests.len());
-        for &d in &self.dests {
+        // Duplicates are found by scanning the destinations before each one:
+        // no allocation per message, and a quadratic term that stays small
+        // at fabric sizes (a 255-destination broadcast is 32 k compares).
+        for (i, &d) in self.dests.iter().enumerate() {
             if !is_proc(d) {
                 return Err(SpecError::DestNotProcessor(d));
             }
             if d == self.src {
                 return Err(SpecError::SelfDestination(d));
             }
-            if !seen.insert(d) {
+            if self.dests[..i].contains(&d) {
                 return Err(SpecError::DuplicateDestination(d));
             }
         }

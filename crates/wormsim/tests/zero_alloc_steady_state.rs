@@ -78,7 +78,13 @@ fn run_unicast(len: u32) -> (SimOutcome, u64) {
 }
 
 fn run_unicast_cfg(len: u32, traced: bool) -> (SimOutcome, u64) {
-    let (topo, switches, src, dst, _) = chain(6);
+    run_unicasts(6, len, 1, traced)
+}
+
+/// `copies` identical unicasts over `chain(hops)`, each generated 50 us
+/// after the one before, so that each finds the network idle.
+fn run_unicasts(hops: usize, len: u32, copies: u64, traced: bool) -> (SimOutcome, u64) {
+    let (topo, switches, src, dst, _) = chain(hops);
     let mut oracle = OracleRouting::new(&topo);
     let mut path = vec![src];
     path.extend(&switches);
@@ -88,8 +94,11 @@ fn run_unicast_cfg(len: u32, traced: bool) -> (SimOutcome, u64) {
     if traced {
         sim.enable_trace();
     }
-    sim.submit(MessageSpec::unicast(src, dst, len).tag(0))
-        .unwrap();
+    for i in 0..copies {
+        let at = desim::Time::from_us(50 * i);
+        sim.submit(MessageSpec::unicast(src, dst, len).tag(0).at(at))
+            .unwrap();
+    }
     let before = ALLOCS.load(Ordering::Relaxed);
     let out = sim.run();
     let after = ALLOCS.load(Ordering::Relaxed);
@@ -151,6 +160,29 @@ fn body_flits_allocate_nothing() {
         "per-flit hot path allocated: {} extra allocations over {} extra flits",
         long_allocs as i64 - short_allocs as i64,
         extra_flits
+    );
+}
+
+fn hop_count_allocates_nothing() {
+    // A worm strung out over more routers holds more segments at once. The
+    // first worm of a run grows the engine's arenas to its footprint; the
+    // second, identical one then costs what any message costs, whatever
+    // its hop count: its live-segment list is a handle into a pool the
+    // first worm already grew (an inline list of four spilled to the heap
+    // per message, and grew with the path).
+    let second_worm = |hops| {
+        let (_, one) = run_unicasts(hops, 64, 1, false);
+        let (out, two) = run_unicasts(hops, 64, 2, false);
+        (out.counters.acquisitions, two - one)
+    };
+    let _ = second_worm(6);
+    let (short_hops, short_allocs) = second_worm(6);
+    let (long_hops, long_allocs) = second_worm(24);
+    assert!(long_hops > 3 * short_hops, "{long_hops} vs {short_hops}");
+    assert_eq!(
+        long_allocs, short_allocs,
+        "a worm allocated by its hop count: {short_allocs} over chain(6), \
+         {long_allocs} over chain(24)"
     );
 }
 
@@ -492,8 +524,9 @@ fn seg_lookups_are_counted() {
 }
 
 fn main() {
-    let checks: [(&str, fn()); 11] = [
+    let checks: [(&str, fn()); 12] = [
         ("body_flits_allocate_nothing", body_flits_allocate_nothing),
+        ("hop_count_allocates_nothing", hop_count_allocates_nothing),
         (
             "repeated_runs_have_identical_alloc_counts",
             repeated_runs_have_identical_alloc_counts,
