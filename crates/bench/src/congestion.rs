@@ -393,7 +393,7 @@ mod tests {
 
         // The comparison the bench exists to make: on the all-multicast
         // broadcast storm, software multicast expands every multicast
-        // into a unicast cascade that re-crosses the fabric once per
+        // into a tree of unicasts that re-crosses the fabric once per
         // forwarding stage — strictly more wire-busy time than SPAM's
         // single replicated worms.
         let spam = cell("storm", "spam", "fault_free").heatmap.totals();

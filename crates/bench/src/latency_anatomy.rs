@@ -301,7 +301,7 @@ mod tests {
             );
         }
         // The mechanism the report exists to show: software multicast
-        // expands each multicast into a cascade of engine-level
+        // expands each multicast into a tree of engine-level
         // unicasts, every one re-paying the full 10 µs startup; SPAM
         // delivers the same application workload as single worms. The
         // aggregate startup bill is therefore proportional to the

@@ -69,8 +69,7 @@ struct Cell<T> {
 
 /// Backing store for the overflow of any number of [`Fifo`] queues of
 /// `Copy` values: intrusive singly-linked chains through one `Vec` of
-/// cells plus a LIFO free list — the layout `desim::BucketQueue` uses
-/// for its slot chains. The pool grows to the largest number of values
+/// cells plus a LIFO free list. The pool grows to the largest number of values
 /// queued *behind a first* at once across all its queues and is then
 /// never touched by the allocator again; a freed cell is the next one
 /// handed out, so a steady workload keeps hitting the same cache-hot

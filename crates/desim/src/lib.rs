@@ -9,7 +9,8 @@
 //! * [`Time`] — a nanosecond-resolution simulation clock value,
 //! * [`EventQueue`] — a deterministic future-event list: events scheduled
 //!   for the same instant are delivered in scheduling order (FIFO),
-//! * [`Schedule`] — a small façade combining the clock and the queue.
+//! * [`Schedule`] — the clock and the queue together, with FIFO lanes in
+//!   front of the queue for events scheduled a constant delay from now.
 //!
 //! Determinism is a hard requirement for the reproduction: the paper reports
 //! means with tight confidence intervals, and regression tests pin exact
@@ -28,24 +29,45 @@
 //! assert_eq!(order, vec!["a", "b", "c"]);
 //! ```
 
-pub mod bucket;
 pub mod queue;
 pub mod tick;
 pub mod time;
 
-pub use bucket::{BucketQueue, QueueOccupancy, WHEEL_LEVELS, WHEEL_SPAN_NS};
 pub use queue::{EventQueue, QueueKind, ScheduledEvent};
 pub use tick::Ticker;
 pub use time::{Duration, Time};
 
+use std::collections::VecDeque;
+
+/// Most distinct [`Schedule::after`] delays a [`QueueKind::Bucket`]
+/// schedule keeps a lane for; later delays go to the heap.
+pub const MAX_LANES: usize = 4;
+
+/// Events scheduled one constant delay after "now", in pop order.
+#[derive(Debug, Clone)]
+struct Lane<E> {
+    delay: Duration,
+    events: VecDeque<ScheduledEvent<E>>,
+}
+
 /// A façade bundling the current simulation time with the future-event list.
 ///
 /// `Schedule` enforces the fundamental discrete-event invariant: time never
-/// moves backwards, and events cannot be scheduled in the past.
+/// moves backwards, and events cannot be scheduled in the past. Under
+/// [`QueueKind::Bucket`] an [`Schedule::after`] event joins the FIFO lane
+/// of its delay: `now` and the sequence counter only grow, so each lane is
+/// sorted by `(time, seq)` as it is filled, and popping the least of the
+/// lane heads and the heap head pops exactly what the heap alone would.
 #[derive(Debug, Clone)]
 pub struct Schedule<E> {
     now: Time,
     queue: EventQueue<E>,
+    kind: QueueKind,
+    /// The first `open` are in use, each for its own delay.
+    lanes: [Lane<E>; MAX_LANES],
+    open: usize,
+    /// `(time, seq)` of the last pop, for the order assertion.
+    last_pop: Option<(Time, u64)>,
 }
 
 impl<E> Default for Schedule<E> {
@@ -56,23 +78,16 @@ impl<E> Default for Schedule<E> {
 
 impl<E> Schedule<E> {
     /// Creates an empty schedule with the clock at time zero, backed by
-    /// the heap queue.
+    /// the heap alone.
     pub fn new() -> Self {
-        Self {
-            now: Time::ZERO,
-            queue: EventQueue::new(),
-        }
+        Self::with_kind(QueueKind::Heap)
     }
 
-    /// Creates an empty schedule backed by the chosen queue
-    /// implementation. `Schedule` never schedules into the past, so both
-    /// kinds are always legal here; [`QueueKind::Bucket`] is the fast
-    /// choice for event-dense simulations.
+    /// Creates an empty schedule of the chosen kind; [`QueueKind::Bucket`]
+    /// is the fast choice for simulations whose events mostly follow a few
+    /// fixed delays.
     pub fn with_kind(kind: QueueKind) -> Self {
-        Self {
-            now: Time::ZERO,
-            queue: EventQueue::with_kind(kind),
-        }
+        Self::restore_empty(kind, Time::ZERO, 0)
     }
 
     /// Current simulation time.
@@ -84,18 +99,53 @@ impl<E> Schedule<E> {
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        self.queue.len()
+        let lanes: usize = self.lanes[..self.open].iter().map(|l| l.events.len()).sum();
+        self.queue.len() + lanes
     }
 
     /// True when no events are pending.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.len() == 0
     }
 
     /// Schedules `event` to fire `delay` after the current time.
     pub fn after(&mut self, delay: Duration, event: E) {
-        self.queue.schedule(self.now + delay, event);
+        let s = ScheduledEvent {
+            time: self.now + delay,
+            seq: self.queue.take_seq(),
+            event,
+        };
+        match self.lane(delay) {
+            Some(lane) => {
+                debug_assert!(lane.back().is_none_or(|b| b.key() < s.key()));
+                lane.push_back(s);
+            }
+            None => self.queue.push(s),
+        }
+    }
+
+    /// The lane for `delay`, opened on first use while there is room;
+    /// `None` sends the event to the heap.
+    #[inline]
+    fn lane(&mut self, delay: Duration) -> Option<&mut VecDeque<ScheduledEvent<E>>> {
+        let i = match self.lanes[..self.open]
+            .iter()
+            .position(|l| l.delay == delay)
+        {
+            Some(i) => i,
+            None if self.kind == QueueKind::Bucket && self.open < MAX_LANES => {
+                // A lane carries a hot event kind: skip its first doublings.
+                self.lanes[self.open] = Lane {
+                    delay,
+                    events: VecDeque::with_capacity(16),
+                };
+                self.open += 1;
+                self.open - 1
+            }
+            None => return None,
+        };
+        Some(&mut self.lanes[i].events)
     }
 
     /// Schedules `event` at the absolute instant `at`.
@@ -122,6 +172,20 @@ impl<E> Schedule<E> {
         self.queue.schedule(at.max(self.now), event);
     }
 
+    /// The earliest pending key and the lane holding it (`None`: the heap).
+    #[inline]
+    fn head(&self) -> Option<((Time, u64), Option<usize>)> {
+        let mut best = self.queue.peek_key().map(|k| (k, None));
+        for (i, lane) in self.lanes[..self.open].iter().enumerate() {
+            if let Some(s) = lane.events.front() {
+                if best.is_none_or(|(k, _)| s.key() < k) {
+                    best = Some((s.key(), Some(i)));
+                }
+            }
+        }
+        best
+    }
+
     /// Removes and returns the next event, advancing the clock to its
     /// timestamp. Returns `None` when the event list is exhausted.
     ///
@@ -129,15 +193,32 @@ impl<E> Schedule<E> {
     /// not an `Iterator` because firing an event mutates the clock.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<(Time, E)> {
-        let (t, e) = self.queue.pop()?;
-        debug_assert!(t >= self.now, "event queue yielded an event from the past");
-        self.now = t;
-        Some((t, e))
+        let s = match self.head()? {
+            (_, Some(i)) => self.lanes[i].events.pop_front(),
+            (_, None) => self.queue.pop_scheduled(),
+        }?;
+        debug_assert!(
+            s.time >= self.now,
+            "event queue yielded an event from the past"
+        );
+        // Pop order is `(time, seq)` order, so one instant pops in
+        // scheduling order.
+        debug_assert!(
+            self.last_pop.is_none_or(|k| k < s.key()),
+            "event {} at {} popped after {:?}",
+            s.seq,
+            s.time,
+            self.last_pop
+        );
+        self.last_pop = Some(s.key());
+        self.now = s.time;
+        Some((s.time, s.event))
     }
 
     /// Peeks at the timestamp of the next pending event without firing it.
+    #[inline]
     pub fn peek_time(&self) -> Option<Time> {
-        self.queue.peek_time()
+        self.head().map(|((t, _), _)| t)
     }
 
     /// Total number of events ever scheduled (monotone counter; useful for
@@ -146,41 +227,54 @@ impl<E> Schedule<E> {
         self.queue.scheduled_count()
     }
 
-    /// Constant-time occupancy snapshot of the backing queue (see
-    /// [`EventQueue::occupancy`]).
-    pub fn queue_occupancy(&self) -> bucket::QueueOccupancy {
-        self.queue.occupancy()
-    }
-
-    /// Which queue implementation backs this schedule.
+    /// Which queue arrangement backs this schedule.
     pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
+        self.kind
     }
 
-    /// Visits every pending event with its `(time, seq)` key (arbitrary
-    /// order; see [`EventQueue::snapshot_each`]). Together with
+    /// Fills `out` with every pending event, sorted by sequence number —
+    /// the canonical order, the same under either kind. Together with
     /// [`Schedule::now`] and [`Schedule::scheduled_count`] this is the
-    /// schedule's complete observable state.
-    pub fn snapshot_each(&self, f: impl FnMut(Time, u64, &E)) {
-        self.queue.snapshot_each(f);
+    /// schedule's complete observable state. `out`'s capacity is reused.
+    pub fn pending_by_seq(&self, out: &mut Vec<ScheduledEvent<E>>)
+    where
+        E: Clone,
+    {
+        out.clear();
+        out.reserve(self.len());
+        out.extend(self.queue.iter().cloned());
+        for lane in &self.lanes[..self.open] {
+            out.extend(lane.events.iter().cloned());
+        }
+        out.sort_unstable_by_key(|s| s.seq);
     }
 
     /// An empty schedule primed for restore: clock at `now`, sequence
-    /// counter at `next_seq`, queue of the chosen kind ready for
-    /// [`Schedule::insert_restored`]. Pending events always fire at or
-    /// after the last popped instant, so `now` is a valid queue floor.
+    /// counter at `next_seq`, ready for [`Schedule::insert_restored`].
     pub fn restore_empty(kind: QueueKind, now: Time, next_seq: u64) -> Self {
         Self {
             now,
-            queue: EventQueue::restore_empty(kind, now, next_seq),
+            queue: EventQueue::with_next_seq(next_seq),
+            kind,
+            lanes: std::array::from_fn(|_| Lane {
+                delay: Duration::ZERO,
+                events: VecDeque::new(),
+            }),
+            open: 0,
+            last_pop: None,
         }
     }
 
-    /// Re-files an event captured by [`Schedule::snapshot_each`] under its
-    /// original sequence number, preserving exact pop order.
+    /// Re-files a pending event under its original sequence number, in any
+    /// order, preserving exact pop order. Restored events wait in the
+    /// heap; only what is scheduled afterwards fills lanes.
     pub fn insert_restored(&mut self, at: Time, seq: u64, event: E) {
         debug_assert!(at >= self.now, "restored event in the past");
-        self.queue.insert_restored(at, seq, event);
+        self.queue.push(ScheduledEvent {
+            time: at,
+            seq,
+            event,
+        });
     }
 }
 
@@ -244,5 +338,109 @@ mod tests {
         }
         let fired: Vec<u32> = std::iter::from_fn(|| s.next()).map(|(_, e)| e).collect();
         assert_eq!(fired, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn dense_simulation_like_stream_stays_sorted() {
+        // Mimic the engine: pop one, schedule a few at +10/+40/+10_000,
+        // and the odd one past the lane cap.
+        let mut s = Schedule::with_kind(QueueKind::Bucket);
+        s.at(Time::ZERO, 0u64);
+        let mut id = 1u64;
+        let mut popped = Vec::new();
+        while let Some((t, e)) = s.next() {
+            popped.push((t.as_ns(), e));
+            if id < 300 {
+                for d in [10, 40, 10_000, 10 + id % 7] {
+                    s.after(Duration::from_ns(d), id);
+                    id += 1;
+                }
+            }
+        }
+        assert_eq!(s.open, MAX_LANES, "the stream opened every lane");
+        // Ids were handed out in scheduling order: FIFO among equal times.
+        let mut expect = popped.clone();
+        expect.sort_unstable();
+        assert_eq!(popped, expect);
+        assert_eq!(popped.len() as u64, s.scheduled_count());
+    }
+}
+
+/// [`QueueKind::Bucket`] on its own: events that only ever travel through
+/// lanes, the heap left empty.
+#[cfg(test)]
+mod bucket {
+    mod tests {
+        use crate::{Duration, QueueKind, Schedule, Time};
+
+        fn lanes_only<E>() -> Schedule<E> {
+            Schedule::with_kind(QueueKind::Bucket)
+        }
+
+        #[test]
+        fn pops_in_time_order() {
+            let mut s = lanes_only();
+            for (d, e) in [(50, 'c'), (20, 'a'), (30, 'b')] {
+                s.after(Duration::from_ns(d), e);
+            }
+            assert_eq!((s.open, s.queue.len()), (3, 0));
+            assert_eq!(s.next(), Some((Time::from_ns(20), 'a')));
+            assert_eq!(s.next(), Some((Time::from_ns(30), 'b')));
+            assert_eq!(s.next(), Some((Time::from_ns(50), 'c')));
+            assert_eq!(s.next(), None);
+        }
+
+        #[test]
+        fn equal_timestamps_are_fifo() {
+            let mut s = lanes_only();
+            for i in 0..1000u32 {
+                s.after(Duration::from_ns(7), i);
+            }
+            assert_eq!((s.open, s.queue.len()), (1, 0));
+            for i in 0..1000u32 {
+                assert_eq!(s.next(), Some((Time::from_ns(7), i)));
+            }
+        }
+
+        #[test]
+        fn interleaved_schedule_and_pop_keeps_fifo_within_instant() {
+            let mut s = lanes_only();
+            s.after(Duration::from_ns(10), "x1");
+            s.after(Duration::from_ns(10), "x2");
+            assert_eq!(s.next().unwrap().1, "x1");
+            // Same instant through a second lane: must come after x2.
+            s.after(Duration::ZERO, "x3");
+            assert_eq!(s.next().unwrap().1, "x2");
+            assert_eq!(s.next().unwrap().1, "x3");
+            assert_eq!(s.open, 2);
+        }
+
+        #[test]
+        fn peek_does_not_consume_and_matches_pop() {
+            let mut s = lanes_only();
+            assert_eq!(s.peek_time(), None);
+            s.after(Duration::from_ns(70_000), ());
+            s.after(Duration::from_ns(3), ());
+            assert_eq!(s.peek_time(), Some(Time::from_ns(3)));
+            assert_eq!(s.len(), 2);
+            assert_eq!(s.next().unwrap().0, Time::from_ns(3));
+            assert_eq!(s.peek_time(), Some(Time::from_ns(70_000)));
+            assert_eq!(s.next().unwrap().0, Time::from_ns(70_000));
+            assert!(s.is_empty());
+        }
+
+        #[test]
+        fn scheduled_count_is_monotone_across_clear() {
+            let mut s = lanes_only();
+            s.after(Duration::ZERO, ());
+            s.after(Duration::from_ns(1 << 37), ());
+            // A schedule's clear: an empty restore at the same counter.
+            let mut s = Schedule::restore_empty(QueueKind::Bucket, s.now(), s.scheduled_count());
+            assert!(s.is_empty());
+            assert_eq!(s.scheduled_count(), 2);
+            s.after(Duration::ZERO, ());
+            assert_eq!(s.scheduled_count(), 3);
+            assert_eq!(s.next().unwrap().0, Time::ZERO);
+        }
     }
 }

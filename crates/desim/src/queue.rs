@@ -6,24 +6,23 @@
 //! wins a channel) depend on event order, and the reproduction pins exact
 //! results for seeded runs.
 //!
-//! Two interchangeable implementations live behind the one API, selected by
-//! [`QueueKind`]:
+//! The queue is a [`std::collections::BinaryHeap`] of `(time, seq)` keys:
+//! fully general, events may be scheduled at any time. [`QueueKind`] picks
+//! what a [`crate::Schedule`] puts in front of it:
 //!
-//! * [`QueueKind::Heap`] — a [`std::collections::BinaryHeap`] of
-//!   `(time, seq)` keys. Fully general: events may be scheduled at any
-//!   time, including before already-popped instants.
-//! * [`QueueKind::Bucket`] — a hierarchical timing wheel
-//!   ([`crate::bucket::BucketQueue`]) keyed directly on the integer
-//!   nanosecond timestamp: O(1) array indexing instead of heap
-//!   comparisons on the simulator's hot path. Requires the discrete-event
-//!   clock invariant (never schedule before the last popped time), which
-//!   [`crate::Schedule`] enforces anyway.
+//! * [`QueueKind::Heap`] — nothing: every event goes through the heap. The
+//!   reference the equivalence suites compare against.
+//! * [`QueueKind::Bucket`] — one FIFO lane per constant delay passed to
+//!   [`crate::Schedule::after`]. The clock and the sequence counter only
+//!   grow, so events scheduled a fixed delay from "now" arrive already in
+//!   pop order; a lane is a ring buffer, and only events at arbitrary
+//!   instants pay for the heap.
 //!
-//! Both produce identical pop sequences on any schedule a [`crate::Schedule`]
-//! can express — property-tested in `tests/queue_properties.rs` and pinned
-//! end-to-end by the workspace golden-regression suite.
+//! Both pop the minimum `(time, seq)` over everything pending, so their pop
+//! sequences are identical by construction — property-tested in
+//! `tests/queue_properties.rs` and pinned end-to-end by the workspace
+//! golden-regression suite.
 
-use crate::bucket::{BucketQueue, QueueOccupancy};
 use crate::time::Time;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -39,9 +38,17 @@ pub struct ScheduledEvent<E> {
     pub event: E,
 }
 
+impl<E> ScheduledEvent<E> {
+    /// The `(time, seq)` pair pop order is a pure function of.
+    #[inline]
+    pub(crate) fn key(&self) -> (Time, u64) {
+        (self.time, self.seq)
+    }
+}
+
 impl<E> PartialEq for ScheduledEvent<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for ScheduledEvent<E> {}
@@ -56,52 +63,27 @@ impl<E> Ord for ScheduledEvent<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse ordering: BinaryHeap is a max-heap, we want the earliest
         // (time, seq) pair on top.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
-/// Which future-event-list implementation an [`EventQueue`] (or a
-/// [`crate::Schedule`], or a simulator built on one) uses.
+/// What a [`crate::Schedule`] (or a simulator built on one) puts in front
+/// of its [`EventQueue`]. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QueueKind {
-    /// Binary heap of `(time, seq)` keys — fully general.
+    /// The heap alone — the reference implementation.
     Heap,
-    /// Hierarchical timing wheel keyed on the integer timestamp — the
-    /// fast path for discrete-event use (monotone clock).
+    /// Constant-delay FIFO lanes in front of the heap — the fast default.
+    /// (The name, and the `"bucket"` spec value, predate the lanes.)
     #[default]
     Bucket,
-}
-
-/// The classic comparison-based implementation.
-#[derive(Debug, Clone)]
-struct HeapQueue<E> {
-    heap: BinaryHeap<ScheduledEvent<E>>,
-    next_seq: u64,
-}
-
-impl<E> HeapQueue<E> {
-    fn schedule(&mut self, time: Time, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(ScheduledEvent { time, seq, event });
-    }
-}
-
-#[derive(Debug, Clone)]
-enum Imp<E> {
-    Heap(HeapQueue<E>),
-    // Boxed: the wheel's slot tables are ~3 KB of inline arrays, and an
-    // EventQueue should stay cheap to move.
-    Bucket(Box<BucketQueue<E>>),
 }
 
 /// A priority queue of timestamped events with deterministic tie-breaking.
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    imp: Imp<E>,
+    heap: BinaryHeap<ScheduledEvent<E>>,
+    next_seq: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -111,268 +93,228 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty heap-backed queue (the fully general
-    /// implementation; see [`Self::with_kind`] for the bucketed one).
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_kind(QueueKind::Heap)
+        Self::with_next_seq(0)
     }
 
-    /// Creates an empty queue backed by the chosen implementation.
-    pub fn with_kind(kind: QueueKind) -> Self {
-        let imp = match kind {
-            QueueKind::Heap => Imp::Heap(HeapQueue {
-                heap: BinaryHeap::new(),
-                next_seq: 0,
-            }),
-            QueueKind::Bucket => Imp::Bucket(Box::default()),
-        };
-        EventQueue { imp }
-    }
-
-    /// Creates an empty heap-backed queue with room for `cap` events
-    /// before reallocating.
-    pub fn with_capacity(cap: usize) -> Self {
+    /// An empty queue whose sequence counter starts at `next_seq` (a
+    /// restored [`crate::Schedule`]'s).
+    pub(crate) fn with_next_seq(next_seq: u64) -> Self {
         EventQueue {
-            imp: Imp::Heap(HeapQueue {
-                heap: BinaryHeap::with_capacity(cap),
-                next_seq: 0,
-            }),
+            heap: BinaryHeap::new(),
+            next_seq,
         }
     }
 
-    /// Which implementation backs this queue.
-    pub fn kind(&self) -> QueueKind {
-        match &self.imp {
-            Imp::Heap(_) => QueueKind::Heap,
-            Imp::Bucket(_) => QueueKind::Bucket,
-        }
+    /// Hands out the next sequence number without filing an event: the
+    /// caller keeps the event elsewhere (a [`crate::Schedule`] lane) but
+    /// its order against this queue's events stays exact.
+    #[inline]
+    pub(crate) fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
     }
 
     /// Schedules `event` to fire at absolute time `time`.
-    ///
-    /// On a [`QueueKind::Bucket`] queue, `time` must not precede the last
-    /// popped timestamp (the discrete-event clock invariant).
     pub fn schedule(&mut self, time: Time, event: E) {
-        match &mut self.imp {
-            Imp::Heap(q) => q.schedule(time, event),
-            Imp::Bucket(q) => q.schedule(time, event),
-        }
+        let seq = self.take_seq();
+        self.heap.push(ScheduledEvent { time, seq, event });
+    }
+
+    /// Files an event whose sequence number was already handed out.
+    #[inline]
+    pub(crate) fn push(&mut self, s: ScheduledEvent<E>) {
+        debug_assert!(s.seq < self.next_seq, "seq beyond the counter");
+        self.heap.push(s);
     }
 
     /// Removes and returns the earliest event, FIFO among equal timestamps.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        match &mut self.imp {
-            Imp::Heap(q) => q.heap.pop().map(|s| (s.time, s.event)),
-            Imp::Bucket(q) => q.pop(),
-        }
+        self.heap.pop().map(|s| (s.time, s.event))
+    }
+
+    /// [`Self::pop`], keeping the sequence number.
+    #[inline]
+    pub(crate) fn pop_scheduled(&mut self) -> Option<ScheduledEvent<E>> {
+        self.heap.pop()
+    }
+
+    /// The `(time, seq)` key of the earliest pending event, if any.
+    #[inline]
+    pub(crate) fn peek_key(&self) -> Option<(Time, u64)> {
+        self.heap.peek().map(ScheduledEvent::key)
     }
 
     /// Timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
-        match &self.imp {
-            Imp::Heap(q) => q.heap.peek().map(|s| s.time),
-            Imp::Bucket(q) => q.peek_time(),
-        }
+        self.heap.peek().map(|s| s.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.imp {
-            Imp::Heap(q) => q.heap.len(),
-            Imp::Bucket(q) => q.len(),
-        }
+        self.heap.len()
     }
 
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Total number of events ever scheduled on this queue.
     pub fn scheduled_count(&self) -> u64 {
-        match &self.imp {
-            Imp::Heap(q) => q.next_seq,
-            Imp::Bucket(q) => q.scheduled_count(),
-        }
-    }
-
-    /// Constant-time occupancy snapshot for telemetry. A bucket queue
-    /// reports occupied slots per wheel level plus its overflow list; a
-    /// heap queue has no levels, so only `len` is populated.
-    pub fn occupancy(&self) -> QueueOccupancy {
-        match &self.imp {
-            Imp::Heap(q) => QueueOccupancy {
-                len: q.heap.len(),
-                ..QueueOccupancy::default()
-            },
-            Imp::Bucket(q) => q.occupancy(),
-        }
+        self.next_seq
     }
 
     /// Drops all pending events (the sequence counter keeps advancing so
     /// determinism is preserved across a clear).
     pub fn clear(&mut self) {
-        match &mut self.imp {
-            Imp::Heap(q) => q.heap.clear(),
-            Imp::Bucket(q) => q.clear(),
-        }
+        self.heap.clear();
     }
 
-    /// Visits every pending event with its `(time, seq)` key, in an
-    /// arbitrary order. Pop order is a pure function of `(time, seq)`, so
-    /// this plus [`EventQueue::scheduled_count`] is the queue's complete
-    /// observable state — what the snapshot layer persists.
-    pub fn snapshot_each(&self, mut f: impl FnMut(Time, u64, &E)) {
-        match &self.imp {
-            Imp::Heap(q) => {
-                for s in q.heap.iter() {
-                    f(s.time, s.seq, &s.event);
-                }
-            }
-            Imp::Bucket(q) => q.snapshot_each(|when, seq, e| f(Time::from_ns(when), seq, e)),
-        }
-    }
-
-    /// An empty queue primed for restore: the chosen implementation with
-    /// its clock floor (bucket) and sequence counter pre-set, ready for
-    /// [`EventQueue::insert_restored`].
-    pub fn restore_empty(kind: QueueKind, floor: Time, next_seq: u64) -> Self {
-        let imp = match kind {
-            QueueKind::Heap => Imp::Heap(HeapQueue {
-                heap: BinaryHeap::new(),
-                next_seq,
-            }),
-            QueueKind::Bucket => Imp::Bucket(Box::new(BucketQueue::restore_empty(
-                floor.as_ns(),
-                next_seq,
-            ))),
-        };
-        EventQueue { imp }
-    }
-
-    /// Re-files an event captured by [`EventQueue::snapshot_each`] under
-    /// its original sequence number, preserving exact pop order.
-    pub fn insert_restored(&mut self, time: Time, seq: u64, event: E) {
-        match &mut self.imp {
-            Imp::Heap(q) => {
-                debug_assert!(seq < q.next_seq, "restored seq beyond the counter");
-                q.heap.push(ScheduledEvent { time, seq, event });
-            }
-            Imp::Bucket(q) => q.insert_restored(time.as_ns(), seq, event),
-        }
+    /// Every pending event, in an arbitrary order. Pop order is a pure
+    /// function of `(time, seq)`, so these plus
+    /// [`EventQueue::scheduled_count`] are the queue's complete observable
+    /// state.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &ScheduledEvent<E>> {
+        self.heap.iter()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Duration, Schedule};
 
-    fn both() -> [EventQueue<u32>; 2] {
+    fn both() -> [Schedule<u32>; 2] {
         [
-            EventQueue::with_kind(QueueKind::Heap),
-            EventQueue::with_kind(QueueKind::Bucket),
+            Schedule::with_kind(QueueKind::Heap),
+            Schedule::with_kind(QueueKind::Bucket),
         ]
+    }
+
+    fn ns(n: u64) -> Duration {
+        Duration::from_ns(n)
     }
 
     #[test]
     fn pops_in_time_order() {
-        for mut q in [
-            EventQueue::with_kind(QueueKind::Heap),
-            EventQueue::with_kind(QueueKind::Bucket),
-        ] {
-            q.schedule(Time::from_ns(50), 'c');
-            q.schedule(Time::from_ns(20), 'a');
-            q.schedule(Time::from_ns(30), 'b');
-            assert_eq!(q.pop(), Some((Time::from_ns(20), 'a')));
-            assert_eq!(q.pop(), Some((Time::from_ns(30), 'b')));
-            assert_eq!(q.pop(), Some((Time::from_ns(50), 'c')));
-            assert_eq!(q.pop(), None);
+        let mut q = EventQueue::new();
+        q.schedule(Time::from_ns(50), 'c');
+        q.schedule(Time::from_ns(20), 'a');
+        q.schedule(Time::from_ns(30), 'b');
+        assert_eq!(q.pop(), Some((Time::from_ns(20), 'a')));
+        assert_eq!(q.pop(), Some((Time::from_ns(30), 'b')));
+        assert_eq!(q.pop(), Some((Time::from_ns(50), 'c')));
+        assert_eq!(q.pop(), None);
+        // Three delays, three lanes under `Bucket`: the heads are merged.
+        for mut s in both() {
+            s.after(ns(50), 3);
+            s.after(ns(20), 1);
+            s.after(ns(30), 2);
+            s.at(Time::from_ns(25), 9);
+            let order: Vec<_> = std::iter::from_fn(|| s.next()).collect();
+            let want = [(20, 1), (25, 9), (30, 2), (50, 3)].map(|(t, e)| (Time::from_ns(t), e));
+            assert_eq!(order, want);
         }
     }
 
     #[test]
     fn equal_timestamps_are_fifo() {
-        for mut q in both() {
-            let t = Time::from_ns(7);
+        for mut s in both() {
+            // Half through a lane, half through the heap, interleaved.
             for i in 0..1000u32 {
-                q.schedule(t, i);
+                if i % 2 == 0 {
+                    s.after(ns(7), i);
+                } else {
+                    s.at(Time::from_ns(7), i);
+                }
             }
             for i in 0..1000u32 {
-                assert_eq!(q.pop(), Some((t, i)));
+                assert_eq!(s.next(), Some((Time::from_ns(7), i)));
             }
         }
     }
 
     #[test]
     fn interleaved_schedule_and_pop_keeps_fifo_within_instant() {
-        for mut q in both() {
-            q.schedule(Time::from_ns(10), 1);
-            q.schedule(Time::from_ns(10), 2);
-            assert_eq!(q.pop().unwrap().1, 1);
+        for mut s in both() {
+            s.after(ns(10), 1);
+            s.at(Time::from_ns(10), 2);
+            assert_eq!(s.next().unwrap().1, 1);
             // Scheduling later at the same instant must come after 2.
-            q.schedule(Time::from_ns(10), 3);
-            assert_eq!(q.pop().unwrap().1, 2);
-            assert_eq!(q.pop().unwrap().1, 3);
+            s.after(ns(0), 3);
+            assert_eq!(s.next().unwrap().1, 2);
+            assert_eq!(s.next().unwrap().1, 3);
         }
     }
 
     #[test]
     fn peek_does_not_consume() {
-        for mut q in both() {
-            assert_eq!(q.peek_time(), None);
-            q.schedule(Time::from_ns(3), 0);
-            assert_eq!(q.peek_time(), Some(Time::from_ns(3)));
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
+        for mut s in both() {
+            assert_eq!(s.peek_time(), None);
+            s.after(ns(70_000), 0);
+            s.after(ns(3), 1);
+            assert_eq!(s.peek_time(), Some(Time::from_ns(3)));
+            assert_eq!(s.len(), 2);
+            assert!(!s.is_empty());
+            assert_eq!(s.next().unwrap().0, Time::from_ns(3));
+            assert_eq!(s.peek_time(), Some(Time::from_ns(70_000)));
         }
     }
 
     #[test]
     fn scheduled_count_is_monotone_across_clear() {
-        for mut q in both() {
-            q.schedule(Time::ZERO, 0);
-            q.schedule(Time::ZERO, 1);
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.scheduled_count(), 2);
-            q.schedule(Time::ZERO, 2);
-            assert_eq!(q.scheduled_count(), 3);
+        let mut q = EventQueue::new();
+        q.schedule(Time::ZERO, 0);
+        q.schedule(Time::ZERO, 1);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.scheduled_count(), 2);
+        q.schedule(Time::ZERO, 2);
+        assert_eq!(q.scheduled_count(), 3);
+        for mut s in both() {
+            s.after(ns(1), 0);
+            s.at(Time::from_ns(1), 1);
+            assert_eq!(s.scheduled_count(), 2);
         }
     }
 
     #[test]
     fn snapshot_restore_preserves_pop_order_mid_stream() {
         for kind in [QueueKind::Heap, QueueKind::Bucket] {
-            // Build a queue with a mix of near, same-instant, cascaded and
-            // overflow events, pop a few, then snapshot/restore and check
-            // the remaining pop sequence is identical.
-            let mut q = EventQueue::with_kind(kind);
+            // Lanes and heap both populated, a few popped, then restored
+            // in a scrambled order: the remaining pop sequence and what
+            // is scheduled after it must be identical.
+            let mut s = Schedule::with_kind(kind);
             for i in 0..20u32 {
-                q.schedule(Time::from_ns(40), i); // same-instant burst
+                s.after(ns(40), i); // same-instant burst
             }
-            q.schedule(Time::from_ns(10), 100);
-            q.schedule(Time::from_ns(5000), 101); // coarser wheel level
-            q.schedule(Time::from_ns(1 << 40), 102); // overflow
+            s.after(ns(10), 100);
+            s.at(Time::from_ns(5000), 101);
+            s.at(Time::from_ns(1 << 40), 102);
             for _ in 0..5 {
-                q.pop().unwrap();
+                s.next().unwrap();
             }
-            q.schedule(Time::from_ns(40), 103); // joins the burst late
+            s.at(Time::from_ns(40), 103); // joins the burst late
 
-            let mut reference = q.clone();
-            let floor = q.peek_time().unwrap();
-            let mut restored = EventQueue::restore_empty(kind, floor, q.scheduled_count());
+            let mut reference = s.clone();
             let mut pending = Vec::new();
-            q.snapshot_each(|t, seq, &e| pending.push((t, seq, e)));
-            // Deliberately insert in a scrambled order: restore must not
-            // depend on insertion order.
-            pending.reverse();
-            for (t, seq, e) in pending {
-                restored.insert_restored(t, seq, e);
+            s.pending_by_seq(&mut pending);
+            assert!(pending.windows(2).all(|w| w[0].seq < w[1].seq));
+            let mut restored = Schedule::restore_empty(kind, s.now(), s.scheduled_count());
+            // Restore must not depend on insertion order.
+            for p in pending.into_iter().rev() {
+                restored.insert_restored(p.time, p.seq, p.event);
             }
             assert_eq!(restored.len(), reference.len());
             assert_eq!(restored.scheduled_count(), reference.scheduled_count());
+            for sched in [&mut reference, &mut restored] {
+                sched.after(ns(40), 104);
+            }
             loop {
-                let (a, b) = (reference.pop(), restored.pop());
+                let (a, b) = (reference.next(), restored.next());
                 assert_eq!(a, b, "kind {kind:?} diverged");
                 if a.is_none() {
                     break;
@@ -383,9 +325,9 @@ mod tests {
 
     #[test]
     fn default_is_heap_and_kind_reports() {
-        assert_eq!(EventQueue::<u32>::new().kind(), QueueKind::Heap);
+        assert_eq!(Schedule::<u32>::new().queue_kind(), QueueKind::Heap);
         assert_eq!(
-            EventQueue::<u32>::with_kind(QueueKind::Bucket).kind(),
+            Schedule::<u32>::with_kind(QueueKind::Bucket).queue_kind(),
             QueueKind::Bucket
         );
         assert_eq!(QueueKind::default(), QueueKind::Bucket);

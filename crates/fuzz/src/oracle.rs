@@ -6,8 +6,8 @@
 //! 1. **Determinism** — two bucket-queue runs of the same spec must
 //!    produce byte-identical outcomes (equal [`outcome_digest`]s).
 //! 2. **Queue equivalence** — a heap-queue run must match the
-//!    bucket-queue digest: the calendar wheel is an optimization, never
-//!    an observable behaviour change.
+//!    bucket-queue digest: the constant-delay lanes in front of the heap
+//!    are an optimization, never an observable behaviour change.
 //! 3. **Accounting** — every submitted message ends the run either
 //!    completed or with a typed failure verdict, and the run aborts on
 //!    neither a simulation error nor a deadlock

@@ -14,7 +14,7 @@
 //! * [`MetricsConfig`] — sampling cadence + ring capacity (derivable
 //!   from a horizon so long runs keep the tail);
 //! * [`GaugeSample`] / [`GaugeSeries`] — per-instant gauge snapshots
-//!   (event-queue occupancy per wheel level, live worms/segments, OCRQ
+//!   (pending events, live worms/segments, OCRQ
 //!   depth, routing epoch, delivery/teardown running totals) in a ring
 //!   that never reallocates after construction;
 //! * [`ChannelAccum`] / [`ChannelScoreboard`] — per-channel congestion

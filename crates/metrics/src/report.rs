@@ -61,7 +61,7 @@ impl RunReport {
         RunReport {
             samples: s.total_recorded(),
             sample_every_ns: m.sample_every_ns,
-            peak_queue_len: s.peak(|g| g.queue.len).unwrap_or(0),
+            peak_queue_len: s.peak(|g| g.queue_len).unwrap_or(0),
             peak_live_worms: s.peak(|g| g.live_worms).unwrap_or(0),
             peak_live_segments: s.peak(|g| g.live_segments).unwrap_or(0),
             peak_ocrq_total: s.peak(|g| g.ocrq_total).unwrap_or(0),
@@ -132,26 +132,24 @@ mod tests {
     #[test]
     fn report_reflects_peaks_and_finals() {
         let mut m = RunMetrics::new(&MetricsConfig::every_ns(100), 2);
-        let mut g = GaugeSample {
+        m.series.push(GaugeSample {
             at_ns: 100,
+            queue_len: 40,
             live_worms: 3,
             ocrq_total: 5,
             ocrq_max: 4,
             delivered: 1,
             ..GaugeSample::default()
-        };
-        g.queue.len = 40;
-        m.series.push(g);
-        let mut g2 = GaugeSample {
+        });
+        m.series.push(GaugeSample {
             at_ns: 200,
+            queue_len: 10,
             live_worms: 1,
             epoch: 2,
             delivered: 7,
             torn_down: 1,
             ..GaugeSample::default()
-        };
-        g2.queue.len = 10;
-        m.series.push(g2);
+        });
         m.channels[0].busy_ns = 500;
         m.channels[1].ocrq_wait_ns = 900;
 

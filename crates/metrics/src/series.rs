@@ -7,17 +7,15 @@
 //! sampling stays zero-alloc at steady state no matter how long the run
 //! is (pinned by `wormsim`'s counting-allocator test target).
 
-use desim::QueueOccupancy;
-
 /// One sampling instant's gauge snapshot. Plain `Copy` data so recording
 /// a sample is a store, never an allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GaugeSample {
     /// Sampling instant (sim time, ns).
     pub at_ns: u64,
-    /// Event-queue occupancy: per-wheel-level occupied slots, overflow
-    /// length, and total pending events.
-    pub queue: QueueOccupancy,
+    /// Pending events in the engine's schedule (the same under either
+    /// queue kind).
+    pub queue_len: usize,
     /// Messages with at least one in-flight worm.
     pub live_worms: u32,
     /// Live worm segments across all messages.

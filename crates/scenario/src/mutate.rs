@@ -20,18 +20,19 @@ use rand::Rng;
 /// outlier. All satisfy `switches >= 2`.
 pub const SWITCH_PALETTE: &[usize] = &[2, 6, 12, 24, 32, 48, 64, 100];
 
-/// Broadcast-storm stagger palette (ns), straddling the bucket wheel's
-/// span so mutants exercise the overflow list: same-instant (0), one
-/// slot (40), mid-range, and just-below / at / beyond the wheel horizon.
+/// Broadcast-storm stagger palette (ns), straddling the engine's far
+/// horizon (`wormsim::WHEEL_SPAN_NS`) so mutants light its coverage bit:
+/// same-instant (0), one router setup (40), mid-range, and just-below / at
+/// / beyond the horizon.
 pub const STAGGER_PALETTE: &[u64] = &[
     0,
     40,
     1_000,
     5_000_000,
-    desim::WHEEL_SPAN_NS - 1,
-    desim::WHEEL_SPAN_NS,
-    desim::WHEEL_SPAN_NS + 1,
-    desim::WHEEL_SPAN_NS * 2,
+    wormsim::WHEEL_SPAN_NS - 1,
+    wormsim::WHEEL_SPAN_NS,
+    wormsim::WHEEL_SPAN_NS + 1,
+    wormsim::WHEEL_SPAN_NS * 2,
 ];
 
 /// One applied mutation: the mutant plus what the mutator did and what
@@ -544,7 +545,7 @@ mod tests {
 
     #[test]
     fn stagger_palette_straddles_the_wheel_horizon() {
-        assert!(STAGGER_PALETTE.contains(&(desim::WHEEL_SPAN_NS - 1)));
-        assert!(STAGGER_PALETTE.contains(&(desim::WHEEL_SPAN_NS + 1)));
+        assert!(STAGGER_PALETTE.contains(&(wormsim::WHEEL_SPAN_NS - 1)));
+        assert!(STAGGER_PALETTE.contains(&(wormsim::WHEEL_SPAN_NS + 1)));
     }
 }

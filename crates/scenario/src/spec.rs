@@ -284,8 +284,8 @@ pub enum FaultModelSpec {
 /// Engine knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct EngineSpec {
-    /// Event-queue implementation; `None` defers to the engine default
-    /// (the bucket wheel).
+    /// Event-queue arrangement; `None` defers to the engine default
+    /// (`bucket`: constant-delay lanes in front of the heap).
     pub queue: Option<QueueSpec>,
     /// Input buffer depth per channel, flits (≥ 1).
     pub input_buffer_flits: usize,
@@ -330,7 +330,8 @@ impl Default for EngineSpec {
 /// Event-queue implementation (mirrors `desim::QueueKind`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum QueueSpec {
-    /// Hierarchical timing wheel (fast default).
+    /// Constant-delay FIFO lanes in front of the binary heap (fast
+    /// default; the name predates the lanes).
     Bucket,
     /// Reference binary heap.
     Heap,

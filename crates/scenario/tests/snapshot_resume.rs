@@ -91,27 +91,6 @@ fn arm_specs() -> Vec<ScenarioSpec> {
     ]
 }
 
-/// A run's telemetry with the wheel-occupancy gauges blanked. They are
-/// the one sampled quantity that describes the event queue's
-/// implementation rather than the fabric (a heap has no levels), so a
-/// run resumed under the other queue legitimately samples them
-/// differently from the resume point on; everything else must match.
-fn fabric_view(out: &wormsim::SimOutcome) -> Option<impl PartialEq + '_> {
-    out.metrics.as_ref().map(|m| {
-        let samples: Vec<_> = m
-            .series
-            .iter()
-            .map(|g| {
-                let mut g = *g;
-                g.queue.levels = Default::default();
-                g.queue.overflow = 0;
-                g
-            })
-            .collect();
-        (m.sample_every_ns, samples, &m.channels)
-    })
-}
-
 #[test]
 fn every_arm_resumes_identically_from_every_checkpoint() {
     for spec in arm_specs() {
@@ -141,19 +120,16 @@ fn every_arm_resumes_identically_from_every_checkpoint() {
                     spec.name
                 );
                 // What the recorders report must survive the round trip
-                // event for event and sample for sample (`assert!`, not
-                // `assert_eq!`: a mismatch should not print both records).
+                // event for event and sample for sample, under either
+                // queue (`assert!`, not `assert_eq!`: a mismatch should
+                // not print both records).
                 assert!(
                     resumed.trace == baseline.trace,
                     "[{}] trace differs after resuming at {at_ns}ns under {queue:?}",
                     spec.name
                 );
-                let same_telemetry = match queue {
-                    QueueKind::Bucket => resumed.metrics == baseline.metrics,
-                    QueueKind::Heap => fabric_view(&resumed) == fabric_view(&baseline),
-                };
                 assert!(
-                    same_telemetry,
+                    resumed.metrics == baseline.metrics,
                     "[{}] telemetry differs after resuming at {at_ns}ns under {queue:?}",
                     spec.name
                 );

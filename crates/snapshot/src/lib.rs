@@ -51,8 +51,10 @@
 //! (channels, destination states, the death mask, the telemetry
 //! scoreboard, slab and ring raw parts, events fired against events
 //! scheduled); every node and channel id against the topology and every
-//! message id against the message table; and lengths that are derived
-//! (a worm's against its message, a sequence number against its worm).
+//! message id against the message table; lengths that are derived
+//! (a worm's against its message, a sequence number against its worm);
+//! and the pending events' canonical order (strictly increasing `seq`,
+//! since format 2).
 //! What it does **not** yet validate is consistency *between* structures
 //! of a checksum-valid snapshot — a busy wire over an empty buffer, a
 //! live-segment list the slab disagrees with, a handle whose slot is
@@ -67,7 +69,7 @@ pub const MAGIC: [u8; 8] = *b"SPAMSNAP";
 
 /// Current snapshot format version (see the version policy in the crate
 /// docs: any payload layout change bumps this).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Streaming FNV-1a 64 accumulator — the workspace's one FNV-1a: the
 /// snapshot trailer ([`fnv1a`]), the artifact-cache fingerprint, the

@@ -7,7 +7,7 @@
 //! snapshot is held against the fabric it will index.
 
 use crate::flit::MsgId;
-use desim::{QueueOccupancy, Time};
+use desim::Time;
 use netgraph::{ChannelId, NodeId, Topology};
 use spam_collections::{Fifo, FifoPool, InlineVec, SlotId};
 use spam_metrics::{ChannelAccum, GaugeSample};
@@ -164,22 +164,6 @@ impl<A: Snap, B: Snap> Snap for (A, B) {
     }
 }
 
-/// A fixed array has no length word.
-impl<const N: usize> Snap for [u32; N] {
-    fn put(&self, w: &mut SnapWriter) {
-        for v in self {
-            v.put(w);
-        }
-    }
-    fn get(r: &mut SnapReader, ids: &mut IdSpace) -> Result<Self, SnapshotError> {
-        let mut words = [0; N];
-        for v in words.iter_mut() {
-            *v = Snap::get(r, ids)?;
-        }
-        Ok(words)
-    }
-}
-
 /// A list is its length (bounded on the way back by the payload that is
 /// left, so a corrupt one cannot size an allocation), then its entries in
 /// order.
@@ -300,11 +284,10 @@ macro_rules! snap_enum {
 }
 pub(crate) use snap_enum;
 
-// The tables of the `desim` and `spam-metrics` types that cross the
-// snapshot boundary live here: those crates do not know the codec.
-snap_struct! { QueueOccupancy { levels, overflow, len } }
+// The tables of the `spam-metrics` types that cross the snapshot
+// boundary live here: that crate does not know the codec.
 snap_struct! { GaugeSample {
-    at_ns, queue, live_worms, live_segments, ocrq_total, ocrq_max, epoch,
+    at_ns, queue_len, live_worms, live_segments, ocrq_total, ocrq_max, epoch,
     delivered, torn_down, unreachable,
 } }
 snap_struct! { ChannelAccum { busy_ns, acquisitions, ocrq_wait_ns, header_stalls } }
@@ -406,18 +389,11 @@ pub(crate) mod tests {
         round_trips(&SlotId::from_raw(3, 9));
         round_trips(&None::<Time>);
         round_trips(&Some((m, SlotId::from_raw(1, 2))));
-        round_trips(&[1u32, 2, 3, 4, 5, 6]);
         round_trips(&vec![n, NodeId(0)]);
         round_trips(&InlineVec::<ChannelId, 4>::from_slice(&[c, c, c, c, c]));
-        let queue = QueueOccupancy {
-            levels: [1, 2, 3, 4, 5, 6],
-            overflow: 7,
-            len: 28,
-        };
-        round_trips(&queue);
         round_trips(&GaugeSample {
             at_ns: 700,
-            queue,
+            queue_len: 28,
             live_worms: 3,
             live_segments: 5,
             ocrq_total: 4,

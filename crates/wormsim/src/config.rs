@@ -63,12 +63,13 @@ pub struct SimConfig {
     /// lengthen every worm, so large destination sets pay a small,
     /// size-dependent serialization cost.
     pub extra_header_flits: u32,
-    /// Which future-event-list implementation drives the run. Both kinds
+    /// Which future-event-list arrangement drives the run. Both kinds
     /// produce byte-identical outcomes (pinned by the golden-regression
-    /// suite); [`QueueKind::Bucket`] is the fast default, [`QueueKind::Heap`]
-    /// remains selectable as the reference implementation via
-    /// [`Self::with_queue`]. `None` (the default) resolves to the bucket
-    /// wheel.
+    /// suite); [`QueueKind::Bucket`] (constant-delay lanes in front of
+    /// the heap) is the fast default, [`QueueKind::Heap`] remains
+    /// selectable as the reference implementation via
+    /// [`Self::with_queue`]. `None` (the default) resolves to
+    /// [`QueueKind::Bucket`].
     pub queue: Option<QueueKind>,
     /// Periodic checkpointing cadence in nanoseconds of simulation time
     /// (`None` = off). When set, the engine serializes its complete
@@ -122,8 +123,9 @@ impl SimConfig {
         self
     }
 
-    /// Selects the event-queue implementation (bucket wheel vs. reference
-    /// binary heap; identical outcomes, different wall-clock speed).
+    /// Selects the event-queue arrangement (lanes in front of the heap vs.
+    /// the reference heap alone; identical outcomes, different wall-clock
+    /// speed).
     pub fn with_queue(mut self, queue: QueueKind) -> Self {
         self.queue = Some(queue);
         self
@@ -203,7 +205,7 @@ mod tests {
 
     #[test]
     fn explicit_queue_choice_beats_default() {
-        // paper() leaves the kind open (the bucket wheel); with_queue pins it.
+        // paper() leaves the kind open (the lanes); with_queue pins it.
         assert_eq!(SimConfig::paper().queue, None);
         assert_eq!(SimConfig::paper().resolved_queue(), QueueKind::Bucket);
         let c = SimConfig::paper().with_queue(QueueKind::Heap);

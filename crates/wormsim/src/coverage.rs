@@ -5,19 +5,27 @@
 //! the fuzzer (`spam-fuzz`) needs a cheap, deterministic answer to "did
 //! this mutant visit an engine state no earlier run did?". [`CoverageSet`]
 //! is that answer: a bitset of one-shot mechanism flags (first
-//! teardown-during-branch-replication, first timing-wheel overflow, each
+//! teardown-during-branch-replication, first far-horizon event, each
 //! error variant) plus a handful of watermark counters (max branch
 //! fanout, max OCRQ depth, epoch count) whose *exceedance* is also
 //! novelty.
 //!
 //! Every signal is computed from engine-visible state only — never from
 //! event-queue internals — so the same run produces the same
-//! `CoverageSet` under both [`desim::QueueKind`] implementations (the
+//! `CoverageSet` under both [`desim::QueueKind`] arrangements (the
 //! corpus suite pins [`crate::Counters`] equality across queues, and the
 //! coverage rides inside `Counters`).
 
 use crate::outcome::SimError;
 use crate::routing::RouteError;
+
+/// The far horizon [`CoverageSet::WHEEL_OVERFLOW`] watches: an event whose
+/// timestamp differs from the clock at or above bit 36 (2^36 ns, about
+/// 68.7 simulated seconds). It is the span of the hierarchical timing
+/// wheel the engine's event queue once was, kept as it was so that the
+/// bit, `wheel_deferrals`, fuzz digests and the corpus pins keep their
+/// meaning.
+pub const WHEEL_SPAN_NS: u64 = 1 << 36;
 
 /// One named coverage bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,10 +52,9 @@ coverage_bits! {
     /// A worm with two or more output channels (a branch replication
     /// unit) was torn down mid-flight by a fault.
     TEARDOWN_DURING_BRANCH = 0, "teardown_during_branch";
-    /// An event was scheduled beyond the bucket wheel's span
-    /// (`desim::WHEEL_SPAN_NS` past the current instant) — the timing
-    /// wheel's overflow list carries it. Detected at schedule time from
-    /// engine state, so the bit is queue-independent.
+    /// An event was scheduled past the far horizon ([`WHEEL_SPAN_NS`]
+    /// from the current instant). Detected at schedule time from engine
+    /// state, so the bit is queue-independent.
     WHEEL_OVERFLOW = 1, "wheel_overflow";
     /// A message's own injection link was already dead at source-ready.
     SOURCE_INJECTION_DEAD = 2, "source_injection_dead";
@@ -132,8 +139,8 @@ pub struct CoverageSet {
     pub max_ocrq_depth: u32,
     /// Routing epochs the run passed through (fault boundaries + 1).
     pub epochs: u32,
-    /// Events scheduled beyond the bucket wheel's span (overflow-list
-    /// candidates), counted at schedule time.
+    /// Events scheduled past the far horizon ([`WHEEL_SPAN_NS`]), counted
+    /// at schedule time.
     pub wheel_deferrals: u32,
     /// Most nodes any single relabel reattached (scenario-level; merged
     /// by `spam-scenario` after the run).

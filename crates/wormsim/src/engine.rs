@@ -6,9 +6,12 @@
 //! transfer completion (`WireDone`, one channel-propagation latency per
 //! flit). Everything else — OCRQ acquisition, flit replication from input
 //! to output buffers, bubble injection, channel release — is an
-//! instantaneous state transition cascaded synchronously from those events,
+//! instantaneous state transition that follows synchronously from those events,
 //! matching the §4 cost model where only startup, router setup, and channel
-//! propagation carry latency.
+//! propagation carry latency. The last two are constant delays from "now",
+//! scheduled with [`Schedule::after`]: under the default
+//! [`desim::QueueKind::Bucket`] each has its own FIFO lane, and only
+//! `SourceReady` and the fault timeline's `LinkDown` go through the heap.
 //!
 //! A message's presence at a router is a **segment**, keyed by the channel
 //! its flits arrive on (or by the message itself at its source). Keying by
@@ -488,17 +491,12 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             if self.error.is_some() {
                 break;
             }
-            // End of this simulated instant: resolve deferred bubbles. Only
-            // what they schedule can move the next event, so one peek
-            // serves both checks unless they did: a peek across the wheel's
-            // window boundary walks a whole slot chain.
+            // End of this simulated instant: resolve deferred bubbles, then
+            // look again at what comes next.
             next = self.sched.peek_time();
             if next != Some(t) {
-                let scheduled = self.sched.scheduled_count();
                 self.flush_bubbles(t);
-                if self.sched.scheduled_count() != scheduled {
-                    next = self.sched.peek_time();
-                }
+                next = self.sched.peek_time();
             }
         }
         if deadlock.is_none()
@@ -562,12 +560,12 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
     }
 
     /// An event scheduled at `when` whose timestamp differs from the
-    /// current clock above the bucket wheel's span would land on the
-    /// wheel's overflow list. Detected here from engine state (not queue
-    /// internals), so the signal is identical under both event queues —
-    /// the equivalence suite pins `Counters` equality.
+    /// current clock at or above [`crate::WHEEL_SPAN_NS`] lies past the
+    /// far horizon. Detected here from engine state (not queue internals),
+    /// so the signal is identical under both event queues — the
+    /// equivalence suite pins `Counters` equality.
     fn note_wheel_horizon(&mut self, when: Time) {
-        if (when.as_ns() ^ self.sched.now().as_ns()) >= desim::WHEEL_SPAN_NS {
+        if (when.as_ns() ^ self.sched.now().as_ns()) >= crate::WHEEL_SPAN_NS {
             self.obs.wheel_deferral();
         }
     }
@@ -1017,7 +1015,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
     /// After teardowns freed channels, give every surviving waiter a
     /// chance to move: restart idle wires, retry head-of-OCRQ
     /// acquisitions, and drain input buffers. Ascending channel order
-    /// keeps the cascade deterministic.
+    /// keeps the chain of wake-ups deterministic.
     fn wake_channels(&mut self, now: Time) {
         for i in 0..self.chans.len() {
             let ch = ChannelId(i as u32);

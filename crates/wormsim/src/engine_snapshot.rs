@@ -8,7 +8,8 @@
 //!   lives with the other observers (`observe.rs`).
 //! * **Complete state.** A snapshot captures the schedule (clock,
 //!   sequence counter, and every pending event under its original
-//!   `(time, seq)` key), all channel state, message state, both slab
+//!   `(time, seq)` key, in `seq` order whatever the queue kind), all
+//!   channel state, message state, both slab
 //!   arenas *raw* (slot generations and free-list order included — a
 //!   resumed run hands out the same `SlotId`s the original would), the
 //!   counters, the completion hook's state, and — written and read by
@@ -31,7 +32,7 @@
 
 use super::*;
 use crate::codec::{ensure, put_list, IdSpace, Snap};
-use desim::QueueKind;
+use desim::{QueueKind, ScheduledEvent};
 use spam_snapshot::{SnapReader, SnapWriter, SnapshotError};
 
 const SECT_META: u32 = 1;
@@ -70,6 +71,18 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         w: &mut SnapWriter,
         hook: &dyn CompletionHook,
     ) -> Result<(), SnapshotError> {
+        self.encode(w, hook, &mut Vec::new())
+    }
+
+    /// [`Self::snapshot_with_hook`], sorting the pending events in a
+    /// buffer the caller lends: the checkpointer keeps one, so its
+    /// checkpoints allocate nothing once it has grown.
+    pub(super) fn encode(
+        &self,
+        w: &mut SnapWriter,
+        hook: &dyn CompletionHook,
+        pending: &mut Vec<ScheduledEvent<Event>>,
+    ) -> Result<(), SnapshotError> {
         w.begin();
 
         let s = w.begin_section(SECT_META);
@@ -81,7 +94,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         w.end_section(s);
 
         let s = w.begin_section(SECT_SCHED);
-        put_schedule(w, &self.sched);
+        put_schedule(w, &self.sched, pending);
         w.end_section(s);
 
         let s = w.begin_section(SECT_CHANS);
@@ -374,20 +387,27 @@ fn get_slab<T>(
 }
 
 /// The schedule: the clock, the sequence counter, then every pending
-/// event under its original `(time, seq)` key.
-fn put_schedule<E: Snap>(w: &mut SnapWriter, sched: &Schedule<E>) {
+/// event under its original `(time, seq)` key, in `seq` order — one
+/// canonical order, so the bytes are the same under either queue kind.
+fn put_schedule<E: Snap + Clone>(
+    w: &mut SnapWriter,
+    sched: &Schedule<E>,
+    pending: &mut Vec<ScheduledEvent<E>>,
+) {
     sched.now().put(w);
     sched.scheduled_count().put(w);
-    w.put_len(sched.len());
-    sched.snapshot_each(|at, seq, event| {
-        at.put(w);
-        seq.put(w);
-        event.put(w);
-    });
+    sched.pending_by_seq(pending);
+    w.put_len(pending.len());
+    for s in pending.iter() {
+        s.time.put(w);
+        s.seq.put(w);
+        s.event.put(w);
+    }
 }
 
 /// Reads back [`put_schedule`] into a queue of `kind`; a key the original
-/// schedule could not have held is a typed error.
+/// schedule could not have held, or one out of `seq` order, is a typed
+/// error.
 fn get_schedule<E: Snap>(
     r: &mut SnapReader,
     ids: &mut IdSpace,
@@ -396,12 +416,15 @@ fn get_schedule<E: Snap>(
     let now = Time::get(r, ids)?;
     let next_seq = u64::get(r, ids)?;
     let mut sched = Schedule::restore_empty(kind, now, next_seq);
+    let mut last_seq = None;
     for _ in 0..r.get_len()? {
         let (at, seq, event) = (Time::get(r, ids)?, u64::get(r, ids)?, E::get(r, ids)?);
         ensure(
             at >= now && seq < next_seq,
             "pending event key out of range",
         )?;
+        ensure(last_seq < Some(seq), "pending events out of seq order")?;
+        last_seq = Some(seq);
         sched.insert_restored(at, seq, event);
     }
     Ok(sched)

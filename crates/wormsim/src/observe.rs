@@ -25,7 +25,7 @@ use super::*;
 use crate::codec::{ensure, put_list, IdSpace, Snap};
 use crate::coverage::CoverageSet;
 use crate::trace::{ChannelList, Trace, TraceEvent};
-use desim::{Duration, Ticker};
+use desim::{Duration, ScheduledEvent, Ticker};
 use spam_metrics::{
     ChannelAccum, ChannelScoreboard, GaugeSample, GaugeSeries, MetricsConfig, RunMetrics,
 };
@@ -104,12 +104,14 @@ impl CheckpointSink {
 
 /// Live checkpointing state (see [`NetworkSim::enable_checkpoints`]).
 /// The writer buffer is allocated once and reused for every snapshot,
-/// so steady-state checkpointing through a [`CheckpointSink::Digests`]
-/// sink allocates nothing.
+/// and so is the buffer the pending events are sorted in, so
+/// steady-state checkpointing through a [`CheckpointSink::Digests`] sink
+/// allocates nothing.
 struct CheckpointState {
     ticker: Ticker,
     sink: CheckpointSink,
     writer: SnapWriter,
+    pending: Vec<ScheduledEvent<Event>>,
     /// Set on the first encode failure (e.g. a routing algorithm with no
     /// header codec): checkpointing disables itself rather than
     /// perturbing or aborting the run.
@@ -122,6 +124,7 @@ impl CheckpointState {
             ticker,
             sink,
             writer: SnapWriter::with_capacity(16 * 1024),
+            pending: Vec::new(),
             dead: None,
         })
     }
@@ -373,9 +376,9 @@ impl Observers {
         self.coverage.note_sim_error(e);
     }
 
-    /// **Scheduled past the wheel** — an event landed beyond the bucket
-    /// wheel's span. The engine detects it from its own clock, so the
-    /// signal is identical under both event queues.
+    /// **Scheduled past the far horizon** — an event landed
+    /// [`crate::WHEEL_SPAN_NS`] or more ahead. The engine detects it from
+    /// its own clock, so the signal is identical under both event queues.
     #[inline]
     pub(super) fn wheel_deferral(&mut self) {
         self.coverage.set(CoverageSet::WHEEL_OVERFLOW);
@@ -565,7 +568,7 @@ impl<R: RoutingAlgorithm> NetworkSim<'_, R> {
         }
         GaugeSample {
             at_ns: at.as_ns(),
-            queue: self.sched.queue_occupancy(),
+            queue_len: self.sched.len(),
             live_worms: self.active as u32,
             live_segments: self.segs.len() as u32,
             ocrq_total,
@@ -611,15 +614,17 @@ impl<R: RoutingAlgorithm> NetworkSim<'_, R> {
         let mut last = cs.ticker.next_at();
         cs.ticker.drain_through(upto, |at| last = at);
         // The encoder reads the cadence off `self`, so the checkpointer
-        // stays in place and lends out its buffer for the duration.
+        // stays in place and lends out its buffers for the duration.
         let mut writer = std::mem::replace(&mut cs.writer, SnapWriter::with_capacity(0));
-        let encoded = self.snapshot_with_hook(&mut writer, hook);
+        let mut pending = std::mem::take(&mut cs.pending);
+        let encoded = self.encode(&mut writer, hook, &mut pending);
         if let Some(cs) = self.obs.checkpoint.as_mut() {
             match encoded {
                 Ok(()) => cs.sink.store(last.as_ns(), writer.seal()),
                 Err(e) => cs.dead = Some(e),
             }
             cs.writer = writer;
+            cs.pending = pending;
         }
     }
 

@@ -89,12 +89,9 @@ fn fresh_sim_at<'a>(
     sim
 }
 
-/// Full-outcome equality. `ignore_queue_shape` relaxes the one field
-/// that legitimately depends on the event-queue implementation: the
-/// gauge samples' queue-occupancy histogram (wheel levels/overflow) —
-/// everything the digest pins (events, latencies, counters, trace)
-/// must still match exactly across queue kinds.
-fn assert_same_outcome(a: &SimOutcome, b: &SimOutcome, ignore_queue_shape: bool) {
+/// Full-outcome equality, the recorders' output included: nothing a run
+/// reports depends on the event-queue kind.
+fn assert_same_outcome(a: &SimOutcome, b: &SimOutcome) {
     assert_eq!(a.end_time, b.end_time);
     assert_eq!(a.quiescent, b.quiescent);
     assert_eq!(a.deadlock, b.deadlock);
@@ -113,22 +110,7 @@ fn assert_same_outcome(a: &SimOutcome, b: &SimOutcome, ignore_queue_shape: bool)
     let (ma, mb) = (a.metrics.as_ref().unwrap(), b.metrics.as_ref().unwrap());
     assert_eq!(ma.sample_every_ns, mb.sample_every_ns);
     assert_eq!(ma.channels, mb.channels);
-    if ignore_queue_shape {
-        let strip = |m: &wormsim::RunMetrics| -> Vec<spam_metrics::GaugeSample> {
-            m.series
-                .iter()
-                .map(|g| {
-                    let mut g = *g;
-                    g.queue.levels = [0; desim::WHEEL_LEVELS];
-                    g.queue.overflow = 0;
-                    g
-                })
-                .collect()
-        };
-        assert_eq!(strip(ma), strip(mb));
-    } else {
-        assert_eq!(ma.series, mb.series);
-    }
+    assert_eq!(ma.series, mb.series);
 }
 
 #[test]
@@ -142,7 +124,7 @@ fn checkpointing_is_a_pure_observer() {
     let (sink, digests) = CheckpointSink::digests();
     sim.set_checkpoint_sink(sink);
     let out = sim.run();
-    assert_same_outcome(&baseline, &out, false);
+    assert_same_outcome(&baseline, &out);
     let digests = digests.lock().unwrap();
     // Ticks landing between two events collapse into one encode (state
     // is constant there), so the count is bounded by event density, not
@@ -167,7 +149,7 @@ fn resume_from_every_checkpoint_matches_uninterrupted_run() {
     let mut sim = fresh_sim(&topo, &n, base_cfg);
     let (sink, kept) = CheckpointSink::keep_all();
     sim.enable_checkpoints(Duration::from_ns(1_000), sink);
-    assert_same_outcome(&baseline, &sim.run(), false);
+    assert_same_outcome(&baseline, &sim.run());
 
     let kept = kept.lock().unwrap();
     assert!(
@@ -182,7 +164,7 @@ fn resume_from_every_checkpoint_matches_uninterrupted_run() {
             let cfg = SimConfig::paper().with_queue(kind);
             let sim = NetworkSim::restore(&topo, build_oracle(&topo, &n), cfg, bytes)
                 .unwrap_or_else(|e| panic!("restore at {at_ns}ns failed: {e}"));
-            assert_same_outcome(&baseline, &sim.run(), kind != QueueKind::Bucket);
+            assert_same_outcome(&baseline, &sim.run());
         }
     }
 }

@@ -26,9 +26,9 @@ use wormsim::{
     CheckpointSink, MessageSpec, MetricsConfig, NetworkSim, QueueKind, SimConfig, SimOutcome,
 };
 
-/// The zero-alloc discipline is a property of the bucket wheel's pooled
-/// slot chains; the reference heap grows its backing storage on its own
-/// schedule. Pin the wheel explicitly so the pins name the path they
+/// The pins measure the default queue: constant-delay lanes, rings that
+/// stop growing once they hold a run's peak of in-flight wires and
+/// routing decisions. Pin it explicitly so the pins name the path they
 /// measure.
 fn cfg() -> SimConfig {
     SimConfig::paper().with_queue(QueueKind::Bucket)
@@ -143,8 +143,8 @@ fn run_branching_cfg(len: u32, traced: bool) -> (SimOutcome, u64) {
 fn body_flits_allocate_nothing() {
     // Warm up (first run pays one-time lazy init in the runtime).
     let _ = run_unicast(16);
-    // Both measured runs are long enough to fully warm the event wheel's
-    // per-slot capacities (a few microseconds of simulated time); past
+    // Both measured runs are long enough to fully warm the event lanes'
+    // capacities (a few microseconds of simulated time); past
     // that point the runs differ only in body-flit count, so any nonzero
     // delta is a per-flit allocation.
     let (short_out, short_allocs) = run_unicast(4096);

@@ -114,8 +114,8 @@ fn mid_run_link_death_outcome() -> SimOutcome {
     // 10.5 µs (tearing the broadcast down mid-worm), then post-fault
     // traffic routing on the relabeled epoch — one multicast that must
     // deliver and one unicast to the stranded processor that must surface
-    // as unreachable. Pins the storm scheduling, the engine teardown
-    // cascade, the incremental relabeling, and the epoch routing swap.
+    // as unreachable. Pins the storm scheduling, the engine's chain of
+    // teardowns, the incremental relabeling, and the epoch routing swap.
     let topo = IrregularConfig::with_switches(64).generate(2024);
     let ud = UpDownLabeling::build(&topo, RootSelection::LowestId);
     let procs: Vec<NodeId> = topo.processors().collect();
@@ -222,16 +222,17 @@ fn seeded_broadcast_outcome(queue: QueueKind) -> SimOutcome {
 
 #[test]
 fn bucket_and_heap_queues_produce_identical_outcomes() {
-    // The engine defaults to the bucketed timing wheel; the reference
-    // binary heap stays selectable. Both must simulate the exact same run:
-    // the golden values above pin the bucket default, this pins the
-    // equivalence — including a live-reconfiguration run whose teardown
-    // cascades are maximally order-sensitive.
-    let wheel = seeded_broadcast_outcome(QueueKind::Bucket);
+    // The engine defaults to constant-delay lanes in front of the binary
+    // heap; the heap alone stays selectable as the reference. Both must
+    // simulate the exact same run: the golden values above pin the bucket
+    // default, this pins the equivalence — including a
+    // live-reconfiguration run whose chains of teardowns are maximally
+    // order-sensitive.
+    let lanes = seeded_broadcast_outcome(QueueKind::Bucket);
     let heap = seeded_broadcast_outcome(QueueKind::Heap);
-    assert!(wheel.all_delivered());
-    assert_outcomes_identical(&wheel, &heap, "seeded broadcast");
-    assert_eq!(wheel.messages[0].latency().unwrap().as_ns(), 12_230);
+    assert!(lanes.all_delivered());
+    assert_outcomes_identical(&lanes, &heap, "seeded broadcast");
+    assert_eq!(lanes.messages[0].latency().unwrap().as_ns(), 12_230);
 }
 
 /// Pinned digest of one corpus scenario's replication 0.
@@ -396,13 +397,13 @@ fn scenario_corpus_is_pinned_and_queue_equivalent() {
             "corpus order pinned ({})",
             path.display()
         );
-        let wheel = spam_net::scenario::run_once(spec, 0, Some(QueueKind::Bucket))
+        let lanes = spam_net::scenario::run_once(spec, 0, Some(QueueKind::Bucket))
             .unwrap_or_else(|e| panic!("{}: {e}", pin.name));
         let heap = spam_net::scenario::run_once(spec, 0, Some(QueueKind::Heap))
             .unwrap_or_else(|e| panic!("{}: {e}", pin.name));
-        assert_outcomes_identical(&wheel, &heap, pin.name);
-        assert!(wheel.all_accounted(), "{}: not accounted", pin.name);
-        let s = spam_net::scenario::summarize(0, &wheel);
+        assert_outcomes_identical(&lanes, &heap, pin.name);
+        assert!(lanes.all_accounted(), "{}: not accounted", pin.name);
+        let s = spam_net::scenario::summarize(0, &lanes);
         assert_eq!(
             (s.submitted, s.delivered, s.torn_down, s.unreachable),
             pin.counts,

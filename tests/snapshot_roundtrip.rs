@@ -121,15 +121,11 @@ fn kill_and_resume_from_the_disk_journal_matches_uninterrupted_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The snapshot byte format, pinned: FNV-1a of the first checkpoint of
-/// three small specs — a storm, a closed loop (hook state) and a
-/// statically degraded open loop — each with tracing and telemetry on so
-/// every section of the container is non-empty. The literals were
-/// recorded before the codec was split across `engine_snapshot.rs`,
-/// `observe.rs`, `trace.rs` and `coverage.rs`; a change to any of them
-/// must come with a `spam_snapshot::FORMAT_VERSION` bump.
-#[test]
-fn snapshot_bytes_are_pinned_for_format_version_1() {
+/// The three small specs the byte-format pins checkpoint: a storm, a
+/// closed loop (hook state) and a statically degraded open loop — each
+/// with tracing and telemetry on so every section of the container is
+/// non-empty.
+fn format_pin_specs() -> [ScenarioSpec; 3] {
     use spam_net::scenario::{ArrivalSpec, FaultModelSpec};
     let small = |name: &str| {
         let mut s = ScenarioSpec::example(name);
@@ -168,18 +164,35 @@ fn snapshot_bytes_are_pinned_for_format_version_1() {
         model: FaultModelSpec::IidLinks { rate: 0.1 },
         seed: 7,
     };
-    assert_eq!(spam_snapshot::FORMAT_VERSION, 1);
+    [storm, closed, degraded]
+}
+
+/// The first checkpoint of `spec` under `queue`, taken at 12 us: past the
+/// 10 us startup, so worms are mid-flight and the trace, the gauge ring
+/// and the channel scoreboard all hold data.
+fn first_checkpoint(spec: &ScenarioSpec, queue: Option<QueueKind>) -> (u64, Vec<u8>) {
+    let run = run_once_checkpointed(spec, 0, queue, 12_000).expect("checkpointed run");
+    assert!(!run.outcome.trace.events.is_empty(), "[{}]", spec.name);
+    run.checkpoints
+        .into_iter()
+        .next()
+        .expect("a checkpoint at 12 us")
+}
+
+/// The snapshot byte format, pinned: FNV-1a of the first checkpoint of
+/// each [`format_pin_specs`] spec. A change to any of them must come with
+/// a `spam_snapshot::FORMAT_VERSION` bump.
+#[test]
+fn snapshot_bytes_are_pinned_for_format_version_2() {
+    assert_eq!(spam_snapshot::FORMAT_VERSION, 2);
+    let [storm, closed, degraded] = format_pin_specs();
     for (spec, want) in [
-        (storm, 0x74e8_0918_1e7c_5178_u64),
-        (closed, 0xb2b9_cc76_f377_d58f),
-        (degraded, 0x72b6_aa6d_3738_f8d1),
+        (storm, 0x07dc_52ad_174f_ec98_u64),
+        (closed, 0xd949_2f6f_3b06_0c67),
+        (degraded, 0xca1f_23a2_5d27_d544),
     ] {
-        // 12 us: past the 10 us startup, so worms are mid-flight and the
-        // trace, the gauge ring and the channel scoreboard all hold data.
-        let run = run_once_checkpointed(&spec, 0, None, 12_000).expect("checkpointed run");
-        let (at_ns, bytes) = &run.checkpoints[0];
-        assert!(!run.outcome.trace.events.is_empty(), "[{}]", spec.name);
-        let got = spam_net::wormsim::fnv1a(bytes);
+        let (at_ns, bytes) = first_checkpoint(&spec, None);
+        let got = spam_net::wormsim::fnv1a(&bytes);
         assert_eq!(
             got,
             want,
@@ -187,6 +200,21 @@ fn snapshot_bytes_are_pinned_for_format_version_1() {
              (got {got:#018x})",
             spec.name,
             bytes.len(),
+        );
+    }
+}
+
+/// A snapshot is a function of the simulation, not of the event queue
+/// that ran it: pending events are written in `seq` order.
+#[test]
+fn first_checkpoints_are_byte_identical_under_both_queues() {
+    for spec in format_pin_specs() {
+        let heap = first_checkpoint(&spec, Some(QueueKind::Heap));
+        let bucket = first_checkpoint(&spec, Some(QueueKind::Bucket));
+        assert!(
+            heap == bucket,
+            "[{}] checkpoint bytes depend on the queue",
+            spec.name
         );
     }
 }
