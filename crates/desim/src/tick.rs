@@ -68,12 +68,35 @@ impl Ticker {
     /// Fires `f` once per due tick, in order, for every tick instant
     /// `<= t`. Call with the timestamp of the event about to be handled
     /// (ticks are conceptually processed *before* the instant's events).
+    /// One call per tick: a caller facing a far jump counts the ticks
+    /// with [`Ticker::due_through`] and passes over the ones it does not
+    /// need with [`Ticker::skip`] first.
     #[inline]
     pub fn drain_through(&mut self, t: Time, mut f: impl FnMut(Time)) {
-        while self.next <= t.as_ns() {
+        for _ in 0..self.due_through(t) {
             f(Time::from_ns(self.next));
             self.advance();
         }
+    }
+
+    /// How many tick instants are due at or before `t` — what
+    /// [`Ticker::drain_through`] would fire — in O(1).
+    #[inline]
+    pub fn due_through(&self, t: Time) -> u64 {
+        match t.as_ns().checked_sub(self.next) {
+            Some(gap) => (gap / self.period).saturating_add(1),
+            None => 0,
+        }
+    }
+
+    /// Consumes `n` ticks at once: the state `n` calls of
+    /// [`Ticker::advance`] leave, saturating the same way, in O(1).
+    #[inline]
+    pub fn skip(&mut self, n: u64) {
+        self.next = n
+            .checked_mul(self.period)
+            .and_then(|d| self.next.checked_add(d))
+            .unwrap_or(u64::MAX);
     }
 
     /// The cadence's raw `(period_ns, next_ns)` state, for snapshots.
@@ -129,6 +152,26 @@ mod tests {
         t.advance();
         t.advance();
         t.advance();
+        assert_eq!(t.next_at(), Time::from_ns(u64::MAX));
+    }
+
+    #[test]
+    fn skip_and_due_count_match_ticking_one_by_one() {
+        for (period, start, upto) in [(10, 10, 9), (10, 10, 10), (7, 7, 1_000), (3, 5, 5_000)] {
+            let mut slow = Ticker::from_parts(period, start).unwrap();
+            let mut fast = slow;
+            let due = fast.due_through(Time::from_ns(upto));
+            let mut fired = 0u64;
+            slow.drain_through(Time::from_ns(upto), |_| fired += 1);
+            assert_eq!(due, fired);
+            fast.skip(due);
+            assert_eq!(fast.parts(), slow.parts());
+        }
+        // Saturates like `advance`, and a jump to the end of time is one
+        // count, not 2^64 / period iterations.
+        let mut t = Ticker::every(Duration::from_ns(1 << 20));
+        assert_eq!(t.due_through(Time::from_ns(u64::MAX)), u64::MAX >> 20);
+        t.skip(u64::MAX);
         assert_eq!(t.next_at(), Time::from_ns(u64::MAX));
     }
 

@@ -81,6 +81,23 @@ impl GaugeSeries {
         self.total += 1;
     }
 
+    /// Advances the ring as `n` pushes would — the overwrite cursor and
+    /// the running total — without writing them, in O(1): a slot one of
+    /// them would have filled for the first time holds a default sample.
+    /// Meant for a jump whose samples the ring could not keep anyway:
+    /// followed by [`GaugeSeries::capacity`] pushes, which overwrite every
+    /// slot, the ring equals the one `n + capacity()` pushes leave. Never
+    /// allocates.
+    pub fn skip(&mut self, n: u64) {
+        let fresh = (self.cap - self.buf.len()).min(usize::try_from(n).unwrap_or(usize::MAX));
+        self.buf
+            .resize(self.buf.len() + fresh, GaugeSample::default());
+        let cap = self.cap as u64;
+        let overwritten = (n - fresh as u64) % cap;
+        self.head = ((self.head as u64 + overwritten) % cap) as usize;
+        self.total = self.total.saturating_add(n);
+    }
+
     /// Samples currently retained.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -240,6 +257,45 @@ mod tests {
         assert!(s.wrapped());
         assert_eq!(s.iter().map(|g| g.at_ns).collect::<Vec<_>>(), vec![2, 3]);
         assert_eq!(s.latest().unwrap().at_ns, 3);
+    }
+
+    #[test]
+    fn skip_then_a_full_ring_of_pushes_equals_pushing_everything() {
+        for (cap, before, n) in [
+            (3, 0, 1),
+            (3, 1, 2),
+            (3, 2, 7),
+            (4, 6, 9),
+            (5, 5, 0),
+            (1, 0, 4),
+        ] {
+            let mut slow = GaugeSeries::with_capacity(cap);
+            let mut fast = GaugeSeries::with_capacity(cap);
+            for ns in 0..before {
+                slow.push(at(ns));
+                fast.push(at(ns));
+            }
+            let fills = slow.buf.capacity();
+            for ns in before..before + n {
+                slow.push(at(ns));
+            }
+            fast.skip(n);
+            assert_eq!(fast.total_recorded(), slow.total_recorded());
+            for ns in before + n..before + n + cap as u64 {
+                slow.push(at(ns));
+                fast.push(at(ns));
+            }
+            assert_eq!(
+                fast.raw_parts(),
+                slow.raw_parts(),
+                "cap {cap}, {before} + {n}"
+            );
+            assert_eq!(fast.buf.capacity(), fills, "skip must not reallocate");
+        }
+        // A jump no loop could walk.
+        let mut s = GaugeSeries::with_capacity(4);
+        s.skip(1 << 40);
+        assert_eq!((s.len(), s.total_recorded()), (4, 1 << 40));
     }
 
     #[test]

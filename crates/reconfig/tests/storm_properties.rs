@@ -14,6 +14,12 @@
 //!   them into the watchdog.
 //! * **Determinism** — identical storms and traffic produce identical
 //!   verdicts and latencies, run to run.
+//! * **Wakes over blocked worms** — link-downs that land while hotspot
+//!   worms wait on each other's channels. Debug builds check on every wake
+//!   that each channel outside the engine's tracked list is quiescent, and
+//!   the run must match the reference heap queue exactly. This property's
+//!   case count follows `PROPTEST_CASES` (8 when unset), so CI can run it
+//!   wide in a debug build.
 
 use desim::Time;
 use netgraph::gen::lattice::IrregularConfig;
@@ -24,7 +30,7 @@ use rand::{Rng, SeedableRng};
 use spam_faults::FaultModel;
 use spam_reconfig::{FaultSchedule, ReconfigScenario};
 use updown::{RootSelection, UpDownLabeling};
-use wormsim::{MessageSpec, NetworkSim, SimConfig, SimOutcome};
+use wormsim::{MessageSpec, NetworkSim, QueueKind, SimConfig, SimOutcome};
 
 /// One storm run: 64-switch lattice, i.i.d. link storm in `bursts` bursts
 /// across the traffic window, 24 multicasts submitted every 3 µs.
@@ -55,6 +61,49 @@ fn storm_run(topo_seed: u64, rate: f64, bursts: usize, traffic_seed: u64) -> Sim
             .unwrap();
     }
     sim.run()
+}
+
+/// A hotspot storm: 64-switch lattice, 48 multicasts one every µs, each
+/// to 1–3 of four hot processors (so worms queue on each other's
+/// channels), and an i.i.d. link storm in two bursts inside 20–60 µs,
+/// while most of them are in flight.
+fn blocked_storm_run(topo_seed: u64, rate: f64, traffic_seed: u64, queue: QueueKind) -> SimOutcome {
+    let base = IrregularConfig::with_switches(64).generate(topo_seed);
+    let ud = UpDownLabeling::build(&base, RootSelection::LowestId);
+    let schedule = FaultSchedule::storm(
+        &FaultModel::IidLinks { rate },
+        &base,
+        None,
+        (Time::from_us(20), Time::from_us(60)),
+        2,
+        topo_seed ^ traffic_seed,
+    );
+    let scenario = ReconfigScenario::build(&base, &ud, &schedule);
+    let routing = scenario.routing(&base);
+    let mut sim = NetworkSim::new(&base, routing, SimConfig::paper().with_queue(queue));
+    schedule.install(&mut sim);
+    let procs: Vec<NodeId> = base.processors().collect();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(traffic_seed);
+    let mut hot = procs.clone();
+    hot.shuffle(&mut rng);
+    hot.truncate(4);
+    for i in 0..48u64 {
+        let src = procs[rng.gen_range(0..procs.len())];
+        let mut dests: Vec<NodeId> = hot.iter().copied().filter(|&p| p != src).collect();
+        dests.shuffle(&mut rng);
+        dests.truncate(1 + rng.gen_range(0..3));
+        sim.submit(MessageSpec::multicast(src, dests, 64).at(Time::from_us(i)))
+            .unwrap();
+    }
+    sim.run()
+}
+
+/// Cases of the blocked-storm property: `PROPTEST_CASES` when set, else 8.
+fn blocked_storm_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(8)
 }
 
 fn verdicts(out: &SimOutcome) -> Vec<(bool, bool, bool, Option<u64>)> {
@@ -132,6 +181,27 @@ proptest! {
         prop_assert_eq!(a.counters, b.counters);
         prop_assert_eq!(a.end_time, b.end_time);
         prop_assert_eq!(a.fault_times, b.fault_times);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(blocked_storm_cases()))]
+
+    #[test]
+    fn storms_over_blocked_worms_match_the_reference_queue(
+        topo_seed in 0u64..1000,
+        rate_pct in 5u32..=12,
+        traffic_seed in 0u64..1000,
+    ) {
+        let rate = rate_pct as f64 / 100.0;
+        let lanes = blocked_storm_run(topo_seed, rate, traffic_seed, QueueKind::Bucket);
+        prop_assert!(lanes.error.is_none(), "run aborted: {:?}", lanes.error);
+        prop_assert!(lanes.deadlock.is_none(), "deadlock: {:?}", lanes.deadlock);
+        prop_assert!(lanes.all_accounted());
+        let heap = blocked_storm_run(topo_seed, rate, traffic_seed, QueueKind::Heap);
+        prop_assert_eq!(verdicts(&lanes), verdicts(&heap));
+        prop_assert_eq!(lanes.counters, heap.counters);
+        prop_assert_eq!(lanes.channel_crossings, heap.channel_crossings);
     }
 }
 

@@ -127,7 +127,9 @@ impl UpDownLabeling {
     /// Panics if the topology has no switches, is disconnected, or the fixed
     /// root is not a switch.
     pub fn build(topo: &Topology, root_sel: RootSelection) -> Self {
-        let root = resolve_root(topo, root_sel);
+        let Some(root) = resolve_root(topo, root_sel) else {
+            panic!("up*/down* labeling requires a switch");
+        };
         assert!(topo.is_switch(root), "root {root} must be a switch");
         let labeling = Self::build_from_root(topo, root);
         assert!(
@@ -210,8 +212,10 @@ impl UpDownLabeling {
                     if labeled[v.index()] || !view.is_node_alive(v) {
                         continue;
                     }
-                    let ch = topo.channel_between(u, v).expect("tree edges are links");
-                    if !view.is_channel_alive(ch) {
+                    // A tree edge is a link of the base topology; one that
+                    // were not could not be kept either.
+                    let kept = topo.channel_between(u, v);
+                    if !kept.is_some_and(|ch| view.is_channel_alive(ch)) {
                         continue;
                     }
                     parent[v.index()] = Some(u);
@@ -227,9 +231,20 @@ impl UpDownLabeling {
         // heap keeps levels consistent (child = parent + 1) without caring
         // that kept levels are no longer BFS-minimal — acyclicity of the
         // up/down subnetworks only needs consistency, not minimality.
+        //
+        // Only the frontier is seeded: labeled nodes with an alive channel
+        // to an unlabeled one. Any other labeled node would do nothing when
+        // popped, and since labels only grow it never gains work later;
+        // keys are unique, so leaving it out leaves the pop order of the
+        // rest unchanged. The cost follows the orphans, not the fabric.
+        let orphan_neighbor = |v: NodeId| {
+            topo.out_channels(v)
+                .iter()
+                .any(|&c| view.is_channel_alive(c) && !labeled[topo.channel(c).dst.index()])
+        };
         let mut heap: BinaryHeap<Reverse<(u32, NodeId)>> = topo
             .nodes()
-            .filter(|v| labeled[v.index()])
+            .filter(|&v| labeled[v.index()] && orphan_neighbor(v))
             .map(|v| Reverse((level[v.index()], v)))
             .collect();
         let mut reattached = 0usize;
@@ -468,18 +483,28 @@ impl UpDownLabeling {
     /// (there is no common tree). Use [`Self::lca_of`] for a total
     /// variant.
     pub fn lca(&self, a: NodeId, b: NodeId) -> NodeId {
+        match self.common_ancestor(a, b) {
+            Some(x) => x,
+            None => panic!("{a} and {b} share no tree"),
+        }
+    }
+
+    /// The tree walk behind [`Self::lca`]: `None` when it runs off a tree
+    /// root before the two sides meet (a node outside the labeled
+    /// component is a root of its own).
+    fn common_ancestor(&self, a: NodeId, b: NodeId) -> Option<NodeId> {
         let (mut x, mut y) = (a, b);
         while self.level[x.index()] > self.level[y.index()] {
-            x = self.parent[x.index()].expect("non-root has a parent");
+            x = self.parent[x.index()]?;
         }
         while self.level[y.index()] > self.level[x.index()] {
-            y = self.parent[y.index()].expect("non-root has a parent");
+            y = self.parent[y.index()]?;
         }
         while x != y {
-            x = self.parent[x.index()].expect("walk meets at the root");
-            y = self.parent[y.index()].expect("walk meets at the root");
+            x = self.parent[x.index()]?;
+            y = self.parent[y.index()]?;
         }
-        x
+        Some(x)
     }
 
     /// Least common ancestor of a set of nodes; `None` for the empty set
@@ -495,7 +520,7 @@ impl UpDownLabeling {
         }
         let mut it = nodes.iter();
         let first = *it.next()?;
-        Some(it.fold(first, |acc, &n| self.lca(acc, n)))
+        it.try_fold(first, |acc, &n| self.common_ancestor(acc, n))
     }
 
     /// The tree child of `n` whose subtree contains `dest`, if any. This is
@@ -577,19 +602,16 @@ fn group_nodes(
     (offsets, nodes)
 }
 
-fn resolve_root(topo: &Topology, sel: RootSelection) -> NodeId {
+/// The root `sel` names; `None` when a policy has no switch to choose.
+fn resolve_root(topo: &Topology, sel: RootSelection) -> Option<NodeId> {
     match sel {
-        RootSelection::Fixed(n) => n,
-        RootSelection::LowestId => topo.switches().next().expect("topology has a switch"),
-        RootSelection::MaxDegree => algo::max_degree_switch(topo).expect("topology has a switch"),
-        RootSelection::MinEccentricity => {
-            algo::min_eccentricity_switch(topo).expect("topology has a switch")
-        }
+        RootSelection::Fixed(n) => Some(n),
+        RootSelection::LowestId => topo.switches().next(),
+        RootSelection::MaxDegree => algo::max_degree_switch(topo),
+        RootSelection::MinEccentricity => algo::min_eccentricity_switch(topo),
         RootSelection::RandomSeeded(seed) => {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            topo.switches()
-                .choose(&mut rng)
-                .expect("topology has a switch")
+            topo.switches().choose(&mut rng)
         }
     }
 }

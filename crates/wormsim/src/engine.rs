@@ -62,6 +62,19 @@
 //! `&mut self` method, so the borrow can stay. Whether a channel ends at a
 //! processor — asked on every input-buffer drain — is a bit in the
 //! per-channel flags byte beside the death mask (`ChanFlags`).
+//!
+//! ## The fault path
+//!
+//! A live run (one with scheduled faults) keeps `tracked`: the channels
+//! that may hold worm state, ascending, with a third flags bit marking
+//! membership. A channel joins at its first OCRQ entry — `enqueue` is the
+//! only way a worm reaches a channel — and leaves when a wake finds it
+//! quiescent, so every channel outside the list is quiescent. Teardown's
+//! header and flit purge and the post-fault wake of survivors walk this
+//! list instead of the fabric, in the same ascending order a full scan
+//! would take: a full scan's extra visits are to quiescent channels, where
+//! they do nothing. A fault therefore costs what it touches. Static runs
+//! never tear down or wake, and track nothing.
 
 use crate::channel::Chan;
 use crate::codec::{ensure, put_list, snap_enum, snap_struct, IdSpace, Snap};
@@ -233,15 +246,17 @@ fn index_dests(index: &mut Vec<(NodeId, u32)>, spec: &MessageSpec) {
     index[at..].sort_unstable_by_key(|&(d, _)| d);
 }
 
-/// One flags byte per channel: the live-reconfiguration death mask, and
+/// One flags byte per channel: the live-reconfiguration death mask,
 /// whether the channel ends at a processor — asked every time an input
 /// buffer is drained, so kept beside the mask rather than asked of the
-/// topology (two dependent lookups) each time.
+/// topology (two dependent lookups) each time — and membership of
+/// [`NetworkSim::tracked`].
 struct ChanFlags(Vec<u8>);
 
 impl ChanFlags {
     const DEAD: u8 = 1;
     const TO_PROCESSOR: u8 = 2;
+    const TRACKED: u8 = 4;
 
     fn of(topo: &Topology) -> Self {
         ChanFlags(
@@ -269,6 +284,19 @@ impl ChanFlags {
     #[inline]
     fn to_processor(&self, ch: ChannelId) -> bool {
         self.0[ch.index()] & Self::TO_PROCESSOR != 0
+    }
+
+    #[inline]
+    fn tracked(&self, ch: ChannelId) -> bool {
+        self.0[ch.index()] & Self::TRACKED != 0
+    }
+
+    fn set_tracked(&mut self, ch: ChannelId, on: bool) {
+        if on {
+            self.0[ch.index()] |= Self::TRACKED;
+        } else {
+            self.0[ch.index()] &= !Self::TRACKED;
+        }
     }
 }
 
@@ -336,6 +364,12 @@ pub struct NetworkSim<'a, R: RoutingAlgorithm> {
     /// live-reconfiguration run, which switches routing failures from
     /// run-aborting to per-message (teardown / unreachable).
     fault_times: Vec<Time>,
+    /// Live runs only: every channel that may hold worm state, ascending
+    /// and without repeats ([`ChanFlags::TRACKED`] marks membership). A
+    /// channel joins at its first OCRQ entry and leaves when a wake finds
+    /// it quiescent, so every channel outside the list is quiescent — the
+    /// fault path walks this list instead of the fabric.
+    tracked: Vec<ChannelId>,
 }
 
 impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
@@ -368,6 +402,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             bubble_candidates: Vec::new(),
             flags: ChanFlags::of(topo),
             fault_times: Vec::new(),
+            tracked: Vec::new(),
         }
     }
 
@@ -655,11 +690,22 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         self.try_acquire(now, sid);
     }
 
-    /// Appends `(msg, sid)` to `ch`'s OCRQ.
+    /// Appends `(msg, sid)` to `ch`'s OCRQ — the only way a worm reaches a
+    /// channel, so in a live run this is where the channel is tracked.
     fn enqueue(&mut self, now: Time, ch: ChannelId, msg: MsgId, sid: SlotId) {
         self.obs.enqueue(&self.chans, ch, now);
         self.requests
             .push_back(&mut self.chans[ch.index()].ocrq, (msg, sid));
+        if self.live_mode() && !self.flags.tracked(ch) {
+            self.track(ch);
+        }
+    }
+
+    /// Adds `ch` to [`Self::tracked`] at its sorted place.
+    fn track(&mut self, ch: ChannelId) {
+        self.flags.set_tracked(ch, true);
+        let at = self.tracked.partition_point(|&c| c < ch);
+        self.tracked.insert(at, ch);
     }
 
     fn on_route_decision(&mut self, now: Time, msg: MsgId, in_ch: ChannelId) {
@@ -929,7 +975,10 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
     /// Kills one message network-wide: retires all its segments, releases
     /// every channel it owns, flushes its OCRQ entries and header states,
     /// and purges its flits from all buffers (a flit mid-wire is dropped at
-    /// its `WireDone`). Records the failure on the message.
+    /// its `WireDone`). Records the failure on the message. Teardown
+    /// happens only in live runs, so the header and flit purge walks
+    /// [`Self::tracked`] — every channel that can hold either — in the
+    /// ascending order of a full scan.
     fn teardown(&mut self, now: Time, m: MsgId, cause: SimError, why: Casualty) {
         let ms = &mut self.msgs[m.index()];
         if ms.completed_at.is_some() || ms.failure.is_some() {
@@ -992,8 +1041,11 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         // once the tail is replicated, while the header may still sit in an
         // input buffer waiting out the router-setup delay — and its stale
         // RouteDecision returns before consuming the entry). Flit purging
-        // walks every channel anyway, so the header sweep rides along.
-        for c in self.chans.iter_mut() {
+        // walks the same channels, so the header sweep rides along. Only
+        // tracked channels can hold either, and the list is ascending, so
+        // header slots are freed in the order a full sweep would free them.
+        for &ch in &self.tracked {
+            let c = &mut self.chans[ch.index()];
             while let Some(pos) = c.hdrs.iter().position(|&(hm, _)| hm == m) {
                 let (_, hid) = c.hdrs.swap_remove(pos);
                 self.headers.remove(hid).expect("header handle live");
@@ -1016,21 +1068,44 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
     /// chance to move: restart idle wires, retry head-of-OCRQ
     /// acquisitions, and drain input buffers. Ascending channel order
     /// keeps the chain of wake-ups deterministic.
+    ///
+    /// Only [`Self::tracked`] channels are visited, and that equals the
+    /// full ascending scan: a quiescent channel's visit does nothing (no
+    /// wire can start, no OCRQ head, an empty input buffer, no lookup
+    /// counted), and a visit never puts state on an untracked channel —
+    /// acquisition and replication write only channels a worm requested,
+    /// and a request tracks its channel. The wake ends by dropping the
+    /// channels it left quiescent.
     fn wake_channels(&mut self, now: Time) {
-        for i in 0..self.chans.len() {
-            let ch = ChannelId(i as u32);
+        debug_assert!(
+            self.chans
+                .iter()
+                .enumerate()
+                .all(|(i, c)| self.flags.tracked(ChannelId(i as u32)) || c.is_quiescent()),
+            "an untracked channel holds worm state"
+        );
+        // A wake requests nothing, so the list holds still while it runs.
+        for i in 0..self.tracked.len() {
+            let ch = self.tracked[i];
             if self.flags.dead(ch) {
                 continue;
             }
             self.try_start_wire(ch);
-            if self.chans[i].free_for_acquisition() {
-                if let Some(&(_, sid)) = self.chans[i].ocrq.front() {
+            let c = &self.chans[ch.index()];
+            if c.free_for_acquisition() {
+                if let Some(&(_, sid)) = c.ocrq.front() {
                     self.counters.seg_lookups += 1;
                     self.try_acquire(now, sid);
                 }
             }
             self.process_in_buf(now, ch);
         }
+        let (chans, flags) = (&self.chans, &mut self.flags);
+        self.tracked.retain(|&ch| {
+            let busy = !chans[ch.index()].is_quiescent();
+            flags.set_tracked(ch, busy);
+            busy
+        });
     }
 
     /// [`start_wire`] on this engine's fields.

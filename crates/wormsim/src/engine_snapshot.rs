@@ -294,6 +294,15 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 "source segment past its worm's tail",
             )?;
         }
+        // The tracked list is derived state: in a live run, every channel
+        // the snapshot shows holding anything.
+        if sim.live_mode() {
+            for i in 0..sim.chans.len() {
+                if !sim.chans[i].is_quiescent() {
+                    sim.track(ChannelId(i as u32));
+                }
+            }
+        }
         Ok(sim)
     }
 

@@ -584,12 +584,18 @@ impl<R: RoutingAlgorithm> NetworkSim<'_, R> {
         let Some(mut m) = self.obs.metrics.take() else {
             return;
         };
-        if m.ticker.next_at() <= upto {
+        let due = m.ticker.due_through(upto);
+        if due > 0 {
             // Gauges only change at events, so every tick in this drain
             // window sees the same fabric state; compute it once and
             // re-stamp the time (and the time-dependent epoch) per tick.
             let base = self.gauge_at(Time::ZERO);
             let fault_times = &self.fault_times;
+            // A far jump writes only the samples the ring keeps: the
+            // earlier ticks are counted, not walked.
+            let unkept = due.saturating_sub(m.series.capacity() as u64);
+            m.ticker.skip(unkept);
+            m.series.skip(unkept);
             m.ticker.drain_through(upto, |at| {
                 let mut g = base;
                 g.at_ns = at.as_ns();
@@ -601,18 +607,22 @@ impl<R: RoutingAlgorithm> NetworkSim<'_, R> {
     }
 
     /// Engine state is constant between events, so a multi-tick drain
-    /// encodes once, stamped at the last due instant; the snapshot stores
+    /// encodes once, stamped at the last due instant — found by
+    /// arithmetic, however many ticks the jump spans; the snapshot stores
     /// the *advanced* ticker, so a resumed run's ledger lines up with the
     /// original's after the resume point.
     fn checkpoint_through(&mut self, upto: Time, hook: &dyn CompletionHook) {
         let Some(cs) = self.obs.checkpoint.as_mut() else {
             return;
         };
-        if cs.dead.is_some() || cs.ticker.next_at() > upto {
+        let due = cs.ticker.due_through(upto);
+        if cs.dead.is_some() || due == 0 {
             return;
         }
-        let mut last = cs.ticker.next_at();
-        cs.ticker.drain_through(upto, |at| last = at);
+        // `due` ticks fit at or before `upto`, so this cannot overflow.
+        let (period, next) = cs.ticker.parts();
+        let last = Time::from_ns(next + (due - 1) * period);
+        cs.ticker.skip(due);
         // The encoder reads the cadence off `self`, so the checkpointer
         // stays in place and lends out its buffers for the duration.
         let mut writer = std::mem::replace(&mut cs.writer, SnapWriter::with_capacity(0));
@@ -683,4 +693,91 @@ fn get_ticker(r: &mut SnapReader, zero_cadence: &'static str) -> Result<Ticker, 
     let period = r.get_u64()?;
     let next = r.get_u64()?;
     Ticker::from_parts(period, next).ok_or(SnapshotError::Corrupt(zero_cadence))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::routing::OracleRouting;
+    use spam_metrics::MetricsConfig;
+
+    /// `p2 — s0 — s1 — p3`, a unicast scripted across it.
+    fn line() -> (Topology, OracleRouting, NodeId, NodeId) {
+        let mut b = Topology::builder();
+        let (s0, s1) = (b.add_switch(), b.add_switch());
+        let (p2, p3) = (b.add_processor(), b.add_processor());
+        b.link(p2, s0).unwrap();
+        b.link(s0, s1).unwrap();
+        b.link(s1, p3).unwrap();
+        let topo = b.build();
+        let mut oracle = OracleRouting::new(&topo);
+        oracle.add_unicast_path(0, &[p2, s0, s1, p3]).unwrap();
+        (topo, oracle, p2, p3)
+    }
+
+    #[test]
+    fn sampling_a_jump_equals_sampling_tick_by_tick() {
+        let (topo, oracle, _, _) = line();
+        let mut sim = NetworkSim::new(&topo, oracle, SimConfig::paper());
+        sim.enable_metrics(MetricsConfig {
+            sample_every: Duration::from_ns(10),
+            capacity: 16,
+        });
+        // Fault instants inside the jumps, so the retained samples' epochs
+        // differ from one another.
+        sim.schedule_link_down(Time::from_ns(49_995), ChannelId(2));
+        sim.schedule_link_down(Time::from_ns(60_000), ChannelId(4));
+        let m = sim.obs.metrics.as_ref().unwrap();
+        let (mut ticker, mut series) = (m.ticker, m.series.clone());
+        let base = sim.gauge_at(Time::ZERO);
+        // Short and long jumps, from an empty, a partly filled and a
+        // wrapped ring.
+        for upto in [35, 95, 50_003, 50_010, 50_100, 1_000_000] {
+            let upto = Time::from_ns(upto);
+            while ticker.next_at() <= upto {
+                let at = ticker.next_at();
+                let mut g = base;
+                g.at_ns = at.as_ns();
+                g.epoch = sim.fault_times.partition_point(|&ft| ft <= at) as u32;
+                series.push(g);
+                ticker.advance();
+            }
+            sim.sample_through(upto);
+            let m = sim.obs.metrics.as_ref().unwrap();
+            assert_eq!(m.series.raw_parts(), series.raw_parts(), "through {upto}");
+            assert_eq!(m.ticker.parts(), ticker.parts(), "through {upto}");
+        }
+    }
+
+    #[test]
+    fn a_far_jump_is_sampled_and_checkpointed_without_walking_it() {
+        let (topo, oracle, p2, p3) = line();
+        let mut sim = NetworkSim::new(&topo, oracle, SimConfig::paper());
+        sim.enable_metrics(MetricsConfig {
+            sample_every: Duration::from_ns(100),
+            capacity: 8,
+        });
+        let (sink, ledger) = CheckpointSink::digests();
+        sim.enable_checkpoints(Duration::from_ns(100), sink);
+        // About 10^10 ticks of each cadence before the first event.
+        let gen = Time::from_ns(1 << 40);
+        sim.submit(MessageSpec::unicast(p2, p3, 4).at(gen)).unwrap();
+        let out = sim.run();
+        assert!(out.all_delivered());
+        let ready = (gen + SimConfig::paper().latency.startup).as_ns();
+        let ledger = ledger.lock().unwrap();
+        assert_eq!(
+            ledger[0].0,
+            ready / 100 * 100,
+            "stamped at the last due tick"
+        );
+        let series = out.metrics.unwrap().series;
+        assert_eq!(series.len(), 8);
+        let end = out.end_time.as_ns();
+        assert_eq!(
+            series.total_recorded(),
+            end / 100 + 1,
+            "every tick counted, plus the final sample"
+        );
+    }
 }

@@ -490,6 +490,73 @@ fn scenario_corpus_covers_every_axis() {
     }
 }
 
+/// A hotspot storm whose link-downs land while worms are blocked on
+/// their output requests: `switches`-switch lattice, half the traffic
+/// aimed at four hot processors, an i.i.d. link storm in two bursts
+/// inside 20–60 µs.
+fn blocked_storm_spec(switches: u32, seed: u64, rate: f64, messages: u32) -> ScenarioSpec {
+    ScenarioSpec::from_json(&format!(
+        r#"{{
+  "name": "blocked_storm_{switches}_{seed}",
+  "topology": {{"switches": {switches}, "seed": {seed}, "strategy": "connected_growth", "ports": 8}},
+  "routing": {{"kind": "spam", "policy": {{"kind": "min_residual_distance"}}}},
+  "traffic": {{"kind": "hotspot", "hot_nodes": 4, "hot_fraction": 0.5,
+    "rate_per_node_per_us": 0.02, "len": 64, "messages": {messages},
+    "arrival": {{"kind": "negative_binomial", "r": 1}}}},
+  "faults": {{"kind": "storm", "model": {{"kind": "iid_links", "rate": {rate}}},
+    "seed": {seed}, "window_start_us": 20, "window_end_us": 60, "bursts": 2}},
+  "engine": {{"queue": null, "input_buffer_flits": 1, "output_buffer_flits": 1,
+    "extra_header_flits": 0}},
+  "seed": {seed},
+  "replications": 1,
+  "horizon_us": 2000
+}}"#
+    ))
+    .expect("blocked-storm spec validates")
+}
+
+/// `(switches, seed, link rate, messages)`.
+type StormShape = (u32, u64, f64, u32);
+
+/// [`StormShape`] → the outcome digest of replication 0 and its
+/// `seg_lookups`. A link-down that kills no worm still wakes every
+/// blocked survivor, and each wake's lookups are part of the digest:
+/// these pins are what notice a fault path that skips or reorders wakes.
+const BLOCKED_STORM_PINS: &[(StormShape, u64, u64)] = &[
+    ((64, 11, 0.1, 300), 16_571_069_497_007_147_444, 703_610),
+    ((64, 47, 0.1, 300), 11_027_912_178_522_405_228, 594_373),
+    ((64, 71, 0.08, 300), 17_514_993_939_130_376_737, 562_760),
+    ((96, 3, 0.08, 240), 1_206_931_866_003_751_222, 583_439),
+    ((128, 5, 0.08, 200), 2_808_196_098_230_338_995, 577_859),
+    ((128, 41, 0.1, 150), 8_207_202_643_273_061_700, 339_191),
+    ((192, 17, 0.06, 120), 9_241_950_193_143_153_046, 394_441),
+    ((256, 7, 0.05, 120), 5_900_860_437_306_253_120, 483_196),
+    ((256, 1998, 0.08, 80), 17_744_966_254_813_408_481, 354_484),
+];
+
+#[test]
+fn hotspot_storms_over_blocked_worms_are_pinned() {
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for &((switches, seed, rate, messages), digest, lookups) in BLOCKED_STORM_PINS {
+        let spec = blocked_storm_spec(switches, seed, rate, messages);
+        let lanes = spam_net::scenario::run_once(&spec, 0, Some(QueueKind::Bucket)).unwrap();
+        let heap = spam_net::scenario::run_once(&spec, 0, Some(QueueKind::Heap)).unwrap();
+        assert_outcomes_identical(&lanes, &heap, &spec.name);
+        assert!(lanes.all_accounted(), "{}: not accounted", spec.name);
+        assert!(
+            lanes.counters.links_killed > 0,
+            "{}: no fault fired",
+            spec.name
+        );
+        got.push((
+            spam_net::scenario::outcome_digest(&lanes),
+            lanes.counters.seg_lookups,
+        ));
+        want.push((digest, lookups));
+    }
+    assert_eq!(got, want, "blocked-storm digests drifted");
+}
+
 #[test]
 fn mid_run_link_death_is_identical_under_both_queues() {
     let outcomes: Vec<SimOutcome> = [QueueKind::Bucket, QueueKind::Heap]
