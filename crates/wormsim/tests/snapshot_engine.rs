@@ -169,39 +169,63 @@ fn resume_from_every_checkpoint_matches_uninterrupted_run() {
     }
 }
 
+/// Ledger alignment, twice: over the plain workload, and with the
+/// s0 - s1 link cut at 12.6 us, mid-flight, under a 500 ns cadence. The
+/// second run resumes from the last checkpoint before the cut, so two
+/// worms are torn down in the resumed suffix: their segment slots must
+/// be freed in the same order as in the original run, or every later
+/// checkpoint writes a different slab.
 #[test]
 fn digest_ledgers_align_after_resume() {
     let (topo, n) = build_topo();
-    let mut sim = fresh_sim(&topo, &n, SimConfig::paper());
-    let (sink, kept) = CheckpointSink::keep_all();
-    sim.enable_checkpoints(Duration::from_ns(1_000), sink);
-    sim.run();
-    let kept = kept.lock().unwrap();
-    let full_ledger: Vec<(u64, u64)> = kept
-        .iter()
-        .map(|(at, bytes)| (*at, spam_snapshot::fnv1a(bytes)))
-        .collect();
+    for (link_down, every_ns) in [(None, 1_000), (Some(Time::from_ns(12_600)), 500)] {
+        let sim = || {
+            let mut sim = fresh_sim(&topo, &n, SimConfig::paper());
+            if let Some(at) = link_down {
+                sim.schedule_link_down(at, netgraph::ChannelId(0));
+            }
+            sim
+        };
+        let mut original = sim();
+        let (sink, kept) = CheckpointSink::keep_all();
+        original.enable_checkpoints(Duration::from_ns(every_ns), sink);
+        let out = original.run();
+        assert_eq!(out.counters.messages_torn_down > 0, link_down.is_some());
+        let kept = kept.lock().unwrap();
+        let full_ledger: Vec<(u64, u64)> = kept
+            .iter()
+            .map(|(at, bytes)| (*at, spam_snapshot::fnv1a(bytes)))
+            .collect();
 
-    // Resume from a middle checkpoint; its own ledger must equal the
-    // original's suffix strictly after the resume instant.
-    let (mid_at, mid_bytes) = &kept[kept.len() / 2];
-    let mut resumed = NetworkSim::restore(
-        &topo,
-        build_oracle(&topo, &n),
-        SimConfig::paper(),
-        mid_bytes,
-    )
-    .unwrap();
-    let (sink, digests) = CheckpointSink::digests();
-    resumed.set_checkpoint_sink(sink);
-    resumed.run();
-    let suffix: Vec<(u64, u64)> = full_ledger
-        .iter()
-        .copied()
-        .filter(|(at, _)| at > mid_at)
-        .collect();
-    assert!(!suffix.is_empty());
-    assert_eq!(*digests.lock().unwrap(), suffix);
+        // Resume from a middle checkpoint, or the last one before the
+        // cut; its own ledger must equal the original's suffix strictly
+        // after the resume instant.
+        let (mid_at, mid_bytes) = match link_down {
+            None => &kept[kept.len() / 2],
+            Some(at) => kept.iter().rfind(|(t, _)| *t < at.as_ns()).unwrap(),
+        };
+        let mut resumed = NetworkSim::restore(
+            &topo,
+            build_oracle(&topo, &n),
+            SimConfig::paper(),
+            mid_bytes,
+        )
+        .unwrap();
+        let (sink, digests) = CheckpointSink::digests();
+        resumed.set_checkpoint_sink(sink);
+        resumed.run();
+        let suffix: Vec<(u64, u64)> = full_ledger
+            .iter()
+            .copied()
+            .filter(|(at, _)| at > mid_at)
+            .collect();
+        assert!(!suffix.is_empty());
+        assert_eq!(
+            *digests.lock().unwrap(),
+            suffix,
+            "link down at {link_down:?}"
+        );
+    }
 }
 
 #[test]
