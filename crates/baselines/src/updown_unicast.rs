@@ -266,8 +266,13 @@ impl RoutingAlgorithm for UpDownUnicastRouting<'_> {
     }
 
     fn decode_header(&self, r: &mut SnapReader) -> Result<UdHeader, SnapshotError> {
+        // `route` indexes the distance rows with the target.
+        let target = r.get_u32()?;
+        if target as usize >= self.topo.num_nodes() {
+            return Err(SnapshotError::Corrupt("node id outside the topology"));
+        }
         Ok(UdHeader {
-            target: NodeId(r.get_u32()?),
+            target: NodeId(target),
             phase: match r.get_u8()? {
                 0 => UdPhase::Up,
                 1 => UdPhase::Down,
@@ -351,6 +356,30 @@ mod tests {
                 sim.submit(MessageSpec::unicast(a, b, 64)).unwrap();
                 let out = sim.run();
                 assert!(out.all_delivered(), "{a} -> {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn decoded_header_target_is_held_against_the_topology() {
+        let (t, l) = figure1();
+        let ud = UpDownLabeling::build(&t, RootSelection::Fixed(l.by_label(1).unwrap()));
+        let router = UpDownUnicastRouting::new(&t, &ud);
+        for (target, ok) in [(t.num_nodes() - 1, true), (t.num_nodes(), false)] {
+            let h = UdHeader {
+                target: NodeId(target as u32),
+                phase: UdPhase::Down,
+            };
+            let mut w = SnapWriter::new();
+            w.begin();
+            router.encode_header(&h, &mut w).unwrap();
+            let bytes = w.seal().to_vec();
+            let back = router.decode_header(&mut SnapReader::open(&bytes).unwrap());
+            match back {
+                Ok(back) => assert!(ok && back.target == h.target && back.phase == h.phase),
+                Err(e) => {
+                    assert!(!ok && e == SnapshotError::Corrupt("node id outside the topology"))
+                }
             }
         }
     }

@@ -79,6 +79,12 @@ impl<T: Copy + Default> RunPool<T> {
         &self.slots[run.at as usize..][..run.len as usize]
     }
 
+    /// The values of `run`, in list order, to reorder in place.
+    #[inline]
+    pub fn as_mut_slice(&mut self, run: &Run) -> &mut [T] {
+        &mut self.slots[run.at as usize..][..run.len as usize]
+    }
+
     /// Appends `val` to `run`.
     #[inline]
     pub fn push(&mut self, run: &mut Run, val: T) {

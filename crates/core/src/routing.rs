@@ -341,23 +341,28 @@ impl RoutingAlgorithm for SpamRouting<'_> {
     }
 
     fn decode_header(&self, r: &mut SnapReader) -> Result<SpamHeader, SnapshotError> {
+        // `route` indexes the labeling with every node id here.
+        let nodes = self.topo.num_nodes();
+        let node = |r: &mut SnapReader| match r.get_u32()? {
+            id if (id as usize) < nodes => Ok(NodeId(id)),
+            _ => Err(SnapshotError::Corrupt("node id outside the topology")),
+        };
         // Collected straight into the `Arc` (a mapped range has an exact
-        // length, so that is one allocation); the first read error is kept
-        // and returned after.
+        // length, so that is one allocation); the first error is kept and
+        // returned after.
         let mut bad = Ok(());
         let dests: Arc<[NodeId]> = (0..r.get_len()?)
-            .map(|_| match r.get_u32() {
-                Ok(d) => NodeId(d),
-                Err(e) => {
+            .map(|_| {
+                node(r).unwrap_or_else(|e| {
                     bad = bad.and(Err(e));
                     NodeId(0)
-                }
+                })
             })
             .collect();
         bad?;
         Ok(SpamHeader {
             dests,
-            lca: NodeId(r.get_u32()?),
+            lca: node(r)?,
             phase: match r.get_u8()? {
                 0 => Phase::Up,
                 1 => Phase::DownCross,
@@ -437,6 +442,36 @@ mod tests {
     /// `map(..).collect()` chains).
     fn dsts<T>(t: &Topology, items: &[(ChannelId, T)]) -> Vec<NodeId> {
         items.iter().map(|(c, _)| t.channel(*c).dst).collect()
+    }
+
+    #[test]
+    fn decoded_header_node_ids_are_held_against_the_topology() {
+        let (t, l, ud) = fig1();
+        let spam = SpamRouting::new(&t, &ud);
+        let spec = MessageSpec::unicast(l.by_label(5).unwrap(), l.by_label(8).unwrap(), 16);
+        let good = spam.initial_header(&spec).unwrap();
+        let outside = NodeId(t.num_nodes() as u32);
+        let lca_outside = SpamHeader {
+            lca: outside,
+            ..good.clone()
+        };
+        let dest_outside = SpamHeader {
+            dests: Arc::from([good.dests[0], outside].as_slice()),
+            ..good.clone()
+        };
+        for (h, ok) in [(good, true), (lca_outside, false), (dest_outside, false)] {
+            let mut w = SnapWriter::new();
+            w.begin();
+            spam.encode_header(&h, &mut w).unwrap();
+            let bytes = w.seal().to_vec();
+            let back = spam.decode_header(&mut SnapReader::open(&bytes).unwrap());
+            match back {
+                Ok(back) => assert!(ok && back.lca == h.lca && back.dests == h.dests),
+                Err(e) => {
+                    assert!(!ok && e == SnapshotError::Corrupt("node id outside the topology"))
+                }
+            }
+        }
     }
 
     #[test]

@@ -77,9 +77,14 @@ impl FaultModel {
                 }
             }
             FaultModel::Region { radius } => {
+                // The documented precondition (see "Panics"): a region is
+                // only defined over the generator's layout.
+                #[allow(clippy::expect_used)]
                 let layout = layout.expect("Region faults need the generator's LatticeLayout");
                 let switches: Vec<NodeId> = topo.switches().collect();
-                let center = *switches.choose(&mut rng).expect("topology has a switch");
+                let Some(&center) = switches.choose(&mut rng) else {
+                    return FaultPlan::default(); // no switch, nothing to kill
+                };
                 let dead = switches
                     .into_iter()
                     .filter(|&s| layout.manhattan(center, s) <= radius)

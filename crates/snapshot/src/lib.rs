@@ -51,16 +51,16 @@
 //! (channels, destination states, the death mask, the telemetry
 //! scoreboard, slab and ring raw parts, events fired against events
 //! scheduled); every node and channel id against the topology and every
-//! message id against the message table; lengths that are derived
-//! (a worm's against its message, a sequence number against its worm);
-//! and the pending events' canonical order (strictly increasing `seq`,
-//! since format 2).
-//! What it does **not** yet validate is consistency *between* structures
-//! of a checksum-valid snapshot — a busy wire over an empty buffer, a
-//! live-segment list the slab disagrees with, a handle whose slot is
-//! vacant: such a snapshot restores, and the resumed run can then stop
-//! on one of the engine's own invariant asserts. Closing that is
-//! ROADMAP item 2b, which carries the measured count.
+//! message id against the message table; and the pending events'
+//! canonical order (strictly increasing `seq`, since format 2). Since
+//! format 3 the engine writes only its primary state and rebuilds every
+//! index from it in one pass, so a copy that could disagree with its
+//! source is never read; that pass rejects the states no engine produces
+//! (a busy wire over an empty buffer, two segments owning one channel, a
+//! request or header handle naming a vacant slot, …). A flip that builds
+//! a state the engine could have reached, but this run did not, still
+//! restores, and the resumed run can then stop on one of the engine's own
+//! invariant asserts; ROADMAP item 2b carries the measured count.
 
 use std::fmt;
 
@@ -69,7 +69,7 @@ pub const MAGIC: [u8; 8] = *b"SPAMSNAP";
 
 /// Current snapshot format version (see the version policy in the crate
 /// docs: any payload layout change bumps this).
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Streaming FNV-1a 64 accumulator — the workspace's one FNV-1a: the
 /// snapshot trailer ([`fnv1a`]), the artifact-cache fingerprint, the

@@ -76,11 +76,14 @@ impl MessageSpans {
     }
 
     fn hop_mut(&mut self, ch: ChannelId) -> &mut HopTimes {
-        if let Some(i) = self.hops.iter().position(|h| h.channel == ch) {
-            return &mut self.hops[i];
-        }
-        self.hops.push(HopTimes::new(ch));
-        self.hops.last_mut().expect("just pushed")
+        let i = match self.hops.iter().position(|h| h.channel == ch) {
+            Some(i) => i,
+            None => {
+                self.hops.push(HopTimes::new(ch));
+                self.hops.len() - 1
+            }
+        };
+        &mut self.hops[i]
     }
 
     /// The hop record for `ch`, if the message ever touched it.

@@ -2,10 +2,8 @@
 //! plain data; the queued flits and requests themselves live in the
 //! engine's pools.
 
-use crate::codec::{get_fifo, put_fifo, IdSpace, Snap};
 use crate::flit::{Flit, MsgId};
-use spam_collections::{Fifo, FifoPool, InlineVec, SlotId};
-use spam_snapshot::{SnapReader, SnapWriter, SnapshotError};
+use spam_collections::{Fifo, InlineVec, SlotId};
 
 /// Runtime state of one unidirectional channel.
 ///
@@ -31,16 +29,19 @@ use spam_snapshot::{SnapReader, SnapWriter, SnapshotError};
 /// alongside the message id: every "who asked for this channel?" question
 /// on the event path is answered by an array index instead of the reverse
 /// hash map the engine used to keep.
-#[derive(Debug, Clone)]
+///
+/// `wire_busy`, `owner`, `seg`, `route_pending` and each request's message
+/// are indices of state held elsewhere in the engine: a snapshot does not
+/// write them, and `restore` rebuilds them.
+#[derive(Debug, Clone, Default)]
 pub struct Chan {
     /// Sender-side buffer.
     pub out_buf: Fifo<Flit>,
     /// Receiver-side buffer.
     pub in_buf: Fifo<Flit>,
-    /// A flit is currently crossing the wire (its slot still in `out_buf`).
+    /// A flit is currently crossing the wire (its slot still in `out_buf`)
+    /// and holds a receiver slot.
     pub wire_busy: bool,
-    /// Receiver slots promised to in-flight wire transfers.
-    pub reserved_in: u8,
     /// Message currently holding this channel and the segment that
     /// acquired it (set at acquisition, cleared when the tail is
     /// replicated into `out_buf`).
@@ -65,22 +66,6 @@ pub struct Chan {
 }
 
 impl Chan {
-    /// Fresh idle channel.
-    pub fn new() -> Self {
-        Chan {
-            out_buf: Fifo::new(),
-            in_buf: Fifo::new(),
-            wire_busy: false,
-            reserved_in: 0,
-            owner: None,
-            ocrq: Fifo::new(),
-            seg: None,
-            hdrs: InlineVec::new(),
-            route_pending: false,
-            crossings: 0,
-        }
-    }
-
     /// Free for acquisition: unowned and fully drained on the sender side.
     /// (An unowned channel may still hold the previous worm's tail in its
     /// output buffer until the wire carries it away.)
@@ -93,10 +78,10 @@ impl Chan {
         self.out_buf.len() < cap
     }
 
-    /// Receiver-side space check, counting slots reserved by in-flight
-    /// transfers.
+    /// Receiver-side space check, counting the slot an in-flight transfer
+    /// has reserved.
     pub fn in_has_space(&self, cap: usize) -> bool {
-        self.in_buf.len() + (self.reserved_in as usize) < cap
+        self.in_buf.len() + usize::from(self.wire_busy) < cap
     }
 
     /// True when the channel is completely quiescent (used by end-of-run
@@ -105,64 +90,11 @@ impl Chan {
         self.out_buf.is_empty()
             && self.in_buf.is_empty()
             && !self.wire_busy
-            && self.reserved_in == 0
             && self.owner.is_none()
             && self.ocrq.is_empty()
             && self.seg.is_none()
             && self.hdrs.is_empty()
             && !self.route_pending
-    }
-}
-
-/// The snapshot words of a channel. The one layout that is written once
-/// per direction rather than as a table: its three queues keep their
-/// entries in the engine's pools, so the decode direction fills an idle
-/// channel in place — each entry pushed straight into its pool, no
-/// temporary list per queue — instead of building a value from fields.
-impl Chan {
-    pub(crate) fn put_snap(
-        &self,
-        w: &mut SnapWriter,
-        flits: &FifoPool<Flit>,
-        requests: &FifoPool<(MsgId, SlotId)>,
-    ) {
-        put_fifo(w, flits, &self.out_buf);
-        put_fifo(w, flits, &self.in_buf);
-        self.wire_busy.put(w);
-        self.reserved_in.put(w);
-        self.owner.put(w);
-        put_fifo(w, requests, &self.ocrq);
-        self.seg.put(w);
-        self.hdrs.put(w);
-        self.route_pending.put(w);
-        self.crossings.put(w);
-    }
-
-    /// Reads [`Self::put_snap`] back into this idle channel.
-    pub(crate) fn get_snap(
-        &mut self,
-        r: &mut SnapReader,
-        ids: &mut IdSpace,
-        flits: &mut FifoPool<Flit>,
-        requests: &mut FifoPool<(MsgId, SlotId)>,
-    ) -> Result<(), SnapshotError> {
-        get_fifo(r, ids, flits, &mut self.out_buf)?;
-        get_fifo(r, ids, flits, &mut self.in_buf)?;
-        self.wire_busy = Snap::get(r, ids)?;
-        self.reserved_in = Snap::get(r, ids)?;
-        self.owner = Snap::get(r, ids)?;
-        get_fifo(r, ids, requests, &mut self.ocrq)?;
-        self.seg = Snap::get(r, ids)?;
-        self.hdrs = Snap::get(r, ids)?;
-        self.route_pending = Snap::get(r, ids)?;
-        self.crossings = Snap::get(r, ids)?;
-        Ok(())
-    }
-}
-
-impl Default for Chan {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -174,7 +106,7 @@ mod tests {
 
     #[test]
     fn fresh_channel_is_quiescent_and_free() {
-        let c = Chan::new();
+        let c = Chan::default();
         assert!(c.is_quiescent());
         assert!(c.free_for_acquisition());
         assert!(c.out_has_space(1));
@@ -183,15 +115,17 @@ mod tests {
 
     #[test]
     fn ownership_blocks_acquisition() {
-        let mut c = Chan::new();
-        c.owner = Some((MsgId(1), SlotId::default()));
+        let c = Chan {
+            owner: Some((MsgId(1), SlotId::default())),
+            ..Chan::default()
+        };
         assert!(!c.free_for_acquisition());
         assert!(!c.is_quiescent());
     }
 
     #[test]
     fn undrained_out_buf_blocks_acquisition() {
-        let mut c = Chan::new();
+        let mut c = Chan::default();
         let mut flits = FifoPool::new();
         flits.push_back(
             &mut c.out_buf,
@@ -207,9 +141,9 @@ mod tests {
 
     #[test]
     fn reservations_count_toward_input_space() {
-        let mut c = Chan::new();
+        let mut c = Chan::default();
         assert!(c.in_has_space(1));
-        c.reserved_in = 1;
+        c.wire_busy = true;
         assert!(!c.in_has_space(1));
         assert!(c.in_has_space(2));
         FifoPool::new().push_back(&mut c.in_buf, Flit::bubble(MsgId(0)));
@@ -218,7 +152,7 @@ mod tests {
 
     #[test]
     fn pending_headers_block_quiescence() {
-        let mut c = Chan::new();
+        let mut c = Chan::default();
         c.hdrs.push((MsgId(3), SlotId::default()));
         assert!(!c.is_quiescent());
         c.hdrs.clear();

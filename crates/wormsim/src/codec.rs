@@ -13,17 +13,14 @@ use spam_collections::{Fifo, FifoPool, InlineVec, SlotId};
 use spam_metrics::{ChannelAccum, GaugeSample};
 use spam_snapshot::{SnapReader, SnapWriter, SnapshotError};
 
-/// What an id read from a snapshot may name. Node and channel ids are
-/// checked against the topology as they are read. A message id can
-/// precede the message table on the wire (`SECT_SCHED` and `SECT_CHANS`
-/// come before `SECT_MSGS`), so reading one only records how long a table
-/// it presumes, and `restore` holds that against the table it ends up
-/// with ([`IdSpace::check_msgs`]).
+/// What an id read from a snapshot may name: node and channel ids are
+/// checked against the topology, message ids against the message table,
+/// as they are read (the table is the first section after the
+/// configuration, and `restore` sets `msgs` from its length).
 pub(crate) struct IdSpace {
     pub(crate) nodes: u32,
     pub(crate) channels: u32,
-    /// One past the highest message id read so far.
-    msgs_named: u64,
+    pub(crate) msgs: u32,
     /// Lets `ChannelId(u32::MAX)` through — the mark `Observers::torn_down`
     /// traces for a teardown whose cause names no channel. Set only while
     /// the trace is read: a record the engine never indexes by.
@@ -35,35 +32,22 @@ impl IdSpace {
         IdSpace {
             nodes: topo.num_nodes() as u32,
             channels: topo.num_channels() as u32,
-            msgs_named: 0,
+            msgs: 0,
             no_channel_ok: false,
         }
     }
 
-    fn node(&mut self, id: u32) -> Result<u32, SnapshotError> {
-        ensure(id < self.nodes, "node id outside the topology")?;
-        Ok(id)
+    fn node(&self, id: u32) -> Result<u32, SnapshotError> {
+        ensure(id < self.nodes, "node id outside the topology").map(|()| id)
     }
 
-    fn channel(&mut self, id: u32) -> Result<u32, SnapshotError> {
-        ensure(
-            id < self.channels || (self.no_channel_ok && id == u32::MAX),
-            "channel id outside the topology",
-        )?;
-        Ok(id)
+    fn channel(&self, id: u32) -> Result<u32, SnapshotError> {
+        let named = id < self.channels || (self.no_channel_ok && id == u32::MAX);
+        ensure(named, "channel id outside the topology").map(|()| id)
     }
 
-    fn msg(&mut self, id: u32) -> Result<u32, SnapshotError> {
-        self.msgs_named = self.msgs_named.max(u64::from(id) + 1);
-        Ok(id)
-    }
-
-    /// Every message id read so far indexes a table of `len` messages.
-    pub(crate) fn check_msgs(&self, len: usize) -> Result<(), SnapshotError> {
-        ensure(
-            self.msgs_named <= len as u64,
-            "message id outside the message table",
-        )
+    fn msg(&self, id: u32) -> Result<u32, SnapshotError> {
+        ensure(id < self.msgs, "message id outside the message table").map(|()| id)
     }
 }
 
@@ -98,7 +82,7 @@ macro_rules! snap_words {
         }
     )*};
 }
-snap_words!(u8 => put_u8 / get_u8, u32 => put_u32 / get_u32, u64 => put_u64 / get_u64,
+snap_words!(u32 => put_u32 / get_u32, u64 => put_u64 / get_u64,
     usize => put_usize / get_usize, bool => put_bool / get_bool);
 
 impl Snap for Time {
@@ -307,7 +291,7 @@ pub(crate) mod tests {
         IdSpace {
             nodes: 1 << 16,
             channels: 1 << 16,
-            msgs_named: 0,
+            msgs: 1 << 16,
             no_channel_ok: false,
         }
     }
@@ -377,7 +361,6 @@ pub(crate) mod tests {
     #[test]
     fn every_table_round_trips_and_rejects() {
         let (m, n, c, t) = (MsgId(7), NodeId(300), ChannelId(41), Time::from_ns(9_040));
-        round_trips(&0xA5u8);
         round_trips(&0xDEAD_BEEFu32);
         round_trips(&u64::MAX);
         round_trips(&usize::MAX);
@@ -543,7 +526,7 @@ pub(crate) mod tests {
         let mut ids = IdSpace {
             nodes: 4,
             channels: 6,
-            msgs_named: 0,
+            msgs: 8,
             no_channel_ok: false,
         };
         let get = |payload: &[u8], ids: &mut IdSpace| {
@@ -556,23 +539,16 @@ pub(crate) mod tests {
             )
         };
         let words = |n: u32, c: u32, m: u32| [n, c, m].map(u32::to_le_bytes).concat();
-        assert_eq!(get(&words(3, 5, 8), &mut ids), (Ok(3), Ok(5), Ok(8)));
+        assert_eq!(get(&words(3, 5, 7), &mut ids), (Ok(3), Ok(5), Ok(7)));
         assert_eq!(
-            get(&words(4, 6, 2), &mut ids),
+            get(&words(4, 6, 8), &mut ids),
             (
                 Err(SnapshotError::Corrupt("node id outside the topology")),
                 Err(SnapshotError::Corrupt("channel id outside the topology")),
-                Ok(2)
+                Err(SnapshotError::Corrupt(
+                    "message id outside the message table"
+                ))
             )
-        );
-        // A message id is only recorded; the table it presumes is checked
-        // once, against the highest one read.
-        assert!(ids.check_msgs(9).is_ok());
-        assert_eq!(
-            ids.check_msgs(8),
-            Err(SnapshotError::Corrupt(
-                "message id outside the message table"
-            ))
         );
         // The trace's "no channel" mark passes only while it is let through.
         assert!(get(&words(0, u32::MAX, 0), &mut ids).1.is_err());

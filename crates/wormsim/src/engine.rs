@@ -23,18 +23,20 @@
 //!
 //! ## Hot-path layout
 //!
-//! Segments live in a generation-indexed [`Slab`]; every place that used to
-//! key a `HashMap` — the OCRQ entry that must find its requesting segment,
-//! the channel owner that refills a freed wire slot, the per-channel header
-//! state consumed at a routing decision, the bubble-candidate list — now
-//! carries a [`SlotId`] and resolves it with one array index. Intrusive
-//! indices keep the cross-references navigable both ways: each channel
-//! records the transit segment it feeds (`Chan::seg`) and the header states
-//! parked at its receiving end (`Chan::hdrs`); each message records its
-//! live segments (`MsgState::live_segs`) so teardown never scans the arena.
-//! Generations make stale handles (a released segment still sitting in the
-//! bubble-candidate list) resolve to `None` instead of aliasing a reused
-//! slot.
+//! Segments live in a generation-indexed [`Slab`]; the OCRQ entry that
+//! must find its requesting segment, the channel owner that refills a
+//! freed wire slot, the per-channel header state consumed at a routing
+//! decision and the bubble-candidate list each carry a [`SlotId`] and
+//! resolve it with one array index. Intrusive indices keep the
+//! cross-references navigable both ways: each channel records the transit
+//! segment it feeds (`Chan::seg`) and the header states parked at its
+//! receiving end (`Chan::hdrs`); each message records its live segments
+//! (`MsgState::live_segs`) so teardown never scans the arena. That list's
+//! order is not state: `release` swap-removes from it, and teardown sorts
+//! it and so frees a worm's slots in ascending order, the order a restored
+//! run (which rebuilds the list) has too. Generations make stale handles
+//! (a released segment still in the bubble-candidate list) resolve to
+//! `None` instead of aliasing a reused slot.
 //!
 //! Channel queues follow the same rule of one arena per kind of thing: the
 //! output buffer, input buffer and OCRQ of every channel are
@@ -77,7 +79,7 @@
 //! never tear down or wake, and track nothing.
 
 use crate::channel::Chan;
-use crate::codec::{ensure, put_list, snap_enum, snap_struct, IdSpace, Snap};
+use crate::codec::{snap_enum, snap_struct};
 use crate::config::SimConfig;
 use crate::flit::{Flit, FlitKind, MsgId};
 use crate::message::{MessageSpec, SpecError};
@@ -89,7 +91,6 @@ use desim::{Schedule, Time};
 use netgraph::{ChannelId, NodeId, Topology};
 use observe::{Casualty, Observers};
 use spam_collections::{FifoPool, InlineVec, Run, RunPool, Slab, SlotId};
-use spam_snapshot::{SnapReader, SnapWriter, SnapshotError};
 use std::ops::Range;
 
 #[derive(Debug, Clone, Copy)]
@@ -157,83 +158,46 @@ const FRESH_DEST: DestState = DestState {
 
 snap_struct! { DestState { next_seq, done_at } }
 
+/// A message's state. `remaining` and `live_segs` are indices: a snapshot
+/// does not write them, and `restore` rebuilds them.
 struct MsgState {
     spec: MessageSpec,
-    /// Flits on the wire: `spec.len` plus any extra header flits.
+    /// Flits on the wire: `spec.len` plus any extra header flits. Derived,
+    /// but the snapshot's one check word: nothing else pins the length of
+    /// a worm whose tail has not left its source, so `restore` holds the
+    /// written copy against `spec.len`.
     worm_len: u32,
     /// Where this message's run starts in the engine's per-destination
     /// arenas ([`NetworkSim::dests`], [`NetworkSim::dest_index`]); the run
     /// is `spec.dests.len()` long in both.
     dests_at: usize,
+    /// Destinations whose `done_at` is still unset.
     remaining: usize,
     completed_at: Option<Time>,
     /// Set when a mid-run fault killed or rejected this message.
     failure: Option<MessageFailure>,
     /// Live segments of this worm (source + transits), for teardown: a
-    /// list in [`NetworkSim::live`].
+    /// list in [`NetworkSim::live`], in no particular order.
     live_segs: Run,
 }
 
 impl MsgState {
-    /// This message's run in the per-destination arenas.
-    fn dest_run(&self) -> Range<usize> {
-        self.dests_at..self.dests_at + self.spec.dests.len()
-    }
-}
-
-/// The snapshot words of a message: `spec, worm_len, dests, remaining,
-/// completed_at, failure, live_segs`. Like [`Chan`]'s, written once per
-/// direction rather than as a table: its destination states and its
-/// live-segment list live in engine arenas, so the decode direction
-/// appends to them in place (and rebuilds the derived destination index)
-/// instead of building a value from fields. `worm_len` is derived too,
-/// but has words on the wire: `restore` holds them against `spec.len`.
-impl MsgState {
-    fn put_snap(&self, w: &mut SnapWriter, dests: &[DestState], live: &RunPool<SlotId>) {
-        self.spec.put(w);
-        self.worm_len.put(w);
-        put_list(w, &dests[self.dest_run()]);
-        self.remaining.put(w);
-        self.completed_at.put(w);
-        self.failure.put(w);
-        put_list(w, live.as_slice(&self.live_segs));
-    }
-
-    /// Reads [`Self::put_snap`] back, appending to the arenas.
-    fn get_snap(
-        r: &mut SnapReader,
-        ids: &mut IdSpace,
-        dests: &mut Vec<DestState>,
-        dest_index: &mut Vec<(NodeId, u32)>,
-        live: &mut RunPool<SlotId>,
-    ) -> Result<Self, SnapshotError> {
-        let spec = MessageSpec::get(r, ids)?;
-        let worm_len = Snap::get(r, ids)?;
-        let dests_at = dests.len();
-        for _ in 0..r.get_len()? {
-            dests.push(Snap::get(r, ids)?);
-        }
-        ensure(
-            dests.len() - dests_at == spec.dests.len(),
-            "destination state count mismatch",
-        )?;
-        index_dests(dest_index, &spec);
-        let remaining = Snap::get(r, ids)?;
-        let completed_at = Snap::get(r, ids)?;
-        let failure = Snap::get(r, ids)?;
-        let mut live_segs = Run::new();
-        for _ in 0..r.get_len()? {
-            live.push(&mut live_segs, Snap::get(r, ids)?);
-        }
-        Ok(MsgState {
+    /// A message not yet started, its run in the arenas at `dests_at`.
+    fn new(spec: MessageSpec, worm_len: u32, dests_at: usize) -> Self {
+        MsgState {
+            remaining: spec.dests.len(),
             spec,
             worm_len,
             dests_at,
-            remaining,
-            completed_at,
-            failure,
-            live_segs,
-        })
+            completed_at: None,
+            failure: None,
+            live_segs: Run::new(),
+        }
+    }
+
+    /// This message's run in the per-destination arenas.
+    fn dest_run(&self) -> Range<usize> {
+        self.dests_at..self.dests_at + self.spec.dests.len()
     }
 }
 
@@ -339,8 +303,10 @@ pub struct NetworkSim<'a, R: RoutingAlgorithm> {
     /// back — the outcome is diagnostic, not resumable).
     error: Option<SimError>,
     last_progress: Time,
-    /// Messages past startup but not yet fully delivered.
+    /// Messages past startup but neither delivered nor failed (an index).
     active: usize,
+    /// Completed messages whose hook has not run yet; drained after each
+    /// event, so empty whenever a snapshot can be taken.
     pending_completions: Vec<MsgId>,
     /// Trace, telemetry, coverage and the checkpointer: every recorder
     /// that watches the run without taking part in it. The protocol code
@@ -352,7 +318,8 @@ pub struct NetworkSim<'a, R: RoutingAlgorithm> {
     /// freed in the same cycle are seen free *together*, while our events
     /// within one timestamp fire serially — inserting a bubble eagerly
     /// would steal a slot that the real flit could claim a few events
-    /// later in the same instant, livelocking symmetric branches.
+    /// later in the same instant, livelocking symmetric branches. Empty
+    /// between instants, so never in a snapshot.
     bubble_candidates: Vec<SlotId>,
     /// Per-channel death mask for live-reconfiguration runs (no channel
     /// dead on static networks) and the processor-end bit. A dead channel
@@ -383,7 +350,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             cfg,
             // Cloning one idle channel fills the table about twice as fast
             // as building each in turn (7 vs 15 ns per channel, measured).
-            chans: vec![Chan::new(); topo.num_channels()],
+            chans: vec![Chan::default(); topo.num_channels()],
             flits: FifoPool::new(),
             requests: FifoPool::new(),
             msgs: Vec::new(),
@@ -470,15 +437,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         let ready_at = spec.gen_time + self.cfg.latency.startup;
         self.note_wheel_horizon(ready_at);
         self.sched.at(ready_at, Event::SourceReady(id));
-        self.msgs.push(MsgState {
-            spec,
-            worm_len,
-            dests_at,
-            remaining,
-            completed_at: None,
-            failure: None,
-            live_segs: Run::new(),
-        });
+        self.msgs.push(MsgState::new(spec, worm_len, dests_at));
         Ok(id)
     }
 
@@ -816,24 +775,15 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                     channel: ch,
                 });
             }
-            if self
-                .segs
-                .get(sid)
-                .expect("just inserted")
-                .outputs
-                .contains(&ch)
-            {
+            let outputs = &mut self.segs.get_mut(sid).expect("just inserted").outputs;
+            if outputs.contains(&ch) {
                 return self.fail(SimError::DuplicateRequest {
                     msg,
                     node,
                     channel: ch,
                 });
             }
-            self.segs
-                .get_mut(sid)
-                .expect("just inserted")
-                .outputs
-                .push(ch);
+            outputs.push(ch);
             if self.topo.is_switch(rec.dst) {
                 // Hard assert (like the pre-arena reverse-map insert): a
                 // worm re-requesting a channel is a phase-monotonicity
@@ -871,7 +821,6 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             let c = &mut self.chans[ch.index()];
             debug_assert!(c.wire_busy);
             c.wire_busy = false;
-            c.reserved_in -= 1;
             self.flits
                 .pop_front(&mut c.out_buf)
                 .expect("in-flight flit in out_buf")
@@ -1003,8 +952,11 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         // holds nothing and cannot be a victim), so it is always active.
         self.active -= 1;
         // Retire every live segment via the message's intrusive list — no
-        // arena scan.
+        // arena scan — in ascending slot order, which decides the order the
+        // slab hands the slots out again (and a restored list knows no
+        // other).
         let mut seg_ids = std::mem::take(&mut self.msgs[m.index()].live_segs);
+        self.live.as_mut_slice(&seg_ids).sort_unstable();
         let segs = &self.segs;
         let outputs = self.live.as_slice(&seg_ids).iter().map(|&sid| {
             segs.get(sid)
@@ -1328,8 +1280,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         let seg = self.segs.remove(sid).expect("released segment exists");
         let msg = seg.msg;
         let input = seg.input;
-        // Unlink from the message's live list (order is irrelevant there,
-        // but snapshots write it, so it is `Vec::swap_remove`'s).
+        // Unlink from the message's live list (its order is irrelevant).
         let live = &mut self.msgs[msg.index()].live_segs;
         let pos = self
             .live
@@ -1484,7 +1435,6 @@ fn start_wire(
     let c = &mut chans[ch.index()];
     if !c.wire_busy && !c.out_buf.is_empty() && c.in_has_space(cfg.input_buffer_flits) {
         c.wire_busy = true;
-        c.reserved_in += 1;
         sched.after(cfg.latency.channel_prop, Event::WireDone(ch));
     }
 }

@@ -1,48 +1,50 @@
 //! Mid-run engine checkpointing: a complete, versioned serialization of
-//! [`NetworkSim`]'s live state.
-//!
-//! ## Design
+//! [`NetworkSim`]'s live state. The container (magic, version, sections,
+//! checksum trailer) is [`spam_snapshot`]'s; this module lays out the
+//! engine's sections.
 //!
 //! * **Read-only.** Taking a snapshot reads the engine and fills a
-//!   buffer; *when* one is taken is the checkpointer's business, and it
-//!   lives with the other observers (`observe.rs`).
-//! * **Complete state.** A snapshot captures the schedule (clock,
-//!   sequence counter, and every pending event under its original
-//!   `(time, seq)` key, in `seq` order whatever the queue kind), all
-//!   channel state, message state, both slab
-//!   arenas *raw* (slot generations and free-list order included — a
-//!   resumed run hands out the same `SlotId`s the original would), the
-//!   counters, the completion hook's state, and — written and read by
-//!   the observer seam itself (`observe.rs`) — the coverage record, the
-//!   trace, the telemetry rings and the checkpointer's own cadence.
+//!   buffer; *when* one is taken is the checkpointer's business
+//!   (`observe.rs`, with the other observers).
+//! * **Primary state only.** A snapshot writes what the simulation *is*:
+//!   messages (spec, destination states, end), the schedule (every
+//!   pending event under its `(time, seq)` key, in `seq` order whatever
+//!   the queue kind), both slab arenas *raw* (generations and free-list
+//!   order decide the `SlotId`s a resumed run hands out), each channel's
+//!   flit buffers, requesting segments in OCRQ order, header handles and
+//!   crossings, counters, death mask, fault times, hook state, and the
+//!   observer seam's records.
+//! * **Indices rebuilt.** Busy wires, pending routing decisions, each
+//!   channel's feeding segment and owner, each request's message, each
+//!   message's remaining count and live segments, the active count and
+//!   the tracked list are derived in one pass after the last section
+//!   ([`Index`]); debug builds check that pass against the engine at
+//!   every snapshot. A worm's length is the one check word (`MsgState`).
 //!   `run == resume(checkpoint(run))` holds exactly.
-//! * **Typed failure.** Restoring from truncated, corrupt, or
-//!   mismatched input returns a [`SnapshotError`]; this module never
-//!   panics on bad bytes (the container checksum catches random
-//!   corruption up front, and every structural check here is an error
-//!   path, not an assert).
+//! * **Typed failure.** Bad bytes are a [`SnapshotError`], never a panic:
+//!   the checksum catches random corruption up front, and every check
+//!   here is an error path, not an assert.
 //! * **Written once.** Each type's layout is one table beside the type
 //!   (`codec::snap_struct!` / `codec::snap_enum!`) that both directions
-//!   follow; this module frames the sections, names the order of the
-//!   engine's own fields within them, and validates.
-//!
-//! The container format (magic, version, sections, checksum trailer)
-//! is defined by [`spam_snapshot`]; this module defines the section
-//! layout for the engine.
+//!   follow; this module frames the sections and orders the engine's own
+//!   fields within them.
 
 use super::*;
-use crate::codec::{ensure, put_list, IdSpace, Snap};
+use crate::codec::{ensure, get_fifo, put_fifo, put_list, IdSpace, Snap};
 use desim::{QueueKind, ScheduledEvent};
 use spam_snapshot::{SnapReader, SnapWriter, SnapshotError};
 
+// Sections in wire order; 8 and 9 (trace, telemetry) belong to the
+// observer seam. The message table comes first, so every message id
+// after it is checked as it is read, and the arenas precede the channels
+// whose requests name their slots.
 const SECT_META: u32 = 1;
-const SECT_SCHED: u32 = 2;
-const SECT_CHANS: u32 = 3;
 const SECT_MSGS: u32 = 4;
+const SECT_SCHED: u32 = 2;
 const SECT_SEGS: u32 = 5;
 const SECT_HEADERS: u32 = 6;
+const SECT_CHANS: u32 = 3;
 const SECT_ENGINE: u32 = 7;
-// Sections 8 and 9 (trace, telemetry) belong to the observer seam.
 const SECT_HOOK: u32 = 10;
 
 /// The configuration words of `SECT_META`, in wire order, each under the
@@ -61,6 +63,27 @@ fn config_words(cfg: &SimConfig) -> [(&'static str, u64); 8] {
     ]
 }
 
+/// A channel's indices: `wire_busy`, `route_pending`, `seg`, `owner`.
+type ChanIndex = (bool, bool, Option<SlotId>, Option<(MsgId, SlotId)>);
+
+/// The indices primary state implies, and the pending events they are
+/// built from: what `restore` installs, and what `encode` holds the
+/// engine's own to in debug builds (with a scratch the checkpointer
+/// keeps, so that allocates nothing once grown).
+#[derive(Default)]
+pub(super) struct Index {
+    /// Every pending event, in `seq` order.
+    events: Vec<ScheduledEvent<Event>>,
+    chans: Vec<ChanIndex>,
+    /// Per message: `remaining`, and whether it is active.
+    msgs: Vec<(usize, bool)>,
+    /// Every live segment as `(message, slot)`, ascending: the
+    /// `live_segs` lists, one after another.
+    live: Vec<(MsgId, SlotId)>,
+    /// Per header slot: a `hdrs` entry names it.
+    named: Vec<bool>,
+}
+
 impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
     /// Serializes the engine's complete current state into `w` (the
     /// caller seals and stores the buffer). `hook` contributes the
@@ -71,18 +94,23 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         w: &mut SnapWriter,
         hook: &dyn CompletionHook,
     ) -> Result<(), SnapshotError> {
-        self.encode(w, hook, &mut Vec::new())
+        self.encode(w, hook, &mut Index::default())
     }
 
-    /// [`Self::snapshot_with_hook`], sorting the pending events in a
-    /// buffer the caller lends: the checkpointer keeps one, so its
-    /// checkpoints allocate nothing once it has grown.
+    /// [`Self::snapshot_with_hook`], with the [`Index`] scratch lent by
+    /// the caller.
     pub(super) fn encode(
         &self,
         w: &mut SnapWriter,
         hook: &dyn CompletionHook,
-        pending: &mut Vec<ScheduledEvent<Event>>,
+        ix: &mut Index,
     ) -> Result<(), SnapshotError> {
+        // Neither list is written. A checkpoint is taken before the first
+        // event of an instant: by then the hook loop has drained every
+        // completion and `flush_bubbles` every candidate of the instant
+        // before. The public API can only snapshot a simulator that has
+        // not run (running consumes it), where both are empty too.
+        debug_assert!(self.pending_completions.is_empty() && self.bubble_candidates.is_empty());
         w.begin();
 
         let s = w.begin_section(SECT_META);
@@ -93,23 +121,24 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         w.put_str(self.routing.snapshot_name());
         w.end_section(s);
 
-        let s = w.begin_section(SECT_SCHED);
-        put_schedule(w, &self.sched, pending);
-        w.end_section(s);
-
-        let s = w.begin_section(SECT_CHANS);
-        w.put_len(self.chans.len());
-        for c in &self.chans {
-            c.put_snap(w, &self.flits, &self.requests);
-        }
-        w.end_section(s);
-
         let s = w.begin_section(SECT_MSGS);
         w.put_len(self.msgs.len());
         for m in &self.msgs {
-            m.put_snap(w, &self.dests, &self.live);
+            m.spec.put(w);
+            m.worm_len.put(w);
+            put_list(w, &self.dests[m.dest_run()]);
+            m.completed_at.put(w);
+            m.failure.put(w);
         }
         w.end_section(s);
+
+        let s = w.begin_section(SECT_SCHED);
+        put_schedule(w, &self.sched, &mut ix.events);
+        w.end_section(s);
+        debug_assert!(
+            self.index(ix).is_ok() && self.holds(ix),
+            "an index disagrees with the state it indexes"
+        );
 
         let s = w.begin_section(SECT_SEGS);
         put_slab(w, &self.segs, |w, seg| {
@@ -122,6 +151,18 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         put_slab(w, &self.headers, |w, h| self.routing.encode_header(h, w))?;
         w.end_section(s);
 
+        let s = w.begin_section(SECT_CHANS);
+        w.put_len(self.chans.len());
+        for c in &self.chans {
+            put_fifo(w, &self.flits, &c.out_buf);
+            put_fifo(w, &self.flits, &c.in_buf);
+            w.put_len(c.ocrq.len());
+            self.requests.iter(&c.ocrq).for_each(|(_, sid)| sid.put(w));
+            c.hdrs.put(w);
+            c.crossings.put(w);
+        }
+        w.end_section(s);
+
         let s = w.begin_section(SECT_ENGINE);
         self.counters.put(w);
         self.obs.encode_coverage(w);
@@ -130,9 +171,6 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         // for the standalone snapshot API, and rejected on restore.
         w.put_bool(self.error.is_some());
         self.last_progress.put(w);
-        self.active.put(w);
-        self.pending_completions.put(w);
-        self.bubble_candidates.put(w);
         w.put_len(self.chans.len());
         for i in 0..self.chans.len() {
             self.flags.dead(ChannelId(i as u32)).put(w);
@@ -165,12 +203,18 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
     /// `(time, seq)` keys, so a snapshot taken under one queue resumes
     /// identically under the other.
     ///
-    /// The tables decode; what is spelled out here is section framing
-    /// and validation. Every id is held against the fabric and the
-    /// message table and every count and derived length against its
-    /// source, so a snapshot that restores cannot index outside either.
-    /// Consistency *between* structures (a busy wire has a flit to carry,
-    /// a live-segment list agrees with the slab) is not checked.
+    /// The tables decode the primary state, holding every id against the
+    /// fabric and the message table as it is read. One pass then rebuilds
+    /// every index from it, and answers with [`SnapshotError::Corrupt`]
+    /// what no engine produces: a worm length or a destination's progress
+    /// that disagrees with the message, a second pending `SourceReady`,
+    /// `WireDone` or `RouteDecision` on one message or channel, a transfer
+    /// over an empty buffer, a routing decision with no header waiting, a
+    /// link-down at no fault time, a source segment or a buffered flit
+    /// that disagrees with its worm, two segments fed by or owning one
+    /// channel, a requested channel without the worm's header state, a
+    /// request from a vacant or acquired slot, and a header slot named by
+    /// no channel, by two, or vacant and named.
     pub fn restore_with_hook(
         topo: &'a Topology,
         routing: R,
@@ -201,46 +245,31 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             Ok(())
         })?;
 
-        sim.sched = read_section(&mut r, SECT_SCHED, |r| {
-            get_schedule(r, ids, sim.cfg.resolved_queue())
-        })?;
-
-        read_section(&mut r, SECT_CHANS, |r| {
-            ensure(r.get_len()? == sim.chans.len(), "channel count mismatch")?;
-            for c in sim.chans.iter_mut() {
-                c.get_snap(r, ids, &mut sim.flits, &mut sim.requests)?;
+        read_section(&mut r, SECT_MSGS, |r| {
+            let n = r.get_len()?;
+            (ids.msgs, sim.msgs) = (n as u32, Vec::with_capacity(n));
+            for _ in 0..n {
+                let (spec, worm_len) = (MessageSpec::get(r, ids)?, Snap::get(r, ids)?);
+                let dests_at = sim.dests.len();
+                for _ in 0..r.get_len()? {
+                    sim.dests.push(Snap::get(r, ids)?);
+                }
+                let count = sim.dests.len() - dests_at;
+                ensure(
+                    count == spec.dests.len(),
+                    "destination state count mismatch",
+                )?;
+                index_dests(&mut sim.dest_index, &spec);
+                let mut m = MsgState::new(spec, worm_len, dests_at);
+                (m.completed_at, m.failure) = (Snap::get(r, ids)?, Snap::get(r, ids)?);
+                sim.msgs.push(m);
             }
             Ok(())
         })?;
 
-        sim.msgs = read_section(&mut r, SECT_MSGS, |r| {
-            let n = r.get_len()?;
-            let mut msgs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let (dests, index) = (&mut sim.dests, &mut sim.dest_index);
-                msgs.push(MsgState::get_snap(r, ids, dests, index, &mut sim.live)?);
-            }
-            Ok(msgs)
+        sim.sched = read_section(&mut r, SECT_SCHED, |r| {
+            get_schedule(r, ids, sim.cfg.resolved_queue())
         })?;
-        for m in &sim.msgs {
-            ensure(
-                m.remaining <= m.spec.dests.len(),
-                "remaining exceeds destinations",
-            )?;
-            // Like the destination index, `worm_len` is derived, and a worm
-            // whose length is not its message's never ends; unlike it, it
-            // is on the wire, so it is compared instead of recomputed.
-            ensure(
-                m.spec.len.checked_add(sim.cfg.extra_header_flits) == Some(m.worm_len),
-                "worm length disagrees with its message",
-            )?;
-            ensure(
-                sim.dests[m.dest_run()]
-                    .iter()
-                    .all(|d| d.next_seq <= m.worm_len),
-                "destination expects a flit past its worm's tail",
-            )?;
-        }
 
         sim.segs = read_section(&mut r, SECT_SEGS, |r| get_slab(r, ids, Snap::get))?;
 
@@ -248,25 +277,37 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             get_slab(r, ids, |r, _| sim.routing.decode_header(r))
         })?;
 
+        read_section(&mut r, SECT_CHANS, |r| {
+            ensure(r.get_len()? == sim.chans.len(), "channel count mismatch")?;
+            for c in sim.chans.iter_mut() {
+                get_fifo(r, ids, &mut sim.flits, &mut c.out_buf)?;
+                get_fifo(r, ids, &mut sim.flits, &mut c.in_buf)?;
+                // Each request's message is its segment's (the index pass
+                // rejects a request from no waiting segment).
+                for _ in 0..r.get_len()? {
+                    let sid = Snap::get(r, ids)?;
+                    let msg = sim.segs.get(sid).map_or(MsgId(0), |s| s.msg);
+                    sim.requests.push_back(&mut c.ocrq, (msg, sid));
+                }
+                c.hdrs = Snap::get(r, ids)?;
+                c.crossings = Snap::get(r, ids)?;
+            }
+            Ok(())
+        })?;
+
         read_section(&mut r, SECT_ENGINE, |r| {
             sim.counters = Snap::get(r, ids)?;
             // Every event ever scheduled has either fired or is pending; a
             // count above that would end the resumed run at the event cap.
             let pending = sim.sched.len() as u64;
-            ensure(
-                sim.counters.events.checked_add(pending) == Some(sim.sched.scheduled_count()),
-                "event count disagrees with the schedule",
-            )?;
+            let fired = sim.counters.events.checked_add(pending);
+            let all = fired == Some(sim.sched.scheduled_count());
+            ensure(all, "event count disagrees with the schedule")?;
             sim.obs.decode_coverage(r, ids)?;
             ensure(!r.get_bool()?, "snapshot taken after a run-aborting error")?;
             sim.last_progress = Snap::get(r, ids)?;
-            sim.active = Snap::get(r, ids)?;
-            sim.pending_completions = Snap::get(r, ids)?;
-            sim.bubble_candidates = Snap::get(r, ids)?;
-            ensure(
-                r.get_len()? == sim.chans.len(),
-                "death mask length mismatch",
-            )?;
+            let n = r.get_len()?;
+            ensure(n == sim.chans.len(), "death mask length mismatch")?;
             for i in 0..sim.chans.len() {
                 if bool::get(r, ids)? {
                     sim.flags.kill(ChannelId(i as u32));
@@ -282,27 +323,10 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
 
         r.finish()?;
 
-        // Message ids precede the message table on the wire, so they are
-        // held against it here, once its length is known; only then can a
-        // segment be held against its message.
-        ids.check_msgs(sim.msgs.len())?;
-        for (_, seg) in sim.segs.iter() {
-            // A live source segment has not emitted its tail yet.
-            let worm_len = sim.msgs[seg.msg.index()].worm_len;
-            ensure(
-                !matches!(seg.input, SegInput::Source { next } if next >= worm_len),
-                "source segment past its worm's tail",
-            )?;
-        }
-        // The tracked list is derived state: in a live run, every channel
-        // the snapshot shows holding anything.
-        if sim.live_mode() {
-            for i in 0..sim.chans.len() {
-                if !sim.chans[i].is_quiescent() {
-                    sim.track(ChannelId(i as u32));
-                }
-            }
-        }
+        let mut ix = Index::default();
+        sim.sched.pending_by_seq(&mut ix.events);
+        sim.index(&mut ix)?;
+        sim.install(&ix);
         Ok(sim)
     }
 
@@ -316,6 +340,166 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         bytes: &[u8],
     ) -> Result<Self, SnapshotError> {
         Self::restore_with_hook(topo, routing, cfg, bytes, &mut NoHook)
+    }
+
+    /// The index pass: derives every index from primary state into `ix`
+    /// (whose `events` the caller has filled), reading no index but the
+    /// `worm_len` check word, and rejecting what [`Self::restore_with_hook`] lists.
+    fn index(&self, ix: &mut Index) -> Result<(), SnapshotError> {
+        ix.chans.clear();
+        ix.chans.resize(self.chans.len(), Default::default());
+        ix.msgs.clear();
+        ix.live.clear();
+        ix.named.clear();
+        ix.named.resize(self.headers.num_slots(), false);
+        for m in &self.msgs {
+            let len = m.spec.len.checked_add(self.cfg.extra_header_flits);
+            let fits = m.spec.len >= 2 && len == Some(m.worm_len);
+            ensure(fits, "worm length disagrees with its message")?;
+            let mut remaining = 0;
+            for d in &self.dests[m.dest_run()] {
+                // A destination is done exactly when its worm's tail is in.
+                let tail = d.next_seq == m.worm_len;
+                let fits = d.next_seq <= m.worm_len && d.done_at.is_some() == tail;
+                ensure(fits, "destination progress disagrees with its worm")?;
+                remaining += usize::from(!tail);
+            }
+            // Active until it ends, unless its `SourceReady` is pending.
+            let active = m.completed_at.is_none() && m.failure.is_none();
+            ix.msgs.push((remaining, active));
+        }
+        for e in &ix.events {
+            let (mark, twice) = match e.event {
+                Event::SourceReady(m) => (&mut ix.msgs[m.index()].1, "message ready out of turn"),
+                Event::RouteDecision { msg, in_ch } => {
+                    // The header waits at the buffer head with its state
+                    // parked on the channel, unless a teardown took both.
+                    let c = &self.chans[in_ch.index()];
+                    let head = c.in_buf.front().filter(|f| f.kind == FlitKind::Header);
+                    let parked = c.hdrs.iter().any(|&(m, _)| m == msg);
+                    let waits = parked && head.is_some_and(|f| f.msg == msg);
+                    let torn = self.msgs[msg.index()].failure.is_some();
+                    ensure(waits || torn, "routing decision for no waiting header")?;
+                    let twice = "two routing decisions on one channel";
+                    (&mut ix.chans[in_ch.index()].1, twice)
+                }
+                Event::WireDone(ch) => {
+                    let c = &self.chans[ch.index()];
+                    ensure(!c.out_buf.is_empty(), "transfer over an empty buffer")?;
+                    (&mut ix.chans[ch.index()].0, "two transfers on one wire")
+                }
+                Event::LinkDown(_) => {
+                    let fault = self.fault_times.binary_search(&e.time).is_ok();
+                    ensure(fault, "link-down at no fault time")?;
+                    continue;
+                }
+            };
+            // A pending `SourceReady` clears the active mark; the other
+            // events set theirs.
+            ensure(matches!(e.event, Event::SourceReady(_)) == *mark, twice)?;
+            *mark = !*mark;
+        }
+        for (sid, seg) in self.segs.iter() {
+            match seg.input {
+                // A source emits its header as it acquires, and its tail as
+                // it retires.
+                SegInput::Source { next } => {
+                    let fits = next < self.msgs[seg.msg.index()].worm_len;
+                    let fits = fits && seg.acquired == (next > 0);
+                    ensure(fits, "source segment disagrees with its worm")?;
+                }
+                SegInput::Channel(ic) => {
+                    let fed = &mut ix.chans[ic.index()].2;
+                    ensure(fed.is_none(), "two segments fed by one channel")?;
+                    *fed = Some(sid);
+                }
+            }
+            for o in seg.outputs.iter().filter(|_| seg.acquired) {
+                let owner = &mut ix.chans[o.index()].3;
+                ensure(owner.is_none(), "two segments own one channel")?;
+                *owner = Some((seg.msg, sid));
+            }
+            ix.live.push((seg.msg, sid));
+        }
+        ix.live.sort_unstable();
+        for (_, seg) in self.segs.iter() {
+            for &o in &seg.outputs {
+                // A requested channel keeps the worm's header state until
+                // the header is routed past it.
+                let next = ix.chans[o.index()].2.and_then(|sid| self.segs.get(sid));
+                let routed = next.is_some_and(|d| d.msg == seg.msg);
+                let hdrs = &self.chans[o.index()].hdrs;
+                let kept = routed || hdrs.iter().any(|&(m, _)| m == seg.msg);
+                let kept = kept || self.flags.to_processor(o);
+                ensure(kept, "requested channel holds no header state")?;
+            }
+        }
+        for c in &self.chans {
+            let queued = [&c.in_buf, &c.out_buf].map(|q| self.flits.iter(q));
+            for f in queued.into_iter().flatten() {
+                let last = self.msgs[f.msg.index()].worm_len - 1;
+                let fits = match f.kind {
+                    FlitKind::Data(seq) => 0 < seq && seq < last,
+                    FlitKind::Tail(seq) => seq == last,
+                    FlitKind::Header | FlitKind::Bubble => true,
+                };
+                ensure(fits, "flit disagrees with its worm")?;
+            }
+            for &(_, sid) in self.requests.iter(&c.ocrq) {
+                let waiting = self.segs.get(sid).is_some_and(|s| !s.acquired);
+                ensure(waiting, "request from no waiting segment")?;
+            }
+            for &(_, hid) in &c.hdrs {
+                ensure(self.headers.contains(hid), "vacant header slot named")?;
+                ensure(!ix.named[hid.index()], "header slot named twice")?;
+                ix.named[hid.index()] = true;
+            }
+        }
+        let all = ix.named.iter().filter(|&&n| n).count() == self.headers.len();
+        ensure(all, "header slot named by no channel")
+    }
+
+    /// Installs the indices of `ix`, built by [`Self::index`] from this
+    /// engine's primary state (each request's message is set as it is
+    /// read).
+    fn install(&mut self, ix: &Index) {
+        for (c, &(busy, routing, seg, owner)) in self.chans.iter_mut().zip(&ix.chans) {
+            (c.wire_busy, c.route_pending, c.seg, c.owner) = (busy, routing, seg, owner);
+        }
+        for (m, &(remaining, _)) in self.msgs.iter_mut().zip(&ix.msgs) {
+            m.remaining = remaining;
+        }
+        for &(m, sid) in &ix.live {
+            self.live.push(&mut self.msgs[m.index()].live_segs, sid);
+        }
+        self.active = ix.msgs.iter().filter(|m| m.1).count();
+        let live = self.live_mode();
+        for ch in (0..self.chans.len() as u32).map(ChannelId) {
+            if live && !self.chans[ch.index()].is_quiescent() {
+                self.track(ch);
+            }
+        }
+    }
+
+    /// The engine holds the indices `ix` derived (but the tracked list,
+    /// which may keep a channel a wake has not dropped yet).
+    fn holds(&self, ix: &Index) -> bool {
+        let in_live = |m: MsgId, sid| ix.live.binary_search(&(m, sid)).is_ok();
+        let listed = |&(m, sid): &(MsgId, SlotId)| {
+            let held = self.live.as_slice(&self.msgs[m.index()].live_segs);
+            held.contains(&sid)
+        };
+        let lists: usize = self.msgs.iter().map(|m| m.live_segs.len()).sum();
+        let msgs = self.msgs.iter().zip(&ix.msgs);
+        self.chans.iter().zip(&ix.chans).all(|(c, &want)| {
+            (c.wire_busy, c.route_pending, c.seg, c.owner) == want
+                && self.requests.iter(&c.ocrq).all(|&(m, sid)| in_live(m, sid))
+        }) && msgs.into_iter().all(|(m, &(remaining, _))| m.remaining == remaining)
+            && self.active == ix.msgs.iter().filter(|m| m.1).count()
+            // Each list, in any order, holds all of its run of `ix.live`
+            // and nothing more.
+            && ix.live.iter().all(listed)
+            && lists == ix.live.len()
     }
 }
 
@@ -385,11 +569,7 @@ fn get_slab<T>(
     let mut slots = Vec::with_capacity(n);
     for _ in 0..n {
         let gen = r.get_u32()?;
-        let occupant = if r.get_bool()? {
-            Some(item(r, ids)?)
-        } else {
-            None
-        };
+        let occupant = r.get_bool()?.then(|| item(r, ids)).transpose()?;
         slots.push((gen, occupant));
     }
     Slab::from_raw_parts(slots, Snap::get(r, ids)?).map_err(SnapshotError::Corrupt)
@@ -428,10 +608,8 @@ fn get_schedule<E: Snap>(
     let mut last_seq = None;
     for _ in 0..r.get_len()? {
         let (at, seq, event) = (Time::get(r, ids)?, u64::get(r, ids)?, E::get(r, ids)?);
-        ensure(
-            at >= now && seq < next_seq,
-            "pending event key out of range",
-        )?;
+        let in_range = at >= now && seq < next_seq;
+        ensure(in_range, "pending event key out of range")?;
         ensure(last_seq < Some(seq), "pending events out of seq order")?;
         last_seq = Some(seq);
         sched.insert_restored(at, seq, event);
@@ -442,7 +620,7 @@ fn get_schedule<E: Snap>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::tests::{rejects_tag, round_trips, round_trips_via};
+    use crate::codec::tests::{rejects_tag, round_trips};
 
     /// The engine-private tables, through the same two checks as every
     /// other one (`codec::tests`).
@@ -463,44 +641,5 @@ mod tests {
             });
         }
         rejects_tag::<SegInput>(2, "unknown segment input tag");
-        // A message is written beside its arenas: read back behind another
-        // message's run, its words come out the same.
-        let dests = [
-            DestState {
-                next_seq: 64,
-                done_at: Some(Time::from_ns(11_000)),
-            },
-            DestState {
-                next_seq: 12,
-                done_at: None,
-            },
-        ];
-        let mut live = RunPool::new();
-        let mut live_segs = Run::new();
-        for i in 0..5 {
-            live.push(&mut live_segs, SlotId::from_raw(i, 3));
-        }
-        let m = MsgState {
-            spec: MessageSpec::multicast(NodeId(5), vec![NodeId(8), NodeId(6)], 64),
-            worm_len: 64,
-            dests_at: 0,
-            remaining: 1,
-            completed_at: None,
-            failure: None,
-            live_segs,
-        };
-        let mut w = SnapWriter::new();
-        m.put_snap(&mut w, &dests, &live);
-        round_trips_via(w.as_bytes(), |r, ids| {
-            let mut dests = vec![FRESH_DEST];
-            let mut index = vec![(NodeId(1), 0)];
-            let mut live = RunPool::new();
-            let back = MsgState::get_snap(r, ids, &mut dests, &mut index, &mut live)?;
-            assert_eq!(back.dests_at, 1);
-            assert_eq!(index[1..], [(NodeId(6), 1), (NodeId(8), 0)]);
-            let mut w = SnapWriter::new();
-            back.put_snap(&mut w, &dests, &live);
-            Ok(w.as_bytes().to_vec())
-        });
     }
 }

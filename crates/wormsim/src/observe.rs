@@ -20,12 +20,12 @@
 //! snapshot, the coverage words and the checkpoint cadence are written
 //! and read here, beside the state they encode.
 
-use super::snapshot::read_section;
+use super::snapshot::{read_section, Index};
 use super::*;
 use crate::codec::{ensure, put_list, IdSpace, Snap};
 use crate::coverage::CoverageSet;
 use crate::trace::{ChannelList, Trace, TraceEvent};
-use desim::{Duration, ScheduledEvent, Ticker};
+use desim::{Duration, Ticker};
 use spam_metrics::{
     ChannelAccum, ChannelScoreboard, GaugeSample, GaugeSeries, MetricsConfig, RunMetrics,
 };
@@ -104,14 +104,14 @@ impl CheckpointSink {
 
 /// Live checkpointing state (see [`NetworkSim::enable_checkpoints`]).
 /// The writer buffer is allocated once and reused for every snapshot,
-/// and so is the buffer the pending events are sorted in, so
+/// and so is the [`Index`] scratch the pending events are sorted in, so
 /// steady-state checkpointing through a [`CheckpointSink::Digests`] sink
 /// allocates nothing.
 struct CheckpointState {
     ticker: Ticker,
     sink: CheckpointSink,
     writer: SnapWriter,
-    pending: Vec<ScheduledEvent<Event>>,
+    index: Index,
     /// Set on the first encode failure (e.g. a routing algorithm with no
     /// header codec): checkpointing disables itself rather than
     /// perturbing or aborting the run.
@@ -124,7 +124,7 @@ impl CheckpointState {
             ticker,
             sink,
             writer: SnapWriter::with_capacity(16 * 1024),
-            pending: Vec::new(),
+            index: Index::default(),
             dead: None,
         })
     }
@@ -626,15 +626,15 @@ impl<R: RoutingAlgorithm> NetworkSim<'_, R> {
         // The encoder reads the cadence off `self`, so the checkpointer
         // stays in place and lends out its buffers for the duration.
         let mut writer = std::mem::replace(&mut cs.writer, SnapWriter::with_capacity(0));
-        let mut pending = std::mem::take(&mut cs.pending);
-        let encoded = self.encode(&mut writer, hook, &mut pending);
+        let mut index = std::mem::take(&mut cs.index);
+        let encoded = self.encode(&mut writer, hook, &mut index);
         if let Some(cs) = self.obs.checkpoint.as_mut() {
             match encoded {
                 Ok(()) => cs.sink.store(last.as_ns(), writer.seal()),
                 Err(e) => cs.dead = Some(e),
             }
             cs.writer = writer;
-            cs.pending = pending;
+            cs.index = index;
         }
     }
 

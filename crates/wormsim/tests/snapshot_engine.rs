@@ -198,33 +198,28 @@ fn digest_ledgers_align_after_resume() {
             .collect();
 
         // Resume from a middle checkpoint, or the last one before the
-        // cut; its own ledger must equal the original's suffix strictly
-        // after the resume instant.
+        // cut, under either queue; its own ledger must equal the
+        // original's suffix strictly after the resume instant.
         let (mid_at, mid_bytes) = match link_down {
             None => &kept[kept.len() / 2],
             Some(at) => kept.iter().rfind(|(t, _)| *t < at.as_ns()).unwrap(),
         };
-        let mut resumed = NetworkSim::restore(
-            &topo,
-            build_oracle(&topo, &n),
-            SimConfig::paper(),
-            mid_bytes,
-        )
-        .unwrap();
-        let (sink, digests) = CheckpointSink::digests();
-        resumed.set_checkpoint_sink(sink);
-        resumed.run();
         let suffix: Vec<(u64, u64)> = full_ledger
             .iter()
             .copied()
             .filter(|(at, _)| at > mid_at)
             .collect();
         assert!(!suffix.is_empty());
-        assert_eq!(
-            *digests.lock().unwrap(),
-            suffix,
-            "link down at {link_down:?}"
-        );
+        for kind in [QueueKind::Bucket, QueueKind::Heap] {
+            let cfg = SimConfig::paper().with_queue(kind);
+            let mut resumed =
+                NetworkSim::restore(&topo, build_oracle(&topo, &n), cfg, mid_bytes).unwrap();
+            let (sink, digests) = CheckpointSink::digests();
+            resumed.set_checkpoint_sink(sink);
+            resumed.run();
+            let ledger = digests.lock().unwrap();
+            assert_eq!(*ledger, suffix, "link down at {link_down:?}, {kind:?}");
+        }
     }
 }
 
@@ -314,14 +309,31 @@ fn resealed(bytes: &[u8], byte: usize, bit: u8) -> Vec<u8> {
 /// worm that never ends.
 const SWEEP_EVENT_CAP: u64 = 100_000;
 
+/// Panic messages no accepted snapshot may reach: each names an index
+/// `restore` rebuilds from primary state, or a slab handle its index
+/// pass checks.
+const REBUILT_INVARIANTS: [&str; 5] = [
+    "live list tracks live segments",
+    "c.wire_busy",
+    "subtract with overflow",
+    "header handle live",
+    "header state travels with the worm",
+];
+
+/// `msg` with every digit dropped, so panics of one kind count as one.
+fn panic_class(msg: &str) -> String {
+    msg.chars().filter(|c| !c.is_ascii_digit()).collect()
+}
+
 /// Re-sealed flips reach the structural decoders. `restore` must answer
 /// every one with `Ok` or a typed error; what it accepts must then run
 /// without indexing outside the fabric or the message table and without
-/// spinning to the event cap. A flip that leaves every id and length in
-/// range but breaks an invariant *between* structures (a busy wire over
-/// an empty buffer, a live-segment list the slab disagrees with) can
-/// still panic in `run`: those are counted and printed, not hidden —
-/// ROADMAP item 2b's byte mutator starts from that number.
+/// spinning to the event cap, and without tripping an assert on an index
+/// `restore` rebuilds ([`REBUILT_INVARIANTS`]). A flip that builds some
+/// other state this run never reached (a flit in a buffer it never
+/// entered, a header at the wrong router) can still panic in `run`:
+/// those are counted by class and printed, not hidden — ROADMAP item
+/// 2b's byte mutator starts from that histogram.
 #[test]
 fn resealed_bit_flips_never_panic_restore_nor_index_out_of_the_fabric() {
     let (topo, n) = build_topo();
@@ -350,6 +362,7 @@ fn resealed_bit_flips_never_panic_restore_nor_index_out_of_the_fabric() {
 
     let (mut typed, mut accepted) = (0u32, 0u32);
     let (mut out_of_range, mut capped, mut invariant) = (0u32, 0u32, 0u32);
+    let mut classes = std::collections::BTreeMap::<String, u32>::new();
     // Magic and version are the container's; everything between them
     // and the trailer is section payload.
     for byte in 12..bytes.len() - 8 {
@@ -369,7 +382,10 @@ fn resealed_bit_flips_never_panic_restore_nor_index_out_of_the_fabric() {
                 Ok(out) if out.counters.events >= SWEEP_EVENT_CAP => capped += 1,
                 Ok(_) => {}
                 Err(msg) if msg.contains("index out of bounds") => out_of_range += 1,
-                Err(_) => invariant += 1,
+                Err(msg) => {
+                    invariant += 1;
+                    *classes.entry(panic_class(&msg)).or_default() += 1;
+                }
             }
         }
     }
@@ -379,7 +395,16 @@ fn resealed_bit_flips_never_panic_restore_nor_index_out_of_the_fabric() {
          {invariant} panicked on a cross-structure invariant",
         bytes.len()
     );
+    for (class, count) in &classes {
+        println!("{count:>6}  {class}");
+    }
     assert!(typed > 0 && accepted > 0);
+    for class in classes.keys() {
+        assert!(
+            !REBUILT_INVARIANTS.iter().any(|i| class.contains(i)),
+            "an accepted snapshot broke a rebuilt index: {class}"
+        );
+    }
     assert_eq!(out_of_range, 0, "an id outside the fabric must be Corrupt");
     assert_eq!(
         capped, 0,

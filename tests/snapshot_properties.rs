@@ -67,8 +67,18 @@ fn random_spec(topo_seed: u64, traffic_seed: u64, arm: u64, fault: u64) -> Scena
     s
 }
 
+/// Cases of the property: `PROPTEST_CASES` when set, else 16. (The
+/// proptest shim only caps a configured count by that variable, so a
+/// larger run has to be asked for here.)
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(16)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn resume_at_a_random_instant_is_exact(

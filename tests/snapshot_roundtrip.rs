@@ -183,13 +183,13 @@ fn first_checkpoint(spec: &ScenarioSpec, queue: Option<QueueKind>) -> (u64, Vec<
 /// each [`format_pin_specs`] spec. A change to any of them must come with
 /// a `spam_snapshot::FORMAT_VERSION` bump.
 #[test]
-fn snapshot_bytes_are_pinned_for_format_version_2() {
-    assert_eq!(spam_snapshot::FORMAT_VERSION, 2);
+fn snapshot_bytes_are_pinned_for_format_version_3() {
+    assert_eq!(spam_snapshot::FORMAT_VERSION, 3);
     let [storm, closed, degraded] = format_pin_specs();
     for (spec, want) in [
-        (storm, 0x07dc_52ad_174f_ec98_u64),
-        (closed, 0xd949_2f6f_3b06_0c67),
-        (degraded, 0xca1f_23a2_5d27_d544),
+        (storm, 0xaa0c_cf59_3ddb_2498_u64),
+        (closed, 0xd36b_b93b_7bae_4b71),
+        (degraded, 0x9aa8_e937_4a02_299a),
     ] {
         let (at_ns, bytes) = first_checkpoint(&spec, None);
         let got = spam_net::wormsim::fnv1a(&bytes);
