@@ -7,8 +7,11 @@
 //! ```
 //!
 //! Seeds from the committed corpus (`scenarios/`), mutates, runs every
-//! valid mutant under the four oracles, and tracks engine-coverage
-//! novelty. Outputs:
+//! valid mutant under the five oracles, and tracks engine-coverage
+//! novelty. Every mutant runs: there is no wall-clock budget, so the
+//! same seed and mutant count over the same corpus write the same
+//! files. `--quick` (1 000 mutants) takes about 80 s on a 2-core
+//! machine. Outputs:
 //!
 //! * `results/fuzz_coverage.csv` — per-signal table: every coverage bit
 //!   and watermark, corpus baseline vs. post-fuzz value.
@@ -72,7 +75,7 @@ fn summary(report: &FuzzReport) -> String {
     lines.extend(novel.map(|sig| format!("    + {sig}")));
     lines.extend([
         "mutants:".to_string(),
-        format!("  run           {:>6}", s.mutants_run),
+        format!("  run           {:>6}", s.valid + s.rejected),
         format!("  valid         {:>6}", s.valid),
         format!(
             "  rejected      {:>6}  (predictions: {} confirmed, {} cross-axis)",
@@ -111,12 +114,6 @@ fn main() {
             mutants: args
                 .parsed("--mutants")?
                 .unwrap_or(if quick { 1000 } else { 10_000 }),
-            // Quick mode is CI's: time-boxed as a backstop, but sized to
-            // finish far inside the box so the outputs stay deterministic.
-            budget_ms: args
-                .parsed("--budget-ms")?
-                .or(if quick { Some(240_000) } else { None }),
-            max_promotions: 16,
         };
         Ok((cfg, quick, args.flag("--promote")))
     });
@@ -145,14 +142,9 @@ fn main() {
     // Wall-clock throughput is stderr-only: the JSON record must be
     // byte-identical across re-runs of the same seed.
     eprintln!(
-        "fuzz_specs: {} mutants in {elapsed:.1?} ({:.0} mutants/s){}",
-        s.mutants_run,
-        s.mutants_run as f64 / elapsed.as_secs_f64().max(1e-9),
-        if s.budget_exhausted {
-            " — budget exhausted"
-        } else {
-            ""
-        }
+        "fuzz_specs: {} mutants in {elapsed:.1?} ({:.0} mutants/s)",
+        cfg.mutants,
+        cfg.mutants as f64 / elapsed.as_secs_f64().max(1e-9),
     );
 
     let point = |x: f64, mean: f64| PointSummary::exact(x, mean, 1);
@@ -160,7 +152,7 @@ fn main() {
         "fuzz_coverage",
         &[
             ("seed", format!("0x{:x}", cfg.seed)),
-            ("mutants", s.mutants_run.to_string()),
+            ("mutants", cfg.mutants.to_string()),
             ("corpus_seeds", corpus.len().to_string()),
             ("quick", quick.to_string()),
             ("novel_signals", report.novel_vs_baseline.join(" ")),

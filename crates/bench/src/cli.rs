@@ -31,17 +31,17 @@ pub const EXPERIMENT: Grammar = Grammar {
 
 /// `scenario_run`'s command line.
 pub const SCENARIO_RUN: Grammar = Grammar {
-    usage: "usage: scenario_run [--quick] [--resume] [--dir <scenario directory>]",
-    flags: &["--quick", "--resume"],
+    usage: "usage: scenario_run [--quick] [--dir <scenario directory>]",
+    flags: &["--quick"],
     valued: &["--dir"],
     positional: false,
 };
 
 /// `fuzz_specs`' command line.
 pub const FUZZ_SPECS: Grammar = Grammar {
-    usage: "usage: fuzz_specs [--quick] [--promote] [--seed N] [--mutants N] [--budget-ms N]",
+    usage: "usage: fuzz_specs [--quick] [--promote] [--seed N] [--mutants N]",
     flags: &["--quick", "--promote"],
-    valued: &["--seed", "--mutants", "--budget-ms"],
+    valued: &["--seed", "--mutants"],
     positional: false,
 };
 

@@ -198,12 +198,12 @@ fn heatmap_json(out: &mut String, map: &CongestionHeatmap) {
     json_row(out, &accum(&map.totals()));
     out.push_str(",\n  \"cells\": [");
     let mut sep = "\n    ";
-    for (row, col, c) in map.occupied() {
+    for (row, col, switch, c) in map.occupied() {
         out.push_str(sep);
         let mut fields = vec![
             ("row", n(row as u64)),
             ("col", n(col as u64)),
-            ("switch", n(u64::from(c.switch.expect("occupied")))),
+            ("switch", n(u64::from(switch))),
             ("channels", n(u64::from(c.channels))),
         ];
         fields.extend(accum(&c.heat));

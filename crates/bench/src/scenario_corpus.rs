@@ -7,40 +7,7 @@ use crate::report::{self, BenchJson, Report};
 use crate::PointSummary;
 use spam_scenario::{run_spec, CorpusError, ScenarioReport, ScenarioSpec, SpecError};
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
-
-/// How one corpus entry ended. A sweep is crash-safe: one scenario's
-/// typed failure never aborts the rest, and a resume journal lets an
-/// interrupted sweep skip what already finished.
-#[derive(Debug, Clone)]
-pub enum CorpusStatus {
-    /// The scenario executed; here is its report.
-    Ok(ScenarioReport),
-    /// The scenario failed with a typed error (recorded, not fatal).
-    Failed(SpecError),
-    /// The resume journal says this scenario already completed.
-    Skipped,
-}
-
-impl CorpusStatus {
-    /// Short status word for CSV/status columns.
-    pub fn word(&self) -> &'static str {
-        match self {
-            CorpusStatus::Ok(_) => "ok",
-            CorpusStatus::Failed(_) => "error",
-            CorpusStatus::Skipped => "skipped",
-        }
-    }
-
-    /// The report, when the scenario ran.
-    pub fn report(&self) -> Option<&ScenarioReport> {
-        match self {
-            CorpusStatus::Ok(r) => Some(r),
-            _ => None,
-        }
-    }
-}
 
 /// One executed corpus entry.
 #[derive(Debug, Clone)]
@@ -49,69 +16,24 @@ pub struct CorpusResult {
     pub path: PathBuf,
     /// The (possibly quickened) spec that ran.
     pub spec: ScenarioSpec,
-    /// How the run ended.
-    pub status: CorpusStatus,
-}
-
-/// Names already recorded in a resume journal (one scenario name per
-/// line). A missing journal is an empty set.
-fn journal_names(path: &Path) -> Vec<String> {
-    std::fs::read_to_string(path)
-        .map(|s| s.lines().map(str::to_string).collect())
-        .unwrap_or_default()
-}
-
-/// Appends one completed scenario to the journal, flushing immediately
-/// so a crash between scenarios loses at most the one in flight.
-fn journal_append(path: &Path, name: &str) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    writeln!(f, "{name}")?;
-    f.sync_all()
+    /// How the run ended: its report, or the typed error it failed with
+    /// (recorded, not fatal to the sweep).
+    pub status: Result<ScenarioReport, SpecError>,
 }
 
 /// Loads and executes every scenario under `dir`, in filename order;
 /// only the directory load can fail the run outright. `quick` caps
 /// message counts and replications ([`ScenarioSpec::quicken`]). A
-/// scenario that fails is recorded as
-/// [`CorpusStatus::Failed`] and the sweep continues. With a `journal`
-/// path, scenarios named in the journal are skipped and each completed
-/// scenario is appended as it finishes — rerunning the same command
-/// after a crash resumes where the sweep died.
-pub fn run_corpus(
-    dir: &Path,
-    quick: bool,
-    journal: Option<&Path>,
-) -> Result<Vec<CorpusResult>, CorpusError> {
+/// scenario that fails is recorded with its error and the sweep
+/// continues.
+pub fn run_corpus(dir: &Path, quick: bool) -> Result<Vec<CorpusResult>, CorpusError> {
     let corpus = spam_scenario::load_dir(dir)?;
-    let done = journal.map(journal_names).unwrap_or_default();
     let mut out = Vec::with_capacity(corpus.len());
     for (path, mut spec) in corpus {
         if quick {
             spec.quicken();
         }
-        let status = if done.contains(&spec.name) {
-            CorpusStatus::Skipped
-        } else {
-            match run_spec(&spec) {
-                Ok(report) => {
-                    if let Some(j) = journal {
-                        // Journal I/O failure must not invalidate the run;
-                        // it only costs resumability.
-                        if let Err(e) = journal_append(j, &report.name) {
-                            eprintln!("corpus journal {}: {e}", j.display());
-                        }
-                    }
-                    CorpusStatus::Ok(report)
-                }
-                Err(error) => CorpusStatus::Failed(error),
-            }
-        };
+        let status = run_spec(&spec);
         out.push(CorpusResult { path, spec, status });
     }
     Ok(out)
@@ -166,8 +88,8 @@ fn summary_cells(report: &ScenarioReport, digits: usize, absent: &str) -> [Strin
 }
 
 /// The combined corpus summary CSV, one row per scenario — including a
-/// status row for scenarios that failed or were skipped, so a partial
-/// sweep still leaves a complete, honest record.
+/// status row for scenarios that failed, so a sweep with a failure still
+/// leaves a complete, honest record.
 pub fn corpus_csv(results: &[CorpusResult]) -> String {
     let mut f = String::from(
         "scenario,status,reps,submitted,delivered,torn_down,unreachable,\
@@ -176,16 +98,15 @@ pub fn corpus_csv(results: &[CorpusResult]) -> String {
     for r in results {
         let name = &r.spec.name;
         match &r.status {
-            CorpusStatus::Ok(report) => {
+            Ok(report) => {
                 writeln!(f, "{name},ok,{},", summary_cells(report, 4, "").join(","))
             }
-            CorpusStatus::Failed(e) => {
+            Err(e) => {
                 // Typed failure detail, commas stripped to keep the row
                 // one CSV record.
                 let detail = e.to_string().replace(',', ";");
                 writeln!(f, "{name},error,,,,,,,,{detail}")
             }
-            CorpusStatus::Skipped => writeln!(f, "{name},skipped,,,,,,,,resume journal"),
         }
         .expect("string write");
     }
@@ -207,9 +128,10 @@ pub fn corpus_table(results: &[CorpusResult]) -> String {
     let header = ["reps", "messages", "delivered", "torn", "unreach", "mean (µs)", "clean"];
     line("scenario", "status", header.map(str::to_string));
     for r in results {
-        let ran = r.status.report().map(|ran| summary_cells(ran, 3, "-"));
-        let cells = ran.unwrap_or_else(|| std::array::from_fn(|_| "-".to_string()));
-        line(&r.spec.name, r.status.word(), cells);
+        match &r.status {
+            Ok(ran) => line(&r.spec.name, "ok", summary_cells(ran, 3, "-")),
+            Err(_) => line(&r.spec.name, "error", std::array::from_fn(|_| "-".into())),
+        }
     }
     text
 }
@@ -221,7 +143,7 @@ pub fn corpus_bench_json(results: &[CorpusResult], quick: bool) -> BenchJson {
     let series = results
         .iter()
         .filter_map(|r| {
-            let report = r.status.report()?;
+            let report = r.status.as_ref().ok()?;
             let points = report
                 .reps
                 .iter()
@@ -237,20 +159,15 @@ pub fn corpus_bench_json(results: &[CorpusResult], quick: bool) -> BenchJson {
             Some((report.name.clone(), points))
         })
         .collect();
-    let count = |s: &str| {
-        results
-            .iter()
-            .filter(|r| r.status.word() == s)
-            .count()
-            .to_string()
-    };
+    let ok = results.iter().filter(|r| r.status.is_ok()).count();
     BenchJson::new(
         "scenario_corpus",
         &[
             ("scenarios", results.len().to_string()),
-            ("ok", count("ok")),
-            ("failed", count("error")),
-            ("skipped", count("skipped")),
+            ("ok", ok.to_string()),
+            ("failed", (results.len() - ok).to_string()),
+            // Always 0; the committed record keeps the key.
+            ("skipped", "0".to_string()),
             ("quick", quick.to_string()),
         ],
         series,
@@ -262,7 +179,7 @@ pub fn corpus_bench_json(results: &[CorpusResult], quick: bool) -> BenchJson {
 /// and the record.
 pub fn report(results: &[CorpusResult], quick: bool) -> Report {
     let mut files = vec![report::file("scenario_corpus.csv", corpus_csv(results))];
-    for ran in results.iter().filter_map(|r| r.status.report()) {
+    for ran in results.iter().filter_map(|r| r.status.as_ref().ok()) {
         let name = format!("scenarios/{}.csv", ran.name);
         files.push(report::file(&name, scenario_csv(ran)));
     }
@@ -291,9 +208,9 @@ mod tests {
     fn corpus_runs_and_reports() {
         let dir = std::env::temp_dir().join("spam_bench_corpus_test");
         tiny_corpus(&dir);
-        let results = run_corpus(&dir, true, None).unwrap();
+        let results = run_corpus(&dir, true).unwrap();
         assert_eq!(results.len(), 1);
-        let report = results[0].status.report().expect("scenario ran");
+        let report = results[0].status.as_ref().expect("scenario ran");
         assert!(report.all_clean());
         assert!(report.mean_latency_us().unwrap() > 10.0, "startup floor");
 
@@ -315,7 +232,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("bad.scenario.json"), "{\"name\": \"x\"}").unwrap();
         assert!(matches!(
-            run_corpus(&dir, false, None),
+            run_corpus(&dir, false),
             Err(CorpusError::Bad { .. })
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -336,7 +253,7 @@ mod tests {
         };
         std::fs::write(dir.join("doomed.scenario.json"), doomed.to_json_string()).unwrap();
 
-        let results = run_corpus(&dir, true, None).unwrap();
+        let results = run_corpus(&dir, true).unwrap();
         assert_eq!(results.len(), 2);
         let by_name = |n: &str| {
             results
@@ -344,33 +261,13 @@ mod tests {
                 .find(|r| r.spec.name == n)
                 .unwrap_or_else(|| panic!("{n} missing"))
         };
-        assert!(matches!(
-            by_name("aaa-doomed").status,
-            CorpusStatus::Failed(_)
-        ));
-        assert!(matches!(by_name("tiny-fig2").status, CorpusStatus::Ok(_)));
+        assert!(by_name("aaa-doomed").status.is_err());
+        assert!(by_name("tiny-fig2").status.is_ok());
 
         // The combined CSV records both, with a status per row.
         let body = corpus_csv(&results);
         assert!(body.contains("aaa-doomed,error,"), "{body}");
         assert!(body.contains("tiny-fig2,ok,"), "{body}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn resume_journal_skips_completed_scenarios() {
-        let dir = std::env::temp_dir().join("spam_bench_corpus_resume_test");
-        tiny_corpus(&dir);
-        let journal = dir.join("out/.journal");
-
-        let first = run_corpus(&dir, true, Some(&journal)).unwrap();
-        assert!(matches!(first[0].status, CorpusStatus::Ok(_)));
-        let recorded = std::fs::read_to_string(&journal).unwrap();
-        assert_eq!(recorded.trim(), "tiny-fig2");
-
-        // Second sweep with the same journal: nothing reruns.
-        let second = run_corpus(&dir, true, Some(&journal)).unwrap();
-        assert!(matches!(second[0].status, CorpusStatus::Skipped));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

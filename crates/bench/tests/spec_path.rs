@@ -79,16 +79,13 @@ fn anything_else_is_the_usage_error() {
     for (grammar, good, bad) in [
         (
             SCENARIO_RUN,
-            &[
-                &[][..],
-                &["--resume", "--quick"],
-                &["--dir", "d", "--quick"],
-            ][..],
+            &[&[][..], &["--quick"], &["--dir", "d", "--quick"]][..],
             &[
                 &["--quik"][..],
                 &["--dir"],
                 &["--quick", "--quick"],
                 &["extra"],
+                &["--resume"],
             ][..],
         ),
         (
@@ -102,6 +99,7 @@ fn anything_else_is_the_usage_error() {
                 &["--mutant", "10"][..],
                 &["--mutants"],
                 &["--seed", "1", "--seed", "2"],
+                &["--budget-ms", "5"],
             ][..],
         ),
         (

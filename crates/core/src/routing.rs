@@ -112,12 +112,6 @@ impl<'a> SpamRouting<'a> {
         }
     }
 
-    /// The tables behind an `Arc`, clonable into an artifact cache so
-    /// later runs on the same topology+labeling share their rows.
-    pub fn tables_arc(&self) -> Arc<RoutingTables> {
-        Arc::clone(&self.tables)
-    }
-
     /// Same labeling, different selection policy (shares the tables).
     pub fn with_policy(&self, policy: SelectionPolicy) -> Self {
         SpamRouting {

@@ -21,7 +21,6 @@
 //! same promotions, and the same report, byte for byte.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use spam_scenario::{mutate_spec, ScenarioSpec};
@@ -31,20 +30,17 @@ use crate::minimize::minimize_violation;
 use crate::novelty::NoveltyTracker;
 use crate::oracle::check_spec;
 
-/// Fuzzing run parameters.
+/// Cap on promoted specs kept in the report.
+const MAX_PROMOTIONS: usize = 16;
+
+/// Fuzzing run parameters. A run is a function of these and the corpus:
+/// every mutant runs, with no wall-clock cut.
 #[derive(Debug, Clone, Copy)]
 pub struct FuzzConfig {
     /// Master seed; everything else derives from it.
     pub seed: u64,
     /// Number of mutants to generate.
     pub mutants: usize,
-    /// Wall-clock backstop in milliseconds; `None` means unbounded. A
-    /// run that finishes inside the budget is unaffected (and therefore
-    /// deterministic); hitting it truncates the run and is reported in
-    /// [`FuzzStats::budget_exhausted`].
-    pub budget_ms: Option<u64>,
-    /// Cap on promoted specs kept in the report.
-    pub max_promotions: usize,
 }
 
 impl Default for FuzzConfig {
@@ -52,17 +48,13 @@ impl Default for FuzzConfig {
         FuzzConfig {
             seed: 0x5bad_f00d,
             mutants: 1000,
-            budget_ms: None,
-            max_promotions: 16,
         }
     }
 }
 
-/// Tallies from one fuzzing run.
+/// Tallies from one fuzzing run of [`FuzzConfig::mutants`] mutants.
 #[derive(Debug, Clone, Default)]
 pub struct FuzzStats {
-    /// Mutants generated (≤ `cfg.mutants` if the budget truncated).
-    pub mutants_run: usize,
     /// Mutants that validated and went through the oracle battery.
     pub valid: usize,
     /// Mutants rejected by `validate()`.
@@ -78,8 +70,6 @@ pub struct FuzzStats {
     pub run_rejected: usize,
     /// Mutants that tripped an oracle.
     pub oracle_failures: usize,
-    /// True when the wall-clock budget stopped the run early.
-    pub budget_exhausted: bool,
 }
 
 /// A clean mutant whose coverage was novel when it ran.
@@ -135,7 +125,6 @@ fn mutant_name(seed: u64, i: usize) -> String {
 /// hand-authored corpus never showed the engine this".
 pub fn fuzz(corpus: &[ScenarioSpec], cfg: &FuzzConfig) -> FuzzReport {
     assert!(!corpus.is_empty(), "fuzzer needs at least one seed spec");
-    let started = Instant::now();
 
     // Baseline: what does the hand corpus already cover?
     let mut baseline = CoverageSet::default();
@@ -156,14 +145,6 @@ pub fn fuzz(corpus: &[ScenarioSpec], cfg: &FuzzConfig) -> FuzzReport {
     let mut spec_errors: BTreeMap<String, u32> = BTreeMap::new();
 
     for i in 0..cfg.mutants {
-        if let Some(budget) = cfg.budget_ms {
-            if started.elapsed().as_millis() as u64 >= budget {
-                stats.budget_exhausted = true;
-                break;
-            }
-        }
-        stats.mutants_run += 1;
-
         let parent = &pool[rng.gen_range(0..pool.len())];
         let mutation = mutate_spec(parent, &mut rng);
         let name = mutant_name(cfg.seed, i);
@@ -217,7 +198,7 @@ pub fn fuzz(corpus: &[ScenarioSpec], cfg: &FuzzConfig) -> FuzzReport {
                         if !signals.is_empty() {
                             // Coverage-guided: novel specs become seeds.
                             pool.push(mutation.spec.clone());
-                            if promoted.len() < cfg.max_promotions {
+                            if promoted.len() < MAX_PROMOTIONS {
                                 let mut spec = quick;
                                 spec.description = format!(
                                     "fuzzer-promoted (axis `{}`): novel signals [{}]",
@@ -257,8 +238,6 @@ mod tests {
         FuzzConfig {
             seed: 0xFEED,
             mutants: 40,
-            budget_ms: None,
-            max_promotions: 8,
         }
     }
 
@@ -267,7 +246,6 @@ mod tests {
         let corpus = tiny_corpus();
         let a = fuzz(&corpus, &tiny_cfg());
         let b = fuzz(&corpus, &tiny_cfg());
-        assert_eq!(a.stats.mutants_run, b.stats.mutants_run);
         assert_eq!(a.stats.valid, b.stats.valid);
         assert_eq!(a.stats.rejected, b.stats.rejected);
         assert_eq!(a.accumulated, b.accumulated);

@@ -16,15 +16,17 @@
 //!   promotes mutants that light a bit or push a watermark the
 //!   hand-authored corpus never did, and novel specs re-enter the seed
 //!   pool so the search digs where it last paid off.
-//! * Four oracles guard every run ([`oracle::check_spec`]): rep-0
+//! * Five oracles guard every run ([`oracle::check_spec`]): rep-0
 //!   determinism (two runs, identical digests), Heap-vs-Bucket queue
-//!   equivalence, total accounting, and end-of-run quiescence.
+//!   equivalence, total accounting, end-of-run quiescence, and
+//!   checkpoint/resume equivalence.
 //!   Violations are greedily minimized ([`minimize_violation`]) down an
 //!   axis-deletion lattice while preserving the named oracle.
 //!
-//! The whole loop is deterministic: one [`FuzzConfig::seed`] reproduces
-//! the same mutants, promotions, and regressions byte for byte, which is
-//! what lets CI run `fuzz_specs --quick` and diff the coverage report.
+//! The whole loop is deterministic and has no wall-clock cut: one
+//! [`FuzzConfig`] reproduces the same mutants, promotions, and
+//! regressions byte for byte, which is what lets CI run
+//! `fuzz_specs --quick` and diff the committed coverage record.
 
 pub mod digest;
 pub mod fuzzer;

@@ -13,7 +13,6 @@
 use crate::channels::ChannelAccum;
 use netgraph::gen::lattice::LatticeLayout;
 use netgraph::Topology;
-use std::fmt::Write as _;
 
 /// One lattice cell's folded congestion totals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,7 +59,7 @@ impl HeatKey {
         }
     }
 
-    /// The CSV/JSON field name.
+    /// The field's name in exports.
     pub fn name(self) -> &'static str {
         match self {
             HeatKey::BusyNs => "busy_ns",
@@ -118,14 +117,11 @@ impl CongestionHeatmap {
         t
     }
 
-    /// Cells holding a switch, as `(row, col, &CellHeat)`.
-    pub fn occupied(&self) -> impl Iterator<Item = (usize, usize, &CellHeat)> {
+    /// Cells holding a switch, as `(row, col, switch, &CellHeat)`.
+    pub fn occupied(&self) -> impl Iterator<Item = (usize, usize, u32, &CellHeat)> {
         let side = self.side;
-        self.cells
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.switch.is_some())
-            .map(move |(i, c)| (i / side, i % side, c))
+        let cells = self.cells.iter().enumerate();
+        cells.filter_map(move |(i, c)| Some((i / side, i % side, c.switch?, c)))
     }
 
     /// The fraction of `key`'s grand total carried by the `k` hottest
@@ -148,20 +144,18 @@ impl CongestionHeatmap {
         let mut out = String::from(
             "row,col,switch,channels,busy_ns,acquisitions,ocrq_wait_ns,header_stalls\n",
         );
-        for (row, col, c) in self.occupied() {
-            writeln!(
-                out,
-                "{},{},{},{},{},{},{},{}",
+        for (row, col, switch, c) in self.occupied() {
+            out.push_str(&format!(
+                "{},{},{},{},{},{},{},{}\n",
                 row,
                 col,
-                c.switch.expect("occupied"),
+                switch,
                 c.channels,
                 c.heat.busy_ns,
                 c.heat.acquisitions,
                 c.heat.ocrq_wait_ns,
                 c.heat.header_stalls
-            )
-            .expect("string write");
+            ));
         }
         out
     }
@@ -177,8 +171,7 @@ impl CongestionHeatmap {
             .map(|c| key.of(&c.heat))
             .max()
             .unwrap_or(0);
-        let mut out = String::new();
-        writeln!(out, "heat: {} (max {} per cell)", key.name(), max).unwrap();
+        let mut out = format!("heat: {} (max {} per cell)\n", key.name(), max);
         for row in 0..self.side {
             for col in 0..self.side {
                 let c = &self.cells[row * self.side + col];

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 //! # spam-metrics — deterministic sim-time telemetry
 //!
@@ -21,9 +22,8 @@
 //!   totals (wire-busy ns, acquisitions, exact OCRQ-depth time
 //!   integrals, header stalls) with allocation-free record hooks;
 //! * [`CongestionHeatmap`] — the accumulators folded onto the
-//!   [`netgraph::gen::lattice::LatticeLayout`] grid, with CSV/JSON
-//!   export and a terminal rendering;
-//! * [`RunReport`] — the one-screen run summary.
+//!   [`netgraph::gen::lattice::LatticeLayout`] grid, with CSV
+//!   export and a terminal rendering.
 //!
 //! Two contracts the engine integration keeps (and the workspace test
 //! suite pins): telemetry is a **pure observer** — enabling it changes
@@ -33,12 +33,10 @@
 
 pub mod channels;
 pub mod heatmap;
-pub mod report;
 pub mod series;
 
 pub use channels::{ChannelAccum, ChannelScoreboard};
 pub use heatmap::{CellHeat, CongestionHeatmap, HeatKey};
-pub use report::RunReport;
 pub use series::{GaugeSample, GaugeSeries};
 
 use desim::Duration;
@@ -114,11 +112,6 @@ impl RunMetrics {
             series: GaugeSeries::with_capacity(cfg.capacity),
             channels: vec![ChannelAccum::default(); num_channels],
         }
-    }
-
-    /// Derives the run report.
-    pub fn report(&self) -> RunReport {
-        RunReport::from_metrics(self)
     }
 }
 

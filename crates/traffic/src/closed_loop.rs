@@ -111,11 +111,6 @@ impl ClosedLoopInjector {
         })
     }
 
-    /// Total messages the workload will inject over the whole run.
-    pub fn total_messages(&self) -> usize {
-        self.procs.len() * self.cfg.messages_per_source
-    }
-
     fn next_from(&mut self, idx: usize, at: Time) -> Option<MessageSpec> {
         if self.remaining[idx] == 0 {
             return None;
@@ -178,6 +173,12 @@ impl CompletionHook for ClosedLoopInjector {
         }
         for n in self.remaining.iter_mut() {
             *n = r.get_usize()?;
+            if *n > self.cfg.messages_per_source {
+                // A resumed run would inject more than the spec allows.
+                return Err(SnapshotError::Corrupt(
+                    "closed-loop source has more messages left than it sends",
+                ));
+            }
         }
         self.rng = StdRng::seed_from_u64(r.get_u64()?);
         self.next_tag = r.get_u64()?;
@@ -262,6 +263,37 @@ mod tests {
         let (a, b) = (run(2, 4, 3), run(2, 4, 3));
         assert_eq!(a.counters, b.counters);
         assert_eq!(a.end_time, b.end_time);
+    }
+
+    #[test]
+    fn restore_rejects_a_count_above_the_quota() {
+        let topo = IrregularConfig::with_switches(8).generate(1);
+        let cfg = ClosedLoopConfig {
+            window: 2,
+            messages_per_source: 3,
+            message_len: 16,
+            think: Duration::ZERO,
+        };
+        let encoded = |inj: &ClosedLoopInjector| {
+            let mut w = SnapWriter::new();
+            w.begin();
+            inj.encode_state(&mut w);
+            w.seal().to_vec()
+        };
+        let mut inj = ClosedLoopInjector::new(cfg, &topo, 5).unwrap();
+        let mut fresh = ClosedLoopInjector::new(cfg, &topo, 5).unwrap();
+        let good = encoded(&inj);
+        fresh
+            .decode_state(&mut SnapReader::open(&good).unwrap())
+            .unwrap();
+        assert_eq!(fresh.remaining, inj.remaining);
+
+        inj.remaining[3] += 1;
+        let bumped = encoded(&inj);
+        assert!(matches!(
+            fresh.decode_state(&mut SnapReader::open(&bumped).unwrap()),
+            Err(SnapshotError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -111,12 +111,6 @@ impl SimConfig {
         self
     }
 
-    /// Replaces the latency model.
-    pub fn with_latency(mut self, latency: LatencyParams) -> Self {
-        self.latency = latency;
-        self
-    }
-
     /// Sets the number of extra header flits (multi-flit address encoding).
     pub fn with_extra_header_flits(mut self, extra: u32) -> Self {
         self.extra_header_flits = extra;

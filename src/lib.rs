@@ -25,8 +25,8 @@
 //!   decomposition (startup/blocking/route-setup/wire/stall), and
 //!   Perfetto track-event export for `ui.perfetto.dev`,
 //! * [`metrics`] — fabric telemetry: a deterministic sim-time gauge
-//!   sampler, per-channel congestion accumulators, lattice heatmaps
-//!   (CSV/JSON/terminal), and one-screen run reports,
+//!   sampler, per-channel congestion accumulators, and lattice heatmaps
+//!   (CSV/terminal),
 //! * [`simstats`] — statistics and CI-driven replication control.
 //!
 //! See `examples/quickstart.rs` for an end-to-end tour.
@@ -57,7 +57,7 @@ pub mod prelude {
     pub use simstats::{ConfidenceInterval, RunningStats};
     pub use spam_core::{SelectionPolicy, SpamRouting};
     pub use spam_faults::{DegradedNetwork, FaultModel, FaultPlan};
-    pub use spam_metrics::{CongestionHeatmap, HeatKey, MetricsConfig, RunMetrics, RunReport};
+    pub use spam_metrics::{CongestionHeatmap, HeatKey, MetricsConfig, RunMetrics};
     pub use spam_reconfig::{EpochRouting, FaultEvent, FaultKind, FaultSchedule, ReconfigScenario};
     pub use spam_scenario::{
         bisect_divergence, outcome_digest, resume_once, run_once as run_scenario_once,

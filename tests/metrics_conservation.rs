@@ -131,7 +131,7 @@ proptest! {
             folded.fold(a);
         }
         prop_assert_eq!(heat.totals(), folded);
-        let cell_channels: u32 = heat.occupied().map(|(_, _, c)| c.channels).sum();
+        let cell_channels: u32 = heat.occupied().map(|(_, _, _, c)| c.channels).sum();
         prop_assert_eq!(cell_channels as usize, arts.topo.num_channels());
         if busy_sum > 0 {
             let share = heat.top_share(1, HeatKey::BusyNs);
