@@ -38,6 +38,7 @@ use spam_faults::FaultModel;
 use spam_reconfig::{EpochRouting, FaultSchedule, ReconfigScenario};
 use spam_scenario::split_seed;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use wormsim::{MessageSpec, NetworkSim, SimConfig, SimOutcome};
 
 /// Inter-arrival spacing of the multicast stream, in µs.
@@ -147,14 +148,14 @@ pub fn storm_replication(
         sim.run()
     };
 
-    let scenario = ReconfigScenario::build(base, ud, &schedule);
+    let scenario = ReconfigScenario::build(base, Arc::clone(ud), &schedule);
     let live = run(&schedule, scenario.routing(base));
 
     // Static control: the same deaths collapsed to time zero, so every
     // message routes on the post-damage labeling (the pristine epoch 0
     // ends before the first message and costs no distance row).
     let collapsed = schedule.collapsed_at(Time::ZERO);
-    let static_scenario = ReconfigScenario::build(base, ud, &collapsed);
+    let static_scenario = ReconfigScenario::build(base, Arc::clone(ud), &collapsed);
     let stat = run(&collapsed, static_scenario.routing(base));
     for (arm, out) in [("live", &live), ("static", &stat)] {
         assert!(

@@ -189,6 +189,9 @@ impl<'a> DegradedTopology<'a> {
             {
                 continue;
             }
+            // A subset of the base topology's links between the same node
+            // ids: each joins two distinct existing nodes, once.
+            #[allow(clippy::expect_used)]
             b.link(ch.src, ch.dst).expect("base link is valid");
             map[i] = Some(ChannelId(next));
             map[i + 1] = Some(ChannelId(next + 1));

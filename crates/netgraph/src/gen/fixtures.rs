@@ -51,6 +51,9 @@ impl Figure1Labels {
 ///
 /// Nodes are created in label order, so label `k` receives `NodeId(k - 1)`,
 /// preserving the paper's id-based tie-break for same-level cross channels.
+// Eleven fresh nodes and twelve distinct pairs: `link` has nothing to
+// reject.
+#[allow(clippy::unwrap_used)]
 pub fn figure1() -> (Topology, Figure1Labels) {
     let mut b = Topology::builder();
     // Create in label order 1..=11.

@@ -221,6 +221,9 @@ impl IrregularConfig {
     }
 
     /// Builds the topology from a sorted list of occupied cells.
+    // Every node is fresh, a cell pair is linked once (`j > i`) and each
+    // processor once to its own switch: `link` has nothing to reject.
+    #[allow(clippy::unwrap_used)]
     fn assemble(&self, chosen: &[usize]) -> Topology {
         let mut b = Topology::builder();
         let switch_ids: Vec<NodeId> = chosen.iter().map(|_| b.add_switch()).collect();

@@ -7,13 +7,22 @@
 //! regular and irregular networks.
 
 use crate::ids::NodeId;
-use crate::topology::Topology;
+use crate::topology::{Topology, TopologyBuilder};
+
+/// Links two nodes a generator has added and not linked yet: both exist,
+/// they differ, and each generator names a pair once, so `link` has
+/// nothing to reject.
+#[allow(clippy::expect_used)]
+fn join(b: &mut TopologyBuilder, x: NodeId, y: NodeId) {
+    b.link(x, y)
+        .expect("a generator links each pair of its nodes once");
+}
 
 /// Attaches one processor to every switch already present in `b`.
-fn attach_processors(b: &mut crate::topology::TopologyBuilder, switches: &[NodeId]) {
+fn attach_processors(b: &mut TopologyBuilder, switches: &[NodeId]) {
     for &s in switches {
         let p = b.add_processor();
-        b.link(p, s).unwrap();
+        join(b, p, s);
     }
 }
 
@@ -26,10 +35,10 @@ pub fn mesh2d(rows: usize, cols: usize) -> Topology {
         for c in 0..cols {
             let i = r * cols + c;
             if c + 1 < cols {
-                b.link(sw[i], sw[i + 1]).unwrap();
+                join(&mut b, sw[i], sw[i + 1]);
             }
             if r + 1 < rows {
-                b.link(sw[i], sw[i + cols]).unwrap();
+                join(&mut b, sw[i], sw[i + cols]);
             }
         }
     }
@@ -51,10 +60,10 @@ pub fn torus2d(rows: usize, cols: usize) -> Topology {
             let right = r * cols + (c + 1) % cols;
             let down = ((r + 1) % rows) * cols + c;
             if !b.linked(sw[i], sw[right]) {
-                b.link(sw[i], sw[right]).unwrap();
+                join(&mut b, sw[i], sw[right]);
             }
             if !b.linked(sw[i], sw[down]) {
-                b.link(sw[i], sw[down]).unwrap();
+                join(&mut b, sw[i], sw[down]);
             }
         }
     }
@@ -72,7 +81,7 @@ pub fn hypercube(n: u32) -> Topology {
         for d in 0..n {
             let j = i ^ (1 << d);
             if j > i {
-                b.link(sw[i], sw[j]).unwrap();
+                join(&mut b, sw[i], sw[j]);
             }
         }
     }
@@ -86,7 +95,7 @@ pub fn ring(n: usize) -> Topology {
     let mut b = Topology::builder();
     let sw = b.add_switches(n);
     for i in 0..n {
-        b.link(sw[i], sw[(i + 1) % n]).unwrap();
+        join(&mut b, sw[i], sw[(i + 1) % n]);
     }
     attach_processors(&mut b, &sw);
     b.build()
@@ -100,7 +109,7 @@ pub fn star(leaves: usize) -> Topology {
     let mut all = vec![hub];
     for _ in 0..leaves {
         let s = b.add_switch();
-        b.link(hub, s).unwrap();
+        join(&mut b, hub, s);
         all.push(s);
     }
     attach_processors(&mut b, &all);

@@ -45,6 +45,8 @@ pub enum TopologyError {
     },
     /// The switch graph (and hence the network) is not connected.
     Disconnected,
+    /// More links than `u32` channel ids can number, two per link.
+    TooManyLinks,
 }
 
 impl fmt::Display for TopologyError {
@@ -62,6 +64,7 @@ impl fmt::Display for TopologyError {
                 limit,
             } => write!(f, "switch {switch} uses {used} ports, limit is {limit}"),
             TopologyError::Disconnected => write!(f, "network is not connected"),
+            TopologyError::TooManyLinks => write!(f, "more links than u32 channel ids can number"),
         }
     }
 }
@@ -363,9 +366,12 @@ impl TopologyBuilder {
         if self.linked(a, b) {
             return Err(TopologyError::DuplicateLink(a, b));
         }
-        // Channel ids are `u32` and a link takes two, so the index of a
-        // link that can be numbered at all never reaches `NO_LINK`.
-        let i = u32::try_from(self.links.len()).expect("link count fits a u32");
+        // Link `i` takes the `u32` channel ids `2i` and `2i + 1`; an index
+        // that leaves them room never reaches `NO_LINK` either.
+        let i = match u32::try_from(self.links.len()) {
+            Ok(i) if i < 1 << 31 => i,
+            _ => return Err(TopologyError::TooManyLinks),
+        };
         self.links.push((a, b));
         self.older
             .push([self.newest[a.index()], self.newest[b.index()]]);

@@ -12,7 +12,8 @@ use updown::{RelabelReport, UpDownLabeling};
 /// labelings and channel-liveness masks a storm produces over a base
 /// topology.
 ///
-/// Epoch 0 uses the caller's pristine labeling; epoch `e ≥ 1` is the
+/// Epoch 0 uses the caller's pristine labeling, shared rather than copied
+/// when the caller hands over an `Arc`; epoch `e ≥ 1` is the
 /// cumulative damage up to the `e`-th fault boundary, relabeled
 /// incrementally from epoch `e - 1` ([`UpDownLabeling::relabel_after`]) so
 /// the surviving spanning-tree structure — and therefore most channel
@@ -22,21 +23,28 @@ use updown::{RelabelReport, UpDownLabeling};
 #[derive(Debug, Clone)]
 pub struct ReconfigScenario {
     boundaries: Vec<Time>,
-    labelings: Vec<UpDownLabeling>,
+    initial: Arc<UpDownLabeling>,
+    /// Epoch `e ≥ 1`'s labeling is `relabeled[e - 1]`.
+    relabeled: Vec<UpDownLabeling>,
     masks: Vec<Vec<bool>>,
     reports: Vec<RelabelReport>,
 }
 
 impl ReconfigScenario {
     /// Precomputes the epoch chain for `schedule` over `base`, starting
-    /// from the pristine `initial` labeling.
+    /// from the pristine `initial` labeling: an `Arc` (or an owned
+    /// labeling) is kept as epoch 0 as is, a borrowed one is copied.
     ///
     /// # Panics
     ///
     /// Panics if a boundary leaves no switch alive (the storm destroyed
     /// the whole fabric — no labeling can exist). Use [`Self::try_build`]
     /// when the storm is untrusted.
-    pub fn build(base: &Topology, initial: &UpDownLabeling, schedule: &FaultSchedule) -> Self {
+    pub fn build(
+        base: &Topology,
+        initial: impl Into<Arc<UpDownLabeling>>,
+        schedule: &FaultSchedule,
+    ) -> Self {
         // The panic is this constructor's documented contract; fallible
         // callers use `try_build`.
         #[allow(clippy::expect_used)]
@@ -49,32 +57,31 @@ impl ReconfigScenario {
     /// validates but kills every switch at its first burst.
     pub fn try_build(
         base: &Topology,
-        initial: &UpDownLabeling,
+        initial: impl Into<Arc<UpDownLabeling>>,
         schedule: &FaultSchedule,
     ) -> Option<Self> {
+        let initial = initial.into();
         assert_eq!(
             initial.num_nodes(),
             base.num_nodes(),
             "initial labeling must cover the base topology"
         );
         let boundaries = schedule.fault_times();
-        let mut labelings = vec![initial.clone()];
+        let mut relabeled: Vec<UpDownLabeling> = Vec::with_capacity(boundaries.len());
         let mut masks = vec![vec![true; base.num_channels()]];
         let mut reports = Vec::with_capacity(boundaries.len());
         for &t in &boundaries {
             let view = schedule.view_at(base, t);
-            // `labelings` is seeded with the initial labeling above and
-            // only ever grows.
-            #[allow(clippy::expect_used)]
-            let prev = labelings.last().expect("epoch 0 exists");
+            let prev = relabeled.last().unwrap_or(&initial);
             let (next, report) = prev.relabel_after(&view)?;
             masks.push(view.alive_channel_mask());
-            labelings.push(next);
+            relabeled.push(next);
             reports.push(report);
         }
         Some(ReconfigScenario {
             boundaries,
-            labelings,
+            initial,
+            relabeled,
             masks,
             reports,
         })
@@ -82,7 +89,7 @@ impl ReconfigScenario {
 
     /// Number of routing epochs (fault boundaries plus one).
     pub fn num_epochs(&self) -> usize {
-        self.labelings.len()
+        1 + self.relabeled.len()
     }
 
     /// The epoch boundaries (sorted fault instants).
@@ -98,7 +105,15 @@ impl ReconfigScenario {
 
     /// Epoch `e`'s labeling.
     pub fn labeling(&self, e: usize) -> &UpDownLabeling {
-        &self.labelings[e]
+        match e {
+            0 => &self.initial,
+            _ => &self.relabeled[e - 1],
+        }
+    }
+
+    /// Every epoch's labeling, epoch 0 first.
+    fn labelings(&self) -> impl Iterator<Item = &UpDownLabeling> {
+        std::iter::once(&*self.initial).chain(&self.relabeled)
     }
 
     /// Epoch `e`'s channel-liveness mask over base channel ids.
@@ -125,8 +140,7 @@ impl ReconfigScenario {
     /// and a copy of the mask; an epoch's distance rows are built as its
     /// own messages first aim at them, and stay with the tables.
     pub fn build_epoch_tables(&self, base: &Topology) -> Vec<Arc<RoutingTables>> {
-        self.labelings
-            .iter()
+        self.labelings()
             .zip(&self.masks)
             .map(|(ud, mask)| Arc::new(RoutingTables::build_masked(base, ud, Some(mask))))
             .collect()
@@ -152,8 +166,7 @@ impl ReconfigScenario {
             "one table set per routing epoch"
         );
         let epochs = self
-            .labelings
-            .iter()
+            .labelings()
             .zip(tables)
             .map(|(ud, t)| SpamRouting::with_tables(base, ud, Arc::clone(t)))
             .collect();

@@ -159,7 +159,7 @@ impl ArtifactPrefix {
                     self.clone(),
                     topo,
                     layout,
-                    labeling,
+                    Arc::new(labeling),
                     procs,
                     None,
                 ))
@@ -171,7 +171,7 @@ impl ArtifactPrefix {
                 window_end_us,
                 bursts,
             } => {
-                let labeling = UpDownLabeling::build(&topo, RootSelection::LowestId);
+                let labeling = Arc::new(UpDownLabeling::build(&topo, RootSelection::LowestId));
                 let schedule = FaultSchedule::storm(
                     &model.to_model(),
                     &topo,
@@ -182,8 +182,8 @@ impl ArtifactPrefix {
                 );
                 // A storm can destroy the whole fabric (e.g. switch
                 // faults at rate 1.0); that is a typed rejection, not a
-                // panic.
-                let scenario = ReconfigScenario::try_build(&topo, &labeling, &schedule)
+                // panic. Epoch 0 is this entry's labeling, not a copy.
+                let scenario = ReconfigScenario::try_build(&topo, Arc::clone(&labeling), &schedule)
                     .ok_or(SpecError::NoSurvivingComponent)?;
                 let procs: Vec<NodeId> = topo.processors().collect();
                 Ok(ScenarioArtifacts::new(
@@ -211,7 +211,7 @@ impl ArtifactPrefix {
                 if procs.len() < 2 {
                     return Err(SpecError::NoSurvivingComponent);
                 }
-                let labeling = comp.labeling.clone();
+                let labeling = Arc::new(comp.labeling.clone());
                 Ok(ScenarioArtifacts::new(
                     self.clone(),
                     net.topo,
@@ -321,8 +321,8 @@ pub struct ScenarioArtifacts {
     pub layout: LatticeLayout,
     /// The up*/down* labeling runs route by: the pristine labeling for
     /// `none`/storm prefixes, the largest surviving component's for
-    /// static faults.
-    pub labeling: UpDownLabeling,
+    /// static faults. A storm's epoch 0 is this same labeling.
+    pub labeling: Arc<UpDownLabeling>,
     /// The processors traffic may use (confined to the surviving
     /// component under static faults).
     pub procs: Vec<NodeId>,
@@ -337,7 +337,7 @@ impl ScenarioArtifacts {
         prefix: ArtifactPrefix,
         topo: Topology,
         layout: LatticeLayout,
-        labeling: UpDownLabeling,
+        labeling: Arc<UpDownLabeling>,
         procs: Vec<NodeId>,
         storm: Option<StormArtifacts>,
     ) -> Self {
@@ -415,16 +415,18 @@ impl ScenarioArtifacts {
 
     /// What is held whatever gets routed, to the byte: topology (flat
     /// adjacency + channel records), layout, processor list, and per
-    /// labeling — the storm's epochs each have their own, plus a liveness
-    /// mask — one n×n bit matrix, the preorder intervals and the other
-    /// per-node arrays.
+    /// labeling its per-node arrays and extended-ancestor runs. A storm
+    /// adds a liveness mask per epoch and a labeling per epoch after the
+    /// first; epoch 0 is [`Self::labeling`], charged once.
     fn fixed_bytes(&self) -> usize {
         use std::mem::size_of_val;
         let epochs = self.storm.as_ref().map_or(0, |s| {
             let sc = &s.scenario;
-            (0..sc.num_epochs())
-                .map(|e| sc.labeling(e).approx_bytes() + sc.mask(e).len())
-                .sum()
+            let masks: usize = (0..sc.num_epochs()).map(|e| sc.mask(e).len()).sum();
+            let relabeled: usize = (1..sc.num_epochs())
+                .map(|e| sc.labeling(e).approx_bytes())
+                .sum();
+            masks + relabeled
         });
         self.topo.approx_bytes()
             + self.labeling.approx_bytes()
@@ -510,6 +512,12 @@ mod tests {
                 let topo = &arts.topo;
                 match (&arts.storm, arts.epoch_routing()) {
                     (Some(storm), Some(shared)) => {
+                        // Held once: epoch 0 is the entry's own labeling.
+                        assert!(
+                            std::ptr::eq(storm.scenario.labeling(0), &*arts.labeling),
+                            "{}",
+                            spec.name
+                        );
                         let fresh = storm.scenario.routing(topo);
                         for e in 0..shared.num_epochs() {
                             assert_same_spam(topo, shared.epoch(e), fresh.epoch(e));

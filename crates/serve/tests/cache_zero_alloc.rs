@@ -26,8 +26,10 @@
 //! 5. **A cold fabric is a few flat arrays.** Building a 1024-switch
 //!    `faults: none` prefix allocates no more than
 //!    [`COLD_FABRIC_CEILING`] times: adjacency, tree children and both
-//!    relations are offsets-plus-flat-array or one matrix, never a heap
-//!    block per node. Wall-clock cannot be asserted in tier-1; this can.
+//!    relations are offsets-plus-flat-array, never a heap block per node.
+//!    Its labeling holds no more than [`COLD_LABELING_BYTES_CEILING`]
+//!    bytes, which an n² extended-ancestor matrix alone (512 KiB) would
+//!    break. Wall-clock cannot be asserted in tier-1; this can.
 //! 6. **A message costs a few allocations, not a few per destination.**
 //!    On one warm 256-switch fabric, twice the messages of an
 //!    `engine_saturated_256`-shaped request cost fewer than
@@ -220,12 +222,18 @@ fn warm_tiny_request_stays_under_its_ceiling() {
     println!("ok - a warm tiny request allocates {first} times (ceiling {WARM_REQUEST_CEILING})");
 }
 
-/// The build below allocates 95 times. It allocated 10 485 times while
+/// The build below allocates 94 times. It allocated 10 485 times while
 /// every node owned two adjacency `Vec`s and a children `Vec` and the
 /// extended-ancestor fill collected one `Vec` per node. The ceiling is
 /// one allocation per two switches (a twentieth of the old count): a
 /// heap block per node or per switch, anywhere in the build, trips it.
 const COLD_FABRIC_CEILING: u64 = 512;
+
+/// The labeling of the fabric below holds 163 222 bytes: its per-node
+/// arrays and about five preorder runs per node of extended-ancestor rows.
+/// It held 589 604 while those rows were an n×n bit matrix (524 288 bytes
+/// at 2048 nodes).
+const COLD_LABELING_BYTES_CEILING: usize = 192 << 10;
 
 fn cold_fabric_build_allocates_per_array_not_per_node() {
     let mut s = spec(1998);
@@ -239,6 +247,14 @@ fn cold_fabric_build_allocates_per_array_not_per_node() {
         "a 1024-switch fabric took {n} allocations to build (ceiling {COLD_FABRIC_CEILING})"
     );
     println!("ok - a 1024-switch fabric builds in {n} allocations (ceiling {COLD_FABRIC_CEILING})");
+    let bytes = arts.labeling.approx_bytes();
+    assert!(
+        bytes <= COLD_LABELING_BYTES_CEILING,
+        "a 1024-switch labeling holds {bytes} bytes (ceiling {COLD_LABELING_BYTES_CEILING})"
+    );
+    println!(
+        "ok - a 1024-switch labeling holds {bytes} bytes (ceiling {COLD_LABELING_BYTES_CEILING})"
+    );
 }
 
 /// What a message may cost on a warm fabric, in allocations: its spec's

@@ -1,14 +1,15 @@
 //! A dense square bit matrix used for reachability relations. Row `u` is
-//! the set of nodes standing in the relation with `u` (e.g. "all nodes
-//! `u` is an extended ancestor of").
+//! the set of nodes standing in the relation with `u`. Its one user is
+//! the up*/down* baseline's down-reachability relation
+//! (`baselines::updown_unicast`); the labeling keeps its extended-ancestor
+//! relation as rows of preorder runs instead, which at 1024 switches hold
+//! about five runs per node rather than 2048 bits.
 //!
 //! The cost is `n² / 8` bytes: 8 KiB at the paper's 256 nodes, 512 KiB
 //! for a 1024-switch fabric (2048 nodes), 8 MiB at 4096 switches. A query
-//! is one bit test — precomputing beats per-query graph walks by orders of
-//! magnitude in the routing hot path — and rows are filled a word at a
-//! time ([`BitMatrix::set_range`], [`BitMatrix::or_row_into`]), so
-//! building one costs `n / 64` word operations per closure step, not `n`
-//! bit writes.
+//! is one bit test, and a closure step ORs one row into another a word
+//! at a time ([`BitMatrix::or_row_into`]): `n / 64` word operations, not
+//! `n` bit writes.
 
 /// Dense `n × n` bit matrix with `u64` words.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,28 +53,6 @@ impl BitMatrix {
     pub fn get(&self, row: usize, col: usize) -> bool {
         debug_assert!(row < self.n && col < self.n);
         self.bits[row * self.words_per_row + col / 64] & (1u64 << (col % 64)) != 0
-    }
-
-    /// Sets bits `lo..hi` of `row`, whole words at a time. An empty range
-    /// (`lo >= hi`) sets nothing.
-    pub fn set_range(&mut self, row: usize, lo: usize, hi: usize) {
-        if lo >= hi {
-            return;
-        }
-        assert!(row < self.n && hi <= self.n, "bit range outside the row");
-        let words = &mut self.bits[row * self.words_per_row..][..self.words_per_row];
-        let (first, last) = (lo / 64, (hi - 1) / 64);
-        // Bits `lo % 64..` of the first word, bits `..=(hi - 1) % 64` of
-        // the last; when they are one word, the intersection of the two.
-        let head = u64::MAX << (lo % 64);
-        let tail = u64::MAX >> (63 - (hi - 1) % 64);
-        if first == last {
-            words[first] |= head & tail;
-        } else {
-            words[first] |= head;
-            words[first + 1..last].fill(u64::MAX);
-            words[last] |= tail;
-        }
     }
 
     /// ORs row `src` into row `dst` (`dst |= src`); the transitive-closure
@@ -162,41 +141,6 @@ mod tests {
         let before = m.clone();
         m.or_row_into(2, 2);
         assert_eq!(m, before);
-    }
-
-    #[test]
-    fn set_range_sets_exactly_the_range() {
-        // Every (lo, hi) pair over the word boundaries of rows one, two,
-        // three and four words long — empty, single-bit, word-aligned,
-        // straddling and whole-row ranges — against a bit-at-a-time fill.
-        for n in [1usize, 63, 64, 65, 128, 130, 200] {
-            let edges: Vec<usize> = [0, 1, 63, 64, 65, 127, 128, n]
-                .into_iter()
-                .filter(|&e| e <= n)
-                .collect();
-            for &lo in &edges {
-                for &hi in &edges {
-                    let row = n / 2;
-                    let mut fast = BitMatrix::new(n);
-                    // A bit already set outside the range must survive.
-                    fast.set(row, n - 1);
-                    let mut slow = fast.clone();
-                    fast.set_range(row, lo, hi);
-                    for col in lo..hi {
-                        slow.set(row, col);
-                    }
-                    assert_eq!(fast, slow, "n = {n}, range {lo}..{hi}");
-                    let expected = (lo..hi).len() + usize::from(!(lo..hi).contains(&(n - 1)));
-                    assert_eq!(fast.row_count(row), expected, "n = {n}, range {lo}..{hi}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "bit range outside the row")]
-    fn set_range_past_the_row_end_panics() {
-        BitMatrix::new(70).set_range(0, 60, 71);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The up*/down* labeling: spanning tree, levels, channel classes, and the
 //! ancestor / extended-ancestor relations of Definition 1.
 
-use crate::bitmat::BitMatrix;
 use netgraph::algo;
 use netgraph::{ChannelId, DegradedTopology, NodeId, Topology};
 use rand::seq::IteratorRandom;
 use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 /// The four-way channel classification of §3.1.
 ///
@@ -84,11 +84,12 @@ pub struct RelabelReport {
 
 /// An immutable up*/down* labeling of a topology.
 ///
-/// Construction is `O(V + E + (V + cross)·V/64)`: BFS tree, per-channel
-/// classification and preorder numbering are linear; the extended-ancestor
-/// closure is one row fill plus one whole-row OR per down-cross channel,
-/// `V/64` words each. Routing-time queries are O(1): one comparison for
-/// an ancestor, one bit test for an extended ancestor.
+/// BFS tree, per-channel classification and preorder numbering are
+/// linear. The extended-ancestor closure merges, per alive down-cross
+/// channel, two sorted lists of preorder runs, so it costs what the rows
+/// hold rather than `V` bits per node. Routing-time queries are one
+/// comparison for an ancestor and, for an extended ancestor that is not
+/// an ancestor, a binary search of one row.
 #[derive(Debug, Clone)]
 pub struct UpDownLabeling {
     root: NodeId,
@@ -102,17 +103,52 @@ pub struct UpDownLabeling {
     /// `v`'s tree children are `children[child_offsets[v]..child_offsets[v + 1]]`.
     child_offsets: Vec<u32>,
     children: Vec<NodeId>,
-    /// Preorder number of each node and the size of its subtree, which
-    /// occupies the numbers `pre[u]..pre[u] + size[u]`: `u` is an ancestor
-    /// of `v` (reflexive) ⇔ `pre[v]` is one of them. A node without a
-    /// parent is the root of its own tree, so an unlabeled node is an
-    /// ancestor of itself only.
-    pre: Vec<u32>,
-    size: Vec<u32>,
-    /// `ext.get(u, pre[v])` ⇔ `u` is an extended ancestor of `v`
-    /// (reflexive). Columns are in preorder, which makes a subtree one
-    /// contiguous bit range.
-    ext: BitMatrix,
+    /// Each node's preorder interval and extended-ancestor row.
+    spans: Vec<Span>,
+    /// Every stored row, back to back: `runs[span.row_lo..span.row_hi]`.
+    runs: Vec<Run>,
+}
+
+/// One node's place in the preorder numbering and where its
+/// extended-ancestor row is stored.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    /// `u`'s subtree occupies the preorder numbers `pre..pre + size`: `u`
+    /// is an ancestor of `v` (reflexive) ⇔ `pre[v]` is one of them. A node
+    /// without a parent is the root of its own tree, so an unlabeled node
+    /// is an ancestor of itself only.
+    pre: u32,
+    size: u32,
+    /// `runs[row_lo..row_hi]` is the set of `pre[v]` over every `v` that
+    /// `u` is an extended ancestor of, as sorted, disjoint, non-adjacent
+    /// runs. Empty when that set is `u`'s own subtree — the case of every
+    /// node without an alive down-cross out-channel, processors included.
+    row_lo: u32,
+    row_hi: u32,
+}
+
+impl Span {
+    /// The subtree interval as a run.
+    #[inline]
+    fn subtree(&self) -> Run {
+        Run {
+            lo: self.pre,
+            hi: self.pre + self.size,
+        }
+    }
+
+    /// Where the row is stored in `runs`.
+    #[inline]
+    fn row(&self) -> std::ops::Range<usize> {
+        self.row_lo as usize..self.row_hi as usize
+    }
+}
+
+/// The preorder numbers `lo..hi`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    lo: u32,
+    hi: u32,
 }
 
 impl UpDownLabeling {
@@ -205,7 +241,7 @@ impl UpDownLabeling {
             // Phase 1: keep every old tree edge still connected to the
             // root through surviving tree edges. Old parent pointers and
             // levels are preserved verbatim for this region.
-            let mut q = VecDeque::new();
+            let mut q = VecDeque::with_capacity(n);
             q.push_back(root);
             while let Some(u) = q.pop_front() {
                 for &v in self.tree_children(u) {
@@ -291,7 +327,7 @@ impl UpDownLabeling {
         let mut labeled = vec![false; n];
         level[root.index()] = 0;
         labeled[root.index()] = true;
-        let mut q = VecDeque::new();
+        let mut q = VecDeque::with_capacity(n);
         q.push_back(root);
         while let Some(u) = q.pop_front() {
             for v in topo.neighbors(u) {
@@ -309,7 +345,7 @@ impl UpDownLabeling {
     /// Finishes a labeling from a spanning-forest description (parent
     /// pointers + consistent levels): derives the children lists,
     /// classifies every channel, numbers the forest in preorder and builds
-    /// the extended-ancestor matrix. `alive` masks the channels that may
+    /// the extended-ancestor rows. `alive` masks the channels that may
     /// carry traffic: dead channels still receive a (consistent, acyclic)
     /// class so the partition stays total, but they contribute nothing to
     /// extended-ancestor reachability — a relabeled network must never
@@ -360,45 +396,76 @@ impl UpDownLabeling {
         // Preorder numbering of the forest. Subtree sizes accumulate
         // bottom-up; top-down, each tree root takes the next free interval
         // and each node hands the part after itself to its children.
-        let mut size = vec![1u32; n];
+        let mut spans = vec![
+            Span {
+                size: 1,
+                ..Span::default()
+            };
+            n
+        ];
         for &v in by_depth.iter().rev() {
             if let Some(p) = parent[v.index()] {
-                size[p.index()] += size[v.index()];
+                spans[p.index()].size += spans[v.index()].size;
             }
         }
-        let mut pre = vec![0u32; n];
         let mut next_tree = 0;
         for &v in &by_depth {
             if parent[v.index()].is_none() {
-                pre[v.index()] = next_tree;
-                next_tree += size[v.index()];
+                spans[v.index()].pre = next_tree;
+                next_tree += spans[v.index()].size;
             }
-            let mut next_child = pre[v.index()] + 1;
+            let mut next_child = spans[v.index()].pre + 1;
             let span = child_offsets[v.index()] as usize..child_offsets[v.index() + 1] as usize;
             for &c in &children[span] {
-                pre[c.index()] = next_child;
-                next_child += size[c.index()];
+                spans[c.index()].pre = next_child;
+                next_child += spans[c.index()].size;
             }
         }
 
         // Extended ancestors: u ext-anc v ⇔ some w down-cross-reachable
         // from u is a (tree) ancestor of v. In reverse (level, id) order —
         // the alive down-cross digraph is acyclic because every edge
-        // strictly increases (level, id) — row u is u's own subtree, one
-        // bit range, OR-ed with the finished row of every w one alive
-        // down-cross channel away.
-        let mut ext = BitMatrix::new(n);
+        // strictly increases (level, id) — row u is u's own subtree
+        // interval merged with the finished row of every w one alive
+        // down-cross channel away. The row accumulates at the end of
+        // `runs`. A switch rarely has more than one such w, so its row is
+        // mostly w's row copied once with a subtree interval inserted;
+        // only a second row of several runs goes through a merge into
+        // `scratch`. The capacity is a guess — 1024-switch lattices hold
+        // 4–7 runs per node — and `shrink_to_fit` returns what is unused.
+        let mut runs = Vec::with_capacity(4 * n);
+        let mut scratch = Vec::new();
         for &u in by_depth.iter().rev() {
             let i = u.index();
-            ext.set_range(i, pre[i] as usize, (pre[i] + size[i]) as usize);
+            let lo = runs.len();
             for &c in topo.out_channels(u) {
-                if class[c.index()] == ChannelClass::DownCross && is_alive(c) {
-                    ext.or_row_into(topo.channel(c).dst.index(), i);
+                if class[c.index()] != ChannelClass::DownCross || !is_alive(c) {
+                    continue;
+                }
+                let w = spans[topo.channel(c).dst.index()];
+                if w.row().is_empty() {
+                    insert_run(&mut runs, lo, w.subtree());
+                } else if runs.len() == lo {
+                    runs.extend_from_within(w.row());
+                } else {
+                    union_into(&runs[lo..], &runs[w.row()], &mut scratch);
+                    runs.truncate(lo);
+                    runs.extend_from_slice(&scratch);
                 }
             }
+            if runs.len() > lo {
+                insert_run(&mut runs, lo, spans[i].subtree());
+                // A row that came out as the subtree alone is not stored.
+                if runs[lo..] == [spans[i].subtree()] {
+                    runs.truncate(lo);
+                }
+            }
+            spans[i].row_lo = lo as u32;
+            spans[i].row_hi = runs.len() as u32;
         }
+        runs.shrink_to_fit();
 
-        UpDownLabeling {
+        let labeling = UpDownLabeling {
             root,
             parent,
             level,
@@ -406,10 +473,23 @@ impl UpDownLabeling {
             class,
             child_offsets,
             children,
-            pre,
-            size,
-            ext,
-        }
+            spans,
+            runs,
+        };
+        debug_assert!(labeling.rows_are_canonical());
+        labeling
+    }
+
+    /// Every stored row is sorted, disjoint and non-adjacent (no two runs
+    /// could be one), and holds its node's subtree interval.
+    fn rows_are_canonical(&self) -> bool {
+        self.spans.iter().all(|s| {
+            let row = &self.runs[s.row()];
+            let own = s.subtree();
+            row.iter().all(|r| r.lo < r.hi)
+                && row.windows(2).all(|w| w[0].hi < w[1].lo)
+                && (row.is_empty() || row.iter().any(|r| r.lo <= own.lo && own.hi <= r.hi))
+        })
     }
 
     /// The spanning-tree root switch.
@@ -464,7 +544,8 @@ impl UpDownLabeling {
     pub fn is_ancestor(&self, u: NodeId, v: NodeId) -> bool {
         // One unsigned comparison: a `pre[v]` below `pre[u]` wraps around
         // to a distance no subtree is large enough to cover.
-        self.pre[v.index()].wrapping_sub(self.pre[u.index()]) < self.size[u.index()]
+        let u = &self.spans[u.index()];
+        self.spans[v.index()].pre.wrapping_sub(u.pre) < u.size
     }
 
     /// Definition 1: `u` is an **extended ancestor** of `v` — zero or more
@@ -472,7 +553,14 @@ impl UpDownLabeling {
     /// from `u` to `v`. Reflexive; implied by [`Self::is_ancestor`].
     #[inline]
     pub fn is_extended_ancestor(&self, u: NodeId, v: NodeId) -> bool {
-        self.ext.get(u.index(), self.pre[v.index()] as usize)
+        if self.is_ancestor(u, v) {
+            return true;
+        }
+        let row = &self.runs[self.spans[u.index()].row()];
+        let x = self.spans[v.index()].pre;
+        // Only the last run starting at or before `x` can hold it.
+        let i = row.partition_point(|r| r.lo <= x);
+        i > 0 && x < row[i - 1].hi
     }
 
     /// Least common ancestor of `a` and `b` in the spanning tree.
@@ -537,9 +625,9 @@ impl UpDownLabeling {
         self.parent.len()
     }
 
-    /// Heap bytes held: every array's length times its element size. All
-    /// but the extended-ancestor matrix (`n² / 8`, rows padded to whole
-    /// words) are linear in the fabric.
+    /// Heap bytes held: every array's length times its element size. The
+    /// per-node arrays are linear in the fabric; the extended-ancestor
+    /// rows hold 8 bytes per preorder run.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of_val;
         size_of_val(&self.parent[..])
@@ -548,9 +636,8 @@ impl UpDownLabeling {
             + size_of_val(&self.class[..])
             + size_of_val(&self.child_offsets[..])
             + size_of_val(&self.children[..])
-            + size_of_val(&self.pre[..])
-            + size_of_val(&self.size[..])
-            + self.ext.approx_bytes()
+            + size_of_val(&self.spans[..])
+            + size_of_val(&self.runs[..])
     }
 
     /// Iterator over `(ChannelId, ChannelClass)` pairs.
@@ -577,6 +664,14 @@ impl UpDownLabeling {
     }
 }
 
+/// A copy behind an [`Arc`], for constructors that keep a labeling shared
+/// and are handed a borrowed one.
+impl From<&UpDownLabeling> for Arc<UpDownLabeling> {
+    fn from(labeling: &UpDownLabeling) -> Self {
+        Arc::new(labeling.clone())
+    }
+}
+
 /// Counting sort of the nodes `0..keys.len()` into `groups` groups: group
 /// `k` is `nodes[offsets[k]..offsets[k + 1]]`, ascending by id. A node
 /// whose key is `None` is in no group.
@@ -600,6 +695,46 @@ fn group_nodes(
         }
     }
     (offsets, nodes)
+}
+
+/// Writes the union of the run lists `a` and `b` into `out` (cleared
+/// first). Both are sorted, disjoint and non-adjacent, and so is the
+/// union: a run that overlaps or touches the last one written extends it.
+fn union_into(a: &[Run], b: &[Run], out: &mut Vec<Run>) {
+    out.clear();
+    out.reserve(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() || j < b.len() {
+        let next = if j == b.len() || (i < a.len() && a[i].lo <= b[j].lo) {
+            i += 1;
+            a[i - 1]
+        } else {
+            j += 1;
+            b[j - 1]
+        };
+        match out.last_mut() {
+            Some(last) if next.lo <= last.hi => last.hi = last.hi.max(next.hi),
+            _ => out.push(next),
+        }
+    }
+}
+
+/// Inserts `r` into the run list `runs[lo..]` (sorted, disjoint,
+/// non-adjacent), coalescing it with every run it overlaps or touches.
+fn insert_run(runs: &mut Vec<Run>, lo: usize, r: Run) {
+    let row = &runs[lo..];
+    // `row[i..j]` are the runs that overlap or touch `r`.
+    let i = lo + row.partition_point(|x| x.hi < r.lo);
+    let j = lo + row.partition_point(|x| x.lo <= r.hi);
+    if i == j {
+        runs.insert(i, r);
+    } else {
+        runs[i] = Run {
+            lo: r.lo.min(runs[i].lo),
+            hi: r.hi.max(runs[j - 1].hi),
+        };
+        runs.drain(i + 1..j);
+    }
 }
 
 /// The root `sel` names; `None` when a policy has no switch to choose.

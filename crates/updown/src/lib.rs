@@ -17,8 +17,10 @@
 //!   [`ChannelClass`] assignment, including the paper's id-based tie-break
 //!   for cross channels between same-level switches;
 //! * the **ancestor** and **extended ancestor** relations of Definition 1,
-//!   precomputed for O(1) routing-time queries — preorder entry/exit
-//!   numbers for ancestors, one bit matrix for extended ancestors;
+//!   precomputed for routing-time queries — preorder entry/exit numbers
+//!   for ancestors (one comparison), and for extended ancestors one row of
+//!   sorted preorder runs per node, stored only where it holds more than
+//!   the node's own subtree (a binary search);
 //! * least-common-ancestor queries over arbitrary destination sets (the
 //!   multicast split point);
 //! * structural sanity checks used by the deadlock-freedom property tests

@@ -1,6 +1,8 @@
 //! Property tests validating the precomputed relations (preorder
-//! intervals, the extended-ancestor bit matrix) against naive graph-walk
-//! reference implementations, over random topologies.
+//! intervals, the extended-ancestor rows of preorder runs) against naive
+//! graph-walk reference implementations, over random topologies. The case
+//! count follows `PROPTEST_CASES` (16 when unset), so CI can run the
+//! oracle deeper than tier-1 does.
 
 use netgraph::gen::lattice::{IrregularConfig, LatticeStrategy};
 use netgraph::{ChannelId, DegradedTopology, NodeId, Topology};
@@ -22,9 +24,15 @@ fn ancestor_ref(ud: &UpDownLabeling, u: NodeId, v: NodeId) -> bool {
     }
 }
 
-/// Reference extended ancestor: BFS over down-cross channels then check
-/// plain ancestry — literally Definition 1.
-fn extended_ancestor_ref(topo: &Topology, ud: &UpDownLabeling, u: NodeId, v: NodeId) -> bool {
+/// Reference extended ancestor: BFS over `alive` down-cross channels then
+/// check plain ancestry — literally Definition 1.
+fn extended_ancestor_ref(
+    topo: &Topology,
+    ud: &UpDownLabeling,
+    alive: &dyn Fn(ChannelId) -> bool,
+    u: NodeId,
+    v: NodeId,
+) -> bool {
     let mut seen = vec![false; topo.num_nodes()];
     let mut q = VecDeque::new();
     seen[u.index()] = true;
@@ -34,7 +42,7 @@ fn extended_ancestor_ref(topo: &Topology, ud: &UpDownLabeling, u: NodeId, v: Nod
             return true;
         }
         for &c in topo.out_channels(x) {
-            if ud.class(c) == ChannelClass::DownCross {
+            if ud.class(c) == ChannelClass::DownCross && alive(c) {
                 let w = topo.channel(c).dst;
                 if !seen[w.index()] {
                     seen[w.index()] = true;
@@ -143,8 +151,18 @@ fn lca_ref(ud: &UpDownLabeling, a: NodeId, b: NodeId) -> NodeId {
         .expect("chains share the root")
 }
 
+/// Cases per property: `PROPTEST_CASES` when set, else 16. (The proptest
+/// shim only caps a configured count by that variable, so a larger run has
+/// to be asked for here.)
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(16)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn ancestor_matrix_matches_parent_walks(
@@ -177,16 +195,16 @@ proptest! {
             for v in topo.nodes() {
                 prop_assert_eq!(
                     ud.is_extended_ancestor(u, v),
-                    extended_ancestor_ref(&topo, &ud, u, v),
+                    extended_ancestor_ref(&topo, &ud, &|_| true, u, v),
                     "ext_ancestor({}, {})", u, v
                 );
             }
         }
     }
 
-    /// The cases above stop at 56 nodes, where a matrix row is one word.
-    /// 33–160 switches are 66–320 nodes: rows of two to five words, and
-    /// subtree ranges that start, end and run across word boundaries.
+    /// The cases above stop at 56 nodes. 33–160 switches are 66–320
+    /// nodes: deeper trees, more down-cross channels per switch, and rows
+    /// of many runs, merged from several successors' rows at a time.
     #[test]
     fn relations_match_definition_1_on_multi_word_rows(
         switches in 33usize..=160,
@@ -216,6 +234,36 @@ proptest! {
         let view = kill_links(&topo, 2 * kills, seed);
         let (again, _) = relabeled.relabel_after(&view).expect("links died, no switch did");
         assert_relations_match_definition_1(&topo, &again, &|c| view.is_channel_alive(c));
+    }
+
+    /// A storm's epoch chain: each view kills more links on top of the
+    /// last, and each epoch relabels the previous epoch's labeling. Every
+    /// cell of every epoch, against the pairwise Definition 1 over the
+    /// channels still alive.
+    #[test]
+    fn chained_relabels_match_definition_1_cell_by_cell(
+        switches in 33usize..=160,
+        seed in any::<u64>(),
+        kills in 1usize..16,
+        epochs in 2usize..=3,
+    ) {
+        let topo = IrregularConfig::with_switches(switches).generate(seed);
+        let mut ud = UpDownLabeling::build(&topo, RootSelection::LowestId);
+        for e in 1..=epochs {
+            let view = kill_links(&topo, e * kills, seed);
+            let (next, _) = ud.relabel_after(&view).expect("links died, no switch did");
+            let alive = |c| view.is_channel_alive(c);
+            for u in topo.nodes() {
+                for v in topo.nodes() {
+                    prop_assert_eq!(
+                        next.is_extended_ancestor(u, v),
+                        extended_ancestor_ref(&topo, &next, &alive, u, v),
+                        "epoch {}: ext_ancestor({}, {})", e, u, v
+                    );
+                }
+            }
+            ud = next;
+        }
     }
 
     /// `build_partial` on a network split by faults: each piece labeled

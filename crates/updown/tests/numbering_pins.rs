@@ -2,8 +2,9 @@
 //! order and both relations of Definition 1 are what routing tables, golden
 //! digests and snapshots downstream rest on. These digests were recorded
 //! while the labeling still kept an ancestor, a down-cross and an
-//! extended-ancestor matrix, each filled a bit at a time, and passed
-//! unchanged once it kept preorder intervals and one word-filled matrix.
+//! extended-ancestor matrix, each filled a bit at a time. They passed
+//! unchanged once it kept preorder intervals and one word-filled matrix,
+//! and again once that matrix became per-node rows of preorder runs.
 
 use netgraph::gen::fixtures::figure1;
 use netgraph::gen::lattice::IrregularConfig;

@@ -26,11 +26,12 @@ fn timed<T>(mut f: impl FnMut() -> T) -> (T, f64) {
 }
 
 /// Wall-clock of building a fabric. Everything is linear in nodes and
-/// channels except the extended-ancestor matrix (n²/8 bytes, filled a
-/// word at a time): the lattice column should grow about 4× per row, the
-/// labeling column somewhat more as the matrix takes over, and a column
-/// growing 16× per row means a quadratic loop is back. The timings vary
-/// from run to run; every other line of this example is deterministic.
+/// channels except the extended-ancestor rows, which hold what a node's
+/// down-cross reach makes them (a few preorder runs per node, more in
+/// deeper trees): the lattice column should grow about 4× per row, the
+/// labeling column a little more, and a column growing 16× per row means
+/// a quadratic loop is back. The timings vary from run to run; every
+/// other line of this example is deterministic.
 fn construction_cost() {
     println!("\nconstruction cost (seed 0, fastest of 5; timings vary by host):");
     println!(
