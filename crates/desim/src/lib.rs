@@ -11,6 +11,10 @@
 //!   for the same instant are delivered in scheduling order (FIFO),
 //! * [`Schedule`] — the clock and the queue together, with FIFO lanes in
 //!   front of the queue for events scheduled a constant delay from now.
+//!   It caches its head — the least pending `(time, seq)` and the source
+//!   (heap or lane) holding it — and the runner-up, the least key over
+//!   every other source, so a peek reads a field and a pop compares one
+//!   new front with the runner-up instead of scanning every source.
 //!
 //! Determinism is a hard requirement for the reproduction: the paper reports
 //! means with tight confidence intervals, and regression tests pin exact
@@ -50,6 +54,64 @@ struct Lane<E> {
     events: VecDeque<ScheduledEvent<E>>,
 }
 
+/// A pending event's `(time, seq)` in one integer, so that one comparison
+/// orders two keys: pop order is ascending key order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key(u128);
+
+impl Key {
+    /// Nothing pending. No event has this key: its sequence number would
+    /// be `u64::MAX`, and every one handed out is below the counter.
+    const NONE: Key = Key(u128::MAX);
+
+    #[inline]
+    fn of<E>(s: &ScheduledEvent<E>) -> Key {
+        Key(u128::from(s.time.as_ns()) << 64 | u128::from(s.seq))
+    }
+
+    #[inline]
+    fn time(self) -> Time {
+        Time::from_ns((self.0 >> 64) as u64)
+    }
+}
+
+/// Where an event waits: a lane's index, or this for the heap.
+const HEAP: usize = MAX_LANES;
+
+/// The least pending key, the source holding it, and the least key over
+/// every other source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Front {
+    head: Key,
+    from: usize,
+    runner_up: Key,
+}
+
+impl Front {
+    const EMPTY: Front = Front {
+        head: Key::NONE,
+        from: HEAP,
+        runner_up: Key::NONE,
+    };
+
+    /// Takes in `key`, just filed in source `from`. Taking in each
+    /// source's least key in turn builds the front from [`Front::EMPTY`].
+    #[inline]
+    fn note(&mut self, key: Key, from: usize) {
+        if key < self.head {
+            // The old head stays the least of the other sources, unless
+            // it waits in the same one.
+            if from != self.from {
+                self.runner_up = self.head;
+            }
+            self.head = key;
+            self.from = from;
+        } else if from != self.from && key < self.runner_up {
+            self.runner_up = key;
+        }
+    }
+}
+
 /// A façade bundling the current simulation time with the future-event list.
 ///
 /// `Schedule` enforces the fundamental discrete-event invariant: time never
@@ -58,6 +120,14 @@ struct Lane<E> {
 /// of its delay: `now` and the sequence counter only grow, so each lane is
 /// sorted by `(time, seq)` as it is filled, and popping the least of the
 /// lane heads and the heap head pops exactly what the heap alone would.
+///
+/// The schedule keeps its head: the least pending key with the source
+/// (the heap or a lane) that holds it, and the runner-up, the least key
+/// over every other source. Filing an event updates both with one
+/// comparison, [`Schedule::peek_time`] reads a field, and a pop compares
+/// the popped source's new front with the runner-up. Only when the head
+/// moves to another source — a few times per instant in the engine — does
+/// a pop scan the heap and every lane.
 #[derive(Debug, Clone)]
 pub struct Schedule<E> {
     now: Time,
@@ -66,8 +136,10 @@ pub struct Schedule<E> {
     /// The first `open` are in use, each for its own delay.
     lanes: [Lane<E>; MAX_LANES],
     open: usize,
-    /// `(time, seq)` of the last pop, for the order assertion.
-    last_pop: Option<(Time, u64)>,
+    front: Front,
+    /// The key of the last pop, for the order assertion.
+    #[cfg(debug_assertions)]
+    last_pop: Option<Key>,
 }
 
 impl<E> Default for Schedule<E> {
@@ -116,20 +188,15 @@ impl<E> Schedule<E> {
             seq: self.queue.take_seq(),
             event,
         };
-        match self.lane(delay) {
-            Some(lane) => {
-                debug_assert!(lane.back().is_none_or(|b| b.key() < s.key()));
-                lane.push_back(s);
-            }
-            None => self.queue.push(s),
-        }
+        let from = self.lane(delay);
+        self.file(s, from);
     }
 
     /// The lane for `delay`, opened on first use while there is room;
-    /// `None` sends the event to the heap.
+    /// [`HEAP`] sends the event to the heap.
     #[inline]
-    fn lane(&mut self, delay: Duration) -> Option<&mut VecDeque<ScheduledEvent<E>>> {
-        let i = match self.lanes[..self.open]
+    fn lane(&mut self, delay: Duration) -> usize {
+        match self.lanes[..self.open]
             .iter()
             .position(|l| l.delay == delay)
         {
@@ -143,9 +210,22 @@ impl<E> Schedule<E> {
                 self.open += 1;
                 self.open - 1
             }
-            None => return None,
-        };
-        Some(&mut self.lanes[i].events)
+            None => HEAP,
+        }
+    }
+
+    /// Files `s` in lane `from` (or the heap) and keeps the front.
+    #[inline]
+    fn file(&mut self, s: ScheduledEvent<E>, from: usize) {
+        let key = Key::of(&s);
+        if from == HEAP {
+            self.queue.push(s);
+        } else {
+            let events = &mut self.lanes[from].events;
+            debug_assert!(events.back().is_none_or(|b| Key::of(b) < key));
+            events.push_back(s);
+        }
+        self.front.note(key, from);
     }
 
     /// Schedules `event` at the absolute instant `at`.
@@ -160,7 +240,7 @@ impl<E> Schedule<E> {
             "attempted to schedule an event at {at} but the clock is already at {now}",
             now = self.now
         );
-        self.queue.schedule(at, event);
+        self.file_at(at, event);
     }
 
     /// Schedules `event` at the absolute instant `at`, clamped to the
@@ -169,21 +249,31 @@ impl<E> Schedule<E> {
     /// timeline installed while a simulation is running) where a stale
     /// timestamp should mean "immediately", not a crash.
     pub fn at_or_now(&mut self, at: Time, event: E) {
-        self.queue.schedule(at.max(self.now), event);
+        self.file_at(at.max(self.now), event);
     }
 
-    /// The earliest pending key and the lane holding it (`None`: the heap).
-    #[inline]
-    fn head(&self) -> Option<((Time, u64), Option<usize>)> {
-        let mut best = self.queue.peek_key().map(|k| (k, None));
+    /// Files `event` at `at` in the heap under the next sequence number.
+    fn file_at(&mut self, at: Time, event: E) {
+        let s = ScheduledEvent {
+            time: at,
+            seq: self.queue.take_seq(),
+            event,
+        };
+        self.file(s, HEAP);
+    }
+
+    /// The front by a scan of the heap and every lane.
+    fn scan(&self) -> Front {
+        let mut front = Front::EMPTY;
+        if let Some(s) = self.queue.peek() {
+            front.note(Key::of(s), HEAP);
+        }
         for (i, lane) in self.lanes[..self.open].iter().enumerate() {
             if let Some(s) = lane.events.front() {
-                if best.is_none_or(|(k, _)| s.key() < k) {
-                    best = Some((s.key(), Some(i)));
-                }
+                front.note(Key::of(s), i);
             }
         }
-        best
+        front
     }
 
     /// Removes and returns the next event, advancing the clock to its
@@ -193,24 +283,42 @@ impl<E> Schedule<E> {
     /// not an `Iterator` because firing an event mutates the clock.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<(Time, E)> {
-        let s = match self.head()? {
-            (_, Some(i)) => self.lanes[i].events.pop_front(),
-            (_, None) => self.queue.pop_scheduled(),
-        }?;
+        if self.front.head == Key::NONE {
+            return None;
+        }
+        let from = self.front.from;
+        let (s, next) = if from == HEAP {
+            let s = self.queue.pop_scheduled()?;
+            (s, self.queue.peek())
+        } else {
+            let events = &mut self.lanes[from].events;
+            (events.pop_front()?, events.front())
+        };
+        let next = next.map_or(Key::NONE, Key::of);
+        if next < self.front.runner_up {
+            // The popped source still holds the least key.
+            self.front.head = next;
+        } else {
+            self.front = self.scan();
+        }
+        debug_assert_eq!(self.front, self.scan(), "cached front out of step");
         debug_assert!(
             s.time >= self.now,
             "event queue yielded an event from the past"
         );
         // Pop order is `(time, seq)` order, so one instant pops in
         // scheduling order.
-        debug_assert!(
-            self.last_pop.is_none_or(|k| k < s.key()),
-            "event {} at {} popped after {:?}",
-            s.seq,
-            s.time,
-            self.last_pop
-        );
-        self.last_pop = Some(s.key());
+        #[cfg(debug_assertions)]
+        {
+            debug_assert!(
+                self.last_pop.is_none_or(|k| k < Key::of(&s)),
+                "event {} at {} popped after {:?}",
+                s.seq,
+                s.time,
+                self.last_pop
+            );
+            self.last_pop = Some(Key::of(&s));
+        }
         self.now = s.time;
         Some((s.time, s.event))
     }
@@ -218,7 +326,7 @@ impl<E> Schedule<E> {
     /// Peeks at the timestamp of the next pending event without firing it.
     #[inline]
     pub fn peek_time(&self) -> Option<Time> {
-        self.head().map(|((t, _), _)| t)
+        (self.front.head != Key::NONE).then(|| self.front.head.time())
     }
 
     /// Total number of events ever scheduled (monotone counter; useful for
@@ -261,20 +369,24 @@ impl<E> Schedule<E> {
                 events: VecDeque::new(),
             }),
             open: 0,
+            front: Front::EMPTY,
+            #[cfg(debug_assertions)]
             last_pop: None,
         }
     }
 
     /// Re-files a pending event under its original sequence number, in any
     /// order, preserving exact pop order. Restored events wait in the
-    /// heap; only what is scheduled afterwards fills lanes.
+    /// heap; only what is scheduled afterwards fills lanes. `seq` must be
+    /// below the counter the schedule was primed with.
     pub fn insert_restored(&mut self, at: Time, seq: u64, event: E) {
         debug_assert!(at >= self.now, "restored event in the past");
-        self.queue.push(ScheduledEvent {
+        let s = ScheduledEvent {
             time: at,
             seq,
             event,
-        });
+        };
+        self.file(s, HEAP);
     }
 }
 

@@ -141,10 +141,10 @@ impl<E> EventQueue<E> {
         self.heap.pop()
     }
 
-    /// The `(time, seq)` key of the earliest pending event, if any.
+    /// The earliest pending event, if any.
     #[inline]
-    pub(crate) fn peek_key(&self) -> Option<(Time, u64)> {
-        self.heap.peek().map(ScheduledEvent::key)
+    pub(crate) fn peek(&self) -> Option<&ScheduledEvent<E>> {
+        self.heap.peek()
     }
 
     /// Timestamp of the earliest pending event, if any.

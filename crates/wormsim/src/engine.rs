@@ -65,6 +65,16 @@
 //! processor — asked on every input-buffer drain — is a bit in the
 //! per-channel flags byte beside the death mask (`ChanFlags`).
 //!
+//! The run loop tests the event cap before every event, but the watchdog
+//! and the observer drain (telemetry ticks, checkpoints) only before the
+//! first event of each simulated instant, in the order watchdog → cap →
+//! drain. Later in the same instant neither can fire: an event only ever
+//! sets `last_progress` to the current time, `active` only rises in
+//! `on_source_ready`, which also sets `last_progress` to now, and the
+//! tickers have nothing more due through an instant they were drained to.
+//! Whether an event opens an instant is known for free: the loop already
+//! peeks at the next timestamp to decide when to flush bubbles.
+//!
 //! ## The fault path
 //!
 //! A live run (one with scheduled faults) keeps `tracked`: the channels
@@ -140,9 +150,13 @@ struct Segment {
     input: SegInput,
     outputs: InlineVec<ChannelId, 4>,
     acquired: bool,
+    /// In `bubble_candidates`: set when the slot is pushed there, cleared
+    /// when `flush_bubbles` pops it. The list is empty at every
+    /// checkpoint, so a snapshot need not write it.
+    candidate: bool,
 }
 
-snap_struct! { Segment { msg, input, outputs, acquired } }
+snap_struct! { Segment { msg, input, outputs, acquired } derived { candidate: false } }
 
 #[derive(Debug, Clone, Copy)]
 struct DestState {
@@ -319,7 +333,8 @@ pub struct NetworkSim<'a, R: RoutingAlgorithm> {
     /// within one timestamp fire serially — inserting a bubble eagerly
     /// would steal a slot that the real flit could claim a few events
     /// later in the same instant, livelocking symmetric branches. Empty
-    /// between instants, so never in a snapshot.
+    /// between instants, so never in a snapshot. A live segment is listed
+    /// at most once, by its [`Segment::candidate`] flag.
     bubble_candidates: Vec<SlotId>,
     /// Per-channel death mask for live-reconfiguration runs (no channel
     /// dead on static networks) and the processor-end bit. A dead channel
@@ -451,9 +466,14 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
     pub fn run_with_hook(mut self, hook: &mut dyn CompletionHook) -> SimOutcome {
         let mut deadlock: Option<DeadlockInfo> = None;
         let mut next = self.sched.peek_time();
+        // The next event is its instant's first: the watchdog and the
+        // observers look only then (see "Hot-path layout").
+        let mut opens_instant = true;
         while let Some(next_time) = next {
             // Watchdog: real-flit progress must occur while work is active.
-            if self.active > 0 && next_time.saturating_since(self.last_progress) > self.cfg.watchdog
+            if opens_instant
+                && self.active > 0
+                && next_time.saturating_since(self.last_progress) > self.cfg.watchdog
             {
                 deadlock = Some(self.deadlock_info(next_time, false));
                 break;
@@ -462,7 +482,9 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 deadlock = Some(self.deadlock_info(next_time, false));
                 break;
             }
-            self.observe_through(next_time, &*hook);
+            if opens_instant {
+                self.observe_through(next_time, &*hook);
+            }
             let (t, ev) = self.sched.next().expect("peeked event exists");
             self.counters.events += 1;
             self.handle(t, ev);
@@ -488,7 +510,8 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             // End of this simulated instant: resolve deferred bubbles, then
             // look again at what comes next.
             next = self.sched.peek_time();
-            if next != Some(t) {
+            opens_instant = next != Some(t);
+            if opens_instant {
                 self.flush_bubbles(t);
                 next = self.sched.peek_time();
             }
@@ -643,6 +666,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             input: SegInput::Source { next: 0 },
             outputs: InlineVec::from_slice(&[inj]),
             acquired: false,
+            candidate: false,
         });
         self.live.push(&mut self.msgs[msg.index()].live_segs, sid);
         self.enqueue(now, inj, msg, sid);
@@ -759,6 +783,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             input: SegInput::Channel(in_ch),
             outputs: InlineVec::new(),
             acquired: false,
+            candidate: false,
         });
         debug_assert!(
             self.chans[in_ch.index()].seg.is_none(),
@@ -1181,7 +1206,8 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 // Blocked by a sibling: mark for end-of-instant bubble
                 // insertion. A single-output segment simply stalls (no
                 // divergence to mask).
-                if seg.outputs.len() > 1 && !self.bubble_candidates.contains(&sid) {
+                if seg.outputs.len() > 1 && !seg.candidate {
+                    seg.candidate = true;
                     self.bubble_candidates.push(sid);
                 }
                 return;
@@ -1215,9 +1241,10 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
     /// generation check and are skipped.
     fn flush_bubbles(&mut self, now: Time) {
         while let Some(sid) = self.bubble_candidates.pop() {
-            let Some(seg) = self.segs.get(sid) else {
+            let Some(seg) = self.segs.get_mut(sid) else {
                 continue;
             };
+            seg.candidate = false;
             let msg = seg.msg;
             if !seg.acquired || seg.outputs.len() < 2 {
                 continue;

@@ -638,6 +638,7 @@ mod tests {
                 input,
                 outputs: InlineVec::from_slice(&[ch, ChannelId(3)]),
                 acquired: true,
+                candidate: false,
             });
         }
         rejects_tag::<SegInput>(2, "unknown segment input tag");

@@ -5,8 +5,12 @@
 
 use desim::{Duration, Time};
 use netgraph::{NodeId, Topology};
+use spam_snapshot::Fnv1a;
 use wormsim::routing::OracleRouting;
-use wormsim::{CompletionHook, MessageSpec, MsgId, NetworkSim, SimConfig};
+use wormsim::{
+    CheckpointSink, CompletionHook, MessageSpec, MetricsConfig, MsgId, NetworkSim, SimConfig,
+    SimOutcome,
+};
 
 /// p_src - s0 - s1 - p_dst chain plus helpers.
 struct Chain {
@@ -295,14 +299,10 @@ fn cyclic_routing_deadlocks_and_is_detected_by_queue_exhaustion() {
     assert_eq!(dl.stuck_messages.len(), 3);
 }
 
-#[test]
-fn deadlocked_branch_with_live_sibling_is_caught_by_watchdog() {
-    // A multicast forks at s0: one branch joins the ring deadlock, the
-    // other delivers to a free leaf and then keeps receiving bubbles
-    // forever. Event-queue exhaustion never happens; the progress watchdog
-    // must fire instead.
+/// s0, s1, s2 in a ring and a free leaf s3 off s0, one processor each.
+fn ring_with_leaf() -> Chain {
     let mut b = Topology::builder();
-    let s = b.add_switches(4); // s0,s1,s2 ring; s3 free leaf
+    let s = b.add_switches(4);
     b.link(s[0], s[1]).unwrap();
     b.link(s[1], s[2]).unwrap();
     b.link(s[2], s[0]).unwrap();
@@ -315,9 +315,19 @@ fn deadlocked_branch_with_live_sibling_is_caught_by_watchdog() {
             pp
         })
         .collect();
-    let topo = b.build();
+    Chain {
+        topo: b.build(),
+        s,
+        p,
+    }
+}
 
-    let mut oracle = OracleRouting::new(&topo);
+/// A multicast forks at s0: one branch joins the ring deadlock, the
+/// other delivers to a free leaf and then keeps receiving bubbles
+/// forever, so the event queue never runs dry.
+fn fork_into_ring(net: &Chain, cfg: SimConfig) -> NetworkSim<'_, OracleRouting> {
+    let (s, p) = (&net.s, &net.p);
+    let mut oracle = OracleRouting::new(&net.topo);
     // Ring partners (tags 1, 2) occupy (s1,s2) then want (s2,s0), and
     // (s2,s0) then want (s0,s1).
     oracle
@@ -335,14 +345,7 @@ fn deadlocked_branch_with_live_sibling_is_caught_by_watchdog() {
     oracle.add_tree_edges(0, [(s[2], p[2])]).unwrap();
     oracle.add_tree_edges(0, [(s[3], p[3])]).unwrap();
 
-    let cfg = SimConfig::paper().with_watchdog(Duration::from_us(200));
-    let mut sim = NetworkSim::new(&topo, oracle, cfg);
-    sim.submit(
-        MessageSpec::unicast(p[1], p[1], 2048) // self-destination: rejected
-            .tag(1)
-            .at(Time::ZERO),
-    )
-    .unwrap_err(); // self destination rejected — use the proper dest
+    let mut sim = NetworkSim::new(&net.topo, oracle, cfg);
     sim.submit(MessageSpec::unicast(p[1], p[0], 2048).tag(1).at(Time::ZERO))
         .unwrap();
     sim.submit(MessageSpec::unicast(p[2], p[1], 2048).tag(2).at(Time::ZERO))
@@ -353,6 +356,19 @@ fn deadlocked_branch_with_live_sibling_is_caught_by_watchdog() {
             .at(Time::ZERO),
     )
     .unwrap();
+    sim
+}
+
+#[test]
+fn deadlocked_branch_with_live_sibling_is_caught_by_watchdog() {
+    // Event-queue exhaustion never happens; the progress watchdog must
+    // fire instead.
+    let net = ring_with_leaf();
+    let cfg = SimConfig::paper().with_watchdog(Duration::from_us(200));
+    let mut sim = fork_into_ring(&net, cfg);
+    let p1 = net.p[1];
+    sim.submit(MessageSpec::unicast(p1, p1, 2048).tag(1).at(Time::ZERO))
+        .unwrap_err(); // self destination rejected
     let out = sim.run();
     let dl = out.deadlock.expect("cyclic wait must be detected");
     assert!(
@@ -360,6 +376,161 @@ fn deadlocked_branch_with_live_sibling_is_caught_by_watchdog() {
         "bubble traffic keeps events flowing; the watchdog must fire"
     );
     assert!(out.counters.bubbles_created > 0);
+}
+
+/// FNV-1a over what a run decided: final clock, verdict, counters,
+/// per-message times and per-channel crossings.
+fn outcome_digest(out: &SimOutcome) -> u64 {
+    let mut h = Fnv1a::default();
+    let dl = out.deadlock.as_ref();
+    let c = &out.counters;
+    for w in [
+        out.end_time.as_ns(),
+        dl.map_or(u64::MAX, |d| d.detected_at.as_ns()),
+        dl.map_or(u64::MAX, |d| d.last_progress.as_ns()),
+        dl.map_or(u64::MAX, |d| u64::from(d.queue_exhausted)),
+        u64::from(out.error.is_some()),
+        c.events,
+        c.wire_transfers,
+        c.bubbles_created,
+        c.flits_delivered,
+        c.messages_completed,
+        c.acquisitions,
+        c.seg_lookups,
+    ] {
+        h.word(w);
+    }
+    for m in dl.iter().flat_map(|d| &d.stuck_messages) {
+        h.word(m.index() as u64);
+    }
+    for m in &out.messages {
+        h.word(m.completed_at.map_or(u64::MAX, Time::as_ns));
+        for d in &m.dest_done_at {
+            h.word(d.map_or(u64::MAX, Time::as_ns));
+        }
+    }
+    for &x in &out.channel_crossings {
+        h.word(x);
+    }
+    h.finish()
+}
+
+/// FNV-1a over every gauge sample the run kept, and how many it took.
+fn series_digest(out: &SimOutcome) -> u64 {
+    let series = &out.metrics.as_ref().expect("telemetry on").series;
+    let mut h = Fnv1a::default();
+    h.word(series.total_recorded());
+    for g in series.iter() {
+        for w in [
+            g.at_ns,
+            g.queue_len as u64,
+            u64::from(g.live_worms),
+            u64::from(g.live_segments),
+            u64::from(g.ocrq_total),
+            u64::from(g.ocrq_max),
+            u64::from(g.epoch),
+            g.delivered,
+        ] {
+            h.word(w);
+        }
+    }
+    h.finish()
+}
+
+/// Both observers' cadence in [`observed_fork_into_ring`]: 29 990 ns <
+/// 30 000 ns, and 210 120 ns < 210 125 ns <= 210 130 ns (where the
+/// watchdog fires).
+const CADENCE_NS: u64 = 125;
+
+/// True when a run stopped at an instant with an observer tick due: the
+/// event that would have run next opens an instant at or after a tick
+/// the last one run was before.
+fn tick_due_at_stop(out: &SimOutcome) -> bool {
+    let next = out.deadlock.as_ref().map_or(0, |d| d.detected_at.as_ns());
+    next / CADENCE_NS > out.end_time.as_ns() / CADENCE_NS
+}
+
+/// [`fork_into_ring`] with a checkpoint into a digest ledger and a gauge
+/// sample every [`CADENCE_NS`]: `(outcome, series, ledger length,
+/// ledger digest)`.
+fn observed_fork_into_ring(cfg: SimConfig) -> (SimOutcome, u64, usize, u64) {
+    let net = ring_with_leaf();
+    let mut sim = fork_into_ring(&net, cfg);
+    let (sink, ledger) = CheckpointSink::digests();
+    sim.enable_checkpoints(Duration::from_ns(CADENCE_NS), sink);
+    sim.enable_metrics(MetricsConfig {
+        sample_every: Duration::from_ns(CADENCE_NS),
+        capacity: 64,
+    });
+    let out = sim.run();
+    let ledger = ledger.lock().unwrap();
+    let mut h = Fnv1a::default();
+    for &(at, sum) in ledger.iter() {
+        h.word(at);
+        h.word(sum);
+    }
+    let series = series_digest(&out);
+    (out, series, ledger.len(), h.finish())
+}
+
+/// Events the capped run processes: the last of them is at 29 990 ns,
+/// and the next would open the instant at 30 000 ns.
+const EVENT_CAP: u64 = 4_001;
+
+/// `(outcome, gauge series, ledger length, ledger)` digests of the capped
+/// and of the watchdog-aborted run.
+const CAPPED_PINS: (u64, u64, usize, u64) = (
+    5914715183444671105,
+    14144879036956244356,
+    160,
+    16144912210926534524,
+);
+const WATCHDOG_PINS: (u64, u64, usize, u64) = (
+    16613224557136489413,
+    11712490525398530066,
+    1601,
+    2741312294902308413,
+);
+
+#[test]
+fn event_cap_on_an_instants_first_event_stops_before_its_observers() {
+    // Stopped by the event cap exactly when the next event opens a new
+    // instant, with a checkpoint and a gauge tick due at that instant:
+    // the cap must win, so neither is taken. Pinned from the run loop
+    // that tested the watchdog, the cap and the observer drain before
+    // every event.
+    let cfg = SimConfig {
+        max_events: EVENT_CAP,
+        ..SimConfig::paper().with_watchdog(Duration::from_us(200))
+    };
+    let (out, series, ledger_len, ledger) = observed_fork_into_ring(cfg);
+    let dl = out.deadlock.as_ref().expect("the cap stops the run");
+    assert_eq!(out.counters.events, EVENT_CAP);
+    assert!(
+        dl.detected_at > out.end_time,
+        "the cap lands on an instant's first event"
+    );
+    assert!(tick_due_at_stop(&out));
+    assert_eq!(
+        (outcome_digest(&out), series, ledger_len, ledger),
+        CAPPED_PINS
+    );
+}
+
+#[test]
+fn watchdog_abort_stops_before_its_observers() {
+    // The watchdog fires at an instant with a checkpoint and a gauge tick
+    // due; it is tested first, so neither is taken there. Pinned from the
+    // run loop that tested both before every event.
+    let cfg = SimConfig::paper().with_watchdog(Duration::from_us(200));
+    let (out, series, ledger_len, ledger) = observed_fork_into_ring(cfg);
+    let dl = out.deadlock.as_ref().expect("the watchdog fires");
+    assert!(!dl.queue_exhausted);
+    assert!(tick_due_at_stop(&out));
+    assert_eq!(
+        (outcome_digest(&out), series, ledger_len, ledger),
+        WATCHDOG_PINS
+    );
 }
 
 struct ReplyHook {
