@@ -4,7 +4,9 @@
 //! **down** channels — with *no* distinction between down tree and down
 //! cross channels. A down channel `(u, v)` is legal only if the target is
 //! still reachable from `v` through down channels alone (otherwise the worm
-//! would strand itself in the down subnetwork).
+//! would strand itself in the down subnetwork) — exactly when `v`'s Down
+//! cell in the target's residual-distance row is finite, so the row
+//! answers legality too.
 //!
 //! This is the routing SPAM generalizes; it serves two roles here: the
 //! unicast baseline for ablation D, and — together with SPAM's unicast
@@ -12,9 +14,8 @@
 //! (down-cross before down-tree) costs on unicast traffic.
 
 use netgraph::{ChannelId, NodeId, Topology};
-use std::collections::VecDeque;
 use std::sync::Arc;
-use updown::{BitMatrix, ChannelClass, LazyRows, UpDownLabeling};
+use updown::{ChannelClass, LazyRows, UpDownLabeling};
 use wormsim::{
     MessageSpec, RouteDecision, RouteError, RoutingAlgorithm, SnapReader, SnapWriter, SnapshotError,
 };
@@ -56,36 +57,33 @@ fn cell(v: NodeId, ph: UdPhase) -> usize {
     2 * v.index() + (ph == UdPhase::Down) as usize
 }
 
-/// The router's shareable state — the down-reachability closure, built
-/// up front, and the residual distances, one row per target built the
-/// first time that target is routed to — detached from the topology
-/// borrow, so an artifact cache can keep it alive across runs and
-/// re-attach it with [`UpDownUnicastRouting::with_precomp`]. Cloning is
-/// two refcount bumps; clones share every row.
+/// The router's shareable state — the residual distances, one row per
+/// target built the first time that target is routed to — detached from
+/// the topology borrow, so an artifact cache can keep it alive across
+/// runs and re-attach it with [`UpDownUnicastRouting::with_precomp`].
+/// Nothing is computed up front: a row is two passes over the labeling's
+/// `(level, id)` order, and its Down cells also answer which down moves
+/// are legal. Cloning is a refcount bump; clones share every row.
 #[derive(Debug, Clone)]
 pub struct UpDownPrecomp {
-    /// `down_reach.get(u, v)` ⇔ `v` reachable from `u` via down channels.
-    down_reach: Arc<BitMatrix>,
     /// `dist[target][2 * node + phase]` residual legal distances.
     dist: Arc<LazyRows>,
 }
 
 impl UpDownPrecomp {
-    /// Heap footprint in bytes as of now: the distance rows built so far
-    /// plus the `n²/8` bit matrix.
+    /// Heap footprint in bytes as of now: the distance rows built so far.
     pub fn approx_bytes(&self) -> usize {
-        self.dist.resident_bytes() + self.down_reach.approx_bytes()
+        self.dist.resident_bytes()
     }
 }
 
 impl<'a> UpDownUnicastRouting<'a> {
-    /// Builds the router, precomputing down-reachability.
+    /// Builds the router; no distance row is built here.
     pub fn new(topo: &'a Topology, ud: &'a UpDownLabeling) -> Self {
         UpDownUnicastRouting {
             topo,
             ud,
             pre: UpDownPrecomp {
-                down_reach: Arc::new(Self::build_down_reach(topo, ud)),
                 dist: Arc::new(LazyRows::new(topo.num_nodes())),
             },
         }
@@ -95,8 +93,7 @@ impl<'a> UpDownUnicastRouting<'a> {
     /// the artifact-cache entry point. `precomp` must have been taken
     /// (via [`Self::precomp`]) from a router built over exactly this
     /// `(topo, ud)` pair; behavior is then identical to [`Self::new`]
-    /// while skipping the closure and sharing every distance row built
-    /// so far.
+    /// while sharing every distance row built so far.
     pub fn with_precomp(
         topo: &'a Topology,
         ud: &'a UpDownLabeling,
@@ -120,19 +117,63 @@ impl<'a> UpDownUnicastRouting<'a> {
         self.pre.clone()
     }
 
-    /// Transitive closure over the (acyclic) down-channel digraph, in
-    /// reverse (level, id) topological order.
-    fn build_down_reach(topo: &Topology, ud: &UpDownLabeling) -> BitMatrix {
+    /// The row of `target`, one pass per phase over `ud.by_depth()`: down
+    /// channels lead later in that order, so the reverse pass finds each
+    /// node's Down cell from finished ones, and up channels lead earlier,
+    /// so the forward pass does the same for Up. A node's Up cell is at
+    /// most its Down cell, since it may turn down right away.
+    fn build_dist(topo: &Topology, ud: &UpDownLabeling, target: NodeId) -> Vec<u16> {
+        let mut d = vec![UNREACHABLE; 2 * topo.num_nodes()];
+        d[cell(target, UdPhase::Up)] = 0;
+        d[cell(target, UdPhase::Down)] = 0;
+        // The cell of channel `c`'s endpoint in phase `ph`, one hop
+        // further; `UNREACHABLE` saturates to itself.
+        let hop = |d: &[u16], c: ChannelId, ph| d[cell(topo.channel(c).dst, ph)].saturating_add(1);
+        let order = ud.by_depth();
+        for &v in order.iter().rev().filter(|&&v| v != target) {
+            d[cell(v, UdPhase::Down)] = topo
+                .out_channels(v)
+                .iter()
+                .filter(|&&c| ud.class(c).is_down())
+                .map(|&c| hop(&d, c, UdPhase::Down))
+                .fold(UNREACHABLE, u16::min);
+        }
+        for &v in order {
+            d[cell(v, UdPhase::Up)] = topo
+                .out_channels(v)
+                .iter()
+                .filter(|&&c| ud.class(c).is_up())
+                .map(|&c| hop(&d, c, UdPhase::Up))
+                .fold(d[cell(v, UdPhase::Down)], u16::min);
+        }
+        d
+    }
+
+    /// Whether the target is reachable from `v` through down channels
+    /// alone — the Down cell of the target's row is finite.
+    #[inline]
+    fn down_reaches(row: &[u16], v: NodeId) -> bool {
+        row[cell(v, UdPhase::Down)] != UNREACHABLE
+    }
+
+    /// The `n²` down-reachability closure over the (acyclic) down-channel
+    /// digraph, each node's reach the union of its down neighbours'. With
+    /// [`Self::bfs_dist`], the reference the tests hold
+    /// [`Self::build_dist`] and [`Self::down_reaches`] against.
+    #[cfg(test)]
+    fn down_reach(topo: &Topology, ud: &UpDownLabeling) -> Vec<Vec<bool>> {
         let n = topo.num_nodes();
         let mut order: Vec<NodeId> = topo.nodes().collect();
         order.sort_unstable_by_key(|v| (ud.level(*v), *v));
-        let mut reach = BitMatrix::new(n);
+        let mut reach = vec![vec![false; n]; n];
         for &u in order.iter().rev() {
-            reach.set(u.index(), u.index());
+            reach[u.index()][u.index()] = true;
             for &c in topo.out_channels(u) {
                 if ud.class(c).is_down() {
-                    let w = topo.channel(c).dst;
-                    reach.or_row_into(w.index(), u.index());
+                    let w = reach[topo.channel(c).dst.index()].clone();
+                    for (r, x) in reach[u.index()].iter_mut().zip(w) {
+                        *r |= x;
+                    }
                 }
             }
         }
@@ -140,13 +181,15 @@ impl<'a> UpDownUnicastRouting<'a> {
     }
 
     /// Reverse BFS over the two-layer (Up/Down) legality graph for one
-    /// target.
-    fn build_dist(
+    /// target, down moves checked against `down_reach`.
+    #[cfg(test)]
+    fn bfs_dist(
         topo: &Topology,
         ud: &UpDownLabeling,
-        down_reach: &BitMatrix,
+        down_reach: &[Vec<bool>],
         target: NodeId,
     ) -> Vec<u16> {
+        use std::collections::VecDeque;
         let n = topo.num_nodes();
         let mut d = vec![UNREACHABLE; 2 * n];
         let mut q = VecDeque::new();
@@ -164,7 +207,7 @@ impl<'a> UpDownUnicastRouting<'a> {
                     } else {
                         &[]
                     }
-                } else if ph_v == UdPhase::Down && down_reach.get(v.index(), target.index()) {
+                } else if ph_v == UdPhase::Down && down_reach[v.index()][target.index()] {
                     &[UdPhase::Up, UdPhase::Down]
                 } else {
                     &[]
@@ -186,9 +229,9 @@ impl<'a> UpDownUnicastRouting<'a> {
     /// tests hold the lazily built rows against.
     #[cfg(test)]
     fn build_all_dist(topo: &Topology, ud: &UpDownLabeling) -> Vec<Vec<u16>> {
-        let down_reach = Self::build_down_reach(topo, ud);
+        let down_reach = Self::down_reach(topo, ud);
         topo.nodes()
-            .map(|t| Self::build_dist(topo, ud, &down_reach, t))
+            .map(|t| Self::bfs_dist(topo, ud, &down_reach, t))
             .collect()
     }
 
@@ -197,7 +240,7 @@ impl<'a> UpDownUnicastRouting<'a> {
     #[inline]
     fn row(&self, target: NodeId) -> &[u16] {
         self.pre.dist.get_or_build(target.index(), || {
-            Self::build_dist(self.topo, self.ud, &self.pre.down_reach, target)
+            Self::build_dist(self.topo, self.ud, target)
         })
     }
 
@@ -213,6 +256,7 @@ impl<'a> UpDownUnicastRouting<'a> {
         phase: UdPhase,
         target: NodeId,
     ) -> Vec<(ChannelId, UdPhase)> {
+        let row = self.row(target);
         let mut out = Vec::new();
         for &c in self.topo.out_channels(node) {
             let v = self.topo.channel(c).dst;
@@ -223,7 +267,7 @@ impl<'a> UpDownUnicastRouting<'a> {
                     }
                 }
                 ChannelClass::DownTree | ChannelClass::DownCross => {
-                    if self.pre.down_reach.get(v.index(), target.index()) {
+                    if Self::down_reaches(row, v) {
                         out.push((c, UdPhase::Down));
                     }
                 }
@@ -306,7 +350,7 @@ impl RoutingAlgorithm for UpDownUnicastRouting<'_> {
                     }
                 }
                 ChannelClass::DownTree | ChannelClass::DownCross => {
-                    if self.pre.down_reach.get(v.index(), header.target.index()) {
+                    if Self::down_reaches(row, v) {
                         UdPhase::Down
                     } else {
                         continue;
@@ -338,8 +382,98 @@ mod tests {
     use super::*;
     use netgraph::gen::fixtures::figure1;
     use netgraph::gen::lattice::IrregularConfig;
+    use netgraph::DegradedTopology;
+    use proptest::prelude::*;
     use updown::RootSelection;
     use wormsim::{NetworkSim, SimConfig};
+
+    /// A view of `t` with `kills` links dead, drawn by an xorshift64
+    /// stream from `seed` — so a larger `kills` kills a superset.
+    fn kill_links(t: &Topology, kills: usize, seed: u64) -> DegradedTopology<'_> {
+        let mut view = DegradedTopology::new(t);
+        let links = t.num_channels() as u64 / 2;
+        let mut x = seed | 1;
+        for _ in 0..kills {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            view.kill_link(ChannelId(2 * (x % links) as u32));
+        }
+        view
+    }
+
+    /// Cases per property: `PROPTEST_CASES` when set, else 16.
+    fn cases() -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(16)
+    }
+
+    /// Every cell of every target's lazily built row against the reverse
+    /// BFS over the down-reachability closure, and every down move's
+    /// legality against that closure.
+    fn assert_rows_equal_the_bfs(t: &Topology, ud: &UpDownLabeling) {
+        let down_reach = UpDownUnicastRouting::down_reach(t, ud);
+        let router = UpDownUnicastRouting::new(t, ud);
+        for target in t.nodes() {
+            let bfs = UpDownUnicastRouting::bfs_dist(t, ud, &down_reach, target);
+            let row = router.row(target);
+            assert_eq!(row, &bfs[..], "row {target}");
+            for v in t.nodes() {
+                let reach = down_reach[v.index()][target.index()];
+                assert_eq!(UpDownUnicastRouting::down_reaches(row, v), reach);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+        /// Over random lattices and root policies: pristine; after each
+        /// of a chain of relabels (the baseline routes over every channel
+        /// of the base topology); and on a split network whose partial
+        /// labeling leaves a piece unlabeled (level `u32::MAX`, last in
+        /// `by_depth` by id).
+        #[test]
+        fn swept_rows_equal_the_reverse_bfs(
+            switches in 16usize..=64,
+            seed in any::<u64>(),
+            policy in 0usize..4,
+            kills in 1usize..12,
+            epochs in 1usize..=3,
+        ) {
+            let t = IrregularConfig::with_switches(switches).generate(seed);
+            let root = [
+                RootSelection::LowestId,
+                RootSelection::MaxDegree,
+                RootSelection::MinEccentricity,
+                RootSelection::RandomSeeded(seed),
+            ][policy];
+            let mut ud = UpDownLabeling::build(&t, root);
+            assert_rows_equal_the_bfs(&t, &ud);
+            let root = ud.root();
+            for e in 1..=epochs {
+                let view = kill_links(&t, e * kills, seed);
+                let (next, _) = ud.relabel_after(&view).expect("links died, no switch did");
+                assert_rows_equal_the_bfs(&t, &next);
+                ud = next;
+            }
+            // Cut a third of the links, and every switch-to-switch link of
+            // the highest-id switch but the root, so a piece is split off.
+            let mut view = kill_links(&t, t.num_channels() / 6, seed);
+            let cut = t.switches().filter(|&s| s != root).last().expect("16+ switches");
+            for &c in t.out_channels(cut) {
+                if t.is_switch(t.channel(c).dst) {
+                    view.kill_link(c);
+                }
+            }
+            let (split, _) = view.masked_topology();
+            let partial = UpDownLabeling::build_partial(&split, root);
+            prop_assert!(partial.num_labeled() < split.num_nodes());
+            assert_rows_equal_the_bfs(&split, &partial);
+        }
+    }
 
     #[test]
     fn all_pairs_deliver_on_figure1() {

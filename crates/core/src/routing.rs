@@ -135,7 +135,7 @@ impl<'a> SpamRouting<'a> {
     /// first question about a `target` builds its row.
     #[inline]
     pub fn dist(&self, target: NodeId, node: NodeId, phase: Phase) -> u16 {
-        self.tables.dist(self.topo, self.ud, target, node, phase)
+        self.tables.dist(self.ud, target, node, phase)
     }
 
     /// All SPAM-legal `(channel, successor phase)` moves from `node` in
@@ -208,7 +208,7 @@ impl<'a> SpamRouting<'a> {
             SelectionPolicy::MinResidualDistance => {
                 // Resolve the target's row once; each candidate then
                 // costs one indexed load.
-                let row = self.tables.row(self.topo, self.ud, target);
+                let row = self.tables.row(self.ud, target);
                 legal
                     .iter()
                     .copied()

@@ -14,17 +14,20 @@
 //! A run only ever asks for the rows of the targets its messages aim at
 //! (one LCA per multicast), so nothing per target is computed at
 //! construction. [`RoutingTables::build`] gathers the O(channels) per-node
-//! move records and the liveness mask; the row of target `t` — one reverse
-//! BFS over the layered graph, `3 · nodes` cells — is built the first time
-//! a distance to `t` is asked for and shared from then on (across threads,
-//! runs and cache hits: the tables sit behind an `Arc`). The per-hop
-//! routing decision resolves its LCA's row once and then reads one cell
-//! per candidate channel. A fabric whose every row is resident holds
-//! `6 · nodes²` bytes (1.5 MB at 512 nodes, 25 MB at 2048); one that
-//! carried a single multicast holds one row.
+//! move records and the liveness mask; the row of target `t`, `3 · nodes`
+//! cells, is built the first time a distance to `t` is asked for and
+//! shared from then on (across threads, runs and cache hits: the tables
+//! sit behind an `Arc`). The layered graph is acyclic in the labeling's
+//! `(level, id)` order ([`UpDownLabeling::by_depth`]) — up channels lead
+//! earlier in it, down channels later, and phases only advance — so a row
+//! is two sweeps over that order, each reading every alive move once: in
+//! reverse for DownTree and DownCross, forward for Up. The row is the
+//! only allocation. The per-hop routing decision resolves its LCA's row
+//! once and then reads one cell per candidate channel. A fabric whose
+//! every row is resident holds `6 · nodes²` bytes (1.5 MB at 512 nodes,
+//! 25 MB at 2048); one that carried a single multicast holds one row.
 
 use netgraph::{ChannelId, NodeId, Topology};
-use std::collections::VecDeque;
 use updown::{ChannelClass, LazyRows, UpDownLabeling};
 
 /// Routing phase of a SPAM worm's unicast stage (§3.1 channel ordering).
@@ -71,9 +74,9 @@ pub struct NodeMove {
 /// each target's row built on first use — plus the per-node legal-channel
 /// slices and the liveness mask gathered at build time.
 ///
-/// The tables do not borrow the `(topology, labeling)` pair they were
-/// built over; the router that owns that borrow ([`crate::SpamRouting`])
-/// passes it back in whenever a row may have to be filled.
+/// The tables do not borrow the labeling they were built over; the router
+/// that owns that borrow ([`crate::SpamRouting`]) passes it back in
+/// whenever a row may have to be filled, for its `(level, id)` order.
 #[derive(Debug)]
 pub struct RoutingTables {
     /// `rows[target][3 * node + phase]`.
@@ -145,13 +148,12 @@ impl RoutingTables {
     }
 
     /// The residual-distance row of `target` (`row[3 * node + phase]`),
-    /// built now if this is the first time it is asked for. `(topo, ud)`
-    /// must be the pair the tables were built over.
+    /// built now if this is the first time it is asked for. `ud` must be
+    /// the labeling the tables were built over.
     #[inline]
-    pub(crate) fn row(&self, topo: &Topology, ud: &UpDownLabeling, target: NodeId) -> &[u16] {
-        self.rows.get_or_build(target.index(), || {
-            Self::build_for_target(topo, ud, target, self.mask.as_deref())
-        })
+    pub(crate) fn row(&self, ud: &UpDownLabeling, target: NodeId) -> &[u16] {
+        self.rows
+            .get_or_build(target.index(), || self.build_for_target(ud, target))
     }
 
     /// Residual SPAM-legal distance from `(node, phase)` to `target`, in
@@ -159,13 +161,12 @@ impl RoutingTables {
     #[inline]
     pub(crate) fn dist(
         &self,
-        topo: &Topology,
         ud: &UpDownLabeling,
         target: NodeId,
         node: NodeId,
         phase: Phase,
     ) -> u16 {
-        self.row(topo, ud, target)[Self::cell(node, phase)]
+        self.row(ud, target)[Self::cell(node, phase)]
     }
 
     /// Index of `(node, phase)` within a target's row.
@@ -189,13 +190,68 @@ impl RoutingTables {
             + self.mask.as_ref().map_or(0, |m| m.len())
     }
 
-    /// Reverse BFS over the phase-layered graph from `(target, *)`.
-    fn build_for_target(
+    /// The row of `target`, one pass per phase over `ud.by_depth()`.
+    ///
+    /// Down channels lead later in that `(level, id)` order and up
+    /// channels earlier, and only up channels keep a worm in the Up
+    /// phase. So a node's DownTree and DownCross cells depend only on
+    /// cells of nodes after it, final when the reverse pass reaches it,
+    /// and its Up cell only on its own DownCross cell and the Up cells of
+    /// nodes before it, final in the forward pass. A DownTree cell is
+    /// finite only along the target's parent chain, where it is
+    /// `level(t) − level(v)`; a finite DownCross cell already makes its
+    /// node an extended ancestor of the target (Definition 1), so neither
+    /// rule's relation is searched.
+    fn build_for_target(&self, ud: &UpDownLabeling, target: NodeId) -> Vec<u16> {
+        let cell = Self::cell;
+        let mut d = vec![UNREACHABLE; 3 * self.num_nodes()];
+        for ph in Phase::ALL {
+            d[cell(target, ph)] = 0;
+        }
+        // One hop further than a cell; `UNREACHABLE` saturates to itself.
+        let hop = |x: u16| x.saturating_add(1);
+        let order = ud.by_depth();
+        for &v in order.iter().rev().filter(|&&v| v != target) {
+            let (mut tree, mut cross) = (UNREACHABLE, UNREACHABLE);
+            for m in self.moves(v) {
+                match m.class {
+                    ChannelClass::DownTree => {
+                        tree = tree.min(hop(d[cell(m.dst, Phase::DownTree)]));
+                    }
+                    ChannelClass::DownCross => {
+                        let dc = d[cell(m.dst, Phase::DownCross)];
+                        debug_assert!(dc == UNREACHABLE || ud.is_extended_ancestor(m.dst, target));
+                        cross = cross.min(hop(dc));
+                    }
+                    ChannelClass::UpTree | ChannelClass::UpCross => {}
+                }
+            }
+            debug_assert!(tree == UNREACHABLE || ud.is_ancestor(v, target));
+            d[cell(v, Phase::DownTree)] = tree;
+            d[cell(v, Phase::DownCross)] = tree.min(cross);
+        }
+        for &v in order {
+            d[cell(v, Phase::Up)] = self
+                .moves(v)
+                .iter()
+                .filter(|m| m.class.is_up())
+                .map(|m| hop(d[cell(m.dst, Phase::Up)]))
+                .fold(d[cell(v, Phase::DownCross)], u16::min);
+        }
+        d
+    }
+
+    /// Reverse BFS over the phase-layered graph from `(target, *)`, each
+    /// incoming channel's legality re-derived from Definition 1: the
+    /// reference the tests hold [`Self::build_for_target`] against.
+    #[cfg(test)]
+    fn bfs_for_target(
         topo: &Topology,
         ud: &UpDownLabeling,
         target: NodeId,
         mask: Option<&[bool]>,
     ) -> Vec<u16> {
+        use std::collections::VecDeque;
         let n = topo.num_nodes();
         let mut d = vec![UNREACHABLE; 3 * n];
         let mut q = VecDeque::new();
@@ -264,7 +320,7 @@ impl RoutingTables {
         mask: Option<&[bool]>,
     ) -> Vec<Vec<u16>> {
         topo.nodes()
-            .map(|t| Self::build_for_target(topo, ud, t, mask))
+            .map(|t| Self::bfs_for_target(topo, ud, t, mask))
             .collect()
     }
 }
@@ -276,6 +332,8 @@ mod tests {
     use netgraph::gen::fixtures::figure1;
     use netgraph::gen::lattice::IrregularConfig;
     use netgraph::DegradedTopology;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
     use std::sync::{Arc, Barrier};
     use updown::RootSelection;
 
@@ -312,6 +370,87 @@ mod tests {
         out
     }
 
+    /// A view of `t` with `kills` links dead, drawn by an xorshift64
+    /// stream from `seed` — so a larger `kills` kills a superset.
+    fn kill_links(t: &Topology, kills: usize, seed: u64) -> DegradedTopology<'_> {
+        let mut view = DegradedTopology::new(t);
+        let links = t.num_channels() as u64 / 2;
+        let mut x = seed | 1;
+        for _ in 0..kills {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            view.kill_link(ChannelId(2 * (x % links) as u32));
+        }
+        view
+    }
+
+    /// Cases per property: `PROPTEST_CASES` when set, else 16.
+    fn cases() -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(16)
+    }
+
+    /// Every cell of every target's lazily built row against the reverse
+    /// BFS.
+    fn assert_rows_equal_the_bfs(t: &Topology, ud: &UpDownLabeling, mask: Option<&[bool]>) {
+        let tb = RoutingTables::build_masked(t, ud, mask);
+        for target in t.nodes() {
+            let bfs = RoutingTables::bfs_for_target(t, ud, target, mask);
+            assert_eq!(tb.row(ud, target), &bfs[..], "row {target}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+        /// Over random lattices and root policies: pristine; after each
+        /// of a chain of relabels, masked to the channels still alive;
+        /// and on a split network whose partial labeling leaves a piece
+        /// unlabeled (level `u32::MAX`, last in `by_depth` by id), which
+        /// no fixed fabric above reaches.
+        #[test]
+        fn swept_rows_equal_the_reverse_bfs(
+            switches in 16usize..=64,
+            seed in any::<u64>(),
+            policy in 0usize..4,
+            kills in 1usize..12,
+            epochs in 1usize..=3,
+        ) {
+            let t = IrregularConfig::with_switches(switches).generate(seed);
+            let root = [
+                RootSelection::LowestId,
+                RootSelection::MaxDegree,
+                RootSelection::MinEccentricity,
+                RootSelection::RandomSeeded(seed),
+            ][policy];
+            let mut ud = UpDownLabeling::build(&t, root);
+            assert_rows_equal_the_bfs(&t, &ud, None);
+            let root = ud.root();
+            for e in 1..=epochs {
+                let view = kill_links(&t, e * kills, seed);
+                let (next, _) = ud.relabel_after(&view).expect("links died, no switch did");
+                assert_rows_equal_the_bfs(&t, &next, Some(&view.alive_channel_mask()));
+                ud = next;
+            }
+            // Cut a third of the links, and every switch-to-switch link of
+            // the highest-id switch but the root, so a piece is split off.
+            let mut view = kill_links(&t, t.num_channels() / 6, seed);
+            let cut = t.switches().filter(|&s| s != root).last().expect("16+ switches");
+            for &c in t.out_channels(cut) {
+                if t.is_switch(t.channel(c).dst) {
+                    view.kill_link(c);
+                }
+            }
+            let (split, _) = view.masked_topology();
+            let partial = UpDownLabeling::build_partial(&split, root);
+            prop_assert!(partial.num_labeled() < split.num_nodes());
+            assert_rows_equal_the_bfs(&split, &partial, None);
+        }
+    }
+
     #[test]
     fn lazy_rows_equal_the_all_targets_reference() {
         for (t, ud, mask) in fabrics() {
@@ -325,16 +464,16 @@ mod tests {
             let order = (1..n).step_by(2).chain((0..n).step_by(2));
             for (asked, i) in order.enumerate() {
                 let target = NodeId(i as u32);
-                assert_eq!(tb.row(&t, &ud, target), &reference[i][..], "row {i}");
+                assert_eq!(tb.row(&ud, target), &reference[i][..], "row {i}");
                 if i % 3 == 0 {
-                    assert_eq!(tb.row(&t, &ud, target), &reference[i][..]);
+                    assert_eq!(tb.row(&ud, target), &reference[i][..]);
                 }
                 assert_eq!(tb.rows.resident(), asked + 1, "one row per new target");
             }
             for u in t.nodes() {
                 for ph in Phase::ALL {
                     let cell = reference[n - 1][RoutingTables::cell(u, ph)];
-                    assert_eq!(tb.dist(&t, &ud, NodeId(n as u32 - 1), u, ph), cell);
+                    assert_eq!(tb.dist(&ud, NodeId(n as u32 - 1), u, ph), cell);
                 }
             }
             assert_eq!(tb.approx_bytes(), idle + n * 3 * n * 2);
@@ -343,10 +482,10 @@ mod tests {
 
     #[test]
     fn every_cell_equals_a_forward_search_over_legal_moves() {
-        // The rows come from a *reverse* BFS that re-derives legality per
-        // incoming edge. The oracle shares none of that: it expands
-        // `legal_moves` forward from each state until it stands on the
-        // target.
+        // The rows come from sweeps over the `(level, id)` order that
+        // never ask Definition 1's relations. The oracle shares none of
+        // that: it expands `legal_moves` forward from each state until it
+        // stands on the target.
         for (t, ud, mask) in fabrics() {
             let spam = match &mask {
                 Some(m) => SpamRouting::new_masked(&t, &ud, m),
@@ -405,12 +544,12 @@ mod tests {
         let seen: Vec<Vec<(usize, usize)>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..THREADS)
                 .map(|i| {
-                    let (t, ud, tb, reference, barrier) = (&t, &ud, &tb, &reference, &barrier);
+                    let (ud, tb, reference, barrier) = (&ud, &tb, &reference, &barrier);
                     s.spawn(move || {
                         barrier.wait();
                         (i..i + n / 2)
                             .map(|k| {
-                                let row = tb.row(t, ud, NodeId(k as u32));
+                                let row = tb.row(ud, NodeId(k as u32));
                                 assert_eq!(row, &reference[k][..], "row {k}");
                                 (k, row.as_ptr() as usize)
                             })
@@ -424,7 +563,7 @@ mod tests {
                 .collect()
         });
         for &(k, ptr) in seen.iter().flatten() {
-            let row = tb.row(&t, &ud, NodeId(k as u32));
+            let row = tb.row(&ud, NodeId(k as u32));
             assert_eq!(ptr, row.as_ptr() as usize, "row {k} was allocated twice");
         }
         assert_eq!(tb.rows.resident(), n / 2 + THREADS - 1);
@@ -446,7 +585,7 @@ mod tests {
         let tb = RoutingTables::build(&t, &ud);
         let four = l.by_label(4).unwrap();
         for ph in Phase::ALL {
-            assert_eq!(tb.dist(&t, &ud, four, four, ph), 0);
+            assert_eq!(tb.dist(&ud, four, four, ph), 0);
         }
     }
 
@@ -457,17 +596,17 @@ mod tests {
         let by = |x: u32| l.by_label(x).unwrap();
         let lca = by(4);
         // From node 2 in Up phase: down tree channel (2,4) directly.
-        assert_eq!(tb.dist(&t, &ud, lca, by(2), Phase::Up), 1);
+        assert_eq!(tb.dist(&ud, lca, by(2), Phase::Up), 1);
         // From node 3 in DownCross phase: the cross channel (3,4).
-        assert_eq!(tb.dist(&t, &ud, lca, by(3), Phase::DownCross), 1);
+        assert_eq!(tb.dist(&ud, lca, by(3), Phase::DownCross), 1);
         // From the source processor 5: 5 -> 2 (up) -> 4 (down tree) = 2.
-        assert_eq!(tb.dist(&t, &ud, lca, by(5), Phase::Up), 2);
+        assert_eq!(tb.dist(&ud, lca, by(5), Phase::Up), 2);
         // From node 6 in DownTree phase the LCA is unreachable (no up moves
         // allowed, 6 is below 4).
-        assert_eq!(tb.dist(&t, &ud, lca, by(6), Phase::DownTree), UNREACHABLE);
+        assert_eq!(tb.dist(&ud, lca, by(6), Phase::DownTree), UNREACHABLE);
         // But in Up phase node 6 can climb: 6 -> 4 = 1 hop up... up channel
         // (6,4) ends at the target.
-        assert_eq!(tb.dist(&t, &ud, lca, by(6), Phase::Up), 1);
+        assert_eq!(tb.dist(&ud, lca, by(6), Phase::Up), 1);
     }
 
     #[test]
@@ -476,13 +615,10 @@ mod tests {
         let tb = RoutingTables::build(&t, &ud);
         let by = |x: u32| l.by_label(x).unwrap();
         // 4 -> 6 -> 8 strictly down tree.
-        assert_eq!(tb.dist(&t, &ud, by(8), by(4), Phase::DownTree), 2);
-        assert_eq!(tb.dist(&t, &ud, by(8), by(6), Phase::DownTree), 1);
+        assert_eq!(tb.dist(&ud, by(8), by(4), Phase::DownTree), 2);
+        assert_eq!(tb.dist(&ud, by(8), by(6), Phase::DownTree), 1);
         // Sibling subtree is unreachable once in DownTree phase.
-        assert_eq!(
-            tb.dist(&t, &ud, by(11), by(6), Phase::DownTree),
-            UNREACHABLE
-        );
+        assert_eq!(tb.dist(&ud, by(11), by(6), Phase::DownTree), UNREACHABLE);
     }
 
     #[test]
@@ -495,7 +631,7 @@ mod tests {
         for u in t.nodes() {
             for v in t.nodes() {
                 assert_ne!(
-                    tb.dist(&t, &ud, v, u, Phase::Up),
+                    tb.dist(&ud, v, u, Phase::Up),
                     UNREACHABLE,
                     "no SPAM route {u} -> {v}"
                 );
@@ -511,7 +647,7 @@ mod tests {
             let tb = RoutingTables::build(&t, &ud);
             for u in t.nodes() {
                 for v in t.nodes() {
-                    assert_ne!(tb.dist(&t, &ud, v, u, Phase::Up), UNREACHABLE);
+                    assert_ne!(tb.dist(&ud, v, u, Phase::Up), UNREACHABLE);
                 }
             }
         }
@@ -526,7 +662,7 @@ mod tests {
         for v in t.nodes() {
             let bfs = netgraph::algo::bfs_distances(&t, v);
             for u in t.nodes() {
-                let d = tb.dist(&t, &ud, v, u, Phase::Up);
+                let d = tb.dist(&ud, v, u, Phase::Up);
                 assert!(d as u32 >= bfs[u.index()], "SPAM beat BFS {u}->{v}");
             }
         }
@@ -541,7 +677,7 @@ mod tests {
         for target in t.nodes() {
             for u in t.nodes() {
                 for ph in Phase::ALL {
-                    let k = tb.dist(&t, &ud, target, u, ph);
+                    let k = tb.dist(&ud, target, u, ph);
                     if k == 0 || k == UNREACHABLE {
                         continue;
                     }
@@ -563,7 +699,7 @@ mod tests {
                             _ => None,
                         };
                         if let Some(nph) = next {
-                            if tb.dist(&t, &ud, target, v, nph) == k - 1 {
+                            if tb.dist(&ud, target, v, nph) == k - 1 {
                                 found = true;
                                 break;
                             }

@@ -229,8 +229,9 @@ fn warm_tiny_request_stays_under_its_ceiling() {
 /// heap block per node or per switch, anywhere in the build, trips it.
 const COLD_FABRIC_CEILING: u64 = 512;
 
-/// The labeling of the fabric below holds 163 222 bytes: its per-node
-/// arrays and about five preorder runs per node of extended-ancestor rows.
+/// The labeling of the fabric below holds 171 414 bytes: its per-node
+/// arrays (its `(level, id)` order among them) and about five preorder
+/// runs per node of extended-ancestor rows.
 /// It held 589 604 while those rows were an n×n bit matrix (524 288 bytes
 /// at 2048 nodes).
 const COLD_LABELING_BYTES_CEILING: usize = 192 << 10;

@@ -10,7 +10,8 @@
 //! escaper on keys-free string positions. The two cache `bytes` counters
 //! are whatever `ScenarioArtifacts::approx_bytes` charges a 16-switch
 //! entry, and are recaptured when that charge changes (last: the
-//! labeling's extended-ancestor bit matrix became preorder runs).
+//! labeling keeps its `(level, id)` order, 4 bytes a node, and the
+//! up*/down* baseline lost its down-reachability bit matrix).
 
 use spam_scenario::{FaultModelSpec, FaultsSpec, ScenarioSpec, TrafficSpec};
 use spam_serve::{ServeConfig, ServeCore, Session};
@@ -75,8 +76,8 @@ fn every_response_line_is_byte_identical_to_the_pinned_encoding() {
         r#"{"type":"queued","scenario":"we\"ird\\na\nme\t\u0001-é✓","reps":2}"#,
         r#"{"type":"error","error":"QueueFull","detail":"work queue full (1 pending); retry after results drain","capacity":1,"retry":true}"#,
         r#"{"type":"stats","queue_depth":1,"queue_capacity":1,"clients":1,"draining":false,"cache":{"hits":0,"misses":0,"evictions":0,"entries":0,"bytes":0}}"#,
-        r#"{"type":"result","cursor":1,"scenario":"we\"ird\\na\nme\t\u0001-é✓","rep":0,"reps":2,"artifact":"miss","digest":"0x9f5b331e8459be3c","end_time_ns":10780,"quiescent":true,"messages":1,"delivered":1,"torn_down":0,"unreachable":0,"events":155,"cache":{"hits":0,"misses":1,"evictions":0,"entries":1,"bytes":16472}}"#,
-        r#"{"type":"result","cursor":2,"scenario":"we\"ird\\na\nme\t\u0001-é✓","rep":1,"reps":2,"artifact":"miss","digest":"0xfa957900e3efba3a","end_time_ns":10480,"quiescent":true,"messages":1,"delivered":1,"torn_down":0,"unreachable":0,"events":97,"cache":{"hits":0,"misses":2,"evictions":0,"entries":2,"bytes":33112}}"#,
+        r#"{"type":"result","cursor":1,"scenario":"we\"ird\\na\nme\t\u0001-é✓","rep":0,"reps":2,"artifact":"miss","digest":"0x9f5b331e8459be3c","end_time_ns":10780,"quiescent":true,"messages":1,"delivered":1,"torn_down":0,"unreachable":0,"events":155,"cache":{"hits":0,"misses":1,"evictions":0,"entries":1,"bytes":16344}}"#,
+        r#"{"type":"result","cursor":2,"scenario":"we\"ird\\na\nme\t\u0001-é✓","rep":1,"reps":2,"artifact":"miss","digest":"0xfa957900e3efba3a","end_time_ns":10480,"quiescent":true,"messages":1,"delivered":1,"torn_down":0,"unreachable":0,"events":97,"cache":{"hits":0,"misses":2,"evictions":0,"entries":2,"bytes":32856}}"#,
         r#"{"type":"acked","cursor":1,"retained":1}"#,
         r#"{"type":"error","cursor":3,"scenario":"we\"ird\\na\nme\t\u0001-é✓","rep":0,"error":"NoSurvivingComponent","detail":"no surviving component can host the workload"}"#,
         r#"{"type":"error","error":"UnknownCursor","detail":"cursor 9 outside retained window [2, 4)","requested":9,"oldest":2,"next":4}"#,

@@ -103,6 +103,10 @@ pub struct UpDownLabeling {
     /// `v`'s tree children are `children[child_offsets[v]..child_offsets[v + 1]]`.
     child_offsets: Vec<u32>,
     children: Vec<NodeId>,
+    /// Every node in `(level, id)` order, the unlabeled ones (level
+    /// `u32::MAX`) last by id: every down channel leads later in it, every
+    /// up channel earlier.
+    by_depth: Vec<NodeId>,
     /// Each node's preorder interval and extended-ancestor row.
     spans: Vec<Span>,
     /// Every stored row, back to back: `runs[span.row_lo..span.row_hi]`.
@@ -473,11 +477,27 @@ impl UpDownLabeling {
             class,
             child_offsets,
             children,
+            by_depth,
             spans,
             runs,
         };
         debug_assert!(labeling.rows_are_canonical());
+        debug_assert!(labeling.classes_follow_by_depth(topo));
         labeling
+    }
+
+    /// Every up channel leads to a node earlier in `by_depth`, every down
+    /// channel to one later — what makes each class's digraph acyclic and
+    /// lets a routing row be filled in one pass over the order per phase.
+    fn classes_follow_by_depth(&self, topo: &Topology) -> bool {
+        let mut pos = vec![0u32; self.by_depth.len()];
+        for (i, v) in self.by_depth.iter().enumerate() {
+            pos[v.index()] = i as u32;
+        }
+        topo.channel_ids().all(|c| {
+            let ch = topo.channel(c);
+            self.class(c).is_up() == (pos[ch.dst.index()] < pos[ch.src.index()])
+        })
     }
 
     /// Every stored row is sorted, disjoint and non-adjacent (no two runs
@@ -620,6 +640,15 @@ impl UpDownLabeling {
             .find(|&c| self.is_ancestor(c, dest))
     }
 
+    /// Every node in `(level, id)` order — parents before children, the
+    /// unlabeled nodes last by id. A topological order of the down
+    /// channels (each leads later in it) and, read backwards, of the up
+    /// channels.
+    #[inline]
+    pub fn by_depth(&self) -> &[NodeId] {
+        &self.by_depth
+    }
+
     /// Number of nodes in the labeling.
     pub fn num_nodes(&self) -> usize {
         self.parent.len()
@@ -636,6 +665,7 @@ impl UpDownLabeling {
             + size_of_val(&self.class[..])
             + size_of_val(&self.child_offsets[..])
             + size_of_val(&self.children[..])
+            + size_of_val(&self.by_depth[..])
             + size_of_val(&self.spans[..])
             + size_of_val(&self.runs[..])
     }

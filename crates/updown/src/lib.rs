@@ -13,9 +13,11 @@
 //!
 //! This crate owns everything that is a pure function of (topology, root):
 //!
-//! * [`UpDownLabeling`] — BFS spanning tree, levels, and the per-channel
-//!   [`ChannelClass`] assignment, including the paper's id-based tie-break
-//!   for cross channels between same-level switches;
+//! * [`UpDownLabeling`] — BFS spanning tree, levels, the nodes in
+//!   `(level, id)` order (every down channel leads later in it, every up
+//!   channel earlier), and the per-channel [`ChannelClass`] assignment,
+//!   including the paper's id-based tie-break for cross channels between
+//!   same-level switches;
 //! * the **ancestor** and **extended ancestor** relations of Definition 1,
 //!   precomputed for routing-time queries — preorder entry/exit numbers
 //!   for ancestors (one comparison), and for extended ancestors one row of
@@ -48,12 +50,10 @@
 //! assert_eq!(ud.class(c46), ChannelClass::DownTree);
 //! ```
 
-mod bitmat;
 pub mod labeling;
 mod rows;
 pub mod validate;
 
-pub use bitmat::BitMatrix;
 pub use labeling::{ChannelClass, RelabelReport, RootSelection, UpDownLabeling};
 pub use rows::LazyRows;
 pub use validate::{check_acyclic_subnetworks, AcyclicityReport};

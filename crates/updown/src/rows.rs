@@ -2,8 +2,9 @@
 //! and shared from then on.
 //!
 //! A routing precompute indexed by target (SPAM's residual distances, the
-//! up*/down* baseline's) costs one reverse BFS per row, and a run only
-//! ever reads the rows of the targets its messages aim at. [`LazyRows`]
+//! up*/down* baseline's) costs one pass per phase over the labeling's
+//! `(level, id)` order per row, and a run only ever reads the rows of the
+//! targets its messages aim at. [`LazyRows`]
 //! holds one [`OnceLock`] per target: readers on any thread get the same
 //! row, the builder runs once per row, and an untouched row is an empty slot.
 
