@@ -113,6 +113,8 @@ fn greedy_walk_visits(
 
 /// Mean number of legal moves per (switch, Up-phase, target) triple — the
 /// degree of partial adaptivity SPAM's unicast stage actually offers.
+/// Every processor is a target, so every processor's distance row is built
+/// and stays resident in `spam`'s tables (see [`SpamRouting::legal_moves`]).
 pub fn mean_adaptivity(topo: &Topology, spam: &SpamRouting<'_>) -> f64 {
     let mut total = 0usize;
     let mut count = 0usize;

@@ -22,7 +22,9 @@
 //!    * from an up channel, any up channel may follow;
 //!    * a down cross channel `(u, v)` may be used while no down tree
 //!      channel has been used, provided `v` is an **extended ancestor**
-//!      of the target;
+//!      of the target — answered from the target's [`RoutingTables`] row,
+//!      whose finite DownCross cells are exactly that relation over the
+//!      alive channels;
 //!    * a down tree channel `(u, v)` may always be used provided `v` is an
 //!      **ancestor** of the target, after which only down tree channels
 //!      may follow.

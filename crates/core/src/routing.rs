@@ -143,6 +143,10 @@ impl<'a> SpamRouting<'a> {
     /// the adaptivity analyses in the benchmark harness; the simulation
     /// hot path uses [`Self::legal_moves_into`] with reused scratch
     /// storage instead.
+    ///
+    /// Rule 2 reads `target`'s distance row, so the first question about a
+    /// `target` builds it: `6 · nodes` bytes, kept with the tables for
+    /// their lifetime. A sweep over every target makes every row resident.
     pub fn legal_moves(
         &self,
         node: NodeId,
@@ -150,20 +154,22 @@ impl<'a> SpamRouting<'a> {
         target: NodeId,
     ) -> Vec<(ChannelId, Phase)> {
         let mut out = InlineVec::new();
-        self.legal_moves_into(node, phase, target, &mut out);
+        let row = self.tables.row(self.ud, target);
+        self.legal_moves_into(node, phase, target, row, &mut out);
         out.to_vec()
     }
 
     /// Allocation-free variant of [`Self::legal_moves`]: writes the legal
-    /// set into `out` (cleared first). Iterates the routing tables'
-    /// precomputed per-node move slice — channel, endpoint, and class come
-    /// from one contiguous record, and masked-out (dead) channels were
-    /// excluded at table-build time.
+    /// set into `out` (cleared first). `row` is `target`'s distance row.
+    /// Iterates the routing tables' precomputed per-node move slice —
+    /// channel, endpoint, and class come from one contiguous record, and
+    /// masked-out (dead) channels were excluded at table-build time.
     fn legal_moves_into(
         &self,
         node: NodeId,
         phase: Phase,
         target: NodeId,
+        row: &[u16],
         out: &mut InlineVec<(ChannelId, Phase), 8>,
     ) {
         out.clear();
@@ -172,9 +178,10 @@ impl<'a> SpamRouting<'a> {
                 // Rule 1: up channels while still in the up phase.
                 (ChannelClass::UpTree | ChannelClass::UpCross, Phase::Up) => Some(Phase::Up),
                 // Rule 2: down cross channels before any down tree use,
-                // endpoint an extended ancestor of the target.
+                // endpoint an extended ancestor of the target — which is
+                // what a finite DownCross cell of the target's row says.
                 (ChannelClass::DownCross, Phase::Up | Phase::DownCross)
-                    if self.ud.is_extended_ancestor(m.dst, target) =>
+                    if row[RoutingTables::cell(m.dst, Phase::DownCross)] != UNREACHABLE =>
                 {
                     Some(Phase::DownCross)
                 }
@@ -191,7 +198,8 @@ impl<'a> SpamRouting<'a> {
         }
     }
 
-    /// Applies the selection policy to a non-empty legal set.
+    /// Applies the selection policy to a non-empty legal set; `row` is the
+    /// target's distance row.
     //
     // Caller contract (checked at every call site): `legal` comes from
     // `legal_moves` and was tested non-empty before dispatching here, so
@@ -200,24 +208,20 @@ impl<'a> SpamRouting<'a> {
     fn select(
         &self,
         legal: &[(ChannelId, Phase)],
-        target: NodeId,
+        row: &[u16],
         node: NodeId,
         tag: u64,
     ) -> (ChannelId, Phase) {
         match self.policy {
-            SelectionPolicy::MinResidualDistance => {
-                // Resolve the target's row once; each candidate then
-                // costs one indexed load.
-                let row = self.tables.row(self.ud, target);
-                legal
-                    .iter()
-                    .copied()
-                    .min_by_key(|&(c, ph)| {
-                        let v = self.topo.channel(c).dst;
-                        (row[RoutingTables::cell(v, ph)], c)
-                    })
-                    .expect("legal set is non-empty")
-            }
+            // Each candidate costs one indexed load.
+            SelectionPolicy::MinResidualDistance => legal
+                .iter()
+                .copied()
+                .min_by_key(|&(c, ph)| {
+                    let v = self.topo.channel(c).dst;
+                    (row[RoutingTables::cell(v, ph)], c)
+                })
+                .expect("legal set is non-empty"),
             SelectionPolicy::FirstLegal => legal
                 .iter()
                 .copied()
@@ -387,17 +391,19 @@ impl RoutingAlgorithm for SpamRouting<'_> {
             }
             return Ok(());
         }
-        // Unicast stage towards the LCA.
-        self.legal_moves_into(node, header.phase, header.lca, &mut scratch.legal);
+        // Unicast stage towards the LCA, whose row the legality filter and
+        // the selection both read.
+        let row = self.tables.row(self.ud, header.lca);
+        self.legal_moves_into(node, header.phase, header.lca, row, &mut scratch.legal);
         if scratch.legal.is_empty() {
             return Err(RouteError::NoLegalMove {
                 node,
                 target: header.lca,
             });
         }
-        let (ch, next_phase) = self.select(scratch.legal.as_slice(), header.lca, node, spec.tag);
+        let (ch, next_phase) = self.select(scratch.legal.as_slice(), row, node, spec.tag);
         debug_assert_ne!(
-            self.dist(header.lca, self.topo.channel(ch).dst, next_phase),
+            row[RoutingTables::cell(self.topo.channel(ch).dst, next_phase)],
             UNREACHABLE,
             "selected a dead-end channel"
         );
@@ -510,13 +516,70 @@ mod tests {
         assert_eq!(dsts_dt, vec![by(4)]);
     }
 
+    /// Endpoints of the rule-2 (down-cross) moves from `node` in the Up
+    /// phase towards `target`.
+    fn rule_2(spam: &SpamRouting, node: NodeId, target: NodeId) -> Vec<NodeId> {
+        let moves = spam.legal_moves(node, Phase::Up, target);
+        let cross: Vec<_> = moves
+            .into_iter()
+            .filter(|&(_, ph)| ph == Phase::DownCross)
+            .collect();
+        dsts(spam.topo, &cross)
+    }
+
+    #[test]
+    fn figure1_rule_2_admits_exactly_the_extended_ancestors() {
+        let (t, l, ud) = fig1();
+        let spam = SpamRouting::new(&t, &ud);
+        let by = |x: u32| l.by_label(x).unwrap();
+        let ext = |u: u32, v: u32| spam.dist(by(v), by(u), Phase::DownCross) != UNREACHABLE;
+        // 4 is an ancestor, hence an extended ancestor, of 11: the down
+        // cross (3,4) is legal towards 11.
+        assert_eq!(rule_2(&spam, by(3), by(11)), [by(4)]);
+        // 3 reaches 4 by a down-cross channel, hence is an extended
+        // ancestor of the whole subtree under 4 — this is what legalizes
+        // the path 5,2,3,4.
+        for v in [4, 8, 11] {
+            assert!(ext(3, v));
+            assert_eq!(rule_2(&spam, by(2), by(v)), [by(3)], "2 -> 3 towards {v}");
+        }
+        // 2 reaches 3 by a down-cross channel, then 3 reaches 4.
+        assert!(ext(2, 8));
+        // But 6 can never reach 11, and 7 is not an extended ancestor of 8.
+        assert!(!ext(6, 11));
+        assert!(!ext(7, 8));
+        // 3 is an extended ancestor of neither 1 nor 5: no down cross
+        // into it towards them.
+        assert!(rule_2(&spam, by(2), by(1)).is_empty());
+        assert!(rule_2(&spam, by(2), by(5)).is_empty());
+    }
+
+    #[test]
+    fn a_dead_cross_link_grants_no_rule_2_move() {
+        let (t, l, ud) = fig1();
+        let by = |x: u32| l.by_label(x).unwrap();
+        let mut view = netgraph::DegradedTopology::new(&t);
+        view.kill_link(t.channel_between(by(3), by(4)).unwrap());
+        let (nu, _) = ud.relabel_after(&view).unwrap();
+        let before = SpamRouting::new(&t, &ud);
+        let after = SpamRouting::new_masked(&t, &nu, &view.alive_channel_mask());
+        // 3 could reach 4's subtree only through the dead (3,4) channel.
+        assert_ne!(before.dist(by(8), by(3), Phase::DownCross), UNREACHABLE);
+        assert_eq!(after.dist(by(8), by(3), Phase::DownCross), UNREACHABLE);
+        assert_eq!(rule_2(&before, by(2), by(8)), [by(3)]);
+        assert!(rule_2(&after, by(2), by(8)).is_empty());
+        // Towards 3 itself the surviving cross (2,3) is still legal.
+        assert_eq!(rule_2(&after, by(2), by(3)), [by(3)]);
+    }
+
     #[test]
     fn min_distance_selection_takes_shortest_route() {
         let (t, l, ud) = fig1();
         let spam = SpamRouting::new(&t, &ud);
         let by = |x: u32| l.by_label(x).unwrap();
         let legal = spam.legal_moves(by(2), Phase::Up, by(4));
-        let (ch, ph) = spam.select(&legal, by(4), by(2), 0);
+        let row = spam.tables.row(&ud, by(4));
+        let (ch, ph) = spam.select(&legal, row, by(2), 0);
         assert_eq!(t.channel(ch).dst, by(4), "direct down tree hop wins");
         assert_eq!(ph, Phase::DownTree);
     }

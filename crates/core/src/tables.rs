@@ -11,6 +11,13 @@
 //! the residual distance, the tables double as a constructive livelock-
 //! freedom proof for the default policy.
 //!
+//! A row's DownCross cells *are* rule 2's relation for its target: the
+//! DownCross cell of `v` is finite exactly when zero or more alive
+//! down-cross hops and then zero or more down-tree hops lead from `v` to
+//! `t`, i.e. when `v` is an extended ancestor of `t` (Definition 1) over
+//! the channels the tables hold alive. [`crate::SpamRouting`] answers
+//! rule 2 from that cell; no other copy of the relation is kept.
+//!
 //! A run only ever asks for the rows of the targets its messages aim at
 //! (one LCA per multicast), so nothing per target is computed at
 //! construction. [`RoutingTables::build`] gathers the O(channels) per-node
@@ -199,9 +206,9 @@ impl RoutingTables {
     /// and its Up cell only on its own DownCross cell and the Up cells of
     /// nodes before it, final in the forward pass. A DownTree cell is
     /// finite only along the target's parent chain, where it is
-    /// `level(t) − level(v)`; a finite DownCross cell already makes its
-    /// node an extended ancestor of the target (Definition 1), so neither
-    /// rule's relation is searched.
+    /// `level(t) − level(v)`; a DownCross cell is finite exactly on the
+    /// target's extended ancestors (Definition 1), which is how rule 2 is
+    /// answered, so neither rule's relation is searched.
     fn build_for_target(&self, ud: &UpDownLabeling, target: NodeId) -> Vec<u16> {
         let cell = Self::cell;
         let mut d = vec![UNREACHABLE; 3 * self.num_nodes()];
@@ -219,9 +226,7 @@ impl RoutingTables {
                         tree = tree.min(hop(d[cell(m.dst, Phase::DownTree)]));
                     }
                     ChannelClass::DownCross => {
-                        let dc = d[cell(m.dst, Phase::DownCross)];
-                        debug_assert!(dc == UNREACHABLE || ud.is_extended_ancestor(m.dst, target));
-                        cross = cross.min(hop(dc));
+                        cross = cross.min(hop(d[cell(m.dst, Phase::DownCross)]));
                     }
                     ChannelClass::UpTree | ChannelClass::UpCross => {}
                 }
@@ -242,12 +247,14 @@ impl RoutingTables {
     }
 
     /// Reverse BFS over the phase-layered graph from `(target, *)`, each
-    /// incoming channel's legality re-derived from Definition 1: the
-    /// reference the tests hold [`Self::build_for_target`] against.
+    /// incoming channel's legality re-derived from Definition 1 (`ext`
+    /// from [`extended_ancestors_ref`]): the reference the tests hold
+    /// [`Self::build_for_target`] against.
     #[cfg(test)]
     fn bfs_for_target(
         topo: &Topology,
         ud: &UpDownLabeling,
+        ext: &[Vec<bool>],
         target: NodeId,
         mask: Option<&[bool]>,
     ) -> Vec<u16> {
@@ -282,7 +289,7 @@ impl RoutingTables {
                     // A down cross hop lands in DownCross phase and needs
                     // its endpoint to be an extended ancestor of target.
                     ChannelClass::DownCross => {
-                        if ph_v == Phase::DownCross && ud.is_extended_ancestor(v, target) {
+                        if ph_v == Phase::DownCross && ext[v.index()][target.index()] {
                             &[Phase::Up, Phase::DownCross]
                         } else {
                             &[]
@@ -319,10 +326,62 @@ impl RoutingTables {
         ud: &UpDownLabeling,
         mask: Option<&[bool]>,
     ) -> Vec<Vec<u16>> {
+        let ext = extended_ancestors_ref(topo, ud, mask);
         topo.nodes()
-            .map(|t| Self::bfs_for_target(topo, ud, t, mask))
+            .map(|t| Self::bfs_for_target(topo, ud, &ext, t, mask))
             .collect()
     }
+}
+
+/// Definition 1 by graph walks, independent of the rows: `ext[u][v]` ⇔ `u`
+/// is an extended ancestor of `v` over the channels alive in `mask`.
+#[cfg(test)]
+pub(crate) fn extended_ancestors_ref(
+    topo: &Topology,
+    ud: &UpDownLabeling,
+    mask: Option<&[bool]>,
+) -> Vec<Vec<bool>> {
+    topo.nodes()
+        .map(|u| extended_descendants_ref(topo, ud, mask, u))
+        .collect()
+}
+
+/// One row of Definition 1: the nodes `u` reaches over alive down-cross
+/// channels, then for every `v` whether its parent chain meets that set.
+#[cfg(test)]
+fn extended_descendants_ref(
+    topo: &Topology,
+    ud: &UpDownLabeling,
+    mask: Option<&[bool]>,
+    u: NodeId,
+) -> Vec<bool> {
+    use std::collections::VecDeque;
+    let alive = |c: ChannelId| mask.is_none_or(|m| m[c.index()]);
+    let mut reached = vec![false; topo.num_nodes()];
+    let mut q = VecDeque::new();
+    reached[u.index()] = true;
+    q.push_back(u);
+    while let Some(x) = q.pop_front() {
+        for &c in topo.out_channels(x) {
+            let w = topo.channel(c).dst;
+            if ud.class(c) == ChannelClass::DownCross && alive(c) && !reached[w.index()] {
+                reached[w.index()] = true;
+                q.push_back(w);
+            }
+        }
+    }
+    topo.nodes()
+        .map(|v| {
+            let mut cur = Some(v);
+            while let Some(x) = cur {
+                if reached[x.index()] {
+                    return true;
+                }
+                cur = ud.parent(x);
+            }
+            false
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -397,20 +456,105 @@ mod tests {
     /// BFS.
     fn assert_rows_equal_the_bfs(t: &Topology, ud: &UpDownLabeling, mask: Option<&[bool]>) {
         let tb = RoutingTables::build_masked(t, ud, mask);
+        let ext = extended_ancestors_ref(t, ud, mask);
         for target in t.nodes() {
-            let bfs = RoutingTables::bfs_for_target(t, ud, target, mask);
+            let bfs = RoutingTables::bfs_for_target(t, ud, &ext, target, mask);
             assert_eq!(tb.row(ud, target), &bfs[..], "row {target}");
         }
+    }
+
+    /// Rule 2's set from every state toward every target — what
+    /// `legal_moves` admits through a down-cross channel — and the
+    /// finiteness of every DownCross cell, against Definition 1 walked
+    /// over the graph.
+    fn assert_rule_2_is_definition_1(t: &Topology, ud: &UpDownLabeling, mask: Option<&[bool]>) {
+        let spam = match mask {
+            Some(m) => SpamRouting::new_masked(t, ud, m),
+            None => SpamRouting::new(t, ud),
+        };
+        let ext = extended_ancestors_ref(t, ud, mask);
+        let alive = |c: ChannelId| mask.is_none_or(|m| m[c.index()]);
+        for target in t.nodes() {
+            let is_ext = |v: NodeId| ext[v.index()][target.index()];
+            for v in t.nodes() {
+                let finite = spam.dist(target, v, Phase::DownCross) != UNREACHABLE;
+                assert_eq!(finite, is_ext(v), "DownCross cell of {v} toward {target}");
+                for ph in Phase::ALL {
+                    let rule_2: Vec<ChannelId> = spam
+                        .legal_moves(v, ph, target)
+                        .into_iter()
+                        .filter(|&(_, nph)| nph == Phase::DownCross)
+                        .map(|(c, _)| c)
+                        .collect();
+                    let reference: Vec<ChannelId> = t
+                        .out_channels(v)
+                        .iter()
+                        .copied()
+                        .filter(|&c| {
+                            ph != Phase::DownTree
+                                && ud.class(c) == ChannelClass::DownCross
+                                && alive(c)
+                                && is_ext(t.channel(c).dst)
+                        })
+                        .collect();
+                    assert_eq!(rule_2, reference, "rule 2 at ({v}, {ph:?}) toward {target}");
+                }
+            }
+        }
+    }
+
+    /// Runs `check` over a random lattice and root policy: pristine;
+    /// after each of a chain of relabels, masked to the channels still
+    /// alive; and on a split network whose partial labeling leaves a
+    /// piece unlabeled (level `u32::MAX`, last in `by_depth` by id), which
+    /// no fixed fabric of [`fabrics`] reaches.
+    fn for_each_drawn_fabric(
+        switches: usize,
+        seed: u64,
+        policy: usize,
+        kills: usize,
+        epochs: usize,
+        check: fn(&Topology, &UpDownLabeling, Option<&[bool]>),
+    ) {
+        let t = IrregularConfig::with_switches(switches).generate(seed);
+        let root = [
+            RootSelection::LowestId,
+            RootSelection::MaxDegree,
+            RootSelection::MinEccentricity,
+            RootSelection::RandomSeeded(seed),
+        ][policy];
+        let mut ud = UpDownLabeling::build(&t, root);
+        check(&t, &ud, None);
+        let root = ud.root();
+        for e in 1..=epochs {
+            let view = kill_links(&t, e * kills, seed);
+            let (next, _) = ud.relabel_after(&view).expect("links died, no switch did");
+            check(&t, &next, Some(&view.alive_channel_mask()));
+            ud = next;
+        }
+        // Cut a third of the links, and every switch-to-switch link of
+        // the highest-id switch but the root, so a piece is split off.
+        let mut view = kill_links(&t, t.num_channels() / 6, seed);
+        let cut = t
+            .switches()
+            .filter(|&s| s != root)
+            .last()
+            .expect("16+ switches");
+        for &c in t.out_channels(cut) {
+            if t.is_switch(t.channel(c).dst) {
+                view.kill_link(c);
+            }
+        }
+        let (split, _) = view.masked_topology();
+        let partial = UpDownLabeling::build_partial(&split, root);
+        assert!(partial.num_labeled() < split.num_nodes());
+        check(&split, &partial, None);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-        /// Over random lattices and root policies: pristine; after each
-        /// of a chain of relabels, masked to the channels still alive;
-        /// and on a split network whose partial labeling leaves a piece
-        /// unlabeled (level `u32::MAX`, last in `by_depth` by id), which
-        /// no fixed fabric above reaches.
+        /// Every cell of every row against the reverse BFS.
         #[test]
         fn swept_rows_equal_the_reverse_bfs(
             switches in 16usize..=64,
@@ -419,35 +563,19 @@ mod tests {
             kills in 1usize..12,
             epochs in 1usize..=3,
         ) {
-            let t = IrregularConfig::with_switches(switches).generate(seed);
-            let root = [
-                RootSelection::LowestId,
-                RootSelection::MaxDegree,
-                RootSelection::MinEccentricity,
-                RootSelection::RandomSeeded(seed),
-            ][policy];
-            let mut ud = UpDownLabeling::build(&t, root);
-            assert_rows_equal_the_bfs(&t, &ud, None);
-            let root = ud.root();
-            for e in 1..=epochs {
-                let view = kill_links(&t, e * kills, seed);
-                let (next, _) = ud.relabel_after(&view).expect("links died, no switch did");
-                assert_rows_equal_the_bfs(&t, &next, Some(&view.alive_channel_mask()));
-                ud = next;
-            }
-            // Cut a third of the links, and every switch-to-switch link of
-            // the highest-id switch but the root, so a piece is split off.
-            let mut view = kill_links(&t, t.num_channels() / 6, seed);
-            let cut = t.switches().filter(|&s| s != root).last().expect("16+ switches");
-            for &c in t.out_channels(cut) {
-                if t.is_switch(t.channel(c).dst) {
-                    view.kill_link(c);
-                }
-            }
-            let (split, _) = view.masked_topology();
-            let partial = UpDownLabeling::build_partial(&split, root);
-            prop_assert!(partial.num_labeled() < split.num_nodes());
-            assert_rows_equal_the_bfs(&split, &partial, None);
+            for_each_drawn_fabric(switches, seed, policy, kills, epochs, assert_rows_equal_the_bfs);
+        }
+
+        /// Rule 2 reads the rows; Definition 1 is walked over the graph.
+        #[test]
+        fn rule_2_is_definition_1_over_alive_channels(
+            switches in 16usize..=64,
+            seed in any::<u64>(),
+            policy in 0usize..4,
+            kills in 1usize..12,
+            epochs in 1usize..=3,
+        ) {
+            for_each_drawn_fabric(switches, seed, policy, kills, epochs, assert_rule_2_is_definition_1);
         }
     }
 
@@ -482,10 +610,12 @@ mod tests {
 
     #[test]
     fn every_cell_equals_a_forward_search_over_legal_moves() {
-        // The rows come from sweeps over the `(level, id)` order that
-        // never ask Definition 1's relations. The oracle shares none of
-        // that: it expands `legal_moves` forward from each state until it
-        // stands on the target.
+        // The rows come from sweeps over the `(level, id)` order. The
+        // oracle expands `legal_moves` forward from each state until it
+        // stands on the target. Rule 2 in `legal_moves` reads the rows'
+        // DownCross cells, so this holds the other cells against them;
+        // `rule_2_is_definition_1_over_alive_channels` holds those
+        // against Definition 1 walked over the graph.
         for (t, ud, mask) in fabrics() {
             let spam = match &mask {
                 Some(m) => SpamRouting::new_masked(&t, &ud, m),
@@ -674,6 +804,7 @@ mod tests {
         // some legal move reaches a state at distance k - 1.
         let (t, _, ud) = fig1();
         let tb = RoutingTables::build(&t, &ud);
+        let ext = extended_ancestors_ref(&t, &ud, None);
         for target in t.nodes() {
             for u in t.nodes() {
                 for ph in Phase::ALL {
@@ -689,7 +820,7 @@ mod tests {
                                 Some(Phase::Up)
                             }
                             (ChannelClass::DownCross, Phase::Up | Phase::DownCross)
-                                if ud.is_extended_ancestor(v, target) =>
+                                if ext[v.index()][target.index()] =>
                             {
                                 Some(Phase::DownCross)
                             }

@@ -416,7 +416,7 @@ impl ScenarioArtifacts {
 
     /// What is held whatever gets routed, to the byte: topology (flat
     /// adjacency + channel records), layout, processor list, and per
-    /// labeling its per-node arrays and extended-ancestor runs. A storm
+    /// labeling its per-node and per-channel arrays. A storm
     /// adds a liveness mask per epoch and a labeling per epoch after the
     /// first; epoch 0 is [`Self::labeling`], charged once.
     fn fixed_bytes(&self) -> usize {

@@ -28,8 +28,10 @@
 //!    [`COLD_FABRIC_CEILING`] times: adjacency, tree children and both
 //!    relations are offsets-plus-flat-array, never a heap block per node.
 //!    Its labeling holds no more than [`COLD_LABELING_BYTES_CEILING`]
-//!    bytes, which an n² extended-ancestor matrix alone (512 KiB) would
-//!    break. Wall-clock cannot be asserted in tier-1; this can.
+//!    bytes: per-node and per-channel arrays only, so an n² matrix
+//!    (512 KiB at one bit a cell) or per-node rows of preorder runs
+//!    (80 KiB) would break it. Wall-clock cannot be asserted in tier-1;
+//!    this can.
 //! 6. **A message costs a few allocations, not a few per destination.**
 //!    On one warm 256-switch fabric, twice the messages of an
 //!    `engine_saturated_256`-shaped request cost fewer than
@@ -222,19 +224,21 @@ fn warm_tiny_request_stays_under_its_ceiling() {
     println!("ok - a warm tiny request allocates {first} times (ceiling {WARM_REQUEST_CEILING})");
 }
 
-/// The build below allocates 94 times. It allocated 10 485 times while
+/// The build below allocates 90 times (94 while the labeling also built
+/// extended-ancestor rows). It allocated 10 485 times while
 /// every node owned two adjacency `Vec`s and a children `Vec` and the
 /// extended-ancestor fill collected one `Vec` per node. The ceiling is
 /// one allocation per two switches (a twentieth of the old count): a
 /// heap block per node or per switch, anywhere in the build, trips it.
 const COLD_FABRIC_CEILING: u64 = 512;
 
-/// The labeling of the fabric below holds 171 414 bytes: its per-node
-/// arrays (its `(level, id)` order among them) and about five preorder
-/// runs per node of extended-ancestor rows.
-/// It held 589 604 while those rows were an n×n bit matrix (524 288 bytes
-/// at 2048 nodes).
-const COLD_LABELING_BYTES_CEILING: usize = 192 << 10;
+/// The labeling of the fabric below holds 73 542 bytes: its per-node
+/// arrays (its `(level, id)` order among them) and one class per channel.
+/// It held 171 414 while it also kept Definition 1's extended-ancestor
+/// relation as per-node rows of preorder runs (81 488 bytes of runs,
+/// 16 384 of row bounds), and 589 604 while that relation was an n×n bit
+/// matrix (524 288 bytes at 2048 nodes).
+const COLD_LABELING_BYTES_CEILING: usize = 96 << 10;
 
 fn cold_fabric_build_allocates_per_array_not_per_node() {
     let mut s = spec(1998);

@@ -1,5 +1,5 @@
 //! The up*/down* labeling: spanning tree, levels, channel classes, and the
-//! ancestor / extended-ancestor relations of Definition 1.
+//! ancestor relation of Definition 1.
 
 use netgraph::algo;
 use netgraph::{ChannelId, DegradedTopology, NodeId, Topology};
@@ -84,12 +84,11 @@ pub struct RelabelReport {
 
 /// An immutable up*/down* labeling of a topology.
 ///
-/// BFS tree, per-channel classification and preorder numbering are
-/// linear. The extended-ancestor closure merges, per alive down-cross
-/// channel, two sorted lists of preorder runs, so it costs what the rows
-/// hold rather than `V` bits per node. Routing-time queries are one
-/// comparison for an ancestor and, for an extended ancestor that is not
-/// an ancestor, a binary search of one row.
+/// BFS tree, per-channel classification and preorder numbering are all
+/// linear, and an ancestor query is one comparison. Definition 1's
+/// extended-ancestor relation is not kept here: it depends on which
+/// channels are alive, and the routing tables built over a labeling hold
+/// it for each target they route to (its finite DownCross cells).
 #[derive(Debug, Clone)]
 pub struct UpDownLabeling {
     root: NodeId,
@@ -107,52 +106,19 @@ pub struct UpDownLabeling {
     /// `u32::MAX`) last by id: every down channel leads later in it, every
     /// up channel earlier.
     by_depth: Vec<NodeId>,
-    /// Each node's preorder interval and extended-ancestor row.
+    /// Each node's preorder interval.
     spans: Vec<Span>,
-    /// Every stored row, back to back: `runs[span.row_lo..span.row_hi]`.
-    runs: Vec<Run>,
 }
 
-/// One node's place in the preorder numbering and where its
-/// extended-ancestor row is stored.
+/// One node's place in the preorder numbering: `u`'s subtree occupies
+/// the preorder numbers `pre..pre + size`, so `u` is an ancestor of `v`
+/// (reflexive) ⇔ `pre[v]` is one of them. A node without a parent is the
+/// root of its own tree, so an unlabeled node is an ancestor of itself
+/// only.
 #[derive(Debug, Clone, Copy, Default)]
 struct Span {
-    /// `u`'s subtree occupies the preorder numbers `pre..pre + size`: `u`
-    /// is an ancestor of `v` (reflexive) ⇔ `pre[v]` is one of them. A node
-    /// without a parent is the root of its own tree, so an unlabeled node
-    /// is an ancestor of itself only.
     pre: u32,
     size: u32,
-    /// `runs[row_lo..row_hi]` is the set of `pre[v]` over every `v` that
-    /// `u` is an extended ancestor of, as sorted, disjoint, non-adjacent
-    /// runs. Empty when that set is `u`'s own subtree — the case of every
-    /// node without an alive down-cross out-channel, processors included.
-    row_lo: u32,
-    row_hi: u32,
-}
-
-impl Span {
-    /// The subtree interval as a run.
-    #[inline]
-    fn subtree(&self) -> Run {
-        Run {
-            lo: self.pre,
-            hi: self.pre + self.size,
-        }
-    }
-
-    /// Where the row is stored in `runs`.
-    #[inline]
-    fn row(&self) -> std::ops::Range<usize> {
-        self.row_lo as usize..self.row_hi as usize
-    }
-}
-
-/// The preorder numbers `lo..hi`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Run {
-    lo: u32,
-    hi: u32,
 }
 
 impl UpDownLabeling {
@@ -215,9 +181,10 @@ impl UpDownLabeling {
     /// is rebuilt from the lowest-id surviving switch.
     ///
     /// Dead channels still receive a consistent class (the partition stays
-    /// total over base channel ids) but are excluded from extended-
-    /// ancestor reachability, so routing built on the new labeling never
-    /// plans a route through a shortcut that no longer exists.
+    /// total over base channel ids). Keeping routes off them is the
+    /// concern of the routing tables built over the new labeling with the
+    /// view's alive mask: they hold no dead channel as a move, so no
+    /// route is planned through a shortcut that no longer exists.
     ///
     /// Returns the new labeling plus a [`RelabelReport`] describing how
     /// much of the old structure survived; `None` when no switch is alive.
@@ -305,11 +272,10 @@ impl UpDownLabeling {
             }
         }
         let labeled_nodes = labeled.iter().filter(|l| **l).count();
-        let alive = view.alive_channel_mask();
-        let new = Self::assemble(topo, root, parent, level, labeled, Some(&alive));
+        let new = Self::assemble(topo, root, parent, level, labeled);
         let changed_channels = topo
             .channel_ids()
-            .filter(|&c| alive[c.index()] && new.class(c) != self.class(c))
+            .filter(|&c| view.is_channel_alive(c) && new.class(c) != self.class(c))
             .count();
         let report = RelabelReport {
             root,
@@ -343,27 +309,21 @@ impl UpDownLabeling {
                 }
             }
         }
-        Self::assemble(topo, root, parent, level, labeled, None)
+        Self::assemble(topo, root, parent, level, labeled)
     }
 
     /// Finishes a labeling from a spanning-forest description (parent
     /// pointers + consistent levels): derives the children lists,
-    /// classifies every channel, numbers the forest in preorder and builds
-    /// the extended-ancestor rows. `alive` masks the channels that may
-    /// carry traffic: dead channels still receive a (consistent, acyclic)
-    /// class so the partition stays total, but they contribute nothing to
-    /// extended-ancestor reachability — a relabeled network must never
-    /// route towards a down-cross shortcut that no longer exists.
+    /// classifies every channel (dead ones included, so the partition
+    /// stays total and acyclic) and numbers the forest in preorder.
     fn assemble(
         topo: &Topology,
         root: NodeId,
         parent: Vec<Option<NodeId>>,
         level: Vec<u32>,
         labeled: Vec<bool>,
-        alive: Option<&[bool]>,
     ) -> Self {
         let n = topo.num_nodes();
-        let is_alive = |c: ChannelId| alive.is_none_or(|a| a[c.index()]);
         let (child_offsets, children) = group_nodes(parent.iter().map(|p| p.map(NodeId::index)), n);
 
         // Per-channel classification.
@@ -426,49 +386,6 @@ impl UpDownLabeling {
             }
         }
 
-        // Extended ancestors: u ext-anc v ⇔ some w down-cross-reachable
-        // from u is a (tree) ancestor of v. In reverse (level, id) order —
-        // the alive down-cross digraph is acyclic because every edge
-        // strictly increases (level, id) — row u is u's own subtree
-        // interval merged with the finished row of every w one alive
-        // down-cross channel away. The row accumulates at the end of
-        // `runs`. A switch rarely has more than one such w, so its row is
-        // mostly w's row copied once with a subtree interval inserted;
-        // only a second row of several runs goes through a merge into
-        // `scratch`. The capacity is a guess — 1024-switch lattices hold
-        // 4–7 runs per node — and `shrink_to_fit` returns what is unused.
-        let mut runs = Vec::with_capacity(4 * n);
-        let mut scratch = Vec::new();
-        for &u in by_depth.iter().rev() {
-            let i = u.index();
-            let lo = runs.len();
-            for &c in topo.out_channels(u) {
-                if class[c.index()] != ChannelClass::DownCross || !is_alive(c) {
-                    continue;
-                }
-                let w = spans[topo.channel(c).dst.index()];
-                if w.row().is_empty() {
-                    insert_run(&mut runs, lo, w.subtree());
-                } else if runs.len() == lo {
-                    runs.extend_from_within(w.row());
-                } else {
-                    union_into(&runs[lo..], &runs[w.row()], &mut scratch);
-                    runs.truncate(lo);
-                    runs.extend_from_slice(&scratch);
-                }
-            }
-            if runs.len() > lo {
-                insert_run(&mut runs, lo, spans[i].subtree());
-                // A row that came out as the subtree alone is not stored.
-                if runs[lo..] == [spans[i].subtree()] {
-                    runs.truncate(lo);
-                }
-            }
-            spans[i].row_lo = lo as u32;
-            spans[i].row_hi = runs.len() as u32;
-        }
-        runs.shrink_to_fit();
-
         let labeling = UpDownLabeling {
             root,
             parent,
@@ -479,9 +396,7 @@ impl UpDownLabeling {
             children,
             by_depth,
             spans,
-            runs,
         };
-        debug_assert!(labeling.rows_are_canonical());
         debug_assert!(labeling.classes_follow_by_depth(topo));
         labeling
     }
@@ -497,18 +412,6 @@ impl UpDownLabeling {
         topo.channel_ids().all(|c| {
             let ch = topo.channel(c);
             self.class(c).is_up() == (pos[ch.dst.index()] < pos[ch.src.index()])
-        })
-    }
-
-    /// Every stored row is sorted, disjoint and non-adjacent (no two runs
-    /// could be one), and holds its node's subtree interval.
-    fn rows_are_canonical(&self) -> bool {
-        self.spans.iter().all(|s| {
-            let row = &self.runs[s.row()];
-            let own = s.subtree();
-            row.iter().all(|r| r.lo < r.hi)
-                && row.windows(2).all(|w| w[0].hi < w[1].lo)
-                && (row.is_empty() || row.iter().any(|r| r.lo <= own.lo && own.hi <= r.hi))
         })
     }
 
@@ -566,21 +469,6 @@ impl UpDownLabeling {
         // to a distance no subtree is large enough to cover.
         let u = &self.spans[u.index()];
         self.spans[v.index()].pre.wrapping_sub(u.pre) < u.size
-    }
-
-    /// Definition 1: `u` is an **extended ancestor** of `v` — zero or more
-    /// down-cross channels followed by zero or more down-tree channels lead
-    /// from `u` to `v`. Reflexive; implied by [`Self::is_ancestor`].
-    #[inline]
-    pub fn is_extended_ancestor(&self, u: NodeId, v: NodeId) -> bool {
-        if self.is_ancestor(u, v) {
-            return true;
-        }
-        let row = &self.runs[self.spans[u.index()].row()];
-        let x = self.spans[v.index()].pre;
-        // Only the last run starting at or before `x` can hold it.
-        let i = row.partition_point(|r| r.lo <= x);
-        i > 0 && x < row[i - 1].hi
     }
 
     /// Least common ancestor of `a` and `b` in the spanning tree.
@@ -654,9 +542,8 @@ impl UpDownLabeling {
         self.parent.len()
     }
 
-    /// Heap bytes held: every array's length times its element size. The
-    /// per-node arrays are linear in the fabric; the extended-ancestor
-    /// rows hold 8 bytes per preorder run.
+    /// Heap bytes held: every array's length times its element size, all
+    /// of them per node or per channel.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of_val;
         size_of_val(&self.parent[..])
@@ -667,7 +554,6 @@ impl UpDownLabeling {
             + size_of_val(&self.children[..])
             + size_of_val(&self.by_depth[..])
             + size_of_val(&self.spans[..])
-            + size_of_val(&self.runs[..])
     }
 
     /// Iterator over `(ChannelId, ChannelClass)` pairs.
@@ -725,46 +611,6 @@ fn group_nodes(
         }
     }
     (offsets, nodes)
-}
-
-/// Writes the union of the run lists `a` and `b` into `out` (cleared
-/// first). Both are sorted, disjoint and non-adjacent, and so is the
-/// union: a run that overlaps or touches the last one written extends it.
-fn union_into(a: &[Run], b: &[Run], out: &mut Vec<Run>) {
-    out.clear();
-    out.reserve(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() || j < b.len() {
-        let next = if j == b.len() || (i < a.len() && a[i].lo <= b[j].lo) {
-            i += 1;
-            a[i - 1]
-        } else {
-            j += 1;
-            b[j - 1]
-        };
-        match out.last_mut() {
-            Some(last) if next.lo <= last.hi => last.hi = last.hi.max(next.hi),
-            _ => out.push(next),
-        }
-    }
-}
-
-/// Inserts `r` into the run list `runs[lo..]` (sorted, disjoint,
-/// non-adjacent), coalescing it with every run it overlaps or touches.
-fn insert_run(runs: &mut Vec<Run>, lo: usize, r: Run) {
-    let row = &runs[lo..];
-    // `row[i..j]` are the runs that overlap or touch `r`.
-    let i = lo + row.partition_point(|x| x.hi < r.lo);
-    let j = lo + row.partition_point(|x| x.lo <= r.hi);
-    if i == j {
-        runs.insert(i, r);
-    } else {
-        runs[i] = Run {
-            lo: r.lo.min(runs[i].lo),
-            hi: r.hi.max(runs[j - 1].hi),
-        };
-        runs.drain(i + 1..j);
-    }
 }
 
 /// The root `sel` names; `None` when a policy has no switch to choose.
@@ -836,7 +682,7 @@ mod tests {
     }
 
     #[test]
-    fn figure1_ancestors_and_extended_ancestors() {
+    fn figure1_ancestors() {
         let (_, l, ud) = fig1();
         let by = |x| l.by_label(x).unwrap();
         // Plain ancestors.
@@ -846,19 +692,6 @@ mod tests {
         assert!(!ud.is_ancestor(by(6), by(11)));
         assert!(!ud.is_ancestor(by(3), by(8)), "3 is not a tree ancestor");
         assert!(ud.is_ancestor(by(4), by(4)), "reflexive");
-        // Every ancestor is an extended ancestor.
-        assert!(ud.is_extended_ancestor(by(4), by(11)));
-        // 3 reaches 4 by a down-cross channel, hence ext-ancestor of the
-        // whole subtree under 4 — this is what legalizes the path 5,2,3,4.
-        assert!(ud.is_extended_ancestor(by(3), by(4)));
-        assert!(ud.is_extended_ancestor(by(3), by(8)));
-        assert!(ud.is_extended_ancestor(by(3), by(11)));
-        // 2 reaches 3 by a down-cross channel, then 3 reaches 4.
-        assert!(ud.is_extended_ancestor(by(2), by(8)));
-        // But 6 can never reach 11.
-        assert!(!ud.is_extended_ancestor(by(6), by(11)));
-        // 7 is not an extended ancestor of 8.
-        assert!(!ud.is_extended_ancestor(by(7), by(8)));
     }
 
     #[test]
@@ -1005,10 +838,6 @@ mod tests {
         for v in t.nodes() {
             assert_eq!(nu.parent(v), ud.parent(v));
         }
-        // The dead shortcut no longer grants extended ancestry: 3 could
-        // reach 4's subtree only through the dead (3,4) channel.
-        assert!(ud.is_extended_ancestor(l.by_label(3).unwrap(), l.by_label(8).unwrap()));
-        assert!(!nu.is_extended_ancestor(l.by_label(3).unwrap(), l.by_label(8).unwrap()));
     }
 
     #[test]

@@ -18,11 +18,12 @@
 //!   channel earlier), and the per-channel [`ChannelClass`] assignment,
 //!   including the paper's id-based tie-break for cross channels between
 //!   same-level switches;
-//! * the **ancestor** and **extended ancestor** relations of Definition 1,
-//!   precomputed for routing-time queries — preorder entry/exit numbers
-//!   for ancestors (one comparison), and for extended ancestors one row of
-//!   sorted preorder runs per node, stored only where it holds more than
-//!   the node's own subtree (a binary search);
+//! * the **ancestor** relation of Definition 1, precomputed for
+//!   routing-time queries as preorder entry/exit numbers (one
+//!   comparison). Its **extended ancestor** relation depends on which
+//!   channels are alive, so it lives with the routing tables built over
+//!   a labeling and a liveness mask (`spam_core::RoutingTables`: a
+//!   target's row holds it as the row's finite DownCross cells);
 //! * least-common-ancestor queries over arbitrary destination sets (the
 //!   multicast split point);
 //! * structural sanity checks used by the deadlock-freedom property tests

@@ -1,13 +1,14 @@
-//! Property tests validating the precomputed relations (preorder
-//! intervals, the extended-ancestor rows of preorder runs) against naive
-//! graph-walk reference implementations, over random topologies. The case
-//! count follows `PROPTEST_CASES` (16 when unset), so CI can run the
-//! oracle deeper than tier-1 does.
+//! Property tests validating the labeling — Definition 1's ancestor
+//! relation (preorder intervals), LCAs, channel classes and levels —
+//! against naive parent-chain walks, over random topologies. Definition
+//! 1's extended-ancestor relation is kept by the routing tables, not the
+//! labeling; spam-core's `rule_2_is_definition_1_over_alive_channels`
+//! holds it against a graph walk. The case count follows `PROPTEST_CASES`
+//! (16 when unset), so CI can run the oracle deeper than tier-1 does.
 
-use netgraph::gen::lattice::{IrregularConfig, LatticeStrategy};
+use netgraph::gen::lattice::IrregularConfig;
 use netgraph::{ChannelId, DegradedTopology, NodeId, Topology};
 use proptest::prelude::*;
-use std::collections::VecDeque;
 use updown::{ChannelClass, RootSelection, UpDownLabeling};
 
 /// Reference ancestor: walk the parent chain of `v` looking for `u`.
@@ -24,97 +25,17 @@ fn ancestor_ref(ud: &UpDownLabeling, u: NodeId, v: NodeId) -> bool {
     }
 }
 
-/// Reference extended ancestor: BFS over `alive` down-cross channels then
-/// check plain ancestry — literally Definition 1.
-fn extended_ancestor_ref(
-    topo: &Topology,
-    ud: &UpDownLabeling,
-    alive: &dyn Fn(ChannelId) -> bool,
-    u: NodeId,
-    v: NodeId,
-) -> bool {
-    let mut seen = vec![false; topo.num_nodes()];
-    let mut q = VecDeque::new();
-    seen[u.index()] = true;
-    q.push_back(u);
-    while let Some(x) = q.pop_front() {
-        if ancestor_ref(ud, x, v) {
-            return true;
-        }
-        for &c in topo.out_channels(x) {
-            if ud.class(c) == ChannelClass::DownCross && alive(c) {
-                let w = topo.channel(c).dst;
-                if !seen[w.index()] {
-                    seen[w.index()] = true;
-                    q.push_back(w);
-                }
-            }
-        }
-    }
-    false
-}
-
-/// Definition 1 a row at a time, for fabrics where a BFS per pair is too
-/// slow: the nodes `u` reaches over `alive` down-cross channels, then for
-/// every `v` whether its parent chain meets that set.
-fn extended_descendants_ref(
-    topo: &Topology,
-    ud: &UpDownLabeling,
-    alive: &dyn Fn(ChannelId) -> bool,
-    u: NodeId,
-) -> Vec<bool> {
-    let mut reached = vec![false; topo.num_nodes()];
-    let mut q = VecDeque::new();
-    reached[u.index()] = true;
-    q.push_back(u);
-    while let Some(x) = q.pop_front() {
-        for &c in topo.out_channels(x) {
-            let w = topo.channel(c).dst;
-            if ud.class(c) == ChannelClass::DownCross && alive(c) && !reached[w.index()] {
-                reached[w.index()] = true;
-                q.push_back(w);
-            }
-        }
-    }
-    topo.nodes()
-        .map(|v| {
-            let mut cur = Some(v);
-            while let Some(x) = cur {
-                if reached[x.index()] {
-                    return true;
-                }
-                cur = ud.parent(x);
-            }
-            false
-        })
-        .collect()
-}
-
-/// Both relations of `ud`, every cell, against parent walks and
-/// [`extended_descendants_ref`]. A node outside the labeled component has
-/// no parent and no child: it is an ancestor of itself only.
-fn assert_relations_match_definition_1(
-    topo: &Topology,
-    ud: &UpDownLabeling,
-    alive: &dyn Fn(ChannelId) -> bool,
-) {
+/// The ancestor relation of `ud`, every cell, against parent walks. A
+/// node outside the labeled component has no parent and no child: it is an
+/// ancestor of itself only.
+fn assert_ancestors_match_definition_1(topo: &Topology, ud: &UpDownLabeling) {
     for u in topo.nodes() {
-        let ext = extended_descendants_ref(topo, ud, alive, u);
         for v in topo.nodes() {
             let anc = ancestor_ref(ud, u, v);
             if !ud.is_labeled(u) || !ud.is_labeled(v) {
                 assert_eq!(anc, u == v, "unlabeled nodes are reflexive only");
             }
             assert_eq!(ud.is_ancestor(u, v), anc, "ancestor({u}, {v})");
-            assert_eq!(
-                ud.is_extended_ancestor(u, v),
-                ext[v.index()],
-                "ext_ancestor({u}, {v})"
-            );
-            assert!(
-                !anc || ext[v.index()],
-                "an ancestor is an extended ancestor"
-            );
         }
     }
 }
@@ -182,42 +103,20 @@ proptest! {
         }
     }
 
+    /// The case above stops at 56 nodes. 33–160 switches are 66–320
+    /// nodes, with deeper trees and random roots.
     #[test]
-    fn extended_ancestor_matrix_matches_definition_1(
-        switches in 6usize..20,
-        seed in any::<u64>(),
-    ) {
-        let topo = IrregularConfig::with_switches(switches)
-            .strategy(LatticeStrategy::UniformRetry)
-            .generate(seed);
-        let ud = UpDownLabeling::build(&topo, RootSelection::LowestId);
-        for u in topo.nodes() {
-            for v in topo.nodes() {
-                prop_assert_eq!(
-                    ud.is_extended_ancestor(u, v),
-                    extended_ancestor_ref(&topo, &ud, &|_| true, u, v),
-                    "ext_ancestor({}, {})", u, v
-                );
-            }
-        }
-    }
-
-    /// The cases above stop at 56 nodes. 33–160 switches are 66–320
-    /// nodes: deeper trees, more down-cross channels per switch, and rows
-    /// of many runs, merged from several successors' rows at a time.
-    #[test]
-    fn relations_match_definition_1_on_multi_word_rows(
+    fn relations_match_definition_1_on_deep_trees(
         switches in 33usize..=160,
         seed in any::<u64>(),
     ) {
         let topo = IrregularConfig::with_switches(switches).generate(seed);
         let ud = UpDownLabeling::build(&topo, RootSelection::RandomSeeded(seed));
-        assert_relations_match_definition_1(&topo, &ud, &|_| true);
+        assert_ancestors_match_definition_1(&topo, &ud);
     }
 
-    /// `relabel_after`: Definition 1 over the channels still alive. A dead
-    /// down-cross channel keeps its class but grants no extended ancestry,
-    /// and whatever the faults cut off is unlabeled.
+    /// `relabel_after` over the channels still alive: whatever the faults
+    /// cut off is unlabeled, and ancestry follows the patched tree.
     #[test]
     fn relabeled_relations_match_definition_1_over_alive_channels(
         switches in 33usize..=120,
@@ -229,17 +128,16 @@ proptest! {
         let view = kill_links(&topo, kills, seed);
         let (relabeled, report) = ud.relabel_after(&view).expect("links died, no switch did");
         prop_assert_eq!(report.labeled_nodes, relabeled.num_labeled());
-        assert_relations_match_definition_1(&topo, &relabeled, &|c| view.is_channel_alive(c));
+        assert_ancestors_match_definition_1(&topo, &relabeled);
         // A second epoch relabels the relabeling.
         let view = kill_links(&topo, 2 * kills, seed);
         let (again, _) = relabeled.relabel_after(&view).expect("links died, no switch did");
-        assert_relations_match_definition_1(&topo, &again, &|c| view.is_channel_alive(c));
+        assert_ancestors_match_definition_1(&topo, &again);
     }
 
     /// A storm's epoch chain: each view kills more links on top of the
     /// last, and each epoch relabels the previous epoch's labeling. Every
-    /// cell of every epoch, against the pairwise Definition 1 over the
-    /// channels still alive.
+    /// ancestor cell of every epoch, against a parent walk.
     #[test]
     fn chained_relabels_match_definition_1_cell_by_cell(
         switches in 33usize..=160,
@@ -252,13 +150,12 @@ proptest! {
         for e in 1..=epochs {
             let view = kill_links(&topo, e * kills, seed);
             let (next, _) = ud.relabel_after(&view).expect("links died, no switch did");
-            let alive = |c| view.is_channel_alive(c);
             for u in topo.nodes() {
                 for v in topo.nodes() {
                     prop_assert_eq!(
-                        next.is_extended_ancestor(u, v),
-                        extended_ancestor_ref(&topo, &next, &alive, u, v),
-                        "epoch {}: ext_ancestor({}, {})", e, u, v
+                        next.is_ancestor(u, v),
+                        ancestor_ref(&next, u, v),
+                        "epoch {}: ancestor({}, {})", e, u, v
                     );
                 }
             }
@@ -284,7 +181,7 @@ proptest! {
             };
             let ud = UpDownLabeling::build_partial(&topo, root);
             prop_assert_eq!(ud.num_labeled(), piece.len());
-            assert_relations_match_definition_1(&topo, &ud, &|_| true);
+            assert_ancestors_match_definition_1(&topo, &ud);
         }
     }
 
@@ -424,10 +321,9 @@ proptest! {
             // tree: one per non-root member.
             prop_assert_eq!(down_tree_in_comp, comp.nodes.len() - 1);
             // Ancestor sanity inside the component: the root is an
-            // ancestor (and extended ancestor) of every member.
+            // ancestor of every member.
             for &n in &comp.nodes {
                 prop_assert!(ud.is_ancestor(comp.root, n));
-                prop_assert!(ud.is_extended_ancestor(comp.root, n));
             }
         }
         // Every surviving channel belongs to exactly one component's

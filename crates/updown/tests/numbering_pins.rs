@@ -4,13 +4,44 @@
 //! while the labeling still kept an ancestor, a down-cross and an
 //! extended-ancestor matrix, each filled a bit at a time. They passed
 //! unchanged once it kept preorder intervals and one word-filled matrix,
-//! and again once that matrix became per-node rows of preorder runs.
+//! and again once that matrix became per-node rows of preorder runs. The
+//! labeling no longer keeps the extended-ancestor relation (the routing
+//! tables' DownCross cells hold it), so its bit is now Definition 1
+//! walked here, over the channels each view keeps alive — and the
+//! digests are still the ones recorded.
 
 use netgraph::gen::fixtures::figure1;
 use netgraph::gen::lattice::IrregularConfig;
 use netgraph::gen::regular::{mesh2d, torus2d};
 use netgraph::{DegradedTopology, NodeId, Topology};
 use updown::{ChannelClass, RootSelection, UpDownLabeling};
+
+/// Definition 1 walked from `u`: the nodes zero or more channels alive in
+/// `alive` (every channel when `None`) of class down-cross reach, then for
+/// every `v` whether its parent chain meets them.
+fn extended_descendants(
+    t: &Topology,
+    ud: &UpDownLabeling,
+    alive: Option<&[bool]>,
+    u: NodeId,
+) -> Vec<bool> {
+    let mut reached = vec![false; t.num_nodes()];
+    reached[u.index()] = true;
+    let mut stack = vec![u];
+    while let Some(x) = stack.pop() {
+        for &c in t.out_channels(x) {
+            let w = t.channel(c).dst;
+            let live = alive.is_none_or(|a| a[c.index()]);
+            if live && ud.class(c) == ChannelClass::DownCross && !reached[w.index()] {
+                reached[w.index()] = true;
+                stack.push(w);
+            }
+        }
+    }
+    t.nodes()
+        .map(|v| std::iter::successors(Some(v), |&x| ud.parent(x)).any(|x| reached[x.index()]))
+        .collect()
+}
 
 /// FNV-1a over 64-bit words.
 struct Digest(u64);
@@ -30,9 +61,8 @@ impl Digest {
         self.word(n.map_or(u64::MAX, |n| n.0 as u64));
     }
 
-    /// `(root, parent, level, class, tree_children)`, then — when asked —
-    /// every cell of `is_ancestor` and `is_extended_ancestor`.
-    fn labeling(&mut self, t: &Topology, ud: &UpDownLabeling, relations: bool) {
+    /// `(root, parent, level, class, tree_children)`.
+    fn labeling(&mut self, t: &Topology, ud: &UpDownLabeling) {
         self.node(Some(ud.root()));
         for v in t.nodes() {
             self.node(ud.parent(v));
@@ -51,13 +81,15 @@ impl Digest {
                 ChannelClass::DownCross => 3,
             });
         }
-        if relations {
-            for u in t.nodes() {
-                for v in t.nodes() {
-                    self.word(
-                        ud.is_ancestor(u, v) as u64 | (ud.is_extended_ancestor(u, v) as u64) << 1,
-                    );
-                }
+    }
+
+    /// Every cell of `is_ancestor` and of Definition 1's extended ancestor
+    /// over the channels alive in `alive` (all of them when `None`).
+    fn relations(&mut self, t: &Topology, ud: &UpDownLabeling, alive: Option<&[bool]>) {
+        for u in t.nodes() {
+            let ext = extended_descendants(t, ud, alive, u);
+            for v in t.nodes() {
+                self.word(ud.is_ancestor(u, v) as u64 | (ext[v.index()] as u64) << 1);
             }
         }
     }
@@ -90,7 +122,10 @@ fn build_keeps_its_labels_and_relations() {
         for seed in [0u64, 7, 1998] {
             let t = IrregularConfig::with_switches(switches).generate(seed);
             let ud = UpDownLabeling::build(&t, RootSelection::LowestId);
-            d.labeling(&t, &ud, relations);
+            d.labeling(&t, &ud);
+            if relations {
+                d.relations(&t, &ud, None);
+            }
         }
         got.push(pin(&format!("{switches} switches"), &d));
     }
@@ -105,7 +140,9 @@ fn build_keeps_its_labels_and_relations() {
         ),
     ] {
         let mut d = Digest::new();
-        d.labeling(&t, &UpDownLabeling::build(&t, sel), true);
+        let ud = UpDownLabeling::build(&t, sel);
+        d.labeling(&t, &ud);
+        d.relations(&t, &ud, None);
         got.push(pin(name, &d));
     }
     assert_eq!(
@@ -138,7 +175,8 @@ fn partial_and_incremental_labelings_keep_their_labels_and_relations() {
         let ud = UpDownLabeling::build_partial(&masked, root);
         assert_eq!(ud.num_labeled(), comp.len());
         let mut d = Digest::new();
-        d.labeling(&masked, &ud, true);
+        d.labeling(&masked, &ud);
+        d.relations(&masked, &ud, None);
         got.push(pin(&format!("build_partial from {root}"), &d));
     }
 
@@ -148,7 +186,8 @@ fn partial_and_incremental_labelings_keep_their_labels_and_relations() {
     let (epoch1, report) = ud.relabel_after(&view).unwrap();
     assert!(!report.full_rebuild && report.reattached_nodes > 0);
     let mut d = Digest::new();
-    d.labeling(&base, &epoch1, true);
+    d.labeling(&base, &epoch1);
+    d.relations(&base, &epoch1, Some(&view.alive_channel_mask()));
     for x in [
         report.kept_tree_edges,
         report.reattached_nodes,
@@ -164,7 +203,8 @@ fn partial_and_incremental_labelings_keep_their_labels_and_relations() {
     let (epoch2, report) = epoch1.relabel_after(&view).unwrap();
     assert!(report.full_rebuild);
     let mut d = Digest::new();
-    d.labeling(&base, &epoch2, true);
+    d.labeling(&base, &epoch2);
+    d.relations(&base, &epoch2, Some(&view.alive_channel_mask()));
     got.push(pin("relabel_after, root dead", &d));
 
     assert_eq!(

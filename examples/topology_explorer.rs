@@ -26,12 +26,10 @@ fn timed<T>(mut f: impl FnMut() -> T) -> (T, f64) {
 }
 
 /// Wall-clock of building a fabric. Everything is linear in nodes and
-/// channels except the extended-ancestor rows, which hold what a node's
-/// down-cross reach makes them (a few preorder runs per node, more in
-/// deeper trees): the lattice column should grow about 4× per row, the
-/// labeling column a little more, and a column growing 16× per row means
-/// a quadratic loop is back. The timings vary from run to run; every
-/// other line of this example is deterministic.
+/// channels: the lattice and labeling columns should grow about 4× per
+/// row, and a column growing 16× per row means a quadratic loop is back.
+/// The timings vary from run to run; every other line of this example is
+/// deterministic.
 fn construction_cost() {
     println!("\nconstruction cost (seed 0, fastest of 5; timings vary by host):");
     println!(
