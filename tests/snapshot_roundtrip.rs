@@ -183,13 +183,13 @@ fn first_checkpoint(spec: &ScenarioSpec, queue: Option<QueueKind>) -> (u64, Vec<
 /// each [`format_pin_specs`] spec. A change to any of them must come with
 /// a `spam_snapshot::FORMAT_VERSION` bump.
 #[test]
-fn snapshot_bytes_are_pinned_for_format_version_3() {
-    assert_eq!(spam_snapshot::FORMAT_VERSION, 3);
+fn snapshot_bytes_are_pinned_for_format_version_4() {
+    assert_eq!(spam_snapshot::FORMAT_VERSION, 4);
     let [storm, closed, degraded] = format_pin_specs();
     for (spec, want) in [
-        (storm, 0xaa0c_cf59_3ddb_2498_u64),
-        (closed, 0xd36b_b93b_7bae_4b71),
-        (degraded, 0x9aa8_e937_4a02_299a),
+        (storm, 0xf836_9ad0_e9a2_e0d4_u64),
+        (closed, 0x14ae_48ba_c126_a186),
+        (degraded, 0x4d4f_d50e_5877_f4aa),
     ] {
         let (at_ns, bytes) = first_checkpoint(&spec, None);
         let got = spam_net::wormsim::fnv1a(&bytes);
