@@ -20,22 +20,14 @@ use wormsim::{
     MessageSpec, RouteDecision, RouteError, RoutingAlgorithm, SnapReader, SnapWriter, SnapshotError,
 };
 
-/// Routing phase: up channels first, then down channels only.
+/// Routing phase: up channels first, then down channels only. It is the
+/// worm's whole header: the target is the message's one destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UdPhase {
     /// May still use any channel (up moves allowed).
     Up,
     /// Committed to the down subnetwork.
     Down,
-}
-
-/// Worm header state: the unicast target and the phase.
-#[derive(Debug, Clone)]
-pub struct UdHeader {
-    /// The destination processor.
-    pub target: NodeId,
-    /// Up or down phase.
-    pub phase: UdPhase,
 }
 
 /// Up*/down* unicast routing with a min-residual-distance selection
@@ -278,10 +270,10 @@ impl<'a> UpDownUnicastRouting<'a> {
 }
 
 impl RoutingAlgorithm for UpDownUnicastRouting<'_> {
-    type Header = UdHeader;
+    type Header = UdPhase;
     type Scratch = ();
 
-    fn initial_header(&self, spec: &MessageSpec) -> Result<UdHeader, RouteError> {
+    fn initial_header(&self, spec: &MessageSpec) -> Result<UdPhase, RouteError> {
         assert!(
             spec.is_unicast(),
             "up*/down* baseline routes unicasts only; use a multicast scheme on top"
@@ -290,60 +282,49 @@ impl RoutingAlgorithm for UpDownUnicastRouting<'_> {
         if !self.ud.is_labeled(target) {
             return Err(RouteError::UnreachableDestination { dest: target });
         }
-        Ok(UdHeader {
-            target,
-            phase: UdPhase::Up,
-        })
+        Ok(UdPhase::Up)
     }
 
     fn snapshot_name(&self) -> &'static str {
         "updown-unicast"
     }
 
-    fn encode_header(&self, h: &UdHeader, w: &mut SnapWriter) -> Result<(), SnapshotError> {
-        w.put_u32(h.target.0);
-        w.put_u8(match h.phase {
+    fn encode_header(&self, h: &UdPhase, w: &mut SnapWriter) -> Result<(), SnapshotError> {
+        w.put_u8(match h {
             UdPhase::Up => 0,
             UdPhase::Down => 1,
         });
         Ok(())
     }
 
-    fn decode_header(&self, r: &mut SnapReader) -> Result<UdHeader, SnapshotError> {
-        // `route` indexes the distance rows with the target.
-        let target = r.get_u32()?;
-        if target as usize >= self.topo.num_nodes() {
-            return Err(SnapshotError::Corrupt("node id outside the topology"));
+    fn decode_header(&self, r: &mut SnapReader) -> Result<UdPhase, SnapshotError> {
+        match r.get_u8()? {
+            0 => Ok(UdPhase::Up),
+            1 => Ok(UdPhase::Down),
+            _ => Err(SnapshotError::Corrupt("unknown up*/down* phase")),
         }
-        Ok(UdHeader {
-            target: NodeId(target),
-            phase: match r.get_u8()? {
-                0 => UdPhase::Up,
-                1 => UdPhase::Down,
-                _ => return Err(SnapshotError::Corrupt("unknown up*/down* phase")),
-            },
-        })
     }
 
     fn route(
         &self,
         node: NodeId,
         _in_ch: ChannelId,
-        header: &UdHeader,
-        _spec: &MessageSpec,
+        phase: &UdPhase,
+        spec: &MessageSpec,
         _scratch: &mut (),
-        out: &mut RouteDecision<UdHeader>,
+        out: &mut RouteDecision<UdPhase>,
     ) -> Result<(), RouteError> {
         // The selection is a fixed min over (residual distance, channel),
         // so fold it into the legality scan — no candidate list, no
         // allocation per hop.
-        let row = self.row(header.target);
+        let target = spec.dests[0];
+        let row = self.row(target);
         let mut best: Option<(u16, ChannelId, UdPhase)> = None;
         for &c in self.topo.out_channels(node) {
             let v = self.topo.channel(c).dst;
             let ph = match self.ud.class(c) {
                 ChannelClass::UpTree | ChannelClass::UpCross => {
-                    if header.phase == UdPhase::Up {
+                    if *phase == UdPhase::Up {
                         UdPhase::Up
                     } else {
                         continue;
@@ -362,17 +343,8 @@ impl RoutingAlgorithm for UpDownUnicastRouting<'_> {
                 best = Some((d, c, ph));
             }
         }
-        let (_, ch, phase) = best.ok_or(RouteError::NoLegalMove {
-            node,
-            target: header.target,
-        })?;
-        out.push(
-            ch,
-            UdHeader {
-                target: header.target,
-                phase,
-            },
-        );
+        let (_, ch, next) = best.ok_or(RouteError::NoLegalMove { node, target })?;
+        out.push(ch, next);
         Ok(())
     }
 }
@@ -495,26 +467,25 @@ mod tests {
     }
 
     #[test]
-    fn decoded_header_target_is_held_against_the_topology() {
+    fn decoded_header_phase_byte_is_checked() {
         let (t, l) = figure1();
         let ud = UpDownLabeling::build(&t, RootSelection::Fixed(l.by_label(1).unwrap()));
         let router = UpDownUnicastRouting::new(&t, &ud);
-        for (target, ok) in [(t.num_nodes() - 1, true), (t.num_nodes(), false)] {
-            let h = UdHeader {
-                target: NodeId(target as u32),
-                phase: UdPhase::Down,
-            };
+        for phase in [UdPhase::Up, UdPhase::Down] {
             let mut w = SnapWriter::new();
             w.begin();
-            router.encode_header(&h, &mut w).unwrap();
+            router.encode_header(&phase, &mut w).unwrap();
             let bytes = w.seal().to_vec();
             let back = router.decode_header(&mut SnapReader::open(&bytes).unwrap());
-            match back {
-                Ok(back) => assert!(ok && back.target == h.target && back.phase == h.phase),
-                Err(e) => {
-                    assert!(!ok && e == SnapshotError::Corrupt("node id outside the topology"))
-                }
-            }
+            assert_eq!(back, Ok(phase));
+        }
+        for byte in [2, u8::MAX] {
+            let mut w = SnapWriter::new();
+            w.begin();
+            w.put_u8(byte);
+            let bytes = w.seal().to_vec();
+            let back = router.decode_header(&mut SnapReader::open(&bytes).unwrap());
+            assert_eq!(back, Err(SnapshotError::Corrupt("unknown up*/down* phase")));
         }
     }
 

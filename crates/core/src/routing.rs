@@ -41,11 +41,12 @@ pub enum SelectionPolicy {
     },
 }
 
-/// Header state carried by a SPAM worm (in hardware: header-flit fields).
-#[derive(Debug, Clone)]
+/// Header state carried by a SPAM worm: what changes as it moves. The
+/// destinations are the message's own (`MessageSpec::dests`, which every
+/// routing call is handed); on the wire they cost
+/// `SimConfig::extra_header_flits`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpamHeader {
-    /// Destination processors (shared, immutable).
-    pub dests: Arc<[NodeId]>,
     /// The split point: LCA of the destinations (the destination itself
     /// for a unicast).
     pub lca: NodeId,
@@ -141,8 +142,7 @@ impl<'a> SpamRouting<'a> {
     /// All SPAM-legal `(channel, successor phase)` moves from `node` in
     /// `phase` towards `target` (§3.1 rules 1–3). Public for tests and for
     /// the adaptivity analyses in the benchmark harness; the simulation
-    /// hot path uses [`Self::legal_moves_into`] with reused scratch
-    /// storage instead.
+    /// hot path writes the same set into reused scratch storage instead.
     ///
     /// Rule 2 reads `target`'s distance row, so the first question about a
     /// `target` builds it: `6 · nodes` bytes, kept with the tables for
@@ -244,27 +244,34 @@ impl<'a> SpamRouting<'a> {
         }
     }
 
-    /// The tree-stage request set at `node`: one down tree channel per
-    /// child subtree containing destinations (processor children included —
-    /// delivery channels are down tree channels like any other). Test and
-    /// analysis API; the hot path is [`Self::tree_requests_into`].
-    pub fn tree_requests(&self, node: NodeId, header: &SpamHeader) -> Vec<(ChannelId, SpamHeader)> {
+    /// The tree-stage request set at `node` of a worm bound for `dests`
+    /// and split at `lca`: one down tree channel per child subtree
+    /// containing destinations (processor children included — delivery
+    /// channels are down tree channels like any other). Test and analysis
+    /// API; the hot path writes the same set into the engine's reused
+    /// decision buffer.
+    pub fn tree_requests(
+        &self,
+        node: NodeId,
+        dests: &[NodeId],
+        lca: NodeId,
+    ) -> Vec<(ChannelId, SpamHeader)> {
         let mut out = RouteDecision::default();
-        self.tree_requests_into(node, header, &mut out);
+        self.tree_requests_into(node, dests, lca, &mut out);
         out.requests
     }
 
     /// Allocation-free tree stage: pushes the per-subtree requests into
-    /// `out`. Successor headers share the destination set behind an `Arc`,
-    /// so each branch header is a refcount bump, not a heap copy.
+    /// `out`.
     fn tree_requests_into(
         &self,
         node: NodeId,
-        header: &SpamHeader,
+        dests: &[NodeId],
+        lca: NodeId,
         out: &mut RouteDecision<SpamHeader>,
     ) {
         for &child in self.ud.tree_children(node) {
-            if header.dests.iter().any(|&d| self.ud.is_ancestor(child, d)) {
+            if dests.iter().any(|&d| self.ud.is_ancestor(child, d)) {
                 // `tree_children` enumerates spanning-tree edges, and the
                 // spanning tree is a subgraph of the topology's links.
                 #[allow(clippy::expect_used)]
@@ -279,8 +286,7 @@ impl<'a> SpamRouting<'a> {
                 out.push(
                     ch,
                     SpamHeader {
-                        dests: header.dests.clone(),
-                        lca: header.lca,
+                        lca,
                         phase: Phase::DownTree,
                         in_tree: true,
                     },
@@ -316,7 +322,6 @@ impl RoutingAlgorithm for SpamRouting<'_> {
             .lca_of(&spec.dests)
             .expect("validated specs have labeled destinations");
         Ok(SpamHeader {
-            dests: Arc::from(spec.dests.as_slice()),
             lca,
             phase: Phase::Up,
             in_tree: false,
@@ -328,10 +333,6 @@ impl RoutingAlgorithm for SpamRouting<'_> {
     }
 
     fn encode_header(&self, h: &SpamHeader, w: &mut SnapWriter) -> Result<(), SnapshotError> {
-        w.put_len(h.dests.len());
-        for d in h.dests.iter() {
-            w.put_u32(d.0);
-        }
         w.put_u32(h.lca.0);
         w.put_u8(h.phase as u8);
         w.put_bool(h.in_tree);
@@ -339,28 +340,13 @@ impl RoutingAlgorithm for SpamRouting<'_> {
     }
 
     fn decode_header(&self, r: &mut SnapReader) -> Result<SpamHeader, SnapshotError> {
-        // `route` indexes the labeling with every node id here.
-        let nodes = self.topo.num_nodes();
-        let node = |r: &mut SnapReader| match r.get_u32()? {
-            id if (id as usize) < nodes => Ok(NodeId(id)),
-            _ => Err(SnapshotError::Corrupt("node id outside the topology")),
-        };
-        // Collected straight into the `Arc` (a mapped range has an exact
-        // length, so that is one allocation); the first error is kept and
-        // returned after.
-        let mut bad = Ok(());
-        let dests: Arc<[NodeId]> = (0..r.get_len()?)
-            .map(|_| {
-                node(r).unwrap_or_else(|e| {
-                    bad = bad.and(Err(e));
-                    NodeId(0)
-                })
-            })
-            .collect();
-        bad?;
+        // `route` indexes the labeling with the LCA.
+        let lca = r.get_u32()?;
+        if lca as usize >= self.topo.num_nodes() {
+            return Err(SnapshotError::Corrupt("node id outside the topology"));
+        }
         Ok(SpamHeader {
-            dests,
-            lca: node(r)?,
+            lca: NodeId(lca),
             phase: match r.get_u8()? {
                 0 => Phase::Up,
                 1 => Phase::DownCross,
@@ -382,7 +368,7 @@ impl RoutingAlgorithm for SpamRouting<'_> {
     ) -> Result<(), RouteError> {
         // Tree stage: at or below the LCA, split along down tree channels.
         if header.in_tree || node == header.lca {
-            self.tree_requests_into(node, header, out);
+            self.tree_requests_into(node, &spec.dests, header.lca, out);
             if out.requests.is_empty() {
                 // Theorem 1 guarantees this never fires on a labeled
                 // connected component; it surfaces stale labelings and
@@ -410,10 +396,8 @@ impl RoutingAlgorithm for SpamRouting<'_> {
         out.push(
             ch,
             SpamHeader {
-                dests: header.dests.clone(),
-                lca: header.lca,
                 phase: next_phase,
-                in_tree: false,
+                ..*header
             },
         );
         Ok(())
@@ -450,23 +434,18 @@ mod tests {
         let spam = SpamRouting::new(&t, &ud);
         let spec = MessageSpec::unicast(l.by_label(5).unwrap(), l.by_label(8).unwrap(), 16);
         let good = spam.initial_header(&spec).unwrap();
-        let outside = NodeId(t.num_nodes() as u32);
         let lca_outside = SpamHeader {
-            lca: outside,
-            ..good.clone()
+            lca: NodeId(t.num_nodes() as u32),
+            ..good
         };
-        let dest_outside = SpamHeader {
-            dests: Arc::from([good.dests[0], outside].as_slice()),
-            ..good.clone()
-        };
-        for (h, ok) in [(good, true), (lca_outside, false), (dest_outside, false)] {
+        for (h, ok) in [(good, true), (lca_outside, false)] {
             let mut w = SnapWriter::new();
             w.begin();
             spam.encode_header(&h, &mut w).unwrap();
             let bytes = w.seal().to_vec();
             let back = spam.decode_header(&mut SnapReader::open(&bytes).unwrap());
             match back {
-                Ok(back) => assert!(ok && back.lca == h.lca && back.dests == h.dests),
+                Ok(back) => assert!(ok && back == h),
                 Err(e) => {
                     assert!(!ok && e == SnapshotError::Corrupt("node id outside the topology"))
                 }
@@ -589,16 +568,12 @@ mod tests {
         let (t, l, ud) = fig1();
         let spam = SpamRouting::new(&t, &ud);
         let by = |x: u32| l.by_label(x).unwrap();
-        let header = SpamHeader {
-            dests: vec![by(8), by(9), by(11)].into(),
-            lca: by(4),
-            phase: Phase::Up,
-            in_tree: false,
-        };
-        let reqs = spam.tree_requests(by(4), &header);
+        let dests = [by(8), by(9), by(11)];
+        let reqs = spam.tree_requests(by(4), &dests, by(4));
         assert_eq!(dsts(&t, &reqs), vec![by(6), by(7)]);
+        assert!(reqs.iter().all(|(_, h)| h.in_tree && h.lca == by(4)));
         // Below, node 6 fans out to exactly the destination processors.
-        let reqs6 = spam.tree_requests(by(6), &reqs[0].1);
+        let reqs6 = spam.tree_requests(by(6), &dests, by(4));
         assert_eq!(dsts(&t, &reqs6), vec![by(8), by(9)]);
     }
 

@@ -73,6 +73,6 @@ pub mod routing;
 pub mod scenario;
 pub mod schedule;
 
-pub use routing::{EpochHeader, EpochRouting, EpochScratch};
+pub use routing::EpochRouting;
 pub use scenario::ReconfigScenario;
 pub use schedule::{FaultEvent, FaultKind, FaultSchedule};

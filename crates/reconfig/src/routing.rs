@@ -1,13 +1,15 @@
 //! The epoch-based routing swap: one [`SpamRouting`] per epoch, selected
 //! by each message's generation time.
 //!
-//! A worm's epoch is decided once, at injection, and travels with the
-//! header (as it would in hardware: the reconfiguration daemon stamps
-//! messages with the current configuration number). In-flight survivors
-//! therefore keep draining on the labeling they started with while newly
-//! submitted traffic routes on the post-fault labeling — exactly the
-//! Autonet transient this crate exists to simulate. The engine tears down
-//! any old-epoch worm that runs into a channel its stale labeling still
+//! A worm's epoch is a function of its message's generation time, which
+//! the message table holds for the whole run: every routing call reads
+//! `spec.gen_time` and hands the plain SPAM header to that epoch's router
+//! (in hardware, the reconfiguration daemon stamps messages with the
+//! current configuration number). In-flight survivors therefore keep
+//! draining on the labeling they started with while newly submitted
+//! traffic routes on the post-fault labeling — exactly the Autonet
+//! transient this crate exists to simulate. The engine tears down any
+//! old-epoch worm that runs into a channel its stale labeling still
 //! believes in.
 
 use desim::Time;
@@ -17,25 +19,6 @@ use spam_core::{RouteScratch, SpamHeader, SpamRouting};
 use wormsim::{
     MessageSpec, RouteDecision, RouteError, RoutingAlgorithm, SnapReader, SnapWriter, SnapshotError,
 };
-
-/// Reusable working memory for the epoch dispatch: the wrapped SPAM
-/// router's scratch plus an inner decision buffer the epoch headers are
-/// re-stamped from. One value lives in the engine for the whole run, so
-/// the epoch indirection adds no per-hop allocation.
-#[derive(Debug, Default)]
-pub struct EpochScratch {
-    inner: RouteScratch,
-    decision: RouteDecision<SpamHeader>,
-}
-
-/// Header state of an epoch-stamped SPAM worm.
-#[derive(Debug, Clone)]
-pub struct EpochHeader {
-    /// The routing epoch this worm was injected in (immutable in flight).
-    pub epoch: usize,
-    /// The SPAM header under that epoch's labeling.
-    pub inner: SpamHeader,
-}
 
 /// A routing algorithm that dispatches every message to the
 /// [`SpamRouting`] of its generation epoch.
@@ -82,63 +65,46 @@ impl<'a> EpochRouting<'a> {
     pub fn epoch(&self, e: usize) -> &SpamRouting<'a> {
         &self.epochs[e]
     }
+
+    /// The router of the epoch `spec` was generated in.
+    fn router_of(&self, spec: &MessageSpec) -> &SpamRouting<'a> {
+        &self.epochs[self.epoch_of(spec.gen_time)]
+    }
 }
 
+/// Every epoch routes over the same base topology, so the header codec is
+/// epoch 0's: a SPAM header holds no epoch.
 impl RoutingAlgorithm for EpochRouting<'_> {
-    type Header = EpochHeader;
-    type Scratch = EpochScratch;
+    type Header = SpamHeader;
+    type Scratch = RouteScratch;
 
-    fn initial_header(&self, spec: &MessageSpec) -> Result<EpochHeader, RouteError> {
-        let epoch = self.epoch_of(spec.gen_time);
-        self.epochs[epoch]
-            .initial_header(spec)
-            .map(|inner| EpochHeader { epoch, inner })
+    fn initial_header(&self, spec: &MessageSpec) -> Result<SpamHeader, RouteError> {
+        self.router_of(spec).initial_header(spec)
     }
 
     fn snapshot_name(&self) -> &'static str {
         "epoch-spam"
     }
 
-    fn encode_header(&self, h: &EpochHeader, w: &mut SnapWriter) -> Result<(), SnapshotError> {
-        w.put_usize(h.epoch);
-        self.epochs[h.epoch].encode_header(&h.inner, w)
+    fn encode_header(&self, h: &SpamHeader, w: &mut SnapWriter) -> Result<(), SnapshotError> {
+        self.epochs[0].encode_header(h, w)
     }
 
-    fn decode_header(&self, r: &mut SnapReader) -> Result<EpochHeader, SnapshotError> {
-        let epoch = r.get_usize()?;
-        let router = self
-            .epochs
-            .get(epoch)
-            .ok_or(SnapshotError::Corrupt("header epoch out of range"))?;
-        Ok(EpochHeader {
-            epoch,
-            inner: router.decode_header(r)?,
-        })
+    fn decode_header(&self, r: &mut SnapReader) -> Result<SpamHeader, SnapshotError> {
+        self.epochs[0].decode_header(r)
     }
 
     fn route(
         &self,
         node: NodeId,
         in_ch: ChannelId,
-        header: &EpochHeader,
+        header: &SpamHeader,
         spec: &MessageSpec,
-        scratch: &mut EpochScratch,
-        out: &mut RouteDecision<EpochHeader>,
+        scratch: &mut RouteScratch,
+        out: &mut RouteDecision<SpamHeader>,
     ) -> Result<(), RouteError> {
-        let epoch = header.epoch;
-        scratch.decision.clear();
-        self.epochs[epoch].route(
-            node,
-            in_ch,
-            &header.inner,
-            spec,
-            &mut scratch.inner,
-            &mut scratch.decision,
-        )?;
-        for (c, inner) in scratch.decision.requests.drain(..) {
-            out.push(c, EpochHeader { epoch, inner });
-        }
-        Ok(())
+        self.router_of(spec)
+            .route(node, in_ch, header, spec, scratch, out)
     }
 }
 
@@ -165,10 +131,10 @@ mod tests {
         let sc = ReconfigScenario::build(&t, &ud, &sched);
         let routing = sc.routing(&t);
         assert_eq!(routing.num_epochs(), 2);
-        let before = MessageSpec::unicast(by(5), by(8), 8).at(Time::from_us(3));
-        let after = MessageSpec::unicast(by(5), by(8), 8).at(Time::from_us(20));
-        assert_eq!(routing.initial_header(&before).unwrap().epoch, 0);
-        assert_eq!(routing.initial_header(&after).unwrap().epoch, 1);
+        assert_eq!(routing.epoch_of(Time::from_us(3)), 0);
+        assert_eq!(routing.epoch_of(Time::from_ns(19_999)), 0);
+        assert_eq!(routing.epoch_of(Time::from_us(20)), 1);
+        assert_eq!(routing.epoch_of(Time::from_us(1_000)), 1);
     }
 
     #[test]

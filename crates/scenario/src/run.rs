@@ -326,7 +326,7 @@ pub(crate) fn run_mode_with_artifacts(
     let topo = &arts.topo;
     match &spec.faults {
         FaultsSpec::Storm { .. } => {
-            // Live reconfiguration: epoch-stamped SPAM routing over the
+            // Live reconfiguration: per-epoch SPAM routing over the
             // pristine population; teardowns and unreachables are
             // expected per-message verdicts. The prefix match above
             // guarantees the storm artifacts exist.

