@@ -91,9 +91,9 @@ impl<'a> SpamRouting<'a> {
     /// Builds SPAM over *already built* tables — the artifact-cache entry
     /// point. `tables` must have been produced by [`RoutingTables::build`]
     /// or [`RoutingTables::build_masked`] for exactly this `(topo, ud)`
-    /// pair (the liveness mask travels with them); behavior is then
-    /// identical to [`Self::new`] / [`Self::new_masked`], and every
-    /// distance row an earlier router over the same tables built is
+    /// pair (the dead channels they leave out travel with them); behavior
+    /// is then identical to [`Self::new`] / [`Self::new_masked`], and
+    /// every distance row an earlier router over the same tables built is
     /// already there.
     pub fn with_tables(
         topo: &'a Topology,
@@ -119,16 +119,6 @@ impl<'a> SpamRouting<'a> {
             policy,
             ..self.clone()
         }
-    }
-
-    /// The labeling this router uses.
-    pub fn labeling(&self) -> &UpDownLabeling {
-        self.ud
-    }
-
-    /// The routing tables (exposed for analyses and benchmarks).
-    pub fn tables(&self) -> &RoutingTables {
-        &self.tables
     }
 
     /// Residual SPAM-legal distance from `(node, phase)` to `target`, in
@@ -279,10 +269,6 @@ impl<'a> SpamRouting<'a> {
                     .topo
                     .channel_between(node, child)
                     .expect("tree edges are links");
-                debug_assert!(
-                    self.tables.is_alive(ch),
-                    "a relabeled spanning tree only uses surviving links"
-                );
                 out.push(
                     ch,
                     SpamHeader {

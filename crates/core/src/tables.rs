@@ -21,7 +21,7 @@
 //! A run only ever asks for the rows of the targets its messages aim at
 //! (one LCA per multicast), so nothing per target is computed at
 //! construction. [`RoutingTables::build`] gathers the O(channels) per-node
-//! move records and the liveness mask; the row of target `t`, `3 · nodes`
+//! move records, dead channels left out; the row of target `t`, `3 · nodes`
 //! cells, is built the first time a distance to `t` is asked for and
 //! shared from then on (across threads, runs and cache hits: the tables
 //! sit behind an `Arc`). The layered graph is acyclic in the labeling's
@@ -79,7 +79,7 @@ pub struct NodeMove {
 
 /// Exact residual SPAM distances for every (target, node, phase) triple —
 /// each target's row built on first use — plus the per-node legal-channel
-/// slices and the liveness mask gathered at build time.
+/// slices gathered at build time.
 ///
 /// The tables do not borrow the labeling they were built over; the router
 /// that owns that borrow ([`crate::SpamRouting`]) passes it back in
@@ -93,9 +93,6 @@ pub struct RoutingTables {
     moves: Vec<NodeMove>,
     /// `moves` range of node `v` is `move_bounds[v] .. move_bounds[v+1]`.
     move_bounds: Vec<u32>,
-    /// Per-channel liveness for degraded-but-not-renumbered networks
-    /// (live reconfiguration); `None` means every channel is usable.
-    mask: Option<Box<[bool]>>,
 }
 
 impl RoutingTables {
@@ -107,8 +104,8 @@ impl RoutingTables {
     /// Tables optionally restricted to the channels marked alive in
     /// `mask` — the live-reconfiguration case, where routing runs on the
     /// base topology but must never count a dead channel as a legal (or
-    /// distance-reducing) move. Gathers the move records and copies the
-    /// mask; no distance row is built here.
+    /// distance-reducing) move. Gathers the alive channels' move records;
+    /// no distance row is built here.
     pub fn build_masked(topo: &Topology, ud: &UpDownLabeling, mask: Option<&[bool]>) -> Self {
         if let Some(m) = mask {
             assert_eq!(m.len(), topo.num_channels(), "mask covers every channel");
@@ -134,7 +131,6 @@ impl RoutingTables {
             rows: LazyRows::new(n),
             moves,
             move_bounds,
-            mask: mask.map(Into::into),
         }
     }
 
@@ -145,13 +141,6 @@ impl RoutingTables {
         let lo = self.move_bounds[node.index()] as usize;
         let hi = self.move_bounds[node.index() + 1] as usize;
         &self.moves[lo..hi]
-    }
-
-    /// True when channel `c` may carry traffic under the mask the tables
-    /// were built with.
-    #[inline]
-    pub fn is_alive(&self, c: ChannelId) -> bool {
-        self.mask.as_ref().is_none_or(|m| m[c.index()])
     }
 
     /// The residual-distance row of `target` (`row[3 * node + phase]`),
@@ -187,14 +176,13 @@ impl RoutingTables {
         self.rows.len()
     }
 
-    /// Heap footprint in bytes as of now: the distance rows built so far,
-    /// the move records and the mask. A ceiling for it (every row
+    /// Heap footprint in bytes as of now: the distance rows built so far
+    /// and the move records. A ceiling for it (every row
     /// resident) is what an artifact cache charges up front.
     pub fn approx_bytes(&self) -> usize {
         self.rows.resident_bytes()
             + self.moves.len() * std::mem::size_of::<NodeMove>()
             + self.move_bounds.len() * 4
-            + self.mask.as_ref().map_or(0, |m| m.len())
     }
 
     /// The row of `target`, one pass per phase over `ud.by_depth()`.

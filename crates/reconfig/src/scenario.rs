@@ -136,9 +136,9 @@ impl ReconfigScenario {
 
     /// Every epoch's masked routing tables, detached behind `Arc`s so an
     /// artifact cache can keep them across runs and re-attach them with
-    /// [`Self::routing_with_tables`]. Cheap — per epoch the move records
-    /// and a copy of the mask; an epoch's distance rows are built as its
-    /// own messages first aim at them, and stay with the tables.
+    /// [`Self::routing_with_tables`]. Cheap — per epoch the alive channels'
+    /// move records; an epoch's distance rows are built as its own
+    /// messages first aim at them, and stay with the tables.
     pub fn build_epoch_tables(&self, base: &Topology) -> Vec<Arc<RoutingTables>> {
         self.labelings()
             .zip(&self.masks)

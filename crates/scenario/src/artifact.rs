@@ -398,13 +398,12 @@ impl ScenarioArtifacts {
         let n = self.topo.num_nodes();
         let m = self.topo.num_channels();
         // Three phases per node and target — what a resident row holds —
-        // and one move record and one mask byte per channel. The row
+        // and one move record per channel. The row
         // charge must stay at three cells: charging two let the
         // byte-budgeted cache keep more 1024-switch fabrics resident,
         // which raised `cold_fabric_1024` `peak_heap_mib` 5.18 → 6.24 MiB
         // (seed 1998) and 5.03 → 6.16 (seed 4242).
-        let spam_tables =
-            LazyRows::full_bytes(n, 3 * n) + m * (size_of::<NodeMove>() + 1) + (n + 1) * 4;
+        let spam_tables = LazyRows::full_bytes(n, 3 * n) + m * size_of::<NodeMove>() + (n + 1) * 4;
         match &self.storm {
             // Storms route SPAM-only, one masked table set per epoch.
             Some(s) => self.fixed_bytes() + s.scenario.num_epochs() * spam_tables,

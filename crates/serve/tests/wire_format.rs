@@ -9,10 +9,11 @@
 //! newline, a tab, a raw control character and non-ASCII text pin the
 //! escaper on keys-free string positions. The two cache `bytes` counters
 //! are whatever `ScenarioArtifacts::approx_bytes` charges a 16-switch
-//! entry, and are recaptured when that charge changes (last: the
-//! labeling no longer keeps extended-ancestor rows of preorder runs,
-//! 16 344 → 15 992 and 32 856 → 32 104; rule 2 reads the routing
-//! tables' rows instead).
+//! entry, and are recaptured when that charge changes (the labeling no
+//! longer keeping extended-ancestor rows of preorder runs: 16 344 →
+//! 15 992 and 32 856 → 32 104, rule 2 reading the routing tables' rows
+//! instead; last, the routing tables no longer keeping a copy of the
+//! alive mask: 15 992 → 15 920 and 32 104 → 31 956).
 
 use spam_scenario::{FaultModelSpec, FaultsSpec, ScenarioSpec, TrafficSpec};
 use spam_serve::{ServeConfig, ServeCore, Session};
@@ -77,8 +78,8 @@ fn every_response_line_is_byte_identical_to_the_pinned_encoding() {
         r#"{"type":"queued","scenario":"we\"ird\\na\nme\t\u0001-é✓","reps":2}"#,
         r#"{"type":"error","error":"QueueFull","detail":"work queue full (1 pending); retry after results drain","capacity":1,"retry":true}"#,
         r#"{"type":"stats","queue_depth":1,"queue_capacity":1,"clients":1,"draining":false,"cache":{"hits":0,"misses":0,"evictions":0,"entries":0,"bytes":0}}"#,
-        r#"{"type":"result","cursor":1,"scenario":"we\"ird\\na\nme\t\u0001-é✓","rep":0,"reps":2,"artifact":"miss","digest":"0x9f5b331e8459be3c","end_time_ns":10780,"quiescent":true,"messages":1,"delivered":1,"torn_down":0,"unreachable":0,"events":155,"cache":{"hits":0,"misses":1,"evictions":0,"entries":1,"bytes":15992}}"#,
-        r#"{"type":"result","cursor":2,"scenario":"we\"ird\\na\nme\t\u0001-é✓","rep":1,"reps":2,"artifact":"miss","digest":"0xfa957900e3efba3a","end_time_ns":10480,"quiescent":true,"messages":1,"delivered":1,"torn_down":0,"unreachable":0,"events":97,"cache":{"hits":0,"misses":2,"evictions":0,"entries":2,"bytes":32104}}"#,
+        r#"{"type":"result","cursor":1,"scenario":"we\"ird\\na\nme\t\u0001-é✓","rep":0,"reps":2,"artifact":"miss","digest":"0x9f5b331e8459be3c","end_time_ns":10780,"quiescent":true,"messages":1,"delivered":1,"torn_down":0,"unreachable":0,"events":155,"cache":{"hits":0,"misses":1,"evictions":0,"entries":1,"bytes":15920}}"#,
+        r#"{"type":"result","cursor":2,"scenario":"we\"ird\\na\nme\t\u0001-é✓","rep":1,"reps":2,"artifact":"miss","digest":"0xfa957900e3efba3a","end_time_ns":10480,"quiescent":true,"messages":1,"delivered":1,"torn_down":0,"unreachable":0,"events":97,"cache":{"hits":0,"misses":2,"evictions":0,"entries":2,"bytes":31956}}"#,
         r#"{"type":"acked","cursor":1,"retained":1}"#,
         r#"{"type":"error","cursor":3,"scenario":"we\"ird\\na\nme\t\u0001-é✓","rep":0,"error":"NoSurvivingComponent","detail":"no surviving component can host the workload"}"#,
         r#"{"type":"error","error":"UnknownCursor","detail":"cursor 9 outside retained window [2, 4)","requested":9,"oldest":2,"next":4}"#,

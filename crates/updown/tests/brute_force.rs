@@ -137,7 +137,10 @@ proptest! {
 
     /// A storm's epoch chain: each view kills more links on top of the
     /// last, and each epoch relabels the previous epoch's labeling. Every
-    /// ancestor cell of every epoch, against a parent walk.
+    /// ancestor cell of every epoch, against a parent walk; and every
+    /// labeled node's tree edge to its parent alive in that epoch's view,
+    /// so SPAM's tree stage, which descends tree edges without consulting
+    /// the view, never requests a dead channel.
     #[test]
     fn chained_relabels_match_definition_1_cell_by_cell(
         switches in 33usize..=160,
@@ -157,6 +160,15 @@ proptest! {
                         ancestor_ref(&next, u, v),
                         "epoch {}: ancestor({}, {})", e, u, v
                     );
+                }
+                if let Some(p) = next.parent(u) {
+                    for (a, b) in [(p, u), (u, p)] {
+                        let c = topo.channel_between(a, b).expect("tree edges are links");
+                        prop_assert!(
+                            view.is_channel_alive(c),
+                            "epoch {}: tree edge ({}, {}) is dead", e, a, b
+                        );
+                    }
                 }
             }
             ud = next;
