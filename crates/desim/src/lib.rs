@@ -4,7 +4,7 @@
 //! # desim — deterministic discrete-event simulation engine
 //!
 //! A minimal, allocation-conscious discrete-event core used by the
-//! flit-level wormhole simulator ([`wormsim`]). It provides:
+//! flit-level wormhole simulator (`wormsim`). It provides:
 //!
 //! * [`Time`] — a nanosecond-resolution simulation clock value,
 //! * [`EventQueue`] — a deterministic future-event list: events scheduled

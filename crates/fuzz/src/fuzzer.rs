@@ -6,9 +6,11 @@
 //! three bins:
 //!
 //! * **rejected** — the mutant fails [`ScenarioSpec::validate`]. That is
-//!   coverage too: the loop tallies which [`SpecError`] variants the
-//!   mutator exercised, and checks predicted boundary violations
-//!   ([`Mutation::expect`]) actually fired.
+//!   coverage too: the loop tallies which
+//!   [`SpecError`](spam_scenario::SpecError) variants the mutator
+//!   exercised, and checks predicted boundary violations
+//!   ([`Mutation::expect`](spam_scenario::Mutation::expect)) actually
+//!   fired.
 //! * **violation** — the mutant runs but trips an oracle
 //!   ([`crate::oracle`]). It is greedily minimized and reported as a
 //!   regression candidate.

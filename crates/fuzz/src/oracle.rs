@@ -11,10 +11,10 @@
 //! 3. **Accounting** — every submitted message ends the run either
 //!    completed or with a typed failure verdict, and the run aborts on
 //!    neither a simulation error nor a deadlock
-//!    ([`SimOutcome::all_accounted`]).
+//!    ([`SimOutcome::all_accounted`](wormsim::SimOutcome::all_accounted)).
 //! 4. **Quiescence** — at the end of an accounted run the network has
 //!    drained: no live channels, no segment-table entries, no parked
-//!    headers ([`SimOutcome::quiescent`]).
+//!    headers ([`SimOutcome::quiescent`](wormsim::SimOutcome::quiescent)).
 //! 5. **Checkpoint/resume** — checkpointing the run is a pure observer
 //!    (the checkpointed run matches the canonical digest), and resuming
 //!    from a mid-run snapshot reproduces the canonical digest exactly.

@@ -43,7 +43,7 @@ pub enum ArrivalKind {
 
 impl ArrivalKind {
     /// Validates `rate` (messages/µs/source) and this kind's own knobs.
-    /// Everything [`ArrivalKind::generator`] would assert on is caught
+    /// Everything `ArrivalKind::generator` would assert on is caught
     /// here first, so a validated configuration never panics downstream.
     pub fn validate_rate(&self, rate: f64) -> Result<(), TrafficError> {
         if !(rate > 0.0 && rate.is_finite()) {
