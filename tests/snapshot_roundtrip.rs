@@ -167,40 +167,45 @@ fn format_pin_specs() -> [ScenarioSpec; 3] {
     [storm, closed, degraded]
 }
 
-/// The first checkpoint of `spec` under `queue`, taken at 12 us: past the
-/// 10 us startup, so worms are mid-flight and the trace, the gauge ring
-/// and the channel scoreboard all hold data.
-fn first_checkpoint(spec: &ScenarioSpec, queue: Option<QueueKind>) -> (u64, Vec<u8>) {
+/// The first two checkpoints of `spec` under `queue`, taken at 12 and
+/// 24 us. The first is past the 10 us startup, so worms are mid-flight and
+/// the trace, the gauge ring and the channel scoreboard all hold data. The
+/// second follows the storm's first burst (about 16.7 us), so it holds the
+/// slots teardown freed and handed out again, and the statically degraded
+/// run's SPAM headers.
+fn pinned_checkpoints(spec: &ScenarioSpec, queue: Option<QueueKind>) -> [(u64, Vec<u8>); 2] {
     let run = run_once_checkpointed(spec, 0, queue, 12_000).expect("checkpointed run");
     assert!(!run.outcome.trace.events.is_empty(), "[{}]", spec.name);
-    run.checkpoints
-        .into_iter()
-        .next()
-        .expect("a checkpoint at 12 us")
+    let mut checkpoints = run.checkpoints.into_iter();
+    let mut next = || checkpoints.next().expect("checkpoints at 12 and 24 us");
+    [next(), next()]
 }
 
-/// The snapshot byte format, pinned: FNV-1a of the first checkpoint of
-/// each [`format_pin_specs`] spec. A change to any of them must come with
-/// a `spam_snapshot::FORMAT_VERSION` bump.
+/// The snapshot byte format, pinned: FNV-1a of the first two checkpoints
+/// of each [`format_pin_specs`] spec. A change to the layout must come
+/// with a `spam_snapshot::FORMAT_VERSION` bump; a change to what the
+/// engine does before a checkpoint (the order teardown frees slots in, a
+/// header's encoding) moves the second pin without one.
 #[test]
 fn snapshot_bytes_are_pinned_for_format_version_4() {
     assert_eq!(spam_snapshot::FORMAT_VERSION, 4);
     let [storm, closed, degraded] = format_pin_specs();
-    for (spec, want) in [
-        (storm, 0x2c79_0878_fce5_a9a5_u64),
-        (closed, 0xfd59_299e_92c4_3bf1),
-        (degraded, 0x4d4f_d50e_5877_f4aa),
+    for (spec, wants) in [
+        (storm, [0x2c79_0878_fce5_a9a5_u64, 0xb1a9_8fe9_499d_8317]),
+        (closed, [0xfd59_299e_92c4_3bf1, 0xd510_e42d_243b_0708]),
+        (degraded, [0x4d4f_d50e_5877_f4aa, 0xc115_bf08_77c2_7749]),
     ] {
-        let (at_ns, bytes) = first_checkpoint(&spec, None);
-        let got = spam_net::wormsim::fnv1a(&bytes);
-        assert_eq!(
-            got,
-            want,
-            "[{}] first checkpoint ({at_ns} ns, {} bytes) no longer encodes to the pinned bytes \
-             (got {got:#018x})",
-            spec.name,
-            bytes.len(),
-        );
+        for ((at_ns, bytes), want) in pinned_checkpoints(&spec, None).iter().zip(wants) {
+            let got = spam_net::wormsim::fnv1a(bytes);
+            assert_eq!(
+                got,
+                want,
+                "[{}] checkpoint at {at_ns} ns ({} bytes) no longer encodes to the pinned bytes \
+                 (got {got:#018x})",
+                spec.name,
+                bytes.len(),
+            );
+        }
     }
 }
 
@@ -209,8 +214,8 @@ fn snapshot_bytes_are_pinned_for_format_version_4() {
 #[test]
 fn first_checkpoints_are_byte_identical_under_both_queues() {
     for spec in format_pin_specs() {
-        let heap = first_checkpoint(&spec, Some(QueueKind::Heap));
-        let bucket = first_checkpoint(&spec, Some(QueueKind::Bucket));
+        let heap = pinned_checkpoints(&spec, Some(QueueKind::Heap));
+        let bucket = pinned_checkpoints(&spec, Some(QueueKind::Bucket));
         assert!(
             heap == bucket,
             "[{}] checkpoint bytes depend on the queue",
