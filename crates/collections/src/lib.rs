@@ -24,21 +24,14 @@
 //!   queue), nearly all of them empty or one deep at any instant; they
 //!   cost no allocation per channel and pool memory follows what is
 //!   actually queued.
-//! * [`RunPool`] — any number of short lists ([`Run`] handles), each one
-//!   contiguous run of a shared buffer whose runs are recycled by size.
-//!   The engine keeps one list per message (its live segments): a list is
-//!   still a slice to scan and `swap_remove` from, and messages cost no
-//!   allocation each.
 //!
-//! All four are deterministic: iteration orders depend only on the
+//! All three are deterministic: iteration orders depend only on the
 //! sequence of operations, never on hashing or addresses.
 
 pub mod fifo_pool;
 pub mod inline_vec;
-pub mod run_pool;
 pub mod slab;
 
 pub use fifo_pool::{Fifo, FifoPool};
 pub use inline_vec::InlineVec;
-pub use run_pool::{Run, RunPool};
 pub use slab::{Slab, SlotId};

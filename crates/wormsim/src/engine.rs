@@ -30,13 +30,14 @@
 //! resolve it with one array index. Intrusive indices keep the
 //! cross-references navigable both ways: each channel records the transit
 //! segment it feeds (`Chan::seg`) and the header states parked at its
-//! receiving end (`Chan::hdrs`); each message records its live segments
-//! (`MsgState::live_segs`) so teardown never scans the arena. That list's
-//! order is not state: `release` swap-removes from it, and teardown sorts
-//! it and so frees a worm's slots in ascending order, the order a restored
-//! run (which rebuilds the list) has too. Generations make stale handles
-//! (a released segment still in the bubble-candidate list) resolve to
-//! `None` instead of aliasing a reused slot.
+//! receiving end (`Chan::hdrs`). A message keeps no list of its segments:
+//! each segment names its message, and the slab holds only the segments
+//! of worms in flight, so teardown reads a victim's off the slab in
+//! ascending slot order — the order it frees them in, and so the order
+//! the slab hands them out again, whether or not the run was restored.
+//! Generations make stale handles (a released segment still in the
+//! bubble-candidate list) resolve to `None` instead of aliasing a reused
+//! slot.
 //!
 //! Channel queues follow the same rule of one arena per kind of thing: the
 //! output buffer, input buffer and OCRQ of every channel are
@@ -51,12 +52,10 @@
 //! happens to sit.
 //!
 //! Per-message state is kept the same way. A message's destination states
-//! and its sorted destination index are runs of two per-run vectors
-//! (`dests`, `dest_index`, from `MsgState::dests_at`), and its live-segment
-//! list is a [`Run`] of the engine-wide [`RunPool`] `live`, whose runs are
-//! recycled as worms come and go: what a message allocates is its spec, its
-//! header and its result, not a table per destination or a list that grows
-//! with its hop count.
+//! and its sorted destination index are runs of two engine-wide vectors
+//! (`dests`, `dest_index`, from `MsgState::dests_at`): what a message
+//! allocates is its spec, its header and its result, not a table per
+//! destination or a list that grows with its hop count.
 //!
 //! Per flit, `try_replicate` looks its segment up once and keeps it
 //! borrowed while the flit moves to every output; wires start through
@@ -100,7 +99,7 @@ use crate::routing::{CompletionHook, NoHook, RouteDecision, RoutingAlgorithm};
 use desim::{Schedule, Time};
 use netgraph::{ChannelId, NodeId, Topology};
 use observe::{Casualty, Observers};
-use spam_collections::{FifoPool, InlineVec, Run, RunPool, Slab, SlotId};
+use spam_collections::{FifoPool, InlineVec, Slab, SlotId};
 use std::ops::Range;
 
 #[derive(Debug, Clone, Copy)]
@@ -172,8 +171,8 @@ const FRESH_DEST: DestState = DestState {
 
 snap_struct! { DestState { next_seq, done_at } }
 
-/// A message's state. `remaining` and `live_segs` are indices: a snapshot
-/// does not write them, and `restore` rebuilds them.
+/// A message's state. `remaining` is an index: a snapshot does not write
+/// it, and `restore` rebuilds it.
 struct MsgState {
     spec: MessageSpec,
     /// Flits on the wire: `spec.len` plus any extra header flits. Derived,
@@ -190,9 +189,6 @@ struct MsgState {
     completed_at: Option<Time>,
     /// Set when a mid-run fault killed or rejected this message.
     failure: Option<MessageFailure>,
-    /// Live segments of this worm (source + transits), for teardown: a
-    /// list in [`NetworkSim::live`], in no particular order.
-    live_segs: Run,
 }
 
 impl MsgState {
@@ -205,7 +201,6 @@ impl MsgState {
             dests_at,
             completed_at: None,
             failure: None,
-            live_segs: Run::new(),
         }
     }
 
@@ -297,12 +292,9 @@ pub struct NetworkSim<'a, R: RoutingAlgorithm> {
     dests: Vec<DestState>,
     /// The runs [`index_dests`] builds, parallel to `dests`.
     dest_index: Vec<(NodeId, u32)>,
-    /// The lists behind every [`MsgState::live_segs`].
-    live: RunPool<SlotId>,
     /// Arena of live worm-router traversals; all cross-references into it
-    /// ([`Chan::ocrq`], [`Chan::owner`], [`Chan::seg`],
-    /// [`MsgState::live_segs`], `bubble_candidates`) are generation-checked
-    /// [`SlotId`]s.
+    /// ([`Chan::ocrq`], [`Chan::owner`], [`Chan::seg`], `bubble_candidates`)
+    /// are generation-checked [`SlotId`]s.
     segs: Slab<Segment>,
     /// Arena of in-flight header states (`R::Header` travels with the worm
     /// between routing decisions); indexed from [`Chan::hdrs`].
@@ -311,6 +303,8 @@ pub struct NetworkSim<'a, R: RoutingAlgorithm> {
     route_scratch: R::Scratch,
     /// Reused output buffer for routing decisions.
     route_out: RouteDecision<R::Header>,
+    /// Reused buffer for the segments of the worm a teardown retires.
+    victim_segs: Vec<SlotId>,
     counters: Counters,
     /// First simulation error; set once, aborts the run at the next event
     /// boundary (state mutated within the failing instant is not rolled
@@ -371,11 +365,11 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             msgs: Vec::new(),
             dests: Vec::new(),
             dest_index: Vec::new(),
-            live: RunPool::new(),
             segs: Slab::new(),
             headers: Slab::new(),
             route_scratch: R::Scratch::default(),
             route_out: RouteDecision::default(),
+            victim_segs: Vec::new(),
             counters: Counters::default(),
             error: None,
             last_progress: Time::ZERO,
@@ -534,7 +528,6 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             debug_assert!(self.chans.iter().all(|c| c.is_quiescent()));
             debug_assert!(self.segs.is_empty());
             debug_assert!(self.headers.is_empty());
-            debug_assert!(self.msgs.iter().all(|m| m.live_segs.is_empty()));
         }
         let (trace, metrics) = self.finish_observers(deadlock.as_ref());
         let quiescent = deadlock.is_none()
@@ -668,7 +661,6 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             acquired: false,
             candidate: false,
         });
-        self.live.push(&mut self.msgs[msg.index()].live_segs, sid);
         self.enqueue(now, inj, msg, sid);
         self.try_acquire(now, sid);
     }
@@ -790,7 +782,6 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             "one channel delivers one header per worm"
         );
         self.chans[in_ch.index()].seg = Some(sid);
-        self.live.push(&mut self.msgs[msg.index()].live_segs, sid);
         for (ch, st) in decision.requests.drain(..) {
             let rec = self.topo.channel(ch);
             if rec.src != node {
@@ -976,28 +967,23 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         // Teardown happens strictly after SourceReady (earlier the message
         // holds nothing and cannot be a victim), so it is always active.
         self.active -= 1;
-        // Retire every live segment via the message's intrusive list — no
-        // arena scan — in ascending slot order, which decides the order the
-        // slab hands the slots out again (and a restored list knows no
-        // other).
-        let mut seg_ids = std::mem::take(&mut self.msgs[m.index()].live_segs);
-        self.live.as_mut_slice(&seg_ids).sort_unstable();
+        // Retire every segment of the worm, read off the slab in ascending
+        // slot order, which decides the order the slab hands the slots out
+        // again. The slab holds only the segments of worms in flight, so the
+        // scan costs about what the walk of `tracked` below does.
+        let mut victim_segs = std::mem::take(&mut self.victim_segs);
+        victim_segs.clear();
+        let worm = self.segs.iter().filter(|(_, s)| s.msg == m);
+        victim_segs.extend(worm.map(|(sid, _)| sid));
         let segs = &self.segs;
-        let outputs = self.live.as_slice(&seg_ids).iter().map(|&sid| {
-            segs.get(sid)
-                .expect("live list tracks live segments")
-                .outputs
-                .as_slice()
-        });
+        let outputs = victim_segs
+            .iter()
+            .filter_map(|&sid| segs.get(sid))
+            .map(|s| s.outputs.as_slice());
         self.obs
             .torn_down(&self.chans, m, &cause, why, outputs, now);
-        for i in 0..seg_ids.len() {
-            let sid = self.live.as_slice(&seg_ids)[i];
-            let seg = self
-                .segs
-                .remove(sid)
-                .expect("live list tracks live segments");
-            debug_assert_eq!(seg.msg, m);
+        for &sid in &victim_segs {
+            let seg = self.segs.remove(sid).expect("found in the slab");
             if let SegInput::Channel(ic) = seg.input {
                 debug_assert_eq!(self.chans[ic.index()].seg, Some(sid));
                 self.chans[ic.index()].seg = None;
@@ -1012,7 +998,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 self.requests.retain(&mut c.ocrq, |&(qm, _)| qm != m);
             }
         }
-        self.live.clear(&mut seg_ids);
+        self.victim_segs = victim_segs;
         // Header states are swept by message id, not via segment outputs: a
         // header's entry outlives its upstream segment (the segment releases
         // once the tail is replicated, while the header may still sit in an
@@ -1307,15 +1293,6 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         let seg = self.segs.remove(sid).expect("released segment exists");
         let msg = seg.msg;
         let input = seg.input;
-        // Unlink from the message's live list (its order is irrelevant).
-        let live = &mut self.msgs[msg.index()].live_segs;
-        let pos = self
-            .live
-            .as_slice(live)
-            .iter()
-            .position(|&s| s == sid)
-            .expect("live list tracks live segments");
-        self.live.swap_remove(live, pos);
         if let SegInput::Channel(ic) = input {
             debug_assert_eq!(self.chans[ic.index()].seg, Some(sid));
             self.chans[ic.index()].seg = None;

@@ -16,8 +16,8 @@
 //!   observer seam's records.
 //! * **Indices rebuilt.** Busy wires, pending routing decisions, each
 //!   channel's feeding segment and owner, each request's message, each
-//!   message's remaining count and live segments, the active count and
-//!   the tracked list are derived in one pass after the last section
+//!   message's remaining count, the active count and the tracked list are
+//!   derived in one pass after the last section
 //!   ([`Index`]); debug builds check that pass against the engine at
 //!   every snapshot. A worm's length is the one check word (`MsgState`).
 //!   `run == resume(checkpoint(run))` holds exactly.
@@ -77,9 +77,6 @@ pub(super) struct Index {
     chans: Vec<ChanIndex>,
     /// Per message: `remaining`, and whether it is active.
     msgs: Vec<(usize, bool)>,
-    /// Every live segment as `(message, slot)`, ascending: the
-    /// `live_segs` lists, one after another.
-    live: Vec<(MsgId, SlotId)>,
     /// Per header slot: a `hdrs` entry names it.
     named: Vec<bool>,
 }
@@ -349,7 +346,6 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         ix.chans.clear();
         ix.chans.resize(self.chans.len(), Default::default());
         ix.msgs.clear();
-        ix.live.clear();
         ix.named.clear();
         ix.named.resize(self.headers.num_slots(), false);
         for m in &self.msgs {
@@ -419,9 +415,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 ensure(owner.is_none(), "two segments own one channel")?;
                 *owner = Some((seg.msg, sid));
             }
-            ix.live.push((seg.msg, sid));
         }
-        ix.live.sort_unstable();
         for (_, seg) in self.segs.iter() {
             for &o in &seg.outputs {
                 // A requested channel keeps the worm's header state until
@@ -469,9 +463,6 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         for (m, &(remaining, _)) in self.msgs.iter_mut().zip(&ix.msgs) {
             m.remaining = remaining;
         }
-        for &(m, sid) in &ix.live {
-            self.live.push(&mut self.msgs[m.index()].live_segs, sid);
-        }
         self.active = ix.msgs.iter().filter(|m| m.1).count();
         let live = self.live_mode();
         for ch in (0..self.chans.len() as u32).map(ChannelId) {
@@ -484,22 +475,14 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
     /// The engine holds the indices `ix` derived (but the tracked list,
     /// which may keep a channel a wake has not dropped yet).
     fn holds(&self, ix: &Index) -> bool {
-        let in_live = |m: MsgId, sid| ix.live.binary_search(&(m, sid)).is_ok();
-        let listed = |&(m, sid): &(MsgId, SlotId)| {
-            let held = self.live.as_slice(&self.msgs[m.index()].live_segs);
-            held.contains(&sid)
-        };
-        let lists: usize = self.msgs.iter().map(|m| m.live_segs.len()).sum();
-        let msgs = self.msgs.iter().zip(&ix.msgs);
+        // Each request names a live segment of its own message.
+        let live = |&(m, sid): &(MsgId, SlotId)| self.segs.get(sid).is_some_and(|s| s.msg == m);
+        let mut msgs = self.msgs.iter().zip(&ix.msgs);
         self.chans.iter().zip(&ix.chans).all(|(c, &want)| {
             (c.wire_busy, c.route_pending, c.seg, c.owner) == want
-                && self.requests.iter(&c.ocrq).all(|&(m, sid)| in_live(m, sid))
-        }) && msgs.into_iter().all(|(m, &(remaining, _))| m.remaining == remaining)
+                && self.requests.iter(&c.ocrq).all(live)
+        }) && msgs.all(|(m, &(remaining, _))| m.remaining == remaining)
             && self.active == ix.msgs.iter().filter(|m| m.1).count()
-            // Each list, in any order, holds all of its run of `ix.live`
-            // and nothing more.
-            && ix.live.iter().all(listed)
-            && lists == ix.live.len()
     }
 }
 

@@ -312,8 +312,7 @@ const SWEEP_EVENT_CAP: u64 = 100_000;
 /// Panic messages no accepted snapshot may reach: each names an index
 /// `restore` rebuilds from primary state, or a slab handle its index
 /// pass checks.
-const REBUILT_INVARIANTS: [&str; 5] = [
-    "live list tracks live segments",
+const REBUILT_INVARIANTS: [&str; 4] = [
     "c.wire_busy",
     "subtract with overflow",
     "header handle live",

@@ -167,9 +167,8 @@ fn hop_count_allocates_nothing() {
     // A worm strung out over more routers holds more segments at once. The
     // first worm of a run grows the engine's arenas to its footprint; the
     // second, identical one then costs what any message costs, whatever
-    // its hop count: its live-segment list is a handle into a pool the
-    // first worm already grew (an inline list of four spilled to the heap
-    // per message, and grew with the path).
+    // its hop count: its segments sit in the engine's slab, which the first
+    // worm already grew, and the message keeps no list of them.
     let second_worm = |hops| {
         let (_, one) = run_unicasts(hops, 64, 1, false);
         let (out, two) = run_unicasts(hops, 64, 2, false);
