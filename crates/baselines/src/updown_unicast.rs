@@ -6,7 +6,9 @@
 //! still reachable from `v` through down channels alone (otherwise the worm
 //! would strand itself in the down subnetwork) — exactly when `v`'s Down
 //! cell in the target's residual-distance row is finite, so the row
-//! answers legality too.
+//! answers legality too. A row keeps the Up and Down cells of each switch,
+//! `2 · switches` cells indexed by [`Topology::switch_rank`]; a
+//! processor's cells follow from its one link and its switch's cells.
 //!
 //! This is the routing SPAM generalizes; it serves two roles here: the
 //! unicast baseline for ablation D, and — together with SPAM's unicast
@@ -43,10 +45,79 @@ pub struct UpDownUnicastRouting<'a> {
 /// Sentinel for unreachable states.
 const UNREACHABLE: u16 = u16::MAX;
 
-/// Index of `(node, phase)` within a target's distance row.
+/// Index of the `phase` cell of the switch ranked `rank` within a
+/// target's distance row.
 #[inline]
-fn cell(v: NodeId, ph: UdPhase) -> usize {
-    2 * v.index() + (ph == UdPhase::Down) as usize
+fn cell(rank: usize, ph: UdPhase) -> usize {
+    2 * rank + (ph == UdPhase::Down) as usize
+}
+
+/// One hop further than a cell; `UNREACHABLE` saturates to itself.
+#[inline]
+fn hop(x: u16) -> u16 {
+    x.saturating_add(1)
+}
+
+/// One target's distance row, resolved: the stored switch cells and what
+/// a processor's cells are derived from.
+#[derive(Clone, Copy)]
+struct Row<'a> {
+    router: &'a UpDownUnicastRouting<'a>,
+    target: NodeId,
+    cells: &'a [u16],
+}
+
+impl Row<'_> {
+    /// Residual legal distance from `(v, phase)` to the target.
+    #[inline]
+    fn dist(&self, v: NodeId, phase: UdPhase) -> u16 {
+        match self.router.topo.switch_rank(v) {
+            Some(r) => self.cells[cell(r, phase)],
+            None => self.processor_dist(v, phase),
+        }
+    }
+
+    /// A processor's cell, from its one link: out of line, so that
+    /// [`Self::dist`] inlines into the sweep and the per-hop decision.
+    #[inline(never)]
+    fn processor_dist(&self, p: NodeId, phase: UdPhase) -> u16 {
+        match phase {
+            UdPhase::Down => self.down(p),
+            UdPhase::Up => self.up(p),
+        }
+    }
+
+    /// Whether the target is reachable from `v` through down channels
+    /// alone — its Down cell is finite.
+    #[inline]
+    fn down_reaches(&self, v: NodeId) -> bool {
+        self.dist(v, UdPhase::Down) != UNREACHABLE
+    }
+
+    /// The Down cell of `v` from the Down cells its down channels lead
+    /// to.
+    fn down(&self, v: NodeId) -> u16 {
+        if v == self.target {
+            return 0;
+        }
+        let UpDownUnicastRouting { topo, ud, .. } = self.router;
+        topo.out_channels(v)
+            .iter()
+            .filter(|&&c| ud.class(c).is_down())
+            .map(|&c| hop(self.dist(topo.channel(c).dst, UdPhase::Down)))
+            .fold(UNREACHABLE, u16::min)
+    }
+
+    /// The Up cell of `v` from the Up cells its up channels lead to — at
+    /// most its Down cell, since it may turn down right away.
+    fn up(&self, v: NodeId) -> u16 {
+        let UpDownUnicastRouting { topo, ud, .. } = self.router;
+        topo.out_channels(v)
+            .iter()
+            .filter(|&&c| ud.class(c).is_up())
+            .map(|&c| hop(self.dist(topo.channel(c).dst, UdPhase::Up)))
+            .fold(self.dist(v, UdPhase::Down), u16::min)
+    }
 }
 
 /// The router's shareable state — the residual distances, one row per
@@ -54,11 +125,12 @@ fn cell(v: NodeId, ph: UdPhase) -> usize {
 /// the topology borrow, so an artifact cache can keep it alive across
 /// runs and re-attach it with [`UpDownUnicastRouting::with_precomp`].
 /// Nothing is computed up front: a row is two passes over the labeling's
-/// `(level, id)` order, and its Down cells also answer which down moves
-/// are legal. Cloning is a refcount bump; clones share every row.
+/// `(level, id)` order, `4 · switches` bytes, and its Down cells also
+/// answer which down moves are legal. Cloning is a refcount bump; clones
+/// share every row.
 #[derive(Debug, Clone)]
 pub struct UpDownPrecomp {
-    /// `dist[target][2 * node + phase]` residual legal distances.
+    /// `dist[target][2 * switch_rank + phase]` residual legal distances.
     dist: Arc<LazyRows>,
 }
 
@@ -109,136 +181,52 @@ impl<'a> UpDownUnicastRouting<'a> {
         self.pre.clone()
     }
 
-    /// The row of `target`, one pass per phase over `ud.by_depth()`: down
-    /// channels lead later in that order, so the reverse pass finds each
-    /// node's Down cell from finished ones, and up channels lead earlier,
-    /// so the forward pass does the same for Up. A node's Up cell is at
-    /// most its Down cell, since it may turn down right away.
-    fn build_dist(topo: &Topology, ud: &UpDownLabeling, target: NodeId) -> Vec<u16> {
-        let mut d = vec![UNREACHABLE; 2 * topo.num_nodes()];
-        d[cell(target, UdPhase::Up)] = 0;
-        d[cell(target, UdPhase::Down)] = 0;
-        // The cell of channel `c`'s endpoint in phase `ph`, one hop
-        // further; `UNREACHABLE` saturates to itself.
-        let hop = |d: &[u16], c: ChannelId, ph| d[cell(topo.channel(c).dst, ph)].saturating_add(1);
-        let order = ud.by_depth();
-        for &v in order.iter().rev().filter(|&&v| v != target) {
-            d[cell(v, UdPhase::Down)] = topo
-                .out_channels(v)
-                .iter()
-                .filter(|&&c| ud.class(c).is_down())
-                .map(|&c| hop(&d, c, UdPhase::Down))
-                .fold(UNREACHABLE, u16::min);
+    /// The row of `target`, one pass per phase over the switches of
+    /// `ud.by_depth()`: down channels lead later in that order, so the
+    /// reverse pass finds each switch's Down cell from finished ones, and
+    /// up channels lead earlier, so the forward pass does the same for Up.
+    fn build_dist(&self, target: NodeId) -> Vec<u16> {
+        let topo = self.topo;
+        let mut cells = vec![UNREACHABLE; 2 * topo.num_switches()];
+        let order = self.ud.by_depth();
+        for &v in order.iter().rev() {
+            if let Some(r) = topo.switch_rank(v) {
+                let down = self.row_of(target, &cells).down(v);
+                cells[cell(r, UdPhase::Down)] = down;
+            }
         }
         for &v in order {
-            d[cell(v, UdPhase::Up)] = topo
-                .out_channels(v)
-                .iter()
-                .filter(|&&c| ud.class(c).is_up())
-                .map(|&c| hop(&d, c, UdPhase::Up))
-                .fold(d[cell(v, UdPhase::Down)], u16::min);
-        }
-        d
-    }
-
-    /// Whether the target is reachable from `v` through down channels
-    /// alone — the Down cell of the target's row is finite.
-    #[inline]
-    fn down_reaches(row: &[u16], v: NodeId) -> bool {
-        row[cell(v, UdPhase::Down)] != UNREACHABLE
-    }
-
-    /// The `n²` down-reachability closure over the (acyclic) down-channel
-    /// digraph, each node's reach the union of its down neighbours'. With
-    /// [`Self::bfs_dist`], the reference the tests hold
-    /// [`Self::build_dist`] and [`Self::down_reaches`] against.
-    #[cfg(test)]
-    fn down_reach(topo: &Topology, ud: &UpDownLabeling) -> Vec<Vec<bool>> {
-        let n = topo.num_nodes();
-        let mut order: Vec<NodeId> = topo.nodes().collect();
-        order.sort_unstable_by_key(|v| (ud.level(*v), *v));
-        let mut reach = vec![vec![false; n]; n];
-        for &u in order.iter().rev() {
-            reach[u.index()][u.index()] = true;
-            for &c in topo.out_channels(u) {
-                if ud.class(c).is_down() {
-                    let w = reach[topo.channel(c).dst.index()].clone();
-                    for (r, x) in reach[u.index()].iter_mut().zip(w) {
-                        *r |= x;
-                    }
-                }
+            if let Some(r) = topo.switch_rank(v) {
+                let up = self.row_of(target, &cells).up(v);
+                cells[cell(r, UdPhase::Up)] = up;
             }
         }
-        reach
+        cells
     }
 
-    /// Reverse BFS over the two-layer (Up/Down) legality graph for one
-    /// target, down moves checked against `down_reach`.
-    #[cfg(test)]
-    fn bfs_dist(
-        topo: &Topology,
-        ud: &UpDownLabeling,
-        down_reach: &[Vec<bool>],
-        target: NodeId,
-    ) -> Vec<u16> {
-        use std::collections::VecDeque;
-        let n = topo.num_nodes();
-        let mut d = vec![UNREACHABLE; 2 * n];
-        let mut q = VecDeque::new();
-        for ph in [UdPhase::Up, UdPhase::Down] {
-            d[cell(target, ph)] = 0;
-            q.push_back((target, ph));
-        }
-        while let Some((v, ph_v)) = q.pop_front() {
-            let dv = d[cell(v, ph_v)];
-            for &c in topo.in_channels(v) {
-                let u = topo.channel(c).src;
-                let preds: &[UdPhase] = if ud.class(c).is_up() {
-                    if ph_v == UdPhase::Up {
-                        &[UdPhase::Up]
-                    } else {
-                        &[]
-                    }
-                } else if ph_v == UdPhase::Down && down_reach[v.index()][target.index()] {
-                    &[UdPhase::Up, UdPhase::Down]
-                } else {
-                    &[]
-                };
-                for &ph_u in preds {
-                    let slot = &mut d[cell(u, ph_u)];
-                    if *slot == UNREACHABLE {
-                        *slot = dv + 1;
-                        q.push_back((u, ph_u));
-                    }
-                }
-            }
-        }
-        d
-    }
-
-    /// The distances for all targets at once — what construction computed
-    /// before rows were built on first use. Kept as the reference the
-    /// tests hold the lazily built rows against.
-    #[cfg(test)]
-    fn build_all_dist(topo: &Topology, ud: &UpDownLabeling) -> Vec<Vec<u16>> {
-        let down_reach = Self::down_reach(topo, ud);
-        topo.nodes()
-            .map(|t| Self::bfs_dist(topo, ud, &down_reach, t))
-            .collect()
-    }
-
-    /// The residual-distance row of `target` (`row[2 * node + phase]`),
-    /// built now if this is the first time it is asked for.
+    /// The residual-distance row of `target`, built now if this is the
+    /// first time it is asked for.
     #[inline]
-    fn row(&self, target: NodeId) -> &[u16] {
-        self.pre.dist.get_or_build(target.index(), || {
-            Self::build_dist(self.topo, self.ud, target)
-        })
+    fn row(&self, target: NodeId) -> Row<'_> {
+        let cells = self
+            .pre
+            .dist
+            .get_or_build(target.index(), || self.build_dist(target));
+        self.row_of(target, cells)
+    }
+
+    /// `cells` read as `target`'s row (the sweep reads the one it fills).
+    fn row_of<'r>(&'r self, target: NodeId, cells: &'r [u16]) -> Row<'r> {
+        Row {
+            router: self,
+            target,
+            cells,
+        }
     }
 
     /// Residual legal distance from `(node, phase)` to `target`.
     pub fn dist(&self, target: NodeId, node: NodeId, phase: UdPhase) -> u16 {
-        self.row(target)[cell(node, phase)]
+        self.row(target).dist(node, phase)
     }
 
     /// Legal `(channel, next phase)` moves from `node` towards `target`.
@@ -259,7 +247,7 @@ impl<'a> UpDownUnicastRouting<'a> {
                     }
                 }
                 ChannelClass::DownTree | ChannelClass::DownCross => {
-                    if Self::down_reaches(row, v) {
+                    if row.down_reaches(v) {
                         out.push((c, UdPhase::Down));
                     }
                 }
@@ -331,14 +319,14 @@ impl RoutingAlgorithm for UpDownUnicastRouting<'_> {
                     }
                 }
                 ChannelClass::DownTree | ChannelClass::DownCross => {
-                    if Self::down_reaches(row, v) {
+                    if row.down_reaches(v) {
                         UdPhase::Down
                     } else {
                         continue;
                     }
                 }
             };
-            let d = row[cell(v, ph)];
+            let d = row.dist(v, ph);
             if best.is_none_or(|(bd, bc, _)| (d, c) < (bd, bc)) {
                 best = Some((d, c, ph));
             }
@@ -347,6 +335,92 @@ impl RoutingAlgorithm for UpDownUnicastRouting<'_> {
         out.push(ch, next);
         Ok(())
     }
+}
+
+#[cfg(test)]
+impl UpDownUnicastRouting<'_> {
+    /// The `n²` down-reachability closure over the (acyclic) down-channel
+    /// digraph, each node's reach the union of its down neighbours'. With
+    /// [`Self::bfs_dist`], the reference the tests hold
+    /// [`Self::build_dist`] and [`Row::down_reaches`] against.
+    fn down_reach(topo: &Topology, ud: &UpDownLabeling) -> Vec<Vec<bool>> {
+        let n = topo.num_nodes();
+        let mut order: Vec<NodeId> = topo.nodes().collect();
+        order.sort_unstable_by_key(|v| (ud.level(*v), *v));
+        let mut reach = vec![vec![false; n]; n];
+        for &u in order.iter().rev() {
+            reach[u.index()][u.index()] = true;
+            for &c in topo.out_channels(u) {
+                if ud.class(c).is_down() {
+                    let w = reach[topo.channel(c).dst.index()].clone();
+                    for (r, x) in reach[u.index()].iter_mut().zip(w) {
+                        *r |= x;
+                    }
+                }
+            }
+        }
+        reach
+    }
+
+    /// Reverse BFS over the two-layer (Up/Down) legality graph for one
+    /// target, down moves checked against `down_reach`, indexed by
+    /// [`state`].
+    fn bfs_dist(
+        topo: &Topology,
+        ud: &UpDownLabeling,
+        down_reach: &[Vec<bool>],
+        target: NodeId,
+    ) -> Vec<u16> {
+        use std::collections::VecDeque;
+        let n = topo.num_nodes();
+        let mut d = vec![UNREACHABLE; 2 * n];
+        let mut q = VecDeque::new();
+        for ph in [UdPhase::Up, UdPhase::Down] {
+            d[state(target, ph)] = 0;
+            q.push_back((target, ph));
+        }
+        while let Some((v, ph_v)) = q.pop_front() {
+            let dv = d[state(v, ph_v)];
+            for &c in topo.in_channels(v) {
+                let u = topo.channel(c).src;
+                let preds: &[UdPhase] = if ud.class(c).is_up() {
+                    if ph_v == UdPhase::Up {
+                        &[UdPhase::Up]
+                    } else {
+                        &[]
+                    }
+                } else if ph_v == UdPhase::Down && down_reach[v.index()][target.index()] {
+                    &[UdPhase::Up, UdPhase::Down]
+                } else {
+                    &[]
+                };
+                for &ph_u in preds {
+                    let slot = &mut d[state(u, ph_u)];
+                    if *slot == UNREACHABLE {
+                        *slot = dv + 1;
+                        q.push_back((u, ph_u));
+                    }
+                }
+            }
+        }
+        d
+    }
+
+    /// The distances for all targets at once — what construction computed
+    /// before rows were built on first use. Kept as the reference the
+    /// tests hold the lazily built rows against.
+    fn build_all_dist(topo: &Topology, ud: &UpDownLabeling) -> Vec<Vec<u16>> {
+        let down_reach = Self::down_reach(topo, ud);
+        topo.nodes()
+            .map(|t| Self::bfs_dist(topo, ud, &down_reach, t))
+            .collect()
+    }
+}
+
+/// Index of `(node, phase)` in a reference row of every node and phase.
+#[cfg(test)]
+fn state(v: NodeId, ph: UdPhase) -> usize {
+    2 * v.index() + (ph == UdPhase::Down) as usize
 }
 
 #[cfg(test)]
@@ -382,19 +456,31 @@ mod tests {
             .unwrap_or(16)
     }
 
-    /// Every cell of every target's lazily built row against the reverse
-    /// BFS over the down-reachability closure, and every down move's
-    /// legality against that closure.
+    /// `dist` for every (node, phase) of `row` — stored switch cells and
+    /// derived processor cells alike — against `reference`, indexed by
+    /// [`state`].
+    fn assert_row_is(row: Row<'_>, t: &Topology, reference: &[u16]) {
+        for v in t.nodes() {
+            for ph in [UdPhase::Up, UdPhase::Down] {
+                let want = reference[state(v, ph)];
+                assert_eq!(row.dist(v, ph), want, "({v}, {ph:?}) -> {}", row.target);
+            }
+        }
+    }
+
+    /// Every (target, node, phase) of the lazily built rows against the
+    /// reverse BFS over the down-reachability closure, and every down
+    /// move's legality against that closure.
     fn assert_rows_equal_the_bfs(t: &Topology, ud: &UpDownLabeling) {
         let down_reach = UpDownUnicastRouting::down_reach(t, ud);
         let router = UpDownUnicastRouting::new(t, ud);
         for target in t.nodes() {
             let bfs = UpDownUnicastRouting::bfs_dist(t, ud, &down_reach, target);
             let row = router.row(target);
-            assert_eq!(row, &bfs[..], "row {target}");
+            assert_row_is(row, t, &bfs);
             for v in t.nodes() {
                 let reach = down_reach[v.index()][target.index()];
-                assert_eq!(UpDownUnicastRouting::down_reaches(row, v), reach);
+                assert_eq!(row.down_reaches(v), reach);
             }
         }
     }
@@ -491,31 +577,39 @@ mod tests {
 
     #[test]
     fn lazy_rows_equal_the_all_targets_reference() {
-        for (seed, switches) in [(1, 16), (2, 23), (3, 32)] {
+        // Figure 1's processor ids sit between switch ids, so a switch's
+        // rank is not its id.
+        let (fig, l) = figure1();
+        let root = RootSelection::Fixed(l.by_label(1).unwrap());
+        let lattices = [(1, 16), (2, 23), (3, 32)].map(|(seed, switches)| {
             let t = IrregularConfig::with_switches(switches).generate(seed);
-            let ud = UpDownLabeling::build(&t, RootSelection::LowestId);
+            (t, RootSelection::LowestId)
+        });
+        for (t, root) in std::iter::once((fig, root)).chain(lattices) {
+            let ud = UpDownLabeling::build(&t, root);
             let reference = UpDownUnicastRouting::build_all_dist(&t, &ud);
             let router = UpDownUnicastRouting::new(&t, &ud);
             let idle = router.precomp().approx_bytes();
             // A second router over the detached state shares the rows
             // the first one builds.
             let attached = UpDownUnicastRouting::with_precomp(&t, &ud, router.precomp());
-            let n = t.num_nodes();
+            let (n, switches) = (t.num_nodes(), t.num_switches());
             // Odd targets through one router, even through the other.
             for i in (1..n).step_by(2).chain((0..n).step_by(2)) {
                 let asked = if i % 2 == 1 { &router } else { &attached };
-                assert_eq!(asked.row(NodeId(i as u32)), &reference[i][..], "row {i}");
+                assert_row_is(asked.row(NodeId(i as u32)), &t, &reference[i]);
             }
-            for (i, row) in reference.iter().enumerate() {
+            for (i, reference) in reference.iter().enumerate() {
                 let target = NodeId(i as u32);
-                assert_eq!(router.row(target).as_ptr(), attached.row(target).as_ptr());
-                for u in t.nodes() {
-                    for ph in [UdPhase::Up, UdPhase::Down] {
-                        assert_eq!(router.dist(target, u, ph), row[cell(u, ph)]);
-                    }
-                }
+                let row = router.row(target);
+                assert_eq!(row.cells.as_ptr(), attached.row(target).cells.as_ptr());
+                assert_row_is(row, &t, reference);
             }
-            assert_eq!(attached.precomp().approx_bytes(), idle + n * 2 * n * 2);
+            // Two cells of two bytes per switch and target.
+            assert_eq!(
+                attached.precomp().approx_bytes(),
+                idle + n * 2 * switches * 2
+            );
         }
     }
 

@@ -1,6 +1,6 @@
 //! The SPAM routing algorithm as a [`wormsim::RoutingAlgorithm`].
 
-use crate::tables::{Phase, RoutingTables, UNREACHABLE};
+use crate::tables::{Phase, RoutingTables, Row, UNREACHABLE};
 use netgraph::{ChannelId, NodeId, Topology};
 use spam_collections::InlineVec;
 use std::sync::Arc;
@@ -126,7 +126,9 @@ impl<'a> SpamRouting<'a> {
     /// first question about a `target` builds its row.
     #[inline]
     pub fn dist(&self, target: NodeId, node: NodeId, phase: Phase) -> u16 {
-        self.tables.dist(self.ud, target, node, phase)
+        self.tables
+            .row(self.topo, self.ud, target)
+            .dist(node, phase)
     }
 
     /// All SPAM-legal `(channel, successor phase)` moves from `node` in
@@ -135,7 +137,7 @@ impl<'a> SpamRouting<'a> {
     /// hot path writes the same set into reused scratch storage instead.
     ///
     /// Rule 2 reads `target`'s distance row, so the first question about a
-    /// `target` builds it: `6 · nodes` bytes, kept with the tables for
+    /// `target` builds it: `4 · switches` bytes, kept with the tables for
     /// their lifetime. A sweep over every target makes every row resident.
     pub fn legal_moves(
         &self,
@@ -144,7 +146,7 @@ impl<'a> SpamRouting<'a> {
         target: NodeId,
     ) -> Vec<(ChannelId, Phase)> {
         let mut out = InlineVec::new();
-        let row = self.tables.row(self.ud, target);
+        let row = self.tables.row(self.topo, self.ud, target);
         self.legal_moves_into(node, phase, target, row, &mut out);
         out.to_vec()
     }
@@ -159,7 +161,7 @@ impl<'a> SpamRouting<'a> {
         node: NodeId,
         phase: Phase,
         target: NodeId,
-        row: &[u16],
+        row: Row<'_>,
         out: &mut InlineVec<(ChannelId, Phase), 8>,
     ) {
         out.clear();
@@ -171,7 +173,7 @@ impl<'a> SpamRouting<'a> {
                 // endpoint an extended ancestor of the target — which is
                 // what a finite DownCross cell of the target's row says.
                 (ChannelClass::DownCross, Phase::Up | Phase::DownCross)
-                    if row[RoutingTables::cell(m.dst, Phase::DownCross)] != UNREACHABLE =>
+                    if row.dist(m.dst, Phase::DownCross) != UNREACHABLE =>
                 {
                     Some(Phase::DownCross)
                 }
@@ -198,18 +200,19 @@ impl<'a> SpamRouting<'a> {
     fn select(
         &self,
         legal: &[(ChannelId, Phase)],
-        row: &[u16],
+        row: Row<'_>,
         node: NodeId,
         tag: u64,
     ) -> (ChannelId, Phase) {
         match self.policy {
-            // Each candidate costs one indexed load.
+            // Each candidate costs one row cell (a switch rank and a
+            // load) or, moving down the tree, a level difference.
             SelectionPolicy::MinResidualDistance => legal
                 .iter()
                 .copied()
                 .min_by_key(|&(c, ph)| {
                     let v = self.topo.channel(c).dst;
-                    (row[RoutingTables::cell(v, ph)], c)
+                    (row.dist(v, ph), c)
                 })
                 .expect("legal set is non-empty"),
             SelectionPolicy::FirstLegal => legal
@@ -365,7 +368,7 @@ impl RoutingAlgorithm for SpamRouting<'_> {
         }
         // Unicast stage towards the LCA, whose row the legality filter and
         // the selection both read.
-        let row = self.tables.row(self.ud, header.lca);
+        let row = self.tables.row(self.topo, self.ud, header.lca);
         self.legal_moves_into(node, header.phase, header.lca, row, &mut scratch.legal);
         if scratch.legal.is_empty() {
             return Err(RouteError::NoLegalMove {
@@ -375,7 +378,7 @@ impl RoutingAlgorithm for SpamRouting<'_> {
         }
         let (ch, next_phase) = self.select(scratch.legal.as_slice(), row, node, spec.tag);
         debug_assert_ne!(
-            row[RoutingTables::cell(self.topo.channel(ch).dst, next_phase)],
+            row.dist(self.topo.channel(ch).dst, next_phase),
             UNREACHABLE,
             "selected a dead-end channel"
         );
@@ -543,7 +546,7 @@ mod tests {
         let spam = SpamRouting::new(&t, &ud);
         let by = |x: u32| l.by_label(x).unwrap();
         let legal = spam.legal_moves(by(2), Phase::Up, by(4));
-        let row = spam.tables.row(&ud, by(4));
+        let row = spam.tables.row(&t, &ud, by(4));
         let (ch, ph) = spam.select(&legal, row, by(2), 0);
         assert_eq!(t.channel(ch).dst, by(4), "direct down tree hop wins");
         assert_eq!(ph, Phase::DownTree);

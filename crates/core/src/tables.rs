@@ -21,18 +21,28 @@
 //! A run only ever asks for the rows of the targets its messages aim at
 //! (one LCA per multicast), so nothing per target is computed at
 //! construction. [`RoutingTables::build`] gathers the O(channels) per-node
-//! move records, dead channels left out; the row of target `t`, `3 · nodes`
-//! cells, is built the first time a distance to `t` is asked for and
-//! shared from then on (across threads, runs and cache hits: the tables
-//! sit behind an `Arc`). The layered graph is acyclic in the labeling's
-//! `(level, id)` order ([`UpDownLabeling::by_depth`]) — up channels lead
-//! earlier in it, down channels later, and phases only advance — so a row
-//! is two sweeps over that order, each reading every alive move once: in
-//! reverse for DownTree and DownCross, forward for Up. The row is the
-//! only allocation. The per-hop routing decision resolves its LCA's row
-//! once and then reads one cell per candidate channel. A fabric whose
-//! every row is resident holds `6 · nodes²` bytes (1.5 MB at 512 nodes,
-//! 25 MB at 2048); one that carried a single multicast holds one row.
+//! move records, dead channels left out; the row of target `t` is built
+//! the first time a distance to `t` is asked for and shared from then on
+//! (across threads, runs and cache hits: the tables sit behind an `Arc`).
+//!
+//! A row keeps only the cells routing decides by: the Up and DownCross
+//! cells of each switch, `2 · switches` cells indexed by
+//! [`Topology::switch_rank`]. Every other cell is derived where it is
+//! read. A DownTree move is legal exactly when its endpoint is a tree
+//! ancestor of the target (rule 3), so a DownTree cell is the level
+//! difference to the target or [`UNREACHABLE`]. A processor is a leaf
+//! where routing never decides: its cells follow from its one link, when
+//! the link is alive, and its switch's cells.
+//!
+//! The layered graph is acyclic in the labeling's `(level, id)` order
+//! ([`UpDownLabeling::by_depth`]) — up channels lead earlier in it, down
+//! channels later, and phases only advance — so a row is two sweeps over
+//! the switches in that order: in reverse for DownCross, forward for Up.
+//! The row is the only allocation. The per-hop routing decision resolves
+//! its LCA's row once and then reads one cell per candidate channel. A
+//! fabric whose every row is resident holds `4 · nodes · switches` bytes
+//! (0.5 MB at 256 switches, 8 MB at 1024); one that carried a single
+//! multicast holds one row.
 
 use netgraph::{ChannelId, NodeId, Topology};
 use updown::{ChannelClass, LazyRows, UpDownLabeling};
@@ -52,15 +62,16 @@ pub enum Phase {
 impl Phase {
     /// All phases, in constraint order.
     pub const ALL: [Phase; 3] = [Phase::Up, Phase::DownCross, Phase::DownTree];
-
-    #[inline]
-    fn idx(self) -> usize {
-        self as usize
-    }
 }
 
 /// Sentinel for "no SPAM-legal completion exists from this state".
 pub const UNREACHABLE: u16 = u16::MAX;
+
+/// One hop further than a cell; `UNREACHABLE` saturates to itself.
+#[inline]
+fn hop(x: u16) -> u16 {
+    x.saturating_add(1)
+}
 
 /// One precomputed outgoing move of a node: the channel, its endpoint, and
 /// its up*/down* class — everything the per-hop legality check needs,
@@ -81,12 +92,13 @@ pub struct NodeMove {
 /// each target's row built on first use — plus the per-node legal-channel
 /// slices gathered at build time.
 ///
-/// The tables do not borrow the labeling they were built over; the router
-/// that owns that borrow ([`crate::SpamRouting`]) passes it back in
-/// whenever a row may have to be filled, for its `(level, id)` order.
+/// The tables do not borrow the topology and labeling they were built
+/// over; the router that owns those borrows ([`crate::SpamRouting`])
+/// passes them back in whenever a row is read, for switch ranks, levels,
+/// ancestry and the `(level, id)` order.
 #[derive(Debug)]
 pub struct RoutingTables {
-    /// `rows[target][3 * node + phase]`.
+    /// `rows[target][2 * switch_rank + phase]`, Up and DownCross only.
     rows: LazyRows,
     /// Flat per-node move records (masked-out channels excluded), in
     /// topology channel order; sliced by `move_bounds`.
@@ -105,10 +117,17 @@ impl RoutingTables {
     /// `mask` — the live-reconfiguration case, where routing runs on the
     /// base topology but must never count a dead channel as a legal (or
     /// distance-reducing) move. Gathers the alive channels' move records;
-    /// no distance row is built here.
+    /// no distance row is built here. Every tree edge of `ud` must be
+    /// alive, as rule 3 assumes (a labeling from
+    /// [`UpDownLabeling::relabel_after`] over the same faults is).
     pub fn build_masked(topo: &Topology, ud: &UpDownLabeling, mask: Option<&[bool]>) -> Self {
         if let Some(m) = mask {
             assert_eq!(m.len(), topo.num_channels(), "mask covers every channel");
+            debug_assert!(
+                topo.channel_ids()
+                    .all(|c| ud.class(c) != ChannelClass::DownTree || m[c.index()]),
+                "a tree edge of the labeling is dead"
+            );
         }
         let n = topo.num_nodes();
         let mut moves = Vec::with_capacity(topo.num_channels());
@@ -143,32 +162,20 @@ impl RoutingTables {
         &self.moves[lo..hi]
     }
 
-    /// The residual-distance row of `target` (`row[3 * node + phase]`),
-    /// built now if this is the first time it is asked for. `ud` must be
-    /// the labeling the tables were built over.
+    /// The residual-distance row of `target`, built now if this is the
+    /// first time it is asked for. `topo` and `ud` must be the topology
+    /// and labeling the tables were built over.
     #[inline]
-    pub(crate) fn row(&self, ud: &UpDownLabeling, target: NodeId) -> &[u16] {
-        self.rows
-            .get_or_build(target.index(), || self.build_for_target(ud, target))
-    }
-
-    /// Residual SPAM-legal distance from `(node, phase)` to `target`, in
-    /// channels; [`UNREACHABLE`] when no legal completion exists.
-    #[inline]
-    pub(crate) fn dist(
-        &self,
-        ud: &UpDownLabeling,
+    pub(crate) fn row<'a>(
+        &'a self,
+        topo: &'a Topology,
+        ud: &'a UpDownLabeling,
         target: NodeId,
-        node: NodeId,
-        phase: Phase,
-    ) -> u16 {
-        self.row(ud, target)[Self::cell(node, phase)]
-    }
-
-    /// Index of `(node, phase)` within a target's row.
-    #[inline]
-    pub(crate) fn cell(node: NodeId, phase: Phase) -> usize {
-        3 * node.index() + phase.idx()
+    ) -> Row<'a> {
+        let cells = self
+            .rows
+            .get_or_build(target.index(), || self.build_for_target(topo, ud, target));
+        self.view(topo, ud, target, cells)
     }
 
     /// Number of nodes covered.
@@ -185,60 +192,132 @@ impl RoutingTables {
             + self.move_bounds.len() * 4
     }
 
-    /// The row of `target`, one pass per phase over `ud.by_depth()`.
+    /// The row of `target`: its switches' DownCross cells in a reverse
+    /// pass over `ud.by_depth()`, then their Up cells in a forward pass.
     ///
     /// Down channels lead later in that `(level, id)` order and up
     /// channels earlier, and only up channels keep a worm in the Up
-    /// phase. So a node's DownTree and DownCross cells depend only on
-    /// cells of nodes after it, final when the reverse pass reaches it,
-    /// and its Up cell only on its own DownCross cell and the Up cells of
-    /// nodes before it, final in the forward pass. A DownTree cell is
-    /// finite only along the target's parent chain, where it is
-    /// `level(t) − level(v)`; a DownCross cell is finite exactly on the
-    /// target's extended ancestors (Definition 1), which is how rule 2 is
-    /// answered, so neither rule's relation is searched.
-    fn build_for_target(&self, ud: &UpDownLabeling, target: NodeId) -> Vec<u16> {
-        let cell = Self::cell;
-        let mut d = vec![UNREACHABLE; 3 * self.num_nodes()];
-        for ph in Phase::ALL {
-            d[cell(target, ph)] = 0;
-        }
-        // One hop further than a cell; `UNREACHABLE` saturates to itself.
-        let hop = |x: u16| x.saturating_add(1);
+    /// phase. So a node's DownCross cell depends only on DownCross cells
+    /// of nodes after it, final when the reverse pass reaches it, and its
+    /// Up cell only on its own DownCross cell and the Up cells of nodes
+    /// before it, final in the forward pass. A DownCross cell is finite
+    /// exactly on the target's extended ancestors (Definition 1), which is
+    /// how rule 2 is answered, so neither rule's relation is searched.
+    fn build_for_target(&self, topo: &Topology, ud: &UpDownLabeling, target: NodeId) -> Vec<u16> {
+        let mut cells = vec![UNREACHABLE; 2 * topo.num_switches()];
         let order = ud.by_depth();
-        for &v in order.iter().rev().filter(|&&v| v != target) {
-            let (mut tree, mut cross) = (UNREACHABLE, UNREACHABLE);
-            for m in self.moves(v) {
-                match m.class {
-                    ChannelClass::DownTree => {
-                        tree = tree.min(hop(d[cell(m.dst, Phase::DownTree)]));
-                    }
-                    ChannelClass::DownCross => {
-                        cross = cross.min(hop(d[cell(m.dst, Phase::DownCross)]));
-                    }
-                    ChannelClass::UpTree | ChannelClass::UpCross => {}
-                }
+        for &v in order.iter().rev() {
+            if let Some(r) = topo.switch_rank(v) {
+                let cross = self.view(topo, ud, target, &cells).down_cross(v);
+                cells[2 * r + Phase::DownCross as usize] = cross;
             }
-            debug_assert!(tree == UNREACHABLE || ud.is_ancestor(v, target));
-            d[cell(v, Phase::DownTree)] = tree;
-            d[cell(v, Phase::DownCross)] = tree.min(cross);
         }
         for &v in order {
-            d[cell(v, Phase::Up)] = self
-                .moves(v)
-                .iter()
-                .filter(|m| m.class.is_up())
-                .map(|m| hop(d[cell(m.dst, Phase::Up)]))
-                .fold(d[cell(v, Phase::DownCross)], u16::min);
+            if let Some(r) = topo.switch_rank(v) {
+                let up = self.view(topo, ud, target, &cells).up(v);
+                cells[2 * r + Phase::Up as usize] = up;
+            }
         }
-        d
+        cells
     }
 
+    /// `cells` read as `target`'s row (the sweep reads the one it fills).
+    #[inline]
+    fn view<'a>(
+        &'a self,
+        topo: &'a Topology,
+        ud: &'a UpDownLabeling,
+        target: NodeId,
+        cells: &'a [u16],
+    ) -> Row<'a> {
+        Row {
+            tables: self,
+            topo,
+            ud,
+            target,
+            cells,
+        }
+    }
+}
+
+/// One target's distance row, resolved: the stored switch cells and
+/// what the other cells are derived from. [`Self::dist`] is a switch rank
+/// and one load for a switch's Up or DownCross cell.
+#[derive(Clone, Copy)]
+pub(crate) struct Row<'a> {
+    tables: &'a RoutingTables,
+    topo: &'a Topology,
+    ud: &'a UpDownLabeling,
+    target: NodeId,
+    cells: &'a [u16],
+}
+
+impl Row<'_> {
+    /// Residual SPAM-legal distance from `(node, phase)` to the target,
+    /// in channels; [`UNREACHABLE`] when no legal completion exists.
+    #[inline]
+    pub(crate) fn dist(&self, node: NodeId, phase: Phase) -> u16 {
+        match (phase, self.topo.switch_rank(node)) {
+            (Phase::DownTree, _) => self.down_tree(node),
+            (_, Some(r)) => self.cells[2 * r + phase as usize],
+            _ => self.processor_dist(node, phase),
+        }
+    }
+
+    /// A processor's Up or DownCross cell, from its one link. Routing
+    /// never decides at a processor, and the moves it weighs lead to
+    /// switches (or down the tree), so this stays out of line and
+    /// [`Self::dist`] inlines into the sweep and the per-hop decision.
+    #[cold]
+    #[inline(never)]
+    fn processor_dist(&self, p: NodeId, phase: Phase) -> u16 {
+        match phase {
+            Phase::Up => self.up(p),
+            _ => self.down_cross(p),
+        }
+    }
+
+    /// Only down tree hops remain, each to an ancestor of the target
+    /// (rule 3), and every tree edge is alive: the level difference when
+    /// `v` is an ancestor of the target, else no route.
+    #[inline]
+    fn down_tree(&self, v: NodeId) -> u16 {
+        if self.ud.is_ancestor(v, self.target) {
+            (self.ud.level(self.target) - self.ud.level(v)) as u16
+        } else {
+            UNREACHABLE
+        }
+    }
+
+    /// Down cross hops, then down tree hops: the DownCross cell of `v`
+    /// from the cells of the nodes its down cross moves lead to.
+    fn down_cross(&self, v: NodeId) -> u16 {
+        self.tables
+            .moves(v)
+            .iter()
+            .filter(|m| m.class == ChannelClass::DownCross)
+            .map(|m| hop(self.dist(m.dst, Phase::DownCross)))
+            .fold(self.down_tree(v), u16::min)
+    }
+
+    /// Up hops, then a turn down: the Up cell of `v` from its own
+    /// DownCross cell and the cells of the nodes its up moves lead to.
+    fn up(&self, v: NodeId) -> u16 {
+        self.tables
+            .moves(v)
+            .iter()
+            .filter(|m| m.class.is_up())
+            .map(|m| hop(self.dist(m.dst, Phase::Up)))
+            .fold(self.dist(v, Phase::DownCross), u16::min)
+    }
+}
+
+#[cfg(test)]
+impl RoutingTables {
     /// Reverse BFS over the phase-layered graph from `(target, *)`, each
     /// incoming channel's legality re-derived from Definition 1 (`ext`
-    /// from [`extended_ancestors_ref`]): the reference the tests hold
-    /// [`Self::build_for_target`] against.
-    #[cfg(test)]
+    /// from [`extended_ancestors_ref`]), indexed by [`state`]: the
+    /// reference the tests hold every cell of a row against.
     fn bfs_for_target(
         topo: &Topology,
         ud: &UpDownLabeling,
@@ -252,11 +331,11 @@ impl RoutingTables {
         let mut q = VecDeque::new();
         for ph in Phase::ALL {
             // Arriving at the target in any phase terminates the route.
-            d[3 * target.index() + ph.idx()] = 0;
+            d[state(target, ph)] = 0;
             q.push_back((target, ph));
         }
         while let Some((v, ph_v)) = q.pop_front() {
-            let dv = d[3 * v.index() + ph_v.idx()];
+            let dv = d[state(v, ph_v)];
             // Find predecessor states (u, ph_u) with a legal edge into
             // (v, ph_v); legality depends on the *edge*, so enumerate v's
             // incoming channels and check which phases could have used them.
@@ -294,7 +373,7 @@ impl RoutingTables {
                     }
                 };
                 for &ph_u in preds {
-                    let slot = &mut d[3 * u.index() + ph_u.idx()];
+                    let slot = &mut d[state(u, ph_u)];
                     if *slot == UNREACHABLE {
                         *slot = dv + 1;
                         q.push_back((u, ph_u));
@@ -308,7 +387,6 @@ impl RoutingTables {
     /// The table for all targets at once — what construction computed
     /// before rows were built on first use. Kept as the reference the
     /// tests hold the lazily built rows against.
-    #[cfg(test)]
     fn build_all_targets(
         topo: &Topology,
         ud: &UpDownLabeling,
@@ -319,6 +397,12 @@ impl RoutingTables {
             .map(|t| Self::bfs_for_target(topo, ud, &ext, t, mask))
             .collect()
     }
+}
+
+/// Index of `(node, phase)` in a reference row of every node and phase.
+#[cfg(test)]
+fn state(v: NodeId, ph: Phase) -> usize {
+    3 * v.index() + ph as usize
 }
 
 /// Definition 1 by graph walks, independent of the rows: `ext[u][v]` ⇔ `u`
@@ -403,13 +487,18 @@ mod tests {
         (next, view.alive_channel_mask())
     }
 
-    /// Pristine and damaged `(topology, labeling, mask)` cases over
-    /// random 16–32-switch lattices.
+    /// Pristine and damaged `(topology, labeling, mask)` cases: Figure 1,
+    /// whose processor ids sit between switch ids (so a switch's rank is
+    /// not its id), and random 16–32-switch lattices.
     fn fabrics() -> Vec<(Topology, UpDownLabeling, Option<Vec<bool>>)> {
-        let mut out = Vec::new();
-        for (seed, switches) in [(1, 16), (2, 21), (3, 27), (4, 32)] {
+        let (fig, _, fig_ud) = fig1();
+        let lattices = [(1, 16), (2, 21), (3, 27), (4, 32)].map(|(seed, switches)| {
             let t = IrregularConfig::with_switches(switches).generate(seed);
             let ud = UpDownLabeling::build(&t, RootSelection::LowestId);
+            (t, ud)
+        });
+        let mut out = Vec::new();
+        for (t, ud) in std::iter::once((fig, fig_ud)).chain(lattices) {
             let (next, mask) = damaged_epoch(&t, &ud, 5);
             out.push((t.clone(), ud, None));
             out.push((t, next, Some(mask)));
@@ -440,14 +529,26 @@ mod tests {
             .unwrap_or(16)
     }
 
-    /// Every cell of every target's lazily built row against the reverse
-    /// BFS.
+    /// `dist` for every (node, phase) of `target`'s row — stored, derived
+    /// and processor cells alike — against `reference`, indexed by
+    /// [`state`].
+    fn assert_row_is(row: Row<'_>, t: &Topology, reference: &[u16]) {
+        for v in t.nodes() {
+            for ph in Phase::ALL {
+                let want = reference[state(v, ph)];
+                assert_eq!(row.dist(v, ph), want, "({v}, {ph:?}) -> {}", row.target);
+            }
+        }
+    }
+
+    /// Every (target, node, phase) of the lazily built rows against the
+    /// reverse BFS.
     fn assert_rows_equal_the_bfs(t: &Topology, ud: &UpDownLabeling, mask: Option<&[bool]>) {
         let tb = RoutingTables::build_masked(t, ud, mask);
         let ext = extended_ancestors_ref(t, ud, mask);
         for target in t.nodes() {
             let bfs = RoutingTables::bfs_for_target(t, ud, &ext, target, mask);
-            assert_eq!(tb.row(ud, target), &bfs[..], "row {target}");
+            assert_row_is(tb.row(t, ud, target), t, &bfs);
         }
     }
 
@@ -542,7 +643,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-        /// Every cell of every row against the reverse BFS.
+        /// Every (target, node, phase) against the reverse BFS.
         #[test]
         fn swept_rows_equal_the_reverse_bfs(
             switches in 16usize..=64,
@@ -576,23 +677,18 @@ mod tests {
             let idle = tb.approx_bytes();
             // Ask out of row order (odd targets, then even), every third
             // target twice.
-            let n = t.num_nodes();
+            let (n, switches) = (t.num_nodes(), t.num_switches());
             let order = (1..n).step_by(2).chain((0..n).step_by(2));
             for (asked, i) in order.enumerate() {
                 let target = NodeId(i as u32);
-                assert_eq!(tb.row(&ud, target), &reference[i][..], "row {i}");
+                assert_row_is(tb.row(&t, &ud, target), &t, &reference[i]);
                 if i % 3 == 0 {
-                    assert_eq!(tb.row(&ud, target), &reference[i][..]);
+                    assert_row_is(tb.row(&t, &ud, target), &t, &reference[i]);
                 }
                 assert_eq!(tb.rows.resident(), asked + 1, "one row per new target");
             }
-            for u in t.nodes() {
-                for ph in Phase::ALL {
-                    let cell = reference[n - 1][RoutingTables::cell(u, ph)];
-                    assert_eq!(tb.dist(&ud, NodeId(n as u32 - 1), u, ph), cell);
-                }
-            }
-            assert_eq!(tb.approx_bytes(), idle + n * 3 * n * 2);
+            // Two cells of two bytes per switch and target.
+            assert_eq!(tb.approx_bytes(), idle + n * 2 * switches * 2);
         }
     }
 
@@ -610,19 +706,19 @@ mod tests {
                 None => SpamRouting::new(&t, &ud),
             };
             let states = 3 * t.num_nodes();
+            let state_of = |c: ChannelId, ph| state(t.channel(c).dst, ph);
             for target in t.nodes() {
                 let mut succ: Vec<Vec<usize>> = Vec::with_capacity(states);
                 for v in t.nodes() {
                     for ph in Phase::ALL {
                         let moves = spam.legal_moves(v, ph, target);
-                        let next = |&(c, nph)| RoutingTables::cell(t.channel(c).dst, nph);
-                        succ.push(moves.iter().map(next).collect());
+                        succ.push(moves.iter().map(|&(c, nph)| state_of(c, nph)).collect());
                     }
                 }
                 for v in t.nodes() {
                     for ph in Phase::ALL {
                         let mut depth = vec![UNREACHABLE; states];
-                        let mut queue = VecDeque::from([RoutingTables::cell(v, ph)]);
+                        let mut queue = VecDeque::from([state(v, ph)]);
                         depth[queue[0]] = 0;
                         let mut found = UNREACHABLE;
                         while let Some(s) = queue.pop_front() {
@@ -662,14 +758,14 @@ mod tests {
         let seen: Vec<Vec<(usize, usize)>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..THREADS)
                 .map(|i| {
-                    let (ud, tb, reference, barrier) = (&ud, &tb, &reference, &barrier);
+                    let (t, ud, tb, reference, barrier) = (&t, &ud, &tb, &reference, &barrier);
                     s.spawn(move || {
                         barrier.wait();
                         (i..i + n / 2)
                             .map(|k| {
-                                let row = tb.row(ud, NodeId(k as u32));
-                                assert_eq!(row, &reference[k][..], "row {k}");
-                                (k, row.as_ptr() as usize)
+                                let row = tb.row(t, ud, NodeId(k as u32));
+                                assert_row_is(row, t, &reference[k]);
+                                (k, row.cells.as_ptr() as usize)
                             })
                             .collect()
                     })
@@ -681,8 +777,12 @@ mod tests {
                 .collect()
         });
         for &(k, ptr) in seen.iter().flatten() {
-            let row = tb.row(&ud, NodeId(k as u32));
-            assert_eq!(ptr, row.as_ptr() as usize, "row {k} was allocated twice");
+            let row = tb.row(&t, &ud, NodeId(k as u32));
+            assert_eq!(
+                ptr,
+                row.cells.as_ptr() as usize,
+                "row {k} was allocated twice"
+            );
         }
         assert_eq!(tb.rows.resident(), n / 2 + THREADS - 1);
     }
@@ -700,43 +800,43 @@ mod tests {
     #[test]
     fn distance_zero_at_target_any_phase() {
         let (t, l, ud) = fig1();
-        let tb = RoutingTables::build(&t, &ud);
+        let spam = SpamRouting::new(&t, &ud);
         let four = l.by_label(4).unwrap();
         for ph in Phase::ALL {
-            assert_eq!(tb.dist(&ud, four, four, ph), 0);
+            assert_eq!(spam.dist(four, four, ph), 0);
         }
     }
 
     #[test]
     fn figure1_distances_to_lca4() {
         let (t, l, ud) = fig1();
-        let tb = RoutingTables::build(&t, &ud);
+        let spam = SpamRouting::new(&t, &ud);
         let by = |x: u32| l.by_label(x).unwrap();
         let lca = by(4);
         // From node 2 in Up phase: down tree channel (2,4) directly.
-        assert_eq!(tb.dist(&ud, lca, by(2), Phase::Up), 1);
+        assert_eq!(spam.dist(lca, by(2), Phase::Up), 1);
         // From node 3 in DownCross phase: the cross channel (3,4).
-        assert_eq!(tb.dist(&ud, lca, by(3), Phase::DownCross), 1);
+        assert_eq!(spam.dist(lca, by(3), Phase::DownCross), 1);
         // From the source processor 5: 5 -> 2 (up) -> 4 (down tree) = 2.
-        assert_eq!(tb.dist(&ud, lca, by(5), Phase::Up), 2);
+        assert_eq!(spam.dist(lca, by(5), Phase::Up), 2);
         // From node 6 in DownTree phase the LCA is unreachable (no up moves
         // allowed, 6 is below 4).
-        assert_eq!(tb.dist(&ud, lca, by(6), Phase::DownTree), UNREACHABLE);
+        assert_eq!(spam.dist(lca, by(6), Phase::DownTree), UNREACHABLE);
         // But in Up phase node 6 can climb: 6 -> 4 = 1 hop up... up channel
         // (6,4) ends at the target.
-        assert_eq!(tb.dist(&ud, lca, by(6), Phase::Up), 1);
+        assert_eq!(spam.dist(lca, by(6), Phase::Up), 1);
     }
 
     #[test]
     fn downtree_phase_distance_is_tree_depth_difference() {
         let (t, l, ud) = fig1();
-        let tb = RoutingTables::build(&t, &ud);
+        let spam = SpamRouting::new(&t, &ud);
         let by = |x: u32| l.by_label(x).unwrap();
         // 4 -> 6 -> 8 strictly down tree.
-        assert_eq!(tb.dist(&ud, by(8), by(4), Phase::DownTree), 2);
-        assert_eq!(tb.dist(&ud, by(8), by(6), Phase::DownTree), 1);
+        assert_eq!(spam.dist(by(8), by(4), Phase::DownTree), 2);
+        assert_eq!(spam.dist(by(8), by(6), Phase::DownTree), 1);
         // Sibling subtree is unreachable once in DownTree phase.
-        assert_eq!(tb.dist(&ud, by(11), by(6), Phase::DownTree), UNREACHABLE);
+        assert_eq!(spam.dist(by(11), by(6), Phase::DownTree), UNREACHABLE);
     }
 
     #[test]
@@ -745,11 +845,11 @@ mod tests {
         // (climb to the root, descend the tree) — the routing-function
         // totality that underlies delivery guarantees.
         let (t, _, ud) = fig1();
-        let tb = RoutingTables::build(&t, &ud);
+        let spam = SpamRouting::new(&t, &ud);
         for u in t.nodes() {
             for v in t.nodes() {
                 assert_ne!(
-                    tb.dist(&ud, v, u, Phase::Up),
+                    spam.dist(v, u, Phase::Up),
                     UNREACHABLE,
                     "no SPAM route {u} -> {v}"
                 );
@@ -762,10 +862,10 @@ mod tests {
         for seed in 0..5 {
             let t = IrregularConfig::with_switches(24).generate(seed);
             let ud = UpDownLabeling::build(&t, RootSelection::LowestId);
-            let tb = RoutingTables::build(&t, &ud);
+            let spam = SpamRouting::new(&t, &ud);
             for u in t.nodes() {
                 for v in t.nodes() {
-                    assert_ne!(tb.dist(&ud, v, u, Phase::Up), UNREACHABLE);
+                    assert_ne!(spam.dist(v, u, Phase::Up), UNREACHABLE);
                 }
             }
         }
@@ -776,11 +876,11 @@ mod tests {
         // SPAM-legal routes can never be shorter than unconstrained BFS.
         let t = IrregularConfig::with_switches(20).generate(3);
         let ud = UpDownLabeling::build(&t, RootSelection::LowestId);
-        let tb = RoutingTables::build(&t, &ud);
+        let spam = SpamRouting::new(&t, &ud);
         for v in t.nodes() {
             let bfs = netgraph::algo::bfs_distances(&t, v);
             for u in t.nodes() {
-                let d = tb.dist(&ud, v, u, Phase::Up);
+                let d = spam.dist(v, u, Phase::Up);
                 assert!(d as u32 >= bfs[u.index()], "SPAM beat BFS {u}->{v}");
             }
         }
@@ -791,12 +891,12 @@ mod tests {
         // Constructive livelock freedom: from any state at distance k >= 1,
         // some legal move reaches a state at distance k - 1.
         let (t, _, ud) = fig1();
-        let tb = RoutingTables::build(&t, &ud);
+        let spam = SpamRouting::new(&t, &ud);
         let ext = extended_ancestors_ref(&t, &ud, None);
         for target in t.nodes() {
             for u in t.nodes() {
                 for ph in Phase::ALL {
-                    let k = tb.dist(&ud, target, u, ph);
+                    let k = spam.dist(target, u, ph);
                     if k == 0 || k == UNREACHABLE {
                         continue;
                     }
@@ -818,7 +918,7 @@ mod tests {
                             _ => None,
                         };
                         if let Some(nph) = next {
-                            if tb.dist(&ud, target, v, nph) == k - 1 {
+                            if spam.dist(target, v, nph) == k - 1 {
                                 found = true;
                                 break;
                             }

@@ -90,10 +90,14 @@ pub struct Topology {
     out: Vec<ChannelId>,
     /// Incoming channel ids, each node's run sorted by source node id.
     inc: Vec<ChannelId>,
-    /// For each switch, the id of its attached processor (if any).
-    attached_processor: Vec<Option<NodeId>>,
-    /// For each processor, its switch.
-    host_switch: Vec<Option<NodeId>>,
+    /// For each switch, the id of its attached processor (if any); for
+    /// each processor, its switch.
+    peer: Vec<Option<NodeId>>,
+    /// For each switch, how many switches have a smaller id; `None` for
+    /// processors.
+    switch_rank: Vec<Option<u32>>,
+    /// How many nodes are switches.
+    num_switches: usize,
 }
 
 impl Topology {
@@ -109,19 +113,14 @@ impl Topology {
     }
 
     /// Number of switches.
+    #[inline]
     pub fn num_switches(&self) -> usize {
-        self.kinds
-            .iter()
-            .filter(|k| **k == NodeKind::Switch)
-            .count()
+        self.num_switches
     }
 
     /// Number of processors.
     pub fn num_processors(&self) -> usize {
-        self.kinds
-            .iter()
-            .filter(|k| **k == NodeKind::Processor)
-            .count()
+        self.num_nodes() - self.num_switches
     }
 
     /// Number of unidirectional channels (twice the number of links).
@@ -213,7 +212,7 @@ impl Topology {
 
     /// The processor attached to switch `s`, if any.
     pub fn processor_of(&self, s: NodeId) -> Option<NodeId> {
-        self.attached_processor[s.index()]
+        self.peer[s.index()].filter(|_| self.is_switch(s))
     }
 
     /// The switch a processor `p` is attached to.
@@ -222,7 +221,18 @@ impl Topology {
     ///
     /// Panics if `p` is not a processor.
     pub fn switch_of(&self, p: NodeId) -> NodeId {
-        self.host_switch[p.index()].unwrap_or_else(|| panic!("{p} is not an attached processor"))
+        match self.peer[p.index()] {
+            Some(s) if self.is_processor(p) => s,
+            _ => panic!("{p} is not an attached processor"),
+        }
+    }
+
+    /// `s`'s place among the switches in id order (`0..num_switches()`);
+    /// `None` when `s` is a processor. What a per-switch array is
+    /// indexed by.
+    #[inline]
+    pub fn switch_rank(&self, s: NodeId) -> Option<usize> {
+        self.switch_rank[s.index()].map(|r| r as usize)
     }
 
     /// Degree of `node` in links (pairs of channels).
@@ -238,8 +248,8 @@ impl Topology {
             + size_of_val(&self.offsets[..])
             + size_of_val(&self.out[..])
             + size_of_val(&self.inc[..])
-            + size_of_val(&self.attached_processor[..])
-            + size_of_val(&self.host_switch[..])
+            + size_of_val(&self.peer[..])
+            + size_of_val(&self.switch_rank[..])
     }
 
     /// Checks the structural invariants of the paper's model:
@@ -426,27 +436,37 @@ impl TopologyBuilder {
             out[run.clone()].sort_unstable_by_key(|c| (channels[c.index()].dst, *c));
             inc[run].sort_unstable_by_key(|c| (channels[c.index()].src, *c));
         }
-        let mut attached_processor = vec![None; n];
-        let mut host_switch = vec![None; n];
+        let mut peer = vec![None; n];
         for &(a, b) in &self.links {
             let pair = [(a, b), (b, a)];
             for (x, y) in pair {
                 if self.kinds[x.index()] == NodeKind::Processor
                     && self.kinds[y.index()] == NodeKind::Switch
                 {
-                    host_switch[x.index()] = Some(y);
-                    attached_processor[y.index()] = Some(x);
+                    peer[x.index()] = Some(y);
+                    peer[y.index()] = Some(x);
                 }
             }
         }
+        let mut switches = 0;
+        let switch_rank = self
+            .kinds
+            .iter()
+            .map(|&k| {
+                let rank = (k == NodeKind::Switch).then_some(switches);
+                switches += rank.is_some() as u32;
+                rank
+            })
+            .collect();
         Topology {
             kinds: self.kinds,
             channels,
             offsets,
             out,
             inc,
-            attached_processor,
-            host_switch,
+            peer,
+            switch_rank,
+            num_switches: switches as usize,
         }
     }
 }
@@ -522,6 +542,30 @@ mod tests {
         assert_eq!(t.switch_of(NodeId(4)), NodeId(2));
         assert_eq!(t.processor_of(NodeId(0)), Some(NodeId(3)));
         assert_eq!(t.processor_of(NodeId(1)), None);
+        assert_eq!(t.processor_of(NodeId(3)), None, "a processor hosts none");
+    }
+
+    #[test]
+    #[should_panic(expected = "is not an attached processor")]
+    fn switch_of_a_switch_panics() {
+        tiny().switch_of(NodeId(0));
+    }
+
+    #[test]
+    fn switch_ranks_count_the_switches_before() {
+        // Processors interleaved with switches: s0 p1 s2 p3 p4 s5.
+        let mut b = Topology::builder();
+        for is_switch in [true, false, true, false, false, true] {
+            if is_switch {
+                b.add_switch();
+            } else {
+                b.add_processor();
+            }
+        }
+        let t = b.build();
+        let ranks: Vec<_> = t.nodes().map(|v| t.switch_rank(v)).collect();
+        assert_eq!(ranks, [Some(0), None, Some(1), None, None, Some(2)]);
+        assert_eq!(tiny().switch_rank(NodeId(2)), Some(2));
     }
 
     #[test]

@@ -391,26 +391,41 @@ impl ScenarioArtifacts {
     /// entries, as if both routing arms had been used), so an entry's
     /// cost never changes after insertion and the budget stays a hard
     /// bound while rows fill in. What the precomputes hold at a given
-    /// moment is `RoutingTables::approx_bytes` /
-    /// `UpDownPrecomp::approx_bytes`, never more than charged here.
+    /// moment is [`Self::resident_routing_bytes`], never more than
+    /// charged here.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let n = self.topo.num_nodes();
         let m = self.topo.num_channels();
-        // Three phases per node and target — what a resident row holds —
-        // and one move record per channel. The row
-        // charge must stay at three cells: charging two let the
-        // byte-budgeted cache keep more 1024-switch fabrics resident,
-        // which raised `cold_fabric_1024` `peak_heap_mib` 5.18 → 6.24 MiB
-        // (seed 1998) and 5.03 → 6.16 (seed 4242).
+        // Three cells per node and target, and one move record per
+        // channel. A resident row holds two cells per switch, so the row
+        // charge is a loose ceiling, three times what the rows of a fabric
+        // with one processor per switch can hold. It stays at three cells
+        // per node because the charge decides how many fabrics the
+        // byte-budgeted cache keeps: charging two cells per node let it
+        // keep more 1024-switch fabrics resident, which raised
+        // `cold_fabric_1024` `peak_heap_mib` 5.18 → 6.24 MiB (seed 1998)
+        // and 5.03 → 6.16 (seed 4242).
         let spam_tables = LazyRows::full_bytes(n, 3 * n) + m * size_of::<NodeMove>() + (n + 1) * 4;
         match &self.storm {
             // Storms route SPAM-only, one masked table set per epoch.
             Some(s) => self.fixed_bytes() + s.scenario.num_epochs() * spam_tables,
-            // Two phases per node and target; the rows are all the
-            // up*/down* baseline keeps.
+            // Two cells per node and target, a ceiling kept as loose as
+            // SPAM's (a resident row holds two per switch); the rows are
+            // all the up*/down* baseline keeps.
             None => self.fixed_bytes() + spam_tables + LazyRows::full_bytes(n, 2 * n),
         }
+    }
+
+    /// Heap bytes the routing precomputes attached to this entry hold
+    /// right now: the move records of every table set attached so far and
+    /// the distance rows built so far (every arm, every epoch). Zero
+    /// before the first run.
+    pub fn resident_routing_bytes(&self) -> usize {
+        let epochs = self.storm.as_ref().and_then(|s| s.epoch_tables.get());
+        self.spam_tables.get().map_or(0, |t| t.approx_bytes())
+            + self.updown.get().map_or(0, |p| p.approx_bytes())
+            + epochs.map_or(0, |ts| ts.iter().map(|t| t.approx_bytes()).sum())
     }
 
     /// What is held whatever gets routed, to the byte: topology (flat
@@ -456,14 +471,6 @@ mod tests {
         specs.into_iter().map(|(_, spec)| spec).collect()
     }
 
-    /// Bytes the routing precomputes attached to `arts` hold right now.
-    fn routing_resident_bytes(arts: &ScenarioArtifacts) -> usize {
-        let epochs = arts.storm.as_ref().and_then(|s| s.epoch_tables.get());
-        arts.spam_tables.get().map_or(0, |t| t.approx_bytes())
-            + arts.updown.get().map_or(0, |p| p.approx_bytes())
-            + epochs.map_or(0, |ts| ts.iter().map(|t| t.approx_bytes()).sum())
-    }
-
     /// Every `(target, node, phase)` cell of `shared` (some rows built by
     /// a run, the rest filled by this walk) against `fresh`, a router
     /// built from scratch and walked over all targets.
@@ -501,9 +508,9 @@ mod tests {
             for rep in 0..spec.replications.max(1) {
                 let arts = ArtifactPrefix::of(&spec, rep).build().unwrap();
                 let charged = arts.approx_bytes();
-                assert_eq!(routing_resident_bytes(&arts), 0, "{}", spec.name);
+                assert_eq!(arts.resident_routing_bytes(), 0, "{}", spec.name);
                 run_with_artifacts(&spec, rep, None, &arts).unwrap();
-                let after_run = routing_resident_bytes(&arts);
+                let after_run = arts.resident_routing_bytes();
                 assert!(
                     0 < after_run && after_run <= charged,
                     "{} rep {rep}: {after_run} B resident, {charged} B charged",
@@ -542,7 +549,7 @@ mod tests {
                 // for exactly this state, and still covers it — the
                 // routing rows and everything else the entry holds. (The
                 // corpus has 24- to 256-switch fabrics, six of them 64.)
-                let full = routing_resident_bytes(&arts);
+                let full = arts.resident_routing_bytes();
                 assert!(after_run < full, "{}", spec.name);
                 let held = arts.fixed_bytes() + full;
                 assert!(

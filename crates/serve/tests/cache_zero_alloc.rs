@@ -1,6 +1,6 @@
 //! Allocation discipline of the artifact-cache request path.
 //!
-//! Seven pins, measured with a counting global allocator in a
+//! Eight pins, measured with a counting global allocator in a
 //! single-threaded `harness = false` process (the libtest harness runs
 //! tests on spawned threads and allocates on its own schedule, which
 //! would blur exact counts):
@@ -32,11 +32,15 @@
 //!    (512 KiB at one bit a cell) or per-node rows of preorder runs
 //!    (80 KiB) would break it. Wall-clock cannot be asserted in tier-1;
 //!    this can.
-//! 6. **A message costs a few allocations, not a few per destination.**
+//! 6. **A distance row holds two cells per switch.** One
+//!    `engine_saturated_256`-shaped request leaves exactly
+//!    [`ENGINE_REQUEST_ROW_BYTES`] of rows resident on its 256-switch
+//!    fabric, so rows of three cells for every node would break it.
+//! 7. **A message costs a few allocations, not a few per destination.**
 //!    On one warm 256-switch fabric, twice the messages of an
 //!    `engine_saturated_256`-shaped request cost fewer than
 //!    [`PER_MESSAGE_CEILING`] allocations per extra message.
-//! 7. **A dropped cache frees by request history, not by hash seed.** Two
+//! 8. **A dropped cache frees by request history, not by hash seed.** Two
 //!    caches that served the same requests release the same blocks in the
 //!    same order, so the heap a process is left with — and what the next
 //!    cache in it pays in page faults — is the same from run to run.
@@ -264,6 +268,44 @@ fn cold_fabric_build_allocates_per_array_not_per_node() {
     );
 }
 
+/// The distance rows one 48-message `engine_saturated_256`-shaped request
+/// leaves resident on its fabric: the rows of its 30 targets, each two
+/// `u16` cells per switch (1 024 bytes). They held 92 160 bytes while a
+/// row kept three cells for every node, processors included.
+const ENGINE_REQUEST_ROW_BYTES: usize = 30 * 1024;
+
+/// `engine_saturated_256`'s request shape on the seed-1998 fabric: 256
+/// switches, half unicasts and half 8-destination multicasts of 32
+/// flits, all generated within the first microseconds.
+fn engine_spec(messages: usize) -> spam_scenario::ScenarioSpec {
+    let mut s = spec(1998);
+    s.topology.switches = 256;
+    s.traffic = spam_scenario::TrafficSpec::Mixed {
+        unicast_fraction: 0.5,
+        multicast_dests: 8,
+        rate_per_node_per_us: 1.0,
+        len: 32,
+        messages,
+        arrival: spam_scenario::ArrivalSpec::NegativeBinomial { r: 1 },
+    };
+    s
+}
+
+fn engine_request_rows_hold_two_cells_per_switch() {
+    let s = engine_spec(48);
+    let arts = ArtifactPrefix::of(&s, 0).build().unwrap();
+    // Attaching the tables gathers the move records and builds no row.
+    drop(arts.spam_routing());
+    let idle = arts.resident_routing_bytes();
+    run_with_artifacts(&s, 0, None, &arts).unwrap();
+    let rows = arts.resident_routing_bytes() - idle;
+    assert_eq!(
+        rows, ENGINE_REQUEST_ROW_BYTES,
+        "one engine-sized request left {rows} bytes of rows resident"
+    );
+    println!("ok - one engine-sized request leaves {rows} bytes of rows resident");
+}
+
 /// What a message may cost on a warm fabric, in allocations: its spec's
 /// destination list, its result's delivery times, and change for the
 /// arenas that grow by doubling. The request below makes 2.25 per message
@@ -275,24 +317,8 @@ fn cold_fabric_build_allocates_per_array_not_per_node() {
 const PER_MESSAGE_CEILING: u64 = 4;
 
 fn warm_messages_stay_under_their_ceiling() {
-    // `engine_saturated_256`'s request shape: 256 switches, half unicasts
-    // and half 8-destination multicasts of 32 flits, all generated within
-    // the first microseconds.
-    let sized = |messages| {
-        let mut s = spec(1998);
-        s.topology.switches = 256;
-        s.traffic = spam_scenario::TrafficSpec::Mixed {
-            unicast_fraction: 0.5,
-            multicast_dests: 8,
-            rate_per_node_per_us: 1.0,
-            len: 32,
-            messages,
-            arrival: spam_scenario::ArrivalSpec::NegativeBinomial { r: 1 },
-        };
-        s
-    };
     const M: usize = 48;
-    let (short, long) = (sized(M), sized(2 * M));
+    let (short, long) = (engine_spec(M), engine_spec(2 * M));
     let arts = ArtifactPrefix::of(&long, 0).build().unwrap();
     // The first M messages of the long stream are the short stream, so
     // warming with the long one builds every residual row both aim at.
@@ -350,6 +376,7 @@ fn main() {
     repeat_runs_reuse_the_rows_the_first_run_built();
     warm_tiny_request_stays_under_its_ceiling();
     cold_fabric_build_allocates_per_array_not_per_node();
+    engine_request_rows_hold_two_cells_per_switch();
     warm_messages_stay_under_their_ceiling();
     dropped_cache_frees_by_request_history();
     println!("cache_zero_alloc: all pins held");

@@ -7,6 +7,8 @@
 //! targets its messages aim at. [`LazyRows`]
 //! holds one [`OnceLock`] per target: readers on any thread get the same
 //! row, the builder runs once per row, and an untouched row is an empty slot.
+//! What a row holds is its builder's choice; both routers keep two cells
+//! per switch.
 
 use std::sync::OnceLock;
 

@@ -303,6 +303,8 @@ pub struct NetworkSim<'a, R: RoutingAlgorithm> {
     route_scratch: R::Scratch,
     /// Reused output buffer for routing decisions.
     route_out: RouteDecision<R::Header>,
+    /// Reused buffer for the messages a link-down tears down.
+    victims: Vec<MsgId>,
     /// Reused buffer for the segments of the worm a teardown retires.
     victim_segs: Vec<SlotId>,
     counters: Counters,
@@ -369,6 +371,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             headers: Slab::new(),
             route_scratch: R::Scratch::default(),
             route_out: RouteDecision::default(),
+            victims: Vec::new(),
             victim_segs: Vec::new(),
             counters: Counters::default(),
             error: None,
@@ -901,7 +904,8 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         // Victims: every message that owns, waits on, or buffers flits in
         // either direction, plus every segment wired to it. Sorted for
         // deterministic teardown (and trace) order.
-        let mut victims: Vec<MsgId> = Vec::new();
+        let mut victims = std::mem::take(&mut self.victims);
+        victims.clear();
         for &c in &pair {
             let chan = &self.chans[c.index()];
             victims.extend(chan.owner.map(|(m, _)| m));
@@ -918,7 +922,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         }
         victims.sort_unstable();
         victims.dedup();
-        for m in victims {
+        for &m in &victims {
             self.teardown(
                 now,
                 m,
@@ -929,6 +933,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 Casualty::LinkDied,
             );
         }
+        self.victims = victims;
         self.wake_channels(now);
         // Teardown released channels — a progress-like transition. Without
         // this, a storm arriving during a long network-wide stall could
