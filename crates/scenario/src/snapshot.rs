@@ -12,9 +12,9 @@
 
 use crate::run::{run_once_mode, RunMode};
 use crate::spec::{ScenarioSpec, SpecError};
-use desim::{Duration, QueueKind};
+use desim::{Duration, QueueKind, Time};
 use std::sync::{Arc, Mutex};
-use wormsim::{fnv1a, CheckpointSink, SimOutcome, SnapWriter};
+use wormsim::{CheckpointSink, Fnv1a, SimOutcome};
 
 /// One checkpointed replication: the finished outcome plus every
 /// snapshot taken along the way, `(sim_time_ns, sealed bytes)` in
@@ -79,13 +79,22 @@ pub fn resume_once(
 /// and failures, per-channel crossing counts, and the trace length.
 /// Two runs with equal digests delivered the same messages at the same
 /// instants over the same channels — the equality the golden corpus and
-/// the divergence bisector both pin.
+/// the divergence bisector both pin. The fields stream straight into
+/// FNV-1a, so a digest allocates nothing: each word as eight
+/// little-endian bytes, each flag as one byte, each length as four.
 pub fn outcome_digest(out: &SimOutcome) -> u64 {
-    let mut w = SnapWriter::with_capacity(256 + 32 * out.messages.len());
-    w.put_u64(out.end_time.as_ns());
-    w.put_bool(out.quiescent);
-    w.put_bool(out.deadlock.is_some());
-    w.put_bool(out.error.is_some());
+    let mut h = Fnv1a::default();
+    let len = |h: &mut Fnv1a, n: usize| h.bytes(&(n as u32).to_le_bytes());
+    let opt = |h: &mut Fnv1a, t: Option<Time>| {
+        h.byte(t.is_some().into());
+        if let Some(t) = t {
+            h.word(t.as_ns());
+        }
+    };
+    h.word(out.end_time.as_ns());
+    h.byte(out.quiescent.into());
+    h.byte(out.deadlock.is_some().into());
+    h.byte(out.error.is_some().into());
     let c = &out.counters;
     for v in [
         c.events,
@@ -99,29 +108,29 @@ pub fn outcome_digest(out: &SimOutcome) -> u64 {
         c.messages_unreachable,
         c.links_killed,
     ] {
-        w.put_u64(v);
+        h.word(v);
     }
-    w.put_len(out.messages.len());
+    len(&mut h, out.messages.len());
     for m in &out.messages {
-        w.put_u64(m.spec.tag);
-        w.put_opt_u64(m.completed_at.map(|t| t.as_ns()));
-        w.put_len(m.dest_done_at.len());
-        for d in &m.dest_done_at {
-            w.put_opt_u64(d.map(|t| t.as_ns()));
+        h.word(m.spec.tag);
+        opt(&mut h, m.completed_at);
+        len(&mut h, m.dest_done_at.len());
+        for &d in &m.dest_done_at {
+            opt(&mut h, d);
         }
-        w.put_bool(m.failure.is_some());
+        h.byte(m.failure.is_some().into());
         if let Some(f) = &m.failure {
-            w.put_u64(f.at.as_ns());
+            h.word(f.at.as_ns());
         }
     }
-    w.put_len(out.channel_crossings.len());
-    for x in &out.channel_crossings {
-        w.put_u64(*x);
+    len(&mut h, out.channel_crossings.len());
+    for &x in &out.channel_crossings {
+        h.word(x);
     }
-    w.put_len(out.fault_times.len());
+    len(&mut h, out.fault_times.len());
     for t in &out.fault_times {
-        w.put_u64(t.as_ns());
+        h.word(t.as_ns());
     }
-    w.put_len(out.trace.events.len());
-    fnv1a(w.as_bytes())
+    len(&mut h, out.trace.events.len());
+    h.finish()
 }

@@ -196,7 +196,12 @@ impl ArtifactCache {
 
     /// Serializes the manifest: one section per resident entry, oldest
     /// first (so a reload replays insertions in LRU order), each holding
-    /// the fingerprint plus the canonical prefix JSON it must match.
+    /// the fingerprint plus the canonical prefix JSON it must match. It
+    /// carries the snapshot container's format version, so a manifest
+    /// saved under another version fails to load with the container's
+    /// `VersionSkew` (as [`ServeError::CachePoisoned`]), and the daemon's
+    /// `--persist` start answers that, like any load error, by starting
+    /// cold.
     pub fn manifest_bytes(&self) -> Vec<u8> {
         let mut order: Vec<(&u64, &Entry)> = self.map.iter().collect();
         order.sort_by_key(|(_, e)| e.last_used);
@@ -357,5 +362,27 @@ mod tests {
             .map(|_| ())
             .unwrap_err();
         assert_eq!(err.variant_name(), "CachePoisoned");
+    }
+
+    #[test]
+    fn manifest_of_another_format_version_is_typed() {
+        let mut cache = ArtifactCache::new(CacheConfig::default());
+        cache.lookup(&small_spec(16, 1), 0).unwrap();
+        let mut bytes = cache.manifest_bytes();
+        // The version word follows the 8-byte magic; re-seal around it.
+        let older = spam_snapshot::FORMAT_VERSION - 1;
+        bytes[8..12].copy_from_slice(&older.to_le_bytes());
+        let body = bytes.len() - 8;
+        let sum = spam_snapshot::fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        let err = ArtifactCache::from_manifest_bytes(&bytes, CacheConfig::default())
+            .map(|_| ())
+            .unwrap_err();
+        assert_eq!(err.variant_name(), "CachePoisoned");
+        assert!(
+            err.to_string()
+                .contains(&format!("format version {older} unsupported")),
+            "{err}"
+        );
     }
 }

@@ -18,8 +18,17 @@
 //! | 12            | …     | payload: tagged, length-prefixed sections   |
 //! | len − 8       | 8     | FNV-1a 64 checksum of bytes `[0, len − 8)`  |
 //!
-//! Every primitive is little-endian. A *section* is `tag: u32, len: u32`
-//! followed by `len` body bytes; sections let a reader fail with a precise
+//! Every integer in the payload is an unsigned LEB128 varint: seven value
+//! bits per byte, least significant group first, the high bit set on
+//! every byte but the last — 1 to 5 bytes for a `u32`, 1 to 10 for a
+//! `u64`. A reader accepts only the shortest encoding of a value: an
+//! overlong one (a final byte of zero after the first), a value too large
+//! for the type read, a varint past 10 bytes and a truncated one are each
+//! a typed error. A `bool` or an enum tag is one byte. Three words are
+//! fixed-width and little-endian: the version above, the trailer, and
+//! each section's length. A *section* is a varint tag, then a 4-byte
+//! length (fixed, so the writer can back-patch it), then that many body
+//! bytes; sections let a reader fail with a precise
 //! [`SnapshotError::SectionMismatch`] instead of silently misparsing when
 //! producer and consumer disagree about layout.
 //!
@@ -48,19 +57,21 @@
 //! section framing and exact section lengths; every enum tag, presence
 //! byte and collection length; the topology fingerprint, the eight
 //! configuration words and the routing name; counts against their source
-//! (channels, destination states, the death mask, the telemetry
-//! scoreboard, slab and ring raw parts, events fired against events
-//! scheduled); every node and channel id against the topology and every
-//! message id against the message table; and the pending events'
-//! canonical order (strictly increasing `seq`, since format 2). Since
-//! format 3 the engine writes only its primary state and rebuilds every
-//! index from it in one pass, so a copy that could disagree with its
-//! source is never read; that pass rejects the states no engine produces
-//! (a busy wire over an empty buffer, two segments owning one channel, a
-//! request or header handle naming a vacant slot, …). A flip that builds
-//! a state the engine could have reached, but this run did not, still
-//! restores, and the resumed run can then stop on one of the engine's own
-//! invariant asserts; ROADMAP item 2b carries the measured count.
+//! (channels, destination states, the telemetry scoreboard, slab and
+//! ring raw parts, events fired against events scheduled); every node
+//! and channel id against the topology and every message id against the
+//! message table; the pending events' canonical order (strictly
+//! increasing `seq`, since format 2); and the dead channels, since
+//! format 5 an ascending id list in which every link dies in both
+//! directions. Since format 3 the engine writes only its primary state
+//! and rebuilds every index from it in one pass, so a copy that could
+//! disagree with its source is never read; that pass rejects the states
+//! no engine produces (a busy wire over an empty buffer, two segments
+//! owning one channel, a request or header handle naming a vacant slot,
+//! …). A flip that builds a state the engine could have reached, but this
+//! run did not, still restores, and the resumed run can then stop on one
+//! of the engine's own invariant asserts; ROADMAP item 5 carries the
+//! measured count.
 
 use std::fmt;
 
@@ -69,7 +80,7 @@ pub const MAGIC: [u8; 8] = *b"SPAMSNAP";
 
 /// Current snapshot format version (see the version policy in the crate
 /// docs: any payload layout change bumps this).
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Streaming FNV-1a 64 accumulator — the workspace's one FNV-1a: the
 /// snapshot trailer ([`fnv1a`]), the artifact-cache fingerprint, the
@@ -92,12 +103,18 @@ impl Fnv1a {
         self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
     }
 
+    /// Feeds a run of bytes in order.
+    #[inline]
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.byte(b);
+        }
+    }
+
     /// Feeds one word as eight little-endian bytes.
     #[inline]
     pub fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.byte(b);
-        }
+        self.bytes(&w.to_le_bytes());
     }
 
     /// The digest so far.
@@ -111,9 +128,7 @@ impl Fnv1a {
 /// as a cheap content digest for checkpoint deduplication.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::default();
-    for &b in bytes {
-        h.byte(b);
-    }
+    h.bytes(bytes);
     h.finish()
 }
 
@@ -255,22 +270,20 @@ impl SnapWriter {
         self.buf.push(v);
     }
 
-    /// Appends a `u16`, little-endian.
-    #[inline]
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u32`, little-endian.
+    /// Appends a `u32` as a varint (1 to 5 bytes).
     #[inline]
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_u64(u64::from(v));
     }
 
-    /// Appends a `u64`, little-endian.
+    /// Appends a `u64` as a varint (1 to 10 bytes).
     #[inline]
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    pub fn put_u64(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
     }
 
     /// Appends a `bool` as one byte (0 or 1).
@@ -295,21 +308,9 @@ impl SnapWriter {
         self.put_u32(v as u32);
     }
 
-    /// Appends an optional `u64` (presence byte + value).
-    #[inline]
-    pub fn put_opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.put_u8(0),
-            Some(x) => {
-                self.put_u8(1);
-                self.put_u64(x);
-            }
-        }
-    }
-
     /// Appends a length-prefixed byte string.
     pub fn put_bytes(&mut self, v: &[u8]) {
-        self.put_u32(v.len() as u32);
+        self.put_len(v.len());
         self.buf.extend_from_slice(v);
     }
 
@@ -318,12 +319,12 @@ impl SnapWriter {
         self.put_bytes(v.as_bytes());
     }
 
-    /// Opens a section: writes the tag and a length placeholder, returning
-    /// a cookie for [`SnapWriter::end_section`].
+    /// Opens a section: writes the tag and a fixed-width length
+    /// placeholder, returning a cookie for [`SnapWriter::end_section`].
     pub fn begin_section(&mut self, tag: u32) -> usize {
         self.put_u32(tag);
         let patch = self.buf.len();
-        self.put_u32(0);
+        self.buf.extend_from_slice(&[0; 4]);
         patch
     }
 
@@ -424,27 +425,51 @@ impl<'a> SnapReader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a little-endian `u16`.
-    #[inline]
-    pub fn get_u16(&mut self) -> Result<u16, SnapshotError> {
-        let s = self.take(2)?;
-        Ok(u16::from_le_bytes([s[0], s[1]]))
-    }
-
-    /// Reads a little-endian `u32`.
+    /// Reads a varint `u32`; a value above `u32::MAX` is
+    /// [`SnapshotError::Corrupt`].
     #[inline]
     pub fn get_u32(&mut self) -> Result<u32, SnapshotError> {
-        let s = self.take(4)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
+        u32::try_from(self.get_u64()?).map_err(|_| SnapshotError::Corrupt("varint overflows u32"))
     }
 
-    /// Reads a little-endian `u64`.
+    /// Reads a varint `u64`, in its shortest encoding only.
     #[inline]
     pub fn get_u64(&mut self) -> Result<u64, SnapshotError> {
-        let s = self.take(8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_le_bytes(b))
+        match self.buf.get(self.pos) {
+            Some(&b) if b < 0x80 => {
+                self.pos += 1;
+                Ok(u64::from(b))
+            }
+            _ => self.get_long_varint(),
+        }
+    }
+
+    /// [`Self::get_u64`] past its one-byte fast path.
+    fn get_long_varint(&mut self) -> Result<u64, SnapshotError> {
+        let mut v = 0;
+        for (i, &b) in self.buf[self.pos..].iter().enumerate().take(10) {
+            v |= u64::from(b & 0x7f) << (7 * i);
+            if b & 0x80 != 0 {
+                continue;
+            }
+            // The tenth byte holds bit 63 alone; a zero closing byte
+            // after the first means a shorter encoding existed.
+            if i == 9 && b > 1 {
+                return Err(SnapshotError::Corrupt("varint overflows u64"));
+            }
+            if i > 0 && b == 0 {
+                return Err(SnapshotError::Corrupt("overlong varint"));
+            }
+            self.pos += i + 1;
+            return Ok(v);
+        }
+        match self.remaining() {
+            have @ 0..=9 => Err(SnapshotError::Truncated {
+                need: have + 1,
+                have,
+            }),
+            _ => Err(SnapshotError::Corrupt("varint longer than 10 bytes")),
+        }
     }
 
     /// Reads a `bool`; any byte other than 0/1 is [`SnapshotError::Corrupt`].
@@ -462,16 +487,6 @@ impl<'a> SnapReader<'a> {
     pub fn get_usize(&mut self) -> Result<usize, SnapshotError> {
         let v = self.get_u64()?;
         usize::try_from(v).map_err(|_| SnapshotError::Corrupt("usize overflow"))
-    }
-
-    /// Reads an optional `u64` written by [`SnapWriter::put_opt_u64`].
-    #[inline]
-    pub fn get_opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
-        match self.get_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.get_u64()?)),
-            _ => Err(SnapshotError::Corrupt("option byte not 0/1")),
-        }
     }
 
     /// Reads a collection length, rejecting values that cannot possibly
@@ -508,7 +523,8 @@ impl<'a> SnapReader<'a> {
                 found,
             });
         }
-        let len = self.get_u32()? as usize;
+        let s = self.take(4)?;
+        let len = u32::from_le_bytes([s[0], s[1], s[2], s[3]]) as usize;
         if len > self.remaining() {
             return Err(SnapshotError::Corrupt("section length exceeds payload"));
         }
@@ -531,44 +547,62 @@ mod tests {
     fn primitives_round_trip() {
         let bytes = sealed(|w| {
             w.put_u8(0xAB);
-            w.put_u16(0xBEEF);
             w.put_u32(0xDEAD_BEEF);
             w.put_u64(0x0123_4567_89AB_CDEF);
             w.put_bool(true);
             w.put_bool(false);
             w.put_usize(42);
-            w.put_opt_u64(None);
-            w.put_opt_u64(Some(7));
             w.put_bytes(b"hello");
             w.put_str("wörld");
         });
         let mut r = SnapReader::open(&bytes).unwrap();
         assert_eq!(r.get_u8().unwrap(), 0xAB);
-        assert_eq!(r.get_u16().unwrap(), 0xBEEF);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), 0x0123_4567_89AB_CDEF);
         assert!(r.get_bool().unwrap());
         assert!(!r.get_bool().unwrap());
         assert_eq!(r.get_usize().unwrap(), 42);
-        assert_eq!(r.get_opt_u64().unwrap(), None);
-        assert_eq!(r.get_opt_u64().unwrap(), Some(7));
         assert_eq!(r.get_bytes().unwrap(), b"hello");
         assert_eq!(r.get_str().unwrap(), "wörld");
         r.finish().unwrap();
     }
 
     #[test]
+    fn integers_are_leb128() {
+        let bytes = sealed(|w| {
+            w.put_u32(0);
+            w.put_u32(127);
+            w.put_u32(128);
+            w.put_u64(300);
+            w.put_u32(u32::MAX);
+            w.put_u64(u64::MAX);
+        });
+        let payload = &bytes[12..bytes.len() - 8];
+        let mut want = vec![
+            0x00, 0x7F, 0x80, 0x01, 0xAC, 0x02, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F,
+        ];
+        want.extend([0xFF; 9]);
+        want.push(0x01);
+        assert_eq!(payload, want);
+    }
+
+    #[test]
     fn sections_frame_and_backpatch() {
         let bytes = sealed(|w| {
             let s = w.begin_section(0x11);
-            w.put_u64(5);
+            w.put_u64(300);
             w.end_section(s);
             let s = w.begin_section(0x22);
             w.end_section(s);
         });
+        // A varint tag, then a fixed little-endian `u32` length.
+        assert_eq!(
+            &bytes[12..bytes.len() - 8],
+            [0x11, 2, 0, 0, 0, 0xAC, 0x02, 0x22, 0, 0, 0, 0]
+        );
         let mut r = SnapReader::open(&bytes).unwrap();
-        assert_eq!(r.expect_section(0x11).unwrap(), 8);
-        assert_eq!(r.get_u64().unwrap(), 5);
+        assert_eq!(r.expect_section(0x11).unwrap(), 2);
+        assert_eq!(r.get_u64().unwrap(), 300);
         assert_eq!(r.expect_section(0x22).unwrap(), 0);
         r.finish().unwrap();
         let mut r2 = SnapReader::open(&bytes).unwrap();

@@ -538,10 +538,10 @@ pub(crate) mod tests {
                 MsgId::get(&mut r, ids).map(|m| m.0),
             )
         };
-        let words = |n: u32, c: u32, m: u32| [n, c, m].map(u32::to_le_bytes).concat();
-        assert_eq!(get(&words(3, 5, 7), &mut ids), (Ok(3), Ok(5), Ok(7)));
+        // Each id is one varint; below 128 that is the id's own byte.
+        assert_eq!(get(&[3, 5, 7], &mut ids), (Ok(3), Ok(5), Ok(7)));
         assert_eq!(
-            get(&words(4, 6, 8), &mut ids),
+            get(&[4, 6, 8], &mut ids),
             (
                 Err(SnapshotError::Corrupt("node id outside the topology")),
                 Err(SnapshotError::Corrupt("channel id outside the topology")),
@@ -550,10 +550,14 @@ pub(crate) mod tests {
                 ))
             )
         );
-        // The trace's "no channel" mark passes only while it is let through.
-        assert!(get(&words(0, u32::MAX, 0), &mut ids).1.is_err());
+        // The trace's "no channel" mark passes only while it is let
+        // through; `u32::MAX` is five varint bytes.
+        let no_channel = [0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0];
+        assert!(get(&no_channel, &mut ids).1.is_err());
         ids.no_channel_ok = true;
-        assert_eq!(get(&words(0, u32::MAX, 0), &mut ids).1, Ok(u32::MAX));
-        assert!(get(&words(0, u32::MAX - 1, 0), &mut ids).1.is_err());
+        assert_eq!(get(&no_channel, &mut ids).1, Ok(u32::MAX));
+        assert!(get(&[0, 0xFE, 0xFF, 0xFF, 0xFF, 0x0F, 0], &mut ids)
+            .1
+            .is_err());
     }
 }

@@ -100,6 +100,7 @@ use desim::{Schedule, Time};
 use netgraph::{ChannelId, NodeId, Topology};
 use observe::{Casualty, Observers};
 use spam_collections::{FifoPool, InlineVec, Slab, SlotId};
+use std::cell::OnceCell;
 use std::ops::Range;
 
 #[derive(Debug, Clone, Copy)]
@@ -348,6 +349,10 @@ pub struct NetworkSim<'a, R: RoutingAlgorithm> {
     /// it quiescent, so every channel outside the list is quiescent — the
     /// fault path walks this list instead of the fabric.
     tracked: Vec<ChannelId>,
+    /// The topology's snapshot fingerprint, hashed at the first snapshot
+    /// or restore and kept: it reads every channel, more bytes than a
+    /// whole snapshot holds.
+    topo_fp: OnceCell<u64>,
 }
 
 impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
@@ -382,6 +387,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             flags: ChanFlags::of(topo),
             fault_times: Vec::new(),
             tracked: Vec::new(),
+            topo_fp: OnceCell::new(),
         }
     }
 

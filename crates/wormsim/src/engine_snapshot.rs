@@ -12,7 +12,7 @@
 //!   the queue kind), both slab arenas *raw* (generations and free-list
 //!   order decide the `SlotId`s a resumed run hands out), each channel's
 //!   flit buffers, requesting segments in OCRQ order, header handles and
-//!   crossings, counters, death mask, fault times, hook state, and the
+//!   crossings, counters, dead channels, fault times, hook state, and the
 //!   observer seam's records.
 //! * **Indices rebuilt.** Busy wires, pending routing decisions, each
 //!   channel's feeding segment and owner, each request's message, each
@@ -111,7 +111,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         w.begin();
 
         let s = w.begin_section(SECT_META);
-        w.put_u64(topo_fingerprint(self.topo));
+        w.put_u64(self.topo_fp());
         for (_, word) in config_words(&self.cfg) {
             w.put_u64(word);
         }
@@ -168,10 +168,9 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         // for the standalone snapshot API, and rejected on restore.
         w.put_bool(self.error.is_some());
         self.last_progress.put(w);
-        w.put_len(self.chans.len());
-        for i in 0..self.chans.len() {
-            self.flags.dead(ChannelId(i as u32)).put(w);
-        }
+        let dead = || self.topo.channel_ids().filter(|&c| self.flags.dead(c));
+        w.put_len(dead().count());
+        dead().for_each(|c| c.put(w));
         self.fault_times.put(w);
         self.obs.encode_checkpointer(w);
         w.end_section(s);
@@ -210,8 +209,9 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
     /// link-down at no fault time, a source segment or a buffered flit
     /// that disagrees with its worm, two segments fed by or owning one
     /// channel, a requested channel without the worm's header state, a
-    /// request from a vacant or acquired slot, and a header slot named by
-    /// no channel, by two, or vacant and named.
+    /// request from a vacant or acquired slot, a header slot named by no
+    /// channel, by two, or vacant and named, and a dead-channel list out
+    /// of order or with a channel dead but its reverse alive.
     pub fn restore_with_hook(
         topo: &'a Topology,
         routing: R,
@@ -224,7 +224,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         let ids = &mut IdSpace::of(topo);
 
         read_section(&mut r, SECT_META, |r| {
-            if r.get_u64()? != topo_fingerprint(topo) {
+            if r.get_u64()? != sim.topo_fp() {
                 return Err(SnapshotError::ConfigMismatch(
                     "topology differs from the snapshot's",
                 ));
@@ -303,13 +303,19 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             sim.obs.decode_coverage(r, ids)?;
             ensure(!r.get_bool()?, "snapshot taken after a run-aborting error")?;
             sim.last_progress = Snap::get(r, ids)?;
-            let n = r.get_len()?;
-            ensure(n == sim.chans.len(), "death mask length mismatch")?;
-            for i in 0..sim.chans.len() {
-                if bool::get(r, ids)? {
-                    sim.flags.kill(ChannelId(i as u32));
-                }
+            let mut last = None;
+            for _ in 0..r.get_len()? {
+                let c = ChannelId::get(r, ids)?;
+                ensure(last < Some(c), "dead channels out of order")?;
+                last = Some(c);
+                sim.flags.kill(c);
             }
+            // A link dies in both directions at once.
+            let flags = &sim.flags;
+            let paired = topo
+                .channel_ids()
+                .all(|c| flags.dead(c) == flags.dead(topo.reverse(c)));
+            ensure(paired, "dead channel with a live reverse")?;
             sim.fault_times = Snap::get(r, ids)?;
             sim.obs.decode_checkpointer(r)
         })?;
@@ -325,6 +331,11 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         sim.index(&mut ix)?;
         sim.install(&ix);
         Ok(sim)
+    }
+
+    /// [`topo_fingerprint`] of this simulator's topology, hashed once.
+    fn topo_fp(&self) -> u64 {
+        *self.topo_fp.get_or_init(|| topo_fingerprint(self.topo))
     }
 
     /// [`Self::restore_with_hook`] with no completion hook. Snapshots
@@ -604,6 +615,8 @@ fn get_schedule<E: Snap>(
 mod tests {
     use super::*;
     use crate::codec::tests::{rejects_tag, round_trips};
+    use crate::routing::OracleRouting;
+    use spam_snapshot::fnv1a;
 
     /// The engine-private tables, through the same two checks as every
     /// other one (`codec::tests`).
@@ -625,5 +638,52 @@ mod tests {
             });
         }
         rejects_tag::<SegInput>(2, "unknown segment input tag");
+    }
+
+    /// The dead channels travel as an ascending id list, and `restore`
+    /// holds it to that, to the fabric, and to links dying whole.
+    #[test]
+    fn dead_channel_list_is_checked() {
+        let mut b = Topology::builder();
+        let s: [NodeId; 4] = std::array::from_fn(|_| b.add_switch());
+        for pair in s.windows(2) {
+            b.link(pair[0], pair[1]).unwrap();
+        }
+        let topo = b.build();
+        let cfg = SimConfig::paper();
+        let mut sim = NetworkSim::new(&topo, OracleRouting::new(&topo), cfg);
+        // Links 0 and 1, both directions; link 2 (channels 4, 5) lives.
+        (0..4).for_each(|c| sim.flags.kill(ChannelId(c)));
+        let mut w = SnapWriter::new();
+        sim.snapshot(&mut w).unwrap();
+        let bytes = w.seal().to_vec();
+        let restore = |b: &[u8]| NetworkSim::restore(&topo, OracleRouting::new(&topo), cfg, b);
+        let back = restore(&bytes).unwrap();
+        let dead: Vec<_> = topo.channel_ids().filter(|&c| back.flags.dead(c)).collect();
+        assert_eq!(dead, (0..4).map(ChannelId).collect::<Vec<_>>());
+
+        // The list is its length, then one varint per id.
+        let list = [4, 0, 1, 2, 3];
+        let at: Vec<_> = (0..bytes.len() - 5)
+            .filter(|&i| bytes[i..i + 5] == list)
+            .collect();
+        assert_eq!(at.len(), 1, "the dead list appears once");
+        for (ids, err) in [
+            ([0, 2, 1, 3], "dead channels out of order"),
+            ([0, 1, 2, 2], "dead channels out of order"),
+            ([0, 1, 2, 6], "channel id outside the topology"),
+            ([0, 1, 2, 4], "dead channel with a live reverse"),
+        ] {
+            let mut b = bytes.clone();
+            b[at[0] + 1..at[0] + 5].copy_from_slice(&ids);
+            let body = b.len() - 8;
+            let sum = fnv1a(&b[..body]);
+            b[body..].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(
+                restore(&b).err(),
+                Some(SnapshotError::Corrupt(err)),
+                "{ids:?}"
+            );
+        }
     }
 }

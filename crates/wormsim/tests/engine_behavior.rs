@@ -483,13 +483,13 @@ const CAPPED_PINS: (u64, u64, usize, u64) = (
     5914715183444671105,
     14144879036956244356,
     160,
-    6674048076344769699,
+    1956278145563389432,
 );
 const WATCHDOG_PINS: (u64, u64, usize, u64) = (
     16613224557136489413,
     11712490525398530066,
     1601,
-    8786236904166206477,
+    3444614367703987679,
 );
 
 #[test]

@@ -187,13 +187,13 @@ fn pinned_checkpoints(spec: &ScenarioSpec, queue: Option<QueueKind>) -> [(u64, V
 /// engine does before a checkpoint (the order teardown frees slots in, a
 /// header's encoding) moves the second pin without one.
 #[test]
-fn snapshot_bytes_are_pinned_for_format_version_4() {
-    assert_eq!(spam_snapshot::FORMAT_VERSION, 4);
+fn snapshot_bytes_are_pinned_for_format_version_5() {
+    assert_eq!(spam_snapshot::FORMAT_VERSION, 5);
     let [storm, closed, degraded] = format_pin_specs();
     for (spec, wants) in [
-        (storm, [0x2c79_0878_fce5_a9a5_u64, 0xb1a9_8fe9_499d_8317]),
-        (closed, [0xfd59_299e_92c4_3bf1, 0xd510_e42d_243b_0708]),
-        (degraded, [0x4d4f_d50e_5877_f4aa, 0xc115_bf08_77c2_7749]),
+        (storm, [0x8437_ff86_52f3_5318_u64, 0xab14_8842_7204_3e00]),
+        (closed, [0x5eaf_38c1_d246_fa11, 0x1ac2_c254_7f79_58f7]),
+        (degraded, [0x064c_b2ae_4583_ffe2, 0x8244_6080_55b2_afa4]),
     ] {
         for ((at_ns, bytes), want) in pinned_checkpoints(&spec, None).iter().zip(wants) {
             let got = spam_net::wormsim::fnv1a(bytes);
