@@ -523,6 +523,60 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the first 32 gaps (ns) of one source's generator,
+    /// then one raw draw, so the pin also fixes how many RNG calls the
+    /// 32 gaps consumed.
+    fn stream_digest(arrival: ArrivalKind, seed: u64) -> (u64, Vec<u64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = &mut arrival.generator(0.02).unwrap();
+        let gaps: Vec<u64> = (0..32).map(|_| g.next_gap(&mut rng).as_ns()).collect();
+        let after = rand::RngCore::next_u64(&mut rng);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in gaps.iter().chain([&after]) {
+            for b in v.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        (h, gaps)
+    }
+
+    #[test]
+    fn arrival_streams_are_pinned() {
+        // Every kind at 0.02 msg/µs, seeds 1 and 4242. A failure prints
+        // the gaps; a deliberate change to a process means new literals.
+        let on_off = |mean_off_us| ArrivalKind::OnOff {
+            r: 1,
+            mean_on_us: 150,
+            mean_off_us,
+        };
+        let pins: [(ArrivalKind, [u64; 2]); 6] = [
+            (
+                ArrivalKind::NegativeBinomial { r: 1 },
+                [0xf7f6_f807_9f0b_7f69, 0x4031_d28f_ecc4_fed1],
+            ),
+            (
+                ArrivalKind::NegativeBinomial { r: 3 },
+                [0xebb2_16d6_2e05_6173, 0xe037_0b66_62c6_2e6d],
+            ),
+            (
+                ArrivalKind::Poisson,
+                [0x96b5_46c0_9cfd_5e5b, 0x5833_1625_b7b0_bef6],
+            ),
+            (
+                ArrivalKind::Deterministic,
+                [0xa340_a2bb_988b_99b3, 0xf0cf_58b5_f3a0_a99c],
+            ),
+            (on_off(0), [0xff20_d6e5_0cae_b3ce, 0x4e16_d189_6f28_0260]),
+            (on_off(450), [0xf784_bb4c_ccd2_c6c6, 0x8ef7_1c85_07f0_eb15]),
+        ];
+        for (arrival, want) in pins {
+            for (seed, want) in [1, 4242].into_iter().zip(want) {
+                let (got, gaps) = stream_digest(arrival, seed);
+                assert_eq!(got, want, "{arrival:?} seed {seed}: {got:#x} {gaps:?}");
+            }
+        }
+    }
+
     #[test]
     fn two_processor_topology_regressions() {
         // Mixed traffic on the minimal topology: unicasts are fine, any
