@@ -77,8 +77,10 @@ pub struct SimConfig {
     /// [`desim::Ticker`] beside the event queue, so every simulated
     /// outcome is byte-identical with checkpointing on or off. Where the
     /// snapshots go is chosen with
-    /// [`NetworkSim::enable_checkpoints`](crate::NetworkSim::enable_checkpoints);
-    /// with only this field set they feed a digest ledger.
+    /// [`NetworkSim::enable_checkpoints`](crate::NetworkSim::enable_checkpoints)
+    /// or [`NetworkSim::set_checkpoint_sink`](crate::NetworkSim::set_checkpoint_sink);
+    /// with only this field set the cadence ticks (a snapshot carries it)
+    /// but nothing is encoded.
     pub checkpoint_every_ns: Option<u64>,
 }
 

@@ -103,12 +103,22 @@ impl CheckpointSink {
 }
 
 /// Live checkpointing state (see [`NetworkSim::enable_checkpoints`]).
-/// The writer buffer is allocated once and reused for every snapshot,
-/// and so is the [`Index`] scratch the pending events are sorted in, so
-/// steady-state checkpointing through a [`CheckpointSink::Digests`] sink
-/// allocates nothing.
-struct CheckpointState {
+/// A cadence without a sink (`SimConfig::checkpoint_every_ns` alone, or
+/// a restored checkpointed run before `set_checkpoint_sink`) keeps only
+/// its ticker: the ticks advance, so a snapshot carries the same
+/// cadence, but nothing is encoded for a ledger nobody can read.
+struct Checkpointer {
     ticker: Ticker,
+    /// Boxed: the writer buffer and sink live off the engine's hot cache
+    /// lines.
+    out: Option<Box<CheckpointOut>>,
+}
+
+/// Where a checkpointer's snapshots go. The writer buffer is allocated
+/// once and reused for every snapshot, and so is the [`Index`] scratch
+/// the pending events are sorted in, so steady-state checkpointing
+/// through a [`CheckpointSink::Digests`] sink allocates nothing.
+struct CheckpointOut {
     sink: CheckpointSink,
     writer: SnapWriter,
     index: Index,
@@ -118,10 +128,9 @@ struct CheckpointState {
     dead: Option<SnapshotError>,
 }
 
-impl CheckpointState {
-    fn boxed(ticker: Ticker, sink: CheckpointSink) -> Box<Self> {
-        Box::new(CheckpointState {
-            ticker,
+impl CheckpointOut {
+    fn boxed(sink: CheckpointSink) -> Box<Self> {
+        Box::new(CheckpointOut {
             sink,
             writer: SnapWriter::with_capacity(16 * 1024),
             index: Index::default(),
@@ -148,9 +157,7 @@ pub(super) enum Casualty {
 pub(super) struct Observers {
     trace: Option<Trace>,
     metrics: Option<MetricsState>,
-    /// Boxed: the writer buffer and sink live off the engine's hot cache
-    /// lines.
-    checkpoint: Option<Box<CheckpointState>>,
+    checkpoint: Option<Checkpointer>,
     /// Always on; copied into [`Counters::coverage`] when the run ends.
     coverage: CoverageSet,
     /// What one wire transfer bills a channel (`t_channel`).
@@ -162,9 +169,9 @@ impl Observers {
         Observers {
             trace: None,
             metrics: None,
-            checkpoint: cfg.checkpoint_every_ns.map(|every_ns| {
-                let (sink, _) = CheckpointSink::digests();
-                CheckpointState::boxed(Ticker::every(Duration::from_ns(every_ns)), sink)
+            checkpoint: cfg.checkpoint_every_ns.map(|every_ns| Checkpointer {
+                ticker: Ticker::every(Duration::from_ns(every_ns)),
+                out: None,
             }),
             coverage: CoverageSet::default(),
             wire_ns: cfg.latency.channel_prop.as_ns(),
@@ -409,15 +416,14 @@ impl Observers {
     }
 
     /// Reads back [`Self::encode_checkpointer`]: a snapshot taken under a
-    /// checkpointer resumes with the same cadence and a fresh digest
-    /// ledger (see [`NetworkSim::set_checkpoint_sink`]).
+    /// checkpointer resumes with the same cadence and no sink until one
+    /// is set (see [`NetworkSim::set_checkpoint_sink`]).
     pub(super) fn decode_checkpointer(&mut self, r: &mut SnapReader) -> Result<(), SnapshotError> {
         self.checkpoint = if r.get_bool()? {
-            let (sink, _) = CheckpointSink::digests();
-            Some(CheckpointState::boxed(
-                get_ticker(r, "zero checkpoint cadence")?,
-                sink,
-            ))
+            Some(Checkpointer {
+                ticker: get_ticker(r, "zero checkpoint cadence")?,
+                out: None,
+            })
         } else {
             None
         };
@@ -530,15 +536,22 @@ impl<R: RoutingAlgorithm> NetworkSim<'_, R> {
     ///
     /// Panics on a zero cadence — that ticker never advances.
     pub fn enable_checkpoints(&mut self, every: Duration, sink: CheckpointSink) {
-        self.obs.checkpoint = Some(CheckpointState::boxed(Ticker::every(every), sink));
+        self.obs.checkpoint = Some(Checkpointer {
+            ticker: Ticker::every(every),
+            out: Some(CheckpointOut::boxed(sink)),
+        });
     }
 
-    /// Replaces the sink of an already-enabled checkpointer without
-    /// touching its cadence — the call a restored run uses to re-point
-    /// checkpoints at its own ledger or file.
+    /// Sets or replaces the sink of an already-enabled checkpointer
+    /// without touching its cadence — the call a restored run, or one
+    /// configured by [`SimConfig::checkpoint_every_ns`] alone, uses to
+    /// point checkpoints at its own ledger or file. Encoding starts here.
     pub fn set_checkpoint_sink(&mut self, sink: CheckpointSink) {
-        if let Some(cs) = self.obs.checkpoint.as_mut() {
-            cs.sink = sink;
+        if let Some(cp) = self.obs.checkpoint.as_mut() {
+            match cp.out.as_mut() {
+                Some(out) => out.sink = sink,
+                None => cp.out = Some(CheckpointOut::boxed(sink)),
+            }
         }
     }
 
@@ -612,29 +625,32 @@ impl<R: RoutingAlgorithm> NetworkSim<'_, R> {
     /// the *advanced* ticker, so a resumed run's ledger lines up with the
     /// original's after the resume point.
     fn checkpoint_through(&mut self, upto: Time, hook: &dyn CompletionHook) {
-        let Some(cs) = self.obs.checkpoint.as_mut() else {
+        let Some(cp) = self.obs.checkpoint.as_mut() else {
             return;
         };
-        let due = cs.ticker.due_through(upto);
-        if cs.dead.is_some() || due == 0 {
+        let due = cp.ticker.due_through(upto);
+        if due == 0 || cp.out.as_ref().is_some_and(|out| out.dead.is_some()) {
             return;
         }
         // `due` ticks fit at or before `upto`, so this cannot overflow.
-        let (period, next) = cs.ticker.parts();
+        let (period, next) = cp.ticker.parts();
         let last = Time::from_ns(next + (due - 1) * period);
-        cs.ticker.skip(due);
+        cp.ticker.skip(due);
         // The encoder reads the cadence off `self`, so the checkpointer
         // stays in place and lends out its buffers for the duration.
-        let mut writer = std::mem::replace(&mut cs.writer, SnapWriter::with_capacity(0));
-        let mut index = std::mem::take(&mut cs.index);
+        let Some(out) = cp.out.as_mut() else {
+            return;
+        };
+        let mut writer = std::mem::replace(&mut out.writer, SnapWriter::with_capacity(0));
+        let mut index = std::mem::take(&mut out.index);
         let encoded = self.encode(&mut writer, hook, &mut index);
-        if let Some(cs) = self.obs.checkpoint.as_mut() {
+        if let Some(out) = self.obs.checkpoint.as_mut().and_then(|cp| cp.out.as_mut()) {
             match encoded {
-                Ok(()) => cs.sink.store(last.as_ns(), writer.seal()),
-                Err(e) => cs.dead = Some(e),
+                Ok(()) => out.sink.store(last.as_ns(), writer.seal()),
+                Err(e) => out.dead = Some(e),
             }
-            cs.writer = writer;
-            cs.index = index;
+            out.writer = writer;
+            out.index = index;
         }
     }
 

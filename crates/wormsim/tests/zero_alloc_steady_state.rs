@@ -408,6 +408,45 @@ fn enabled_checkpointing_allocates_nothing_per_flit() {
     );
 }
 
+/// Allocations from `NetworkSim::new` through `run` of one unicast over
+/// `chain(6)`, with or without `SimConfig::checkpoint_every_ns`.
+fn count_unicast_run(cadence_ns: Option<u64>) -> (SimOutcome, u64) {
+    let (topo, switches, src, dst, _) = chain(6);
+    let mut oracle = OracleRouting::new(&topo);
+    let mut path = vec![src];
+    path.extend(&switches);
+    path.push(dst);
+    oracle.add_unicast_path(0, &path).unwrap();
+    let cfg = match cadence_ns {
+        Some(n) => cfg().with_checkpoint_every_ns(n),
+        None => cfg(),
+    };
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let mut sim = NetworkSim::new(&topo, oracle, cfg);
+    sim.submit(MessageSpec::unicast(src, dst, 4096).tag(0))
+        .unwrap();
+    let out = sim.run();
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert!(out.all_delivered(), "{:?} {:?}", out.error, out.deadlock);
+    (out, after - before)
+}
+
+fn a_cadence_without_a_sink_allocates_nothing() {
+    // A cadence with no sink has nowhere to put a checkpoint, so it only
+    // keeps its ticker: no writer buffer, no ledger, no encode. The run
+    // below crosses ~8 ticks at 5 us.
+    let _ = count_unicast_run(None);
+    let (plain_out, plain) = count_unicast_run(None);
+    let (cadenced_out, cadenced) = count_unicast_run(Some(5_000));
+    assert_eq!(plain_out.counters, cadenced_out.counters);
+    assert_eq!(
+        cadenced,
+        plain,
+        "a sinkless cadence allocated {} times more than no cadence",
+        cadenced as i64 - plain as i64
+    );
+}
+
 fn construction_allocations_do_not_depend_on_channel_count() {
     // Channel queues are handles into engine-wide pools that start
     // empty, so `new` is a fixed handful of allocations (the channel
@@ -523,7 +562,7 @@ fn seg_lookups_are_counted() {
 }
 
 fn main() {
-    let checks: [(&str, fn()); 12] = [
+    let checks: [(&str, fn()); 13] = [
         ("body_flits_allocate_nothing", body_flits_allocate_nothing),
         ("hop_count_allocates_nothing", hop_count_allocates_nothing),
         (
@@ -553,6 +592,10 @@ fn main() {
         (
             "enabled_checkpointing_allocates_nothing_per_flit",
             enabled_checkpointing_allocates_nothing_per_flit,
+        ),
+        (
+            "a_cadence_without_a_sink_allocates_nothing",
+            a_cadence_without_a_sink_allocates_nothing,
         ),
         ("seg_lookups_are_counted", seg_lookups_are_counted),
         (
