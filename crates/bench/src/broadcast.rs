@@ -95,7 +95,7 @@ pub fn report(quick: bool) -> Report {
     let mut csv =
         String::from("nodes,spam_us,software_us,bound_dm1_us,bound_d_us,x_bound,x_soft,reps\n");
     for r in &rows {
-        writeln!(
+        let _ = writeln!(
             csv,
             "{},{:.3},{:.3},{:.1},{:.1},{:.3},{:.3},{}",
             r.nodes,
@@ -106,8 +106,7 @@ pub fn report(quick: bool) -> Report {
             r.speedup_vs_bound,
             r.speedup_vs_software,
             r.spam.reps
-        )
-        .expect("string write");
+        );
     }
     let bound = |r: &BroadcastRow| PointSummary::exact(r.spam.x, r.bound_d_us, 0);
     let mut report = Report::figure(
@@ -138,13 +137,12 @@ pub fn report(quick: bool) -> Report {
         vec![report::file("broadcast_table.csv", csv)],
     );
     let r256 = &rows[1];
-    write!(
+    let _ = write!(
         report.text,
         "\npaper check: 256-node SPAM broadcast {:.2} µs (paper: <14), \
          vs 90 µs bound -> {:.1}x (paper: >6x)",
         r256.spam.mean, r256.speedup_vs_bound
-    )
-    .expect("string write");
+    );
     report
 }
 

@@ -115,6 +115,8 @@ pub fn run_congestion_profile(quick: bool) -> Vec<CongestionCell> {
                 },
             );
             let (arts, out) = run_on_fabric(&spec, 0);
+            // The cell's engine spec sets `metrics_every_ns`.
+            #[allow(clippy::expect_used)]
             let m = out.metrics.as_ref().expect("telemetry enabled");
             cells.push(CongestionCell {
                 workload,
@@ -138,7 +140,7 @@ pub fn congestion_csv(cells: &[CongestionCell]) -> String {
     );
     for c in cells {
         let t = c.heatmap.totals();
-        writeln!(
+        let _ = writeln!(
             body,
             "{},{},{},{},{},{},{},{},{},{:.4},{:.4}",
             c.workload,
@@ -152,8 +154,7 @@ pub fn congestion_csv(cells: &[CongestionCell]) -> String {
             t.header_stalls,
             c.concentration(HeatKey::BusyNs),
             c.concentration(HeatKey::OcrqWaitNs),
-        )
-        .expect("string write");
+        );
     }
     body
 }
@@ -246,6 +247,8 @@ pub fn heatmaps_json(cells: &[CongestionCell]) -> String {
 /// OCRQ-wait concentration and one of total wire-busy µs, `x` = regime
 /// index in [`REGIMES`] order, `reps` = delivered messages.
 pub fn congestion_bench_json(cells: &[CongestionCell], quick: bool) -> BenchJson {
+    // Every cell's regime is one of `REGIMES` (the grid is built from it).
+    #[allow(clippy::unwrap_used)]
     let regime_x = |regime: &str| REGIMES.iter().position(|r| *r == regime).unwrap() as f64;
     let mut series: Vec<(String, Vec<PointSummary>)> = Vec::new();
     for workload in WORKLOADS {
@@ -287,7 +290,7 @@ pub fn congestion_bench_json(cells: &[CongestionCell], quick: bool) -> BenchJson
 /// Renders the summary table for the terminal.
 pub fn congestion_table(cells: &[CongestionCell]) -> String {
     let mut out = String::new();
-    writeln!(
+    let _ = writeln!(
         out,
         "  {:<8} {:<10} {:<11} {:>6} | {:>12} {:>12} {:>8} | {:>9} {:>9}",
         "workload",
@@ -299,11 +302,10 @@ pub fn congestion_table(cells: &[CongestionCell]) -> String {
         "stalls",
         "top4 busy",
         "top4 ocrq"
-    )
-    .unwrap();
+    );
     for c in cells {
         let t = c.heatmap.totals();
-        writeln!(
+        let _ = writeln!(
             out,
             "  {:<8} {:<10} {:<11} {:>6} | {:>12.1} {:>12.1} {:>8} | {:>8.1}% {:>8.1}%",
             c.workload,
@@ -315,8 +317,7 @@ pub fn congestion_table(cells: &[CongestionCell]) -> String {
             t.header_stalls,
             c.concentration(HeatKey::BusyNs) * 100.0,
             c.concentration(HeatKey::OcrqWaitNs) * 100.0,
-        )
-        .unwrap();
+        );
     }
     out
 }
@@ -335,7 +336,7 @@ pub fn report(quick: bool) -> Report {
             .iter()
             .find(|c| c.workload == workload && c.arm == "spam" && c.regime == "fault_free")
         {
-            writeln!(text, "\n{workload} @ spam @ fault_free:").expect("string write");
+            let _ = writeln!(text, "\n{workload} @ spam @ fault_free:");
             text.push_str(&c.heatmap.ascii(HeatKey::OcrqWaitNs));
         }
     }

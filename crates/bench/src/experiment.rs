@@ -51,7 +51,7 @@ pub fn usage() -> String {
 fn list() -> String {
     let mut out = String::from("experiments:\n");
     for e in &EXPERIMENTS {
-        writeln!(out, "  {:<20} {}", e.name, e.summary).expect("string write");
+        let _ = writeln!(out, "  {:<20} {}", e.name, e.summary);
     }
     out
 }
@@ -63,7 +63,7 @@ fn list() -> String {
 pub fn parse(args: &[String]) -> Result<(&'static Experiment, bool), String> {
     let parsed = EXPERIMENT.parse(args);
     let parsed = parsed.map_err(|synopsis| format!("{synopsis}\n\n{}", list()))?;
-    let name = parsed.positional.as_deref().expect("required");
+    let name = parsed.positional.as_deref().ok_or_else(usage)?;
     match EXPERIMENTS.iter().find(|e| e.name == name) {
         Some(e) => Ok((e, parsed.flag("--quick"))),
         None => Err(format!("unknown experiment `{name}`\n\n{}", usage())),

@@ -162,7 +162,7 @@ pub fn csv(points: &[FaultPoint]) -> String {
          speedup,largest_component_frac\n",
     );
     for p in points {
-        writeln!(
+        let _ = writeln!(
             out,
             "{},{},{},{},{:.3},{:.4}",
             p.rate,
@@ -171,8 +171,7 @@ pub fn csv(points: &[FaultPoint]) -> String {
             report::stat_columns(&p.software),
             p.software.mean / p.spam.mean,
             p.component_fraction
-        )
-        .expect("string write");
+        );
     }
     out
 }

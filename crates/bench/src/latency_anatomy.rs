@@ -162,7 +162,7 @@ pub fn anatomy_csv(cells: &[AnatomyCell]) -> String {
     let mut body = String::from("arm,regime,phase,mean_us,p50_us,p99_us,share,messages\n");
     for c in cells {
         for p in &c.summary.phases {
-            writeln!(
+            let _ = writeln!(
                 body,
                 "{},{},{},{:.4},{:.4},{:.4},{:.4},{}",
                 c.arm,
@@ -173,8 +173,7 @@ pub fn anatomy_csv(cells: &[AnatomyCell]) -> String {
                 p.p99_us,
                 p.share,
                 c.summary.messages
-            )
-            .expect("string write");
+            );
         }
     }
     body
@@ -215,12 +214,11 @@ pub fn anatomy_bench_json(cells: &[AnatomyCell], quick: bool) -> BenchJson {
 /// Renders the table for the terminal.
 pub fn anatomy_table(cells: &[AnatomyCell]) -> String {
     let mut out = String::new();
-    writeln!(
+    let _ = writeln!(
         out,
         "  {:<10} {:<11} {:>6} {:>10} | {:>9} {:>9} {:>11} {:>9} {:>9}",
         "arm", "regime", "msgs", "e2e µs", "startup", "blocking", "route_setup", "wire", "stall"
-    )
-    .unwrap();
+    );
     for c in cells {
         let shares: Vec<String> = c
             .summary
@@ -228,7 +226,7 @@ pub fn anatomy_table(cells: &[AnatomyCell]) -> String {
             .iter()
             .map(|p| format!("{:.1}%", p.share * 100.0))
             .collect();
-        writeln!(
+        let _ = writeln!(
             out,
             "  {:<10} {:<11} {:>6} {:>10.1} | {:>9} {:>9} {:>11} {:>9} {:>9}",
             c.arm,
@@ -240,8 +238,7 @@ pub fn anatomy_table(cells: &[AnatomyCell]) -> String {
             shares[2],
             shares[3],
             shares[4],
-        )
-        .unwrap();
+        );
     }
     out
 }
@@ -250,6 +247,8 @@ pub fn anatomy_table(cells: &[AnatomyCell]) -> String {
 /// `ui.perfetto.dev` (the committed
 /// `results/fig2_single_multicast.perfetto-trace`).
 fn golden_perfetto_trace() -> Vec<u8> {
+    // The file is committed, and the corpus tests decode and run it.
+    #[allow(clippy::expect_used)]
     let mut spec = ScenarioSpec::from_json(include_str!(
         "../../../scenarios/fig2_single_multicast.scenario.json"
     ))

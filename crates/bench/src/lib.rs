@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 //! # spam-bench — figure/table regeneration harness
 //!
@@ -120,6 +121,12 @@ pub fn run_rep(spec: &ScenarioSpec) -> SimOutcome {
 
 /// Latency (µs) of the run's first message — the quantity of every
 /// single-multicast experiment.
+///
+/// # Panics
+///
+/// Panics if that message was not delivered; every caller has asserted
+/// full delivery first.
+#[allow(clippy::expect_used)]
 pub fn first_latency_us(out: &SimOutcome) -> f64 {
     out.messages[0].latency().expect("delivered").as_us_f64()
 }
@@ -127,6 +134,12 @@ pub fn first_latency_us(out: &SimOutcome) -> f64 {
 /// Dissemination makespan (µs): latest completion minus earliest
 /// generation over every engine message. For a software multicast this
 /// spans the whole binomial tree of unicasts.
+///
+/// # Panics
+///
+/// Panics if no message was delivered; every caller has asserted full
+/// delivery first.
+#[allow(clippy::expect_used)]
 pub fn makespan_us(out: &SimOutcome) -> f64 {
     let start = out.messages.iter().map(|m| m.spec.gen_time).min();
     let end = out.messages.iter().filter_map(|m| m.completed_at).max();

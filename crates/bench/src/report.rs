@@ -30,7 +30,7 @@ pub fn stat_columns(p: &PointSummary) -> String {
 pub fn csv(header: &str, rows: &[PointSummary]) -> String {
     let mut out = format!("{header}\n");
     for r in rows {
-        writeln!(out, "{},{}", r.x, stat_columns(r)).expect("string write");
+        let _ = writeln!(out, "{},{}", r.x, stat_columns(r));
     }
     out
 }
@@ -229,24 +229,23 @@ pub fn ascii_plot(
             grid[row][col] = MARKS[si % MARKS.len()];
         }
     }
-    writeln!(out, "{title}").unwrap();
-    writeln!(out, "{y_label}").unwrap();
+    let _ = writeln!(out, "{title}");
+    let _ = writeln!(out, "{y_label}");
     for (i, row) in grid.iter().enumerate() {
         let y_val = y_hi - (y_hi - y_lo) * i as f64 / (height - 1) as f64;
-        writeln!(out, "{y_val:>8.1} |{}", row.iter().collect::<String>()).unwrap();
+        let _ = writeln!(out, "{y_val:>8.1} |{}", row.iter().collect::<String>());
     }
-    writeln!(out, "{:>9}+{}", "", "-".repeat(width)).unwrap();
-    writeln!(
+    let _ = writeln!(out, "{:>9}+{}", "", "-".repeat(width));
+    let _ = writeln!(
         out,
         "{:>10}{:<32}{:>32}",
         "",
         format!("{x_min:.3}"),
         format!("{x_max:.3}")
-    )
-    .unwrap();
-    writeln!(out, "{:>10}{x_label}", "").unwrap();
+    );
+    let _ = writeln!(out, "{:>10}{x_label}", "");
     for (si, (name, _)) in series.iter().enumerate() {
-        writeln!(out, "  {} {}", MARKS[si % MARKS.len()], name).unwrap();
+        let _ = writeln!(out, "  {} {}", MARKS[si % MARKS.len()], name);
     }
     out
 }
@@ -259,12 +258,11 @@ pub fn series_table(series: &[(String, Vec<PointSummary>)]) -> String {
     );
     for (name, points) in series {
         for p in points {
-            writeln!(
+            let _ = writeln!(
                 out,
                 "  {:<32} {:>8} {:>12.3} {:>10.3} {:>6} {:>7}",
                 name, p.x, p.mean, p.ci_half_width, p.reps, p.target_met
-            )
-            .unwrap();
+            );
         }
     }
     out

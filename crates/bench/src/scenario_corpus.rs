@@ -47,7 +47,7 @@ pub fn scenario_csv(report: &ScenarioReport) -> String {
     );
     let opt = |v: Option<f64>| v.map_or(String::new(), |x| format!("{x:.4}"));
     for r in &report.reps {
-        writeln!(
+        let _ = writeln!(
             f,
             "{},{},{},{},{},{},{},{},{},{:.3},{}",
             r.rep,
@@ -61,8 +61,7 @@ pub fn scenario_csv(report: &ScenarioReport) -> String {
             r.events,
             r.end_time_us,
             r.clean
-        )
-        .expect("string write");
+        );
     }
     f
 }
@@ -97,7 +96,7 @@ pub fn corpus_csv(results: &[CorpusResult]) -> String {
     );
     for r in results {
         let name = &r.spec.name;
-        match &r.status {
+        let _ = match &r.status {
             Ok(report) => {
                 writeln!(f, "{name},ok,{},", summary_cells(report, 4, "").join(","))
             }
@@ -107,8 +106,7 @@ pub fn corpus_csv(results: &[CorpusResult]) -> String {
                 let detail = e.to_string().replace(',', ";");
                 writeln!(f, "{name},error,,,,,,,,{detail}")
             }
-        }
-        .expect("string write");
+        };
     }
     f
 }
@@ -117,12 +115,11 @@ pub fn corpus_csv(results: &[CorpusResult]) -> String {
 pub fn corpus_table(results: &[CorpusResult]) -> String {
     let mut text = String::new();
     let mut line = |name: &str, status: &str, c: [String; 7]| {
-        writeln!(
+        let _ = writeln!(
             text,
             "  {name:<28} {status:>7} {:>4} {:>9} {:>9} {:>6} {:>8} {:>11} {:>6}",
             c[0], c[1], c[2], c[3], c[4], c[5], c[6]
-        )
-        .expect("string write");
+        );
     };
     #[rustfmt::skip] // the header row, in column order
     let header = ["reps", "messages", "delivered", "torn", "unreach", "mean (µs)", "clean"];

@@ -110,7 +110,7 @@ fn replicate_parallel_with<T: Send>(
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("replication panicked"))
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         });
         for r in results {

@@ -39,7 +39,7 @@ use crate::spec::{
 };
 use baselines::{UpDownPrecomp, UpDownUnicastRouting};
 use desim::Time;
-use netgraph::gen::lattice::{IrregularConfig, LatticeLayout, LatticeStrategy};
+use netgraph::gen::lattice::{IrregularConfig, LatticeLayout};
 use netgraph::{NodeId, Topology};
 use spam_core::{NodeMove, RoutingTables, SpamRouting};
 use spam_faults::DegradedNetwork;
@@ -141,10 +141,7 @@ impl ArtifactPrefix {
         let gen = IrregularConfig {
             switches: tspec.switches,
             side: tspec.side.unwrap_or(default_side),
-            strategy: match tspec.strategy {
-                StrategySpec::ConnectedGrowth => LatticeStrategy::ConnectedGrowth,
-                StrategySpec::UniformRetry => LatticeStrategy::UniformRetry,
-            },
+            strategy: tspec.strategy,
             max_retries: 64,
         };
         let (topo, layout) = gen.generate_with_layout(rep_seed(tspec.seed, rep));

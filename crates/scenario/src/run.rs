@@ -3,16 +3,13 @@
 //! simulator — one deterministic [`wormsim::SimOutcome`] per replication.
 
 use crate::artifact::{ArtifactPrefix, ScenarioArtifacts};
-use crate::spec::{
-    FaultsSpec, PolicySpec, QueueSpec, RoutingSpec, ScenarioSpec, SpecError, TrafficSpec,
-};
+use crate::spec::{FaultsSpec, RoutingSpec, ScenarioSpec, SpecError, TrafficSpec};
 use baselines::UnicastMulticast;
 use desim::{Duration, QueueKind, Time};
 use netgraph::gen::lattice::LatticeLayout;
 use netgraph::{NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spam_core::SelectionPolicy;
 use std::collections::HashMap;
 use traffic::{BroadcastStormConfig, ClosedLoopInjector, DestinationSampler};
 use wormsim::{
@@ -308,13 +305,7 @@ pub(crate) fn run_mode_with_artifacts(
             spec.engine.output_buffer_flits,
         )
         .with_extra_header_flits(spec.engine.extra_header_flits);
-    if let Some(q) = spec.engine.queue {
-        cfg = cfg.with_queue(match q {
-            QueueSpec::Bucket => QueueKind::Bucket,
-            QueueSpec::Heap => QueueKind::Heap,
-        });
-    }
-    if let Some(q) = queue {
+    if let Some(q) = queue.or(spec.engine.queue) {
         cfg = cfg.with_queue(q);
     }
     if let Some(n) = spec.engine.checkpoint_every_ns {
@@ -365,7 +356,7 @@ pub(crate) fn run_mode_with_artifacts(
         // surviving-processor population for either case.
         FaultsSpec::None | FaultsSpec::Static { .. } => match spec.routing {
             RoutingSpec::Spam { policy } => {
-                let routing = arts.spam_routing().with_policy(to_policy(policy));
+                let routing = arts.spam_routing().with_policy(policy);
                 run_hardware(spec, arts, routing, cfg, traffic_seed, obs, mode)
             }
             RoutingSpec::UpDownUnicast => {
@@ -430,14 +421,6 @@ fn run_hardware<R: RoutingAlgorithm>(
         None => drive(topo, routing, cfg, obs, mode, &mut NoHook, |sim, _| {
             submit_open(sim, spec, arts, traffic_seed)
         }),
-    }
-}
-
-fn to_policy(p: PolicySpec) -> SelectionPolicy {
-    match p {
-        PolicySpec::MinResidualDistance => SelectionPolicy::MinResidualDistance,
-        PolicySpec::FirstLegal => SelectionPolicy::FirstLegal,
-        PolicySpec::RandomLegal { seed } => SelectionPolicy::RandomLegal { seed },
     }
 }
 

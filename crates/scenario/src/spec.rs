@@ -5,6 +5,14 @@
 use std::fmt;
 use traffic::TrafficError;
 
+// The §4 vocabulary the spec shares with the library: one type per
+// concept, under the names the codec, the mutator and callers use.
+pub use desim::QueueKind as QueueSpec;
+pub use netgraph::gen::lattice::LatticeStrategy as StrategySpec;
+pub use spam_core::SelectionPolicy as PolicySpec;
+pub use traffic::ArrivalKind as ArrivalSpec;
+pub use traffic::PermutationPattern as PatternSpec;
+
 /// A complete, self-contained experiment description. One
 /// `*.scenario.json` file decodes to one of these; see
 /// [`ScenarioSpec::from_json`] / [`ScenarioSpec::to_json`] and
@@ -64,17 +72,6 @@ impl Default for TopologySpec {
     }
 }
 
-/// Lattice cell-selection strategy (mirrors
-/// `netgraph::gen::lattice::LatticeStrategy`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum StrategySpec {
-    /// Grow a connected blob (default; single pass).
-    ConnectedGrowth,
-    /// Uniform cells with connectivity retries (the paper's literal
-    /// wording).
-    UniformRetry,
-}
-
 /// Which routing scheme carries the traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum RoutingSpec {
@@ -88,21 +85,6 @@ pub enum RoutingSpec {
     /// Software multicast: every multicast expands into a binomial tree
     /// of up*/down* unicasts (completion-driven forwarding).
     SoftwareMulticast,
-}
-
-/// Selection policy of SPAM's partially adaptive unicast stage (mirrors
-/// `spam_core::SelectionPolicy`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum PolicySpec {
-    /// §4 default: closest-to-target, ties by channel id.
-    MinResidualDistance,
-    /// Lowest legal channel id (ablation).
-    FirstLegal,
-    /// Hash-keyed pseudo-random legal choice.
-    RandomLegal {
-        /// Seed mixed into the per-decision hash.
-        seed: u64,
-    },
 }
 
 /// The offered load. Every variant corresponds to one generator of the
@@ -198,39 +180,6 @@ pub enum TrafficSpec {
     },
 }
 
-/// Lattice-coordinate permutation (mirrors
-/// `traffic::PermutationPattern`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum PatternSpec {
-    /// `(r, c) → (c, r)`.
-    Transpose,
-    /// `(r, c) → (side−1−r, side−1−c)`.
-    BitComplement,
-}
-
-/// Interarrival process (mirrors `traffic::ArrivalKind`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum ArrivalSpec {
-    /// §4 negative-binomial slot counts.
-    NegativeBinomial {
-        /// Dispersion; 1 = geometric.
-        r: u32,
-    },
-    /// Exponential gaps.
-    Poisson,
-    /// Fixed gaps.
-    Deterministic,
-    /// Bursty: negative binomial modulated by a two-state MMPP.
-    OnOff {
-        /// Dispersion of the inner process.
-        r: u32,
-        /// Mean ON period, µs.
-        mean_on_us: u64,
-        /// Mean OFF period, µs.
-        mean_off_us: u64,
-    },
-}
-
 /// What breaks during (or before) the run.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum FaultsSpec {
@@ -261,7 +210,9 @@ pub enum FaultsSpec {
     },
 }
 
-/// Stochastic fault model (mirrors `spam_faults::FaultModel`).
+/// Stochastic fault model. The one mirror left of a library enum
+/// (`spam_faults::FaultModel`): the benchmark's replica calls
+/// [`FaultModelSpec::to_model`], so it goes when the replica does.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum FaultModelSpec {
     /// I.i.d. link deaths.
@@ -304,12 +255,12 @@ pub struct EngineSpec {
     /// default, and what an omitted field decodes to) disables telemetry,
     /// so older corpus files keep parsing unchanged.
     pub metrics_every_ns: Option<u64>,
-    /// Engine-checkpoint cadence in sim-time ns; `Some(n)` snapshots the
-    /// complete engine state every `n` ns into a digest ledger (a third
-    /// pure observer — outcomes are byte-identical with it on or off, and
-    /// the ledger lets crash-safe sweeps resume mid-run). `None` (the
-    /// default, and what an omitted field decodes to) disables
-    /// checkpointing, so older corpus files keep parsing unchanged.
+    /// Engine-checkpoint cadence in sim-time ns; `Some(n)` sets the
+    /// engine's checkpoint ticker (a third pure observer — outcomes are
+    /// byte-identical with it on or off). Snapshots carry the cadence; a
+    /// run only encodes once a sink is attached. `None` (the default,
+    /// and what an omitted field decodes to) disables checkpointing, so
+    /// older corpus files keep parsing unchanged.
     pub checkpoint_every_ns: Option<u64>,
 }
 
@@ -325,16 +276,6 @@ impl Default for EngineSpec {
             checkpoint_every_ns: None,
         }
     }
-}
-
-/// Event-queue implementation (mirrors `desim::QueueKind`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum QueueSpec {
-    /// Constant-delay FIFO lanes in front of the binary heap (fast
-    /// default; the name predates the lanes).
-    Bucket,
-    /// Reference binary heap.
-    Heap,
 }
 
 /// Why a scenario document cannot be decoded or executed. Every failure
@@ -798,7 +739,7 @@ impl ScenarioSpec {
                 rate_per_node_per_us,
                 message_len: len,
                 messages,
-                arrival: arrival.to_kind(),
+                arrival,
             }),
             _ => None,
         }
@@ -820,7 +761,7 @@ impl ScenarioSpec {
                 rate_per_node_per_us,
                 message_len: len,
                 messages,
-                arrival: arrival.to_kind(),
+                arrival,
             }),
             _ => None,
         }
@@ -836,14 +777,11 @@ impl ScenarioSpec {
                 messages_per_node,
                 arrival,
             } => Some(traffic::PermutationConfig {
-                pattern: match pattern {
-                    PatternSpec::Transpose => traffic::PermutationPattern::Transpose,
-                    PatternSpec::BitComplement => traffic::PermutationPattern::BitComplement,
-                },
+                pattern,
                 rate_per_node_per_us,
                 message_len: len,
                 messages_per_node,
-                arrival: arrival.to_kind(),
+                arrival,
             }),
             _ => None,
         }
@@ -863,7 +801,7 @@ impl ScenarioSpec {
                 rate_per_client_per_us,
                 message_len: len,
                 messages,
-                arrival: arrival.to_kind(),
+                arrival,
             }),
             _ => None,
         }
@@ -946,26 +884,6 @@ impl FaultsSpec {
             }
         }
         Ok(())
-    }
-}
-
-impl ArrivalSpec {
-    /// The `traffic` crate's equivalent.
-    pub fn to_kind(self) -> traffic::ArrivalKind {
-        match self {
-            ArrivalSpec::NegativeBinomial { r } => traffic::ArrivalKind::NegativeBinomial { r },
-            ArrivalSpec::Poisson => traffic::ArrivalKind::Poisson,
-            ArrivalSpec::Deterministic => traffic::ArrivalKind::Deterministic,
-            ArrivalSpec::OnOff {
-                r,
-                mean_on_us,
-                mean_off_us,
-            } => traffic::ArrivalKind::OnOff {
-                r,
-                mean_on_us,
-                mean_off_us,
-            },
-        }
     }
 }
 

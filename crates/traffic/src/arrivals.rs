@@ -7,198 +7,228 @@
 //! discrete memoryless process. Larger `r` gives smoother (less bursty)
 //! arrivals at the same mean rate; the paper fixes only the mean, so the
 //! dispersion is exposed as a knob (default 1).
+//!
+//! An [`ArrivalKind`] names the process; every source draws its gaps from
+//! its own generator, built by `ArrivalKind::generator`.
 
+use crate::error::TrafficError;
 use desim::Duration;
 use rand::Rng;
-use std::cell::Cell;
 
-/// A stream of interarrival gaps.
-pub trait ArrivalProcess {
+/// The negative-binomial slot: one 10 ns channel cycle, as in §4.
+const SLOT: Duration = Duration::from_ns(10);
+
+/// Which arrival process drives each node's generator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArrivalKind {
+    /// §4: negative binomial slot counts with dispersion `r` over 10 ns
+    /// slots.
+    NegativeBinomial {
+        /// Dispersion; 1 = geometric.
+        r: u32,
+    },
+    /// Exponential gaps (sensitivity analysis).
+    Poisson,
+    /// Fixed gaps (stress tests).
+    Deterministic,
+    /// Bursty on/off arrivals: the §4 negative-binomial process modulated
+    /// by a two-state MMPP. While the source is ON, arrivals follow the
+    /// inner process; ON periods alternate with silent OFF periods, both
+    /// exponentially distributed. The configured rate is the *in-burst*
+    /// rate; the long-run rate is scaled by the duty cycle
+    /// `on / (on + off)`.
+    OnOff {
+        /// Dispersion of the inner negative-binomial process.
+        r: u32,
+        /// Mean ON-state duration in µs (must be positive).
+        mean_on_us: u64,
+        /// Mean OFF-state duration in µs (zero = always on).
+        mean_off_us: u64,
+    },
+}
+
+impl ArrivalKind {
+    /// Validates `rate` (messages/µs/source) and this kind's own knobs,
+    /// so a validated configuration always builds its generators.
+    pub fn validate_rate(&self, rate: f64) -> Result<(), TrafficError> {
+        if !(rate > 0.0 && rate.is_finite()) {
+            return Err(TrafficError::NonPositiveRate { rate });
+        }
+        match *self {
+            ArrivalKind::NegativeBinomial { r } => {
+                // Mean gap must span at least one 10 ns slot.
+                if 1_000.0 / rate < 10.0 {
+                    return Err(TrafficError::RateTooHigh { rate });
+                }
+                check_dispersion(r)
+            }
+            ArrivalKind::OnOff {
+                r,
+                mean_on_us,
+                mean_off_us,
+            } => {
+                if 1_000.0 / rate < 10.0 {
+                    return Err(TrafficError::RateTooHigh { rate });
+                }
+                check_dispersion(r)?;
+                if mean_on_us == 0 {
+                    return Err(TrafficError::ZeroDuration {
+                        what: "mean ON period",
+                    });
+                }
+                // `Duration::from_us` multiplies by 1000; reject values
+                // that would overflow the nanosecond representation.
+                const MAX_US: u64 = u64::MAX / 1_000;
+                if mean_on_us > MAX_US {
+                    return Err(TrafficError::DurationTooLarge {
+                        what: "mean ON period",
+                    });
+                }
+                if mean_off_us > MAX_US {
+                    return Err(TrafficError::DurationTooLarge {
+                        what: "mean OFF period",
+                    });
+                }
+                Ok(())
+            }
+            ArrivalKind::Poisson | ArrivalKind::Deterministic => {
+                // The continuous kinds still need a representable gap:
+                // past 1000 msg/µs the mean gap truncates to 0 ns and the
+                // configured rate silently vanishes.
+                if 1_000.0 / rate < 1.0 {
+                    return Err(TrafficError::RateTooHigh { rate });
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Builds one source's gap generator at `rate` messages/µs. An on/off
+    /// generator carries its modulation state, so every source needs its
+    /// own.
+    pub(crate) fn generator(&self, rate: f64) -> Result<ArrivalGen, TrafficError> {
+        self.validate_rate(rate)?;
+        // NB(r, p) has mean r·(1−p)/p slots; solve p = r / (r + m) for a
+        // mean gap of m slots.
+        let ln_q = |r: u32| {
+            let mean_slots = 1_000.0 / rate / SLOT.as_ns() as f64;
+            (1.0 - r as f64 / (r as f64 + mean_slots)).ln()
+        };
+        Ok(match *self {
+            ArrivalKind::NegativeBinomial { r } => {
+                ArrivalGen::NegativeBinomial { r, ln_q: ln_q(r) }
+            }
+            ArrivalKind::Poisson => ArrivalGen::Poisson {
+                mean_gap_ns: 1_000.0 / rate,
+            },
+            ArrivalKind::Deterministic => {
+                ArrivalGen::Deterministic(Duration::from_ns((1_000.0 / rate) as u64))
+            }
+            ArrivalKind::OnOff {
+                r,
+                mean_on_us,
+                mean_off_us,
+            } => ArrivalGen::OnOff {
+                r,
+                ln_q: ln_q(r),
+                mean_on_ns: Duration::from_us(mean_on_us).as_ns(),
+                mean_off_ns: Duration::from_us(mean_off_us).as_ns(),
+                on_left_ns: None,
+            },
+        })
+    }
+}
+
+/// The negative-binomial dispersion must be at least 1 (the number of
+/// geometric components).
+fn check_dispersion(r: u32) -> Result<(), TrafficError> {
+    if r == 0 {
+        return Err(TrafficError::ZeroDuration {
+            what: "negative-binomial dispersion r",
+        });
+    }
+    Ok(())
+}
+
+/// One source's interarrival generator, built by
+/// `ArrivalKind::generator`: one variant per kind, holding what its
+/// draws need.
+pub(crate) enum ArrivalGen {
+    /// `r` geometric slot counts per gap; `ln_q` is `ln(1 − p)`.
+    NegativeBinomial { r: u32, ln_q: f64 },
+    /// Exponential gaps of this mean.
+    Poisson { mean_gap_ns: f64 },
+    /// This gap, every time.
+    Deterministic(Duration),
+    /// The negative-binomial gaps walked through exponential ON budgets,
+    /// with an exponential OFF period added at each exhaustion.
+    OnOff {
+        r: u32,
+        ln_q: f64,
+        mean_on_ns: u64,
+        mean_off_ns: u64,
+        /// What is left of the current ON period (`None` before the
+        /// first draw).
+        on_left_ns: Option<u64>,
+    },
+}
+
+impl ArrivalGen {
     /// Draws the gap until the next arrival.
-    fn next_gap<R: Rng + ?Sized>(&self, rng: &mut R) -> Duration;
-
-    /// The configured mean gap.
-    fn mean_gap(&self) -> Duration;
-}
-
-/// Constant-rate arrivals (useful for tests and worst-case bursts).
-#[derive(Debug, Clone, Copy)]
-pub struct Deterministic {
-    /// The constant gap.
-    pub gap: Duration,
-}
-
-impl ArrivalProcess for Deterministic {
-    fn next_gap<R: Rng + ?Sized>(&self, _rng: &mut R) -> Duration {
-        self.gap
-    }
-
-    fn mean_gap(&self) -> Duration {
-        self.gap
-    }
-}
-
-/// Poisson arrivals: exponentially distributed gaps.
-#[derive(Debug, Clone, Copy)]
-pub struct Poisson {
-    mean_gap_ns: f64,
-}
-
-impl Poisson {
-    /// Mean rate in messages per microsecond.
-    pub fn with_rate_per_us(rate: f64) -> Self {
-        assert!(rate > 0.0, "rate must be positive");
-        Poisson {
-            mean_gap_ns: 1_000.0 / rate,
+    pub(crate) fn next_gap<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Duration {
+        match self {
+            ArrivalGen::NegativeBinomial { r, ln_q } => negative_binomial(*r, *ln_q, rng),
+            ArrivalGen::Poisson { mean_gap_ns } => Duration::from_ns(exp_ns(*mean_gap_ns, rng)),
+            ArrivalGen::Deterministic(gap) => *gap,
+            ArrivalGen::OnOff {
+                r,
+                ln_q,
+                mean_on_ns,
+                mean_off_ns,
+                on_left_ns,
+            } => {
+                let on_period = |rng: &mut R| exp_ns(*mean_on_ns as f64, rng).max(1);
+                // The source starts ON (first burst underway at time zero).
+                let mut rem = match *on_left_ns {
+                    Some(ns) => ns,
+                    None => on_period(rng),
+                };
+                let on_gap = negative_binomial(*r, *ln_q, rng).as_ns();
+                // Walk the gap through the ON budget; every exhaustion
+                // inserts one OFF period and a fresh ON period.
+                let mut left = on_gap;
+                let mut off_total = 0u64;
+                while left > rem {
+                    left -= rem;
+                    if *mean_off_ns > 0 {
+                        off_total += exp_ns(*mean_off_ns as f64, rng);
+                    }
+                    rem = on_period(rng);
+                }
+                *on_left_ns = Some(rem - left);
+                Duration::from_ns(on_gap + off_total)
+            }
         }
     }
 }
 
-impl ArrivalProcess for Poisson {
-    fn next_gap<R: Rng + ?Sized>(&self, rng: &mut R) -> Duration {
-        // Inverse-CDF sampling; guard the open interval to avoid ln(0).
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        Duration::from_ns((-self.mean_gap_ns * u.ln()).round() as u64)
-    }
-
-    fn mean_gap(&self) -> Duration {
-        Duration::from_ns(self.mean_gap_ns as u64)
-    }
+/// `r` geometric slot counts (failures before the first success, by
+/// inverse CDF), summed and scaled to the slot.
+fn negative_binomial<R: Rng + ?Sized>(r: u32, ln_q: f64, rng: &mut R) -> Duration {
+    let slots: u64 = (0..r)
+        .map(|_| {
+            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+            (u.ln() / ln_q).floor() as u64
+        })
+        .sum();
+    SLOT.scaled(slots)
 }
 
-/// Negative binomial slot-count arrivals (§4's process).
-///
-/// The gap is `NB(r, p)` slots of `slot` duration each; the mean gap is
-/// `r·(1−p)/p` slots. Parameterized by mean rate, the success probability
-/// is solved as `p = r / (r + m)` where `m` is the mean gap in slots.
-#[derive(Debug, Clone, Copy)]
-pub struct NegativeBinomial {
-    /// Dispersion (number of geometric components); `1` = geometric.
-    pub r: u32,
-    /// Success probability per slot.
-    p: f64,
-    /// Slot duration (the channel cycle, 10 ns, in the paper's setup).
-    slot: Duration,
-}
-
-impl NegativeBinomial {
-    /// Process with mean rate `rate` messages/µs, dispersion `r`, and the
-    /// given slot duration.
-    pub fn with_rate_per_us(rate: f64, r: u32, slot: Duration) -> Self {
-        assert!(rate > 0.0 && r >= 1 && slot > Duration::ZERO);
-        let mean_gap_ns = 1_000.0 / rate;
-        let mean_slots = mean_gap_ns / slot.as_ns() as f64;
-        assert!(mean_slots >= 1.0, "arrival rate too high for the slot size");
-        NegativeBinomial {
-            r,
-            p: r as f64 / (r as f64 + mean_slots),
-            slot,
-        }
-    }
-
-    /// The paper's setting: 10 ns slots, geometric (r = 1).
-    pub fn paper(rate_per_us: f64) -> Self {
-        Self::with_rate_per_us(rate_per_us, 1, Duration::from_ns(10))
-    }
-
-    fn sample_geometric<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        // Failures before the first success, via inverse CDF.
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        (u.ln() / (1.0 - self.p).ln()).floor() as u64
-    }
-}
-
-impl ArrivalProcess for NegativeBinomial {
-    fn next_gap<R: Rng + ?Sized>(&self, rng: &mut R) -> Duration {
-        let slots: u64 = (0..self.r).map(|_| self.sample_geometric(rng)).sum();
-        self.slot.scaled(slots)
-    }
-
-    fn mean_gap(&self) -> Duration {
-        let mean_slots = self.r as f64 * (1.0 - self.p) / self.p;
-        Duration::from_ns((mean_slots * self.slot.as_ns() as f64) as u64)
-    }
-}
-
-/// Draws an exponential duration with the given mean, in whole ns.
-fn draw_exp_ns<R: Rng + ?Sized>(mean: Duration, rng: &mut R) -> u64 {
-    if mean == Duration::ZERO {
-        return 0;
-    }
+/// An exponential draw of mean `mean_ns`, rounded to whole ns (inverse
+/// CDF; the open interval keeps `ln(0)` out).
+fn exp_ns<R: Rng + ?Sized>(mean_ns: f64, rng: &mut R) -> u64 {
     let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    (-(mean.as_ns() as f64) * u.ln()).round() as u64
-}
-
-/// Sentinel: the ON-state budget has not been initialized yet.
-const ONOFF_UNINIT: u64 = u64::MAX;
-
-/// Two-state on/off modulation (an MMPP) wrapping any [`ArrivalProcess`].
-///
-/// While the source is ON, arrivals follow the inner process unchanged;
-/// ON periods alternate with silent OFF periods, both exponentially
-/// distributed. The result is the classic bursty-traffic model: trains of
-/// arrivals at the inner rate separated by idle gaps, with squared
-/// coefficient of variation well above the inner process's own.
-///
-/// Note the *in-burst* rate is the inner process's rate; the long-run
-/// mean rate is scaled by the duty cycle `on / (on + off)`, which is what
-/// [`OnOff::mean_gap`] reports.
-#[derive(Debug, Clone)]
-pub struct OnOff<P> {
-    inner: P,
-    mean_on: Duration,
-    mean_off: Duration,
-    /// Remaining ON-state budget in ns ([`ONOFF_UNINIT`] before the first
-    /// draw). Interior mutability keeps the [`ArrivalProcess`] contract
-    /// (`&self`) while the modulation state advances draw to draw.
-    remaining_on_ns: Cell<u64>,
-}
-
-impl<P> OnOff<P> {
-    /// Wraps `inner` with exponential ON/OFF periods of the given means.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean_on` is zero (the source would never send). A zero
-    /// `mean_off` is legal and reduces to the inner process.
-    pub fn new(inner: P, mean_on: Duration, mean_off: Duration) -> Self {
-        assert!(mean_on > Duration::ZERO, "mean ON period must be positive");
-        OnOff {
-            inner,
-            mean_on,
-            mean_off,
-            remaining_on_ns: Cell::new(ONOFF_UNINIT),
-        }
-    }
-}
-
-impl<P: ArrivalProcess> ArrivalProcess for OnOff<P> {
-    fn next_gap<R: Rng + ?Sized>(&self, rng: &mut R) -> Duration {
-        let mut rem = self.remaining_on_ns.get();
-        if rem == ONOFF_UNINIT {
-            // The source starts ON (first burst underway at time zero).
-            rem = draw_exp_ns(self.mean_on, rng).max(1);
-        }
-        let on_gap = self.inner.next_gap(rng).as_ns();
-        // Walk the gap through the ON budget; every exhaustion inserts one
-        // OFF period and a fresh ON period.
-        let mut left = on_gap;
-        let mut off_total = 0u64;
-        while left > rem {
-            left -= rem;
-            off_total += draw_exp_ns(self.mean_off, rng);
-            rem = draw_exp_ns(self.mean_on, rng).max(1);
-        }
-        rem -= left;
-        self.remaining_on_ns.set(rem);
-        Duration::from_ns(on_gap + off_total)
-    }
-
-    fn mean_gap(&self) -> Duration {
-        let duty =
-            self.mean_on.as_ns() as f64 / (self.mean_on.as_ns() + self.mean_off.as_ns()) as f64;
-        Duration::from_ns((self.inner.mean_gap().as_ns() as f64 / duty) as u64)
-    }
+    (-mean_ns * u.ln()).round() as u64
 }
 
 #[cfg(test)]
@@ -206,31 +236,35 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    fn empirical_mean<P: ArrivalProcess>(p: &P, n: usize, seed: u64) -> f64 {
+    fn gaps(kind: ArrivalKind, rate: f64, n: usize, seed: u64) -> Vec<f64> {
+        let mut g = kind.generator(rate).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         (0..n)
-            .map(|_| p.next_gap(&mut rng).as_ns() as f64)
-            .sum::<f64>()
-            / n as f64
+            .map(|_| g.next_gap(&mut rng).as_ns() as f64)
+            .collect()
+    }
+
+    fn mean(xs: &[f64]) -> f64 {
+        xs.iter().sum::<f64>() / xs.len() as f64
+    }
+
+    /// Squared coefficient of variation.
+    fn cv2(xs: &[f64]) -> f64 {
+        let m = mean(xs);
+        xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64 / (m * m)
     }
 
     #[test]
     fn deterministic_is_constant() {
-        let d = Deterministic {
-            gap: Duration::from_us(3),
-        };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        for _ in 0..10 {
-            assert_eq!(d.next_gap(&mut rng), Duration::from_us(3));
-        }
-        assert_eq!(d.mean_gap(), Duration::from_us(3));
+        assert!(gaps(ArrivalKind::Deterministic, 0.5, 10, 0)
+            .iter()
+            .all(|&g| g == 2_000.0));
     }
 
     #[test]
     fn poisson_mean_matches_rate() {
         // rate 0.02 /µs -> mean gap 50_000 ns.
-        let p = Poisson::with_rate_per_us(0.02);
-        let m = empirical_mean(&p, 60_000, 42);
+        let m = mean(&gaps(ArrivalKind::Poisson, 0.02, 60_000, 42));
         assert!(
             (m - 50_000.0).abs() < 1_500.0,
             "poisson mean {m} far from 50_000"
@@ -240,60 +274,40 @@ mod tests {
     #[test]
     fn negative_binomial_mean_matches_rate() {
         for r in [1u32, 3, 8] {
-            let p = NegativeBinomial::with_rate_per_us(0.02, r, Duration::from_ns(10));
-            let m = empirical_mean(&p, 60_000, 7 + r as u64);
+            let kind = ArrivalKind::NegativeBinomial { r };
+            let m = mean(&gaps(kind, 0.02, 60_000, 7 + r as u64));
             assert!(
                 (m - 50_000.0).abs() < 2_000.0,
                 "NB(r={r}) mean {m} far from 50_000"
             );
-            // Configured mean agrees too.
-            let cfg = p.mean_gap().as_ns() as f64;
-            assert!((cfg - 50_000.0).abs() < 200.0, "configured mean {cfg}");
         }
     }
 
     #[test]
     fn higher_dispersion_reduces_variance() {
-        let sample_var = |r: u32| {
-            let p = NegativeBinomial::with_rate_per_us(0.02, r, Duration::from_ns(10));
-            let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-            let xs: Vec<f64> = (0..40_000)
-                .map(|_| p.next_gap(&mut rng).as_ns() as f64)
-                .collect();
-            let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-            xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64
-        };
+        let var = |r| cv2(&gaps(ArrivalKind::NegativeBinomial { r }, 0.02, 40_000, 99));
         assert!(
-            sample_var(8) < sample_var(1) * 0.5,
+            var(8) < var(1) * 0.5,
             "r=8 should be much smoother than geometric"
         );
     }
 
     #[test]
     fn paper_process_is_geometric_10ns_slots() {
-        let p = NegativeBinomial::paper(0.01);
-        assert_eq!(p.r, 1);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         // Gaps are multiples of the 10 ns slot.
-        for _ in 0..100 {
-            assert_eq!(p.next_gap(&mut rng).as_ns() % 10, 0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "too high")]
-    fn impossible_rate_rejected() {
-        // Mean gap below one slot cannot be represented.
-        NegativeBinomial::with_rate_per_us(200.0, 1, Duration::from_ns(10));
+        let kind = ArrivalKind::NegativeBinomial { r: 1 };
+        assert!(gaps(kind, 0.01, 100, 1).iter().all(|&g| g % 10.0 == 0.0));
     }
 
     #[test]
     fn onoff_duty_cycle_scales_the_mean() {
         // 50% duty cycle: long-run rate halves, so the mean gap doubles.
-        let inner = Poisson::with_rate_per_us(0.02);
-        let p = OnOff::new(inner, Duration::from_us(200), Duration::from_us(200));
-        assert_eq!(p.mean_gap(), Duration::from_ns(100_000));
-        let m = empirical_mean(&p, 60_000, 17);
+        let kind = ArrivalKind::OnOff {
+            r: 1,
+            mean_on_us: 200,
+            mean_off_us: 200,
+        };
+        let m = mean(&gaps(kind, 0.02, 60_000, 17));
         assert!(
             (m - 100_000.0).abs() < 5_000.0,
             "on/off mean {m} far from 100_000"
@@ -302,26 +316,18 @@ mod tests {
 
     #[test]
     fn onoff_is_burstier_than_its_inner_process() {
-        let var = |mk: &dyn Fn() -> Box<dyn Fn(&mut rand::rngs::StdRng) -> f64>| {
-            let f = mk();
-            let mut rng = rand::rngs::StdRng::seed_from_u64(55);
-            let xs: Vec<f64> = (0..40_000).map(|_| f(&mut rng)).collect();
-            let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-            let v = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
-            v / (mean * mean) // squared coefficient of variation
+        let plain = cv2(&gaps(
+            ArrivalKind::NegativeBinomial { r: 1 },
+            0.02,
+            40_000,
+            55,
+        ));
+        let bursty = ArrivalKind::OnOff {
+            r: 1,
+            mean_on_us: 150,
+            mean_off_us: 450,
         };
-        let plain = var(&|| {
-            let p = Poisson::with_rate_per_us(0.02);
-            Box::new(move |rng| p.next_gap(rng).as_ns() as f64)
-        });
-        let bursty = var(&|| {
-            let p = OnOff::new(
-                Poisson::with_rate_per_us(0.02),
-                Duration::from_us(150),
-                Duration::from_us(450),
-            );
-            Box::new(move |rng| p.next_gap(rng).as_ns() as f64)
-        });
+        let bursty = cv2(&gaps(bursty, 0.02, 40_000, 55));
         assert!(
             bursty > plain * 1.5,
             "on/off CV² {bursty} not above inner CV² {plain}"
@@ -330,27 +336,41 @@ mod tests {
 
     #[test]
     fn onoff_zero_off_reduces_to_inner() {
-        let p = OnOff::new(
-            Deterministic {
-                gap: Duration::from_us(2),
-            },
-            Duration::from_us(100),
-            Duration::ZERO,
-        );
-        assert_eq!(p.mean_gap(), Duration::from_us(2));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        for _ in 0..50 {
-            assert_eq!(p.next_gap(&mut rng), Duration::from_us(2));
-        }
+        // No OFF time is ever added: every gap is whole slots, at the
+        // inner process's mean.
+        let kind = ArrivalKind::OnOff {
+            r: 1,
+            mean_on_us: 100,
+            mean_off_us: 0,
+        };
+        let xs = gaps(kind, 0.02, 60_000, 3);
+        assert!(xs.iter().all(|&g| g % 10.0 == 0.0));
+        let m = mean(&xs);
+        assert!((m - 50_000.0).abs() < 2_000.0, "mean {m} far from 50_000");
     }
 
     #[test]
-    #[should_panic(expected = "ON period")]
+    fn impossible_rate_rejected() {
+        // Mean gap below one slot cannot be represented.
+        let kind = ArrivalKind::NegativeBinomial { r: 1 };
+        assert_eq!(
+            kind.generator(200.0).err(),
+            Some(TrafficError::RateTooHigh { rate: 200.0 })
+        );
+    }
+
+    #[test]
     fn onoff_rejects_zero_on_period() {
-        OnOff::new(
-            Poisson::with_rate_per_us(0.01),
-            Duration::ZERO,
-            Duration::from_us(1),
+        let kind = ArrivalKind::OnOff {
+            r: 1,
+            mean_on_us: 0,
+            mean_off_us: 1,
+        };
+        assert_eq!(
+            kind.generator(0.01).err(),
+            Some(TrafficError::ZeroDuration {
+                what: "mean ON period"
+            })
         );
     }
 }

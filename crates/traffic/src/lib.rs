@@ -22,8 +22,8 @@
 //! * **Lattice permutations** ([`PermutationConfig`]): transpose and
 //!   bit-complement partners mapped through the generator's
 //!   [`netgraph::gen::lattice::LatticeLayout`].
-//! * **Bursty on/off** ([`OnOff`]): a two-state MMPP wrapping any
-//!   [`ArrivalProcess`].
+//! * **Bursty on/off** ([`ArrivalKind::OnOff`]): the §4 process
+//!   modulated by a two-state MMPP.
 //! * **Incast** ([`IncastConfig`]): many clients streaming to few servers.
 //! * **Broadcast storm** ([`BroadcastStormConfig`]): all nodes multicast
 //!   to all others simultaneously.
@@ -43,11 +43,11 @@ pub mod error;
 pub mod patterns;
 pub mod workload;
 
-pub use arrivals::{ArrivalProcess, Deterministic, NegativeBinomial, OnOff, Poisson};
+pub use arrivals::ArrivalKind;
 pub use closed_loop::{ClosedLoopConfig, ClosedLoopInjector};
 pub use dests::DestinationSampler;
 pub use error::TrafficError;
 pub use patterns::{
     BroadcastStormConfig, HotspotConfig, IncastConfig, PermutationConfig, PermutationPattern,
 };
-pub use workload::{ArrivalKind, MixedTrafficConfig};
+pub use workload::MixedTrafficConfig;

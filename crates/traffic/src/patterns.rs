@@ -4,8 +4,9 @@
 //! returns a time-sorted, tag-numbered stream of [`MessageSpec`]s, like
 //! [`crate::MixedTrafficConfig`].
 
+use crate::arrivals::ArrivalKind;
 use crate::error::TrafficError;
-use crate::workload::{rate_merged_stream, ArrivalKind};
+use crate::workload::rate_merged_stream;
 use desim::Duration;
 use netgraph::gen::lattice::LatticeLayout;
 use netgraph::{NodeId, Topology};
@@ -252,7 +253,7 @@ impl PermutationConfig {
             if src == dst {
                 continue; // self-map: silent source
             }
-            let g = self.arrival.generator(self.rate_per_node_per_us)?;
+            let mut g = self.arrival.generator(self.rate_per_node_per_us)?;
             let mut t = desim::Time::ZERO;
             for _ in 0..self.messages_per_node {
                 t += g.next_gap(&mut rng);

@@ -2,10 +2,10 @@
 //! plus the shared rate-driven stream-merging core every open-loop
 //! workload (mixed, hotspot, incast) builds on.
 
-use crate::arrivals::{ArrivalProcess, Deterministic, NegativeBinomial, OnOff, Poisson};
+use crate::arrivals::{ArrivalGen, ArrivalKind};
 use crate::dests::DestinationSampler;
 use crate::error::TrafficError;
-use desim::{Duration, Time};
+use desim::Time;
 use netgraph::{NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -13,147 +13,6 @@ use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use wormsim::MessageSpec;
-
-/// Which arrival process drives each node's generator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalKind {
-    /// §4: negative binomial slot counts with dispersion `r` over 10 ns
-    /// slots.
-    NegativeBinomial {
-        /// Dispersion; 1 = geometric.
-        r: u32,
-    },
-    /// Exponential gaps (sensitivity analysis).
-    Poisson,
-    /// Fixed gaps (stress tests).
-    Deterministic,
-    /// Bursty on/off arrivals: the §4 negative-binomial process modulated
-    /// by a two-state MMPP ([`OnOff`]). The configured rate is the
-    /// *in-burst* rate; the long-run rate is scaled by the duty cycle
-    /// `on / (on + off)`.
-    OnOff {
-        /// Dispersion of the inner negative-binomial process.
-        r: u32,
-        /// Mean ON-state duration in µs (must be positive).
-        mean_on_us: u64,
-        /// Mean OFF-state duration in µs (zero = always on).
-        mean_off_us: u64,
-    },
-}
-
-impl ArrivalKind {
-    /// Validates `rate` (messages/µs/source) and this kind's own knobs.
-    /// Everything `ArrivalKind::generator` would assert on is caught
-    /// here first, so a validated configuration never panics downstream.
-    pub fn validate_rate(&self, rate: f64) -> Result<(), TrafficError> {
-        if !(rate > 0.0 && rate.is_finite()) {
-            return Err(TrafficError::NonPositiveRate { rate });
-        }
-        match *self {
-            ArrivalKind::NegativeBinomial { r } => {
-                // Mean gap must span at least one 10 ns slot.
-                if 1_000.0 / rate < 10.0 {
-                    return Err(TrafficError::RateTooHigh { rate });
-                }
-                check_dispersion(r)
-            }
-            ArrivalKind::OnOff {
-                r,
-                mean_on_us,
-                mean_off_us,
-            } => {
-                if 1_000.0 / rate < 10.0 {
-                    return Err(TrafficError::RateTooHigh { rate });
-                }
-                check_dispersion(r)?;
-                if mean_on_us == 0 {
-                    return Err(TrafficError::ZeroDuration {
-                        what: "mean ON period",
-                    });
-                }
-                // `Duration::from_us` multiplies by 1000; reject values
-                // that would overflow the nanosecond representation.
-                const MAX_US: u64 = u64::MAX / 1_000;
-                if mean_on_us > MAX_US {
-                    return Err(TrafficError::DurationTooLarge {
-                        what: "mean ON period",
-                    });
-                }
-                if mean_off_us > MAX_US {
-                    return Err(TrafficError::DurationTooLarge {
-                        what: "mean OFF period",
-                    });
-                }
-                Ok(())
-            }
-            ArrivalKind::Poisson | ArrivalKind::Deterministic => {
-                // The continuous kinds still need a representable gap:
-                // past 1000 msg/µs the mean gap truncates to 0 ns and the
-                // configured rate silently vanishes.
-                if 1_000.0 / rate < 1.0 {
-                    return Err(TrafficError::RateTooHigh { rate });
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Builds one per-source gap generator at `rate` messages/µs.
-    /// Stateless kinds share nothing; [`ArrivalKind::OnOff`] carries its
-    /// modulation state, so every source needs its own generator.
-    pub(crate) fn generator(&self, rate: f64) -> Result<ArrivalGen, TrafficError> {
-        self.validate_rate(rate)?;
-        Ok(match *self {
-            ArrivalKind::NegativeBinomial { r } => ArrivalGen::Nb(
-                NegativeBinomial::with_rate_per_us(rate, r, Duration::from_ns(10)),
-            ),
-            ArrivalKind::Poisson => ArrivalGen::Poisson(Poisson::with_rate_per_us(rate)),
-            ArrivalKind::Deterministic => ArrivalGen::Det(Deterministic {
-                gap: Duration::from_ns((1_000.0 / rate) as u64),
-            }),
-            ArrivalKind::OnOff {
-                r,
-                mean_on_us,
-                mean_off_us,
-            } => ArrivalGen::OnOff(OnOff::new(
-                NegativeBinomial::with_rate_per_us(rate, r, Duration::from_ns(10)),
-                Duration::from_us(mean_on_us),
-                Duration::from_us(mean_off_us),
-            )),
-        })
-    }
-}
-
-/// The negative-binomial dispersion must be at least 1 (the number of
-/// geometric components); `NegativeBinomial::with_rate_per_us` asserts it.
-fn check_dispersion(r: u32) -> Result<(), TrafficError> {
-    if r == 0 {
-        return Err(TrafficError::ZeroDuration {
-            what: "negative-binomial dispersion r",
-        });
-    }
-    Ok(())
-}
-
-/// One source's interarrival generator (enum dispatch: the trait method is
-/// generic over the RNG, hence not object safe).
-pub(crate) enum ArrivalGen {
-    Nb(NegativeBinomial),
-    Poisson(Poisson),
-    Det(Deterministic),
-    OnOff(OnOff<NegativeBinomial>),
-}
-
-impl ArrivalGen {
-    pub(crate) fn next_gap<R: Rng + ?Sized>(&self, rng: &mut R) -> Duration {
-        match self {
-            ArrivalGen::Nb(p) => p.next_gap(rng),
-            ArrivalGen::Poisson(p) => p.next_gap(rng),
-            ArrivalGen::Det(p) => p.next_gap(rng),
-            ArrivalGen::OnOff(p) => p.next_gap(rng),
-        }
-    }
-}
 
 /// Merges independent per-source arrival processes into one time-sorted,
 /// tag-numbered stream of `messages` messages. `pick(msg_idx, src_idx,
@@ -179,14 +38,14 @@ pub(crate) fn rate_merged_stream(
             needed: 1,
         });
     }
-    let gens: Vec<ArrivalGen> = sources
+    let mut gens: Vec<ArrivalGen> = sources
         .iter()
         .map(|_| arrival.generator(rate_per_source_per_us))
         .collect::<Result<_, _>>()?;
 
     // Per-source next-arrival heap: (time, source-index).
     let mut heap: BinaryHeap<Reverse<(Time, usize)>> = BinaryHeap::new();
-    for (i, g) in gens.iter().enumerate() {
+    for (i, g) in gens.iter_mut().enumerate() {
         let gap = g.next_gap(rng);
         heap.push(Reverse((Time::ZERO + gap, i)));
     }
@@ -479,8 +338,8 @@ mod tests {
 
     #[test]
     fn degenerate_arrival_knobs_are_typed_errors() {
-        // Everything `generator()` would assert on must be caught by
-        // validation first — a validated config never panics downstream.
+        // Degenerate knobs are typed errors from validation, so a
+        // validated config always builds its generators.
         let base = MixedTrafficConfig::figure3(0.02, 4, 10);
         let with = |arrival| MixedTrafficConfig { arrival, ..base };
         let t = topo();
@@ -528,7 +387,7 @@ mod tests {
     /// 32 gaps consumed.
     fn stream_digest(arrival: ArrivalKind, seed: u64) -> (u64, Vec<u64>) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let g = &mut arrival.generator(0.02).unwrap();
+        let mut g = arrival.generator(0.02).unwrap();
         let gaps: Vec<u64> = (0..32).map(|_| g.next_gap(&mut rng).as_ns()).collect();
         let after = rand::RngCore::next_u64(&mut rng);
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
