@@ -46,7 +46,6 @@ pub mod bisect;
 pub mod codec;
 pub mod corpus;
 pub mod json;
-pub mod minimize;
 pub mod mutate;
 pub mod run;
 pub mod snapshot;
@@ -55,7 +54,6 @@ pub mod spec;
 pub use artifact::{spec_fingerprint, ArtifactPrefix, ScenarioArtifacts, StormArtifacts};
 pub use bisect::{bisect_divergence, DivergenceReport, EventDivergence};
 pub use corpus::{load_dir, CorpusError, SCENARIO_SUFFIX};
-pub use minimize::simplify_candidates;
 pub use mutate::{mutate_spec, Mutation, STAGGER_PALETTE, SWITCH_PALETTE};
 pub use run::{
     run_once, run_spec, run_with_artifacts, split_seed, summarize, RepSummary, ScenarioReport,
