@@ -17,7 +17,7 @@
 
 use netgraph::{ChannelId, NodeId, Topology};
 use std::sync::Arc;
-use updown::{ChannelClass, LazyRows, UpDownLabeling};
+use updown::{hop, sweep_row, ChannelClass, LazyRows, UpDownLabeling, UNREACHABLE};
 use wormsim::{
     MessageSpec, RouteDecision, RouteError, RoutingAlgorithm, SnapReader, SnapWriter, SnapshotError,
 };
@@ -42,20 +42,11 @@ pub struct UpDownUnicastRouting<'a> {
     pre: UpDownPrecomp,
 }
 
-/// Sentinel for unreachable states.
-const UNREACHABLE: u16 = u16::MAX;
-
 /// Index of the `phase` cell of the switch ranked `rank` within a
 /// target's distance row.
 #[inline]
 fn cell(rank: usize, ph: UdPhase) -> usize {
     2 * rank + (ph == UdPhase::Down) as usize
-}
-
-/// One hop further than a cell; `UNREACHABLE` saturates to itself.
-#[inline]
-fn hop(x: u16) -> u16 {
-    x.saturating_add(1)
 }
 
 /// One target's distance row, resolved: the stored switch cells and what
@@ -181,27 +172,15 @@ impl<'a> UpDownUnicastRouting<'a> {
         self.pre.clone()
     }
 
-    /// The row of `target`, one pass per phase over the switches of
-    /// `ud.by_depth()`: down channels lead later in that order, so the
-    /// reverse pass finds each switch's Down cell from finished ones, and
-    /// up channels lead earlier, so the forward pass does the same for Up.
+    /// The row of `target` ([`sweep_row`]): Down cells in the reverse
+    /// pass, Up cells in the forward one.
     fn build_dist(&self, target: NodeId) -> Vec<u16> {
-        let topo = self.topo;
-        let mut cells = vec![UNREACHABLE; 2 * topo.num_switches()];
-        let order = self.ud.by_depth();
-        for &v in order.iter().rev() {
-            if let Some(r) = topo.switch_rank(v) {
-                let down = self.row_of(target, &cells).down(v);
-                cells[cell(r, UdPhase::Down)] = down;
-            }
-        }
-        for &v in order {
-            if let Some(r) = topo.switch_rank(v) {
-                let up = self.row_of(target, &cells).up(v);
-                cells[cell(r, UdPhase::Up)] = up;
-            }
-        }
-        cells
+        sweep_row(
+            self.topo,
+            self.ud,
+            |cells, v| self.row_of(target, cells).down(v),
+            |cells, v| self.row_of(target, cells).up(v),
+        )
     }
 
     /// The residual-distance row of `target`, built now if this is the

@@ -45,7 +45,7 @@
 //! multicast holds one row.
 
 use netgraph::{ChannelId, NodeId, Topology};
-use updown::{ChannelClass, LazyRows, UpDownLabeling};
+use updown::{hop, sweep_row, ChannelClass, LazyRows, UpDownLabeling};
 
 /// Routing phase of a SPAM worm's unicast stage (§3.1 channel ordering).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -65,13 +65,7 @@ impl Phase {
 }
 
 /// Sentinel for "no SPAM-legal completion exists from this state".
-pub const UNREACHABLE: u16 = u16::MAX;
-
-/// One hop further than a cell; `UNREACHABLE` saturates to itself.
-#[inline]
-fn hop(x: u16) -> u16 {
-    x.saturating_add(1)
-}
+pub use updown::UNREACHABLE;
 
 /// One precomputed outgoing move of a node: the channel, its endpoint, and
 /// its up*/down* class — everything the per-hop legality check needs,
@@ -192,33 +186,18 @@ impl RoutingTables {
             + self.move_bounds.len() * 4
     }
 
-    /// The row of `target`: its switches' DownCross cells in a reverse
-    /// pass over `ud.by_depth()`, then their Up cells in a forward pass.
-    ///
-    /// Down channels lead later in that `(level, id)` order and up
-    /// channels earlier, and only up channels keep a worm in the Up
-    /// phase. So a node's DownCross cell depends only on DownCross cells
-    /// of nodes after it, final when the reverse pass reaches it, and its
-    /// Up cell only on its own DownCross cell and the Up cells of nodes
-    /// before it, final in the forward pass. A DownCross cell is finite
-    /// exactly on the target's extended ancestors (Definition 1), which is
-    /// how rule 2 is answered, so neither rule's relation is searched.
+    /// The row of `target` ([`sweep_row`]): DownCross cells in the
+    /// reverse pass, Up cells in the forward one. A DownCross cell is
+    /// finite exactly on the target's extended ancestors (Definition 1),
+    /// which is how rule 2 is answered, so neither rule's relation is
+    /// searched.
     fn build_for_target(&self, topo: &Topology, ud: &UpDownLabeling, target: NodeId) -> Vec<u16> {
-        let mut cells = vec![UNREACHABLE; 2 * topo.num_switches()];
-        let order = ud.by_depth();
-        for &v in order.iter().rev() {
-            if let Some(r) = topo.switch_rank(v) {
-                let cross = self.view(topo, ud, target, &cells).down_cross(v);
-                cells[2 * r + Phase::DownCross as usize] = cross;
-            }
-        }
-        for &v in order {
-            if let Some(r) = topo.switch_rank(v) {
-                let up = self.view(topo, ud, target, &cells).up(v);
-                cells[2 * r + Phase::Up as usize] = up;
-            }
-        }
-        cells
+        sweep_row(
+            topo,
+            ud,
+            |cells, v| self.view(topo, ud, target, cells).down_cross(v),
+            |cells, v| self.view(topo, ud, target, cells).up(v),
+        )
     }
 
     /// `cells` read as `target`'s row (the sweep reads the one it fills).

@@ -30,7 +30,9 @@
 //!   (the up-channel and down-channel digraphs must be acyclic);
 //! * [`LazyRows`] — the per-target row store the routers built on a
 //!   labeling (SPAM, the up*/down* baseline) keep their residual
-//!   distances in: a row is built on first use, then shared.
+//!   distances in: a row is built on first use, then shared — and
+//!   [`sweep_row`], the two passes over the `(level, id)` order that
+//!   build one.
 //!
 //! ```
 //! use netgraph::gen::fixtures::figure1;
@@ -56,5 +58,5 @@ mod rows;
 pub mod validate;
 
 pub use labeling::{ChannelClass, RelabelReport, RootSelection, UpDownLabeling};
-pub use rows::LazyRows;
+pub use rows::{hop, sweep_row, LazyRows, UNREACHABLE};
 pub use validate::{check_acyclic_subnetworks, AcyclicityReport};

@@ -7,10 +7,54 @@
 //! targets its messages aim at. [`LazyRows`]
 //! holds one [`OnceLock`] per target: readers on any thread get the same
 //! row, the builder runs once per row, and an untouched row is an empty slot.
-//! What a row holds is its builder's choice; both routers keep two cells
-//! per switch.
+//! Both routers keep two cells per switch, `2 · rank + {0, 1}` by
+//! [`Topology::switch_rank`]: the Up cell, then the cell of the phase a
+//! worm enters when it turns down. [`sweep_row`] fills such a row.
 
+use crate::UpDownLabeling;
+use netgraph::{NodeId, Topology};
 use std::sync::OnceLock;
+
+/// A cell from which no legal completion exists.
+pub const UNREACHABLE: u16 = u16::MAX;
+
+/// One hop further than a cell; [`UNREACHABLE`] saturates to itself.
+#[inline]
+pub fn hop(x: u16) -> u16 {
+    x.saturating_add(1)
+}
+
+/// One target's row: each switch's down cell (`2 · rank + 1`) from
+/// `down(cells, v)` in a reverse pass over `ud.by_depth()`, then its Up
+/// cell (`2 · rank`) from `up(cells, v)` in a forward pass.
+///
+/// Down channels lead later in that `(level, id)` order and up channels
+/// earlier, and only up channels keep a worm in the Up phase. So a
+/// down cell that reads only the down cells of its down moves' endpoints
+/// is final when the reverse pass reaches it, and an Up cell that reads
+/// its own down cell and the Up cells of its up moves' endpoints is
+/// final in the forward pass. Either recurrence reads `cells` as the row
+/// filled so far.
+pub fn sweep_row(
+    topo: &Topology,
+    ud: &UpDownLabeling,
+    down: impl Fn(&[u16], NodeId) -> u16,
+    up: impl Fn(&[u16], NodeId) -> u16,
+) -> Vec<u16> {
+    let mut cells = vec![UNREACHABLE; 2 * topo.num_switches()];
+    let order = ud.by_depth();
+    for &v in order.iter().rev() {
+        if let Some(r) = topo.switch_rank(v) {
+            cells[2 * r + 1] = down(&cells, v);
+        }
+    }
+    for &v in order {
+        if let Some(r) = topo.switch_rank(v) {
+            cells[2 * r] = up(&cells, v);
+        }
+    }
+    cells
+}
 
 /// One lazily built, immutable `u16` row per target.
 #[derive(Debug)]
