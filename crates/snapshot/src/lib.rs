@@ -124,6 +124,17 @@ impl Fnv1a {
     }
 }
 
+/// Appends `v` as an unsigned LEB128 varint (1 to 10 bytes, low seven
+/// bits first): every snapshot integer, and protobuf's wire type 0.
+#[inline]
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
 /// FNV-1a 64-bit hash of a byte slice — the trailer checksum, also handy
 /// as a cheap content digest for checkpoint deduplication.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -278,12 +289,8 @@ impl SnapWriter {
 
     /// Appends a `u64` as a varint (1 to 10 bytes).
     #[inline]
-    pub fn put_u64(&mut self, mut v: u64) {
-        while v >= 0x80 {
-            self.buf.push(v as u8 | 0x80);
-            v >>= 7;
-        }
-        self.buf.push(v as u8);
+    pub fn put_u64(&mut self, v: u64) {
+        put_varint(&mut self.buf, v);
     }
 
     /// Appends a `bool` as one byte (0 or 1).

@@ -6,6 +6,8 @@
 //! so the ~hundred lines here cover everything the exporter emits, plus a
 //! reader used by the round-trip tests to prove the files parse.
 
+use spam_snapshot::put_varint;
+
 /// Protobuf wire types used by the Perfetto track-event subset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireType {
@@ -13,19 +15,6 @@ pub enum WireType {
     Varint,
     /// Wire type 2: length-delimited bytes (nested messages, strings).
     LengthDelimited,
-}
-
-/// Appends a base-128 varint.
-pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
 }
 
 /// Appends a field tag (field number + wire type).
