@@ -22,7 +22,8 @@
 //!   byte for byte (throughput goes to stderr instead).
 //! * `results/fuzz_promoted/*.scenario.json` — novel clean mutants,
 //!   exactly as the oracles ran them. With `--promote` they are also
-//!   copied into `scenarios/` for golden-pinning via `make_corpus`.
+//!   copied into `scenarios/`, ready for a `CorpusPin` in
+//!   `tests/golden_regression.rs`.
 //! * `scenarios/regressions/*.scenario.json` — minimized
 //!   oracle-violating specs, failing oracle named in the description.
 //!   Any regression exits nonzero.
@@ -198,9 +199,8 @@ fn main() {
     };
     written.write(Path::new("results")).expect("write results");
     if promote {
-        // Opt-in: drop novel specs straight into the corpus. The
-        // golden pins (corpus length, per-spec counters) then need
-        // regenerating via examples/make_corpus.
+        // Opt-in: drop novel specs straight into the corpus. Each one
+        // then needs a `CorpusPin` (the corpus length is pinned too).
         write_specs(corpus_dir, promoted()).expect("promote specs into corpus");
     }
 

@@ -20,20 +20,9 @@ use rand::Rng;
 /// outlier. All satisfy `switches >= 2`.
 pub const SWITCH_PALETTE: &[usize] = &[2, 6, 12, 24, 32, 48, 64, 100];
 
-/// Broadcast-storm stagger palette (ns), straddling the engine's far
-/// horizon (`wormsim::WHEEL_SPAN_NS`) so mutants light its coverage bit:
-/// same-instant (0), one router setup (40), mid-range, and just-below / at
-/// / beyond the horizon.
-pub const STAGGER_PALETTE: &[u64] = &[
-    0,
-    40,
-    1_000,
-    5_000_000,
-    wormsim::WHEEL_SPAN_NS - 1,
-    wormsim::WHEEL_SPAN_NS,
-    wormsim::WHEEL_SPAN_NS + 1,
-    wormsim::WHEEL_SPAN_NS * 2,
-];
+/// Broadcast-storm stagger palette (ns): same-instant (0), one router
+/// setup (40), mid-range (1 µs), and far apart (5 ms).
+pub const STAGGER_PALETTE: &[u64] = &[0, 40, 1_000, 5_000_000];
 
 /// One applied mutation: the mutant plus what the mutator did and what
 /// it predicts validation will say.
@@ -541,11 +530,5 @@ mod tests {
             assert_eq!(ma.axis, mb.axis);
             assert_eq!(ma.spec, mb.spec);
         }
-    }
-
-    #[test]
-    fn stagger_palette_straddles_the_wheel_horizon() {
-        assert!(STAGGER_PALETTE.contains(&(wormsim::WHEEL_SPAN_NS - 1)));
-        assert!(STAGGER_PALETTE.contains(&(wormsim::WHEEL_SPAN_NS + 1)));
     }
 }

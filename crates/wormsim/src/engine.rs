@@ -406,7 +406,6 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             "{link} is not a channel of this topology"
         );
         let at = at.max(self.sched.now());
-        self.note_wheel_horizon(at);
         self.sched.at_or_now(at, Event::LinkDown(link));
         if let Err(pos) = self.fault_times.binary_search(&at) {
             self.fault_times.insert(pos, at);
@@ -453,7 +452,6 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         index_dests(&mut self.dest_index, &spec);
         let worm_len = spec.len + self.cfg.extra_header_flits;
         let ready_at = spec.gen_time + self.cfg.latency.startup;
-        self.note_wheel_horizon(ready_at);
         self.sched.at(ready_at, Event::SourceReady(id));
         self.msgs.push(MsgState::new(spec, worm_len, dests_at));
         Ok(id)
@@ -575,17 +573,6 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         self.obs.error(&e);
         if self.error.is_none() {
             self.error = Some(e);
-        }
-    }
-
-    /// An event scheduled at `when` whose timestamp differs from the
-    /// current clock at or above [`crate::WHEEL_SPAN_NS`] lies past the
-    /// far horizon. Detected here from engine state (not queue internals),
-    /// so the signal is identical under both event queues — the
-    /// equivalence suite pins `Counters` equality.
-    fn note_wheel_horizon(&mut self, when: Time) {
-        if (when.as_ns() ^ self.sched.now().as_ns()) >= crate::WHEEL_SPAN_NS {
-            self.obs.wheel_deferral();
         }
     }
 

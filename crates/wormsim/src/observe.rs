@@ -4,10 +4,12 @@
 //! trace ([`crate::trace`]), fabric telemetry ([`spam_metrics`]), the
 //! coverage record ([`CoverageSet`]) and the periodic checkpointer. The
 //! engine names each step of the §3.2 router protocol once, by calling
-//! one [`Observers`] method at it; which recorders listen at that step,
-//! and whether they are enabled at all, is decided here. Observers are
-//! chosen per run from the scenario at run time, so this is one concrete
-//! struct of `Option`s, not a type parameter on [`NetworkSim`].
+//! one [`Observers`] method at it — fifteen protocol points, from source
+//! ready to end of run, each headed in bold below; which recorders
+//! listen at that step, and whether they are enabled at all, is decided
+//! here. Observers are chosen per run from the scenario at run time, so
+//! this is one concrete struct of `Option`s, not a type parameter on
+//! [`NetworkSim`].
 //!
 //! **Pure observers.** Nothing here schedules an event or touches engine
 //! state: the sampler and the checkpointer ride [`Ticker`]s beside the
@@ -381,15 +383,6 @@ impl Observers {
     #[inline]
     pub(super) fn error(&mut self, e: &SimError) {
         self.coverage.note_sim_error(e);
-    }
-
-    /// **Scheduled past the far horizon** — an event landed
-    /// [`crate::WHEEL_SPAN_NS`] or more ahead. The engine detects it from
-    /// its own clock, so the signal is identical under both event queues.
-    #[inline]
-    pub(super) fn wheel_deferral(&mut self) {
-        self.coverage.set(CoverageSet::WHEEL_OVERFLOW);
-        self.coverage.wheel_deferrals += 1;
     }
 
     /// The coverage words, where `SECT_ENGINE` has always carried them.
