@@ -22,7 +22,6 @@ pub fn outcome_digest(out: &SimOutcome) -> u64 {
         c.max_branch_fanout as u64,
         c.max_ocrq_depth as u64,
         c.epochs as u64,
-        c.wheel_deferrals as u64,
         c.max_reattached_nodes as u64,
     ] {
         h.word(w);

@@ -80,7 +80,7 @@ pub const MAGIC: [u8; 8] = *b"SPAMSNAP";
 
 /// Current snapshot format version (see the version policy in the crate
 /// docs: any payload layout change bumps this).
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Streaming FNV-1a 64 accumulator — the workspace's one FNV-1a: the
 /// snapshot trailer ([`fnv1a`]), the artifact-cache fingerprint, the

@@ -465,7 +465,6 @@ pub(crate) mod tests {
             max_branch_fanout: 3,
             max_ocrq_depth: 2,
             epochs: 4,
-            wheel_deferrals: 1,
             max_reattached_nodes: 6,
         });
         let channels = || ChannelList::from_slice(&[c, ChannelId(2)]);

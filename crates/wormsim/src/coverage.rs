@@ -5,10 +5,10 @@
 //! the fuzzer (`spam-fuzz`) needs a cheap, deterministic answer to "did
 //! this mutant visit an engine state no earlier run did?". [`CoverageSet`]
 //! is that answer: a bitset of one-shot mechanism flags (first
-//! teardown-during-branch-replication, first far-horizon event, each
-//! error variant) plus a handful of watermark counters (max branch
-//! fanout, max OCRQ depth, epoch count) whose *exceedance* is also
-//! novelty.
+//! teardown-during-branch-replication, first OCRQ contention, each
+//! error variant) plus four watermark counters (max branch fanout, max
+//! OCRQ depth, epoch count, most reattached nodes) whose *exceedance* is
+//! also novelty.
 //!
 //! Every signal is computed from engine-visible state only — never from
 //! event-queue internals — so the same run produces the same
@@ -18,14 +18,6 @@
 
 use crate::outcome::SimError;
 use crate::routing::RouteError;
-
-/// The far horizon [`CoverageSet::WHEEL_OVERFLOW`] watches: an event whose
-/// timestamp differs from the clock at or above bit 36 (2^36 ns, about
-/// 68.7 simulated seconds). It is the span of the hierarchical timing
-/// wheel the engine's event queue once was, kept as it was so that the
-/// bit, `wheel_deferrals`, fuzz digests and the corpus pins keep their
-/// meaning.
-pub const WHEEL_SPAN_NS: u64 = 1 << 36;
 
 /// One named coverage bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,69 +44,65 @@ coverage_bits! {
     /// A worm with two or more output channels (a branch replication
     /// unit) was torn down mid-flight by a fault.
     TEARDOWN_DURING_BRANCH = 0, "teardown_during_branch";
-    /// An event was scheduled past the far horizon ([`WHEEL_SPAN_NS`]
-    /// from the current instant). Detected at schedule time from engine
-    /// state, so the bit is queue-independent.
-    WHEEL_OVERFLOW = 1, "wheel_overflow";
     /// A message's own injection link was already dead at source-ready.
-    SOURCE_INJECTION_DEAD = 2, "source_injection_dead";
+    SOURCE_INJECTION_DEAD = 1, "source_injection_dead";
     /// A message was rejected at its source as unreachable (destination
     /// or source outside the routable component).
-    UNREACHABLE_AT_SOURCE = 3, "unreachable_at_source";
+    UNREACHABLE_AT_SOURCE = 2, "unreachable_at_source";
     /// A live-mode routing dead end: an in-flight worm's routing failed
     /// mid-walk and it was torn down rather than aborting the run.
-    ROUTE_DEADEND_LIVE = 4, "route_deadend_live";
+    ROUTE_DEADEND_LIVE = 3, "route_deadend_live";
     /// A routing decision requested a channel that died after the worm's
     /// labeling was built.
-    DECISION_HIT_DEAD_CHANNEL = 5, "decision_hit_dead_channel";
+    DECISION_HIT_DEAD_CHANNEL = 4, "decision_hit_dead_channel";
     /// At least one bubble flit was created (asynchronous replication).
-    BUBBLES = 6, "bubbles";
+    BUBBLES = 5, "bubbles";
     /// The run was declared deadlocked by the progress watchdog.
-    DEADLOCK_WATCHDOG = 7, "deadlock_watchdog";
+    DEADLOCK_WATCHDOG = 6, "deadlock_watchdog";
     /// The run was declared deadlocked by event-queue exhaustion.
-    DEADLOCK_QUEUE_EXHAUSTED = 8, "deadlock_queue_exhausted";
+    DEADLOCK_QUEUE_EXHAUSTED = 7, "deadlock_queue_exhausted";
     /// The run passed through three or more routing epochs (two or more
     /// distinct fault instants).
-    MULTI_EPOCH = 9, "multi_epoch";
+    MULTI_EPOCH = 8, "multi_epoch";
     /// A relabel after a fault reattached at least one node while keeping
     /// the old tree (incremental patch, not a rebuild). Scenario-level:
     /// merged by `spam-scenario` after the run.
-    RELABEL_REATTACH = 10, "relabel_reattach";
+    RELABEL_REATTACH = 9, "relabel_reattach";
     /// A relabel rebuilt the spanning tree from scratch (the root died).
     /// Scenario-level: merged by `spam-scenario` after the run.
-    RELABEL_FULL_REBUILD = 11, "relabel_full_rebuild";
+    RELABEL_FULL_REBUILD = 10, "relabel_full_rebuild";
     /// Two or more worms queued on one output channel's OCRQ at once.
-    OCRQ_CONTENTION = 12, "ocrq_contention";
+    OCRQ_CONTENTION = 11, "ocrq_contention";
     /// A worm acquired two or more output channels at one router (branch
     /// replication engaged).
-    BRANCHING_WORM = 13, "branching_worm";
+    BRANCHING_WORM = 12, "branching_worm";
     /// [`SimError::Route`] was recorded (aborting or per-message).
-    ERR_ROUTE = 14, "err_route";
+    ERR_ROUTE = 13, "err_route";
     /// [`SimError::Misroute`] was recorded.
-    ERR_MISROUTE = 15, "err_misroute";
+    ERR_MISROUTE = 14, "err_misroute";
     /// [`SimError::EmptyDecision`] was recorded.
-    ERR_EMPTY_DECISION = 16, "err_empty_decision";
+    ERR_EMPTY_DECISION = 15, "err_empty_decision";
     /// [`SimError::ForeignChannel`] was recorded.
-    ERR_FOREIGN_CHANNEL = 17, "err_foreign_channel";
+    ERR_FOREIGN_CHANNEL = 16, "err_foreign_channel";
     /// [`SimError::DuplicateRequest`] was recorded.
-    ERR_DUPLICATE_REQUEST = 18, "err_duplicate_request";
+    ERR_DUPLICATE_REQUEST = 17, "err_duplicate_request";
     /// [`SimError::TornDown`] was recorded.
-    ERR_TORN_DOWN = 19, "err_torn_down";
+    ERR_TORN_DOWN = 18, "err_torn_down";
     /// [`RouteError::NoLegalMove`] was seen.
-    ROUTE_NO_LEGAL_MOVE = 20, "route_no_legal_move";
+    ROUTE_NO_LEGAL_MOVE = 19, "route_no_legal_move";
     /// [`RouteError::NoDestinationSubtree`] was seen.
-    ROUTE_NO_DEST_SUBTREE = 21, "route_no_dest_subtree";
+    ROUTE_NO_DEST_SUBTREE = 20, "route_no_dest_subtree";
     /// [`RouteError::NoPlan`] was seen.
-    ROUTE_NO_PLAN = 22, "route_no_plan";
+    ROUTE_NO_PLAN = 21, "route_no_plan";
     /// [`RouteError::NoSuchLink`] was seen.
-    ROUTE_NO_SUCH_LINK = 23, "route_no_such_link";
+    ROUTE_NO_SUCH_LINK = 22, "route_no_such_link";
     /// [`RouteError::UnreachableDestination`] was seen.
-    ROUTE_UNREACHABLE_DEST = 24, "route_unreachable_dest";
+    ROUTE_UNREACHABLE_DEST = 23, "route_unreachable_dest";
     /// [`RouteError::SourceDisconnected`] was seen.
-    ROUTE_SOURCE_DISCONNECTED = 25, "route_source_disconnected";
+    ROUTE_SOURCE_DISCONNECTED = 24, "route_source_disconnected";
     /// [`SimError::HookSpec`] was recorded — a completion hook submitted
     /// an invalid follow-up message.
-    ERR_HOOK_SPEC = 26, "err_hook_spec";
+    ERR_HOOK_SPEC = 25, "err_hook_spec";
 }
 
 /// One named watermark extracted from a [`CoverageSet`].
@@ -139,9 +127,6 @@ pub struct CoverageSet {
     pub max_ocrq_depth: u32,
     /// Routing epochs the run passed through (fault boundaries + 1).
     pub epochs: u32,
-    /// Events scheduled past the far horizon ([`WHEEL_SPAN_NS`]), counted
-    /// at schedule time.
-    pub wheel_deferrals: u32,
     /// Most nodes any single relabel reattached (scenario-level; merged
     /// by `spam-scenario` after the run).
     pub max_reattached_nodes: u32,
@@ -213,7 +198,7 @@ impl CoverageSet {
     }
 
     /// The watermarks by stable name, in a fixed order.
-    pub fn watermarks(&self) -> [Watermark; 5] {
+    pub fn watermarks(&self) -> [Watermark; 4] {
         [
             Watermark {
                 name: "max_branch_fanout",
@@ -226,10 +211,6 @@ impl CoverageSet {
             Watermark {
                 name: "epochs",
                 value: self.epochs as u64,
-            },
-            Watermark {
-                name: "wheel_deferrals",
-                value: self.wheel_deferrals as u64,
             },
             Watermark {
                 name: "max_reattached_nodes",
@@ -245,7 +226,6 @@ impl CoverageSet {
         self.max_branch_fanout = self.max_branch_fanout.max(other.max_branch_fanout);
         self.max_ocrq_depth = self.max_ocrq_depth.max(other.max_ocrq_depth);
         self.epochs = self.epochs.max(other.epochs);
-        self.wheel_deferrals = self.wheel_deferrals.max(other.wheel_deferrals);
         self.max_reattached_nodes = self.max_reattached_nodes.max(other.max_reattached_nodes);
     }
 
@@ -283,7 +263,7 @@ impl CoverageSet {
 }
 
 crate::codec::snap_struct! { CoverageSet {
-    bits, max_branch_fanout, max_ocrq_depth, epochs, wheel_deferrals, max_reattached_nodes,
+    bits, max_branch_fanout, max_ocrq_depth, epochs, max_reattached_nodes,
 } }
 
 #[cfg(test)]
@@ -294,7 +274,7 @@ mod tests {
 
     #[test]
     fn bit_table_matches_constants() {
-        assert_eq!(COVERAGE_BITS.len(), 27);
+        assert_eq!(COVERAGE_BITS.len(), 26);
         // Names are unique and each mask has exactly one bit.
         let mut union = 0u64;
         for b in COVERAGE_BITS {

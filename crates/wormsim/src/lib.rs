@@ -84,7 +84,7 @@ pub mod routing;
 pub mod trace;
 
 pub use config::{LatencyParams, SimConfig};
-pub use coverage::{CoverageBit, CoverageSet, Watermark, COVERAGE_BITS, WHEEL_SPAN_NS};
+pub use coverage::{CoverageBit, CoverageSet, Watermark, COVERAGE_BITS};
 pub use desim::QueueKind;
 pub use engine::{CheckpointSink, NetworkSim};
 pub use flit::{Flit, FlitKind, MsgId};

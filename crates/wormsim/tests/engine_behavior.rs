@@ -483,13 +483,13 @@ const CAPPED_PINS: (u64, u64, usize, u64) = (
     5914715183444671105,
     14144879036956244356,
     160,
-    1956278145563389432,
+    10208991168059604521,
 );
 const WATCHDOG_PINS: (u64, u64, usize, u64) = (
     16613224557136489413,
     11712490525398530066,
     1601,
-    3444614367703987679,
+    18058846882651134466,
 );
 
 #[test]

@@ -187,13 +187,13 @@ fn pinned_checkpoints(spec: &ScenarioSpec, queue: Option<QueueKind>) -> [(u64, V
 /// engine does before a checkpoint (the order teardown frees slots in, a
 /// header's encoding) moves the second pin without one.
 #[test]
-fn snapshot_bytes_are_pinned_for_format_version_5() {
-    assert_eq!(spam_snapshot::FORMAT_VERSION, 5);
+fn snapshot_bytes_are_pinned_for_format_version_6() {
+    assert_eq!(spam_snapshot::FORMAT_VERSION, 6);
     let [storm, closed, degraded] = format_pin_specs();
     for (spec, wants) in [
-        (storm, [0x8437_ff86_52f3_5318_u64, 0xab14_8842_7204_3e00]),
-        (closed, [0x5eaf_38c1_d246_fa11, 0x1ac2_c254_7f79_58f7]),
-        (degraded, [0x064c_b2ae_4583_ffe2, 0x8244_6080_55b2_afa4]),
+        (storm, [0x3362_de59_ff16_1010_u64, 0xd808_9e50_51aa_bbf2]),
+        (closed, [0xb39d_67f7_e2ea_3060, 0x805b_6b1f_eeae_3173]),
+        (degraded, [0x7548_7310_0087_2b75, 0x031c_9f4e_ab97_bfb0]),
     ] {
         for ((at_ns, bytes), want) in pinned_checkpoints(&spec, None).iter().zip(wants) {
             let got = spam_net::wormsim::fnv1a(bytes);
