@@ -1,6 +1,6 @@
 //! Greedy minimization of oracle-violating specs.
 //!
-//! [`simplify_candidates`] yields one-axis simplifications that still
+//! `simplify_candidates` yields one-axis simplifications that still
 //! validate. A candidate is adopted whenever the shrunk spec still trips
 //! the *same named oracle*; the walk restarts from the adopted spec and
 //! runs to a fixpoint (no candidate reproduces the violation) or an
