@@ -432,10 +432,11 @@ fn fuzzed_corpus_specs_light_their_namesake_coverage() {
         out
     };
     let check = |name: &str, mask: u64| {
-        let bits = run(name).counters.coverage.bits;
+        let coverage = run(name).counters.coverage;
         assert!(
-            bits & mask == mask,
-            "{name}: coverage signal {mask:#x} lost (got {bits:#x})"
+            coverage.has(mask),
+            "{name}: coverage signal {mask:#x} lost (got {:#x})",
+            coverage.bits
         );
     };
     check(
