@@ -47,8 +47,8 @@ fn candidate_of(
 
 fn report_json(r: &DivergenceReport) -> String {
     let num = |v: u64| Json::Num(Num::U(v));
-    let digest = |d: u64| Json::Str(format!("{d:#018x}"));
-    let text = |v: &Option<String>| v.clone().map_or(Json::Null, Json::Str);
+    let digest = |d: u64| Json::Str(format!("{d:#018x}").into());
+    let text = |v: &Option<String>| v.as_deref().map_or(Json::Null, |s| Json::Str(s.into()));
     Json::obj(vec![
         ("reference_digest", digest(r.reference_digest)),
         ("candidate_digest", digest(r.candidate_digest)),

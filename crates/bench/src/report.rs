@@ -79,13 +79,13 @@ impl BenchJson {
         };
         Json::obj(vec![
             ("schema", Json::Num(Num::U(1))),
-            ("name", Json::Str(self.name.clone())),
+            ("name", Json::Str(self.name.as_str().into())),
             (
                 "params",
                 Json::Obj(
                     self.params
                         .iter()
-                        .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
+                        .map(|(k, v)| (k.as_str().into(), Json::Str(v.as_str().into())))
                         .collect(),
                 ),
             ),
@@ -96,7 +96,7 @@ impl BenchJson {
                         .iter()
                         .map(|(name, points)| {
                             Json::obj(vec![
-                                ("name", Json::Str(name.clone())),
+                                ("name", Json::Str(name.as_str().into())),
                                 ("points", Json::Arr(points.iter().map(point).collect())),
                             ])
                         })

@@ -99,10 +99,10 @@ impl ArtifactPrefix {
     /// by the cache manifest (artifacts themselves are deterministic
     /// rebuilds, so the manifest only needs the recipe).
     pub fn canonical_json(&self) -> String {
-        Json::Obj(vec![
-            ("topology".to_string(), encode_topology(&self.topology)),
-            ("faults".to_string(), encode_faults(&self.faults)),
-            ("rep".to_string(), Json::Num(Num::U(self.rep as u64))),
+        Json::obj(vec![
+            ("topology", encode_topology(&self.topology)),
+            ("faults", encode_faults(&self.faults)),
+            ("rep", Json::Num(Num::U(self.rep as u64))),
         ])
         .to_string_compact()
     }

@@ -11,7 +11,7 @@
 //! lookup, coercion, defaults, error paths and the unknown-key check, so
 //! a key is spelled once in its decoder and once in its encoder.
 
-use crate::json::{parse, Json, Num};
+use crate::json::{parse, Json, Num, Text};
 use crate::spec::{
     ArrivalSpec, EngineSpec, FaultModelSpec, FaultsSpec, PatternSpec, PolicySpec, QueueSpec,
     RoutingSpec, ScenarioSpec, SpecError, StrategySpec, TopologySpec, TrafficSpec,
@@ -35,7 +35,7 @@ pub(crate) type At<'x> = &'x dyn Fn() -> String;
 /// kept error, else the value. The cells let a decoder be one
 /// expression: `o.finish(T { a: o.req("a", u64_of), .. })`.
 pub(crate) struct Reader<'a, 'p> {
-    fields: &'a [(String, Json)],
+    fields: &'a [(Text, Json)],
     path: At<'p>,
     /// Bit `i` is set once field `i` has been asked for.
     asked: Cell<u64>,
@@ -252,7 +252,7 @@ fn f(v: f64) -> Json {
 }
 
 fn s(v: &str) -> Json {
-    Json::Str(v.to_string())
+    Json::Str(v.into())
 }
 
 fn nullable(v: Option<u64>) -> Json {

@@ -7,6 +7,18 @@
 //! `f64`-only number models cannot guarantee), and positioned parse
 //! errors.
 //!
+//! Strings and object keys are [`Text`]: up to 23 bytes inline, a boxed
+//! `str` beyond. Every key the codec and the protocol read, and every tag
+//! value they write, fits inline, so a parsed request holds a heap block
+//! only per object or array (and per long string). The parser is
+//! iterative: the members of every open container wait on one stack it
+//! owns, and a container that closes moves its members into a
+//! `Vec::with_capacity(n)`, so no document's `Vec` ever grows by
+//! doubling. Nesting deeper than [`MAX_DEPTH`] is a positioned error, not
+//! a deeper call stack, and a repeated key is found by sorting the
+//! object's keys once it closes (objects of up to 16 keys compare them
+//! pairwise), never by comparing each key with every earlier one.
+//!
 //! Both directions are linear in the document. The parser copies each
 //! string as runs between escapes (the input is already a `&str`, and a
 //! run cut at an ASCII quote or backslash is valid UTF-8, so nothing is
@@ -16,6 +28,116 @@
 //! building a tree — the service's response lines are written that way.
 
 use std::fmt;
+use std::mem;
+use std::num::NonZeroU8;
+use std::ops::Deref;
+
+/// The longest string a [`Text`] holds without a heap block.
+const INLINE: usize = 23;
+
+/// An immutable string for JSON keys and string values: up to 23 bytes
+/// inline, anything longer in a boxed `str`. It is 24 bytes, the size of
+/// a `String`, and dereferences to `&str`.
+#[derive(Clone)]
+pub struct Text(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline(Inline),
+    Heap(Box<str>),
+}
+
+/// Inline text. `len` is the length plus one: the zero it never holds is
+/// the niche that keeps [`Repr`] at 24 bytes, and the alignment lets a
+/// move copy three words instead of a byte, a word and the rest.
+#[derive(Clone, Copy)]
+#[repr(C, align(8))]
+struct Inline {
+    bytes: [u8; INLINE],
+    len: NonZeroU8,
+}
+
+impl Text {
+    /// The text as a `&str`.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            // Inline bytes are only ever copied whole from a `&str`.
+            Repr::Inline(_) => std::str::from_utf8(self.as_bytes()).unwrap_or_default(),
+            Repr::Heap(s) => s,
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline(Inline { bytes, len }) => &bytes[..usize::from(len.get() - 1)],
+            Repr::Heap(s) => s.as_bytes(),
+        }
+    }
+}
+
+impl From<&str> for Text {
+    fn from(s: &str) -> Self {
+        if s.len() > INLINE {
+            return Text(Repr::Heap(s.into()));
+        }
+        let mut bytes = [0; INLINE];
+        bytes[..s.len()].copy_from_slice(s.as_bytes());
+        let len = NonZeroU8::MIN.saturating_add(s.len() as u8);
+        Text(Repr::Inline(Inline { bytes, len }))
+    }
+}
+
+impl From<String> for Text {
+    fn from(s: String) -> Self {
+        if s.len() > INLINE {
+            Text(Repr::Heap(s.into_boxed_str()))
+        } else {
+            Text::from(s.as_str())
+        }
+    }
+}
+
+impl Default for Text {
+    fn default() -> Self {
+        Text(Repr::Inline(Inline {
+            bytes: [0; INLINE],
+            len: NonZeroU8::MIN,
+        }))
+    }
+}
+
+impl Deref for Text {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for Text {
+    fn eq(&self, other: &Text) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Text {}
+
+impl PartialEq<str> for Text {
+    fn eq(&self, other: &str) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self)
+    }
+}
 
 /// A JSON number. Integers keep their exact value; anything with a
 /// fraction or exponent is an `f64` (printed via the shortest
@@ -62,22 +184,17 @@ pub enum Json {
     /// Any number.
     Num(Num),
     /// A string.
-    Str(String),
+    Str(Text),
     /// An array.
     Arr(Vec<Json>),
     /// An object (insertion-ordered key/value pairs).
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Text, Json)>),
 }
 
 impl Json {
     /// An object from `(key, value)` pairs, in the given order.
     pub fn obj(fields: Vec<(&str, Json)>) -> Json {
-        Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
     /// Object field lookup.
@@ -91,7 +208,7 @@ impl Json {
     /// The string payload, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Json::Str(s) => Some(s),
+            Json::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -357,12 +474,24 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest nesting of arrays and objects [`parse`] accepts; one
+/// more opening bracket is a positioned error.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (one value, optional surrounding
 /// whitespace).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { src: input, pos: 0 };
+    let mut p = Parser {
+        src: input,
+        pos: 0,
+        members: Vec::with_capacity(STACK),
+        frame: Frame::default(),
+        depth: 0,
+        buf: String::new(),
+        order: Vec::new(),
+    };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.document()?;
     p.skip_ws();
     if p.pos != input.len() {
         return Err(p.err("trailing data after the document"));
@@ -370,9 +499,75 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
     Ok(v)
 }
 
+/// Members the stack holds before its first growth: more than a request
+/// line keeps open at once.
+const STACK: usize = 32;
+
+/// Objects of up to this many keys are checked for a repeat pairwise.
+const PAIRWISE: usize = 16;
+
 struct Parser<'a> {
     src: &'a str,
     pos: usize,
+    /// The members of every open container, outermost first. Each
+    /// container's slot — the member it will become the value of — sits
+    /// just below its own first member; the document's slot is the
+    /// bottom one. While its container is open, a slot's `end` holds the
+    /// enclosing container's frame (see [`Frame::packed`]).
+    members: Vec<Member>,
+    /// The innermost open container.
+    frame: Frame,
+    /// How many containers are open.
+    depth: usize,
+    /// The decoded text of a string holding escapes.
+    buf: String,
+    /// Member indices of a large object, sorted by key.
+    order: Vec<usize>,
+}
+
+/// An open container: where its members start on the stack.
+#[derive(Clone, Copy, Default)]
+struct Frame {
+    start: usize,
+    obj: bool,
+}
+
+impl Frame {
+    /// The frame as one word, kept in its inner container's slot.
+    fn packed(self) -> usize {
+        self.start << 1 | usize::from(self.obj)
+    }
+
+    fn unpack(word: usize) -> Frame {
+        Frame {
+            start: word >> 1,
+            obj: word & 1 == 1,
+        }
+    }
+}
+
+/// A container member: its key (empty in an array), its value, and the
+/// offset just past the value (where a repeated key is reported).
+struct Member {
+    key: Text,
+    value: Json,
+    end: usize,
+}
+
+/// The index of the first member whose key repeats an earlier one's.
+fn first_repeat(members: &[Member], order: &mut Vec<usize>) -> Option<usize> {
+    let key = |i: usize| members[i].key.as_bytes();
+    if members.len() <= PAIRWISE {
+        return (1..members.len()).find(|&j| (0..j).any(|i| key(i) == key(j)));
+    }
+    order.clear();
+    order.extend(0..members.len());
+    order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+    order
+        .windows(2)
+        .filter(|w| key(w[0]) == key(w[1]))
+        .map(|w| w[1])
+        .min()
 }
 
 impl Parser<'_> {
@@ -380,9 +575,40 @@ impl Parser<'_> {
         self.src.as_bytes()
     }
 
+    /// An error at the current offset — unless an open object already
+    /// holds a repeated key. Keys are compared when their object closes,
+    /// but a repeat is reported as if each key were checked once its
+    /// value is parsed: such a repeat lies before the current offset, so
+    /// it is the document's first error.
     fn err(&self, msg: impl Into<String>) -> JsonError {
+        self.open_repeat()
+            .unwrap_or_else(|| self.err_at(self.pos, msg.into()))
+    }
+
+    /// The first repeated key among the complete members of the open
+    /// objects. An outer object's members all precede an inner one's.
+    fn open_repeat(&self) -> Option<JsonError> {
+        let (mut order, mut first) = (Vec::new(), None);
+        let (mut frame, mut end) = (self.frame, self.members.len());
+        // Innermost first, so the last repeat found is the outermost.
+        for _ in 0..self.depth {
+            if frame.obj {
+                let members = &self.members[frame.start..end];
+                first = first_repeat(members, &mut order)
+                    .map(|j| frame.start + j)
+                    .or(first);
+            }
+            // The slot below is incomplete: its container is open.
+            end = frame.start - 1;
+            frame = Frame::unpack(self.members[end].end);
+        }
+        let Member { key, end, .. } = &self.members[first?];
+        Some(self.err_at(*end, format!("duplicate key \"{key}\"")))
+    }
+
+    fn err_at(&self, pos: usize, msg: String) -> JsonError {
         let (mut line, mut col) = (1, 1);
-        for &b in &self.bytes()[..self.pos.min(self.src.len())] {
+        for &b in &self.bytes()[..pos.min(self.src.len())] {
             if b == b'\n' {
                 line += 1;
                 col = 1;
@@ -390,11 +616,7 @@ impl Parser<'_> {
                 col += 1;
             }
         }
-        JsonError {
-            line,
-            col,
-            msg: msg.into(),
-        }
+        JsonError { line, col, msg }
     }
 
     fn peek(&self) -> Option<u8> {
@@ -425,74 +647,210 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// The document, one member at a time: a container opens a frame
+    /// instead of a call, and a value completed inside one is pushed as
+    /// its member.
+    fn document(&mut self) -> Result<Json, JsonError> {
+        loop {
+            // At a member: its key if it is an object's, then its value.
+            let key = if self.frame.obj {
+                self.member_key()?
+            } else {
+                Text::default()
+            };
+            let opens = match self.peek() {
+                Some(b'[') => Some(b']'),
+                Some(b'{') => Some(b'}'),
+                _ => None,
+            };
+            if let Some(closer) = opens {
+                self.open(key)?;
+                if self.peek() != Some(closer) {
+                    continue;
+                }
+            } else {
+                let value = self.scalar()?;
+                if self.depth == 0 {
+                    return Ok(value);
+                }
+                let end = self.pos;
+                self.members.push(Member { key, value, end });
+            }
+            // Past a value: close containers until a comma leads to the
+            // next member.
+            loop {
+                self.skip_ws();
+                let obj = self.frame.obj;
+                match self.peek() {
+                    Some(b',') => {
+                        self.pos += 1;
+                        self.skip_ws();
+                        break;
+                    }
+                    Some(b']') if !obj => {}
+                    Some(b'}') if obj => {}
+                    _ if obj => return Err(self.err("expected ',' or '}'")),
+                    _ => return Err(self.err("expected ',' or ']'")),
+                }
+                self.pos += 1;
+                if let Some(doc) = self.close()? {
+                    return Ok(doc);
+                }
+            }
+        }
+    }
+
+    /// Opens the container at the current offset as the value of `key`.
+    fn open(&mut self, key: Text) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        let obj = self.peek() == Some(b'{');
+        self.pos += 1;
+        self.members.push(Member {
+            key,
+            value: Json::Null,
+            end: self.frame.packed(),
+        });
+        self.frame = Frame {
+            start: self.members.len(),
+            obj,
+        };
+        self.depth += 1;
+        self.skip_ws();
+        Ok(())
+    }
+
+    /// An object member's key and its colon.
+    fn member_key(&mut self) -> Result<Text, JsonError> {
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(key)
+    }
+
+    /// Moves the innermost container's members (its closer consumed) into
+    /// its value, in its slot; returns the document once the outermost
+    /// one closes.
+    fn close(&mut self) -> Result<Option<Json>, JsonError> {
+        let Frame { start, obj } = self.frame;
+        if obj && first_repeat(&self.members[start..], &mut self.order).is_some() {
+            // `err` reports this repeat, or one in an enclosing object
+            // that comes before it.
+            return Err(self.err("duplicate key"));
+        }
+        self.depth -= 1;
+        // `collect` sizes the `Vec` exactly. Taking each key and value
+        // (the stand-ins left behind drop for nothing) copies less than
+        // draining whole members would.
+        let members = self.members[start..].iter_mut();
+        let value = if obj {
+            let take = |m: &mut Member| {
+                (
+                    mem::take(&mut m.key),
+                    mem::replace(&mut m.value, Json::Null),
+                )
+            };
+            Json::Obj(members.map(take).collect())
+        } else {
+            Json::Arr(
+                members
+                    .map(|m| mem::replace(&mut m.value, Json::Null))
+                    .collect(),
+            )
+        };
+        self.members.truncate(start);
+        if self.depth == 0 {
+            return Ok(Some(value));
+        }
+        let end = self.pos;
+        if let Some(slot) = self.members.last_mut() {
+            self.frame = Frame::unpack(slot.end);
+            slot.value = value;
+            slot.end = end;
+        }
+        Ok(None)
+    }
+
+    fn scalar(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string: a slice of the input if it holds no escape, else decoded
+    /// into the parser's buffer, and then copied once into its [`Text`].
+    fn string(&mut self) -> Result<Text, JsonError> {
         self.expect(b'"')?;
-        let mut s = String::new();
+        let src = self.src;
+        let start = self.pos;
+        let mut escaped = false;
         loop {
-            // Copy everything up to the next quote or backslash in one
-            // piece. Both are ASCII and the input is a `&str`, so the
-            // run starts and ends on character boundaries.
+            // Find the next quote or backslash. Both are ASCII and the
+            // input is a `&str`, so every cut is a character boundary.
             let run = self.pos;
             while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
                 self.pos += 1;
             }
-            let run = self
-                .src
-                .get(run..self.pos)
+            let run = src
+                .get(if escaped { run } else { start }..self.pos)
                 .ok_or_else(|| self.err("invalid utf-8"))?;
-            s.push_str(run);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(s);
+                    if !escaped {
+                        return Ok(Text::from(run));
+                    }
+                    self.buf.push_str(run);
+                    return Ok(Text::from(self.buf.as_str()));
                 }
                 Some(_) => {
+                    if !escaped {
+                        escaped = true;
+                        self.buf.clear();
+                    }
+                    self.buf.push_str(run);
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
                         Some(b'u') => {
-                            let hex = self
-                                .bytes()
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            s.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("bad \\u code point"))?,
-                            );
+                            let c = self.unicode_escape()?;
                             self.pos += 4;
+                            c
                         }
                         _ => return Err(self.err("bad escape")),
-                    }
+                    };
+                    self.buf.push(c);
                     self.pos += 1;
                 }
             }
         }
+    }
+
+    /// The scalar a `\uXXXX` escape names (the offset is at its `u`).
+    fn unicode_escape(&self) -> Result<char, JsonError> {
+        let hex = self
+            .bytes()
+            .get(self.pos + 1..self.pos + 5)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let hex = std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
+        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+        char::from_u32(code).ok_or_else(|| self.err("bad \\u code point"))
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -536,60 +894,6 @@ impl Parser<'_> {
             .map(|v| Json::Num(Num::F(v)))
             .map_err(|_| self.err(format!("bad number '{text}'")))
     }
-
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(self.err(format!("duplicate key \"{key}\"")));
-            }
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -605,7 +909,7 @@ mod tests {
         assert_eq!(parse("2.5e-3").unwrap(), Json::Num(Num::F(0.0025)));
         assert_eq!(
             parse("\"a\\nb\\u0041\"").unwrap(),
-            Json::Str("a\nbA".to_string())
+            Json::Str("a\nbA".into())
         );
     }
 
@@ -662,6 +966,59 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_capped_at_a_position() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.msg, "nesting deeper than 128 levels");
+        assert_eq!((e.line, e.col), (1, MAX_DEPTH + 1), "points at the bracket");
+        let e = parse(&"{\"k\":[".repeat(MAX_DEPTH)).unwrap_err();
+        assert_eq!(e.msg, "nesting deeper than 128 levels");
+        assert_eq!(e.col, 6 * (MAX_DEPTH / 2) + 1);
+    }
+
+    #[test]
+    fn a_repeated_key_is_reported_where_it_always_was() {
+        // Just past the repeated member's value, as the recursive parser
+        // that checked each key on arrival reported it.
+        let at = |text: &str| {
+            let e = parse(text).unwrap_err();
+            (e.msg, e.col)
+        };
+        let dup = |k: &str| format!("duplicate key \"{k}\"");
+        assert_eq!(at(r#"{"a":1,"b":2,"a":[3]}"#), (dup("a"), 21));
+        // A repeat in an enclosing object comes first in the document, so
+        // it beats a repeat or a syntax error in an object nested after it.
+        assert_eq!(at(r#"{"a":1,"a":2,"b":{"c":1,"c":2}}"#), (dup("a"), 13));
+        assert_eq!(at(r#"{"a":1,"a":2,"b":{"c":"#), (dup("a"), 13));
+        assert_eq!(at(r#"{"b":{"c":1,"c":2},"a":1,"a":2}"#), (dup("c"), 18));
+        // The first of several repeats, in an object past the pairwise
+        // size, where the keys are sorted instead.
+        let mut big: Vec<String> = (0..40).map(|i| format!("\"k{i}\":{i}")).collect();
+        big.push("\"k7\":0".into());
+        big.push("\"k3\":0".into());
+        let text = format!("{{{}}}", big.join(","));
+        let col = text.find("\"k7\":0").unwrap() + 7;
+        assert_eq!(at(&text), (dup("k7"), col));
+    }
+
+    #[test]
+    fn text_holds_23_bytes_inline() {
+        assert_eq!(mem::size_of::<Text>(), 24);
+        assert_eq!(mem::size_of::<Json>(), 32);
+        for len in [0, 1, INLINE, INLINE + 1, 100] {
+            let s = "é".repeat(len / 2) + &"x".repeat(len % 2);
+            let t = Text::from(s.as_str());
+            assert_eq!(matches!(t.0, Repr::Inline(_)), len <= INLINE, "{len}");
+            assert_eq!((t.as_str(), t.len()), (s.as_str(), len));
+            assert_eq!(t, Text::from(s.clone()));
+            assert!(t == *s.as_str());
+        }
+        assert_eq!(Text::default(), Text::from(""));
+        assert_eq!(format!("{:?}", Text::from("a\"b")), "\"a\\\"b\"");
+    }
+
+    #[test]
     fn string_errors_point_past_the_run_that_was_copied() {
         // A long run is consumed in one piece; the position reported
         // afterwards is still the exact byte, not the run's start.
@@ -678,7 +1035,7 @@ mod tests {
         let e = parse(&format!("\"{run}\\ud800\"")).unwrap_err();
         assert_eq!(e.msg, "bad \\u code point");
         // A string may end in a run, an escape, or nothing at all.
-        assert_eq!(parse("\"\"").unwrap(), Json::Str(String::new()));
+        assert_eq!(parse("\"\"").unwrap(), Json::Str(Text::default()));
         assert_eq!(parse("\"a\\\\\"").unwrap(), Json::Str("a\\".into()));
         assert_eq!(parse("\"\\\\a\"").unwrap(), Json::Str("\\a".into()));
         assert_eq!(

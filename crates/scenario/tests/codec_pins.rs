@@ -6,7 +6,7 @@
 //! `scenarios/*.json` predate three engine keys, so they pin nothing
 //! about what [`ScenarioSpec::to_json_string`] writes).
 
-use spam_scenario::json::Json;
+use spam_scenario::json::{Json, Text};
 use spam_scenario::{
     ArrivalSpec, ArtifactPrefix, EngineSpec, FaultModelSpec, FaultsSpec, PatternSpec, PolicySpec,
     QueueSpec, RoutingSpec, ScenarioSpec, SpecError, StrategySpec, TopologySpec, TrafficSpec,
@@ -185,7 +185,7 @@ fn probe_set() -> Vec<ScenarioSpec> {
     specs
 }
 
-type Fields = Vec<(String, Json)>;
+type Fields = Vec<(Text, Json)>;
 
 /// `doc` with `edit` applied to the field list of the object at `path`.
 fn edited(doc: &Json, path: &[String], edit: &dyn Fn(&mut Fields)) -> Json {
@@ -195,7 +195,11 @@ fn edited(doc: &Json, path: &[String], edit: &dyn Fn(&mut Fields)) -> Json {
         let Json::Obj(fields) = here else {
             panic!("{path:?} leaves the objects at {key}");
         };
-        here = &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1;
+        here = &mut fields
+            .iter_mut()
+            .find(|(k, _)| k == key.as_str())
+            .unwrap()
+            .1;
     }
     let Json::Obj(fields) = here else {
         panic!("{path:?} is not an object");
@@ -222,7 +226,7 @@ fn probe_object(doc: &Json, path: &mut Vec<String>) -> usize {
     for (i, (key, value)) in fields.iter().enumerate() {
         let field = format!("{dotted}.{key}");
 
-        let renamed = edited(doc, path, &|f| f[i].0.push_str("_x"));
+        let renamed = edited(doc, path, &|f| f[i].0 = format!("{key}_x").into());
         let want = if key == "kind" {
             SpecError::MissingField {
                 field: field.clone(),
@@ -251,7 +255,7 @@ fn probe_object(doc: &Json, path: &mut Vec<String>) -> usize {
 
         probed += 1;
         if matches!(value, Json::Obj(_)) {
-            path.push(key.clone());
+            path.push(key.to_string());
             probed += probe_object(doc, path);
             path.pop();
         }
@@ -286,9 +290,9 @@ fn an_unknown_key_is_reported_before_a_bad_sibling_or_a_nested_defect() {
     for typo_first in [true, false] {
         let both = edited(&doc, &["topology".to_string()], &|f| {
             let at = if typo_first { 0 } else { f.len() };
-            f.insert(at, ("portz".to_string(), Json::Null));
+            f.insert(at, ("portz".into(), Json::Null));
             let switches = f.iter_mut().find(|(k, _)| k == "switches").unwrap();
-            switches.1 = Json::Str("many".to_string());
+            switches.1 = Json::Str("many".into());
         });
         assert_eq!(
             ScenarioSpec::from_value(&both),
@@ -296,7 +300,7 @@ fn an_unknown_key_is_reported_before_a_bad_sibling_or_a_nested_defect() {
         );
     }
     let tagged = edited(&doc, &["traffic".to_string()], &|f| {
-        f.push(("lenn".to_string(), Json::Null));
+        f.push(("lenn".into(), Json::Null));
         f.retain(|(k, _)| k != "len");
     });
     assert_eq!(
@@ -307,7 +311,7 @@ fn an_unknown_key_is_reported_before_a_bad_sibling_or_a_nested_defect() {
     // A root typo beats a defect inside a nested object that the decoder
     // reaches first, and a nested typo beats a later root value.
     let root = edited(&doc, &[], &|f| {
-        f.push(("sede".to_string(), Json::Null));
+        f.push(("sede".into(), Json::Null));
         f.iter_mut().find(|(k, _)| k == "topology").unwrap().1 = Json::Null;
     });
     assert_eq!(ScenarioSpec::from_value(&root), unknown("scenario.sede"));
@@ -316,7 +320,7 @@ fn an_unknown_key_is_reported_before_a_bad_sibling_or_a_nested_defect() {
         let Json::Obj(engine) = &mut f.iter_mut().find(|(k, _)| k == "engine").unwrap().1 else {
             panic!("engine is an object");
         };
-        engine.push(("tracee".to_string(), Json::Bool(true)));
+        engine.push(("tracee".into(), Json::Bool(true)));
     });
     assert_eq!(
         ScenarioSpec::from_value(&nested),

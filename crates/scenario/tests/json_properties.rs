@@ -45,13 +45,18 @@ fn document(draws: &mut impl Iterator<Item = u32>, depth: u32) -> Json {
         2 => Json::Num(Num::U(u64::from(d) << (d % 33))),
         3 => Json::Num(Num::I(-1 - i64::from(d))),
         4 => Json::Num(Num::F(f64::from(d) / 7.0 - 1e5)),
-        5 => Json::Str(string(draws)),
+        5 => Json::Str(string(draws).into()),
         6 => Json::Arr((0..d / 8 % 4).map(|_| document(draws, depth - 1)).collect()),
         _ => Json::Obj(
             (0..d / 8 % 4)
                 // The parser rejects duplicate keys; the index keeps
                 // generated ones distinct.
-                .map(|i| (format!("{i}{}", string(draws)), document(draws, depth - 1)))
+                .map(|i| {
+                    (
+                        format!("{i}{}", string(draws)).into(),
+                        document(draws, depth - 1),
+                    )
+                })
                 .collect(),
         ),
     }
@@ -84,10 +89,10 @@ proptest! {
     ) {
         let s = string(&mut draws.iter().copied());
         if let Some(text) = fully_escaped(&s) {
-            prop_assert_eq!(parse(&text).unwrap(), Json::Str(s.clone()));
+            prop_assert_eq!(parse(&text).unwrap(), Json::Str(s.clone().into()));
             // Mixed: an escaped copy between two verbatim runs.
             let mixed = format!("\"é{}✓\"", &text[1..text.len() - 1]);
-            prop_assert_eq!(parse(&mixed).unwrap(), Json::Str(format!("é{s}✓")));
+            prop_assert_eq!(parse(&mixed).unwrap(), Json::Str(format!("é{s}✓").into()));
         }
     }
 }

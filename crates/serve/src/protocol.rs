@@ -13,7 +13,7 @@
 
 use crate::cache::CacheStats;
 use crate::error::ServeError;
-use spam_scenario::json::{parse, write_object, Json, ObjWriter};
+use spam_scenario::json::{parse, write_object, Json, ObjWriter, Text};
 use spam_scenario::ScenarioSpec;
 use wormsim::SimOutcome;
 
@@ -45,7 +45,7 @@ pub enum Request {
     Shutdown,
 }
 
-fn obj_fields<'a>(v: &'a Json, what: &str) -> Result<&'a [(String, Json)], ServeError> {
+fn obj_fields<'a>(v: &'a Json, what: &str) -> Result<&'a [(Text, Json)], ServeError> {
     match v {
         Json::Obj(fields) => Ok(fields),
         _ => Err(ServeError::Protocol {
