@@ -192,6 +192,37 @@ fn every_variant_has_a_concrete_trigger() {
     );
 }
 
+/// A `run` line whose spec is 20 000 or 1 000 000 opening brackets is
+/// one `Protocol` error line, answered on a thread with the default
+/// stack, as the daemon's reader threads are; the same core then queues a
+/// valid `run`. The recursive parser this replaced overflowed that stack
+/// and aborted the process.
+#[test]
+fn deep_nesting_is_one_protocol_error_line() {
+    let mut core = ServeCore::new(ServeConfig::default());
+    let mut session = Session::new();
+    core.handle_line(&mut session, r#"{"op":"hello","client":"deep"}"#);
+    for depth in [20_000, 1_000_000] {
+        let line = format!(r#"{{"op":"run","spec":{}}}"#, "[".repeat(depth));
+        let reader = std::thread::spawn(move || {
+            let resp = core.handle_line(&mut session, &line);
+            (core, session, resp)
+        });
+        let resp;
+        (core, session, resp) = reader.join().expect("the reader thread returns");
+        assert_eq!(resp.len(), 1, "errors are single lines: {resp:?}");
+        let doc = parse(&resp[0]).expect("error lines are valid JSON");
+        assert_eq!(doc.get("error").and_then(Json::as_str), Some("Protocol"));
+        let detail = doc.get("detail").and_then(Json::as_str).unwrap_or("");
+        assert!(
+            detail.contains("nesting deeper than 128 levels"),
+            "{detail}"
+        );
+    }
+    let ok = core.handle_line(&mut session, &run_line(&spec("after-deep")));
+    assert!(ok[0].contains("\"type\":\"queued\""), "{ok:?}");
+}
+
 /// A small malformed-input corpus: nothing here may panic, and every
 /// response must be a parseable error line.
 #[test]
