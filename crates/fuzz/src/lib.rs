@@ -11,7 +11,7 @@
 //!   ([`spam_scenario::mutate_spec`]) — every mutant either validates or
 //!   trips a predicted [`spam_scenario::SpecError`] variant.
 //! * The engine reports what each run *touched* via
-//!   [`wormsim::CoverageSet`] (teardown-during-branch, wheel overflow,
+//!   [`wormsim::CoverageSet`] (teardown-during-branch, watchdog deadlock,
 //!   relabel reattach, OCRQ contention, …); the [`NoveltyTracker`]
 //!   promotes mutants that light a bit or push a watermark the
 //!   hand-authored corpus never did, and novel specs re-enter the seed
