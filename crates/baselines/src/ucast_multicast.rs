@@ -256,6 +256,7 @@ mod tests {
         let um = UnicastMulticast::new(procs[0], &procs[1..3], 8, Duration::from_us(10));
         let empty = wormsim::SimOutcome {
             messages: vec![],
+            dest_done_at: vec![],
             deadlock: None,
             error: None,
             end_time: Time::ZERO,

@@ -181,6 +181,12 @@ impl<E> Schedule<E> {
         self.len() == 0
     }
 
+    /// Makes room for `additional` more events in the heap: the events
+    /// [`Schedule::at`] files, such as a stream's message starts.
+    pub fn reserve(&mut self, additional: usize) {
+        self.queue.reserve(additional);
+    }
+
     /// Schedules `event` to fire `delay` after the current time.
     pub fn after(&mut self, delay: Duration, event: E) {
         let s = ScheduledEvent {

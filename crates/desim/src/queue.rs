@@ -117,6 +117,11 @@ impl<E> EventQueue<E> {
         seq
     }
 
+    /// Makes room for `additional` more events.
+    pub fn reserve(&mut self, additional: usize) {
+        self.heap.reserve(additional);
+    }
+
     /// Schedules `event` to fire at absolute time `time`.
     pub fn schedule(&mut self, time: Time, event: E) {
         let seq = self.take_seq();

@@ -77,7 +77,7 @@ mod tests {
             ("end time", |o| o.end_time = Time::from_ns(1)),
             ("quiescence", |o| o.quiescent = !o.quiescent),
             ("completion", |o| o.messages[0].completed_at = None),
-            ("destination", |o| o.messages[0].dest_done_at[0] = None),
+            ("destination", |o| o.dest_done_at[0] = None),
             ("failure", |o| o.messages[0].failure = None),
             ("failure kind", |o| {
                 o.messages[0].failure.as_mut().unwrap().kind = FailureKind::TornDown

@@ -159,7 +159,7 @@ proptest! {
         );
         // Every delivered message really reached every destination.
         for m in out.messages.iter().filter(|m| m.is_complete()) {
-            prop_assert!(m.dest_done_at.iter().all(|d| d.is_some()));
+            prop_assert!(out.dest_times(m).iter().all(|d| d.is_some()));
         }
         // A torn-down or unreachable message never completed anywhere near
         // fully: its completion time must be absent.

@@ -786,7 +786,8 @@ impl Parser<'_> {
     }
 
     /// A string: a slice of the input if it holds no escape, else decoded
-    /// into the parser's buffer, and then copied once into its [`Text`].
+    /// into the parser's buffer, sized once from the raw span, and then
+    /// copied once into its [`Text`].
     fn string(&mut self) -> Result<Text, JsonError> {
         self.expect(b'"')?;
         let src = self.src;
@@ -814,8 +815,11 @@ impl Parser<'_> {
                 }
                 Some(_) => {
                     if !escaped {
+                        // The decoded text is never longer than the raw
+                        // span, so one reservation holds all of it.
                         escaped = true;
                         self.buf.clear();
+                        self.buf.reserve_exact(self.string_end() - start);
                     }
                     self.buf.push_str(run);
                     self.pos += 1;
@@ -838,6 +842,19 @@ impl Parser<'_> {
                     self.buf.push(c);
                     self.pos += 1;
                 }
+            }
+        }
+    }
+
+    /// Where the string the offset is in ends: its closing quote, or the
+    /// end of the input if it has none.
+    fn string_end(&self) -> usize {
+        let mut end = self.pos;
+        loop {
+            match self.bytes().get(end) {
+                None | Some(b'"') => return end.min(self.src.len()),
+                Some(b'\\') => end += 2,
+                Some(_) => end += 1,
             }
         }
     }

@@ -440,9 +440,20 @@ fn open_stream(
         TrafficSpec::SingleMulticast { dests, len } => {
             let mut rng = StdRng::seed_from_u64(seed);
             let src = procs[rng.gen_range(0..procs.len())];
-            let d = DestinationSampler::UniformRandom { count: *dests }
-                .sample_within(topo, procs, src, &mut rng)?;
-            Ok(vec![MessageSpec::multicast(src, d, *len)])
+            let d = DestinationSampler::UniformRandom { count: *dests }.sample_within_into(
+                topo,
+                procs,
+                src,
+                &mut Vec::new(),
+                &mut rng,
+            )?;
+            Ok(vec![MessageSpec {
+                src,
+                dests: d,
+                len: *len,
+                gen_time: Time::ZERO,
+                tag: 0,
+            }])
         }
         TrafficSpec::Mixed { .. } => Ok(spec
             .mixed_config()
@@ -477,10 +488,13 @@ fn to_msg_err(e: wormsim::SpecError) -> SpecError {
     }
 }
 
+/// Submits `stream` in order, its arenas sized for it first.
 fn submit_all<R: RoutingAlgorithm>(
     sim: &mut NetworkSim<'_, R>,
     stream: Vec<MessageSpec>,
 ) -> Result<(), SpecError> {
+    let dests = stream.iter().map(|m| m.dests.len()).sum();
+    sim.reserve(stream.len(), dests);
     for spec in stream {
         sim.submit(spec).map_err(to_msg_err)?;
     }

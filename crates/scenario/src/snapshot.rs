@@ -114,8 +114,9 @@ pub fn outcome_digest(out: &SimOutcome) -> u64 {
     for m in &out.messages {
         h.word(m.spec.tag);
         opt(&mut h, m.completed_at);
-        len(&mut h, m.dest_done_at.len());
-        for &d in &m.dest_done_at {
+        let done_at = out.dest_times(m);
+        len(&mut h, done_at.len());
+        for &d in done_at {
             opt(&mut h, d);
         }
         h.byte(m.failure.is_some().into());

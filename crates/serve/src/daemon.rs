@@ -14,6 +14,7 @@
 
 use crate::core::{ServeCore, Session};
 use crate::error::ServeError;
+use crate::protocol;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::{Arc, Condvar, Mutex};
@@ -61,8 +62,9 @@ impl Daemon {
     }
 
     /// Attaches one connection: spawns a reader thread that feeds lines
-    /// into the core and writes responses back. The thread exits on EOF
-    /// or read error; the daemon itself keeps running.
+    /// into the core and writes responses back. A line that is not UTF-8
+    /// is answered with a `Protocol` error and the next line is read. The
+    /// thread exits on EOF or read error; the daemon itself keeps running.
     pub fn attach<R, W>(&self, reader: R, writer: W) -> JoinHandle<()>
     where
         R: Read + Send + 'static,
@@ -73,15 +75,25 @@ impl Daemon {
             let shared: SharedWriter = Arc::new(Mutex::new(Box::new(writer)));
             let mut session = Session::new();
             let mut registered: Option<String> = None;
-            for line in BufReader::new(reader).lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
+            let mut reader = BufReader::new(reader);
+            let mut raw = Vec::new();
+            loop {
+                raw.clear();
+                match reader.read_until(b'\n', &mut raw) {
+                    Ok(0) | Err(_) => break,
+                    Ok(_) => {}
+                }
+                let line = request_text(&raw);
+                if line.as_ref().is_ok_and(|l| l.trim().is_empty()) {
                     continue;
                 }
                 let Ok(mut st) = inner.state.lock() else {
                     break;
                 };
-                let responses = st.core.handle_line(&mut session, &line);
+                let responses = match line {
+                    Ok(line) => st.core.handle_line(&mut session, line),
+                    Err(e) => vec![protocol::error_line(&e)],
+                };
                 // First successful hello on this connection routes the
                 // client's live result stream here.
                 if let Some(client) = session.client() {
@@ -192,6 +204,18 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
+/// A request line as text, its line ending (`\n` or `\r\n`) cut off.
+fn request_text(raw: &[u8]) -> Result<&str, ServeError> {
+    let raw = raw.strip_suffix(b"\n").unwrap_or(raw);
+    let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
+    std::str::from_utf8(raw).map_err(|e| ServeError::Protocol {
+        detail: format!(
+            "request line is not UTF-8 (invalid byte at offset {})",
+            e.valid_up_to()
+        ),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,6 +253,41 @@ mod tests {
 
         writeln!(tx, r#"{{"op":"shutdown"}}"#).unwrap();
         drop(tx);
+        daemon.join().unwrap();
+    }
+
+    /// A writer whose bytes the test reads back after the connection ends.
+    #[derive(Clone, Default)]
+    struct Captured(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Captured {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_gets_a_protocol_error_and_reading_goes_on() {
+        let daemon = Daemon::start(ServeCore::new(ServeConfig::default()));
+        let input =
+            b"{\"op\":\"hello\",\"client\":\"c\"}\n{\"op\":\"st\xffats\"}\r\n{\"op\":\"stats\"}\n";
+        let out = Captured::default();
+        daemon
+            .attach(std::io::Cursor::new(input.to_vec()), out.clone())
+            .join()
+            .unwrap();
+        let text = String::from_utf8(out.0.lock().unwrap().clone()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "{text}");
+        assert!(lines[0].contains("\"hello\""), "{}", lines[0]);
+        assert!(lines[1].contains("\"error\":\"Protocol\""), "{}", lines[1]);
+        assert!(lines[1].contains("not UTF-8"), "{}", lines[1]);
+        assert!(lines[2].contains("\"stats\""), "{}", lines[2]);
+        daemon.request_shutdown();
         daemon.join().unwrap();
     }
 }

@@ -95,12 +95,27 @@ impl Default for Fnv1a {
     }
 }
 
+/// The FNV-1a 64 prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME^k` for `k` in `0..=8`: feeding `k` zero bytes multiplies by
+/// it, since XOR with a zero byte changes nothing.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
 impl Fnv1a {
     /// Feeds one byte.
     #[inline]
     pub fn byte(&mut self, b: u8) {
         self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        self.0 = self.0.wrapping_mul(FNV_PRIME);
     }
 
     /// Feeds a run of bytes in order.
@@ -111,10 +126,15 @@ impl Fnv1a {
         }
     }
 
-    /// Feeds one word as eight little-endian bytes.
+    /// Feeds one word as eight little-endian bytes. The zero bytes above
+    /// its highest set byte fold into one multiply by a power of the
+    /// prime: the same value, in fewer steps for the small and zero words
+    /// digests mostly hold.
     #[inline]
     pub fn word(&mut self, w: u64) {
-        self.bytes(&w.to_le_bytes());
+        let zeros = w.leading_zeros() as usize / 8;
+        self.bytes(&w.to_le_bytes()[..8 - zeros]);
+        self.0 = self.0.wrapping_mul(FNV_PRIME_POW[zeros]);
     }
 
     /// The digest so far.

@@ -94,7 +94,7 @@ pub fn decompose_message(
         .spec
         .dests
         .iter()
-        .zip(&mr.dest_done_at)
+        .zip(out.dest_times(mr))
         .find(|(_, t)| *t == &Some(done))
         .map(|(d, _)| *d)?;
     let gen = mr.spec.gen_time;

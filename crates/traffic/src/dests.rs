@@ -4,6 +4,7 @@ use crate::error::TrafficError;
 use netgraph::{algo, NodeId, Topology};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use wormsim::Dests;
 
 /// How a multicast's destination set is drawn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +41,7 @@ impl DestinationSampler {
     ) -> Result<Vec<NodeId>, TrafficError> {
         let mut others = Vec::with_capacity(topo.num_processors());
         others.extend(topo.processors().filter(|&p| p != src));
-        self.draw(topo, &mut others, rng)
+        self.draw(topo, &mut others, rng).map(<[NodeId]>::to_vec)
     }
 
     /// Like [`DestinationSampler::sample`], but draws only from the given
@@ -53,35 +54,35 @@ impl DestinationSampler {
         src: NodeId,
         rng: &mut R,
     ) -> Result<Vec<NodeId>, TrafficError> {
-        self.sample_within_into(topo, procs, src, &mut Vec::new(), rng)
+        let mut others = Vec::new();
+        self.draw(topo, candidates(procs, src, &mut others), rng)
+            .map(<[NodeId]>::to_vec)
     }
 
     /// [`DestinationSampler::sample_within`] with a caller-kept candidate
     /// buffer, so a stream of draws does not collect the population anew
-    /// for every message. The draw is the same.
-    pub(crate) fn sample_within_into<R: Rng + ?Sized>(
+    /// for every message, and the set a message holds: in place up to
+    /// eight destinations, one exact block beyond. The draw is the same.
+    pub fn sample_within_into<R: Rng + ?Sized>(
         &self,
         topo: &Topology,
         procs: &[NodeId],
         src: NodeId,
         others: &mut Vec<NodeId>,
         rng: &mut R,
-    ) -> Result<Vec<NodeId>, TrafficError> {
-        others.clear();
-        others.reserve(procs.len());
-        others.extend(procs.iter().copied().filter(|&p| p != src));
-        self.draw(topo, others, rng)
+    ) -> Result<Dests, TrafficError> {
+        self.draw(topo, candidates(procs, src, others), rng)
+            .map(|d| d.iter().copied().collect())
     }
 
     /// Shared core: `others` is the candidate set (source already
-    /// excluded), reordered in place; the result has exactly the drawn
-    /// length.
-    fn draw<R: Rng + ?Sized>(
+    /// excluded), reordered in place; the draw is its front.
+    fn draw<'o, R: Rng + ?Sized>(
         &self,
         topo: &Topology,
-        others: &mut [NodeId],
+        others: &'o mut [NodeId],
         rng: &mut R,
-    ) -> Result<Vec<NodeId>, TrafficError> {
+    ) -> Result<&'o [NodeId], TrafficError> {
         let check = |count: usize| -> Result<(), TrafficError> {
             if count == 0 {
                 return Err(TrafficError::NoDestinations);
@@ -98,11 +99,11 @@ impl DestinationSampler {
             DestinationSampler::UniformRandom { count } => {
                 check(count)?;
                 others.shuffle(rng);
-                Ok(others[..count].to_vec())
+                Ok(&others[..count])
             }
             DestinationSampler::Broadcast => {
                 check(1)?;
-                Ok(others.to_vec())
+                Ok(others)
             }
             DestinationSampler::Cluster { count } => {
                 check(count)?;
@@ -110,10 +111,18 @@ impl DestinationSampler {
                 let seed = switches[rng.gen_range(0..switches.len())];
                 let dist = algo::bfs_distances(topo, seed);
                 others.sort_by_key(|p| (dist[p.index()], *p));
-                Ok(others[..count].to_vec())
+                Ok(&others[..count])
             }
         }
     }
+}
+
+/// Fills `others` with the population less `src`: the set a draw reorders.
+fn candidates<'o>(procs: &[NodeId], src: NodeId, others: &'o mut Vec<NodeId>) -> &'o mut [NodeId] {
+    others.clear();
+    others.reserve(procs.len());
+    others.extend(procs.iter().copied().filter(|&p| p != src));
+    others
 }
 
 #[cfg(test)]

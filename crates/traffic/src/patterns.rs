@@ -122,7 +122,7 @@ impl HotspotConfig {
                 let dest = pick_excluding(candidates, rng)
                     .or_else(|| pick_excluding(&sorted, rng))
                     .expect("population has >= 2 processors");
-                Ok(vec![dest])
+                Ok([dest].into_iter().collect())
             },
         )
     }
@@ -335,7 +335,7 @@ impl IncastConfig {
             self.rate_per_client_per_us,
             self.message_len,
             &mut rng,
-            |_, client_idx, _, _| Ok(vec![servers[client_idx % servers.len()]]),
+            |_, client_idx, _, _| Ok([servers[client_idx % servers.len()]].into_iter().collect()),
         )
     }
 }
@@ -377,7 +377,9 @@ impl BroadcastStormConfig {
             .iter()
             .enumerate()
             .map(|(i, &src)| {
-                let dests: Vec<NodeId> = sorted.iter().copied().filter(|&p| p != src).collect();
+                // Everyone else, as an iterator of known length: one exact
+                // block per message.
+                let dests = sorted[..i].iter().chain(&sorted[i + 1..]).copied();
                 MessageSpec::multicast(src, dests, self.message_len)
                     .at(desim::Time::ZERO + self.stagger * i as u64)
                     .tag(i as u64)

@@ -12,7 +12,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use wormsim::MessageSpec;
+use wormsim::{Dests, MessageSpec};
 
 /// Merges independent per-source arrival processes into one time-sorted,
 /// tag-numbered stream of `messages` messages. `pick(msg_idx, src_idx,
@@ -30,7 +30,7 @@ pub(crate) fn rate_merged_stream(
     rate_per_source_per_us: f64,
     len: u32,
     rng: &mut StdRng,
-    mut pick: impl FnMut(usize, usize, NodeId, &mut StdRng) -> Result<Vec<NodeId>, TrafficError>,
+    mut pick: impl FnMut(usize, usize, NodeId, &mut StdRng) -> Result<Dests, TrafficError>,
 ) -> Result<Vec<MessageSpec>, TrafficError> {
     if sources.is_empty() {
         return Err(TrafficError::TooFewSources {
@@ -59,11 +59,13 @@ pub(crate) fn rate_merged_stream(
         let Reverse((t, i)) = heap.pop().expect("heap refilled every pop");
         let src = sources[i];
         let dests = pick(specs.len(), i, src, rng)?;
-        specs.push(
-            MessageSpec::multicast(src, dests, len)
-                .at(t)
-                .tag(specs.len() as u64),
-        );
+        specs.push(MessageSpec {
+            src,
+            dests,
+            len,
+            gen_time: t,
+            tag: specs.len() as u64,
+        });
         let gap = gens[i].next_gap(rng);
         heap.push(Reverse((t + gap, i)));
     }

@@ -7,6 +7,7 @@
 //! snapshot is held against the fabric it will index.
 
 use crate::flit::MsgId;
+use crate::message::Dests;
 use desim::Time;
 use netgraph::{ChannelId, NodeId, Topology};
 use spam_collections::{Fifo, FifoPool, InlineVec, SlotId};
@@ -183,6 +184,29 @@ impl<T: Snap + Copy + Default, const N: usize> Snap for InlineVec<T, N> {
             list.push(T::get(r, ids)?);
         }
         Ok(list)
+    }
+}
+
+/// A destination set is encoded like a list, and read back in place or
+/// into one exactly sized block.
+impl Snap for Dests {
+    fn put(&self, w: &mut SnapWriter) {
+        put_list(w, self);
+    }
+    fn get(r: &mut SnapReader, ids: &mut IdSpace) -> Result<Self, SnapshotError> {
+        let n = r.get_len()?;
+        let mut short = [NodeId(0); 8];
+        if let Some(short) = short.get_mut(..n) {
+            for id in short.iter_mut() {
+                *id = NodeId::get(r, ids)?;
+            }
+            return Ok(short.iter().copied().collect());
+        }
+        let mut list = Vec::with_capacity(n);
+        for _ in 0..n {
+            list.push(NodeId::get(r, ids)?);
+        }
+        Ok(Dests::from(list))
     }
 }
 

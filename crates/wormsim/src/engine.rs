@@ -53,9 +53,15 @@
 //!
 //! Per-message state is kept the same way. A message's destination states
 //! and its sorted destination index are runs of two engine-wide vectors
-//! (`dests`, `dest_index`, from `MsgState::dests_at`): what a message
-//! allocates is its spec, its header and its result, not a table per
-//! destination or a list that grows with its hop count.
+//! (`dests`, `dest_index`, from `MsgState::dests_at`), and its spec holds
+//! up to eight destinations in place ([`crate::Dests`]). The outcome keeps
+//! the layout and the blocks: its message list takes over the block of
+//! `msgs`, and its delivery times, one run per message in one flat
+//! [`SimOutcome::dest_done_at`], the block of `dests` (each state is the
+//! size of what it becomes). So a message of up to eight destinations
+//! allocates nothing from submit to outcome: it is an entry in arenas
+//! that grow by doubling, or not at all once [`NetworkSim::reserve`] has
+//! sized them for the stream.
 //!
 //! Per flit, `try_replicate` looks its segment up once and keeps it
 //! borrowed while the flit moves to every output; wires start through
@@ -88,7 +94,7 @@
 //! never tear down or wake, and track nothing.
 
 use crate::channel::Chan;
-use crate::codec::{snap_enum, snap_struct};
+use crate::codec::{snap_enum, snap_struct, IdSpace, Snap};
 use crate::config::SimConfig;
 use crate::flit::{Flit, FlitKind, MsgId};
 use crate::message::{MessageSpec, SpecError};
@@ -100,6 +106,7 @@ use desim::{Schedule, Time};
 use netgraph::{ChannelId, NodeId, Topology};
 use observe::{Casualty, Observers};
 use spam_collections::{FifoPool, InlineVec, Slab, SlotId};
+use spam_snapshot::{SnapReader, SnapWriter, SnapshotError};
 use std::cell::OnceCell;
 use std::ops::Range;
 
@@ -158,48 +165,81 @@ struct Segment {
 
 snap_struct! { Segment { msg, input, outputs, acquired } derived { candidate: false } }
 
+/// One destination's delivery state. It is the size of the
+/// `Option<Time>` it becomes (16 bytes): the outcome's delivery times take
+/// over the `dests` arena's block as it is.
 #[derive(Debug, Clone, Copy)]
 struct DestState {
     /// Sequence number the destination expects next (in-order invariant).
     next_seq: u32,
-    done_at: Option<Time>,
+    /// Whether the tail arrived, at `at`.
+    done: bool,
+    at: Time,
 }
 
 const FRESH_DEST: DestState = DestState {
     next_seq: 0,
-    done_at: None,
+    done: false,
+    at: Time::ZERO,
 };
 
-snap_struct! { DestState { next_seq, done_at } }
+impl DestState {
+    /// When the tail arrived, if it has.
+    fn done_at(self) -> Option<Time> {
+        self.done.then_some(self.at)
+    }
+}
+
+/// Written as the expected sequence number and the optional arrival time.
+impl Snap for DestState {
+    fn put(&self, w: &mut SnapWriter) {
+        self.next_seq.put(w);
+        self.done_at().put(w);
+    }
+    fn get(r: &mut SnapReader, ids: &mut IdSpace) -> Result<Self, SnapshotError> {
+        let next_seq = u32::get(r, ids)?;
+        let done_at = Option::<Time>::get(r, ids)?;
+        Ok(DestState {
+            next_seq,
+            done: done_at.is_some(),
+            at: done_at.unwrap_or(Time::ZERO),
+        })
+    }
+}
+
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<DestState>() == std::mem::size_of::<Option<Time>>());
 
 /// A message's state. `remaining` is an index: a snapshot does not write
 /// it, and `restore` rebuilds it.
+///
+/// It is the size of the [`MessageResult`] it becomes (128 bytes), so the
+/// outcome's message list takes over this table's block as it is: the
+/// worm's length is not kept but derived ([`NetworkSim::worm_len`]), and
+/// the two arena fields are `u32`s.
 struct MsgState {
     spec: MessageSpec,
-    /// Flits on the wire: `spec.len` plus any extra header flits. Derived,
-    /// but the snapshot's one check word: nothing else pins the length of
-    /// a worm whose tail has not left its source, so `restore` holds the
-    /// written copy against `spec.len`.
-    worm_len: u32,
     /// Where this message's run starts in the engine's per-destination
     /// arenas ([`NetworkSim::dests`], [`NetworkSim::dest_index`]); the run
     /// is `spec.dests.len()` long in both.
-    dests_at: usize,
-    /// Destinations whose `done_at` is still unset.
-    remaining: usize,
+    dests_at: u32,
+    /// Destinations the tail has not reached yet.
+    remaining: u32,
     completed_at: Option<Time>,
     /// Set when a mid-run fault killed or rejected this message.
     failure: Option<MessageFailure>,
 }
 
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<MsgState>() == std::mem::size_of::<MessageResult>());
+
 impl MsgState {
     /// A message not yet started, its run in the arenas at `dests_at`.
-    fn new(spec: MessageSpec, worm_len: u32, dests_at: usize) -> Self {
+    fn new(spec: MessageSpec, dests_at: usize) -> Self {
         MsgState {
-            remaining: spec.dests.len(),
+            remaining: spec.dests.len() as u32,
             spec,
-            worm_len,
-            dests_at,
+            dests_at: dests_at as u32,
             completed_at: None,
             failure: None,
         }
@@ -207,7 +247,8 @@ impl MsgState {
 
     /// This message's run in the per-destination arenas.
     fn dest_run(&self) -> Range<usize> {
-        self.dests_at..self.dests_at + self.spec.dests.len()
+        let at = self.dests_at as usize;
+        at..at + self.spec.dests.len()
     }
 }
 
@@ -437,6 +478,17 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         self.sched.now()
     }
 
+    /// Makes room for `messages` more messages of `dests` destinations in
+    /// all, so that submitting a stream of known size fills the message
+    /// and destination arenas and the event heap once instead of growing
+    /// them by doubling.
+    pub fn reserve(&mut self, messages: usize, dests: usize) {
+        self.msgs.reserve(messages);
+        self.dests.reserve(dests);
+        self.dest_index.reserve(dests);
+        self.sched.reserve(messages);
+    }
+
     /// Submits a message. `spec.gen_time` must not be in the simulator's
     /// past. Returns the message id used in the outcome.
     pub fn submit(&mut self, spec: MessageSpec) -> Result<MsgId, SpecError> {
@@ -447,14 +499,18 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         );
         let id = MsgId(self.msgs.len() as u32);
         let dests_at = self.dests.len();
-        let remaining = spec.dests.len();
-        self.dests.resize(dests_at + remaining, FRESH_DEST);
+        self.dests.resize(dests_at + spec.dests.len(), FRESH_DEST);
         index_dests(&mut self.dest_index, &spec);
-        let worm_len = spec.len + self.cfg.extra_header_flits;
         let ready_at = spec.gen_time + self.cfg.latency.startup;
         self.sched.at(ready_at, Event::SourceReady(id));
-        self.msgs.push(MsgState::new(spec, worm_len, dests_at));
+        self.msgs.push(MsgState::new(spec, dests_at));
         Ok(id)
+    }
+
+    /// Flits of `msg`'s worm on the wire: its length plus any extra header
+    /// flits.
+    fn worm_len(&self, msg: MsgId) -> u32 {
+        self.msgs[msg.index()].spec.len + self.cfg.extra_header_flits
     }
 
     /// Runs to completion (or deadlock) with no completion hook.
@@ -542,19 +598,19 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             && self.chans.iter().all(|c| c.is_quiescent())
             && self.segs.is_empty()
             && self.headers.is_empty();
-        let dests = &self.dests;
         let messages = self
             .msgs
             .into_iter()
             .map(|m| MessageResult {
-                dest_done_at: dests[m.dest_run()].iter().map(|d| d.done_at).collect(),
                 spec: m.spec,
                 completed_at: m.completed_at,
+                dests_at: m.dests_at as usize,
                 failure: m.failure,
             })
             .collect();
         SimOutcome {
             messages,
+            dest_done_at: self.dests.into_iter().map(DestState::done_at).collect(),
             deadlock,
             error: self.error.take(),
             end_time: self.sched.now(),
@@ -1166,7 +1222,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         loop {
             let f = match seg.input {
                 SegInput::Source { next } => {
-                    let len = self.msgs[msg.index()].worm_len;
+                    let len = self.msgs[msg.index()].spec.len + self.cfg.extra_header_flits;
                     debug_assert!(next < len, "tail emission releases the segment");
                     Flit::nth(msg, next, len)
                 }
@@ -1234,7 +1290,9 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 continue;
             }
             let input_present = match seg.input {
-                SegInput::Source { next } => next < self.msgs[msg.index()].worm_len,
+                SegInput::Source { next } => {
+                    next < self.msgs[msg.index()].spec.len + self.cfg.extra_header_flits
+                }
                 SegInput::Channel(ic) => self.chans[ic.index()]
                     .in_buf
                     .front()
@@ -1396,7 +1454,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 at: proc,
             });
         };
-        let d = &mut self.dests[ms.dests_at + run[pos].1 as usize];
+        let d = &mut self.dests[ms.dests_at as usize + run[pos].1 as usize];
         let seq = flit.seq().expect("real flits carry a sequence number");
         assert_eq!(
             seq, d.next_seq,
@@ -1405,8 +1463,12 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         );
         d.next_seq += 1;
         if flit.is_tail() {
-            debug_assert_eq!(seq + 1, ms.worm_len, "tail carries the last sequence");
-            d.done_at = Some(now);
+            debug_assert_eq!(
+                seq + 1,
+                ms.spec.len + self.cfg.extra_header_flits,
+                "tail carries the last sequence"
+            );
+            (d.done, d.at) = (true, now);
             ms.remaining -= 1;
             let fully_done = ms.remaining == 0;
             if fully_done {

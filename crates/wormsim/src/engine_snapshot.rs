@@ -19,7 +19,9 @@
 //!   message's remaining count, the active count and the tracked list are
 //!   derived in one pass after the last section
 //!   ([`Index`]); debug builds check that pass against the engine at
-//!   every snapshot. A worm's length is the one check word (`MsgState`).
+//!   every snapshot. A worm's length is the one check word: the engine
+//!   derives it, a snapshot writes it, and `restore` holds it against the
+//!   message's as it reads it.
 //!   `run == resume(checkpoint(run))` holds exactly.
 //! * **Typed failure.** Bad bytes are a [`SnapshotError`], never a panic:
 //!   the checksum catches random corruption up front, and every check
@@ -76,7 +78,7 @@ pub(super) struct Index {
     events: Vec<ScheduledEvent<Event>>,
     chans: Vec<ChanIndex>,
     /// Per message: `remaining`, and whether it is active.
-    msgs: Vec<(usize, bool)>,
+    msgs: Vec<(u32, bool)>,
     /// Per header slot: a `hdrs` entry names it.
     named: Vec<bool>,
 }
@@ -122,7 +124,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         w.put_len(self.msgs.len());
         for m in &self.msgs {
             m.spec.put(w);
-            m.worm_len.put(w);
+            (m.spec.len + self.cfg.extra_header_flits).put(w);
             put_list(w, &self.dests[m.dest_run()]);
             m.completed_at.put(w);
             m.failure.put(w);
@@ -246,7 +248,12 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             let n = r.get_len()?;
             (ids.msgs, sim.msgs) = (n as u32, Vec::with_capacity(n));
             for _ in 0..n {
-                let (spec, worm_len) = (MessageSpec::get(r, ids)?, Snap::get(r, ids)?);
+                let (spec, worm_len) = (MessageSpec::get(r, ids)?, u32::get(r, ids)?);
+                // The worm's length is derived, but the one word that pins
+                // the length of a worm whose tail has not left its source.
+                let len = spec.len.checked_add(sim.cfg.extra_header_flits);
+                let fits = spec.len >= 2 && len == Some(worm_len);
+                ensure(fits, "worm length disagrees with its message")?;
                 let dests_at = sim.dests.len();
                 for _ in 0..r.get_len()? {
                     sim.dests.push(Snap::get(r, ids)?);
@@ -257,7 +264,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                     "destination state count mismatch",
                 )?;
                 index_dests(&mut sim.dest_index, &spec);
-                let mut m = MsgState::new(spec, worm_len, dests_at);
+                let mut m = MsgState::new(spec, dests_at);
                 (m.completed_at, m.failure) = (Snap::get(r, ids)?, Snap::get(r, ids)?);
                 sim.msgs.push(m);
             }
@@ -351,8 +358,8 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
     }
 
     /// The index pass: derives every index from primary state into `ix`
-    /// (whose `events` the caller has filled), reading no index but the
-    /// `worm_len` check word, and rejecting what [`Self::restore_with_hook`] lists.
+    /// (whose `events` the caller has filled), reading no index, and
+    /// rejecting what [`Self::restore_with_hook`] lists.
     fn index(&self, ix: &mut Index) -> Result<(), SnapshotError> {
         ix.chans.clear();
         ix.chans.resize(self.chans.len(), Default::default());
@@ -360,16 +367,14 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         ix.named.clear();
         ix.named.resize(self.headers.num_slots(), false);
         for m in &self.msgs {
-            let len = m.spec.len.checked_add(self.cfg.extra_header_flits);
-            let fits = m.spec.len >= 2 && len == Some(m.worm_len);
-            ensure(fits, "worm length disagrees with its message")?;
+            let worm_len = m.spec.len + self.cfg.extra_header_flits;
             let mut remaining = 0;
             for d in &self.dests[m.dest_run()] {
                 // A destination is done exactly when its worm's tail is in.
-                let tail = d.next_seq == m.worm_len;
-                let fits = d.next_seq <= m.worm_len && d.done_at.is_some() == tail;
+                let tail = d.next_seq == worm_len;
+                let fits = d.next_seq <= worm_len && d.done == tail;
                 ensure(fits, "destination progress disagrees with its worm")?;
-                remaining += usize::from(!tail);
+                remaining += u32::from(!tail);
             }
             // Active until it ends, unless its `SourceReady` is pending.
             let active = m.completed_at.is_none() && m.failure.is_none();
@@ -411,7 +416,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
                 // A source emits its header as it acquires, and its tail as
                 // it retires.
                 SegInput::Source { next } => {
-                    let fits = next < self.msgs[seg.msg.index()].worm_len;
+                    let fits = next < self.worm_len(seg.msg);
                     let fits = fits && seg.acquired == (next > 0);
                     ensure(fits, "source segment disagrees with its worm")?;
                 }
@@ -442,7 +447,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         for c in &self.chans {
             let queued = [&c.in_buf, &c.out_buf].map(|q| self.flits.iter(q));
             for f in queued.into_iter().flatten() {
-                let last = self.msgs[f.msg.index()].worm_len - 1;
+                let last = self.worm_len(f.msg) - 1;
                 let fits = match f.kind {
                     FlitKind::Data(seq) => 0 < seq && seq < last,
                     FlitKind::Tail(seq) => seq == last,

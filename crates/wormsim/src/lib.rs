@@ -88,7 +88,7 @@ pub use coverage::{CoverageBit, CoverageSet, Watermark, COVERAGE_BITS};
 pub use desim::QueueKind;
 pub use engine::{CheckpointSink, NetworkSim};
 pub use flit::{Flit, FlitKind, MsgId};
-pub use message::{MessageSpec, SpecError};
+pub use message::{Dests, MessageSpec, SpecError};
 pub use outcome::{
     Counters, DeadlockInfo, EpochStats, FailureKind, MessageFailure, MessageResult, SimError,
     SimOutcome,

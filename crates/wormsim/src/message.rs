@@ -3,6 +3,123 @@
 use desim::Time;
 use netgraph::{NodeId, NodeKind, Topology};
 use std::fmt;
+use std::ops::Deref;
+
+/// The most destinations a [`Dests`] holds without a heap block.
+const INLINE_DESTS: usize = 8;
+
+/// An immutable destination set: up to eight [`NodeId`]s in place, more in
+/// one boxed slice. It is 40 bytes, 16 more than a `Vec`, and dereferences
+/// to `&[NodeId]`, so a unicast or a Figure 3 multicast of eight costs no
+/// heap block at all.
+///
+/// Built by collecting node ids (or from a `Vec`, whose block it keeps when
+/// the set does not fit in place).
+#[derive(Clone)]
+pub struct Dests(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline {
+        len: u8,
+        ids: [NodeId; INLINE_DESTS],
+    },
+    Heap(Box<[NodeId]>),
+}
+
+impl Dests {
+    /// The ids `iter` yields, in place; it yields at most eight.
+    fn inline(iter: impl Iterator<Item = NodeId>) -> Self {
+        let mut ids = [NodeId(0); INLINE_DESTS];
+        let mut len = 0;
+        for (slot, id) in ids.iter_mut().zip(iter) {
+            *slot = id;
+            len += 1;
+        }
+        Dests(Repr::Inline { len, ids })
+    }
+}
+
+impl Deref for Dests {
+    type Target = [NodeId];
+    #[inline]
+    fn deref(&self) -> &[NodeId] {
+        match &self.0 {
+            Repr::Inline { len, ids } => &ids[..usize::from(*len)],
+            Repr::Heap(ids) => ids,
+        }
+    }
+}
+
+impl From<Vec<NodeId>> for Dests {
+    /// Keeps the list's block when the set does not fit in place (a block
+    /// with spare capacity is shrunk to fit first).
+    fn from(list: Vec<NodeId>) -> Self {
+        if list.len() > INLINE_DESTS {
+            Dests(Repr::Heap(list.into_boxed_slice()))
+        } else {
+            Dests::inline(list.into_iter())
+        }
+    }
+}
+
+impl FromIterator<NodeId> for Dests {
+    fn from_iter<I: IntoIterator<Item = NodeId>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        match iter.size_hint() {
+            (_, Some(most)) if most <= INLINE_DESTS => Dests::inline(iter),
+            // An iterator of known length collects into one exact block,
+            // and a `Vec`'s own iterator back into its block.
+            _ => Dests::from(iter.collect::<Vec<_>>()),
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Dests {
+    type Item = &'a NodeId;
+    type IntoIter = std::slice::Iter<'a, NodeId>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl Default for Dests {
+    fn default() -> Self {
+        Dests::inline(std::iter::empty())
+    }
+}
+
+impl fmt::Debug for Dests {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq for Dests {
+    fn eq(&self, other: &Dests) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Dests {}
+
+impl PartialEq<[NodeId]> for Dests {
+    fn eq(&self, other: &[NodeId]) -> bool {
+        **self == *other
+    }
+}
+
+impl<const N: usize> PartialEq<[NodeId; N]> for Dests {
+    fn eq(&self, other: &[NodeId; N]) -> bool {
+        **self == *other
+    }
+}
+
+impl PartialEq<Vec<NodeId>> for Dests {
+    fn eq(&self, other: &Vec<NodeId>) -> bool {
+        **self == **other
+    }
+}
 
 /// A message to inject: source processor, destination processors, length in
 /// flits, and generation time. Latency is measured from `gen_time` (the
@@ -10,12 +127,15 @@ use std::fmt;
 /// destination, exactly as in §4: "the total elapsed time from message
 /// startup at the source until the last flit arrived at the last
 /// destination node".
+///
+/// A spec of up to eight destinations allocates nothing: its set is a
+/// [`Dests`], held in place.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MessageSpec {
     /// Sending processor.
     pub src: NodeId,
     /// Destination processors (distinct, non-empty, excluding `src`).
-    pub dests: Vec<NodeId>,
+    pub dests: Dests,
     /// Total flits including header and tail (≥ 2; the paper uses 128).
     pub len: u32,
     /// When the send is initiated; startup latency is added on top.
@@ -70,7 +190,7 @@ impl MessageSpec {
     pub fn unicast(src: NodeId, dest: NodeId, len: u32) -> Self {
         MessageSpec {
             src,
-            dests: vec![dest],
+            dests: [dest].into_iter().collect(),
             len,
             gen_time: Time::ZERO,
             tag: 0,
@@ -78,10 +198,10 @@ impl MessageSpec {
     }
 
     /// A multicast of `len` flits to `dests`, generated at time zero.
-    pub fn multicast(src: NodeId, dests: Vec<NodeId>, len: u32) -> Self {
+    pub fn multicast(src: NodeId, dests: impl IntoIterator<Item = NodeId>, len: u32) -> Self {
         MessageSpec {
             src,
-            dests,
+            dests: dests.into_iter().collect(),
             len,
             gen_time: Time::ZERO,
             tag: 0,
@@ -162,6 +282,24 @@ mod tests {
         MessageSpec::multicast(p1, vec![p0], 2)
             .validate(&t)
             .unwrap();
+    }
+
+    #[test]
+    fn dests_hold_eight_in_place_and_compare_as_slices() {
+        assert!(std::mem::size_of::<Dests>() <= std::mem::size_of::<Vec<NodeId>>() + 16);
+        let ids: Vec<NodeId> = (0..12).map(NodeId).collect();
+        for n in [0, 1, 8, 9, 12] {
+            let from_iter: Dests = ids[..n].iter().copied().collect();
+            let from_vec = Dests::from(ids[..n].to_vec());
+            let filtered: Dests = ids.iter().copied().filter(|d| d.0 < n as u32).collect();
+            assert_eq!(&*from_iter, &ids[..n]);
+            assert_eq!(from_iter, from_vec);
+            assert_eq!(from_iter, filtered);
+            assert_eq!(from_iter, ids[..n].to_vec());
+            assert_eq!(matches!(from_iter.0, Repr::Heap(_)), n > INLINE_DESTS);
+            assert_eq!(format!("{from_iter:?}"), format!("{:?}", &ids[..n]));
+        }
+        assert_eq!(Dests::default(), [NodeId(0); 0]);
     }
 
     #[test]

@@ -155,7 +155,9 @@ pub struct MessageFailure {
 
 crate::codec::snap_struct! { MessageFailure { at, kind, error } }
 
-/// Result of one message.
+/// Result of one message. Its per-destination delivery times are a run of
+/// the outcome's [`SimOutcome::dest_done_at`]: read them with
+/// [`SimOutcome::dest_times`].
 #[derive(Debug, Clone)]
 pub struct MessageResult {
     /// The submitted spec.
@@ -163,8 +165,9 @@ pub struct MessageResult {
     /// Tail arrival time at the last destination; `None` if the run ended
     /// (deadlock / event cap) before delivery completed.
     pub completed_at: Option<Time>,
-    /// Per-destination tail arrival times, parallel to `spec.dests`.
-    pub dest_done_at: Vec<Option<Time>>,
+    /// Where this message's run starts in [`SimOutcome::dest_done_at`];
+    /// the run is `spec.dests.len()` long.
+    pub dests_at: usize,
     /// Terminal failure, if a mid-run fault killed or rejected this
     /// message (`None` on static networks and for delivered messages).
     pub failure: Option<MessageFailure>,
@@ -175,12 +178,6 @@ impl MessageResult {
     /// (send initiation, before startup) to the last tail arrival.
     pub fn latency(&self) -> Option<Duration> {
         self.completed_at.map(|t| t.since(self.spec.gen_time))
-    }
-
-    /// Latency to a particular destination.
-    pub fn latency_to(&self, dest: NodeId) -> Option<Duration> {
-        let i = self.spec.dests.iter().position(|d| *d == dest)?;
-        self.dest_done_at[i].map(|t| t.since(self.spec.gen_time))
     }
 
     /// True once every destination received the tail flit.
@@ -254,10 +251,20 @@ crate::codec::snap_struct! { Counters {
 } derived { coverage: Default::default() } }
 
 /// Everything a finished (or aborted) run reports.
+///
+/// Its heap blocks are per run, not per message: the message results are
+/// one list and their delivery times one more, so an outcome of messages
+/// of up to eight destinations is a fixed number of blocks however many
+/// messages it holds.
 #[derive(Debug, Clone)]
 pub struct SimOutcome {
     /// Per-message results, indexed by [`MsgId`].
     pub messages: Vec<MessageResult>,
+    /// Per-destination tail arrival times of every message: one run per
+    /// message, in message order, each parallel to its `spec.dests`
+    /// (`None` where the tail never arrived). A message's run is
+    /// [`SimOutcome::dest_times`].
+    pub dest_done_at: Vec<Option<Time>>,
     /// Deadlock report, if the run did not complete cleanly.
     pub deadlock: Option<DeadlockInfo>,
     /// First simulation error, if the run was aborted on one (misroute,
@@ -309,6 +316,19 @@ pub struct EpochStats {
 }
 
 impl SimOutcome {
+    /// Tail arrival times at `m`'s destinations, parallel to
+    /// `m.spec.dests`; `m` is one of this outcome's messages.
+    pub fn dest_times(&self, m: &MessageResult) -> &[Option<Time>] {
+        &self.dest_done_at[m.dests_at..m.dests_at + m.spec.dests.len()]
+    }
+
+    /// Latency of `m` to one of its destinations; `None` if `dest` is not
+    /// one of them or the tail never arrived there.
+    pub fn latency_to(&self, m: &MessageResult, dest: NodeId) -> Option<Duration> {
+        let i = m.spec.dests.iter().position(|d| *d == dest)?;
+        self.dest_times(m)[i].map(|t| t.since(m.spec.gen_time))
+    }
+
     /// True when every message completed with no deadlock and no error.
     pub fn all_delivered(&self) -> bool {
         self.deadlock.is_none()
@@ -431,35 +451,50 @@ mod tests {
         MessageResult {
             spec: MessageSpec::unicast(NodeId(10), NodeId(11), 8).at(Time::from_us(gen_us)),
             completed_at: done_us.map(Time::from_us),
-            dest_done_at: vec![done_us.map(Time::from_us)],
+            dests_at: 0,
             failure: None,
+        }
+    }
+
+    /// An outcome of `messages`, each delivered (if at all) at its
+    /// completion time.
+    fn outcome(mut messages: Vec<MessageResult>, fault_times: Vec<Time>) -> SimOutcome {
+        for (i, m) in messages.iter_mut().enumerate() {
+            m.dests_at = i;
+        }
+        SimOutcome {
+            dest_done_at: messages.iter().map(|m| m.completed_at).collect(),
+            messages,
+            deadlock: None,
+            error: None,
+            end_time: Time::from_us(33),
+            quiescent: true,
+            counters: Counters::default(),
+            channel_crossings: vec![5, 9, 1],
+            fault_times,
+            trace: Default::default(),
+            metrics: None,
         }
     }
 
     #[test]
     fn latency_measured_from_generation() {
-        let r = result(5, Some(18));
+        let out = outcome(vec![result(0, Some(10)), result(5, Some(18))], Vec::new());
+        let r = &out.messages[1];
         assert_eq!(r.latency(), Some(Duration::from_us(13)));
-        assert_eq!(r.latency_to(NodeId(11)), Some(Duration::from_us(13)));
-        assert_eq!(r.latency_to(NodeId(99)), None);
+        assert_eq!(out.dest_times(r), [Some(Time::from_us(18))]);
+        assert_eq!(out.latency_to(r, NodeId(11)), Some(Duration::from_us(13)));
+        assert_eq!(out.latency_to(r, NodeId(99)), None);
         assert!(r.is_complete());
         assert!(!result(5, None).is_complete());
     }
 
     #[test]
     fn outcome_aggregations() {
-        let out = SimOutcome {
-            messages: vec![result(0, Some(10)), result(0, Some(20)), result(0, None)],
-            deadlock: None,
-            error: None,
-            end_time: Time::from_us(20),
-            quiescent: true,
-            counters: Counters::default(),
-            channel_crossings: vec![5, 9, 1],
-            fault_times: Vec::new(),
-            trace: Default::default(),
-            metrics: None,
-        };
+        let out = outcome(
+            vec![result(0, Some(10)), result(0, Some(20)), result(0, None)],
+            Vec::new(),
+        );
         assert!(!out.all_delivered(), "one message incomplete");
         assert_eq!(out.mean_latency_us(|_| true), Some(15.0));
         assert_eq!(out.latencies_us(|_| true), vec![10.0, 20.0]);
@@ -492,18 +527,10 @@ mod tests {
                 error: RouteError::UnreachableDestination { dest: NodeId(11) },
             },
         });
-        let out = SimOutcome {
-            messages: vec![result(0, Some(10)), torn, unreach, result(20, Some(33))],
-            deadlock: None,
-            error: None,
-            end_time: Time::from_us(33),
-            quiescent: true,
-            counters: Counters::default(),
-            channel_crossings: vec![],
-            fault_times: vec![Time::from_us(13)],
-            trace: Default::default(),
-            metrics: None,
-        };
+        let out = outcome(
+            vec![result(0, Some(10)), torn, unreach, result(20, Some(33))],
+            vec![Time::from_us(13)],
+        );
         assert_eq!(out.num_epochs(), 2);
         assert_eq!(out.epoch_of(Time::from_us(12)), 0);
         assert_eq!(

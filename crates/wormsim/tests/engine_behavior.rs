@@ -201,8 +201,8 @@ fn blocked_branch_generates_bubbles_and_all_deliver() {
     // output buffers, so the tail reaches the fast destination no earlier
     // than the slow sibling permits — exactly the paper's §3.2 example.
     let mc = &out.messages[1];
-    let t1 = mc.latency_to(net_p1).unwrap();
-    let t2 = mc.latency_to(net_p2).unwrap();
+    let t1 = out.latency_to(mc, net_p1).unwrap();
+    let t2 = out.latency_to(mc, net_p2).unwrap();
     assert!(t1 >= t2, "blocked branch cannot finish before the free one");
     // Both are delayed well past the uncontended multicast latency by the
     // interferer holding s1->p1.
@@ -405,7 +405,7 @@ fn outcome_digest(out: &SimOutcome) -> u64 {
     }
     for m in &out.messages {
         h.word(m.completed_at.map_or(u64::MAX, Time::as_ns));
-        for d in &m.dest_done_at {
+        for d in out.dest_times(m) {
             h.word(d.map_or(u64::MAX, Time::as_ns));
         }
     }

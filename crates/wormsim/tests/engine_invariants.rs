@@ -136,7 +136,7 @@ proptest! {
             specs.push(
                 MessageSpec::multicast(
                     net.procs[src],
-                    dests.iter().map(|&d| net.procs[d]).collect(),
+                    dests.iter().map(|&d| net.procs[d]),
                     *len,
                 )
                 .tag(tag as u64)
@@ -190,7 +190,7 @@ proptest! {
         let mut sim = NetworkSim::new(&net.topo, oracle, SimConfig::paper());
         sim.submit(MessageSpec::multicast(
             net.procs[src],
-            dests.iter().map(|&d| net.procs[d]).collect(),
+            dests.iter().map(|&d| net.procs[d]),
             32,
         ))
         .unwrap();
@@ -199,7 +199,7 @@ proptest! {
         let m = &out.messages[0];
         let done = m.completed_at.unwrap();
         let mut latest = Time::ZERO;
-        for d in &m.dest_done_at {
+        for d in out.dest_times(m) {
             let t = d.unwrap();
             prop_assert!(t <= done);
             latest = latest.max(t);
@@ -251,7 +251,7 @@ proptest! {
                 specs.push(
                     MessageSpec::multicast(
                         net.procs[src],
-                        dests.iter().map(|&d| net.procs[d]).collect(),
+                        dests.iter().map(|&d| net.procs[d]),
                         *len,
                     )
                     .tag(tag as u64)
@@ -358,7 +358,7 @@ fn all_buffer_geometries_deliver_same_message_set() {
         );
         sim.submit(MessageSpec::multicast(
             net.procs[0],
-            dests.iter().map(|&d| net.procs[d]).collect(),
+            dests.iter().map(|&d| net.procs[d]),
             64,
         ))
         .unwrap();
@@ -384,12 +384,7 @@ fn oracle_handles_many_tags_independently() {
     let mut sim = NetworkSim::new(&net.topo, oracle, SimConfig::paper());
     for (tag, dests) in &sim_plan {
         sim.submit(
-            MessageSpec::multicast(
-                net.procs[0],
-                dests.iter().map(|&d| net.procs[d]).collect(),
-                16,
-            )
-            .tag(*tag),
+            MessageSpec::multicast(net.procs[0], dests.iter().map(|&d| net.procs[d]), 16).tag(*tag),
         )
         .unwrap();
     }

@@ -104,7 +104,7 @@ fn assert_same_outcome(a: &SimOutcome, b: &SimOutcome) {
     for (x, y) in a.messages.iter().zip(&b.messages) {
         assert_eq!(x.spec, y.spec);
         assert_eq!(x.completed_at, y.completed_at);
-        assert_eq!(x.dest_done_at, y.dest_done_at);
+        assert_eq!(a.dest_times(x), b.dest_times(y));
         assert_eq!(x.failure, y.failure);
     }
     let (ma, mb) = (a.metrics.as_ref().unwrap(), b.metrics.as_ref().unwrap());

@@ -202,7 +202,8 @@ fn assert_outcomes_identical(a: &SimOutcome, b: &SimOutcome, what: &str) {
     for (ma, mb) in a.messages.iter().zip(&b.messages) {
         assert_eq!(ma.completed_at, mb.completed_at, "{what}: latency diverged");
         assert_eq!(
-            ma.dest_done_at, mb.dest_done_at,
+            a.dest_times(ma),
+            b.dest_times(mb),
             "{what}: dest timing diverged"
         );
         assert_eq!(ma.failure, mb.failure, "{what}: failure diverged");

@@ -127,7 +127,7 @@ fn partitioned_multicast_delivers_same_set() {
         0,
     );
     assert!(!specs.is_empty() && specs.len() <= 4);
-    let mut covered: Vec<NodeId> = specs.iter().flat_map(|s| s.dests.clone()).collect();
+    let mut covered: Vec<NodeId> = specs.iter().flat_map(|s| s.dests.iter().copied()).collect();
     covered.sort_unstable();
     let mut want = dests.clone();
     want.sort_unstable();

@@ -31,8 +31,8 @@ fn small_irregular_multicast_delivers_to_all_destinations() {
     assert_eq!(out.counters.flits_delivered, 32 * dests.len() as u64);
 
     let m = &out.messages[0];
-    assert_eq!(m.dest_done_at.len(), dests.len());
-    assert!(m.dest_done_at.iter().all(|t| t.is_some()));
+    assert_eq!(out.dest_times(m).len(), dests.len());
+    assert!(out.dest_times(m).iter().all(|t| t.is_some()));
     // Single startup (10 µs) plus a sane amount of network time.
     let lat = m.latency().expect("completed message has a latency");
     assert!(lat.as_ns() > 10_000 && lat.as_ns() < 100_000, "{lat}");
