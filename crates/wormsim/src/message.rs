@@ -103,12 +103,6 @@ impl PartialEq for Dests {
 
 impl Eq for Dests {}
 
-impl PartialEq<[NodeId]> for Dests {
-    fn eq(&self, other: &[NodeId]) -> bool {
-        **self == *other
-    }
-}
-
 impl<const N: usize> PartialEq<[NodeId; N]> for Dests {
     fn eq(&self, other: &[NodeId; N]) -> bool {
         **self == *other
