@@ -85,7 +85,9 @@ impl UnicastMulticast {
     /// The unicasts the source issues at time `t0` (serialized by
     /// `send_gap` each). Submit these before running the simulation.
     pub fn initial_sends(&self, t0: Time) -> Vec<MessageSpec> {
-        self.sends_from(self.src, t0)
+        let mut out = Vec::new();
+        self.sends_from(self.src, t0, &mut out);
+        out
     }
 
     /// Number of point-to-point messages the scheme uses in total (= d).
@@ -115,28 +117,25 @@ impl UnicastMulticast {
         Some(end.since(start))
     }
 
-    fn sends_from(&self, node: NodeId, t0: Time) -> Vec<MessageSpec> {
+    /// Pushes onto `out` the unicasts `node` sends to its children.
+    fn sends_from(&self, node: NodeId, t0: Time, out: &mut Vec<MessageSpec>) {
         let Some(kids) = self.children.get(&node) else {
-            return Vec::new();
+            return;
         };
-        kids.iter()
-            .enumerate()
-            .map(|(i, &child)| {
-                MessageSpec::unicast(node, child, self.len)
-                    .at(t0 + self.send_gap * i as u64)
-                    .tag(self.tag)
-            })
-            .collect()
+        out.extend(kids.iter().enumerate().map(|(i, &child)| {
+            MessageSpec::unicast(node, child, self.len)
+                .at(t0 + self.send_gap * i as u64)
+                .tag(self.tag)
+        }));
     }
 }
 
 impl CompletionHook for UnicastMulticast {
-    fn on_complete(&mut self, _m: MsgId, spec: &MessageSpec, at: Time) -> Vec<MessageSpec> {
-        if spec.tag != self.tag {
-            return Vec::new();
+    fn on_complete(&mut self, _m: MsgId, spec: &MessageSpec, at: Time, out: &mut Vec<MessageSpec>) {
+        if spec.tag == self.tag {
+            // The newly informed node starts forwarding immediately.
+            self.sends_from(spec.dests[0], at, out);
         }
-        // The newly informed node starts forwarding immediately.
-        self.sends_from(spec.dests[0], at)
     }
 }
 

@@ -16,7 +16,9 @@
 //!   candidate, a queue entry for a released segment) can never alias a new
 //!   occupant: lookups through stale ids simply return `None`. Every
 //!   operation is an array index — this is what replaces the engine's
-//!   per-event `HashMap` probes.
+//!   per-event `HashMap` probes. Its free list is linked through the
+//!   vacant slots themselves, so the slab is one array and `remove` never
+//!   allocates.
 //! * [`FifoPool`] — any number of small FIFO queues ([`Fifo`] handles)
 //!   that keep their oldest value in the handle and thread the rest
 //!   through one shared cell pool with a free list. The engine keeps
@@ -34,4 +36,4 @@ pub mod slab;
 
 pub use fifo_pool::{Fifo, FifoPool};
 pub use inline_vec::InlineVec;
-pub use slab::{Slab, SlotId};
+pub use slab::{FreeList, Slab, SlotId};

@@ -49,8 +49,23 @@ impl fmt::Display for SlotId {
 #[derive(Debug, Clone)]
 struct Slot<T> {
     gen: u32,
-    val: Option<T>,
+    entry: Entry<T>,
 }
+
+/// What a slot holds: its value, or its two links in the free list.
+#[derive(Debug, Clone)]
+enum Entry<T> {
+    Occupied(T),
+    /// `below` is reused after this slot, `above` before it; [`NIL`] past
+    /// either end of the list.
+    Vacant {
+        below: u32,
+        above: u32,
+    },
+}
+
+/// The end of the free list, and the index no slot may take.
+const NIL: u32 = u32::MAX;
 
 /// A slab allocator / slot map with generation-checked handles.
 ///
@@ -59,28 +74,35 @@ struct Slot<T> {
 /// LIFO, so steady-state workloads (the simulator allocates and frees one
 /// segment per worm-router traversal) touch a small, cache-hot prefix and
 /// never grow the backing storage.
+///
+/// The free list lives in the vacant slots themselves, linked both ways:
+/// popping follows `below` from the top, and [`Slab::free_list`] follows
+/// `above` from the bottom. `remove` therefore never allocates, and the
+/// slab is one array.
 #[derive(Debug, Clone)]
 pub struct Slab<T> {
     slots: Vec<Slot<T>>,
-    free: Vec<u32>,
+    /// The free list's ends: `top` is reused next, `bottom` last.
+    top: u32,
+    bottom: u32,
     len: usize,
 }
 
 impl<T> Slab<T> {
+    /// Bytes one slot takes in the backing array, live or vacant.
+    pub const SLOT_BYTES: usize = std::mem::size_of::<Slot<T>>();
+
     /// An empty slab.
     pub fn new() -> Self {
-        Slab {
-            slots: Vec::new(),
-            free: Vec::new(),
-            len: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// An empty slab with room for `cap` values before reallocating.
     pub fn with_capacity(cap: usize) -> Self {
         Slab {
             slots: Vec::with_capacity(cap),
-            free: Vec::with_capacity(cap),
+            top: NIL,
+            bottom: NIL,
             len: 0,
         }
     }
@@ -100,20 +122,22 @@ impl<T> Slab<T> {
     /// Inserts a value, returning its handle.
     pub fn insert(&mut self, value: T) -> SlotId {
         self.len += 1;
-        if let Some(idx) = self.free.pop() {
+        if let Some(idx) = self.pop_free() {
             let slot = &mut self.slots[idx as usize];
-            debug_assert!(slot.val.is_none());
-            slot.val = Some(value);
+            slot.entry = Entry::Occupied(value);
             SlotId { idx, gen: slot.gen }
         } else {
             // Handles index with a `u32`: four billion live slots is past
             // any memory the simulator is given, so a longer arena is a bug
             // to stop on, not a condition to report.
             #[allow(clippy::expect_used)]
-            let idx = u32::try_from(self.slots.len()).expect("slab capped at u32 slots");
+            let idx = u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("slab capped at u32 slots");
             self.slots.push(Slot {
                 gen: 0,
-                val: Some(value),
+                entry: Entry::Occupied(value),
             });
             SlotId { idx, gen: 0 }
         }
@@ -123,37 +147,75 @@ impl<T> Slab<T> {
     /// or was never live.
     pub fn remove(&mut self, id: SlotId) -> Option<T> {
         let slot = self.slots.get_mut(id.idx as usize)?;
-        if slot.gen != id.gen || slot.val.is_none() {
+        if slot.gen != id.gen || !matches!(slot.entry, Entry::Occupied(_)) {
             return None;
         }
-        let v = slot.val.take();
         // Bump the generation on removal so every outstanding copy of `id`
         // goes stale immediately.
         slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(id.idx);
         self.len -= 1;
-        v
+        match self.push_free(id.idx) {
+            Entry::Occupied(v) => Some(v),
+            Entry::Vacant { .. } => None,
+        }
+    }
+
+    /// Takes the top of the free list, if there is one.
+    fn pop_free(&mut self) -> Option<u32> {
+        let idx = self.top;
+        let Entry::Vacant { below, .. } = self.slots.get(idx as usize)?.entry else {
+            unreachable!("the free list holds a live slot");
+        };
+        self.top = below;
+        match self.slots.get_mut(below as usize) {
+            Some(Slot {
+                entry: Entry::Vacant { above, .. },
+                ..
+            }) => *above = NIL,
+            _ => self.bottom = NIL,
+        }
+        Some(idx)
+    }
+
+    /// Puts slot `idx` on top of the free list, returning what it held.
+    fn push_free(&mut self, idx: u32) -> Entry<T> {
+        let vacant = Entry::Vacant {
+            below: self.top,
+            above: NIL,
+        };
+        let old = std::mem::replace(&mut self.slots[idx as usize].entry, vacant);
+        match self.slots.get_mut(self.top as usize) {
+            Some(Slot {
+                entry: Entry::Vacant { above, .. },
+                ..
+            }) => *above = idx,
+            _ => self.bottom = idx,
+        }
+        self.top = idx;
+        old
     }
 
     /// Shared access to the value behind `id` (`None` if stale).
     #[inline]
     pub fn get(&self, id: SlotId) -> Option<&T> {
-        let slot = self.slots.get(id.idx as usize)?;
-        if slot.gen == id.gen {
-            slot.val.as_ref()
-        } else {
-            None
+        match self.slots.get(id.idx as usize)? {
+            Slot {
+                gen,
+                entry: Entry::Occupied(v),
+            } if *gen == id.gen => Some(v),
+            _ => None,
         }
     }
 
     /// Mutable access to the value behind `id` (`None` if stale).
     #[inline]
     pub fn get_mut(&mut self, id: SlotId) -> Option<&mut T> {
-        let slot = self.slots.get_mut(id.idx as usize)?;
-        if slot.gen == id.gen {
-            slot.val.as_mut()
-        } else {
-            None
+        match self.slots.get_mut(id.idx as usize)? {
+            Slot {
+                gen,
+                entry: Entry::Occupied(v),
+            } if *gen == id.gen => Some(v),
+            _ => None,
         }
     }
 
@@ -166,25 +228,29 @@ impl<T> Slab<T> {
     /// Iterates over live `(id, value)` pairs in ascending slot order
     /// (deterministic: depends only on the operation sequence).
     pub fn iter(&self) -> impl Iterator<Item = (SlotId, &T)> {
-        self.slots.iter().enumerate().filter_map(|(i, s)| {
-            s.val.as_ref().map(|v| {
-                (
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| match &s.entry {
+                Entry::Occupied(v) => Some((
                     SlotId {
                         idx: i as u32,
                         gen: s.gen,
                     },
                     v,
-                )
+                )),
+                Entry::Vacant { .. } => None,
             })
-        })
     }
 
     /// Removes all values (generations advance, so old ids stay stale).
+    /// The freed slots go on the free list in ascending index order.
     pub fn clear(&mut self) {
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if slot.val.take().is_some() {
+        for i in 0..self.slots.len() {
+            let slot = &mut self.slots[i];
+            if matches!(slot.entry, Entry::Occupied(_)) {
                 slot.gen = slot.gen.wrapping_add(1);
-                self.free.push(i as u32);
+                self.push_free(i as u32);
             }
         }
         self.len = 0;
@@ -196,12 +262,16 @@ impl<T> Slab<T> {
         self.slots.len()
     }
 
-    /// The vacant-slot free list in its exact LIFO order. Future inserts
-    /// pop from the *end*, so this order is observable through the ids
-    /// they return and must survive a snapshot round-trip byte-exactly.
-    #[inline]
-    pub fn free_list(&self) -> &[u32] {
-        &self.free
+    /// The vacant slots in free-list order, bottom first: future inserts
+    /// take them from the *end*, so this order is observable through the
+    /// ids they return and must survive a snapshot round-trip
+    /// byte-exactly.
+    pub fn free_list(&self) -> FreeList<'_, T> {
+        FreeList {
+            slots: &self.slots,
+            next: self.bottom,
+            left: self.slots.len() - self.len,
+        }
     }
 
     /// Visits every physical slot in index order — vacant ones included —
@@ -209,7 +279,10 @@ impl<T> Slab<T> {
     /// with [`Slab::free_list`] this is the complete observable state.
     pub fn snapshot_slots(&self, mut f: impl FnMut(u32, Option<&T>)) {
         for slot in &self.slots {
-            f(slot.gen, slot.val.as_ref());
+            match &slot.entry {
+                Entry::Occupied(v) => f(slot.gen, Some(v)),
+                Entry::Vacant { .. } => f(slot.gen, None),
+            }
         }
     }
 
@@ -226,29 +299,76 @@ impl<T> Slab<T> {
         if free.len() != slots.len() - live {
             return Err("slab free list length disagrees with vacant slot count");
         }
-        let mut seen = vec![false; slots.len()];
-        for &idx in &free {
-            let Some(slot) = slots.get(idx as usize) else {
-                return Err("slab free list indexes past the slot array");
-            };
-            if slot.1.is_some() {
-                return Err("slab free list indexes a live slot");
-            }
-            if seen[idx as usize] {
-                return Err("slab free list repeats a slot");
-            }
-            seen[idx as usize] = true;
-        }
-        Ok(Slab {
+        let mut slab = Slab {
             slots: slots
                 .into_iter()
-                .map(|(gen, val)| Slot { gen, val })
+                .map(|(gen, val)| Slot {
+                    gen,
+                    entry: val.map_or(
+                        Entry::Vacant {
+                            below: NIL,
+                            above: NIL,
+                        },
+                        Entry::Occupied,
+                    ),
+                })
                 .collect(),
-            free,
+            top: NIL,
+            bottom: NIL,
             len: live,
-        })
+        };
+        for idx in free {
+            // A vacant slot is on the list once it is the top or has a
+            // slot above it.
+            match slab.slots.get(idx as usize) {
+                None => return Err("slab free list indexes past the slot array"),
+                Some(Slot {
+                    entry: Entry::Occupied(_),
+                    ..
+                }) => return Err("slab free list indexes a live slot"),
+                Some(Slot {
+                    entry: Entry::Vacant { above, .. },
+                    ..
+                }) if idx == slab.top || *above != NIL => {
+                    return Err("slab free list repeats a slot")
+                }
+                Some(_) => {
+                    slab.push_free(idx);
+                }
+            }
+        }
+        Ok(slab)
     }
 }
+
+/// The vacant slots of a [`Slab`] in free-list order, bottom first: what
+/// [`Slab::free_list`] returns.
+#[derive(Debug, Clone)]
+pub struct FreeList<'a, T> {
+    slots: &'a [Slot<T>],
+    next: u32,
+    left: usize,
+}
+
+impl<T> Iterator for FreeList<'_, T> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        let idx = self.next;
+        let Entry::Vacant { above, .. } = self.slots.get(idx as usize)?.entry else {
+            unreachable!("the free list holds a live slot");
+        };
+        self.next = above;
+        self.left -= 1;
+        Some(idx)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl<T> ExactSizeIterator for FreeList<'_, T> {}
 
 impl<T> Default for Slab<T> {
     fn default() -> Self {
@@ -343,7 +463,7 @@ mod tests {
 
         let mut slots = Vec::new();
         s.snapshot_slots(|gen, v| slots.push((gen, v.copied())));
-        let rebuilt = Slab::from_raw_parts(slots, s.free_list().to_vec()).unwrap();
+        let rebuilt = Slab::from_raw_parts(slots, s.free_list().collect()).unwrap();
 
         assert_eq!(rebuilt.len(), s.len());
         assert_eq!(rebuilt.num_slots(), s.num_slots());

@@ -58,11 +58,13 @@ impl FaultModel {
         match *self {
             FaultModel::IidLinks { rate } => {
                 assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
-                let links = (0..topo.num_channels())
-                    .step_by(2)
-                    .map(|i| ChannelId(i as u32))
-                    .filter(|_| rng.gen_bool(rate))
-                    .collect();
+                let links = iid(
+                    (0..topo.num_channels())
+                        .step_by(2)
+                        .map(|i| ChannelId(i as u32)),
+                    rate,
+                    &mut rng,
+                );
                 FaultPlan {
                     links,
                     switches: Vec::new(),
@@ -70,7 +72,7 @@ impl FaultModel {
             }
             FaultModel::IidSwitches { rate } => {
                 assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
-                let switches = topo.switches().filter(|_| rng.gen_bool(rate)).collect();
+                let switches = iid(topo.switches(), rate, &mut rng);
                 FaultPlan {
                     links: Vec::new(),
                     switches,
@@ -96,6 +98,22 @@ impl FaultModel {
             }
         }
     }
+}
+
+/// The items of `pool` that independent draws of probability `rate`
+/// keep, in order. The draws are made on a copy of the stream first to
+/// count them, so the list is sized once; `rng` ends where one pass
+/// leaves it.
+fn iid<T>(
+    pool: impl Iterator<Item = T> + Clone,
+    rate: f64,
+    rng: &mut rand::rngs::StdRng,
+) -> Vec<T> {
+    let mut counting = rng.clone();
+    let kept = pool.clone().filter(|_| counting.gen_bool(rate)).count();
+    let mut out = Vec::with_capacity(kept);
+    out.extend(pool.filter(|_| rng.gen_bool(rate)));
+    out
 }
 
 impl FaultPlan {

@@ -16,7 +16,7 @@ pub const UNREACHABLE: u32 = u32::MAX;
 /// Unreachable nodes get [`UNREACHABLE`].
 pub fn bfs_distances(topo: &Topology, source: NodeId) -> Vec<u32> {
     let mut dist = vec![UNREACHABLE; topo.num_nodes()];
-    let mut q = VecDeque::new();
+    let mut q = VecDeque::with_capacity(topo.num_nodes());
     dist[source.index()] = 0;
     q.push_back(source);
     while let Some(u) = q.pop_front() {
@@ -37,7 +37,7 @@ pub fn bfs_distances(topo: &Topology, source: NodeId) -> Vec<u32> {
 /// experiments rely on.
 pub fn bfs_parents(topo: &Topology, source: NodeId) -> Vec<Option<NodeId>> {
     let mut parent = vec![None; topo.num_nodes()];
-    let mut q = VecDeque::new();
+    let mut q = VecDeque::with_capacity(topo.num_nodes());
     parent[source.index()] = Some(source);
     q.push_back(source);
     while let Some(u) = q.pop_front() {
@@ -64,11 +64,12 @@ pub fn is_connected(topo: &Topology) -> bool {
 pub fn connected_components(topo: &Topology) -> (Vec<u32>, usize) {
     let mut label = vec![u32::MAX; topo.num_nodes()];
     let mut count = 0u32;
+    // Each node enters the queue once, over all components.
+    let mut q = VecDeque::with_capacity(topo.num_nodes());
     for start in topo.nodes() {
         if label[start.index()] != u32::MAX {
             continue;
         }
-        let mut q = VecDeque::new();
         label[start.index()] = count;
         q.push_back(start);
         while let Some(u) = q.pop_front() {

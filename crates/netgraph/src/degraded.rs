@@ -14,7 +14,7 @@
 
 use crate::algo;
 use crate::ids::{ChannelId, NodeId};
-use crate::topology::{NodeKind, Topology};
+use crate::topology::{NodeKind, Topology, TopologyBuilder};
 use std::collections::VecDeque;
 
 /// A fault mask over a base topology.
@@ -98,6 +98,11 @@ impl<'a> DegradedTopology<'a> {
         self.channel_alive.clone()
     }
 
+    /// The per-channel alive mask, taken out of the view without a copy.
+    pub fn into_alive_channel_mask(self) -> Vec<bool> {
+        self.channel_alive
+    }
+
     /// Surviving channels (both directions of surviving links).
     pub fn num_alive_channels(&self) -> usize {
         self.channel_alive.iter().filter(|a| **a).count()
@@ -126,12 +131,13 @@ impl<'a> DegradedTopology<'a> {
         let n = self.base.num_nodes();
         let mut seen = vec![false; n];
         let mut comps: Vec<Vec<NodeId>> = Vec::new();
+        // Each node enters the queue once, over all components.
+        let mut q = VecDeque::with_capacity(n);
         for start in self.base.nodes() {
             if seen[start.index()] || !self.is_node_alive(start) {
                 continue;
             }
             let mut comp = Vec::new();
-            let mut q = VecDeque::new();
             seen[start.index()] = true;
             q.push_back(start);
             while let Some(u) = q.pop_front() {
@@ -173,7 +179,8 @@ impl<'a> DegradedTopology<'a> {
     /// recompacted; the returned map gives `base channel id → masked
     /// channel id` (`None` for dead channels).
     pub fn masked_topology(&self) -> (Topology, Vec<Option<ChannelId>>) {
-        let mut b = Topology::builder();
+        let mut b =
+            TopologyBuilder::with_capacity(self.base.num_nodes(), self.base.num_channels() / 2);
         for n in self.base.nodes() {
             match self.base.kind(n) {
                 NodeKind::Switch => b.add_switch(),
@@ -207,7 +214,7 @@ impl<'a> DegradedTopology<'a> {
         if !self.is_node_alive(source) {
             return dist;
         }
-        let mut q = VecDeque::new();
+        let mut q = VecDeque::with_capacity(self.base.num_nodes());
         dist[source.index()] = 0;
         q.push_back(source);
         while let Some(u) = q.pop_front() {

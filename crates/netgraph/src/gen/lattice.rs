@@ -21,7 +21,7 @@
 
 use crate::algo;
 use crate::ids::NodeId;
-use crate::topology::Topology;
+use crate::topology::{Topology, TopologyBuilder};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
@@ -164,7 +164,9 @@ impl IrregularConfig {
         let cells = self.cells();
         let mut occupied = vec![false; cells];
         let mut chosen = Vec::with_capacity(self.switches);
-        let mut frontier: Vec<usize> = Vec::new();
+        // Every chosen cell adds at most its 4 lattice neighbors, and a
+        // draw only ever removes: 4 entries per switch bound the frontier.
+        let mut frontier: Vec<usize> = Vec::with_capacity(4 * self.switches);
 
         let start = rng.gen_range(0..cells);
         occupied[start] = true;
@@ -225,7 +227,9 @@ impl IrregularConfig {
     // processor once to its own switch: `link` has nothing to reject.
     #[allow(clippy::unwrap_used)]
     fn assemble(&self, chosen: &[usize]) -> Topology {
-        let mut b = Topology::builder();
+        // A switch and its processor per cell; per cell at most two links
+        // to later cells (right and down) and one to its processor.
+        let mut b = TopologyBuilder::with_capacity(2 * chosen.len(), 3 * chosen.len());
         let switch_ids: Vec<NodeId> = chosen.iter().map(|_| b.add_switch()).collect();
         // Map cell -> switch index for adjacency lookups.
         let mut cell_to_switch = vec![usize::MAX; self.cells()];

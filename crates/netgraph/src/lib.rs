@@ -41,4 +41,4 @@ pub mod topology;
 
 pub use degraded::DegradedTopology;
 pub use ids::{ChannelId, NodeId};
-pub use topology::{Channel, NodeKind, Topology, TopologyBuilder, TopologyError};
+pub use topology::{Channel, NodeKind, NodesOfKind, Topology, TopologyBuilder, TopologyError};

@@ -152,14 +152,16 @@ impl Topology {
         (0..self.kinds.len() as u32).map(NodeId)
     }
 
-    /// Iterator over switch ids.
-    pub fn switches(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes().filter(|n| self.is_switch(*n))
+    /// Iterator over switch ids, in id order. Its length is known up
+    /// front, so collecting it allocates once.
+    pub fn switches(&self) -> NodesOfKind<'_> {
+        NodesOfKind::new(&self.kinds, NodeKind::Switch, self.num_switches)
     }
 
-    /// Iterator over processor ids.
-    pub fn processors(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes().filter(|n| self.is_processor(*n))
+    /// Iterator over processor ids, in id order. Its length is known up
+    /// front, so collecting it allocates once.
+    pub fn processors(&self) -> NodesOfKind<'_> {
+        NodesOfKind::new(&self.kinds, NodeKind::Processor, self.num_processors())
     }
 
     /// The unidirectional channel record for `c`.
@@ -291,6 +293,49 @@ impl Topology {
     }
 }
 
+/// The nodes of one kind, in id order: what [`Topology::switches`] and
+/// [`Topology::processors`] return. It counts down from the topology's
+/// tally of that kind, so its length is exact.
+#[derive(Debug, Clone)]
+pub struct NodesOfKind<'a> {
+    kinds: std::iter::Enumerate<std::slice::Iter<'a, NodeKind>>,
+    kind: NodeKind,
+    left: usize,
+}
+
+impl<'a> NodesOfKind<'a> {
+    fn new(kinds: &'a [NodeKind], kind: NodeKind, count: usize) -> Self {
+        NodesOfKind {
+            kinds: kinds.iter().enumerate(),
+            kind,
+            left: count,
+        }
+    }
+}
+
+impl Iterator for NodesOfKind<'_> {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        if self.left == 0 {
+            return None;
+        }
+        let (v, _) = self.kinds.find(|&(_, &k)| k == self.kind)?;
+        self.left -= 1;
+        Some(NodeId(v as u32))
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for NodesOfKind<'_> {}
+
+impl std::iter::FusedIterator for NodesOfKind<'_> {}
+
 /// Incremental construction of a [`Topology`].
 ///
 /// ```
@@ -323,6 +368,18 @@ pub struct TopologyBuilder {
 const NO_LINK: u32 = u32::MAX;
 
 impl TopologyBuilder {
+    /// An empty builder with room for `nodes` nodes and `links` links, so
+    /// a generator that knows its counts grows no array while it adds
+    /// them.
+    pub fn with_capacity(nodes: usize, links: usize) -> Self {
+        TopologyBuilder {
+            kinds: Vec::with_capacity(nodes),
+            links: Vec::with_capacity(links),
+            newest: Vec::with_capacity(nodes),
+            older: Vec::with_capacity(links),
+        }
+    }
+
     /// Adds a switch and returns its id.
     pub fn add_switch(&mut self) -> NodeId {
         self.add_node(NodeKind::Switch)
@@ -412,6 +469,8 @@ impl TopologyBuilder {
             .collect();
         // Counting sort of the channels by node: degrees, then their
         // prefix sums, then each channel into its node's next free slot.
+        // The fill walks each node's offset up to the next node's, so one
+        // shift afterwards restores the starts.
         let mut offsets = vec![0u32; n + 1];
         for &(a, b) in &self.links {
             offsets[a.index() + 1] += 1;
@@ -422,15 +481,16 @@ impl TopologyBuilder {
         }
         let mut out = vec![ChannelId(0); channels.len()];
         let mut inc = vec![ChannelId(0); channels.len()];
-        let mut free = offsets.clone();
         for (i, ch) in channels.iter().enumerate() {
             // Channel `i` leaves `src`, and its reverse `i ^ 1` enters it:
             // one slot of `src`'s run holds both.
-            let slot = &mut free[ch.src.index()];
+            let slot = &mut offsets[ch.src.index()];
             out[*slot as usize] = ChannelId(i as u32);
             inc[*slot as usize] = ChannelId(i as u32 ^ 1);
             *slot += 1;
         }
+        offsets.copy_within(..n, 1);
+        offsets[0] = 0;
         for v in 0..n {
             let run = offsets[v] as usize..offsets[v + 1] as usize;
             out[run.clone()].sort_unstable_by_key(|c| (channels[c.index()].dst, *c));
@@ -566,6 +626,28 @@ mod tests {
         let ranks: Vec<_> = t.nodes().map(|v| t.switch_rank(v)).collect();
         assert_eq!(ranks, [Some(0), None, Some(1), None, None, Some(2)]);
         assert_eq!(tiny().switch_rank(NodeId(2)), Some(2));
+    }
+
+    #[test]
+    fn node_kind_iterators_know_their_length() {
+        // Processors interleaved with switches: s0 p1 s2 p3 p4 s5.
+        let mut b = Topology::builder();
+        for is_switch in [true, false, true, false, false, true] {
+            if is_switch {
+                b.add_switch();
+            } else {
+                b.add_processor();
+            }
+        }
+        let t = b.build();
+        let mut switches = t.switches();
+        assert_eq!(switches.len(), 3);
+        assert_eq!(switches.next(), Some(NodeId(0)));
+        assert_eq!(switches.len(), 2);
+        assert_eq!(switches.collect::<Vec<_>>(), [NodeId(2), NodeId(5)]);
+        let procs: Vec<_> = t.processors().collect();
+        assert_eq!(procs, [NodeId(1), NodeId(3), NodeId(4)]);
+        assert_eq!(tiny().processors().len(), 2);
     }
 
     #[test]

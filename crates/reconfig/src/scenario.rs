@@ -74,7 +74,7 @@ impl ReconfigScenario {
             let view = schedule.view_at(base, t);
             let prev = relabeled.last().unwrap_or(&initial);
             let (next, report) = prev.relabel_after(&view)?;
-            masks.push(view.alive_channel_mask());
+            masks.push(view.into_alive_channel_mask());
             relabeled.push(next);
             reports.push(report);
         }

@@ -519,10 +519,9 @@ struct MulticastFleet {
 }
 
 impl CompletionHook for MulticastFleet {
-    fn on_complete(&mut self, m: MsgId, spec: &MessageSpec, at: Time) -> Vec<MessageSpec> {
-        match self.by_tag.get_mut(&spec.tag) {
-            Some(um) => um.on_complete(m, spec, at),
-            None => Vec::new(),
+    fn on_complete(&mut self, m: MsgId, spec: &MessageSpec, at: Time, out: &mut Vec<MessageSpec>) {
+        if let Some(um) = self.by_tag.get_mut(&spec.tag) {
+            um.on_complete(m, spec, at, out);
         }
     }
 }

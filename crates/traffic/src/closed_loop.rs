@@ -143,13 +143,11 @@ impl ClosedLoopInjector {
 }
 
 impl CompletionHook for ClosedLoopInjector {
-    fn on_complete(&mut self, _m: MsgId, spec: &MessageSpec, at: Time) -> Vec<MessageSpec> {
-        match self.procs.binary_search(&spec.src) {
-            Ok(idx) => self
-                .next_from(idx, at + self.cfg.think)
-                .into_iter()
-                .collect(),
-            Err(_) => Vec::new(), // not one of ours (mixed scheme run)
+    fn on_complete(&mut self, _m: MsgId, spec: &MessageSpec, at: Time, out: &mut Vec<MessageSpec>) {
+        // A source that is not one of ours belongs to another scheme of a
+        // mixed run.
+        if let Ok(idx) = self.procs.binary_search(&spec.src) {
+            out.extend(self.next_from(idx, at + self.cfg.think));
         }
     }
 

@@ -249,11 +249,13 @@ impl UpDownLabeling {
                 .iter()
                 .any(|&c| view.is_channel_alive(c) && !labeled[topo.channel(c).dst.index()])
         };
-        let mut heap: BinaryHeap<Reverse<(u32, NodeId)>> = topo
-            .nodes()
-            .filter(|&v| labeled[v.index()] && orphan_neighbor(v))
-            .map(|v| Reverse((level[v.index()], v)))
-            .collect();
+        // A node enters the heap at most once (seeded, or when labeled).
+        let mut heap = BinaryHeap::with_capacity(n);
+        heap.extend(
+            topo.nodes()
+                .filter(|&v| labeled[v.index()] && orphan_neighbor(v))
+                .map(|v| Reverse((level[v.index()], v))),
+        );
         let mut reattached = 0usize;
         while let Some(Reverse((lu, u))) = heap.pop() {
             for &c in topo.out_channels(u) {
@@ -603,13 +605,16 @@ fn group_nodes(
         offsets[k + 1] += offsets[k];
     }
     let mut nodes = vec![NodeId(0); offsets[groups] as usize];
-    let mut free = offsets.clone();
+    // The fill walks each group's offset up to the next group's start;
+    // one shift afterwards restores the starts.
     for (v, k) in keys.enumerate() {
         if let Some(k) = k {
-            nodes[free[k] as usize] = NodeId(v as u32);
-            free[k] += 1;
+            nodes[offsets[k] as usize] = NodeId(v as u32);
+            offsets[k] += 1;
         }
     }
+    offsets.copy_within(..groups, 1);
+    offsets[0] = 0;
     (offsets, nodes)
 }
 

@@ -165,6 +165,13 @@ struct Segment {
 
 snap_struct! { Segment { msg, input, outputs, acquired } derived { candidate: false } }
 
+// A slot of the segment arena is a generation and the segment, or the
+// two free-list links of a vacant slot in the segment's spare bytes: 72
+// bytes, what the generation and an `Option<Segment>` took while the free
+// list was a `Vec` of its own.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(Slab::<Segment>::SLOT_BYTES <= 72);
+
 /// One destination's delivery state. It is the size of the
 /// `Option<Time>` it becomes (16 bytes): the outcome's delivery times take
 /// over the `dests` arena's block as it is.
@@ -360,6 +367,9 @@ pub struct NetworkSim<'a, R: RoutingAlgorithm> {
     /// Completed messages whose hook has not run yet; drained after each
     /// event, so empty whenever a snapshot can be taken.
     pending_completions: Vec<MsgId>,
+    /// Reused buffer for the specs a completion hook injects; empty
+    /// between events.
+    follow_ups: Vec<MessageSpec>,
     /// Trace, telemetry, coverage and the checkpointer: every recorder
     /// that watches the run without taking part in it. The protocol code
     /// below names each step once, as one call on this seam.
@@ -424,6 +434,7 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             last_progress: Time::ZERO,
             active: 0,
             pending_completions: Vec::new(),
+            follow_ups: Vec::new(),
             bubble_candidates: Vec::new(),
             flags: ChanFlags::of(topo),
             fault_times: Vec::new(),
@@ -513,6 +524,24 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
         self.msgs[msg.index()].spec.len + self.cfg.extra_header_flits
     }
 
+    /// Runs the hook on every message the last event completed, between
+    /// events, and submits what it injects. A hook that breaks its
+    /// contract (invalid spec, or a generation time before the completion
+    /// instant) aborts the run with a typed error, never a panic.
+    fn run_hooks(&mut self, hook: &mut dyn CompletionHook, t: Time) {
+        let mut follow_ups = std::mem::take(&mut self.follow_ups);
+        'hooks: while let Some(m) = self.pending_completions.pop() {
+            hook.on_complete(m, &self.msgs[m.index()].spec, t, &mut follow_ups);
+            for s in follow_ups.drain(..) {
+                if s.gen_time < t || self.submit(s).is_err() {
+                    self.fail(SimError::HookSpec { msg: m });
+                    break 'hooks;
+                }
+            }
+        }
+        self.follow_ups = follow_ups;
+    }
+
     /// Runs to completion (or deadlock) with no completion hook.
     pub fn run(self) -> SimOutcome {
         self.run_with_hook(&mut NoHook)
@@ -548,18 +577,8 @@ impl<'a, R: RoutingAlgorithm> NetworkSim<'a, R> {
             if self.error.is_some() {
                 break;
             }
-            // Completion hooks run between events; they may submit. A
-            // hook that breaks its contract (invalid spec, or a
-            // generation time before the completion instant) aborts the
-            // run with a typed error, never a panic.
-            'hooks: while let Some(m) = self.pending_completions.pop() {
-                let specs = hook.on_complete(m, &self.msgs[m.index()].spec, t);
-                for s in specs {
-                    if s.gen_time < t || self.submit(s).is_err() {
-                        self.fail(SimError::HookSpec { msg: m });
-                        break 'hooks;
-                    }
-                }
+            if !self.pending_completions.is_empty() {
+                self.run_hooks(hook, t);
             }
             if self.error.is_some() {
                 break;

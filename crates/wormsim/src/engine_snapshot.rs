@@ -554,7 +554,11 @@ fn put_slab<T>(
         }
     });
     result?;
-    put_list(w, slab.free_list());
+    let free = slab.free_list();
+    w.put_len(free.len());
+    for idx in free {
+        w.put_u32(idx);
+    }
     Ok(())
 }
 

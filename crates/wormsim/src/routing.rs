@@ -233,14 +233,17 @@ pub trait RoutingAlgorithm {
 /// barrier/gather protocols, request-reply workloads).
 pub trait CompletionHook {
     /// Called once per message, at the instant its tail reaches its last
-    /// destination. Returned specs are submitted with their `gen_time`
-    /// (must be ≥ `completed_at`).
+    /// destination. Specs pushed onto `out` are submitted with their
+    /// `gen_time` (must be ≥ `completed_at`). `out` is empty on entry and
+    /// is a buffer the engine owns and reuses, so a hook that injects
+    /// allocates nothing per completed message.
     fn on_complete(
         &mut self,
         msg: MsgId,
         spec: &MessageSpec,
         completed_at: Time,
-    ) -> Vec<MessageSpec>;
+        out: &mut Vec<MessageSpec>,
+    );
 
     /// Serializes the hook's mutable state into an engine checkpoint.
     /// Stateless hooks (the default) write nothing. Object-safe by
@@ -261,9 +264,7 @@ pub trait CompletionHook {
 pub struct NoHook;
 
 impl CompletionHook for NoHook {
-    fn on_complete(&mut self, _: MsgId, _: &MessageSpec, _: Time) -> Vec<MessageSpec> {
-        Vec::new()
-    }
+    fn on_complete(&mut self, _: MsgId, _: &MessageSpec, _: Time, _: &mut Vec<MessageSpec>) {}
 }
 
 /// A scripted routing algorithm for tests: every message `tag` is assigned

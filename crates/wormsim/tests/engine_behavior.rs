@@ -539,16 +539,14 @@ struct ReplyHook {
 }
 
 impl CompletionHook for ReplyHook {
-    fn on_complete(&mut self, _m: MsgId, spec: &MessageSpec, at: Time) -> Vec<MessageSpec> {
+    fn on_complete(&mut self, _m: MsgId, spec: &MessageSpec, at: Time, out: &mut Vec<MessageSpec>) {
         if spec.tag == 0 {
             self.replies_sent += 1;
-            vec![
+            out.push(
                 MessageSpec::unicast(spec.dests[0], spec.src, self.reply_len)
                     .tag(1)
                     .at(at),
-            ]
-        } else {
-            Vec::new()
+            );
         }
     }
 }

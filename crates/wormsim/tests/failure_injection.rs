@@ -190,8 +190,9 @@ fn stale_hook_spec_aborts_with_typed_error() {
             _m: wormsim::MsgId,
             _spec: &MessageSpec,
             _at: Time,
-        ) -> Vec<MessageSpec> {
-            vec![MessageSpec::unicast(self.0, self.1, 8).at(Time::ZERO)]
+            out: &mut Vec<MessageSpec>,
+        ) {
+            out.push(MessageSpec::unicast(self.0, self.1, 8).at(Time::ZERO));
         }
     }
     let out = sim.run_with_hook(&mut StaleHook(p0, p1));

@@ -1,6 +1,8 @@
 //! What one message costs the heap from spec to delivery times: nothing,
 //! for a unicast and for a multicast of eight, and exactly one block, its
-//! destination list, for a multicast of nine.
+//! destination list, for a multicast of nine. A message a completion hook
+//! injects costs nothing either: the hook pushes it into a buffer the
+//! engine reuses.
 //!
 //! Each pin counts the allocations of a whole run — building the specs,
 //! `submit`, `run` and reading every delivery time back — at two message
@@ -15,7 +17,7 @@ use netgraph::{NodeId, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use wormsim::routing::OracleRouting;
-use wormsim::{MessageSpec, NetworkSim, QueueKind, SimConfig};
+use wormsim::{CompletionHook, MessageSpec, MsgId, NetworkSim, QueueKind, SimConfig};
 
 struct CountingAlloc;
 
@@ -116,6 +118,37 @@ fn per_message(f: &Fabric, n: usize) -> f64 {
     (many as f64 - few as f64) / 8.0
 }
 
+/// A closed loop of window one: each completed unicast injects the next,
+/// 10 µs after it lands, until `left` runs out.
+struct Relay {
+    left: u64,
+}
+
+impl CompletionHook for Relay {
+    fn on_complete(&mut self, _m: MsgId, spec: &MessageSpec, at: Time, out: &mut Vec<MessageSpec>) {
+        if self.left > 0 {
+            self.left -= 1;
+            out.push(spec.clone().at(at + desim::Duration::from_us(10)));
+        }
+    }
+}
+
+/// Allocations of a closed-loop run of `count` unicasts, one submitted
+/// and the rest injected by the hook as each completes.
+fn closed_loop(f: &Fabric, count: u64) -> u64 {
+    let cfg = SimConfig::paper().with_queue(QueueKind::Bucket);
+    let mut sim = NetworkSim::new(&f.topo, f.oracle.clone(), cfg);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    sim.reserve(count as usize, count as usize);
+    sim.submit(MessageSpec::unicast(f.src, f.dests[0], 32).tag(1))
+        .unwrap();
+    let out = sim.run_with_hook(&mut Relay { left: count - 1 });
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert!(out.all_delivered(), "{:?} {:?}", out.error, out.deadlock);
+    assert_eq!(out.messages.len() as u64, count);
+    allocs
+}
+
 fn main() {
     let f = fabric();
     let _ = run(&f, 9, 2); // one-time runtime set-up
@@ -127,4 +160,12 @@ fn main() {
         );
         println!("message_alloc::{n}_destinations ... ok ({got} allocations per message)");
     }
+    let (few, many) = (closed_loop(&f, 8), closed_loop(&f, 16));
+    assert_eq!(
+        few,
+        many,
+        "8 more hook-injected messages took {} more allocations",
+        many as i64 - few as i64
+    );
+    println!("message_alloc::closed_loop ... ok (0 allocations per injected message)");
 }

@@ -33,20 +33,21 @@ struct SpamBarrier {
 }
 
 impl CompletionHook for SpamBarrier {
-    fn on_complete(&mut self, _m: MsgId, spec: &MessageSpec, at: Time) -> Vec<MessageSpec> {
+    fn on_complete(&mut self, _m: MsgId, spec: &MessageSpec, at: Time, out: &mut Vec<MessageSpec>) {
         if spec.dests == [self.coordinator] {
             self.waiting -= 1;
             if self.waiting == 0 {
-                return vec![MessageSpec::multicast(
-                    self.coordinator,
-                    self.participants.clone(),
-                    8, // short control message
-                )
-                .at(at)
-                .tag(self.release_tag)];
+                out.push(
+                    MessageSpec::multicast(
+                        self.coordinator,
+                        self.participants.iter().copied(),
+                        8, // short control message
+                    )
+                    .at(at)
+                    .tag(self.release_tag),
+                );
             }
         }
-        Vec::new()
     }
 }
 

@@ -34,22 +34,17 @@ struct AckOnInvalidate {
 }
 
 impl CompletionHook for AckOnInvalidate {
-    fn on_complete(&mut self, _m: MsgId, spec: &MessageSpec, at: Time) -> Vec<MessageSpec> {
+    fn on_complete(&mut self, _m: MsgId, spec: &MessageSpec, at: Time, out: &mut Vec<MessageSpec>) {
         if spec.tag == INVALIDATE_TAG {
             // Each destination of the invalidation acks with a short
             // unicast. (For the multicast case one completion fans out
             // all acks; per-destination arrival times differ by at most
             // the tail skew, which is nanoseconds here.)
-            spec.dests
-                .iter()
-                .map(|&sharer| {
-                    MessageSpec::unicast(sharer, self.home, 8)
-                        .at(at)
-                        .tag(ACK_TAG)
-                })
-                .collect()
-        } else {
-            Vec::new()
+            out.extend(spec.dests.iter().map(|&sharer| {
+                MessageSpec::unicast(sharer, self.home, 8)
+                    .at(at)
+                    .tag(ACK_TAG)
+            }));
         }
     }
 }
